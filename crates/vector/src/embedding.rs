@@ -10,6 +10,7 @@
 //! native vectors or on embedded sets, and the `bench` crate has an
 //! ablation comparing the two).
 
+use crate::merge::for_each_match;
 use crate::sparse::SparseVector;
 
 /// A multiset produced by embedding a weighted vector: each `(dimension,
@@ -38,20 +39,13 @@ impl Multiset {
     /// Multiset intersection size with another multiset:
     /// `Σ_d min(m_a(d), m_b(d))`.
     pub fn intersection_size(&self, other: &Self) -> u64 {
-        let (mut i, mut j, mut acc) = (0usize, 0usize, 0u64);
-        while i < self.entries.len() && j < other.entries.len() {
-            let (da, ma) = self.entries[i];
-            let (db, mb) = other.entries[j];
-            match da.cmp(&db) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    acc += u64::from(ma.min(mb));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
+        let mut acc = 0u64;
+        for_each_match(
+            &self.entries,
+            &other.entries,
+            |(dim, _)| dim,
+            |i, j| acc += u64::from(self.entries[i].1.min(other.entries[j].1)),
+        );
         acc
     }
 
@@ -225,6 +219,25 @@ mod tests {
             let (ma, mb) = (e.embed(&va), e.embed(&vb));
             let (xa, xb) = (e.to_expanded_binary(&ma), e.to_expanded_binary(&mb));
             prop_assert!((Jaccard.sim(&xa, &xb) - ma.jaccard(&mb)).abs() < 1e-12);
+        }
+
+        #[test]
+        fn prop_multiset_intersection_is_sum_of_min_multiplicities(
+            a in proptest::collection::vec((0u32..48, 1.0f32..9.0), 0..40),
+            b in proptest::collection::vec((0u32..48, 1.0f32..9.0), 0..40),
+        ) {
+            let e = MultisetEmbedding::default();
+            let ma = e.embed(&SparseVector::from_entries(a).unwrap());
+            let mb = e.embed(&SparseVector::from_entries(b).unwrap());
+            let by_lookup: u64 = ma
+                .entries()
+                .iter()
+                .filter_map(|&(dim, m)| {
+                    let other = mb.entries().iter().find(|&&(d, _)| d == dim)?;
+                    Some(u64::from(m.min(other.1)))
+                })
+                .sum();
+            prop_assert_eq!(ma.intersection_size(&mb), by_lookup);
         }
 
         #[test]

@@ -32,6 +32,7 @@
 
 pub mod collection;
 pub mod embedding;
+mod merge;
 pub mod shared;
 pub mod similarity;
 pub mod sparse;

@@ -2,11 +2,18 @@
 //!
 //! The representation is the classic coordinate-sorted pair of parallel
 //! arrays (`indices[i]` ↔ `values[i]`, strictly increasing indices). All
-//! pairwise kernels (dot product, overlap) are linear merges over the two
+//! pairwise kernels (dot product, overlap) are one merge over the two
 //! sorted index arrays — the dominant inner loop of both the exact join and
-//! the sampling estimators, so it is kept allocation-free and branch-light.
+//! the sampling estimators (one similarity per sampled pair), so it is
+//! allocation-free, block-wise and branch-free: the `merge` module compares
+//! four indices of each side all-against-all per step and advances by
+//! arithmetic on the comparison, not by a branch on it. It reports matches
+//! in ascending index order, which fixes the order in which `dot` adds its
+//! products and so the bits of every similarity.
 
 use std::fmt;
+
+use crate::merge::{count_matches, for_each_match};
 
 /// An immutable sparse vector: strictly increasing `u32` dimension indices
 /// with `f32` weights.
@@ -248,77 +255,26 @@ impl SparseVector {
         self.values.iter().all(|&v| v == 1.0)
     }
 
-    /// Dot product `u·v = Σ u[i]·v[i]` via sorted-merge intersection,
+    /// Dot product `u·v = Σ u[i]·v[i]` over the shared dimensions,
     /// accumulated in `f64`.
+    ///
+    /// The products are added in ascending dimension order whatever the
+    /// lengths of the two vectors, so `u.dot(v)` and `v.dot(u)` are the
+    /// same bits.
     pub fn dot(&self, other: &Self) -> f64 {
-        // Iterate over the shorter vector and gallop on the longer one when
-        // the length ratio is extreme; plain merge otherwise. The plain
-        // merge is the hot path for text vectors of comparable length.
-        let (a, b) = if self.nnz() <= other.nnz() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        if a.is_empty() {
-            return 0.0;
-        }
-        if b.nnz() / a.nnz().max(1) >= 32 {
-            return a.dot_galloping(b);
-        }
         let mut acc = 0.0f64;
-        let (ai, av) = (&a.indices, &a.values);
-        let (bi, bv) = (&b.indices, &b.values);
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < ai.len() && j < bi.len() {
-            match ai[i].cmp(&bi[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    acc += f64::from(av[i]) * f64::from(bv[j]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        acc
-    }
-
-    /// Dot product when `self` is much shorter than `other`: binary search
-    /// each of `self`'s coordinates inside the (shrinking) tail of `other`.
-    fn dot_galloping(&self, other: &Self) -> f64 {
-        let mut acc = 0.0f64;
-        let mut lo = 0usize;
-        for (idx, val) in self.iter() {
-            match other.indices[lo..].binary_search(&idx) {
-                Ok(pos) => {
-                    acc += f64::from(val) * f64::from(other.values[lo + pos]);
-                    lo += pos + 1;
-                }
-                Err(pos) => lo += pos,
-            }
-            if lo >= other.indices.len() {
-                break;
-            }
-        }
+        for_each_match(
+            &self.indices,
+            &other.indices,
+            |index| index,
+            |i, j| acc += f64::from(self.values[i]) * f64::from(other.values[j]),
+        );
         acc
     }
 
     /// Size of the coordinate-set intersection `|u ∩ v|` (ignores weights).
     pub fn intersection_size(&self, other: &Self) -> usize {
-        let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
-        let (ai, bi) = (&self.indices, &other.indices);
-        while i < ai.len() && j < bi.len() {
-            match ai[i].cmp(&bi[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    count += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        count
+        count_matches(&self.indices, &other.indices, |index| index)
     }
 
     /// Returns a copy scaled to unit L2 norm. The empty vector is returned
@@ -386,6 +342,7 @@ impl SparseVectorBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::GALLOP_RATIO;
     use proptest::prelude::*;
 
     fn sv(entries: &[(u32, f32)]) -> SparseVector {
@@ -479,7 +436,8 @@ mod tests {
 
     #[test]
     fn dot_galloping_matches_merge() {
-        // Short probe vs long target triggers the galloping path (ratio ≥ 32).
+        // Short probe vs long target takes the binary-search path
+        // (ratio ≥ GALLOP_RATIO).
         let short = sv(&[(10, 1.0), (500, 2.0), (999, 3.0)]);
         let long_entries: Vec<(u32, f32)> = (0..1000).map(|i| (i, (i % 7) as f32 + 1.0)).collect();
         let long = sv(&long_entries);
@@ -542,6 +500,193 @@ mod tests {
         assert!(s.contains("1:2"), "{s}");
     }
 
+    // ---- the merge kernel against the three-way merge it replaced --------
+
+    /// The scalar three-way merge `dot` ran before the block kernel: the
+    /// oracle for the order of additions, hence for every bit of the sum.
+    fn dot_reference(a: &SparseVector, b: &SparseVector) -> f64 {
+        let (ai, av) = (a.indices(), a.values());
+        let (bi, bv) = (b.indices(), b.values());
+        let (mut i, mut j, mut acc) = (0usize, 0usize, 0.0f64);
+        while i < ai.len() && j < bi.len() {
+            match ai[i].cmp(&bi[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    acc += f64::from(av[i]) * f64::from(bv[j]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        acc
+    }
+
+    /// The scalar three-way merge behind the old `intersection_size`.
+    fn intersection_reference(a: &SparseVector, b: &SparseVector) -> usize {
+        let (ai, bi) = (a.indices(), b.indices());
+        let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
+        while i < ai.len() && j < bi.len() {
+            match ai[i].cmp(&bi[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    count += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        count
+    }
+
+    /// Both kernels against their oracles, in both argument orders.
+    fn assert_matches_reference(a: &SparseVector, b: &SparseVector) {
+        let want = dot_reference(a, b).to_bits();
+        assert_eq!(a.dot(b).to_bits(), want, "dot of {a:?} and {b:?}");
+        assert_eq!(b.dot(a).to_bits(), want, "dot is not symmetric");
+        let want = intersection_reference(a, b);
+        assert_eq!(a.intersection_size(b), want, "|{a:?} ∩ {b:?}|");
+        assert_eq!(b.intersection_size(a), want);
+    }
+
+    /// Lengths on both sides of every block boundary the kernel has.
+    const BOUNDARY_LENGTHS: [usize; 15] = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65];
+
+    /// How the second index set lies relative to the first.
+    #[derive(Debug, Clone, Copy)]
+    enum Layout {
+        /// The same indices (the second length is ignored).
+        Identical,
+        /// The second set starts above the first one's last index.
+        DisjointAbove,
+        /// Evens against odds: every comparison fails, cursors alternate.
+        DisjointInterleaved,
+        /// Every second against every third index: matches at multiples of 6.
+        Interleaved,
+        /// A dense run strictly inside a widely spaced set.
+        Inside,
+    }
+
+    /// Weights of both signs, a different sequence per `salt`. The dyadic
+    /// ones have exact products that keep returning the sum to `+0.0`; the
+    /// ragged ones have 48-bit products spread over sixty binades, so every
+    /// addition rounds, the sum depends on the order of additions and a
+    /// kernel that visits matches out of order is caught.
+    fn signed_weights(len: usize, salt: usize, dyadic: bool) -> Vec<f32> {
+        const DYADIC: [f32; 6] = [1.0, -1.0, 0.5, -0.5, 2.0, -2.0];
+        (0..len)
+            .map(|k| {
+                if dyadic {
+                    DYADIC[(k * (salt + 1) + salt) % 6]
+                } else {
+                    let mantissa = 1.0 + ((k * 37 + salt * 11) % 101) as f32 / 101.0;
+                    let sign = if (k + salt).is_multiple_of(3) {
+                        -1.0
+                    } else {
+                        1.0
+                    };
+                    sign * mantissa * 2.0f32.powi(((k * 7 + salt) % 31) as i32 - 15)
+                }
+            })
+            .collect()
+    }
+
+    fn laid_out(
+        layout: Layout,
+        la: usize,
+        lb: usize,
+        dyadic: bool,
+    ) -> (SparseVector, SparseVector) {
+        let step = |len: usize, scale: u32, offset: u32| -> Vec<u32> {
+            (0..len as u32).map(|k| k * scale + offset).collect()
+        };
+        let (ai, bi) = match layout {
+            Layout::Identical => (step(la, 3, 1), step(la, 3, 1)),
+            Layout::DisjointAbove => (step(la, 2, 0), step(lb, 2, 2 * la as u32)),
+            Layout::DisjointInterleaved => (step(la, 2, 0), step(lb, 2, 1)),
+            Layout::Interleaved => (step(la, 2, 0), step(lb, 3, 0)),
+            Layout::Inside => (step(la, 8, 0), step(lb, 1, 4 * la as u32)),
+        };
+        let av = signed_weights(ai.len(), 0, dyadic);
+        let bv = signed_weights(bi.len(), 1, dyadic);
+        (
+            SparseVector::from_sorted(ai, av).expect("valid layout"),
+            SparseVector::from_sorted(bi, bv).expect("valid layout"),
+        )
+    }
+
+    #[test]
+    fn kernel_matches_reference_across_block_boundaries() {
+        for layout in [
+            Layout::Identical,
+            Layout::DisjointAbove,
+            Layout::DisjointInterleaved,
+            Layout::Interleaved,
+            Layout::Inside,
+        ] {
+            for la in BOUNDARY_LENGTHS {
+                for lb in BOUNDARY_LENGTHS {
+                    for dyadic in [true, false] {
+                        let (a, b) = laid_out(layout, la, lb, dyadic);
+                        assert_matches_reference(&a, &b);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_around_the_galloping_cutover() {
+        for short in [1usize, 2, 3, 4, 5, 9] {
+            for ratio in [GALLOP_RATIO - 1, GALLOP_RATIO, GALLOP_RATIO + 1] {
+                for slack in [0usize, 1] {
+                    // Every third index of the long vector is in the short
+                    // one's reach; the short one hits some and misses some.
+                    let long_len = short * ratio + slack;
+                    let long = SparseVector::from_sorted(
+                        (0..long_len as u32).map(|k| 3 * k).collect(),
+                        signed_weights(long_len, 2, slack == 0),
+                    )
+                    .expect("valid");
+                    let stride = (3 * long_len / short) as u32;
+                    let probe = SparseVector::from_sorted(
+                        (0..short as u32).map(|k| k * stride + k % 2).collect(),
+                        signed_weights(short, 3, slack == 0),
+                    )
+                    .expect("valid");
+                    assert_matches_reference(&probe, &long);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cancelling_weights_return_the_sum_to_positive_zero() {
+        // +1·1, −1·1, +0.5·2, −2·0.5: the running sum is 1, 0, 1, 0 — and
+        // the zero it ends on must be +0.0 as in the scalar merge, on the
+        // block path (4 and 8 matches) and on the tail path (2 matches).
+        for len in [2usize, 4, 8, 18] {
+            let indices: Vec<u32> = (0..len as u32).collect();
+            let a = SparseVector::from_sorted(
+                indices.clone(),
+                [1.0, -1.0, 0.5, -2.0]
+                    .into_iter()
+                    .cycle()
+                    .take(len)
+                    .collect(),
+            )
+            .unwrap();
+            let b = SparseVector::from_sorted(
+                indices,
+                [1.0, 1.0, 2.0, 0.5].into_iter().cycle().take(len).collect(),
+            )
+            .unwrap();
+            assert_eq!(a.dot(&b).to_bits(), 0.0f64.to_bits());
+            assert_matches_reference(&a, &b);
+        }
+    }
+
     // ---- property tests ---------------------------------------------------
 
     fn arb_vector(max_dim: u32, max_nnz: usize) -> impl Strategy<Value = SparseVector> {
@@ -549,10 +694,36 @@ mod tests {
             .prop_map(|entries| SparseVector::from_entries(entries).expect("finite entries"))
     }
 
+    /// One side of a kernel case: a boundary length, indices as running
+    /// sums of small gaps (dense enough that the two sides keep meeting),
+    /// weights of both signs — per side either exact dyadic ones (sums that
+    /// cancel) or arbitrary ones over thirty binades (sums that round at
+    /// every addition, so they depend on the order).
+    fn arb_kernel_side() -> impl Strategy<Value = SparseVector> {
+        let dyadic = prop_oneof![Just(1.0f32), Just(-1.0f32), Just(0.5f32), Just(-2.0f32)];
+        (
+            0usize..BOUNDARY_LENGTHS.len(),
+            0u32..2,
+            proptest::collection::vec((1u32..4, dyadic, -2.0f32..2.0, -15i32..16), 65..66),
+        )
+            .prop_map(|(len, exact, steps)| {
+                let mut next = 0u32;
+                let (indices, values): (Vec<u32>, Vec<f32>) = steps[..BOUNDARY_LENGTHS[len]]
+                    .iter()
+                    .map(|&(gap, dyadic, mantissa, exponent)| {
+                        next += gap;
+                        let arbitrary = mantissa * 2.0f32.powi(exponent);
+                        (next, if exact == 0 { dyadic } else { arbitrary })
+                    })
+                    .unzip();
+                SparseVector::from_sorted(indices, values).expect("increasing indices")
+            })
+    }
+
     proptest! {
         #[test]
         fn prop_dot_is_symmetric(a in arb_vector(64, 24), b in arb_vector(64, 24)) {
-            prop_assert!((a.dot(&b) - b.dot(&a)).abs() < 1e-9);
+            prop_assert_eq!(a.dot(&b).to_bits(), b.dot(&a).to_bits());
         }
 
         #[test]
@@ -581,6 +752,11 @@ mod tests {
             } else {
                 prop_assert!(n.is_empty());
             }
+        }
+
+        #[test]
+        fn prop_kernel_matches_reference(a in arb_kernel_side(), b in arb_kernel_side()) {
+            assert_matches_reference(&a, &b);
         }
 
         #[test]
