@@ -77,6 +77,7 @@ fn main() {
             exact_threads: 1,
         },
         Duration::from_millis(1),
+        None,
     );
 
     // Warm both engines (page in the snapshot, settle the allocator).

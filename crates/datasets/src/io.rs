@@ -8,43 +8,12 @@
 //! serialization those consumers use, plus the content hash for cache
 //! keys.
 //!
-//! Two container versions exist; the reader negotiates between them:
-//!
-//! **v1** (legacy, still readable) — a bare vector payload:
-//!
-//! ```text
-//! magic   4 bytes  "VSJC"
-//! version u32      1
-//! n       u64      vector count
-//! per vector:
-//!   nnz   u32
-//!   nnz × u32      dimension indices (sorted)
-//!   nnz × f32      weights
-//! ```
-//!
-//! **v2** (current, written by [`encode`] and [`ContainerWriter`]) — a
-//! sectioned container with per-section checksums, so higher layers can
-//! store heterogeneous state (metadata, id maps, bucket keys, vector
-//! payloads) in one file and detect any byte of corruption:
-//!
-//! ```text
-//! magic    4 bytes  "VSJC"
-//! version  u32      2
-//! sections u32      section count
-//! per section:
-//!   tag      4 bytes   ASCII section identifier
-//!   len      u64       payload length in bytes
-//!   checksum u64       checksum64 of the payload
-//!   payload  len bytes
-//! ```
-//!
-//! A v2 collection file holds a single `COLL` section whose payload is
-//! exactly the v1 body (`n` + vectors).
-//!
-//! **v3** (mappable, written by [`ContainerWriter::finish_v3`]) — the
-//! same tag/checksum section model re-laid-out for zero-copy access
-//! through a memory mapping: a fixed-width directory up front with
-//! absolute offsets, every payload starting on an 8-byte boundary so
+//! There is **one on-disk layout** for every artefact — collection
+//! files and service checkpoints alike — written by
+//! [`ContainerWriter::finish`] and parsed by [`ContainerIndex::parse`]:
+//! a tag/checksum section model laid out for zero-copy access through a
+//! memory mapping. A fixed-width directory up front carries absolute
+//! offsets, and every payload starts on an 8-byte boundary so
 //! fixed-width little-endian arrays inside sections stay aligned:
 //!
 //! ```text
@@ -61,16 +30,19 @@
 //! payloads, each zero-padded to the next 8-byte boundary
 //! ```
 //!
-//! v3 section checksums use [`checksum64_v3`], the chunked digest —
-//! per-1 MiB [`checksum64`] values folded through a final
-//! [`checksum64`] — so a multi-megabyte section verifies across all
-//! cores at map time (the raw byte chain is serial by construction).
+//! Section checksums use [`checksum64_v3`], the chunked digest —
+//! per-1 MiB word-wise digests folded through a final [`checksum64`] —
+//! so a multi-megabyte section verifies across all cores at map time
+//! (a raw byte chain is serial by construction).
 //!
 //! [`ContainerIndex::parse`] verifies every checksum once and then hands
 //! out `offset..offset+len` ranges into the caller's buffer — no copies,
-//! which is what the mmap-backed checkpoint tier serves from.
-//! [`ContainerReader::parse`] also accepts v3 (copying payloads), so any
-//! sectioned consumer reads both layouts.
+//! which is what the mmap-backed checkpoint tier serves from. Any other
+//! version number is refused with [`IoError::BadVersion`].
+//!
+//! A collection file holds a single `COLL` section: the vector count
+//! followed by one wire block per vector (`nnz u32`, `nnz × u32` sorted
+//! dimension indices, `nnz × f32` weights).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::Path;
@@ -79,13 +51,9 @@ use vsj_sampling::SplitMix64;
 use vsj_vector::{SparseVector, VectorCollection};
 
 const MAGIC: &[u8; 4] = b"VSJC";
-/// The legacy bare-collection container version.
-pub const VERSION_V1: u32 = 1;
-/// The current sectioned container version.
-pub const VERSION_V2: u32 = 2;
-/// The mappable aligned-directory container version.
+/// The container version: the mappable aligned-directory layout.
 pub const VERSION_V3: u32 = 3;
-/// Section tag of the vector payload in a v2 collection container.
+/// Section tag of the vector payload in a collection container.
 pub const SECTION_COLLECTION: [u8; 4] = *b"COLL";
 
 /// Errors from decoding a container.
@@ -97,12 +65,12 @@ pub enum IoError {
     BadMagic,
     /// Unsupported container version.
     BadVersion(u32),
-    /// A v2 section's payload does not match its stored checksum.
+    /// A section's payload does not match its stored checksum.
     BadChecksum {
         /// Tag of the offending section.
         section: [u8; 4],
     },
-    /// A required v2 section is absent.
+    /// A required section is absent.
     MissingSection {
         /// Tag of the absent section.
         section: [u8; 4],
@@ -186,9 +154,9 @@ fn checksum64_words(data: &[u8]) -> u64 {
 /// "map + go", so it is built to scan fast: the word-wise chunk digest
 /// runs near memory speed on one core, and the chunks are independent,
 /// so a multi-megabyte section additionally verifies across all cores
-/// (the plain byte chain is serial by construction). v2 containers and
-/// WAL frames keep [`checksum64`]; their payloads are read (and paid
-/// for) in full anyway.
+/// (the plain byte chain is serial by construction). WAL frames keep
+/// [`checksum64`]; their payloads are read (and paid for) in full
+/// anyway.
 pub fn checksum64_v3(data: &[u8]) -> u64 {
     let digests = chunk_digests(data);
     let mut bytes = Vec::with_capacity(digests.len() * 8);
@@ -207,12 +175,13 @@ fn chunk_digests(data: &[u8]) -> Vec<u64> {
     vsj_pool::global().parallel_map_indexed(&chunks, |_, chunk| checksum64_words(chunk))
 }
 
-// --- v2 sectioned container ------------------------------------------------
+// --- sectioned container -----------------------------------------------------
 
-/// Builder for a v2 sectioned container.
+/// Builder for a sectioned container.
 ///
-/// Sections are written in the order they are added; each gets a length
-/// and a [`checksum64`] over its payload in the framing.
+/// Sections are written in the order they are added; each gets a
+/// directory entry carrying its offset, length and a [`checksum64_v3`]
+/// over its payload.
 #[derive(Debug, Default)]
 pub struct ContainerWriter {
     sections: Vec<([u8; 4], Bytes)>,
@@ -230,25 +199,9 @@ impl ContainerWriter {
         self
     }
 
-    /// Assembles the container bytes.
+    /// Assembles the container bytes: fixed-width directory up front,
+    /// every payload 8-byte aligned.
     pub fn finish(&self) -> Bytes {
-        let payload_total: usize = self.sections.iter().map(|(_, p)| p.len()).sum();
-        let mut buf = BytesMut::with_capacity(12 + self.sections.len() * 24 + payload_total);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_V2);
-        buf.put_u32_le(self.sections.len() as u32);
-        for (tag, payload) in &self.sections {
-            buf.put_slice(tag);
-            buf.put_u64_le(payload.len() as u64);
-            buf.put_u64_le(checksum64(payload.as_slice()));
-            buf.put_slice(payload.as_slice());
-        }
-        buf.freeze()
-    }
-
-    /// Assembles the container in the v3 mappable layout: fixed-width
-    /// directory up front, every payload 8-byte aligned.
-    pub fn finish_v3(&self) -> Bytes {
         let header = 16 + self.sections.len() * 32;
         let payload_total: usize = self.sections.iter().map(|(_, p)| (p.len() + 7) & !7).sum();
         let mut buf = BytesMut::with_capacity(header + payload_total);
@@ -275,7 +228,7 @@ impl ContainerWriter {
     }
 }
 
-/// Zero-copy directory of a v3 container: parsing verifies the framing
+/// Zero-copy directory of a container: parsing verifies the framing
 /// and every section checksum once, then yields byte ranges into the
 /// caller's buffer (typically a memory mapping) — payloads are never
 /// copied.
@@ -285,7 +238,7 @@ pub struct ContainerIndex {
 }
 
 impl ContainerIndex {
-    /// Parses the v3 directory of `data` and verifies every section's
+    /// Parses the directory of `data` and verifies every section's
     /// checksum (one linear scan over the payload bytes — no decoding,
     /// no allocation beyond the directory itself).
     ///
@@ -301,15 +254,20 @@ impl ContainerIndex {
         let u64_at = |at: usize| -> u64 {
             u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"))
         };
+        // Magic and version before the length of the full header: a
+        // file in another layout is refused as what it is, however
+        // short.
+        if data.len() >= 8 {
+            if &data[..4] != MAGIC {
+                return Err(IoError::BadMagic);
+            }
+            let version = u32_at(4);
+            if version != VERSION_V3 {
+                return Err(IoError::BadVersion(version));
+            }
+        }
         if data.len() < 16 {
-            return Err(IoError::Corrupt("v3 header truncated".into()));
-        }
-        if &data[..4] != MAGIC {
-            return Err(IoError::BadMagic);
-        }
-        let version = u32_at(4);
-        if version != VERSION_V3 {
-            return Err(IoError::BadVersion(version));
+            return Err(IoError::Corrupt("header truncated".into()));
         }
         let count = u32_at(8) as usize;
         // Reserved/padding bytes are not covered by any section
@@ -420,112 +378,7 @@ fn verify_section_checksums(
     Ok(())
 }
 
-/// Parsed view of a v2 sectioned container: every section's checksum is
-/// verified at parse time, so a successful parse certifies byte-exact
-/// payloads.
-#[derive(Debug)]
-pub struct ContainerReader {
-    sections: Vec<([u8; 4], Bytes)>,
-}
-
-impl ContainerReader {
-    /// Parses and verifies a sectioned container, negotiating between
-    /// the v2 inline framing and the v3 aligned-directory layout (v3
-    /// payloads are copied out — use [`ContainerIndex`] for zero-copy).
-    ///
-    /// # Errors
-    /// [`IoError::BadMagic`] / [`IoError::BadVersion`] on foreign input,
-    /// [`IoError::Corrupt`] on framing violations (truncation, trailing
-    /// bytes), [`IoError::BadChecksum`] when any section's payload does
-    /// not hash to its header checksum.
-    pub fn parse(mut data: Bytes) -> Result<Self, IoError> {
-        if data.remaining() < 12 {
-            return Err(IoError::Corrupt("header truncated".into()));
-        }
-        let mut magic = [0u8; 4];
-        data.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(IoError::BadMagic);
-        }
-        let version = data.get_u32_le();
-        if version == VERSION_V3 {
-            // Re-parse the original buffer through the v3 directory and
-            // materialize each payload.
-            let mut whole = BytesMut::with_capacity(8 + data.remaining());
-            whole.put_slice(MAGIC);
-            whole.put_u32_le(version);
-            whole.put_slice(data.as_slice());
-            let whole = whole.freeze();
-            let index = ContainerIndex::parse(whole.as_slice())?;
-            let sections = index
-                .entries
-                .iter()
-                .map(|(tag, range)| {
-                    (
-                        *tag,
-                        Bytes::copy_from_slice(&whole.as_slice()[range.clone()]),
-                    )
-                })
-                .collect();
-            return Ok(Self { sections });
-        }
-        if version != VERSION_V2 {
-            return Err(IoError::BadVersion(version));
-        }
-        let count = data.get_u32_le() as usize;
-        let mut sections = Vec::with_capacity(count.min(64));
-        for si in 0..count {
-            if data.remaining() < 20 {
-                return Err(IoError::Corrupt(format!("section {si}: header truncated")));
-            }
-            let mut tag = [0u8; 4];
-            data.copy_to_slice(&mut tag);
-            let len = data.get_u64_le() as usize;
-            let checksum = data.get_u64_le();
-            if data.remaining() < len {
-                return Err(IoError::Corrupt(format!(
-                    "section {si}: payload truncated ({} of {len} bytes)",
-                    data.remaining()
-                )));
-            }
-            let mut payload = vec![0u8; len];
-            data.copy_to_slice(&mut payload);
-            let payload = Bytes::from(payload);
-            if checksum64(payload.as_slice()) != checksum {
-                return Err(IoError::BadChecksum { section: tag });
-            }
-            sections.push((tag, payload));
-        }
-        if data.has_remaining() {
-            return Err(IoError::Corrupt(format!(
-                "{} trailing bytes after last section",
-                data.remaining()
-            )));
-        }
-        Ok(Self { sections })
-    }
-
-    /// The tags present, in file order.
-    pub fn tags(&self) -> Vec<[u8; 4]> {
-        self.sections.iter().map(|(t, _)| *t).collect()
-    }
-
-    /// The first section with the given tag (fresh read cursor).
-    pub fn section(&self, tag: [u8; 4]) -> Option<Bytes> {
-        self.sections
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, p)| p.clone())
-    }
-
-    /// Like [`ContainerReader::section`] but an error when absent.
-    pub fn require(&self, tag: [u8; 4]) -> Result<Bytes, IoError> {
-        self.section(tag)
-            .ok_or(IoError::MissingSection { section: tag })
-    }
-}
-
-// --- vector payload (shared by v1 body and v2 COLL section) ----------------
+// --- vector payload (the COLL section body) ---------------------------------
 
 /// Encodes one vector's wire block (`nnz u32`, `nnz × u32` indices,
 /// `nnz × f32` weights) — the single definition of the per-vector
@@ -590,8 +443,8 @@ pub fn decode_vector(data: &mut Bytes) -> Result<SparseVector, IoError> {
     SparseVector::from_sorted(indices, values).map_err(|e| IoError::Corrupt(e.to_string()))
 }
 
-/// Encodes the bare vector payload (`n` + per-vector data) — the v1 body
-/// and the v2 `COLL` section payload.
+/// Encodes the bare vector payload (`n` + per-vector data) — the `COLL`
+/// section payload.
 pub fn encode_vectors(collection: &VectorCollection) -> Bytes {
     encode_vector_list(collection.vectors().iter())
 }
@@ -644,53 +497,24 @@ pub fn decode_vectors(mut data: Bytes) -> Result<VectorCollection, IoError> {
 
 // --- collection containers -------------------------------------------------
 
-/// Encodes a collection as a v2 container (one checksummed `COLL`
-/// section).
+/// Encodes a collection as a container holding one checksummed `COLL`
+/// section.
 pub fn encode(collection: &VectorCollection) -> Bytes {
     let mut w = ContainerWriter::new();
     w.section(SECTION_COLLECTION, encode_vectors(collection));
     w.finish()
 }
 
-/// Encodes a collection in the legacy v1 layout (no checksums). Kept so
-/// the version-negotiation path stays exercised; new files should use
-/// [`encode`].
-pub fn encode_v1(collection: &VectorCollection) -> Bytes {
-    let body = encode_vectors(collection);
-    let mut buf = BytesMut::with_capacity(8 + body.len());
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_V1);
-    buf.put_slice(body.as_slice());
-    buf.freeze()
-}
-
-/// Decodes a container back into a collection, negotiating the version:
-/// v1 files decode through the legacy bare-payload path, v2 files
-/// through the checksummed sectioned path.
+/// Decodes a collection container.
 ///
 /// # Errors
-/// Returns [`IoError`] on malformed input; all vector invariants are
-/// re-validated (the file may have been edited or truncated), and v2
-/// files additionally verify the `COLL` section checksum.
-pub fn decode(mut data: Bytes) -> Result<VectorCollection, IoError> {
-    if data.remaining() < 8 {
-        return Err(IoError::Corrupt("header truncated".into()));
-    }
-    let mut magic = [0u8; 4];
-    let mut peek = data.clone();
-    peek.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(IoError::BadMagic);
-    }
-    match peek.get_u32_le() {
-        VERSION_V1 => {
-            data.copy_to_slice(&mut magic);
-            let _ = data.get_u32_le();
-            decode_vectors(data)
-        }
-        VERSION_V2 => decode_vectors(ContainerReader::parse(data)?.require(SECTION_COLLECTION)?),
-        v => Err(IoError::BadVersion(v)),
-    }
+/// Returns [`IoError`] on malformed input: the framing and the `COLL`
+/// checksum are verified by [`ContainerIndex::parse`], and all vector
+/// invariants are re-validated (the file may have been edited or
+/// truncated).
+pub fn decode(data: Bytes) -> Result<VectorCollection, IoError> {
+    let range = ContainerIndex::parse(data.as_slice())?.require(SECTION_COLLECTION)?;
+    decode_vectors(Bytes::copy_from_slice(&data.as_slice()[range]))
 }
 
 /// Writes a collection container (creating parent directories).
@@ -702,7 +526,7 @@ pub fn save(collection: &VectorCollection, path: &Path) -> Result<(), IoError> {
     Ok(())
 }
 
-/// Reads a collection container (either version).
+/// Reads a collection container.
 pub fn load(path: &Path) -> Result<VectorCollection, IoError> {
     decode(Bytes::from(std::fs::read(path)?))
 }
@@ -749,13 +573,6 @@ mod tests {
             encode_vector_into_slice(&mut slab, v);
             assert_eq!(reference.freeze().as_slice(), slab.as_slice());
         }
-    }
-
-    #[test]
-    fn v1_files_still_decode() {
-        let coll = sample();
-        let decoded = decode(encode_v1(&coll)).unwrap();
-        assert_eq!(content_hash(&coll), content_hash(&decoded));
     }
 
     #[test]
@@ -822,37 +639,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sectioned_container_roundtrip_and_lookup() {
+    fn three_sections() -> Bytes {
         let mut w = ContainerWriter::new();
         w.section(*b"AAAA", Bytes::from(vec![1u8, 2, 3]));
         w.section(*b"BBBB", Bytes::from(Vec::<u8>::new()));
         w.section(*b"CCCC", Bytes::from(vec![9u8; 300]));
-        let r = ContainerReader::parse(w.finish()).unwrap();
-        assert_eq!(r.tags(), vec![*b"AAAA", *b"BBBB", *b"CCCC"]);
-        assert_eq!(r.section(*b"AAAA").unwrap().as_slice(), &[1, 2, 3]);
-        assert_eq!(r.section(*b"BBBB").unwrap().len(), 0);
-        assert_eq!(r.section(*b"CCCC").unwrap().len(), 300);
-        assert!(r.section(*b"ZZZZ").is_none());
-        assert!(matches!(
-            r.require(*b"ZZZZ"),
-            Err(IoError::MissingSection { section }) if &section == b"ZZZZ"
-        ));
+        w.finish()
     }
 
     #[test]
-    fn v3_layout_is_aligned_and_indexable() {
-        let mut w = ContainerWriter::new();
-        w.section(*b"AAAA", Bytes::from(vec![1u8, 2, 3]));
-        w.section(*b"BBBB", Bytes::from(Vec::<u8>::new()));
-        w.section(*b"CCCC", Bytes::from(vec![9u8; 300]));
-        let data = w.finish_v3();
+    fn sectioned_container_roundtrip_and_lookup() {
+        let data = three_sections();
         let index = ContainerIndex::parse(data.as_slice()).unwrap();
         assert_eq!(index.tags(), vec![*b"AAAA", *b"BBBB", *b"CCCC"]);
-        for tag in [*b"AAAA", *b"BBBB", *b"CCCC"] {
-            let range = index.range(tag).unwrap();
-            assert_eq!(range.start % 8, 0, "payload of {tag:?} is 8-aligned");
-        }
         assert_eq!(&data.as_slice()[index.range(*b"AAAA").unwrap()], &[1, 2, 3]);
         assert_eq!(index.range(*b"BBBB").unwrap().len(), 0);
         assert_eq!(index.range(*b"CCCC").unwrap().len(), 300);
@@ -861,11 +660,21 @@ mod tests {
             index.require(*b"ZZZZ"),
             Err(IoError::MissingSection { section }) if &section == b"ZZZZ"
         ));
-        // The copying reader negotiates v3 transparently.
-        let r = ContainerReader::parse(data).unwrap();
-        assert_eq!(r.tags(), vec![*b"AAAA", *b"BBBB", *b"CCCC"]);
-        assert_eq!(r.section(*b"AAAA").unwrap().as_slice(), &[1, 2, 3]);
-        assert_eq!(r.section(*b"CCCC").unwrap().len(), 300);
+    }
+
+    #[test]
+    fn v3_layout_is_aligned_and_indexable() {
+        let data = three_sections();
+        let index = ContainerIndex::parse(data.as_slice()).unwrap();
+        for tag in index.tags() {
+            let range = index.range(tag).unwrap();
+            assert_eq!(range.start % 8, 0, "payload of {tag:?} is 8-aligned");
+        }
+        assert_eq!(
+            data.len() % 8,
+            0,
+            "the file ends on the last payload's padding"
+        );
     }
 
     #[test]
@@ -876,7 +685,7 @@ mod tests {
             Bytes::from((0u16..500).flat_map(u16::to_le_bytes).collect::<Vec<_>>()),
         );
         w.section(*b"BBBB", Bytes::from(vec![7u8; 33]));
-        let data = w.finish_v3().to_vec();
+        let data = w.finish().to_vec();
         assert!(ContainerIndex::parse(&data).is_ok());
         for at in (4..data.len()).step_by(41) {
             let mut broken = data.clone();
@@ -920,7 +729,5 @@ mod tests {
         let empty = VectorCollection::new();
         let decoded = decode(encode(&empty)).unwrap();
         assert!(decoded.is_empty());
-        let decoded_v1 = decode(encode_v1(&empty)).unwrap();
-        assert!(decoded_v1.is_empty());
     }
 }

@@ -552,9 +552,9 @@ impl Server {
     }
 
     /// The slow-trace ring `GET /trace/slow` serves. Hand a clone to
-    /// [`Checkpointer::spawn_traced`](vsj_service::Checkpointer::spawn_traced),
-    /// [`Compactor::spawn_traced`](vsj_service::Compactor::spawn_traced),
-    /// or [`Auditor::spawn_traced`](vsj_service::Auditor::spawn_traced)
+    /// [`Checkpointer::spawn`](vsj_service::Checkpointer::spawn),
+    /// [`Compactor::spawn`](vsj_service::Compactor::spawn),
+    /// or [`Auditor::spawn`](vsj_service::Auditor::spawn)
     /// so background maintenance cycles land in the same ring as slow
     /// requests (told apart by the `op` field).
     pub fn trace_ring(&self) -> Arc<TraceRing> {

@@ -3,8 +3,9 @@
 //! The engine's other metrics watch *mechanical* health (latency, queue
 //! depth, WAL depth); this module watches whether the numbers the
 //! engine serves are any good. On every audit cycle the engine re-asks
-//! itself for a threshold it recently served — the answer a client
-//! would get right now, cached or fresh, with its confidence interval —
+//! itself for a threshold it recently served, through the one estimate
+//! path every client uses — so it scores the answer a client would get
+//! right now, cached or fresh, with its confidence interval —
 //! then computes exact ground truth on a bounded stratum via
 //! [`vsj_exact::ExactJoin`] and scores the served answer:
 //!
@@ -29,7 +30,7 @@
 //! [`stop`](Auditor::stop), join-on-drop. Unlike those it needs no
 //! durable storage — any engine can be audited.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,6 +39,7 @@ use parking_lot::Mutex;
 use vsj_obs::{Counter, Histogram, ObsOptions, Registry, Trace, TraceRing};
 use vsj_sampling::Summary;
 
+use crate::background::PollThread;
 use crate::engine::EstimationEngine;
 
 /// Knobs of one audit cycle (see [`EstimationEngine::audit_once`]).
@@ -298,82 +300,40 @@ impl AuditState {
 /// Stopping (explicitly via [`Auditor::stop`] or by dropping) joins the
 /// thread.
 #[derive(Debug)]
-pub struct Auditor {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<u64>>,
-}
+pub struct Auditor(PollThread);
 
 impl Auditor {
-    /// Spawns the auditor, running one audit cycle every `poll`.
-    pub fn spawn(engine: Arc<EstimationEngine>, options: AuditOptions, poll: Duration) -> Self {
-        Self::spawn_inner(engine, options, poll, None)
-    }
-
-    /// [`spawn`](Self::spawn), additionally offering a `Trace` labeled
-    /// `"audit"` (stages `serve` + `exact`) to `traces` after every
-    /// scored cycle — the same ring a serving layer exposes under
-    /// `/trace/slow`.
-    pub fn spawn_traced(
-        engine: Arc<EstimationEngine>,
-        options: AuditOptions,
-        poll: Duration,
-        traces: Arc<TraceRing>,
-    ) -> Self {
-        Self::spawn_inner(engine, options, poll, Some(traces))
-    }
-
-    fn spawn_inner(
+    /// Spawns the auditor, running one audit cycle every `poll`. With
+    /// `traces`, every scored cycle additionally offers a `Trace`
+    /// labeled `"audit"` (stages `serve` + `exact`) to that ring — the
+    /// same ring a serving layer exposes under `/trace/slow`.
+    pub fn spawn(
         engine: Arc<EstimationEngine>,
         options: AuditOptions,
         poll: Duration,
         traces: Option<Arc<TraceRing>>,
     ) -> Self {
         options.validate();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        let handle = std::thread::spawn(move || {
-            let mut audited = 0u64;
-            while !stop_flag.load(Ordering::Relaxed) {
-                let started = Instant::now();
-                if let Some(record) = engine.audit_once(&options) {
-                    audited += 1;
-                    if let Some(ring) = &traces {
-                        let mut trace = Trace::new("audit");
-                        trace.stage("serve", record.serve_us);
-                        trace.stage("exact", record.exact_us);
-                        trace.total_us =
-                            u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                        ring.offer(trace);
-                    }
-                }
-                std::thread::sleep(poll);
+        Self(PollThread::spawn("auditor", poll, move || {
+            let started = Instant::now();
+            let Some(record) = engine.audit_once(&options) else {
+                return false;
+            };
+            if let Some(ring) = &traces {
+                let mut trace = Trace::new("audit");
+                trace.stage("serve", record.serve_us);
+                trace.stage("exact", record.exact_us);
+                trace.total_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+                ring.offer(trace);
             }
-            audited
-        });
-        Self {
-            stop,
-            handle: Some(handle),
-        }
+            true
+        }))
     }
 
     /// Signals the thread and joins it, returning how many cycles it
     /// scored.
-    pub fn stop(mut self) -> u64 {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle
-            .take()
-            .expect("auditor joined twice")
-            .join()
-            .expect("auditor thread panicked")
-    }
-}
-
-impl Drop for Auditor {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+    pub fn stop(self) -> u64 {
+        self.0.stop()
     }
 }
 
@@ -507,11 +467,11 @@ mod tests {
         e.publish();
         e.estimate(0.7);
         let ring = Arc::new(TraceRing::new(8, Duration::ZERO));
-        let auditor = Auditor::spawn_traced(
+        let auditor = Auditor::spawn(
             e.clone(),
             AuditOptions::default(),
             Duration::from_millis(1),
-            ring.clone(),
+            Some(ring.clone()),
         );
         let deadline = Instant::now() + Duration::from_secs(10);
         while e.quality_report().cycles < 3 && Instant::now() < deadline {

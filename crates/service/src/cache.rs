@@ -14,7 +14,9 @@
 //! Entries are keyed by the τ bit pattern plus a fingerprint of the
 //! estimator parameters that produced them, so a config change (e.g.
 //! paper defaults re-derived at a different `n`) never serves a stale
-//! shape of estimate.
+//! shape of estimate. There is one entry per `(τ, config)`: every
+//! answer — single, batched, coalesced on the wire, re-asked by the
+//! auditor — is computed by the one estimate path and shares it.
 //!
 //! The cache is pure storage: hit/miss accounting lives on the engine's
 //! metric registry (`vsj_engine_cache_{hits,misses}_total`), recorded at
@@ -31,12 +33,6 @@ pub(crate) struct CacheKey {
     pub tau_bits: u64,
     /// Fingerprint of the LSH-SS parameters used.
     pub config: u64,
-    /// Whether the entry came from a batch (`estimate_curve`) pass.
-    /// Single and batch estimates draw from *different* RNG streams, so
-    /// they may legitimately differ at the same `(epoch, τ)`; separate
-    /// key spaces keep each API individually deterministic instead of
-    /// letting one overwrite (and flap) the other's answers.
-    pub batch: bool,
 }
 
 /// One cached estimate and its provenance.
@@ -130,7 +126,6 @@ mod tests {
     const KEY: CacheKey = CacheKey {
         tau_bits: 0x3FE6666666666666, // 0.7
         config: 9,
-        batch: false,
     };
 
     #[test]
@@ -204,13 +199,8 @@ mod tests {
             ..KEY
         };
         let other_cfg = CacheKey { config: 10, ..KEY };
-        let other_kind = CacheKey { batch: true, ..KEY };
         assert!(c.lookup(other_tau, 0, u64::MAX).is_none());
         assert!(c.lookup(other_cfg, 0, u64::MAX).is_none());
-        assert!(
-            c.lookup(other_kind, 0, u64::MAX).is_none(),
-            "batch and single estimates must not share entries"
-        );
         assert!(c.lookup(KEY, 0, 0).is_some());
         c.clear();
         assert!(c.lookup(KEY, 0, u64::MAX).is_none());

@@ -19,10 +19,10 @@ use crate::audit::{AuditOptions, AuditRecord, AuditState, QualityReport};
 use crate::cache::{CacheEntry, CacheKey, EstimateCache};
 use crate::config::{DurabilityOptions, FsyncPolicy, IndexFamily, ServiceConfig, StorageTier};
 use crate::mapped::{MappedCheckpoint, TombstoneSet};
-use crate::persist::{self, CheckpointMeta, PersistError, CHECKPOINT_FILE, WAL_FILE};
+use crate::persist::{self, CheckpointMeta, PersistError, CHECKPOINT_FILE};
 use crate::shard::{ShardDelta, ShardState, ShardStats};
 use crate::snapshot::Snapshot;
-use crate::wal::{self, WalMetrics, WalOp, WalRecord, WalSet};
+use crate::wal::{WalMetrics, WalOp, WalRecord, WalSet};
 use crate::GlobalId;
 
 /// Shard whose segment chain carries publish barrier records.
@@ -84,11 +84,6 @@ struct EngineMetrics {
     /// Checkpoint mappings established (mapped recoveries and
     /// compaction re-maps).
     checkpoint_maps: Counter,
-    /// Mapped recoveries that fell back to the heap tier — only a
-    /// genuinely destructive legacy single-file WAL or an unmappable
-    /// checkpoint; removals/upserts are tombstoned in place since the
-    /// compaction tier landed.
-    mapped_fallbacks: Counter,
     /// Background compactions completed (overlay + tombstones folded
     /// into a fresh mapped base).
     compactions: Counter,
@@ -185,10 +180,6 @@ impl EngineMetrics {
             checkpoint_maps: registry.counter(
                 "vsj_engine_checkpoint_maps_total",
                 "Checkpoint mappings established (mapped-tier recoveries)",
-            ),
-            mapped_fallbacks: registry.counter(
-                "vsj_engine_mapped_fallbacks_total",
-                "Mapped-tier recoveries that fell back to heap decoding",
             ),
             compactions: registry.counter(
                 "vsj_engine_compactions_total",
@@ -416,10 +407,12 @@ pub struct EngineStats {
 ///   stay servable until the data drifts more than ε ingests past the
 ///   state they were computed on.
 ///
-/// Determinism: an estimate at `(epoch, τ)` uses the RNG
-/// [`EstimationEngine::estimate_rng`] derives from the master seed, so
-/// the same engine state always returns the same value — and the value
-/// equals an offline [`LshSs`] run over the snapshot with that RNG.
+/// Determinism: every estimate at an epoch replays the one pair sample
+/// drawn from the RNG [`EstimationEngine::batch_rng`] derives from the
+/// master seed, so the same engine state always returns the same value
+/// — and the value equals an offline
+/// [`LshSs::estimate_curve_detailed`] run over the snapshot with that
+/// RNG.
 pub struct EstimationEngine {
     config: ServiceConfig,
     hasher: Arc<dyn BucketHasher>,
@@ -536,10 +529,12 @@ impl EstimationEngine {
     /// [`FsyncPolicy`](crate::FsyncPolicy)).
     ///
     /// # Errors
-    /// Filesystem failures, or [`PersistError::AlreadyInitialized`]
-    /// when `dir` already holds a checkpoint (recover it instead —
-    /// silently overwriting a previous life's state is exactly the kind
-    /// of data loss this subsystem exists to prevent).
+    /// Filesystem failures, [`PersistError::AlreadyInitialized`] when
+    /// `dir` already holds a checkpoint (recover it instead — silently
+    /// overwriting a previous life's state is exactly the kind of data
+    /// loss this subsystem exists to prevent), or
+    /// [`PersistError::Corrupt`] naming a single-file `wal.vsjw` found
+    /// in `dir` (see [`recover_with`](Self::recover_with)).
     ///
     /// # Example
     ///
@@ -575,6 +570,7 @@ impl EstimationEngine {
         if dir.join(CHECKPOINT_FILE).exists() {
             return Err(PersistError::AlreadyInitialized(dir.to_path_buf()));
         }
+        persist::refuse_single_file_wal(dir)?;
         // A crashed previous life may have left a checkpoint temp file
         // without ever completing a checkpoint; reclaim it.
         persist::clean_stale_tmp(dir)?;
@@ -588,12 +584,6 @@ impl EstimationEngine {
             config,
         };
         persist::write_checkpoint(dir, &meta, &engine.snapshot(), &engine.pool)?;
-        // A stray legacy log without a checkpoint is meaningless —
-        // remove it so a later recover() cannot mispair it.
-        let legacy = dir.join(WAL_FILE);
-        if legacy.exists() {
-            std::fs::remove_file(&legacy)?;
-        }
         let wal = WalSet::create(
             dir,
             config.shards,
@@ -666,19 +656,25 @@ impl EstimationEngine {
     }
 
     /// [`recover`](Self::recover) with explicit storage-layer options
-    /// (checkpoint retention, fsync policy, segment size — see
-    /// [`DurabilityOptions`]).
+    /// (checkpoint retention, fsync policy, segment size, storage tier
+    /// — see [`DurabilityOptions`]).
     ///
-    /// **Version sniff / migration.** A directory holding a legacy
-    /// v1/v2 single-file `wal.vsjw` (written before the segmented WAL)
-    /// is routed through the legacy reader: its tail is replayed with
-    /// the legacy semantics (auto-publish epochs re-derived from the
-    /// ingest counter) and simultaneously re-logged — auto-publish
-    /// boundaries now as explicit barrier records — into fresh v3
-    /// segments. The legacy file is deleted only after the segments are
-    /// fsync'd, so a crash mid-migration re-runs it from the legacy log
-    /// (stale half-written segments are discarded whenever the legacy
-    /// file still exists).
+    /// There is one recovery route. The tier picks how the checkpoint
+    /// becomes the base — [`StorageTier::Heap`] decodes it and rebuilds
+    /// the shards, [`StorageTier::Mapped`] maps it and validates it in
+    /// place (the base corpus is never decoded or rebuilt) — and both
+    /// then share one tail: open the [`WalSet`], replay the records past
+    /// the checkpoint's cut, collect the retained generations' horizons,
+    /// attach storage.
+    ///
+    /// # Errors
+    /// Everything that is not exactly what this engine writes is
+    /// refused, never worked around: a checkpoint that fails to decode
+    /// or map is returned as the error it is — a container in another
+    /// version as [`IoError::BadVersion`](vsj_datasets::io::IoError) —
+    /// on either tier (a mapped recovery never degrades to the heap
+    /// tier), and a directory holding a single-file `wal.vsjw` fails
+    /// with a [`PersistError::Corrupt`] naming the file.
     pub fn recover_with(dir: &Path, options: DurabilityOptions) -> Result<Self, PersistError> {
         options.validate();
         let started = Instant::now();
@@ -692,92 +688,32 @@ impl EstimationEngine {
                 dir.display()
             );
         }
-        let legacy_path = dir.join(WAL_FILE);
-        let mut mapped_fallback = false;
-        if options.storage_tier == StorageTier::Mapped {
-            if legacy_path.exists() {
-                eprintln!(
-                    "vsj-service: legacy single-file WAL present; the mapped tier needs the \
-                     segmented log — falling back to heap recovery"
-                );
-                mapped_fallback = true;
-            } else {
-                match Self::recover_mapped(dir, options, started)? {
-                    Some(engine) => return Ok(engine),
-                    None => mapped_fallback = true,
-                }
+        persist::refuse_single_file_wal(dir)?;
+        let (mut engine, meta) = match options.storage_tier {
+            StorageTier::Heap => {
+                let (meta, rows) = persist::read_checkpoint(dir)?;
+                (Self::hydrate(&meta, rows)?, meta)
             }
-        }
-        let (meta, rows) = persist::read_checkpoint(dir)?;
-        let mut engine = Self::hydrate(&meta, rows)?;
-        if mapped_fallback {
-            engine.metrics.mapped_fallbacks.inc();
-        }
-        let fingerprint = persist::config_fingerprint(&meta.config);
-
-        let wal = if legacy_path.exists() {
-            // Legacy route: the single-file log is the source of truth;
-            // any v3 segments beside it are residue of an interrupted
-            // earlier migration (WalSet::create discards them).
-            let replay = wal::read_wal(&legacy_path)?;
-            if replay.fingerprint != fingerprint {
-                return Err(PersistError::ConfigMismatch(format!(
-                    "WAL fingerprint {:#x} does not match the checkpoint's engine config ({:#x})",
-                    replay.fingerprint, fingerprint
-                )));
-            }
-            let end_seq = replay.base_seq + replay.entries.len() as u64;
-            if end_seq < meta.applied_seq {
-                return Err(PersistError::Corrupt(format!(
-                    "WAL ends at seq {end_seq} but the checkpoint covers {}",
-                    meta.applied_seq
-                )));
-            }
-            let wal = WalSet::create(
-                dir,
-                meta.config.shards,
-                meta.applied_seq,
-                fingerprint,
-                options.fsync,
-                options.segment_bytes,
-            )?
-            .with_metrics(engine.metrics.wal_metrics());
-            for entry in &replay.entries {
-                if entry.seq > meta.applied_seq {
-                    engine.apply_replayed(&entry.record, Some(&wal), true)?;
-                }
-            }
-            wal.sync_all()?;
-            // The fresh segments' directory entries must be durable
-            // before the legacy unlink can be — otherwise a power cut
-            // could persist the unlink but not the new files, leaving
-            // no copy of the tail at all.
-            wal::sync_dir(dir)?;
-            // Commit point of the migration: once the legacy file is
-            // gone, the v3 chains are the only (and complete) log.
-            std::fs::remove_file(&legacy_path)?;
-            wal::sync_dir(dir)?;
-            wal
-        } else {
-            let (wal, entries) = WalSet::open(
-                dir,
-                meta.config.shards,
-                meta.applied_seq,
-                fingerprint,
-                options.fsync,
-                options.segment_bytes,
-            )?;
-            let wal = wal.with_metrics(engine.metrics.wal_metrics());
-            for entry in &entries {
-                if entry.seq > meta.applied_seq {
-                    // v3 logs carry every publish (explicit, auto,
-                    // checkpoint) as a barrier record — replay must not
-                    // re-derive auto-publishes on top of them.
-                    engine.apply_replayed(&entry.record, None, false)?;
-                }
-            }
-            wal
+            StorageTier::Mapped => Self::map_base(dir)?,
         };
+        let (wal, entries) = WalSet::open(
+            dir,
+            meta.config.shards,
+            meta.applied_seq,
+            persist::config_fingerprint(&meta.config),
+            options.fsync,
+            options.segment_bytes,
+        )?;
+        // Replay the tail through the normal apply path: inserts land
+        // in the shards (on the mapped tier, the future overlay),
+        // removals/upserts of mapped base rows land in the tombstone
+        // set, publish barriers re-fire their epochs — the same
+        // epoch/ingest boundaries, hence bit-identical estimates.
+        for entry in &entries {
+            if entry.seq > meta.applied_seq {
+                engine.apply_replayed(&entry.record)?;
+            }
+        }
         let pending = wal.last_seq().saturating_sub(meta.applied_seq);
         // The retention horizon needs every kept generation's cut;
         // their METAs are peeked (not fully decoded) once per life.
@@ -790,118 +726,49 @@ impl EstimationEngine {
         }
         engine.durability = Some(Durability {
             dir: dir.to_path_buf(),
-            wal,
+            wal: wal.with_metrics(engine.metrics.wal_metrics()),
             gate: RwLock::new(()),
             pending: AtomicU64::new(pending),
             horizons: Mutex::new(horizons),
             options,
         });
-        engine
-            .metrics
-            .coldstart_heap_us
-            .record_duration(started.elapsed());
+        let coldstart_us = match options.storage_tier {
+            StorageTier::Heap => &engine.metrics.coldstart_heap_us,
+            StorageTier::Mapped => &engine.metrics.coldstart_mapped_us,
+        };
+        coldstart_us.record_duration(started.elapsed());
         Ok(engine)
     }
 
-    /// The "map + go" arm of [`recover_with`](Self::recover_with):
-    /// `mmap` the checkpoint, validate it in place, replay the WAL tail
-    /// into the heap overlay (removals and upserts of base rows land in
-    /// the tombstone set), and serve the merged view — the base corpus
-    /// is never decoded or rebuilt. Returns `Ok(None)` (the caller
-    /// falls back to heap recovery, loudly) only when the checkpoint
-    /// cannot be mapped (v2 container, corruption — the heap path then
-    /// renders the authoritative error).
-    fn recover_mapped(
-        dir: &Path,
-        options: DurabilityOptions,
-        started: Instant,
-    ) -> Result<Option<Self>, PersistError> {
-        let base = match MappedCheckpoint::open(&dir.join(CHECKPOINT_FILE)) {
-            Ok(base) => {
-                if !base.is_mapped() {
-                    // Non-Unix fallback: the "mapping" is a buffered
-                    // read. Everything still works (and stays
-                    // bit-identical); only the out-of-core memory
-                    // benefit is lost, which is worth a note.
-                    eprintln!(
-                        "vsj-service: mmap unavailable; serving the checkpoint from a \
-                         buffered copy"
-                    );
-                }
-                Arc::new(base)
-            }
-            Err(e) => {
-                eprintln!(
-                    "vsj-service: cannot map the checkpoint in {} ({e}); \
-                     falling back to heap recovery",
-                    dir.display()
-                );
-                return Ok(None);
-            }
-        };
+    /// The "map + go" base of [`recover_with`](Self::recover_with):
+    /// `mmap` the checkpoint, validate it in place, and serve it as the
+    /// published cut with an empty overlay — shards start empty (they
+    /// hold only post-checkpoint rows).
+    fn map_base(dir: &Path) -> Result<(Self, CheckpointMeta), PersistError> {
+        let base = Arc::new(MappedCheckpoint::open(&dir.join(CHECKPOINT_FILE))?);
+        if !base.is_mapped() {
+            // Non-Unix: the "mapping" is a buffered read. Everything
+            // still works (and stays bit-identical); only the
+            // out-of-core memory benefit is lost, which is worth a note.
+            eprintln!("vsj-service: mmap unavailable; serving the checkpoint from a buffered copy");
+        }
         let meta = *base.meta();
-        let fingerprint = persist::config_fingerprint(&meta.config);
-        let (wal, entries) = WalSet::open(
-            dir,
-            meta.config.shards,
-            meta.applied_seq,
-            fingerprint,
-            options.fsync,
-            options.segment_bytes,
-        )?;
         let mut engine = Self::new(meta.config);
-        let wal = wal.with_metrics(engine.metrics.wal_metrics());
-        // The mapped base *is* the published cut: shards start empty
-        // (they hold only post-recovery rows), and the current snapshot
-        // serves the mapping with an empty overlay.
-        *engine.current.get_mut() = Arc::new(
+        engine.metrics.checkpoint_maps.inc();
+        engine.metrics.mapped_bytes.set(base.file_len() as u64);
+        engine.restore_cut(
+            &meta,
             Snapshot::from_mapped(
                 meta.epoch,
                 meta.ingested,
                 meta.config.k,
-                base.clone(),
+                base,
                 Vec::new(),
                 Arc::new(TombstoneSet::empty()),
             )
             .expect("an empty overlay over a fresh mapping is trivially consistent"),
         );
-        *engine.publish_lock.get_mut() = meta.epoch;
-        *engine.next_id.get_mut() = meta.next_id;
-        engine.metrics.ingests.store(meta.ingested);
-        engine.metrics.publishes.store(meta.publishes);
-        // Replay the tail through the normal apply path: inserts land
-        // in the shards (the future overlay), removals/upserts of base
-        // rows land in the tombstone set, publish barriers re-fire
-        // their epochs against the merged mapped snapshot — the same
-        // epoch/ingest boundaries, hence bit-identical estimates.
-        for entry in &entries {
-            if entry.seq > meta.applied_seq {
-                engine.apply_replayed(&entry.record, None, false)?;
-            }
-        }
-        let pending = wal.last_seq().saturating_sub(meta.applied_seq);
-        let mut horizons = vec![meta.applied_seq];
-        for generation in persist::list_generations(dir) {
-            horizons.push(
-                persist::peek_checkpoint_meta(&persist::generation_path(dir, generation))?
-                    .applied_seq,
-            );
-        }
-        engine.durability = Some(Durability {
-            dir: dir.to_path_buf(),
-            wal,
-            gate: RwLock::new(()),
-            pending: AtomicU64::new(pending),
-            horizons: Mutex::new(horizons),
-            options,
-        });
-        engine.metrics.checkpoint_maps.inc();
-        engine.metrics.mapped_bytes.set(base.file_len() as u64);
-        engine
-            .metrics
-            .coldstart_mapped_us
-            .record_duration(started.elapsed());
-        Ok(Some(engine))
+        Ok((engine, meta))
     }
 
     /// Resurrects a **read-only view of a prior checkpoint generation**
@@ -943,40 +810,29 @@ impl EstimationEngine {
         for shard in &mut engine.shards {
             let _ = shard.get_mut().take_delta();
         }
-        *engine.current.get_mut() = Arc::new(Snapshot::assemble(
-            meta.epoch,
-            meta.ingested,
-            engine.hasher.clone(),
-            rows,
-        ));
-        *engine.publish_lock.get_mut() = meta.epoch;
-        *engine.next_id.get_mut() = meta.next_id;
-        engine.metrics.ingests.store(meta.ingested);
-        engine.metrics.publishes.store(meta.publishes);
+        let snapshot = Snapshot::assemble(meta.epoch, meta.ingested, engine.hasher.clone(), rows);
+        engine.restore_cut(meta, snapshot);
         Ok(engine)
+    }
+
+    /// Installs `snapshot` as the published cut of a checkpoint and
+    /// restores the epoch/id/ingest/publish counters to that cut.
+    fn restore_cut(&mut self, meta: &CheckpointMeta, snapshot: Snapshot) {
+        *self.current.get_mut() = Arc::new(snapshot);
+        *self.publish_lock.get_mut() = meta.epoch;
+        *self.next_id.get_mut() = meta.next_id;
+        self.metrics.ingests.store(meta.ingested);
+        self.metrics.publishes.store(meta.publishes);
     }
 
     /// Re-applies one replayed WAL record. Runs single-threaded during
     /// recovery, reproducing the original serialized order exactly.
-    ///
-    /// `relog` is the legacy-migration hook: the record (and any
-    /// auto-publish its counter crossing fires) is appended to the
-    /// fresh v3 [`WalSet`] before it is applied. `auto_publish` selects
-    /// the replay semantics: legacy v1/v2 logs re-derive auto-publish
-    /// epochs from the ingest counter (they were never logged); v3 logs
-    /// carry every publish as an explicit barrier record, so re-derived
-    /// ones would double-fire.
-    fn apply_replayed(
-        &self,
-        record: &WalRecord,
-        relog: Option<&WalSet>,
-        auto_publish: bool,
-    ) -> Result<(), PersistError> {
+    /// The log carries every publish (explicit, auto, checkpoint) as a
+    /// barrier record, so replay counts ingests but never re-derives an
+    /// auto-publish from the counter.
+    fn apply_replayed(&self, record: &WalRecord) -> Result<(), PersistError> {
         let ops = match record {
             WalRecord::Insert { id, vector } => {
-                if let Some(wal) = relog {
-                    wal.append(self.shard_of(*id), WalOp::Insert(*id, vector))?;
-                }
                 self.next_id.fetch_max(id + 1, Ordering::Relaxed);
                 let fresh = self.shards[self.shard_of(*id)]
                     .lock()
@@ -989,9 +845,6 @@ impl EstimationEngine {
                 1
             }
             WalRecord::Remove { id } => {
-                if let Some(wal) = relog {
-                    wal.append(self.shard_of(*id), WalOp::Remove(*id))?;
-                }
                 // Mirror the live path: a shard row is removed in
                 // place; a live mapped base row is tombstoned.
                 let removed = {
@@ -1006,20 +859,14 @@ impl EstimationEngine {
                 1
             }
             WalRecord::Upsert { id, vector } => {
-                if let Some(wal) = relog {
-                    wal.append(self.shard_of(*id), WalOp::Upsert(*id, vector))?;
-                }
                 self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-                let replaced = {
-                    let mut shard = self.shards[self.shard_of(*id)].lock();
-                    // Mirror the live path: replacing a live mapped
-                    // base row tombstones it; the fresh vector lands in
-                    // the shard (the overlay).
-                    let replaced = shard.remove(*id) || self.tombstone_base_row(*id);
-                    let inserted = shard.insert(*id, Arc::new(vector.clone()));
-                    debug_assert!(inserted, "id was just vacated");
-                    replaced
-                };
+                let mut shard = self.shards[self.shard_of(*id)].lock();
+                // Mirror the live path: replacing a live mapped base
+                // row tombstones it; the fresh vector lands in the
+                // shard (the overlay).
+                let replaced = shard.remove(*id) || self.tombstone_base_row(*id);
+                let inserted = shard.insert(*id, Arc::new(vector.clone()));
+                debug_assert!(inserted, "id was just vacated");
                 if replaced {
                     2
                 } else {
@@ -1027,22 +874,11 @@ impl EstimationEngine {
                 }
             }
             WalRecord::Publish => {
-                if let Some(wal) = relog {
-                    wal.append(PUBLISH_SHARD, WalOp::Publish)?;
-                }
                 self.publish_inner();
                 return Ok(());
             }
         };
-        if self.count_ingest(ops) && auto_publish {
-            // Legacy semantics: the boundary crossing *is* the publish.
-            // Migration writes it down as the explicit barrier it will
-            // be from now on.
-            if let Some(wal) = relog {
-                wal.append(PUBLISH_SHARD, WalOp::Publish)?;
-            }
-            self.publish_inner();
-        }
+        self.count_ingest(ops);
         Ok(())
     }
 
@@ -1853,24 +1689,19 @@ impl EstimationEngine {
             .unwrap_or_else(|| LshSsConfig::paper_defaults(n))
     }
 
-    /// The deterministic RNG an estimate at `(epoch, τ)` uses. Exposed
-    /// so offline runs can replicate service answers exactly:
-    /// `LshSs::estimate(snapshot.collection(), snapshot, measure, τ,
-    /// &mut engine.estimate_rng(epoch, τ))` equals
-    /// [`estimate`](Self::estimate) at that epoch.
-    pub fn estimate_rng(&self, epoch: u64, tau: f64) -> Xoshiro256 {
-        self.streams.subfamily(epoch).stream(tau.to_bits())
-    }
-
-    /// The deterministic RNG a batch estimate at `epoch` uses —
-    /// deliberately keyed by the epoch **alone**, not the τ grid.
-    /// [`estimate_curve`](LshSs::estimate_curve) consumes the RNG
+    /// The deterministic RNG every estimate at `epoch` uses —
+    /// deliberately keyed by the epoch **alone**, not by τ or the τ
+    /// grid. [`estimate_curve`](LshSs::estimate_curve) consumes the RNG
     /// independently of the grid (one shared pair sample, per-τ replay),
-    /// so with a grid-independent stream every τ's batch answer at a
-    /// given epoch is one fixed value no matter which other thresholds
-    /// ride in the same call. That is what lets a serving layer coalesce
+    /// so with a grid-independent stream every τ's answer at a given
+    /// epoch is one fixed value no matter which other thresholds ride in
+    /// the same call. That is what lets a serving layer coalesce
     /// whatever estimate requests happen to be concurrent into one
-    /// sampling pass without changing any individual answer.
+    /// sampling pass without changing any individual answer. Exposed so
+    /// offline runs can replicate service answers exactly:
+    /// `LshSs::estimate_curve_detailed(snapshot, snapshot, measure,
+    /// &[τ], &mut engine.batch_rng(epoch))[0]` equals
+    /// [`estimate`](Self::estimate) at that epoch.
     pub fn batch_rng(&self, epoch: u64) -> Xoshiro256 {
         self.streams.subfamily(epoch).stream(0x6A09_E667_F3BC_C909)
     }
@@ -1899,78 +1730,25 @@ impl EstimationEngine {
 
     /// Estimates the join size at threshold `τ` against the current
     /// snapshot, serving from the estimate cache when a previous answer
-    /// is within the configured drift tolerance ε.
+    /// is within the configured drift tolerance ε. A single estimate
+    /// *is* a batch of one: this is
+    /// [`estimate_batch(&[τ])`](Self::estimate_batch), same answer,
+    /// same cache entry.
     pub fn estimate(&self, tau: f64) -> ServiceEstimate {
-        let started = Instant::now();
-        let snapshot = self.snapshot();
-        let est_config = self.estimator_config(snapshot.len());
-        let key = CacheKey {
-            tau_bits: tau.to_bits(),
-            config: self.fingerprint(),
-            batch: false,
-        };
-        let now = snapshot.ingested();
-        if let Some(hit) = self
-            .cache
-            .lock()
-            .lookup(key, now, self.config.cache_epsilon)
-        {
-            self.metrics.cache_hits.inc();
-            self.metrics.cache_hit_us.record_duration(started.elapsed());
-            self.audit.note_served(tau);
-            return ServiceEstimate {
-                estimate: hit.estimate,
-                std_err: hit.std_err,
-                epoch: hit.epoch,
-                n: hit.n,
-                tau,
-                cached: true,
-            };
-        }
-        // Miss before pass: stats() reads passes first, so it can never
-        // observe more sampling passes than cache misses.
-        self.metrics.cache_misses.inc();
-        let sampling_started = Instant::now();
-        let (estimate, std_err, sampled) = self.compute(&snapshot, est_config, tau);
-        self.metrics
-            .sampling_us
-            .record_duration(sampling_started.elapsed());
-        self.metrics.pairs_per_pass.record(sampled);
-        self.metrics.sampled_pairs.add(sampled);
-        self.metrics.sampling_passes.inc();
-        self.cache.lock().store(
-            key,
-            CacheEntry {
-                estimate,
-                std_err,
-                epoch: snapshot.epoch(),
-                ingested: now,
-                n: snapshot.len(),
-            },
-        );
-        self.audit.note_served(tau);
-        ServiceEstimate {
-            estimate,
-            std_err,
-            epoch: snapshot.epoch(),
-            n: snapshot.len(),
-            tau,
-            cached: false,
-        }
+        self.estimate_batch(&[tau])[0]
     }
 
     /// Estimates a whole threshold grid from **one** sampling pass
     /// ([`LshSs::estimate_curve`]) unless every τ is already cached
-    /// within tolerance. Results are cached per τ, in a key space
-    /// separate from [`estimate`](Self::estimate): the two APIs sample
-    /// through different RNG streams ([`batch_rng`](Self::batch_rng) vs
-    /// [`estimate_rng`](Self::estimate_rng)), so each is individually
-    /// deterministic at a fixed epoch but their answers may differ —
-    /// both are unbiased draws of the same estimator. The batch stream
-    /// is keyed by the epoch alone, so each τ's answer at a given epoch
-    /// is **independent of the grid it rides in**: `estimate_batch(&[τ])`
-    /// equals the τ entry of any larger same-epoch batch, which is what
-    /// makes request coalescing in a serving layer invisible to callers.
+    /// within tolerance. This is the engine's **one estimate path** —
+    /// [`estimate`](Self::estimate), the wire's coalescing batcher and
+    /// the auditor all come through here — and results are cached per
+    /// `(τ, config)`. The pass samples through
+    /// [`batch_rng`](Self::batch_rng), keyed by the epoch alone, so each
+    /// τ's answer at a given epoch is **independent of the grid it rides
+    /// in**: `estimate_batch(&[τ])` equals the τ entry of any larger
+    /// same-epoch batch, which is what makes request coalescing in a
+    /// serving layer invisible to callers.
     pub fn estimate_batch(&self, taus: &[f64]) -> Vec<ServiceEstimate> {
         if taus.is_empty() {
             return Vec::new();
@@ -1994,7 +1772,6 @@ impl EstimationEngine {
                             CacheKey {
                                 tau_bits: tau.to_bits(),
                                 config: config_fp,
-                                batch: true,
                             },
                             now,
                             self.config.cache_epsilon,
@@ -2075,7 +1852,6 @@ impl EstimationEngine {
                     CacheKey {
                         tau_bits: tau.to_bits(),
                         config: config_fp,
-                        batch: true,
                     },
                     CacheEntry {
                         estimate,
@@ -2102,30 +1878,6 @@ impl EstimationEngine {
         answers
     }
 
-    fn compute(
-        &self,
-        snapshot: &Snapshot,
-        est_config: LshSsConfig,
-        tau: f64,
-    ) -> (Estimate, f64, u64) {
-        let est = LshSs { config: est_config };
-        let mut rng = self.estimate_rng(snapshot.epoch(), tau);
-        let detailed = match self.config.family {
-            IndexFamily::SimHash => {
-                est.estimate_detailed(snapshot, snapshot, &Cosine, tau, &mut rng)
-            }
-            IndexFamily::MinHash => {
-                est.estimate_detailed(snapshot, snapshot, &Jaccard, tau, &mut rng)
-            }
-        };
-        let sampled = if IndexView::nh(snapshot) > 0 {
-            est_config.m_h
-        } else {
-            0
-        } + detailed.l_samples;
-        (detailed.estimate(), detailed.std_err(), sampled)
-    }
-
     /// Drops every cached estimate (forces recomputation).
     pub fn clear_cache(&self) {
         self.cache.lock().clear();
@@ -2143,8 +1895,10 @@ impl EstimationEngine {
 
     /// Runs one estimator-quality audit cycle: picks the next threshold
     /// from the recently-served ring (deterministic rotation), re-asks
-    /// the engine for it — the answer a client would get right now,
-    /// cached or freshly sampled, with its interval — computes exact
+    /// the engine for it through [`estimate`](Self::estimate) — the
+    /// one path every caller and the wire share, so this is the answer
+    /// a client would get right now, cached or freshly sampled, with
+    /// its interval — computes exact
     /// ground truth on a bounded stratum via [`vsj_exact::ExactJoin`],
     /// and folds the verdict into the `vsj_audit_*` series and the
     /// worst-calibrated ring.
@@ -2257,8 +2011,8 @@ impl EstimationEngine {
 
     /// The storage tier the engine actually serves from:
     /// [`StorageTier::Mapped`] when the base corpus is a checkpoint
-    /// mapping (a mapped-tier recovery that did not fall back),
-    /// [`StorageTier::Heap`] otherwise. Operational provenance for
+    /// mapping (a mapped-tier recovery), [`StorageTier::Heap`]
+    /// otherwise. Operational provenance for
     /// health endpoints.
     pub fn storage_tier(&self) -> StorageTier {
         if self.snapshot().is_mapped() {

@@ -22,8 +22,9 @@
 //!          │ Snapshot e │  immutable, Arc-shared, epoch-tagged
 //!          └─────┬──────┘
 //!     ┌──────────┼──────────┐
-//!  readers: estimate(τ) → LSH-SS over the snapshot (IndexView),
-//!  answers cached per (τ, config) until drift > ε ingests
+//!  readers: estimate(τ) = estimate_batch(&[τ]) → one LSH-SS pass per
+//!  epoch over the snapshot (IndexView), answers cached per (τ, config)
+//!  until drift > ε ingests
 //! ```
 //!
 //! Key properties:
@@ -34,13 +35,17 @@
 //! * **Offline equivalence** — a snapshot is bit-identical (buckets,
 //!   `N_H`, sampling behavior) to an offline [`LshTable::build`] over
 //!   the same live vectors in global-id order, so service answers equal
-//!   offline [`LshSs`](vsj_core::LshSs) runs with the same RNG
-//!   ([`EstimationEngine::estimate_rng`]).
+//!   offline [`LshSs`](vsj_core::LshSs) curve runs with the same RNG
+//!   ([`EstimationEngine::batch_rng`]).
+//! * **One estimate path** — [`EstimationEngine::estimate`] is
+//!   [`estimate_batch`](EstimationEngine::estimate_batch) of one: a
+//!   direct call, a wire request coalesced with others, and the
+//!   auditor's re-ask all get the same cached answer per `(epoch, τ)`.
 //! * **Determinism** — everything derives from the master seed; the
 //!   same ingest history gives the same answers, across thread counts.
 //! * **Durability** (opt-in) — [`EstimationEngine::durable`] attaches a
-//!   storage directory: epoch checkpoints (checksummed
-//!   [`datasets::io`](vsj_datasets::io) v2 containers, see [`persist`])
+//!   storage directory: epoch checkpoints (checksummed, mappable
+//!   [`datasets::io`](vsj_datasets::io) containers, see [`persist`])
 //!   plus a **per-shard segmented write-ahead log** of every ingest
 //!   between checkpoints ([`wal`]): durable writers on different
 //!   shards append (and group-commit fsync, per [`FsyncPolicy`]) in
@@ -48,7 +53,9 @@
 //!   [`EstimationEngine::recover`] rebuilds the engine — shards from
 //!   stored bucket keys, no re-hashing — and merge-replays the chains
 //!   in sequence order, yielding answers bit-identical to the engine
-//!   that died. A background [`Checkpointer`] keeps the WAL bounded;
+//!   that died; anything on disk the engine did not write itself is
+//!   refused with a structured error, never worked around. A
+//!   background [`Checkpointer`] keeps the WAL bounded;
 //!   checkpoint truncation drops whole sealed segments (O(1) — no
 //!   surviving byte rewritten).
 //!
@@ -78,6 +85,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+mod background;
 mod cache;
 mod config;
 mod engine;
@@ -149,7 +157,7 @@ mod tests {
     #[test]
     fn snapshot_matches_offline_build_and_estimate_exactly() {
         // The acceptance property: the service answer equals an offline
-        // LshSs run over the same data with the same seed/epoch RNG.
+        // LshSs curve run over the same data with the same epoch RNG.
         let engine = minhash_engine(8);
         let mut vectors = Vec::new();
         for i in 0..300u32 {
@@ -179,10 +187,10 @@ mod tests {
             let est = LshSs {
                 config: engine.estimator_config(coll.len()),
             };
-            let mut rng = engine.estimate_rng(epoch, tau);
-            let offline_estimate = est.estimate(&coll, table, &Jaccard, tau, &mut rng);
+            let mut rng = engine.batch_rng(epoch);
+            let offline = est.estimate_curve_detailed(&coll, table, &Jaccard, &[tau], &mut rng);
             assert_eq!(
-                served.estimate, offline_estimate,
+                served.estimate, offline[0].estimate,
                 "service and offline disagree at τ={tau}"
             );
         }
@@ -371,15 +379,15 @@ mod tests {
         let est = LshSs {
             config: engine.estimator_config(snapshot.len()),
         };
-        let mut rng = engine.estimate_rng(epoch, 0.7);
-        let offline = est.estimate(
+        let mut rng = engine.batch_rng(epoch);
+        let offline = est.estimate_curve_detailed(
             snapshot.collection(),
             snapshot.as_ref(),
             &Cosine,
-            0.7,
+            &[0.7],
             &mut rng,
         );
-        assert_eq!(answer.estimate, offline);
+        assert_eq!(answer.estimate, offline[0].estimate);
     }
 
     #[test]

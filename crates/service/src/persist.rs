@@ -3,10 +3,10 @@
 //! A *checkpoint* is one file (`checkpoint.vsjc`, a
 //! [`datasets::io`](vsj_datasets::io) container) holding everything
 //! needed to resurrect an [`EstimationEngine`]
-//! at a published epoch. The writer emits the **v3 mappable layout**
-//! (fixed-width, 8-byte-aligned sections — the out-of-core tier serves
-//! estimates straight from a mapping of this file); v2 checkpoints from
-//! earlier lives stay readable:
+//! at a published epoch. It is written in the container's one layout
+//! (fixed-width directory, 8-byte-aligned sections): the heap tier
+//! decodes it, the out-of-core tier serves estimates straight from a
+//! mapping of the same file:
 //!
 //! | section | payload |
 //! |---|---|
@@ -18,9 +18,6 @@
 //! | `BMEM` | bucket member runs: row ids grouped by bucket, ascending within (`n × u32`) |
 //! | `VOFF` | payload-slab byte offsets (`(n+1) × u64`) |
 //! | `VPAY` | concatenated per-vector wire blocks |
-//!
-//! (v2 files carry `META`/`GIDS`/`KEYS` plus a single `VECS` payload
-//! list instead of the bucket and slab sections.)
 //!
 //! Storing the bucket keys means recovery re-hashes *nothing*: shards
 //! are rebuilt through [`LshTable::insert_key`](vsj_lsh::LshTable) from
@@ -37,16 +34,17 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use vsj_datasets::io::{self, ContainerReader, ContainerWriter, IoError};
+use vsj_datasets::io::{self, ContainerIndex, ContainerWriter, IoError};
 use vsj_obs::{Trace, TraceRing};
 use vsj_pool::WorkPool;
 use vsj_vector::SparseVector;
 
+use crate::background::PollThread;
 use crate::config::{IndexFamily, ServiceConfig};
 use crate::engine::EstimationEngine;
 use crate::mapped::MappedRow;
@@ -55,15 +53,15 @@ use crate::GlobalId;
 
 /// File name of the checkpoint container inside a storage directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.vsjc";
-/// File name of the write-ahead log inside a storage directory.
-pub const WAL_FILE: &str = "wal.vsjw";
+/// A single-file write-ahead log, which this engine never writes: the
+/// log is the segmented [`WalSet`](crate::wal::WalSet).
+const SINGLE_FILE_WAL: &str = "wal.vsjw";
 /// Temp name a checkpoint is written under before its atomic rename.
 const CHECKPOINT_TMP: &str = "checkpoint.vsjc.tmp";
 
 pub(crate) const SECTION_META: [u8; 4] = *b"META";
 pub(crate) const SECTION_GIDS: [u8; 4] = *b"GIDS";
 pub(crate) const SECTION_KEYS: [u8; 4] = *b"KEYS";
-const SECTION_VECS: [u8; 4] = *b"VECS";
 pub(crate) const SECTION_BKTK: [u8; 4] = *b"BKTK";
 pub(crate) const SECTION_BOFF: [u8; 4] = *b"BOFF";
 pub(crate) const SECTION_BMEM: [u8; 4] = *b"BMEM";
@@ -310,26 +308,25 @@ fn encode_u64s(values: impl ExactSizeIterator<Item = u64>) -> Bytes {
     buf.freeze()
 }
 
-fn decode_u64s(mut data: Bytes, what: &str) -> Result<Vec<u64>, PersistError> {
-    if !data.remaining().is_multiple_of(8) {
+fn decode_u64s(data: &[u8], what: &str) -> Result<Vec<u64>, PersistError> {
+    if !data.len().is_multiple_of(8) {
         return Err(corrupt(format!(
             "{what} section length not a multiple of 8"
         )));
     }
-    let mut out = Vec::with_capacity(data.remaining() / 8);
-    while data.has_remaining() {
-        out.push(data.get_u64_le());
-    }
-    Ok(out)
+    Ok(data
+        .chunks_exact(8)
+        .map(|word| u64::from_le_bytes(word.try_into().expect("8 bytes")))
+        .collect())
 }
 
 /// The snapshot rows a checkpoint stores: `(global id, bucket key,
 /// vector)`, ascending by id.
 pub type SnapshotRows = Vec<(GlobalId, u64, Arc<SparseVector>)>;
 
-/// Serializes a checkpoint in the **v3 mappable layout** (exposed for
-/// tests and tooling; the private `write_checkpoint` is the durable
-/// path). Works for both storage tiers: a heap snapshot encodes its
+/// Serializes a checkpoint (exposed for tests and tooling; the private
+/// `write_checkpoint` is the durable path). Works for both storage
+/// tiers: a heap snapshot encodes its
 /// table and `Arc`-shared payloads; a mapped snapshot walks its dense
 /// id space — tombstoned base rows are *dropped* and overlay rows are
 /// interleaved in global-id order, so the file a compaction writes is
@@ -545,33 +542,6 @@ fn encode_checkpoint_inner(
     w.section(SECTION_BMEM, bmem.freeze());
     w.section(SECTION_VOFF, encode_u64s(voff.into_iter()));
     w.section(SECTION_VPAY, vpay);
-    w.finish_v3()
-}
-
-/// Serializes a **heap** checkpoint in the legacy v2 inline framing —
-/// kept for compatibility tooling and the cross-version equivalence
-/// tests ([`decode_checkpoint`] reads both).
-///
-/// # Panics
-/// Panics on a mapped snapshot (the v2 layout predates the mapped
-/// tier).
-pub fn encode_checkpoint_v2(meta: &CheckpointMeta, snapshot: &Snapshot) -> Bytes {
-    let mut w = ContainerWriter::new();
-    w.section(SECTION_META, encode_meta(meta, snapshot.len() as u64));
-    w.section(
-        SECTION_GIDS,
-        encode_u64s(snapshot.global_ids().iter().copied()),
-    );
-    let keys = snapshot.table().to_parts();
-    w.section(SECTION_KEYS, encode_u64s(keys.into_iter()));
-    // Payloads are serialized once, straight from the snapshot's shared
-    // `Arc` handles — the on-disk bytes are identical to the owned
-    // encoding, with no intermediate owned collection materialized.
-    let payloads: Vec<&SparseVector> = snapshot.collection().iter_arcs().map(Arc::as_ref).collect();
-    w.section(
-        SECTION_VECS,
-        io::encode_vector_list(payloads.iter().copied()),
-    );
     w.finish()
 }
 
@@ -594,11 +564,10 @@ pub(crate) fn write_checkpoint(
     Ok(())
 }
 
-/// Decodes the v3 payload slab into owned vectors: `voff` must
-/// partition the slab exactly, and every block must decode to a valid
-/// vector with no trailing bytes.
-fn decode_payload_slab(voff: &[u64], vpay: Bytes) -> Result<Vec<SparseVector>, PersistError> {
-    let slab = vpay.as_slice();
+/// Decodes the payload slab into owned vectors: `voff` must partition
+/// the slab exactly, and every block must decode to a valid vector with
+/// no trailing bytes.
+fn decode_payload_slab(voff: &[u64], slab: &[u8]) -> Result<Vec<SparseVector>, PersistError> {
     if voff.first() != Some(&0) || voff.last() != Some(&(slab.len() as u64)) {
         return Err(corrupt("VOFF does not span exactly the payload slab"));
     }
@@ -619,27 +588,22 @@ fn decode_payload_slab(voff: &[u64], vpay: Bytes) -> Result<Vec<SparseVector>, P
 
 /// Decodes checkpoint bytes into metadata plus snapshot rows
 /// `(global id, bucket key, vector)`, verifying every section checksum
-/// and cross-section consistency. Negotiates the payload layout: v2
-/// containers carry a `VECS` list, v3 containers the `VOFF`/`VPAY`
-/// slab. The heap rebuild derives its buckets from `KEYS`, but a v3
-/// container must still carry the full mappable section set — a
-/// missing (or tag-corrupted) bucket section is damage, not an
-/// optional extra, even when this path would not read it.
+/// and cross-section consistency. The heap rebuild derives its buckets
+/// from `KEYS`, but a checkpoint must still carry the full mappable
+/// section set — a missing (or tag-corrupted) bucket section is damage,
+/// not an optional extra, even when this path would not read it.
 pub fn decode_checkpoint(bytes: Bytes) -> Result<(CheckpointMeta, SnapshotRows), PersistError> {
-    let container = ContainerReader::parse(bytes)?;
-    let (meta, n) = decode_meta(container.require(SECTION_META)?)?;
-    let gids = decode_u64s(container.require(SECTION_GIDS)?, "GIDS")?;
-    let keys = decode_u64s(container.require(SECTION_KEYS)?, "KEYS")?;
-    let vectors: Vec<SparseVector> = match container.section(SECTION_VECS) {
-        Some(vecs) => io::decode_vectors(vecs)?.into_vectors(),
-        None => {
-            for tag in [SECTION_BKTK, SECTION_BOFF, SECTION_BMEM] {
-                container.require(tag)?;
-            }
-            let voff = decode_u64s(container.require(SECTION_VOFF)?, "VOFF")?;
-            decode_payload_slab(&voff, container.require(SECTION_VPAY)?)?
-        }
-    };
+    let data = bytes.as_slice();
+    let index = ContainerIndex::parse(data)?;
+    let section = |tag| index.require(tag).map(|range| &data[range]);
+    let (meta, n) = decode_meta(Bytes::copy_from_slice(section(SECTION_META)?))?;
+    let gids = decode_u64s(section(SECTION_GIDS)?, "GIDS")?;
+    let keys = decode_u64s(section(SECTION_KEYS)?, "KEYS")?;
+    for tag in [SECTION_BKTK, SECTION_BOFF, SECTION_BMEM] {
+        index.require(tag)?;
+    }
+    let voff = decode_u64s(section(SECTION_VOFF)?, "VOFF")?;
+    let vectors = decode_payload_slab(&voff, section(SECTION_VPAY)?)?;
     if gids.len() as u64 != n || keys.len() as u64 != n || vectors.len() as u64 != n {
         return Err(corrupt(format!(
             "row count mismatch: META says {n}, sections carry {}/{}/{}",
@@ -692,10 +656,10 @@ pub fn read_checkpoint_generation(
     ))?))
 }
 
-/// Reads **only the `META` section** of a checkpoint container —
-/// header and section frames are walked with seeks, the sections other
-/// than `META` are never read into memory, and only `META`'s checksum
-/// is verified. This is what keeps WAL-horizon bookkeeping O(metadata):
+/// Reads **only the `META` section** of a checkpoint container — the
+/// header and directory are read, `META` is one seek away, the other
+/// sections are never read into memory, and only `META`'s checksum is
+/// verified. This is what keeps WAL-horizon bookkeeping O(metadata):
 /// a checkpoint needs the cut sequence of every *retained* generation
 /// to know which WAL segments may be dropped, and decoding whole
 /// multi-megabyte containers for a single `u64` would put an O(corpus)
@@ -719,88 +683,62 @@ pub fn peek_checkpoint_meta(path: &Path) -> Result<CheckpointMeta, PersistError>
             }
         })
     }
-    let mut header = [0u8; 12];
+    let mut header = [0u8; 8];
     read_frame(&mut file, &mut header, "the container header")?;
     if &header[0..4] != b"VSJC" {
-        return Err(corrupt("not a VSJC container"));
+        return Err(IoError::BadMagic.into());
     }
     let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    let count = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    let file_len = file.metadata()?.len();
-    // v2 frames carry the plain byte checksum; v3 directories carry the
-    // chunked section digest.
-    let read_meta_payload = |file: &mut std::fs::File,
-                             len: u64,
-                             checksum: u64,
-                             v3: bool|
-     -> Result<CheckpointMeta, PersistError> {
-        let mut payload = vec![0u8; len as usize];
-        read_frame(file, &mut payload, "the META payload")?;
-        let computed = if v3 {
-            io::checksum64_v3(&payload)
-        } else {
-            io::checksum64(&payload)
-        };
-        if computed != checksum {
-            return Err(PersistError::Container(IoError::BadChecksum {
-                section: SECTION_META,
-            }));
-        }
-        decode_meta(Bytes::from(payload)).map(|(meta, _)| meta)
-    };
-    match version {
-        2 => {
-            let mut pos = 12u64;
-            for _ in 0..count {
-                let mut section = [0u8; 20];
-                read_frame(&mut file, &mut section, "a section frame")?;
-                pos += 20;
-                let tag: [u8; 4] = section[0..4].try_into().expect("4 bytes");
-                let len = u64::from_le_bytes(section[4..12].try_into().expect("8 bytes"));
-                let checksum = u64::from_le_bytes(section[12..20].try_into().expect("8 bytes"));
-                // A corrupt length field must fail loudly, not drive a
-                // huge allocation or a wrapping seek: bound it by what
-                // the file can actually hold past this frame.
-                if len > file_len.saturating_sub(pos) {
-                    return Err(corrupt(format!(
-                        "section length {len} overruns the container ({file_len} bytes)"
-                    )));
-                }
-                pos += len;
-                if tag == SECTION_META {
-                    return read_meta_payload(&mut file, len, checksum, false);
-                }
-                file.seek(SeekFrom::Current(len as i64))?;
-            }
-            Err(corrupt("container has no META section"))
-        }
-        3 => {
-            // v3: 16-byte header, then 32-byte directory entries with
-            // absolute payload offsets — META is one seek away.
-            let mut pad = [0u8; 4];
-            read_frame(&mut file, &mut pad, "the v3 header")?;
-            for _ in 0..count {
-                let mut entry = [0u8; 32];
-                read_frame(&mut file, &mut entry, "a directory entry")?;
-                let tag: [u8; 4] = entry[0..4].try_into().expect("4 bytes");
-                if tag != SECTION_META {
-                    continue;
-                }
-                let offset = u64::from_le_bytes(entry[8..16].try_into().expect("8 bytes"));
-                let len = u64::from_le_bytes(entry[16..24].try_into().expect("8 bytes"));
-                let checksum = u64::from_le_bytes(entry[24..32].try_into().expect("8 bytes"));
-                if offset.checked_add(len).is_none_or(|end| end > file_len) {
-                    return Err(corrupt(format!(
-                        "META payload at {offset}+{len} overruns the container ({file_len} bytes)"
-                    )));
-                }
-                file.seek(SeekFrom::Start(offset))?;
-                return read_meta_payload(&mut file, len, checksum, true);
-            }
-            Err(corrupt("container has no META section"))
-        }
-        v => Err(corrupt(format!("unsupported container version {v}"))),
+    if version != io::VERSION_V3 {
+        return Err(IoError::BadVersion(version).into());
     }
+    read_frame(&mut file, &mut header, "the section count")?;
+    let count = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
+    let file_len = file.metadata()?.len();
+    for _ in 0..count {
+        let mut entry = [0u8; 32];
+        read_frame(&mut file, &mut entry, "a directory entry")?;
+        let tag: [u8; 4] = entry[0..4].try_into().expect("4 bytes");
+        if tag != SECTION_META {
+            continue;
+        }
+        let offset = u64::from_le_bytes(entry[8..16].try_into().expect("8 bytes"));
+        let len = u64::from_le_bytes(entry[16..24].try_into().expect("8 bytes"));
+        let checksum = u64::from_le_bytes(entry[24..32].try_into().expect("8 bytes"));
+        // A corrupt offset or length must fail loudly, not drive a huge
+        // allocation or a wrapping seek: bound both by the file.
+        if offset.checked_add(len).is_none_or(|end| end > file_len) {
+            return Err(corrupt(format!(
+                "META payload at {offset}+{len} overruns the container ({file_len} bytes)"
+            )));
+        }
+        file.seek(SeekFrom::Start(offset))?;
+        let mut payload = vec![0u8; len as usize];
+        read_frame(&mut file, &mut payload, "the META payload")?;
+        if io::checksum64_v3(&payload) != checksum {
+            return Err(IoError::BadChecksum {
+                section: SECTION_META,
+            }
+            .into());
+        }
+        return decode_meta(Bytes::from(payload)).map(|(meta, _)| meta);
+    }
+    Err(corrupt("container has no META section"))
+}
+
+/// Refuses a storage directory that holds a single-file `wal.vsjw`:
+/// this engine cannot replay it, and recovering around it would serve
+/// a state that silently lacks whatever the file logged.
+pub(crate) fn refuse_single_file_wal(dir: &Path) -> Result<(), PersistError> {
+    let path = dir.join(SINGLE_FILE_WAL);
+    if path.exists() {
+        return Err(corrupt(format!(
+            "{} is a single-file write-ahead log, which this engine cannot replay \
+             (it reads only the segmented wal-SSSS-IIIIIIII.vsjw chains)",
+            path.display()
+        )));
+    }
+    Ok(())
 }
 
 /// How many checkpoint-generation file names were found malformed or
@@ -938,40 +876,25 @@ pub(crate) fn rotate_generations(dir: &Path, retain: usize) -> Result<(), Persis
 /// joins the thread; it does **not** take a final checkpoint — callers
 /// decide whether the tail should ride the WAL or be made durable.
 #[derive(Debug)]
-pub struct Checkpointer {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<u64>>,
-}
+pub struct Checkpointer(PollThread);
 
 impl Checkpointer {
     /// Spawns the checkpointer: every `poll`, if at least
     /// `min_pending_records` WAL records accumulated since the last
-    /// checkpoint, takes one.
+    /// checkpoint, takes one. With `traces`, every checkpoint taken
+    /// additionally offers a `Trace` labeled `"checkpoint"` (stage
+    /// `cut`) to that ring — the same ring a serving layer exposes
+    /// under `/trace/slow`, so background cuts show up next to slow
+    /// requests.
     ///
     /// # Panics
-    /// The background thread panics if a checkpoint fails (the panic
-    /// resurfaces from [`Checkpointer::stop`]). The engine itself stays
-    /// up but does **not** keep silently accepting writes: a failed
-    /// checkpoint poisons the WAL writer, so every subsequent durable
-    /// ingest fails loudly instead of being acknowledged and lost.
-    pub fn spawn(engine: Arc<EstimationEngine>, min_pending_records: u64, poll: Duration) -> Self {
-        Self::spawn_inner(engine, min_pending_records, poll, None)
-    }
-
-    /// [`spawn`](Self::spawn), additionally offering a `Trace` labeled
-    /// `"checkpoint"` (stage `cut`) to `traces` after every checkpoint
-    /// taken — the same ring a serving layer exposes under
-    /// `/trace/slow`, so background cuts show up next to slow requests.
-    pub fn spawn_traced(
-        engine: Arc<EstimationEngine>,
-        min_pending_records: u64,
-        poll: Duration,
-        traces: Arc<TraceRing>,
-    ) -> Self {
-        Self::spawn_inner(engine, min_pending_records, poll, Some(traces))
-    }
-
-    fn spawn_inner(
+    /// Panics if the engine is not durable. The background thread
+    /// panics if a checkpoint fails (the panic resurfaces from
+    /// [`Checkpointer::stop`]). The engine itself stays up but does
+    /// **not** keep silently accepting writes: a failed checkpoint
+    /// poisons the WAL writer, so every subsequent durable ingest fails
+    /// loudly instead of being acknowledged and lost.
+    pub fn spawn(
         engine: Arc<EstimationEngine>,
         min_pending_records: u64,
         poll: Duration,
@@ -981,49 +904,25 @@ impl Checkpointer {
             engine.is_durable(),
             "Checkpointer requires a durable engine"
         );
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        let handle = std::thread::spawn(move || {
-            let mut taken = 0u64;
-            while !stop_flag.load(Ordering::Relaxed) {
-                if engine.wal_pending() >= min_pending_records.max(1) {
-                    let started = Instant::now();
-                    engine
-                        .checkpoint()
-                        .expect("background checkpoint failed; refusing to continue unlogged");
-                    taken += 1;
-                    if let Some(ring) = &traces {
-                        offer_op_trace(ring, "checkpoint", "cut", started.elapsed());
-                    }
-                }
-                std::thread::sleep(poll);
+        Self(PollThread::spawn("checkpointer", poll, move || {
+            if engine.wal_pending() < min_pending_records.max(1) {
+                return false;
             }
-            taken
-        });
-        Self {
-            stop,
-            handle: Some(handle),
-        }
+            let started = Instant::now();
+            engine
+                .checkpoint()
+                .expect("background checkpoint failed; refusing to continue unlogged");
+            if let Some(ring) = &traces {
+                offer_op_trace(ring, "checkpoint", "cut", started.elapsed());
+            }
+            true
+        }))
     }
 
     /// Signals the thread and joins it, returning how many checkpoints
     /// it took.
-    pub fn stop(mut self) -> u64 {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle
-            .take()
-            .expect("checkpointer joined twice")
-            .join()
-            .expect("checkpointer thread panicked")
-    }
-}
-
-impl Drop for Checkpointer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+    pub fn stop(self) -> u64 {
+        self.0.stop()
     }
 }
 
@@ -1035,21 +934,20 @@ impl Drop for Checkpointer {
 /// Each poll asks [`EstimationEngine::compaction_due`] (overlay-bytes /
 /// tombstone-ratio knobs on
 /// [`DurabilityOptions`](crate::DurabilityOptions)) and, when due, runs
-/// [`EstimationEngine::compact`]: publish barrier, fold into a fresh v3
+/// [`EstimationEngine::compact`]: publish barrier, fold into a fresh
 /// checkpoint, atomic re-map. Estimates are bit-identical across the
 /// swap, so the thread is safe to run under live reads and writes.
 ///
 /// Stopping (explicitly via [`Compactor::stop`] or by dropping) joins
 /// the thread; it does **not** take a final compaction.
 #[derive(Debug)]
-pub struct Compactor {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<u64>>,
-}
+pub struct Compactor(PollThread);
 
 impl Compactor {
     /// Spawns the compactor, polling the engine's trigger policy every
-    /// `poll`.
+    /// `poll`. With `traces`, every compaction taken additionally
+    /// offers a `Trace` labeled `"compaction"` (stage `fold`) to that
+    /// ring — the same ring a serving layer exposes under `/trace/slow`.
     ///
     /// # Panics
     /// Panics if the engine is not durable. The background thread
@@ -1057,83 +955,37 @@ impl Compactor {
     /// [`Compactor::stop`]); as with a failed checkpoint, the engine
     /// does not keep silently accepting writes — a failed fold poisons
     /// the WAL writer, so subsequent durable ingests fail loudly.
-    pub fn spawn(engine: Arc<EstimationEngine>, poll: Duration) -> Self {
-        Self::spawn_inner(engine, poll, None)
-    }
-
-    /// [`spawn`](Self::spawn), additionally offering a `Trace` labeled
-    /// `"compaction"` (stage `fold`) to `traces` after every compaction
-    /// taken — the same ring a serving layer exposes under
-    /// `/trace/slow`.
-    pub fn spawn_traced(
-        engine: Arc<EstimationEngine>,
-        poll: Duration,
-        traces: Arc<TraceRing>,
-    ) -> Self {
-        Self::spawn_inner(engine, poll, Some(traces))
-    }
-
-    fn spawn_inner(
+    pub fn spawn(
         engine: Arc<EstimationEngine>,
         poll: Duration,
         traces: Option<Arc<TraceRing>>,
     ) -> Self {
         assert!(engine.is_durable(), "Compactor requires a durable engine");
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        let handle = std::thread::spawn(move || {
-            let mut taken = 0u64;
-            while !stop_flag.load(Ordering::Relaxed) {
-                if engine.compaction_due() {
-                    let started = Instant::now();
-                    engine
-                        .compact()
-                        .expect("background compaction failed; refusing to continue unlogged");
-                    taken += 1;
-                    if let Some(ring) = &traces {
-                        offer_op_trace(ring, "compaction", "fold", started.elapsed());
-                    }
-                }
-                std::thread::sleep(poll);
+        Self(PollThread::spawn("compactor", poll, move || {
+            if !engine.compaction_due() {
+                return false;
             }
-            taken
-        });
-        Self {
-            stop,
-            handle: Some(handle),
-        }
+            let started = Instant::now();
+            engine
+                .compact()
+                .expect("background compaction failed; refusing to continue unlogged");
+            if let Some(ring) = &traces {
+                offer_op_trace(ring, "compaction", "fold", started.elapsed());
+            }
+            true
+        }))
     }
 
     /// Signals the thread and joins it, returning how many compactions
     /// it took.
-    pub fn stop(mut self) -> u64 {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle
-            .take()
-            .expect("compactor joined twice")
-            .join()
-            .expect("compactor thread panicked")
-    }
-}
-
-impl Drop for Compactor {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+    pub fn stop(self) -> u64 {
+        self.0.stop()
     }
 }
 
 /// Offers a one-stage background-operation trace to a slow-trace ring
-/// (shared by the traced checkpointer/compactor spawns; the
-/// [`Auditor`](crate::Auditor) builds its two-stage trace inline).
-pub(crate) fn offer_op_trace(
-    ring: &TraceRing,
-    label: &'static str,
-    stage: &'static str,
-    took: Duration,
-) {
+/// (the [`Auditor`](crate::Auditor) builds its two-stage trace inline).
+fn offer_op_trace(ring: &TraceRing, label: &'static str, stage: &'static str, took: Duration) {
     let micros = u64::try_from(took.as_micros()).unwrap_or(u64::MAX);
     let mut trace = Trace::new(label);
     trace.stage(stage, micros);

@@ -1,26 +1,20 @@
 //! Write-ahead log of ingest operations between checkpoints.
 //!
-//! Two on-disk generations live here:
+//! The log is a [`WalSet`]: per-shard *segment chains* stitched by a
+//! global sequence number. Durable ingests grab a sequence from an
+//! atomic counter and append to their own shard's active segment in
+//! parallel — writers on different shards never contend on the log.
+//! Recovery merge-replays all chains in global sequence order,
+//! reproducing the exact serialized history; `publish` records act as
+//! **sequence barriers** (they are only logged while no ingest is in
+//! flight, so "every record with a smaller sequence is applied, none
+//! with a larger one" holds both live and under replay).
+//! Acknowledgement is governed by a per-shard group-commit ticket
+//! protocol ([`FsyncPolicy`]). This is the only log format: recovery
+//! refuses a directory holding anything else (see
+//! [`EstimationEngine::recover_with`](crate::EstimationEngine::recover_with)).
 //!
-//! * **v3 (current)** — a [`WalSet`]: per-shard *segment chains*
-//!   stitched by a global sequence number. Durable ingests grab a
-//!   sequence from an atomic counter and append to their own shard's
-//!   active segment in parallel — writers on different shards never
-//!   contend on the log. Recovery merge-replays all chains in global
-//!   sequence order, reproducing the exact serialized history;
-//!   `publish` records act as **sequence barriers** (they are only
-//!   logged while no ingest is in flight, so "every record with a
-//!   smaller sequence is applied, none with a larger one" holds both
-//!   live and under replay). Acknowledgement is governed by a
-//!   per-shard group-commit ticket protocol
-//!   ([`FsyncPolicy`]).
-//! * **v1/v2 (legacy)** — the single-file, single-writer `wal.vsjw`
-//!   log. Still fully readable: recovery version-sniffs the directory,
-//!   replays legacy logs through [`read_wal`], and migrates the tail
-//!   into v3 segments (see
-//!   [`EstimationEngine::recover`](crate::EstimationEngine::recover)).
-//!
-//! ## v3 file layout (all little-endian)
+//! ## File layout (all little-endian)
 //!
 //! Each shard `s` owns a chain of segment files
 //! `wal-SSSS-IIIIIIII.vsjw` (shard, segment index, both zero-padded
@@ -56,8 +50,8 @@
 //! ## Torn tails vs. corruption
 //!
 //! Only the **last** segment of a chain may carry a torn tail (a crash
-//! mid-append); the reader truncates it to the last whole record,
-//! exactly like the legacy log. Sealed segments were fsync'd at
+//! mid-append); the reader truncates it to the last whole record.
+//! Sealed segments were fsync'd at
 //! rotation, so damage inside one — or a missing segment in the middle
 //! of a chain, or a duplicated sequence number — is real corruption and
 //! fails loudly. Header damage is never survivable (with one
@@ -66,7 +60,7 @@
 //!
 //! ## Checkpoint truncation is O(1)
 //!
-//! A checkpoint no longer rewrites the log. It records its cut sequence
+//! A checkpoint never rewrites the log. It records its cut sequence
 //! in the checkpoint metadata; [`WalSet::truncate`] then *unlinks whole
 //! sealed segments* whose records are all at or below the retention
 //! horizon — the minimum cut over every kept checkpoint generation —
@@ -89,14 +83,8 @@ use crate::persist::PersistError;
 use crate::GlobalId;
 
 const WAL_MAGIC: &[u8; 4] = b"VSJW";
-/// Newest legacy (single-file) version.
-const WAL_LEGACY_VERSION: u32 = 2;
-/// Oldest readable version (v1 lacks publish records but is otherwise
-/// identical).
-const WAL_MIN_VERSION: u32 = 1;
 /// The segmented per-shard format.
 const WAL_SEGMENT_VERSION: u32 = 3;
-const LEGACY_HEADER_LEN: u64 = 24;
 const SEGMENT_HEADER_LEN: u64 = 28;
 
 const OP_INSERT: u8 = 1;
@@ -229,188 +217,7 @@ fn walk_frames(
     (offset, true)
 }
 
-// --- legacy single-file log (v1/v2) ----------------------------------------
-
-/// A validated legacy record plus its position in the log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WalEntry {
-    /// Sequence number (`base_seq + index + 1`).
-    pub seq: u64,
-    /// The operation.
-    pub record: WalRecord,
-    /// Byte offset one past this record's frame — the log is
-    /// prefix-consistent when truncated at exactly this offset.
-    pub end_offset: u64,
-}
-
-/// Everything [`read_wal`] learned about a legacy log file.
-#[derive(Debug)]
-pub struct WalReplay {
-    /// `base_seq` from the header.
-    pub base_seq: u64,
-    /// Config fingerprint from the header.
-    pub fingerprint: u64,
-    /// The valid record prefix.
-    pub entries: Vec<WalEntry>,
-    /// `false` when bytes past the valid prefix were ignored (torn tail
-    /// or in-place corruption — indistinguishable, both recover the
-    /// prefix).
-    pub clean: bool,
-    /// Byte length of the valid prefix (header + whole records).
-    pub valid_len: u64,
-}
-
-fn encode_legacy_header(base_seq: u64, fingerprint: u64) -> Bytes {
-    let mut buf = BytesMut::with_capacity(LEGACY_HEADER_LEN as usize);
-    buf.put_slice(WAL_MAGIC);
-    buf.put_u32_le(WAL_LEGACY_VERSION);
-    buf.put_u64_le(base_seq);
-    buf.put_u64_le(fingerprint);
-    buf.freeze()
-}
-
-/// Parses and validates a **legacy v1/v2** single-file WAL. See the
-/// module docs for the torn-tail policy.
-///
-/// # Errors
-/// [`PersistError`] when the file is unreadable or its *header* is
-/// damaged (wrong magic/version, short header) — header damage means
-/// the log's provenance is unknown, which recovery must not guess at.
-pub fn read_wal(path: &Path) -> Result<WalReplay, PersistError> {
-    let raw = std::fs::read(path)?;
-    let mut data = Bytes::from(raw);
-    if data.remaining() < LEGACY_HEADER_LEN as usize {
-        return Err(PersistError::Corrupt(format!(
-            "WAL header truncated ({} bytes)",
-            data.remaining()
-        )));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != WAL_MAGIC {
-        return Err(PersistError::Corrupt("not a VSJW write-ahead log".into()));
-    }
-    let version = data.get_u32_le();
-    if !(WAL_MIN_VERSION..=WAL_LEGACY_VERSION).contains(&version) {
-        return Err(PersistError::Corrupt(format!(
-            "unsupported single-file WAL version {version} (v3 logs are segmented)"
-        )));
-    }
-    let base_seq = data.get_u64_le();
-    let fingerprint = data.get_u64_le();
-
-    let mut entries = Vec::new();
-    let (valid_len, clean) = walk_frames(data, LEGACY_HEADER_LEN, |payload, end| {
-        let Ok(record) = decode_payload(payload) else {
-            return false;
-        };
-        entries.push(WalEntry {
-            seq: base_seq + entries.len() as u64 + 1,
-            record,
-            end_offset: end,
-        });
-        true
-    });
-    Ok(WalReplay {
-        base_seq,
-        fingerprint,
-        entries,
-        clean,
-        valid_len,
-    })
-}
-
-/// Append handle on a **legacy** single-file WAL. Kept for migration
-/// tests and tooling — the engine itself writes v3 [`WalSet`] segments.
-///
-/// The writer is **failure-latching**: once any append, sync, or reset
-/// hits an I/O error it poisons itself and refuses every further
-/// append.
-#[derive(Debug)]
-pub struct WalWriter {
-    file: File,
-    base_seq: u64,
-    seq: u64,
-    /// Byte length of the durable prefix (header + whole records).
-    offset: u64,
-    poisoned: bool,
-}
-
-impl WalWriter {
-    /// Creates (truncating) a fresh legacy log starting at `base_seq`.
-    pub fn create(path: &Path, base_seq: u64, fingerprint: u64) -> Result<Self, PersistError> {
-        let mut file = File::create(path)?;
-        file.write_all(encode_legacy_header(base_seq, fingerprint).as_slice())?;
-        file.sync_data()?;
-        Ok(Self {
-            file,
-            base_seq,
-            seq: base_seq,
-            offset: LEGACY_HEADER_LEN,
-            poisoned: false,
-        })
-    }
-
-    /// Appends one operation, returning its sequence number.
-    ///
-    /// # Errors
-    /// I/O failures — which also poison the writer: the failed frame is
-    /// truncated away (best effort) and every subsequent append is
-    /// refused, so no later write can be acknowledged on top of a torn
-    /// log.
-    pub fn append(&mut self, op: WalOp<'_>) -> Result<u64, PersistError> {
-        if self.poisoned {
-            return Err(PersistError::Corrupt(
-                "WAL writer is poisoned by an earlier I/O failure".into(),
-            ));
-        }
-        let frame = frame(&encode_payload(op));
-        if let Err(e) = self.file.write_all(frame.as_slice()) {
-            self.poisoned = true;
-            // Best effort: drop the torn frame so the on-disk prefix
-            // stays clean even if the process survives.
-            let _ = self.file.set_len(self.offset);
-            return Err(e.into());
-        }
-        self.offset += frame.len() as u64;
-        self.seq += 1;
-        Ok(self.seq)
-    }
-
-    /// Marks the writer failed; every further append is refused.
-    pub fn poison(&mut self) {
-        self.poisoned = true;
-    }
-
-    /// Whether the writer has latched a failure.
-    #[inline]
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Sequence number of the last appended record.
-    #[inline]
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Records appended since creation.
-    #[inline]
-    pub fn pending(&self) -> u64 {
-        self.seq - self.base_seq
-    }
-
-    /// Flushes pending bytes and syncs file contents to disk.
-    pub fn sync(&mut self) -> Result<(), PersistError> {
-        if let Err(e) = self.file.sync_data() {
-            self.poisoned = true;
-            return Err(e.into());
-        }
-        Ok(())
-    }
-}
-
-// --- v3 segmented per-shard log --------------------------------------------
+// --- segmented per-shard log -------------------------------------------------
 
 /// File name of shard `shard`'s segment `index`.
 pub fn segment_file_name(shard: usize, index: u64) -> String {
@@ -454,7 +261,7 @@ fn encode_segment_header(fingerprint: u64, shard: usize, index: u64) -> Bytes {
     buf.freeze()
 }
 
-/// One validated v3 record: the global sequence number, the shard whose
+/// One validated record: the global sequence number, the shard whose
 /// chain carried it, and the operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeqEntry {
@@ -485,7 +292,7 @@ pub struct SegmentReplay {
     pub valid_len: u64,
 }
 
-/// Parses and validates one v3 segment file.
+/// Parses and validates one segment file.
 ///
 /// # Errors
 /// Unreadable file or damaged header (wrong magic/version/owner). A
@@ -684,7 +491,7 @@ struct ShardWal {
     pending: AtomicU64,
 }
 
-/// The v3 write-ahead log: one segment chain per shard, stitched by a
+/// The write-ahead log: one segment chain per shard, stitched by a
 /// global sequence counter. See the module docs for the format and the
 /// merge-replay/barrier invariants.
 ///
@@ -719,8 +526,8 @@ impl std::fmt::Debug for WalSet {
     }
 }
 
-/// Removes every v3 segment file in `dir` (any shard, any index).
-pub fn remove_all_segments(dir: &Path) -> Result<(), PersistError> {
+/// Removes every segment file in `dir` (any shard, any index).
+fn remove_all_segments(dir: &Path) -> Result<(), PersistError> {
     if let Ok(listing) = std::fs::read_dir(dir) {
         for entry in listing.flatten() {
             let name = entry.file_name();
@@ -739,7 +546,7 @@ pub fn remove_all_segments(dir: &Path) -> Result<(), PersistError> {
 /// unlinks) survive power loss — file-data fsync alone does not make
 /// the *name* durable, and a vanished segment file would read as a
 /// silently shorter chain.
-pub(crate) fn sync_dir(dir: &Path) -> Result<(), PersistError> {
+fn sync_dir(dir: &Path) -> Result<(), PersistError> {
     // Directory fsync is not supported everywhere (e.g. Windows);
     // failure to open-or-sync a directory is ignored rather than
     // poisoning the log, matching fs::rename-based code elsewhere.
@@ -774,7 +581,7 @@ impl WalSet {
     /// Creates a fresh set: one empty segment per shard, sequence
     /// counter starting past `base_seq`. Any pre-existing segment files
     /// in `dir` are removed first (they can only be stale residue of an
-    /// interrupted migration).
+    /// initialisation that died before its first checkpoint).
     pub fn create(
         dir: &Path,
         shards: usize,
@@ -1380,123 +1187,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("vsj_wal_unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
-
-    // --- legacy single-file format -------------------------------------
-
-    #[test]
-    fn legacy_append_read_roundtrip() {
-        let path = tmp("roundtrip.vsjw");
-        let mut w = WalWriter::create(&path, 5, 0xABCD).unwrap();
-        assert_eq!(w.append(WalOp::Insert(7, &v(&[1, 2, 3]))).unwrap(), 6);
-        assert_eq!(w.append(WalOp::Remove(7)).unwrap(), 7);
-        assert_eq!(w.append(WalOp::Upsert(9, &v(&[4]))).unwrap(), 8);
-        assert_eq!(w.append(WalOp::Publish).unwrap(), 9);
-        assert_eq!(w.pending(), 4);
-        w.sync().unwrap();
-
-        let replay = read_wal(&path).unwrap();
-        assert!(replay.clean);
-        assert_eq!(replay.base_seq, 5);
-        assert_eq!(replay.fingerprint, 0xABCD);
-        assert_eq!(replay.entries.len(), 4);
-        assert_eq!(replay.entries[0].seq, 6);
-        assert_eq!(
-            replay.entries[0].record,
-            WalRecord::Insert {
-                id: 7,
-                vector: v(&[1, 2, 3])
-            }
-        );
-        assert_eq!(replay.entries[1].record, WalRecord::Remove { id: 7 });
-        assert_eq!(
-            replay.entries[2].record,
-            WalRecord::Upsert {
-                id: 9,
-                vector: v(&[4])
-            }
-        );
-        assert_eq!(replay.entries[3].record, WalRecord::Publish);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn version_1_logs_are_still_readable() {
-        let path = tmp("v1.vsjw");
-        let mut w = WalWriter::create(&path, 0, 7).unwrap();
-        w.append(WalOp::Insert(0, &v(&[1, 2]))).unwrap();
-        w.sync().unwrap();
-        // Rewrite the header version field (offset 4) down to 1.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let replay = read_wal(&path).unwrap();
-        assert!(replay.clean);
-        assert_eq!(replay.entries.len(), 1);
-        // A v3 version field in a single-file log is not a legacy log.
-        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(read_wal(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_torn_tail_yields_valid_prefix() {
-        let path = tmp("torn.vsjw");
-        let mut w = WalWriter::create(&path, 0, 1).unwrap();
-        w.append(WalOp::Insert(0, &v(&[1, 2]))).unwrap();
-        w.append(WalOp::Insert(1, &v(&[3, 4]))).unwrap();
-        w.sync().unwrap();
-        let full = std::fs::read(&path).unwrap();
-        let first_end = read_wal(&path).unwrap().entries[0].end_offset as usize;
-        // Every truncation point inside the second record keeps exactly
-        // the first.
-        for cut in first_end..full.len() {
-            std::fs::write(&path, &full[..cut]).unwrap();
-            let replay = read_wal(&path).unwrap();
-            assert_eq!(replay.entries.len(), 1, "cut at {cut}");
-            assert_eq!(replay.clean, cut == first_end, "cut at {cut}");
-            assert_eq!(replay.valid_len as usize, first_end);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_header_damage_fails_loudly() {
-        let path = tmp("hdr.vsjw");
-        WalWriter::create(&path, 0, 1).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[0] = b'X';
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(read_wal(&path).is_err());
-        std::fs::write(&path, [1u8, 2]).unwrap();
-        assert!(read_wal(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_poisoned_writer_refuses_appends() {
-        let path = tmp("poison.vsjw");
-        let mut w = WalWriter::create(&path, 0, 4).unwrap();
-        w.append(WalOp::Insert(0, &v(&[1]))).unwrap();
-        assert!(!w.is_poisoned());
-        w.poison();
-        assert!(w.is_poisoned());
-        assert!(
-            w.append(WalOp::Insert(1, &v(&[2]))).is_err(),
-            "a poisoned writer must never acknowledge another record"
-        );
-        let replay = read_wal(&path).unwrap();
-        assert_eq!(replay.entries.len(), 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    // --- v3 segmented format -------------------------------------------
 
     fn small_set(dir: &Path, shards: usize, policy: FsyncPolicy) -> WalSet {
         WalSet::create(dir, shards, 0, 0xFEED, policy, 1024).unwrap()

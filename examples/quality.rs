@@ -55,7 +55,7 @@ fn main() {
 
     // Stream the corpus in over the wire and publish one epoch.
     let mut client = Client::connect(addr).expect("connect");
-    for (_, v) in DblpLike::with_size(DOCS).generate(21).iter() {
+    for (_, v) in DblpLike::with_size(DOCS).generate(22).iter() {
         client.insert(v).expect("insert over the wire");
     }
     let epoch = client.publish().expect("publish");
@@ -85,14 +85,14 @@ fn main() {
     // here: 400 ≤ max_exact_n, so truth is exact and the coverage
     // assertion below scores only the served intervals, not auditor
     // subsampling noise).
-    let auditor = Auditor::spawn_traced(
+    let auditor = Auditor::spawn(
         engine.clone(),
         AuditOptions {
             max_exact_n: 512,
             exact_threads: 1,
         },
         Duration::from_millis(1),
-        server.trace_ring(),
+        Some(server.trace_ring()),
     );
     let deadline = Instant::now() + Duration::from_secs(30);
     while engine.quality_report().cycles < MIN_CYCLES {

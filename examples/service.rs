@@ -154,16 +154,16 @@ fn main() {
     let estimator = LshSs {
         config: engine.estimator_config(snapshot.len()),
     };
-    let mut rng = engine.estimate_rng(epoch, 0.7);
-    let offline = estimator.estimate(
+    let mut rng = engine.batch_rng(epoch);
+    let offline = estimator.estimate_curve_detailed(
         snapshot.collection(),
         snapshot.table(),
         &Cosine,
-        0.7,
+        &[0.7],
         &mut rng,
     );
     assert_eq!(
-        served.estimate, offline,
+        served.estimate, offline[0].estimate,
         "service answer must equal the offline LshSs run"
     );
 

@@ -56,22 +56,24 @@ fn assert_matches_offline_build(engine: &EstimationEngine, snapshot: &Snapshot, 
     let est = LshSs {
         config: engine.estimator_config(snapshot.len()),
     };
-    for tau in TAUS {
-        let mut service_rng = engine.estimate_rng(snapshot.epoch(), tau);
-        let mut offline_rng = engine.estimate_rng(snapshot.epoch(), tau);
-        let via_snapshot = est.estimate(
-            snapshot.collection(),
-            snapshot,
-            &Jaccard,
-            tau,
-            &mut service_rng,
-        );
-        let via_build = est.estimate(&collection, &offline, &Jaccard, tau, &mut offline_rng);
-        assert_eq!(
-            via_snapshot, via_build,
-            "{context}: estimate at τ={tau} diverged from the offline build"
-        );
-    }
+    let via_snapshot = est.estimate_curve(
+        snapshot.collection(),
+        snapshot,
+        &Jaccard,
+        &TAUS,
+        &mut engine.batch_rng(snapshot.epoch()),
+    );
+    let via_build = est.estimate_curve(
+        &collection,
+        &offline,
+        &Jaccard,
+        &TAUS,
+        &mut engine.batch_rng(snapshot.epoch()),
+    );
+    assert_eq!(
+        via_snapshot, via_build,
+        "{context}: the estimate curve diverged from the offline build"
+    );
 }
 
 #[test]

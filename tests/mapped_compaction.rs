@@ -605,7 +605,7 @@ fn compactor_thread_folds_when_due_and_counts_via_obs() {
         ..options(StorageTier::Mapped)
     };
     let engine = std::sync::Arc::new(EstimationEngine::recover_with(&dir, opts).unwrap());
-    let compactor = Compactor::spawn(engine.clone(), Duration::from_millis(2));
+    let compactor = Compactor::spawn(engine.clone(), Duration::from_millis(2), None);
     engine.insert(members(3, 5));
     engine.publish();
     // The overlay is non-empty and the threshold is 1 byte: the thread
@@ -762,7 +762,7 @@ fn soak_writers_readers_and_compactor_pin_answers_per_epoch() {
         ..options(StorageTier::Mapped)
     };
     let engine = std::sync::Arc::new(EstimationEngine::recover_with(&dir, opts).unwrap());
-    let compactor = Compactor::spawn(engine.clone(), Duration::from_millis(1));
+    let compactor = Compactor::spawn(engine.clone(), Duration::from_millis(1), None);
     let stop = AtomicBool::new(false);
     // (epoch, τ-bits) → estimate-bits: the per-epoch answer pin.
     let pinned: Mutex<HashMap<(u64, u64), u64>> = Mutex::new(HashMap::new());

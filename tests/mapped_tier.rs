@@ -13,8 +13,8 @@
 //!   (or is replaced in) the next published snapshot, bit-identically
 //!   to the heap tier doing the same. A WAL tail containing removes or
 //!   upserts recovers *mapped* (the tail replays into tombstones +
-//!   overlay); only a legacy single-file WAL still forces the loud
-//!   heap fallback counted in `vsj_engine_mapped_fallbacks_total`.
+//!   overlay); a mapped recovery never degrades to the heap tier — a
+//!   checkpoint that cannot be mapped is an error (`tests/recovery.rs`).
 //! * **Serving parity** — `contains`, `stats().live`, epoch counters,
 //!   and `storage_tier()` reporting all see base (mapped) rows exactly
 //!   as the heap tier sees its materialized rows.
@@ -249,61 +249,15 @@ fn wal_tail_with_remove_recovers_mapped() {
     }
 
     // A destructive tail replays into tombstones + overlay: recovery
-    // stays on the mapped tier and the fallback counter stays silent.
+    // stays on the mapped tier.
     let mapped = recover(&dir, StorageTier::Mapped);
     assert_eq!(mapped.storage_tier(), StorageTier::Mapped);
     assert!(!mapped.contains(2), "the tail remove must have applied");
     assert!(mapped.contains(4), "the tail upsert must have applied");
     assert_eq!(mapped.stats().tombstones, 2, "remove + upsert tombstone");
-    assert!(
-        !mapped
-            .metrics()
-            .render()
-            .contains("vsj_engine_mapped_fallbacks_total 1"),
-        "no heap fallback for a destructive segmented tail"
-    );
 
     let heap = recover(&dir, StorageTier::Heap);
     assert_tiers_equivalent(&heap, &mapped, "destructive tail");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn legacy_wal_still_falls_back_to_heap_loudly() {
-    use vsj::service::persist::{config_fingerprint, peek_checkpoint_meta};
-    use vsj::service::wal::{WalOp, WalWriter};
-
-    let dir = fresh_dir("legacy_fallback");
-    seed_dir(&dir, 29, 8, 0);
-
-    // Regress the directory to the pre-segmented era: a legacy
-    // single-file WAL carrying a destructive record. The mapped tier
-    // cannot serve it (migration rewrites the log), so recovery must
-    // fall back to heap, loudly, and still be exactly right.
-    let meta = peek_checkpoint_meta(&dir.join("checkpoint.vsjc")).unwrap();
-    let mut legacy = WalWriter::create(
-        &dir.join("wal.vsjw"),
-        meta.applied_seq,
-        config_fingerprint(&meta.config),
-    )
-    .unwrap();
-    legacy.append(WalOp::Remove(2)).unwrap();
-    legacy.sync().unwrap();
-    drop(legacy);
-
-    let fallen = recover(&dir, StorageTier::Mapped);
-    assert_eq!(fallen.storage_tier(), StorageTier::Heap);
-    assert!(!fallen.contains(2), "the legacy remove must have applied");
-    assert!(
-        fallen
-            .metrics()
-            .render()
-            .contains("vsj_engine_mapped_fallbacks_total 1"),
-        "legacy fallback must be counted"
-    );
-
-    let heap = recover(&dir, StorageTier::Heap);
-    assert_tiers_equivalent(&heap, &fallen, "legacy fallback");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -29,6 +29,24 @@ fn collection_container_roundtrip_across_presets() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One layout for every artefact: a saved collection is a container in
+/// the same aligned-directory layout as a service checkpoint, so the
+/// one parser reads it.
+#[test]
+fn saved_collection_parses_with_container_index() {
+    let dir = std::env::temp_dir().join("vsj_it_collection_layout");
+    let coll = DblpLike::with_size(120).generate(4);
+    let path = dir.join("coll.vsjc");
+    io::save(&coll, &path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let index = io::ContainerIndex::parse(&bytes).unwrap();
+    assert_eq!(index.tags(), vec![io::SECTION_COLLECTION]);
+    let payload = index.require(io::SECTION_COLLECTION).unwrap();
+    assert_eq!(payload.start % 8, 0, "payloads are mappable: 8-aligned");
+    assert_eq!(&bytes[payload], io::encode_vectors(&coll).as_slice());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn ground_truth_cache_roundtrip() {
     let dir = std::env::temp_dir().join("vsj_it_truth");

@@ -124,6 +124,42 @@ fn audit_coverage_hits_ninety_percent_on_a_synthetic_corpus() {
     assert!(report.worst.len() <= vsj::service::WORST_CAPACITY);
 }
 
+/// The auditor must score the number a wire client received, not a
+/// second draw: the wire, `estimate`, `estimate_batch` and `audit_once`
+/// all go through one estimate path and one cache entry per (τ, config).
+#[test]
+fn the_auditor_audits_the_answer_the_wire_served() {
+    let engine = seeded_engine(23, 200);
+    let server = Server::start(engine.clone(), ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let tau = 0.6;
+    let wire = client.estimate(tau).expect("estimate");
+    assert!(!wire.cached, "the first ask samples");
+
+    let record = engine
+        .audit_once(&AuditOptions::default())
+        .expect("the wire answer fed the served ring");
+    assert_eq!(record.tau, tau);
+    assert!(record.cached, "the audit re-serves the wire's cache entry");
+    assert_eq!(record.estimate.to_bits(), wire.value.to_bits());
+    assert_eq!(record.epoch, wire.epoch);
+
+    let single = engine.estimate(tau);
+    let batch = engine.estimate_batch(&[tau])[0];
+    assert_eq!(single, batch, "a single estimate is a batch of one");
+    assert_eq!(single.estimate.value.to_bits(), wire.value.to_bits());
+    assert_eq!(
+        engine.stats().cache_entries,
+        1,
+        "one cache entry per (τ, config), whichever API asked"
+    );
+    assert_eq!(
+        engine.stats().sampling_passes,
+        1,
+        "one pass served them all"
+    );
+}
+
 #[test]
 fn quality_and_metrics_expose_the_audit_series() {
     let engine = seeded_engine(11, 200);
@@ -145,11 +181,11 @@ fn quality_and_metrics_expose_the_audit_series() {
     for tau in TAUS {
         client.estimate_with_ci(tau).expect("estimate");
     }
-    let auditor = Auditor::spawn_traced(
+    let auditor = Auditor::spawn(
         engine.clone(),
         AuditOptions::default(),
         Duration::from_millis(1),
-        server.trace_ring(),
+        Some(server.trace_ring()),
     );
     let deadline = Instant::now() + Duration::from_secs(10);
     while engine.quality_report().cycles < 4 {

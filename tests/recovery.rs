@@ -14,10 +14,11 @@
 //!   to a sealed segment, a missing mid-chain segment, any checkpoint
 //!   byte, or a segment header fails loudly. Never a silently wrong
 //!   index, never a panic. Pinned by the crash-injection matrix.
-//! * **Format stability + migration** — a committed golden fixture
-//!   from the first container-v2 writer (legacy single-file WAL v2)
-//!   must keep loading; recovery routes it through the legacy reader
-//!   and migrates the tail into v3 segments.
+//! * **Refuse, never mis-serve** — a directory holding anything this
+//!   engine does not write (a single-file `wal.vsjw`, a container in an
+//!   older version) fails with a structured error naming the problem,
+//!   on both tiers. (The committed format-stability fixture is
+//!   `tests/data/golden-v3`, pinned by `tests/mapped_compaction.rs`.)
 //! * **Retention horizon** — with `retain_checkpoints > 1`, checkpoint
 //!   truncation keeps every WAL segment needed to roll *any* kept
 //!   generation forward; restoring an older generation over the
@@ -34,8 +35,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
+use vsj::datasets::io::{self, IoError};
 use vsj::prelude::*;
-use vsj::service::persist::{self, CHECKPOINT_FILE, WAL_FILE};
+use vsj::service::persist::{self, CHECKPOINT_FILE};
 use vsj::service::wal;
 
 /// Fresh per-test storage directory (tests run in parallel).
@@ -60,7 +62,7 @@ fn config(seed: u64) -> ServiceConfig {
 }
 
 /// The fsync policy the CI matrix selects (default: `Never`, the
-/// legacy-equivalent page-cache policy).
+/// page-cache policy).
 fn test_fsync() -> FsyncPolicy {
     match std::env::var("VSJ_TEST_FSYNC").as_deref() {
         Ok("always") => FsyncPolicy::Always,
@@ -170,14 +172,14 @@ fn assert_engines_equivalent(a: &EstimationEngine, b: &EstimationEngine, context
             &Jaccard,
             sa.as_ref(),
             tau,
-            &mut a.estimate_rng(sa.epoch(), tau),
+            &mut a.batch_rng(sa.epoch()),
         );
         let rb = lshs.estimate(
             sb.collection(),
             &Jaccard,
             sb.as_ref(),
             tau,
-            &mut b.estimate_rng(sb.epoch(), tau),
+            &mut b.batch_rng(sb.epoch()),
         );
         assert_eq!(ra, rb, "{context}: LSH-S at τ={tau}");
     }
@@ -523,185 +525,111 @@ mod restart_equivalence {
     }
 }
 
-// --- golden fixture + legacy v2 migration ----------------------------------
+// --- refuse, never mis-serve -------------------------------------------------
 
-fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("data")
-        .join("golden-v2")
-}
-
-fn golden_config() -> ServiceConfig {
-    ServiceConfig::builder()
-        .shards(2)
-        .k(8)
-        .seed(2011)
-        .family(IndexFamily::MinHash)
-        .build()
-}
-
-/// Replays the golden ingest script against `engine`.
-fn golden_ops(engine: &EstimationEngine) {
+/// A durable directory with a checkpoint and a WAL tail, engine dropped.
+fn checkpointed_dir(tag: &str) -> PathBuf {
+    let dir = fresh_dir(tag);
+    let engine = durable_for_test(config(2011), &dir);
     for i in 0..12u32 {
         engine.insert(members(i % 5, 3 + i % 4));
     }
-}
-
-/// Regenerates the committed fixture. Run manually after an
-/// *intentional* format change:
-/// `cargo test --test recovery -- --ignored regenerate_golden_fixture`
-///
-/// The fixture pins the **legacy v2** single-file layout (that is the
-/// point — it locks the migration path), so the tail is written with
-/// the legacy [`wal::WalWriter`] rather than the engine's own v3
-/// segments.
-#[test]
-#[ignore = "writes the committed fixture; run only on intentional format changes"]
-fn regenerate_golden_fixture() {
-    let dir = golden_dir();
-    std::fs::remove_dir_all(&dir).ok();
-    let engine = EstimationEngine::durable(golden_config(), &dir).unwrap();
-    golden_ops(&engine);
-    assert_eq!(engine.checkpoint().unwrap(), 1);
-    drop(engine);
-    // Swap the v3 chains for a legacy v2 log carrying the tail.
-    wal::remove_all_segments(&dir).unwrap();
-    let meta = persist::peek_checkpoint_meta(&dir.join(CHECKPOINT_FILE)).unwrap();
-    let fingerprint = persist::config_fingerprint(&meta.config);
-    let mut writer =
-        wal::WalWriter::create(&dir.join(WAL_FILE), meta.applied_seq, fingerprint).unwrap();
-    let v = |s: u32, l: u32| members(s, l);
-    writer
-        .append(wal::WalOp::Insert(meta.next_id, &v(2, 5)))
-        .unwrap();
-    writer.append(wal::WalOp::Upsert(6, &v(9, 4))).unwrap();
-    writer.append(wal::WalOp::Remove(1)).unwrap();
-    writer.sync().unwrap();
-    std::fs::remove_file(dir.join("checkpoint.vsjc.tmp")).ok();
-    println!("golden fixture regenerated at {}", dir.display());
-}
-
-/// The golden WAL tail as applied to an in-process reference (must
-/// mirror [`regenerate_golden_fixture`]).
-fn golden_tail(engine: &EstimationEngine) {
-    engine.insert(members(2, 5));
-    engine.upsert(6, members(9, 4));
-    engine.remove(1);
-}
-
-#[test]
-fn golden_fixture_still_loads_and_migrates_to_v3() {
-    // The committed container-v2 + legacy-WAL pair from the first
-    // writer version must keep recovering bit-identically — this is
-    // the backward-compatibility lock on the format, and now also on
-    // the v2 → v3 migration path.
-    let work = fresh_dir("golden_work");
-    std::fs::create_dir_all(&work).unwrap();
-    for file in [CHECKPOINT_FILE, WAL_FILE] {
-        std::fs::copy(golden_dir().join(file), work.join(file))
-            .expect("golden fixture missing; run regenerate_golden_fixture");
-    }
-    let recovered = EstimationEngine::recover(&work).expect("golden fixture must load");
-    assert_eq!(recovered.current_epoch(), 1);
-    assert_eq!(recovered.snapshot().len(), 12, "checkpointed rows");
-    // The legacy log is gone; the tail now lives in v3 segments.
-    assert!(
-        !work.join(WAL_FILE).exists(),
-        "migration must retire the legacy log"
-    );
-    assert!(
-        !wal::segment_files(&work, 0).is_empty(),
-        "migration must produce v3 segment chains"
-    );
-
-    // In-process reference: same script, never serialized.
-    let reference = EstimationEngine::new(golden_config());
-    golden_ops(&reference);
-    reference.publish();
-    golden_tail(&reference);
-    assert_engines_equivalent(&reference, &recovered, "golden checkpoint epoch");
-    reference.publish();
-    recovered.publish();
-    // 12 checkpointed + 1 insert − 1 remove (the upsert replaced in
-    // place).
-    assert_eq!(recovered.snapshot().len(), 12);
-    assert_engines_equivalent(&reference, &recovered, "golden replayed epoch");
-
-    // Second life: kill the migrated engine and recover through the v3
-    // route — the migrated segments are a complete, equivalent log.
-    recovered.insert(members(4, 4));
-    reference.insert(members(4, 4));
-    drop(recovered);
-    let second = EstimationEngine::recover(&work).expect("v3 recovery after migration");
-    reference.publish();
-    second.publish();
-    assert_engines_equivalent(&reference, &second, "post-migration life");
-    std::fs::remove_dir_all(&work).ok();
-}
-
-#[test]
-fn v2_log_with_auto_publish_migrates_with_explicit_barriers() {
-    // Auto-publish epochs in a legacy log are implicit (re-derived from
-    // the ingest counter); migration must write them down as explicit
-    // barrier records so the *next* v3 recovery reproduces them without
-    // legacy semantics.
-    let auto_config = ServiceConfig::builder()
-        .shards(3)
-        .k(8)
-        .seed(55)
-        .family(IndexFamily::MinHash)
-        .auto_publish_every(8)
-        .build();
-    let dir = fresh_dir("migrate_auto");
-    let engine = EstimationEngine::durable(auto_config, &dir).unwrap();
-    for i in 0..20u32 {
-        engine.insert(members(i % 6, 4));
-    }
     engine.checkpoint().unwrap();
+    engine.insert(members(2, 5));
     drop(engine);
+    dir
+}
 
-    // Forge the legacy layout: drop the v3 chains, hand-write a v2 log
-    // whose tail crosses an auto-publish boundary (ingests 21..28).
-    wal::remove_all_segments(&dir).unwrap();
-    let meta = persist::peek_checkpoint_meta(&dir.join(CHECKPOINT_FILE)).unwrap();
-    let fingerprint = persist::config_fingerprint(&meta.config);
-    let mut writer =
-        wal::WalWriter::create(&dir.join(WAL_FILE), meta.applied_seq, fingerprint).unwrap();
-    for i in 0..6u32 {
-        let vector = members(i % 4, 5);
-        writer
-            .append(wal::WalOp::Insert(meta.next_id + i as u64, &vector))
-            .unwrap();
+fn tier_options(tier: StorageTier) -> DurabilityOptions {
+    DurabilityOptions {
+        storage_tier: tier,
+        ..test_options()
     }
-    writer.sync().unwrap();
-    drop(writer);
+}
 
-    // Reference: the same history, never serialized.
-    let reference = EstimationEngine::new(auto_config);
-    for i in 0..20u32 {
-        reference.insert(members(i % 6, 4));
+#[test]
+fn single_file_wal_is_refused_by_name_never_replayed_or_unlinked() {
+    // The header of a single-file log as an earlier writer laid it out
+    // (magic, version 1, base sequence 12, config fingerprint).
+    const SINGLE_FILE_HEADER: [u8; 24] =
+        *b"VSJW\x01\0\0\0\x0c\0\0\0\0\0\0\0\xec\x83\x90\x8e\x13\x83\x4a\xcc";
+    let dir = checkpointed_dir("single_file_wal");
+    let stray = dir.join("wal.vsjw");
+    std::fs::write(&stray, SINGLE_FILE_HEADER).unwrap();
+    for tier in [StorageTier::Heap, StorageTier::Mapped] {
+        match EstimationEngine::recover_with(&dir, tier_options(tier)) {
+            Err(PersistError::Corrupt(msg)) => assert!(
+                msg.contains("wal.vsjw"),
+                "{tier:?}: the error must name the file: {msg}"
+            ),
+            other => panic!("{tier:?}: expected a structured refusal, got {other:?}"),
+        }
     }
-    reference.publish(); // the checkpoint's epoch
-    for i in 0..6u32 {
-        reference.insert(members(i % 4, 5));
-    }
-
-    let recovered = EstimationEngine::recover(&dir).unwrap();
-    assert!(!dir.join(WAL_FILE).exists());
-    assert_eq!(
-        recovered.stats().publishes,
-        reference.stats().publishes,
-        "the auto-publish at ingest 24 must replay"
-    );
-    assert_engines_equivalent(&reference, &recovered, "migrated auto-publish");
+    assert!(stray.exists(), "a refusal leaves the directory untouched");
+    // The file is the only obstacle: without it the directory recovers.
+    std::fs::remove_file(&stray).unwrap();
+    let recovered = EstimationEngine::recover_with(&dir, test_options()).unwrap();
+    assert_eq!(recovered.stats().ingests, 13);
     drop(recovered);
 
-    // The barrier is now explicit: a second, purely-v3 recovery — which
-    // never re-derives auto-publishes — still reproduces the epoch.
-    let second = EstimationEngine::recover(&dir).unwrap();
-    assert_eq!(second.stats().publishes, reference.stats().publishes);
-    assert_engines_equivalent(&reference, &second, "second-life auto-publish");
+    // A fresh initialisation refuses too — it must not create a
+    // directory its own recovery would then turn down.
+    let fresh = fresh_dir("single_file_wal_init");
+    std::fs::create_dir_all(&fresh).unwrap();
+    std::fs::write(fresh.join("wal.vsjw"), SINGLE_FILE_HEADER).unwrap();
+    assert!(matches!(
+        EstimationEngine::durable_with(config(1), &fresh, test_options()),
+        Err(PersistError::Corrupt(msg)) if msg.contains("wal.vsjw")
+    ));
+    assert!(fresh.join("wal.vsjw").exists());
+    assert!(!fresh.join(CHECKPOINT_FILE).exists());
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&fresh).ok();
+}
+
+#[test]
+fn older_container_versions_are_refused_with_bad_version_on_every_reader() {
+    // The first 32 bytes of a version-2 checkpoint as an earlier writer
+    // laid it out: header (magic, version 2, 4 sections) + the inline
+    // frame of its META section (tag, length 0x53, checksum).
+    const V2_CHECKPOINT_HEAD: [u8; 32] =
+        *b"VSJC\x02\0\0\0\x04\0\0\0META\x53\0\0\0\0\0\0\0\xa8\xba\xc0\x93\x08\xaf\xd1\x97";
+    // A complete version-1 collection file: header + `n = 0`.
+    const V1_EMPTY_COLLECTION: [u8; 16] = *b"VSJC\x01\0\0\0\0\0\0\0\0\0\0\0";
+    let bad_version = |result: Result<(), PersistError>, v: u32, what: &str| match result {
+        Err(PersistError::Container(IoError::BadVersion(got))) => assert_eq!(got, v, "{what}"),
+        other => panic!("{what}: expected BadVersion({v}), got {other:?}"),
+    };
+
+    let dir = checkpointed_dir("old_container");
+    let checkpoint = dir.join(CHECKPOINT_FILE);
+    std::fs::write(&checkpoint, V2_CHECKPOINT_HEAD).unwrap();
+    for tier in [StorageTier::Heap, StorageTier::Mapped] {
+        bad_version(
+            EstimationEngine::recover_with(&dir, tier_options(tier)).map(drop),
+            2,
+            &format!("{tier:?} recovery"),
+        );
+    }
+    bad_version(
+        persist::peek_checkpoint_meta(&checkpoint).map(drop),
+        2,
+        "peek_checkpoint_meta",
+    );
+    std::fs::write(&checkpoint, V1_EMPTY_COLLECTION).unwrap();
+    bad_version(
+        persist::peek_checkpoint_meta(&checkpoint).map(drop),
+        1,
+        "peek_checkpoint_meta",
+    );
+
+    // Collection files share the layout and the refusal.
+    for (bytes, v) in [(&V1_EMPTY_COLLECTION[..], 1), (&V2_CHECKPOINT_HEAD[..], 2)] {
+        assert!(matches!(
+            io::decode(bytes::Bytes::copy_from_slice(bytes)),
+            Err(IoError::BadVersion(got)) if got == v
+        ));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -918,29 +846,22 @@ fn peek_checkpoint_meta_survives_truncation_at_every_byte() {
 
     let scratch = fresh_dir("peek_scratch");
     std::fs::create_dir_all(&scratch).unwrap();
-    // The live v3 writer output, plus the committed golden v2 fixture
-    // so the legacy walk is held to the same bar.
-    let sources = [
-        dir.join(CHECKPOINT_FILE),
-        golden_dir().join(CHECKPOINT_FILE),
-    ];
-    for source in sources {
-        let full = std::fs::read(&source).unwrap();
-        let expected = persist::peek_checkpoint_meta(&source).unwrap();
-        let cut_path = scratch.join("truncated.vsjc");
-        for cut in 0..full.len() {
-            std::fs::write(&cut_path, &full[..cut]).unwrap();
-            match persist::peek_checkpoint_meta(&cut_path) {
-                Ok(meta) => assert_eq!(
-                    meta, expected,
-                    "a readable {cut}-byte prefix of {source:?} must answer the intact meta"
-                ),
-                Err(PersistError::Io(e)) => panic!(
-                    "prefix {cut} of {source:?} leaked a raw io error ({e}) instead of a \
-                     structured corruption error"
-                ),
-                Err(_) => {}
-            }
+    let source = dir.join(CHECKPOINT_FILE);
+    let full = std::fs::read(&source).unwrap();
+    let expected = persist::peek_checkpoint_meta(&source).unwrap();
+    let cut_path = scratch.join("truncated.vsjc");
+    for cut in 0..full.len() {
+        std::fs::write(&cut_path, &full[..cut]).unwrap();
+        match persist::peek_checkpoint_meta(&cut_path) {
+            Ok(meta) => assert_eq!(
+                meta, expected,
+                "a readable {cut}-byte prefix must answer the intact meta"
+            ),
+            Err(PersistError::Io(e)) => panic!(
+                "prefix {cut} leaked a raw io error ({e}) instead of a structured \
+                 corruption error"
+            ),
+            Err(_) => {}
         }
     }
     std::fs::remove_dir_all(&dir).ok();

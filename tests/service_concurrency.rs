@@ -117,15 +117,15 @@ fn readers_observe_only_consistent_monotone_epochs() {
     let estimator = LshSs {
         config: engine.estimator_config(snapshot.len()),
     };
-    let mut rng = engine.estimate_rng(epoch, 0.7);
-    let offline = estimator.estimate(
+    let mut rng = engine.batch_rng(epoch);
+    let offline = estimator.estimate_curve_detailed(
         snapshot.collection(),
         snapshot.table(),
         &Jaccard,
-        0.7,
+        &[0.7],
         &mut rng,
     );
-    assert_eq!(served.estimate, offline);
+    assert_eq!(served.estimate, offline[0].estimate);
 }
 
 #[test]
@@ -282,7 +282,7 @@ fn ingests_racing_the_background_checkpointer_lose_nothing() {
         )
         .unwrap(),
     );
-    let checkpointer = Checkpointer::spawn(engine.clone(), 64, Duration::from_millis(1));
+    let checkpointer = Checkpointer::spawn(engine.clone(), 64, Duration::from_millis(1), None);
 
     const WRITERS: u64 = 3;
     const PER_WRITER: u64 = 300;
