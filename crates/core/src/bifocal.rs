@@ -20,7 +20,7 @@
 //! fluctuation LSH-SS's SampleL guards against with its safe bound.
 
 use crate::estimate::Estimate;
-use vsj_lsh::LshTable;
+use vsj_lsh::{IndexView, LshTable};
 use vsj_sampling::{pairs::sample_distinct_pair, AliasTable, Rng};
 use vsj_vector::{pairs_of, Similarity, VectorCollection};
 

@@ -28,7 +28,7 @@ use crate::view::IndexView;
 use vsj_pool::WorkPool;
 use vsj_sampling::Rng;
 use vsj_sampling::{AdaptiveOutcome, AdaptiveSampler, Summary};
-use vsj_vector::{Similarity, VectorStore};
+use vsj_vector::{Similarity, VectorId, VectorStore};
 
 /// Variance of the scaled stratum estimate `(N/m)·X` from the Welford
 /// accumulator over the per-draw indicator contributions.
@@ -309,36 +309,9 @@ impl LshSs {
         S: Similarity,
         R: Rng + ?Sized,
     {
-        assert_eq!(
-            collection.len(),
-            table.len(),
-            "table must index exactly this collection"
-        );
         // One shared pass: record similarities in draw order.
-        let h_sims: Vec<f64> = if table.nh() == 0 {
-            Vec::new()
-        } else {
-            (0..self.config.m_h)
-                .map(|_| {
-                    let (u, v) = table
-                        .sample_same_bucket_pair(rng)
-                        .expect("nh > 0 guarantees a same-bucket pair");
-                    collection.sim(measure, u, v)
-                })
-                .collect()
-        };
-        let l_sims: Vec<f64> = if table.nl() == 0 {
-            Vec::new()
-        } else {
-            (0..self.config.m_l)
-                .map(|_| {
-                    let (u, v) = table
-                        .sample_cross_bucket_pair(rng)
-                        .expect("nl > 0 guarantees a cross-bucket pair");
-                    collection.sim(measure, u, v)
-                })
-                .collect()
-        };
+        let (h_sims, l_sims) =
+            self.draw_pass(collection, table, rng, |u, v| collection.sim(measure, u, v));
         taus.iter()
             .map(|&tau| {
                 self.replay_detailed(
@@ -351,6 +324,55 @@ impl LshSs {
                 )
             })
             .collect()
+    }
+
+    /// The `m_H` SampleH draws followed by the `m_L` SampleL draws of
+    /// one curve pass, each mapped through `on_pair` in draw order. The
+    /// RNG is consumed by the draws alone, so what `on_pair` does with a
+    /// pair — score it on the spot, or keep it for a pool to score —
+    /// cannot change which pairs are drawn.
+    fn draw_pass<C, V, R, T>(
+        &self,
+        collection: &C,
+        table: &V,
+        rng: &mut R,
+        mut on_pair: impl FnMut(VectorId, VectorId) -> T,
+    ) -> (Vec<T>, Vec<T>)
+    where
+        C: VectorStore + ?Sized,
+        V: IndexView + ?Sized,
+        R: Rng + ?Sized,
+    {
+        assert_eq!(
+            collection.len(),
+            table.len(),
+            "table must index exactly this collection"
+        );
+        let h = if table.nh() == 0 {
+            Vec::new()
+        } else {
+            (0..self.config.m_h)
+                .map(|_| {
+                    let (u, v) = table
+                        .sample_same_bucket_pair(rng)
+                        .expect("nh > 0 guarantees a same-bucket pair");
+                    on_pair(u, v)
+                })
+                .collect()
+        };
+        let l = if table.nl() == 0 {
+            Vec::new()
+        } else {
+            (0..self.config.m_l)
+                .map(|_| {
+                    let (u, v) = table
+                        .sample_cross_bucket_pair(rng)
+                        .expect("nl > 0 guarantees a cross-bucket pair");
+                    on_pair(u, v)
+                })
+                .collect()
+        };
+        (h, l)
     }
 
     /// [`Self::estimate_curve_detailed`] with the similarity evaluations
@@ -382,35 +404,8 @@ impl LshSs {
         if pool.threads() <= 1 {
             return self.estimate_curve_detailed(collection, table, measure, taus, rng);
         }
-        assert_eq!(
-            collection.len(),
-            table.len(),
-            "table must index exactly this collection"
-        );
-        // Serial draw pass: consumes the RNG exactly like the serial
-        // method (similarity evaluation never touches the generator).
-        let h_pairs: Vec<_> = if table.nh() == 0 {
-            Vec::new()
-        } else {
-            (0..self.config.m_h)
-                .map(|_| {
-                    table
-                        .sample_same_bucket_pair(rng)
-                        .expect("nh > 0 guarantees a same-bucket pair")
-                })
-                .collect()
-        };
-        let l_pairs: Vec<_> = if table.nl() == 0 {
-            Vec::new()
-        } else {
-            (0..self.config.m_l)
-                .map(|_| {
-                    table
-                        .sample_cross_bucket_pair(rng)
-                        .expect("nl > 0 guarantees a cross-bucket pair")
-                })
-                .collect()
-        };
+        // Serial draw pass, scoring deferred to the pool.
+        let (h_pairs, l_pairs) = self.draw_pass(collection, table, rng, |u, v| (u, v));
         let h_sims =
             pool.parallel_map_indexed(&h_pairs, |_, &(u, v)| collection.sim(measure, u, v));
         let l_sims =

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use vsj_lsh::{BucketHasher, Composite, LshFamily, LshTable};
+use vsj_lsh::{BucketHasher, Composite, IndexView, LshFamily, LshTable};
 use vsj_sampling::Rng;
 use vsj_vector::{Similarity, VectorCollection};
 

@@ -17,7 +17,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use vsj_lsh::LshTable;
+use vsj_lsh::{IndexView, LshTable};
 use vsj_sampling::bounds::{classify_regime, ThresholdRegime};
 use vsj_sampling::Rng;
 use vsj_vector::{Similarity, VectorCollection};

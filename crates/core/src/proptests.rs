@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use crate::lshss::{Dampening, LshSs, LshSsConfig};
 use crate::rs::{RsCross, RsPop};
 use crate::uniform::ju_closed_form;
-use vsj_lsh::{Composite, LshTable, MinHashFamily};
+use vsj_lsh::{Composite, IndexView, LshTable, MinHashFamily};
 use vsj_sampling::Xoshiro256;
 use vsj_vector::{Jaccard, SparseVector, VectorCollection};
 

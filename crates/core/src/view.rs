@@ -2,34 +2,24 @@
 //!
 //! The paper's estimators only ever interact with the LSH index through a
 //! narrow read surface: the stratum constants (`N_H`, `N_L`, `M`), the
-//! composite width `k`, the same-bucket predicate `H`, and the three
-//! sampling primitives of Algorithm 1. [`IndexView`] names exactly that
-//! surface, so the estimators are decoupled from *who owns* the index:
+//! composite width `k`, the same-bucket predicate `H`, and the sampling
+//! draws of Algorithm 1. [`IndexView`] names exactly that surface, so the
+//! estimators are decoupled from *who owns* the index — an offline
+//! [`LshTable`](vsj_lsh::LshTable) or an epoch snapshot of the
+//! `vsj-service` engine on either storage tier.
 //!
-//! * an owned, offline [`LshTable`] (the original one-shot path);
-//! * an epoch snapshot published by the `vsj-service` engine, shared
-//!   `Arc`-style across reader threads while writers keep ingesting;
-//! * test doubles with scripted statistics.
-//!
-//! Every method takes `&self`: a view is a *read* interface, safe to
-//! sample from concurrently ([`LshTable`]'s interior mutability is a
-//! lazily rebuilt sampler cache behind a lock, nothing observable).
-
-use vsj_lsh::LshTable;
-use vsj_sampling::Rng;
-use vsj_vector::VectorId;
+//! The trait is defined next to the table, in [`vsj_lsh::view`], where
+//! the draws are written once as provided methods over a backend's
+//! storage primitives; this module re-exports it under the name the
+//! estimators (and their callers) import.
 
 /// Read surface of a bucket-counted LSH table (one hash table `D_g`).
-///
-/// Implementations must keep the strata consistent: `nh() + nl() ==
-/// total_pairs()`, sampling methods draw uniformly within their stratum,
-/// and `same_bucket` agrees with the stratum the sampling methods assign
-/// pairs to.
 ///
 /// # Example
 ///
 /// The same estimator code runs against any view — here an owned
-/// [`LshTable`], but a `vsj-service` epoch snapshot works identically:
+/// [`LshTable`](vsj_lsh::LshTable), but a `vsj-service` epoch snapshot
+/// works identically:
 ///
 /// ```
 /// use std::sync::Arc;
@@ -47,156 +37,20 @@ use vsj_vector::VectorId;
 /// let table = LshTable::build(&coll, hasher, Some(1));
 ///
 /// // The strata partition all C(n, 2) pairs...
-/// assert_eq!(IndexView::nh(&table) + IndexView::nl(&table), IndexView::total_pairs(&table));
+/// assert_eq!(table.nh() + table.nl(), table.total_pairs());
 ///
 /// // ...and estimators only ever touch the index through the view.
 /// let est = LshSs::with_defaults(IndexView::len(&table));
 /// let answer = est.estimate(&coll, &table, &Jaccard, 0.8, &mut Xoshiro256::seeded(1));
 /// assert!(answer.value >= 0.0);
 /// ```
-pub trait IndexView {
-    /// Number of indexed vectors `n`.
-    fn len(&self) -> usize;
-
-    /// True when no vector is indexed.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total pairs `M = C(n, 2)`.
-    fn total_pairs(&self) -> u64;
-
-    /// `N_H = Σ_j C(b_j, 2)` — pairs sharing a bucket.
-    fn nh(&self) -> u64;
-
-    /// `N_L = M − N_H` — pairs in different buckets.
-    fn nl(&self) -> u64 {
-        self.total_pairs() - self.nh()
-    }
-
-    /// Number of hash functions `k` composed into the bucket key.
-    fn k(&self) -> usize;
-
-    /// Whether two indexed vectors share a bucket — the event `H`.
-    fn same_bucket(&self, a: VectorId, b: VectorId) -> bool;
-
-    /// Uniform pair from stratum `S_H`; `None` when `N_H = 0`.
-    fn sample_same_bucket_pair<R: Rng + ?Sized>(&self, rng: &mut R)
-        -> Option<(VectorId, VectorId)>;
-
-    /// Uniform pair from stratum `S_L`; `None` when `N_L = 0`.
-    fn sample_cross_bucket_pair<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-    ) -> Option<(VectorId, VectorId)>;
-
-    /// Uniform pair from the full population plus its stratum flag.
-    fn sample_any_pair<R: Rng + ?Sized>(&self, rng: &mut R) -> (VectorId, VectorId, bool);
-}
-
-impl IndexView for LshTable {
-    #[inline]
-    fn len(&self) -> usize {
-        LshTable::len(self)
-    }
-
-    #[inline]
-    fn total_pairs(&self) -> u64 {
-        LshTable::total_pairs(self)
-    }
-
-    #[inline]
-    fn nh(&self) -> u64 {
-        LshTable::nh(self)
-    }
-
-    #[inline]
-    fn nl(&self) -> u64 {
-        LshTable::nl(self)
-    }
-
-    #[inline]
-    fn k(&self) -> usize {
-        self.hasher().k()
-    }
-
-    #[inline]
-    fn same_bucket(&self, a: VectorId, b: VectorId) -> bool {
-        LshTable::same_bucket(self, a, b)
-    }
-
-    #[inline]
-    fn sample_same_bucket_pair<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-    ) -> Option<(VectorId, VectorId)> {
-        LshTable::sample_same_bucket_pair(self, rng)
-    }
-
-    #[inline]
-    fn sample_cross_bucket_pair<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-    ) -> Option<(VectorId, VectorId)> {
-        LshTable::sample_cross_bucket_pair(self, rng)
-    }
-
-    #[inline]
-    fn sample_any_pair<R: Rng + ?Sized>(&self, rng: &mut R) -> (VectorId, VectorId, bool) {
-        LshTable::sample_any_pair(self, rng)
-    }
-}
-
-impl<V: IndexView + ?Sized> IndexView for &V {
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-
-    fn total_pairs(&self) -> u64 {
-        (**self).total_pairs()
-    }
-
-    fn nh(&self) -> u64 {
-        (**self).nh()
-    }
-
-    fn nl(&self) -> u64 {
-        (**self).nl()
-    }
-
-    fn k(&self) -> usize {
-        (**self).k()
-    }
-
-    fn same_bucket(&self, a: VectorId, b: VectorId) -> bool {
-        (**self).same_bucket(a, b)
-    }
-
-    fn sample_same_bucket_pair<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-    ) -> Option<(VectorId, VectorId)> {
-        (**self).sample_same_bucket_pair(rng)
-    }
-
-    fn sample_cross_bucket_pair<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-    ) -> Option<(VectorId, VectorId)> {
-        (**self).sample_cross_bucket_pair(rng)
-    }
-
-    fn sample_any_pair<R: Rng + ?Sized>(&self, rng: &mut R) -> (VectorId, VectorId, bool) {
-        (**self).sample_any_pair(rng)
-    }
-}
+pub use vsj_lsh::IndexView;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use vsj_lsh::{Composite, MinHashFamily};
-    use vsj_sampling::Xoshiro256;
+    use vsj_lsh::{Composite, LshTable, MinHashFamily};
     use vsj_vector::{SparseVector, VectorCollection};
 
     fn table() -> LshTable {
@@ -214,24 +68,10 @@ mod tests {
         let t = table();
         assert_eq!(IndexView::len(&t), LshTable::len(&t));
         assert_eq!(IndexView::nh(&t), LshTable::nh(&t));
-        assert_eq!(IndexView::nl(&t), LshTable::nl(&t));
-        assert_eq!(IndexView::total_pairs(&t), LshTable::total_pairs(&t));
+        assert_eq!(t.nl(), t.total_pairs() - t.nh());
+        assert_eq!(t.total_pairs(), 190);
         assert_eq!(IndexView::k(&t), t.hasher().k());
         assert!(!IndexView::is_empty(&t));
-        let mut r1 = Xoshiro256::seeded(1);
-        let mut r2 = Xoshiro256::seeded(1);
-        assert_eq!(
-            IndexView::sample_same_bucket_pair(&t, &mut r1),
-            LshTable::sample_same_bucket_pair(&t, &mut r2)
-        );
-        assert_eq!(
-            IndexView::sample_cross_bucket_pair(&t, &mut r1),
-            LshTable::sample_cross_bucket_pair(&t, &mut r2)
-        );
-        assert_eq!(
-            IndexView::sample_any_pair(&t, &mut r1),
-            LshTable::sample_any_pair(&t, &mut r2)
-        );
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::family::{BucketHasher, LshFamily};
 use crate::signature::Composite;
 use crate::simhash::SimHashFamily;
 use crate::table::LshTable;
+use crate::view::IndexView;
 use vsj_sampling::Rng;
 use vsj_vector::{VectorCollection, VectorId};
 

@@ -20,10 +20,13 @@
 //!   exact under Definition 3, for Hamming similarity).
 //! * [`signature`] — composite functions `g = (h₁, …, h_k)`, signature
 //!   matrices (for LC) and folded 64-bit bucket keys (for tables).
-//! * [`table`] — a single hash table `D_g` with per-bucket member lists
-//!   *and counts* `b_j`, the pair count `N_H = Σ C(b_j,2)`, and the two
-//!   stratum samplers LSH-SS needs (alias-weighted same-bucket pairs,
-//!   rejection-sampled cross-bucket pairs).
+//! * [`table`] — a single, frozen hash table `D_g` with per-bucket
+//!   member lists *and counts* `b_j`, the pair count `N_H = Σ C(b_j,2)`,
+//!   and the alias table over its pair buckets.
+//! * [`view`] — [`IndexView`], the read surface estimators sample
+//!   through: a backend supplies storage primitives and inherits the two
+//!   stratum draws LSH-SS needs (alias-weighted same-bucket pairs,
+//!   rejection-sampled cross-bucket pairs), written once.
 //! * [`index`] — the ℓ-table index `I_G = {D_g1, …, D_gℓ}` with the
 //!   virtual-bucket view of Appendix B.2.1.
 //! * [`search`] — the similarity-search application the index exists for
@@ -44,6 +47,7 @@ pub mod signature;
 pub mod simhash;
 pub mod stats;
 pub mod table;
+pub mod view;
 
 pub use family::{BucketHasher, LshFamily, LshFunction};
 pub use hamming::HammingFamily;
@@ -54,3 +58,4 @@ pub use signature::{bucket_key, Composite, SignatureMatrix};
 pub use simhash::SimHashFamily;
 pub use stats::{IndexStats, TableStats};
 pub use table::LshTable;
+pub use view::IndexView;

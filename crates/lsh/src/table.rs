@@ -6,13 +6,24 @@
 //!
 //! * `N_H = Σ_j C(b_j, 2)` — the number of *same-bucket pairs*, an exact
 //!   constant of the table (not an estimate);
-//! * weighted bucket sampling with `weight(B_j) = C(b_j, 2)`, giving a
-//!   uniform pair from stratum `S_H` (SampleH, Algorithm 1 lines 3–4);
-//! * rejection sampling of a uniform pair from stratum `S_L`
-//!   (SampleL line 3).
+//! * the storage primitives of [`IndexView`] — the alias table over the
+//!   pair buckets with `weight(B_j) = C(b_j, 2)` and their member lists
+//!   — from which the view's provided methods draw a uniform pair from
+//!   stratum `S_H` (SampleH, Algorithm 1 lines 3–4) or, by rejection,
+//!   from stratum `S_L` (SampleL line 3).
 //!
 //! Construction hashes all vectors in parallel (the only data-parallel
 //! step; grouping is a sequential hash-map pass).
+//!
+//! # One frozen table
+//!
+//! A table is built — [`LshTable::build`], [`LshTable::from_parts`],
+//! [`LshTable::from_parts_delta`] — and never mutated: ids are dense
+//! (`0..len`), buckets enumerate key-ascending, the sampler is a plain
+//! field read without a lock. Growing an index means building the next
+//! table from the previous one plus the appended keys; removing rows
+//! means rebuilding from the surviving keys (the service's write side
+//! keeps rows, not a table, for exactly that reason).
 //!
 //! # Incremental (epoch) construction
 //!
@@ -29,11 +40,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use crate::family::BucketHasher;
+use crate::view::IndexView;
 use vsj_pool::WorkPool;
-use vsj_sampling::{AliasTable, Rng};
+use vsj_sampling::AliasTable;
 use vsj_vector::{pairs_of, SparseVector, VectorCollection, VectorId};
 
 /// One bucket: its folded key and the ids of its members. The paper's
@@ -65,9 +75,6 @@ impl Bucket {
         pairs_of(self.members.len() as u64)
     }
 }
-
-/// Position sentinel marking a removed id in [`LshTable::live_pos`].
-const DEAD: u32 = u32::MAX;
 
 /// Maximum bucket runs before [`LshTable::from_parts_delta`] coalesces
 /// them into one (it also coalesces when the touched-bucket overlay
@@ -141,30 +148,13 @@ impl BucketStore {
         self.get_base(idx)
     }
 
-    /// Mutable access. Writes go to the backing run when this table
-    /// owns it exclusively (the mutable write-side tables — shards —
-    /// always do); runs shared with other (frozen epoch) tables are
-    /// never written — the bucket is copied into the overlay instead.
+    /// Mutable access for the delta under construction. Runs are
+    /// shared with the previous epoch's (frozen) table and never
+    /// written — the bucket is copied into the overlay instead.
     fn get_mut(&mut self, idx: u32) -> &mut Bucket {
-        if self.overlay.contains_key(&idx) {
-            return self.overlay.get_mut(&idx).expect("checked above");
-        }
         let run = self.run_of(idx);
-        let offset = (idx - self.starts[run]) as usize;
-        if Arc::get_mut(&mut self.runs[run]).is_some() {
-            return &mut Arc::get_mut(&mut self.runs[run]).expect("checked above")[offset];
-        }
-        let copy = self.get_base(idx).clone();
-        self.overlay.entry(idx).or_insert(copy)
-    }
-
-    /// Appends one bucket to the last run, returning its flat index.
-    fn push(&mut self, bucket: Bucket) -> u32 {
-        let idx = self.len;
-        assert!(idx != u32::MAX, "bucket count exceeds u32");
-        Arc::make_mut(self.runs.last_mut().expect("store always has a run")).push(bucket);
-        self.len += 1;
-        idx
+        let base = &self.runs[run][(idx - self.starts[run]) as usize];
+        self.overlay.entry(idx).or_insert_with(|| base.clone())
     }
 
     /// Appends a whole run (the epoch delta path).
@@ -180,8 +170,8 @@ impl BucketStore {
     }
 }
 
-/// The order in which buckets are *enumerated* (by the weighted-bucket
-/// sampler, [`LshTable::buckets`], and key lookups on delta tables),
+/// The order in which buckets are *enumerated* (by the pair-bucket
+/// alias columns, [`LshTable::buckets`], and key lookups on delta tables),
 /// decoupled from their physical run/slot position.
 ///
 /// Sampling is sensitive to enumeration order — the alias table's
@@ -231,37 +221,23 @@ pub struct LshTable {
     /// buckets are stored). **Empty for delta-built tables** — cloning a
     /// large hash map per epoch is exactly the O(n) cost the delta path
     /// exists to avoid; key lookups there binary-search the key-sorted
-    /// enumeration order instead, and the map is materialized lazily if
-    /// a delta table is ever mutated.
+    /// enumeration order instead.
     by_key: HashMap<u64, u32>,
     /// Bucket key of each vector id — O(1) `B(v)` lookup without
-    /// re-hashing the vector. Slots of removed ids keep their last key
-    /// (ids are never reused); liveness is tracked separately.
+    /// re-hashing the vector.
     vector_keys: Vec<u64>,
-    /// Dense list of live ids — the uniform-sampling population. While no
-    /// vector has ever been removed this is exactly `0..n` in order, so
-    /// index-based sampling is bit-identical to sampling ids directly.
-    live: Vec<VectorId>,
-    /// id → position in `live` (`DEAD` for removed ids).
-    live_pos: Vec<u32>,
-    /// Buckets whose member list is currently empty (only possible after
-    /// removals; kept in place so bucket indices stay stable).
-    empty_buckets: usize,
     /// Bucket enumeration order (see [`BucketOrder`]).
     order: BucketOrder,
     /// The pair buckets (`C(b_j, 2) > 0`) in enumeration order, with
     /// their weights — lets an epoch build and maintain its sampler in
-    /// O(#pair buckets) without touching the buckets themselves. `Some`
-    /// iff the table is *pristine* (never mutated since construction):
-    /// `insert`/`remove` drop it, which is also what marks a table
-    /// ineligible as a delta base.
-    pair_order: Option<PairIndex>,
+    /// O(#pair buckets) without touching the buckets themselves. Its
+    /// `order` is the column → bucket map of `alias`.
+    pairs: PairIndex,
     /// `N_H = Σ_j C(b_j, 2)`.
     nh: u64,
-    /// Lazily (re)built alias table over buckets with
-    /// `weight(B_j) = C(b_j, 2)`; invalidated by [`LshTable::insert`] and
-    /// [`LshTable::remove`].
-    alias: RwLock<PairAlias>,
+    /// Alias table over `pairs` with `weight(B_j) = C(b_j, 2)`; `None`
+    /// when no bucket holds ≥ 2 vectors.
+    alias: Option<AliasTable>,
 }
 
 /// Key-ordered index of the pair buckets (`C(b_j, 2) > 0`): their
@@ -275,57 +251,15 @@ struct PairIndex {
     weights: Vec<u64>,
 }
 
-/// Cached weighted-bucket sampler state.
-struct PairAlias {
-    /// False after an insertion until the next rebuild.
-    valid: bool,
-    /// `None` when no bucket holds ≥ 2 vectors.
-    table: Option<AliasTable>,
-    /// Indices (into the bucket store) corresponding to the alias
-    /// columns.
-    columns: Vec<u32>,
-}
-
-impl PairAlias {
-    /// Builds the sampler from bucket indices in enumeration order
-    /// (already filtered to pair buckets, or not — zero weights are
-    /// skipped either way, so the column sequence is identical).
-    fn rebuild(store: &BucketStore, indices: impl Iterator<Item = u32>) -> Self {
-        let mut weights = Vec::new();
-        let mut columns = Vec::new();
-        for idx in indices {
-            let w = store.get(idx).pair_weight();
-            if w > 0 {
-                weights.push(w as f64);
-                columns.push(idx);
-            }
+impl PairIndex {
+    /// The weighted-bucket sampler over these pair buckets — weights
+    /// are already gathered, so no bucket is read.
+    fn alias(&self) -> Option<AliasTable> {
+        if self.weights.is_empty() {
+            return None;
         }
-        let table = if weights.is_empty() {
-            None
-        } else {
-            Some(AliasTable::new(&weights).expect("positive C(b,2) weights"))
-        };
-        Self {
-            valid: true,
-            table,
-            columns,
-        }
-    }
-
-    /// Builds the sampler straight from a [`PairIndex`] — the pristine
-    /// path: weights are already gathered, so no bucket is read.
-    fn from_index(index: &PairIndex) -> Self {
-        let weights: Vec<f64> = index.weights.iter().map(|&w| w as f64).collect();
-        let table = if weights.is_empty() {
-            None
-        } else {
-            Some(AliasTable::new(&weights).expect("positive C(b,2) weights"))
-        };
-        Self {
-            valid: true,
-            table,
-            columns: index.order.clone(),
-        }
+        let weights: Vec<f64> = self.weights.iter().map(|&w| w as f64).collect();
+        Some(AliasTable::new(&weights).expect("positive C(b,2) weights"))
     }
 }
 
@@ -363,8 +297,8 @@ impl LshTable {
     }
 
     /// Builds the table from *precomputed* bucket keys — the snapshot
-    /// path of the service layer: hashing happened shard-locally at
-    /// ingest time, so assembling a global read view is a pure O(n)
+    /// path of the service layer: hashing happened once, at ingest
+    /// time, so assembling a global read view is a pure O(n)
     /// grouping pass with no similarity-hash evaluations.
     ///
     /// The result is indistinguishable from
@@ -410,22 +344,15 @@ impl LshTable {
             }
             nh += w;
         }
-        let store = BucketStore::from_vec(buckets);
-        let alias = RwLock::new(PairAlias::from_index(&pairs));
-        let n = vector_keys.len();
-
         Self {
             hasher,
-            buckets: store,
+            buckets: BucketStore::from_vec(buckets),
             by_key,
             vector_keys,
-            live: (0..n as VectorId).collect(),
-            live_pos: (0..n as u32).collect(),
-            empty_buckets: 0,
             order: BucketOrder::Physical,
-            pair_order: Some(pairs),
+            alias: pairs.alias(),
+            pairs,
             nh,
-            alias,
         }
     }
 
@@ -449,18 +376,9 @@ impl LshTable {
     /// keeping estimates bit-identical to a full merge.
     ///
     /// # Panics
-    /// Panics when `prev` is not *pristine* (it was mutated by
-    /// `insert`/`remove` after construction — epoch snapshots never
-    /// are) or when the id space would overflow `u32`.
+    /// Panics when the id space would overflow `u32`.
     pub fn from_parts_delta(prev: &Self, new_keys: &[u64]) -> Self {
-        let prev_pairs = prev
-            .pair_order
-            .as_ref()
-            .expect("delta construction requires a pristine (unmutated) base table");
-        assert!(
-            prev.slots() == prev.len() && prev.empty_buckets == 0,
-            "delta construction requires a removal-free base table"
-        );
+        let prev_pairs = &prev.pairs;
         let n0 = prev.vector_keys.len();
         u32::try_from(n0 + new_keys.len()).expect("table exceeds u32 ids");
         let mut vector_keys = Vec::with_capacity(n0 + new_keys.len());
@@ -557,26 +475,21 @@ impl LshTable {
             (store, BucketOrder::Explicit(order), pairs)
         };
 
-        let alias = RwLock::new(PairAlias::from_index(&pairs));
-        let n = vector_keys.len();
         Self {
             hasher: prev.hasher.clone(),
             buckets: store,
             by_key: HashMap::new(),
             vector_keys,
-            live: (0..n as VectorId).collect(),
-            live_pos: (0..n as u32).collect(),
-            empty_buckets: 0,
             order,
-            pair_order: Some(pairs),
+            alias: pairs.alias(),
+            pairs,
             nh,
-            alias,
         }
     }
 
     /// Physical index of the bucket with `key`, through the hash map
-    /// when present (batch-built / mutated tables) or by binary search
-    /// over the key-sorted enumeration order (delta-built tables, which
+    /// when present (batch-built tables) or by binary search over the
+    /// key-sorted enumeration order (delta-built tables, which
     /// deliberately carry no map — see [`LshTable::by_key`]).
     fn find_bucket(&self, key: u64) -> Option<u32> {
         if self.buckets.len() == 0 {
@@ -603,166 +516,22 @@ impl LshTable {
         None
     }
 
-    /// Materializes `by_key` before a mutation of a delta-built table
-    /// (live buckets only — superseded run entries must not shadow
-    /// their replacements).
-    fn ensure_by_key(&mut self) {
-        if !self.by_key.is_empty() || self.buckets.len() == 0 {
-            return;
-        }
-        let mut by_key = HashMap::with_capacity(self.order.live(self.buckets.len()));
-        for idx in self.order.indices(self.buckets.len()) {
-            by_key.insert(self.buckets.get(idx).key, idx);
-        }
-        self.by_key = by_key;
-    }
-
-    /// Appends one vector to the table (the incremental-maintenance path
-    /// a live similarity-search deployment uses). Returns the id assigned
-    /// — always `previous slots()` (equal to `previous len()` while
-    /// nothing was removed), so a caller without removals can push the
-    /// vector onto its collection in the same order.
-    ///
-    /// `N_H` and bucket counts are updated in O(1); the weighted-bucket
-    /// sampler is invalidated and lazily rebuilt (O(#buckets)) on the next
-    /// stratum-H sample, so bulk loads pay one rebuild, not one per
-    /// insert.
-    pub fn insert(&mut self, v: &SparseVector) -> VectorId {
-        let key = self.hasher.key(v);
-        self.insert_key(key)
-    }
-
-    /// Appends one vector by its *precomputed* bucket key — the
-    /// recovery/replication path: a checkpoint stores the keys the
-    /// hasher produced at original ingest time, so rebuilding a table
-    /// from parts costs no hash evaluations. The resulting table is
-    /// bit-identical to one built by [`LshTable::insert`] over vectors
-    /// hashing to the same keys.
-    pub fn insert_key(&mut self, key: u64) -> VectorId {
-        self.ensure_by_key();
-        self.pair_order = None; // the table is no longer pristine
-        let id = u32::try_from(self.vector_keys.len()).expect("table exceeds u32 ids");
-        self.vector_keys.push(key);
-        let pos = u32::try_from(self.live.len()).expect("live population exceeds u32 positions");
-        // Position DEAD (u32::MAX) is the tombstone sentinel and must
-        // stay unreachable as a real position.
-        assert!(pos != DEAD, "live population exceeds u32 positions");
-        self.live_pos.push(pos);
-        self.live.push(id);
-        match self.by_key.get(&key) {
-            Some(&idx) => {
-                let members = Arc::make_mut(&mut self.buckets.get_mut(idx).members);
-                if members.is_empty() {
-                    // Re-populating a bucket fully drained by remove().
-                    self.empty_buckets -= 1;
-                }
-                // New pairs formed with existing members: b_j of them.
-                self.nh += members.len() as u64;
-                members.push(id);
-            }
-            None => {
-                let idx = self.buckets.push(Bucket {
-                    key,
-                    members: Arc::new(vec![id]),
-                });
-                self.by_key.insert(key, idx);
-                // Mirror the physical append in an explicit enumeration
-                // order (mutable tables are write-side state; their
-                // enumeration order is insertion-dependent either way).
-                if let BucketOrder::Explicit(perm) = &mut self.order {
-                    perm.push(idx);
-                }
-            }
-        }
-        self.alias.get_mut().valid = false;
-        id
-    }
-
-    /// Removes a vector from the table, restoring `N_H` and the bucket
-    /// count exactly to what they would have been had the vector never
-    /// been inserted (`remove ∘ insert = identity` on every table
-    /// statistic; bucket *order* may differ, which sampling is oblivious
-    /// to). Returns `false` when the id was never assigned or is already
-    /// removed.
-    ///
-    /// Ids are never reused; the uniform-sampling population shrinks to
-    /// the live ids. Cost is O(b_j) for the member scan plus O(1)
-    /// bookkeeping; the weighted-bucket sampler is invalidated and
-    /// lazily rebuilt like in [`LshTable::insert`].
-    pub fn remove(&mut self, id: VectorId) -> bool {
-        let Some(&pos) = self.live_pos.get(id as usize) else {
-            return false;
-        };
-        if pos == DEAD {
-            return false;
-        }
-        self.ensure_by_key();
-        self.pair_order = None; // the table is no longer pristine
-                                // Drop from the dense live list (swap-remove keeps O(1)).
-        self.live.swap_remove(pos as usize);
-        if let Some(&moved) = self.live.get(pos as usize) {
-            self.live_pos[moved as usize] = pos;
-        }
-        self.live_pos[id as usize] = DEAD;
-
-        // Restore the bucket: b_j − 1 same-bucket pairs disappear.
-        let key = self.vector_keys[id as usize];
-        let idx = self.by_key[&key];
-        let members = Arc::make_mut(&mut self.buckets.get_mut(idx).members);
-        let member_pos = members
-            .iter()
-            .position(|&m| m == id)
-            .expect("live id must be in its bucket");
-        members.remove(member_pos);
-        self.nh -= members.len() as u64;
-        if members.is_empty() {
-            self.empty_buckets += 1;
-        }
-        self.alias.get_mut().valid = false;
-        true
-    }
-
-    /// Whether an id is currently live (assigned and not removed).
+    /// Number of indexed vectors `n` (ids are `0..n`).
     #[inline]
-    pub fn is_live(&self, id: VectorId) -> bool {
-        self.live_pos.get(id as usize).is_some_and(|&p| p != DEAD)
-    }
-
-    /// The live ids, in unspecified order (dense sampling population).
-    #[inline]
-    pub fn live_ids(&self) -> &[VectorId] {
-        &self.live
-    }
-
-    /// Total id slots ever assigned (`len()` plus removed ids). The next
-    /// [`LshTable::insert`] returns exactly this value as its id.
-    #[inline]
-    pub fn slots(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.vector_keys.len()
     }
 
-    /// Number of indexed live vectors `n`.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// True when no live vector is indexed.
+    /// True when no vector is indexed.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.vector_keys.is_empty()
     }
 
-    /// Number of non-empty buckets `n_g`.
+    /// Number of buckets `n_g` (only non-empty buckets are stored).
     #[inline]
     pub fn num_buckets(&self) -> usize {
-        self.order.live(self.buckets.len()) - self.empty_buckets
-    }
-
-    /// Total pairs `M = C(n, 2)`.
-    #[inline]
-    pub fn total_pairs(&self) -> u64 {
-        pairs_of(self.len() as u64)
+        self.order.live(self.buckets.len())
     }
 
     /// `N_H = Σ_j C(b_j, 2)` — pairs in the same bucket.
@@ -771,30 +540,18 @@ impl LshTable {
         self.nh
     }
 
-    /// `N_L = M − N_H` — pairs in different buckets.
-    #[inline]
-    pub fn nl(&self) -> u64 {
-        self.total_pairs() - self.nh
-    }
-
     /// The composite hasher `g` of this table.
     #[inline]
     pub fn hasher(&self) -> &Arc<dyn BucketHasher> {
         &self.hasher
     }
 
-    /// Serializes the table to its parts: the bucket keys of the live
-    /// vectors in ascending id order. The inverse of
-    /// [`LshTable::from_parts`] — `from_parts(hasher, t.to_parts())`
-    /// reproduces a table with identical buckets, `N_H`, and sampling
-    /// behavior (with densely renumbered ids `0..len` when removals left
-    /// gaps; for a removal-free table the round trip is the identity).
+    /// Serializes the table to its parts: the bucket key of every
+    /// vector in id order. The inverse of [`LshTable::from_parts`] —
+    /// `from_parts(hasher, t.to_parts())` reproduces a table with
+    /// identical buckets, `N_H`, and sampling behavior.
     pub fn to_parts(&self) -> Vec<u64> {
-        let mut ids = self.live.clone();
-        ids.sort_unstable();
-        ids.iter()
-            .map(|&id| self.vector_keys[id as usize])
-            .collect()
+        self.vector_keys.clone()
     }
 
     /// Bucket key of an indexed vector (`B(v)` of the paper).
@@ -821,88 +578,56 @@ impl LshTable {
         self.find_bucket(key).map(|i| self.buckets.get(i))
     }
 
-    /// All live buckets, in enumeration order — key-ascending for
-    /// batch-built and delta-built tables, insertion-dependent once a
-    /// table has been mutated through [`LshTable::insert`] /
-    /// [`LshTable::remove`].
+    /// All buckets, key-ascending.
     pub fn buckets(&self) -> impl Iterator<Item = &Bucket> {
         self.order
             .indices(self.buckets.len())
             .map(|i| self.buckets.get(i))
     }
 
-    /// Alias for [`LshTable::buckets`], named for call sites that rely
-    /// on the key-ascending guarantee of unmutated tables.
-    pub fn sorted_buckets(&self) -> impl Iterator<Item = &Bucket> {
-        self.buckets()
-    }
-
     /// Bucket count `b_j` for a key (0 when the bucket does not exist).
     pub fn bucket_count(&self, key: u64) -> usize {
         self.bucket_by_key(key).map_or(0, Bucket::count)
     }
+}
 
-    /// Draws a uniform pair from stratum `S_H` (same bucket): bucket with
-    /// probability `C(b_j,2)/N_H`, then a uniform distinct pair within it
-    /// (Algorithm 1, SampleH lines 3–4). `None` when `N_H = 0`.
-    pub fn sample_same_bucket_pair<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-    ) -> Option<(VectorId, VectorId)> {
-        // Fast path: cache valid (always, unless insert() ran since the
-        // last rebuild).
-        if !self.alias.read().valid {
-            let mut guard = self.alias.write();
-            if !guard.valid {
-                *guard = PairAlias::rebuild(&self.buckets, self.order.indices(self.buckets.len()));
-            }
-        }
-        let cache = self.alias.read();
-        let alias = cache.table.as_ref()?;
-        let bucket = self.buckets.get(cache.columns[alias.sample(rng)]);
-        let b = bucket.members.len();
-        debug_assert!(b >= 2);
-        let i = rng.below_usize(b);
-        let mut j = rng.below_usize(b - 1);
-        if j >= i {
-            j += 1;
-        }
-        Some((bucket.members[i], bucket.members[j]))
+/// The table's storage primitives; the stratum draws are the view's
+/// provided methods.
+impl IndexView for LshTable {
+    #[inline]
+    fn len(&self) -> usize {
+        LshTable::len(self)
     }
 
-    /// Draws a uniform pair from stratum `S_L` (different buckets) by
-    /// rejection from the full pair population (SampleL line 3). `None`
-    /// when `N_L = 0` (all vectors in one bucket).
-    ///
-    /// Expected draws per sample is `M / N_L`; for any useful `k` this is
-    /// ≈ 1 because `N_H ≪ M`.
-    pub fn sample_cross_bucket_pair<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-    ) -> Option<(VectorId, VectorId)> {
-        if self.nl() == 0 {
-            return None;
-        }
-        let n = self.len() as u64;
-        loop {
-            let (i, j) = vsj_sampling::sample_distinct_pair(rng, n);
-            // Dense-index → id indirection; identity while nothing was
-            // ever removed, so the pre-`remove` sampling stream is
-            // reproduced bit-for-bit.
-            let (i, j) = (self.live[i as usize], self.live[j as usize]);
-            if !self.same_bucket(i, j) {
-                return Some((i, j));
-            }
-        }
+    #[inline]
+    fn nh(&self) -> u64 {
+        self.nh
     }
 
-    /// Draws a uniform pair from the full population and reports its
-    /// stratum — used by estimators that classify rather than reject.
-    pub fn sample_any_pair<R: Rng + ?Sized>(&self, rng: &mut R) -> (VectorId, VectorId, bool) {
-        let n = self.len() as u64;
-        let (i, j) = vsj_sampling::sample_distinct_pair(rng, n);
-        let (i, j) = (self.live[i as usize], self.live[j as usize]);
-        (i, j, self.same_bucket(i, j))
+    #[inline]
+    fn k(&self) -> usize {
+        self.hasher.k()
+    }
+
+    #[inline]
+    fn same_bucket(&self, a: VectorId, b: VectorId) -> bool {
+        LshTable::same_bucket(self, a, b)
+    }
+
+    #[inline]
+    fn pair_alias(&self) -> Option<&AliasTable> {
+        self.alias.as_ref()
+    }
+
+    #[inline]
+    fn pair_bucket_pick(
+        &self,
+        col: usize,
+        pick: impl FnOnce(usize) -> (usize, usize),
+    ) -> (VectorId, VectorId) {
+        let members = &self.buckets.get(self.pairs.order[col]).members;
+        let (i, j) = pick(members.len());
+        (members[i], members[j])
     }
 }
 
@@ -1022,7 +747,6 @@ impl std::fmt::Debug for LshTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LshTable")
             .field("n", &self.len())
-            .field("slots", &self.slots())
             .field("k", &self.hasher.k())
             .field("family", &self.hasher.family_name())
             .field("buckets", &self.num_buckets())
@@ -1038,7 +762,7 @@ mod tests {
     use crate::minhash::MinHashFamily;
     use crate::signature::Composite;
     use crate::simhash::SimHashFamily;
-    use vsj_sampling::Xoshiro256;
+    use vsj_sampling::{Rng, Xoshiro256};
 
     fn set(members: &[u32]) -> SparseVector {
         SparseVector::binary_from_members(members.to_vec())
@@ -1252,68 +976,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_matches_batch_build() {
-        // Building incrementally must produce the same table state as a
-        // batch build over the final collection.
-        let coll = clustered_collection();
-        let hasher = || Arc::new(Composite::derive(MinHashFamily::new(), 42, 0, 16));
-        let batch = LshTable::build(&coll, hasher(), Some(1));
-
-        let empty = VectorCollection::new();
-        let mut incremental = LshTable::build(&empty, hasher(), Some(1));
-        for (expected_id, v) in coll.iter() {
-            assert_eq!(incremental.insert(v), expected_id);
-        }
-        assert_eq!(incremental.len(), batch.len());
-        assert_eq!(incremental.nh(), batch.nh());
-        assert_eq!(incremental.num_buckets(), batch.num_buckets());
-        for id in 0..coll.len() as u32 {
-            assert_eq!(incremental.key_of(id), batch.key_of(id));
-        }
-    }
-
-    #[test]
-    fn insert_updates_nh_incrementally() {
-        let empty = VectorCollection::new();
-        let hasher = Arc::new(Composite::derive(MinHashFamily::new(), 7, 0, 8));
-        let mut t = LshTable::build(&empty, hasher, Some(1));
-        let v = set(&[1, 2, 3]);
-        t.insert(&v);
-        assert_eq!(t.nh(), 0);
-        t.insert(&v);
-        assert_eq!(t.nh(), 1); // C(2,2)
-        t.insert(&v);
-        assert_eq!(t.nh(), 3); // C(3,2)
-        t.insert(&set(&[9, 10]));
-        assert_eq!(t.nh(), 3);
-        assert_eq!(t.total_pairs(), 6);
-        assert_eq!(t.nl(), 3);
-    }
-
-    #[test]
-    fn sampling_sees_inserted_pairs() {
-        // The lazily rebuilt alias must cover pairs created by insert().
-        let empty = VectorCollection::new();
-        let hasher = Arc::new(Composite::derive(MinHashFamily::new(), 9, 0, 8));
-        let mut t = LshTable::build(&empty, hasher, Some(1));
-        let mut rng = Xoshiro256::seeded(8);
-        assert!(t.sample_same_bucket_pair(&mut rng).is_none());
-        t.insert(&set(&[5, 6]));
-        t.insert(&set(&[5, 6]));
-        // After insertion the (0,1) pair must be drawable.
-        let (a, b) = t.sample_same_bucket_pair(&mut rng).expect("pair exists");
-        assert_eq!((a.min(b), a.max(b)), (0, 1));
-        // Insert a third copy: all three pairs drawable.
-        t.insert(&set(&[5, 6]));
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..200 {
-            let (a, b) = t.sample_same_bucket_pair(&mut rng).unwrap();
-            seen.insert((a.min(b), a.max(b)));
-        }
-        assert_eq!(seen.len(), 3, "pairs seen: {seen:?}");
-    }
-
-    #[test]
     fn debug_output_mentions_family() {
         let coll = clustered_collection();
         let t = minhash_table(&coll, 8);
@@ -1328,87 +990,6 @@ mod tests {
         // their agreement here (divergence would skew M vs. N_L).
         for n in (0..2000u64).chain([1 << 20, 1 << 32, 794_016]) {
             assert_eq!(pairs_of(n), vsj_sampling::pair_count(n), "n = {n}");
-        }
-    }
-
-    // ---- removal ----------------------------------------------------------
-
-    #[test]
-    fn remove_restores_all_statistics() {
-        let coll = clustered_collection();
-        let mut t = minhash_table(&coll, 16);
-        let (nh, buckets, len) = (t.nh(), t.num_buckets(), t.len());
-        let dup = set(&[1, 2, 3]);
-        let id = t.insert(&dup); // joins the size-3 bucket
-        assert_eq!(t.nh(), nh + 3);
-        assert_eq!(t.len(), len + 1);
-        assert!(t.is_live(id));
-        assert!(t.remove(id));
-        assert_eq!(t.nh(), nh);
-        assert_eq!(t.num_buckets(), buckets);
-        assert_eq!(t.len(), len);
-        assert_eq!(t.total_pairs(), pairs_of(len as u64));
-        assert!(!t.is_live(id));
-        // Idempotent: a second remove is a no-op.
-        assert!(!t.remove(id));
-        assert!(!t.remove(9999));
-    }
-
-    #[test]
-    fn remove_drains_and_repopulates_buckets() {
-        let empty = VectorCollection::new();
-        let hasher = Arc::new(Composite::derive(MinHashFamily::new(), 3, 0, 8));
-        let mut t = LshTable::build(&empty, hasher, Some(1));
-        let a = t.insert(&set(&[1, 2]));
-        let b = t.insert(&set(&[1, 2]));
-        assert_eq!((t.nh(), t.num_buckets()), (1, 1));
-        assert!(t.remove(a));
-        assert!(t.remove(b));
-        assert_eq!((t.nh(), t.num_buckets(), t.len()), (0, 0, 0));
-        assert!(t.is_empty());
-        // Key space is remembered; a new duplicate re-populates the
-        // drained bucket rather than growing the bucket list.
-        let c = t.insert(&set(&[1, 2]));
-        assert_eq!((t.nh(), t.num_buckets(), t.len()), (0, 1, 1));
-        assert!(t.is_live(c));
-        assert_eq!(t.live_ids(), &[c]);
-        assert_eq!(t.slots(), 3);
-    }
-
-    #[test]
-    fn sampling_excludes_removed_ids() {
-        let coll = clustered_collection();
-        let mut t = minhash_table(&coll, 16);
-        assert!(t.remove(1)); // from the size-3 duplicate bucket
-        assert_eq!(t.nh(), 2); // C(2,2) + C(2,2)
-        let mut rng = Xoshiro256::seeded(7);
-        for _ in 0..2000 {
-            let (a, b) = t.sample_same_bucket_pair(&mut rng).unwrap();
-            assert!(a != 1 && b != 1, "sampled removed id in ({a},{b})");
-            let (a, b) = t.sample_cross_bucket_pair(&mut rng).unwrap();
-            assert!(a != 1 && b != 1, "sampled removed id in ({a},{b})");
-            let (a, b, _) = t.sample_any_pair(&mut rng);
-            assert!(a != 1 && b != 1, "sampled removed id in ({a},{b})");
-        }
-    }
-
-    #[test]
-    fn cross_bucket_sampling_stays_uniform_after_removals() {
-        let coll = clustered_collection();
-        let mut t = minhash_table(&coll, 16);
-        t.remove(0);
-        let mut rng = Xoshiro256::seeded(11);
-        let mut counts: HashMap<(u32, u32), u64> = HashMap::new();
-        let trials = 80_000;
-        for _ in 0..trials {
-            let (a, b) = t.sample_cross_bucket_pair(&mut rng).unwrap();
-            *counts.entry((a.min(b), a.max(b))).or_default() += 1;
-        }
-        assert_eq!(counts.len() as u64, t.nl());
-        let expected = trials as f64 / t.nl() as f64;
-        for (pair, c) in counts {
-            let dev = (c as f64 - expected).abs() / expected;
-            assert!(dev < 0.08, "pair {pair:?} deviates {dev}");
         }
     }
 
@@ -1448,46 +1029,11 @@ mod tests {
     #[test]
     fn to_parts_round_trips_through_from_parts() {
         let coll = clustered_collection();
-        let mut t = minhash_table(&coll, 16);
-        // Removal-free: parts are exactly the per-id keys.
+        let t = minhash_table(&coll, 16);
         let parts = t.to_parts();
         assert_eq!(parts.len(), t.len());
         for (id, &key) in parts.iter().enumerate() {
             assert_eq!(key, t.key_of(id as VectorId));
-        }
-        // After removals the round trip compacts but preserves every
-        // statistic and the sampling stream.
-        t.remove(1);
-        t.remove(4);
-        let rebuilt = LshTable::from_parts(t.hasher().clone(), t.to_parts());
-        assert_eq!(rebuilt.len(), t.len());
-        assert_eq!(rebuilt.nh(), t.nh());
-        assert_eq!(rebuilt.num_buckets(), t.num_buckets());
-        let mut r1 = Xoshiro256::seeded(9);
-        let mut r2 = Xoshiro256::seeded(9);
-        for _ in 0..200 {
-            assert_eq!(
-                t.sample_same_bucket_pair(&mut r1).is_some(),
-                rebuilt.sample_same_bucket_pair(&mut r2).is_some()
-            );
-        }
-    }
-
-    #[test]
-    fn insert_key_matches_insert() {
-        let hasher = || Arc::new(Composite::derive(MinHashFamily::new(), 42, 0, 16));
-        let coll = clustered_collection();
-        let mut by_vector = LshTable::build(&VectorCollection::new(), hasher(), Some(1));
-        let mut by_key = LshTable::build(&VectorCollection::new(), hasher(), Some(1));
-        for (_, v) in coll.iter() {
-            let id_v = by_vector.insert(v);
-            let id_k = by_key.insert_key(hasher().key(v));
-            assert_eq!(id_v, id_k);
-        }
-        assert_eq!(by_vector.nh(), by_key.nh());
-        assert_eq!(by_vector.num_buckets(), by_key.num_buckets());
-        for id in 0..coll.len() as u32 {
-            assert_eq!(by_vector.key_of(id), by_key.key_of(id));
         }
     }
 
@@ -1502,14 +1048,8 @@ mod tests {
         for id in 0..a.len() as u32 {
             assert_eq!(a.key_of(id), b.key_of(id), "{context}: key of {id}");
         }
-        let pairs: Vec<_> = a
-            .sorted_buckets()
-            .map(|x| (x.key, x.members.clone()))
-            .collect();
-        let pairs_b: Vec<_> = b
-            .sorted_buckets()
-            .map(|x| (x.key, x.members.clone()))
-            .collect();
+        let pairs: Vec<_> = a.buckets().map(|x| (x.key, x.members.clone())).collect();
+        let pairs_b: Vec<_> = b.buckets().map(|x| (x.key, x.members.clone())).collect();
         assert_eq!(pairs, pairs_b, "{context}: enumeration order");
         let mut r1 = Xoshiro256::seeded(0xD3);
         let mut r2 = Xoshiro256::seeded(0xD3);
@@ -1603,7 +1143,7 @@ mod tests {
         let base = LshTable::from_parts(hasher, vec![10, 30, 50]);
         // New keys land before, between, and after the existing ones.
         let next = LshTable::from_parts_delta(&base, &[40, 5, 60, 20]);
-        let enumerated: Vec<u64> = next.sorted_buckets().map(|b| b.key).collect();
+        let enumerated: Vec<u64> = next.buckets().map(|b| b.key).collect();
         assert_eq!(enumerated, vec![5, 10, 20, 30, 40, 50, 60]);
         // Key lookups keep working on the woven order (no hash map on
         // the delta path).
@@ -1619,47 +1159,6 @@ mod tests {
         let base = LshTable::from_parts(hasher(), key_sequence(120, 47));
         let same = LshTable::from_parts_delta(&base, &[]);
         assert_tables_equivalent(&same, &base, "empty delta");
-    }
-
-    #[test]
-    fn mutating_a_delta_table_still_works() {
-        // Delta tables carry no key map; insert/remove must materialize
-        // it lazily and keep every statistic exact.
-        let hasher = || Arc::new(Composite::derive(MinHashFamily::new(), 13, 0, 8));
-        let keys = key_sequence(80, 51);
-        let base = LshTable::from_parts(hasher(), keys[..50].to_vec());
-        let mut delta = LshTable::from_parts_delta(&base, &keys[50..]);
-        let batch = LshTable::from_parts(hasher(), keys.clone());
-        // Mutate both identically.
-        assert_eq!(delta.insert_key(keys[3]), 80);
-        let mut batch = batch;
-        assert_eq!(batch.insert_key(keys[3]), 80);
-        assert!(delta.remove(5));
-        assert!(batch.remove(5));
-        assert_eq!(delta.nh(), batch.nh());
-        assert_eq!(delta.num_buckets(), batch.num_buckets());
-        assert_eq!(delta.len(), batch.len());
-        // The shared base table is unaffected by the mutation.
-        assert_eq!(base.len(), 50);
-        assert!(base.is_live(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "pristine")]
-    fn delta_from_removed_base_rejected() {
-        let hasher = Arc::new(Composite::derive(MinHashFamily::new(), 11, 0, 8));
-        let mut base = LshTable::from_parts(hasher, vec![1, 1, 2]);
-        base.remove(0);
-        let _ = LshTable::from_parts_delta(&base, &[3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "pristine")]
-    fn delta_from_inserted_base_rejected() {
-        let hasher = Arc::new(Composite::derive(MinHashFamily::new(), 11, 0, 8));
-        let mut base = LshTable::from_parts(hasher, vec![1, 1, 2]);
-        base.insert_key(9);
-        let _ = LshTable::from_parts_delta(&base, &[3]);
     }
 
     mod delta_properties {
@@ -1724,66 +1223,6 @@ mod tests {
                         batch.sample_same_bucket_pair(&mut r2)
                     );
                 }
-            }
-        }
-    }
-
-    mod removal_properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// Snapshot of every statistic `remove` promises to restore.
-        fn fingerprint(t: &LshTable) -> (u64, usize, usize, Vec<(u64, usize)>) {
-            let mut per_bucket: Vec<(u64, usize)> = t
-                .buckets()
-                .filter(|b| b.count() > 0)
-                .map(|b| (b.key, b.count()))
-                .collect();
-            per_bucket.sort_unstable();
-            (t.nh(), t.num_buckets(), t.len(), per_bucket)
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-
-            /// The satellite contract: `insert ∘ remove` is the identity
-            /// on `N_H` (and on every other table statistic).
-            #[test]
-            fn insert_then_remove_is_identity(
-                specs in proptest::collection::vec((0u32..40, 2u32..8), 0..30),
-                extra in proptest::collection::vec((0u32..40, 2u32..8), 1..12),
-                seed in 0u64..500,
-            ) {
-                let coll = VectorCollection::from_vectors(
-                    specs
-                        .iter()
-                        .map(|&(start, len)| {
-                            SparseVector::binary_from_members((start..start + len).collect())
-                        })
-                        .collect(),
-                );
-                let hasher = Arc::new(Composite::derive(MinHashFamily::new(), seed, 0, 8));
-                let mut t = LshTable::build(&coll, hasher, Some(1));
-                let before = fingerprint(&t);
-
-                let ids: Vec<_> = extra
-                    .iter()
-                    .map(|&(start, len)| {
-                        t.insert(&SparseVector::binary_from_members(
-                            (start..start + len).collect(),
-                        ))
-                    })
-                    .collect();
-                // Remove in a seed-dependent order, not necessarily LIFO.
-                let mut order = ids.clone();
-                let mut rng = Xoshiro256::seeded(seed);
-                rng.shuffle(&mut order);
-                for id in order {
-                    prop_assert!(t.remove(id));
-                }
-
-                prop_assert_eq!(fingerprint(&t), before);
-                prop_assert_eq!(t.slots(), specs.len() + extra.len());
             }
         }
     }

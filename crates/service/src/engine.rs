@@ -80,6 +80,9 @@ struct EngineMetrics {
     sampling_us: Histogram,
     pairs_per_pass: Histogram,
     cache_hit_us: Histogram,
+    /// Time an ingest holds its shard lock to *apply* (row push /
+    /// swap-remove, map update, tombstone edit) — on every path the
+    /// bucket key was hashed before the lock, so hashing is never in it.
     ingest_apply_us: Histogram,
     /// Checkpoint mappings established (mapped recoveries and
     /// compaction re-maps).
@@ -174,7 +177,7 @@ impl EngineMetrics {
             ),
             ingest_apply_us: registry.histogram(
                 "vsj_engine_ingest_apply_duration_us",
-                "Per-shard ingest apply time under the shard lock in microseconds",
+                "Per-shard ingest apply time under the shard lock in microseconds (hashing excluded)",
                 latency,
             ),
             checkpoint_maps: registry.counter(
@@ -386,10 +389,10 @@ pub struct EngineStats {
 /// A long-lived, concurrently usable VSJ size-estimation service.
 ///
 /// * **Writes** (`insert` / `remove` / `upsert`) go to one of `S` shards
-///   chosen by a hash of the global id; each shard hashes the vector
-///   once (`k` LSH functions) and maintains its bucket counts
-///   incrementally under its own lock — writers on different shards
-///   never contend.
+///   chosen by a hash of the global id; the vector is hashed once
+///   (`k` LSH functions) before the shard's lock is taken, and the
+///   shard stores the `(id, key, vector)` row under its own lock —
+///   writers on different shards never contend.
 /// * **Publication** (`publish`, or automatic every
 ///   [`ServiceConfig::auto_publish_every`] ingests) takes a consistent
 ///   cut across the shards and assembles an immutable epoch
@@ -486,7 +489,7 @@ impl EstimationEngine {
             )),
         };
         let shards = (0..config.shards)
-            .map(|_| Mutex::new(ShardState::new(hasher.clone())))
+            .map(|_| Mutex::new(ShardState::new()))
             .collect();
         let metrics = EngineMetrics::new(obs);
         let audit = AuditState::new(&metrics.registry, &metrics.obs);
@@ -795,9 +798,7 @@ impl EstimationEngine {
         let mut engine = Self::new(meta.config);
         for (gid, key, v) in &rows {
             let shard = engine.shard_of(*gid);
-            let fresh = engine.shards[shard]
-                .get_mut()
-                .insert_precomputed(*gid, *key, v.clone());
+            let fresh = engine.shards[shard].get_mut().insert(*gid, *key, v.clone());
             if !fresh {
                 return Err(PersistError::Corrupt(format!(
                     "checkpoint carries global id {gid} twice"
@@ -834,9 +835,12 @@ impl EstimationEngine {
         let ops = match record {
             WalRecord::Insert { id, vector } => {
                 self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-                let fresh = self.shards[self.shard_of(*id)]
-                    .lock()
-                    .insert(*id, Arc::new(vector.clone()));
+                let key = self.hasher.key(vector);
+                let fresh = self.shards[self.shard_of(*id)].lock().insert(
+                    *id,
+                    key,
+                    Arc::new(vector.clone()),
+                );
                 if !fresh {
                     return Err(PersistError::Corrupt(format!(
                         "WAL replays insert of already-live id {id}"
@@ -860,12 +864,13 @@ impl EstimationEngine {
             }
             WalRecord::Upsert { id, vector } => {
                 self.next_id.fetch_max(id + 1, Ordering::Relaxed);
+                let key = self.hasher.key(vector);
                 let mut shard = self.shards[self.shard_of(*id)].lock();
                 // Mirror the live path: replacing a live mapped base
                 // row tombstones it; the fresh vector lands in the
                 // shard (the overlay).
                 let replaced = shard.remove(*id) || self.tombstone_base_row(*id);
-                let inserted = shard.insert(*id, Arc::new(vector.clone()));
+                let inserted = shard.insert(*id, key, Arc::new(vector.clone()));
                 debug_assert!(inserted, "id was just vacated");
                 if replaced {
                     2
@@ -1083,7 +1088,7 @@ impl EstimationEngine {
             "the folded base must present exactly the live id set"
         );
         for g in guards.iter_mut() {
-            **g = ShardState::new(self.hasher.clone());
+            **g = ShardState::new();
         }
         self.tombstones.lock().clear();
         *self.current.write() = Arc::new(fresh);
@@ -1144,16 +1149,13 @@ impl EstimationEngine {
     /// A durable engine panics when the WAL append fails — accepting a
     /// write that would vanish on restart is worse than refusing it.
     pub fn insert(&self, v: SparseVector) -> GlobalId {
-        self.insert_arc(Arc::new(v), None)
+        let key = self.hasher.key(&v);
+        self.insert_arc(Arc::new(v), key)
     }
 
-    /// Shared insert body. `key` is `Some` when the bucket key was
-    /// precomputed off the shard lock (the [`insert_batch`] pool
-    /// pre-hash); the hasher is deterministic per vector, so a
-    /// precomputed key is bit-identical to hashing under the lock.
-    ///
-    /// [`insert_batch`]: Self::insert_batch
-    fn insert_arc(&self, v: Arc<SparseVector>, key: Option<u64>) -> GlobalId {
+    /// Shared insert body. `key` is the vector's bucket key, hashed by
+    /// the caller before any shard lock is taken.
+    fn insert_arc(&self, v: Arc<SparseVector>, key: u64) -> GlobalId {
         if let Some(durability) = &self.durability {
             let shared = durability.gate.read();
             let (id, ticket) = loop {
@@ -1175,10 +1177,7 @@ impl EstimationEngine {
                     .expect("WAL append failed; refusing to apply an unlogged insert");
                 durability.pending.fetch_add(1, Ordering::Relaxed);
                 let apply_started = Instant::now();
-                let fresh = match key {
-                    Some(key) => shard.insert_precomputed(id, key, v.clone()),
-                    None => shard.insert(id, v.clone()),
-                };
+                let fresh = shard.insert(id, key, v.clone());
                 self.metrics
                     .ingest_apply_us
                     .record_duration(apply_started.elapsed());
@@ -1199,17 +1198,13 @@ impl EstimationEngine {
         loop {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
             // See the durable arm for why a collision is possible here.
+            let mut shard = self.shards[self.shard_of(id)].lock();
             let apply_started = Instant::now();
-            let inserted = {
-                let mut shard = self.shards[self.shard_of(id)].lock();
-                match key {
-                    Some(key) => shard.insert_precomputed(id, key, v.clone()),
-                    None => shard.insert(id, v.clone()),
-                }
-            };
+            let inserted = shard.insert(id, key, v.clone());
             self.metrics
                 .ingest_apply_us
                 .record_duration(apply_started.elapsed());
+            drop(shard);
             if inserted {
                 self.after_ingest(1);
                 return id;
@@ -1220,23 +1215,17 @@ impl EstimationEngine {
     /// Ingests a batch, returning the assigned ids (one auto-publish
     /// check per vector, same as sequential inserts).
     ///
-    /// When the engine's [work pool](crate::ParallelOptions) has more
-    /// than one thread, the bucket keys of the whole batch are hashed
-    /// in parallel *before* any shard lock is taken, and each insert
-    /// applies its precomputed key. Hashing consumes no RNG and is a
-    /// pure function of the vector, so ids, shard contents, and every
-    /// later estimate are bit-identical to the sequential path.
+    /// The bucket keys of the whole batch are hashed on the engine's
+    /// [work pool](crate::ParallelOptions) (serially on a one-thread
+    /// pool) *before* any shard lock is taken, and each insert applies
+    /// its key. Hashing consumes no RNG and is a pure function of the
+    /// vector, so ids, shard contents, and every later estimate are
+    /// bit-identical to inserting the vectors one by one.
     pub fn insert_batch<I>(&self, vectors: I) -> Vec<GlobalId>
     where
         I: IntoIterator<Item = SparseVector>,
     {
         let vectors: Vec<Arc<SparseVector>> = vectors.into_iter().map(Arc::new).collect();
-        if self.pool.threads() <= 1 || vectors.len() < 2 {
-            return vectors
-                .into_iter()
-                .map(|v| self.insert_arc(v, None))
-                .collect();
-        }
         let hasher = &self.hasher;
         let keys = self
             .pool
@@ -1244,7 +1233,7 @@ impl EstimationEngine {
         vectors
             .into_iter()
             .zip(keys)
-            .map(|(v, key)| self.insert_arc(v, Some(key)))
+            .map(|(v, key)| self.insert_arc(v, key))
             .collect()
     }
 
@@ -1381,6 +1370,7 @@ impl EstimationEngine {
     /// A durable engine panics when the WAL append fails, exactly like
     /// [`insert`](Self::insert).
     pub fn upsert(&self, global: GlobalId, v: SparseVector) -> bool {
+        let key = self.hasher.key(&v);
         if let Some(durability) = &self.durability {
             let shared = durability.gate.read();
             self.next_id.fetch_max(global + 1, Ordering::Relaxed);
@@ -1397,7 +1387,7 @@ impl EstimationEngine {
                 // an earlier upsert of the same gid already tombstoned
                 // the base row when it created the shard row).
                 let replaced = shard.remove(global) || self.tombstone_base_row(global);
-                let inserted = shard.insert(global, Arc::new(v));
+                let inserted = shard.insert(global, key, Arc::new(v));
                 self.metrics
                     .ingest_apply_us
                     .record_duration(apply_started.elapsed());
@@ -1420,7 +1410,7 @@ impl EstimationEngine {
             let mut shard = self.shards[self.shard_of(global)].lock();
             let apply_started = Instant::now();
             let replaced = shard.remove(global) || self.tombstone_base_row(global);
-            let inserted = shard.insert(global, Arc::new(v));
+            let inserted = shard.insert(global, key, Arc::new(v));
             self.metrics
                 .ingest_apply_us
                 .record_duration(apply_started.elapsed());

@@ -11,9 +11,9 @@
 //!          writers (insert / remove / upsert)
 //!                │ shard by hash(id)
 //!     ┌──────────┼──────────┐
-//!  ┌──▼───┐  ┌───▼──┐   ┌───▼──┐       mutable write side:
-//!  │shard0│  │shard1│ … │shardS│       per-shard LshTable, bucket
-//!  └──┬───┘  └───┬──┘   └───┬──┘       counts maintained incrementally
+//!  ┌──▼───┐  ┌───▼──┐   ┌───▼──┐       mutable write side: per-shard
+//!  │shard0│  │shard1│ … │shardS│       (id, key, vector) rows, keys
+//!  └──┬───┘  └───┬──┘   └───┬──┘       hashed before the shard lock
 //!     └──────────┼──────────┘
 //!                │ publish(): O(changed) — previous snapshot + per-shard
 //!                │ deltas (payloads & bucket runs Arc-shared; full

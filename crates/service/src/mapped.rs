@@ -16,13 +16,15 @@
 //! base row). The view presents one **dense id space** `[0, n_live)`
 //! in global-id order — exactly the id space the heap
 //! [`LshTable`](vsj_lsh::LshTable) would assign to the same live rows —
-//! and implements [`IndexView`] with the exact sampling streams of the
-//! heap table: merged buckets are enumerated key-ascending, the alias
-//! table is built from the same `C(b_j, 2)` weight sequence, and every
-//! draw consumes the RNG identically. That is what makes the mapped
-//! tier bit-identical to the heap tier at every published
-//! `(seed, epoch, τ)` — before, during, and after a background
-//! compaction folds the overlay and tombstones into a fresh base.
+//! and implements the storage primitives of [`IndexView`] over it:
+//! merged buckets are enumerated key-ascending, so the pair-bucket
+//! columns and the alias table built from their `C(b_j, 2)` weights are
+//! the heap table's, member for member. The draws themselves are the
+//! view's provided methods, shared with the heap table — which is what
+//! makes the mapped tier bit-identical to the heap tier at every
+//! published `(seed, epoch, τ)` — before, during, and after a
+//! background compaction folds the overlay and tombstones into a fresh
+//! base.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -34,7 +36,7 @@ use bytes::Bytes;
 use memmap2::Mmap;
 use vsj_core::IndexView;
 use vsj_datasets::io::{self, ContainerIndex};
-use vsj_sampling::{pair_count, sample_distinct_pair, AliasTable, Rng};
+use vsj_sampling::{pair_count, AliasTable};
 use vsj_vector::{SparseVector, VectorId};
 
 use crate::persist::{
@@ -813,11 +815,6 @@ impl IndexView for MappedView {
     }
 
     #[inline]
-    fn total_pairs(&self) -> u64 {
-        pair_count(MappedView::len(self) as u64)
-    }
-
-    #[inline]
     fn nh(&self) -> u64 {
         self.nh
     }
@@ -832,49 +829,22 @@ impl IndexView for MappedView {
         self.key_of(a) == self.key_of(b)
     }
 
-    fn sample_same_bucket_pair<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-    ) -> Option<(VectorId, VectorId)> {
-        // Mirrors `LshTable::sample_same_bucket_pair` draw for draw:
-        // alias (one `below_usize` + one `next_f64`), then the in-bucket
-        // distinct pair.
-        let alias = self.alias.as_ref()?;
-        let col = self.columns[alias.sample(rng)];
-        let b = Self::column_len(&col);
-        debug_assert!(b >= 2);
-        let i = rng.below_usize(b);
-        let mut j = rng.below_usize(b - 1);
-        if j >= i {
-            j += 1;
-        }
-        Some((self.column_member(&col, i), self.column_member(&col, j)))
+    #[inline]
+    fn pair_alias(&self) -> Option<&AliasTable> {
+        self.alias.as_ref()
     }
 
-    fn sample_cross_bucket_pair<R: Rng + ?Sized>(
+    #[inline]
+    fn pair_bucket_pick(
         &self,
-        rng: &mut R,
-    ) -> Option<(VectorId, VectorId)> {
-        if IndexView::nl(self) == 0 {
-            return None;
-        }
-        // The heap sampler's dense-index → id indirection is over live
-        // rows in global-id order — exactly this view's dense id space,
-        // so drawing dense ids directly consumes the RNG identically.
-        let n = MappedView::len(self) as u64;
-        loop {
-            let (i, j) = sample_distinct_pair(rng, n);
-            let (i, j) = (i as VectorId, j as VectorId);
-            if !IndexView::same_bucket(self, i, j) {
-                return Some((i, j));
-            }
-        }
-    }
-
-    fn sample_any_pair<R: Rng + ?Sized>(&self, rng: &mut R) -> (VectorId, VectorId, bool) {
-        let n = MappedView::len(self) as u64;
-        let (i, j) = sample_distinct_pair(rng, n);
-        let (i, j) = (i as VectorId, j as VectorId);
-        (i, j, IndexView::same_bucket(self, i, j))
+        col: usize,
+        pick: impl FnOnce(usize) -> (usize, usize),
+    ) -> (VectorId, VectorId) {
+        let column = self.columns[col];
+        let (i, j) = pick(Self::column_len(&column));
+        (
+            self.column_member(&column, i),
+            self.column_member(&column, j),
+        )
     }
 }

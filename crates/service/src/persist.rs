@@ -19,10 +19,11 @@
 //! | `VOFF` | payload-slab byte offsets (`(n+1) × u64`) |
 //! | `VPAY` | concatenated per-vector wire blocks |
 //!
-//! Storing the bucket keys means recovery re-hashes *nothing*: shards
-//! are rebuilt through [`LshTable::insert_key`](vsj_lsh::LshTable) from
-//! parts, exactly like snapshot publication — and the mapped tier skips
-//! even that, serving buckets from `BKTK`/`BOFF`/`BMEM` directly. Every
+//! Storing the bucket keys means recovery re-hashes *nothing*: shard
+//! rows are restored with their stored keys and the published table is
+//! grouped from them by [`LshTable::from_parts`](vsj_lsh::LshTable),
+//! exactly like snapshot publication — and the mapped tier skips even
+//! that, serving buckets from `BKTK`/`BOFF`/`BMEM` directly. Every
 //! section is checksummed by the container, so any flipped byte fails
 //! the load loudly instead of resurrecting a silently wrong index.
 //!

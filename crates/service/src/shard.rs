@@ -1,21 +1,22 @@
 //! One shard of the mutable write side.
 //!
 //! Vectors are partitioned across shards by a hash of their global id,
-//! so concurrent writers touching different shards never contend. Each
-//! shard owns a shard-local [`LshTable`] (ids `0..slots` local to the
-//! shard) plus the vectors themselves; the expensive part of an ingest —
-//! evaluating the `k` hash functions — happens inside the shard lock of
-//! *only* that shard.
+//! so concurrent writers touching different shards never contend. A
+//! shard stores **rows** — `(global id, bucket key, Arc<vector>)` — and
+//! nothing else: no buckets, no counts, no table. The engine evaluates
+//! the `k` hash functions *before* it takes the shard lock (the key is
+//! a pure function of the vector), so the lock covers only a `Vec` push
+//! or `swap_remove` and a map update.
 //!
 //! Shards never serve reads. Read traffic goes through the immutable
 //! epoch snapshots the engine assembles from all shards (see
-//! `snapshot.rs`), which is what keeps the write path this simple.
+//! `snapshot.rs`), which bucket the rows once per publish — that is
+//! what keeps the write path this simple.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
-use vsj_lsh::{BucketHasher, LshTable};
-use vsj_vector::{SparseVector, VectorCollection, VectorId};
+use vsj_vector::SparseVector;
 
 use crate::GlobalId;
 
@@ -39,16 +40,12 @@ pub(crate) enum ShardDelta {
 
 /// Mutable state of one shard (always accessed under the shard's lock).
 pub(crate) struct ShardState {
-    /// Shard-local bucket-counted table; maintains the shard's `N_H`
-    /// incrementally through `insert`/`remove`.
-    table: LshTable,
-    /// Local id → vector (`None` once removed; slots are never reused,
-    /// matching the table's id discipline).
-    vectors: Vec<Option<Arc<SparseVector>>>,
-    /// Local id → global id.
-    globals: Vec<GlobalId>,
-    /// Global id → local id, live entries only.
-    by_global: HashMap<GlobalId, VectorId>,
+    /// The live rows — global id, bucket key (computed once at
+    /// ingest), payload — in no particular order (a removal
+    /// `swap_remove`s; every reader sorts by global id).
+    rows: Vec<(GlobalId, u64, Arc<SparseVector>)>,
+    /// Global id → position in `rows`.
+    by_global: HashMap<GlobalId, u32>,
     /// Mutations since the last publish cut (see [`ShardDelta`]).
     delta: ShardDelta,
 }
@@ -58,28 +55,29 @@ pub(crate) struct ShardState {
 pub struct ShardStats {
     /// Live vectors in the shard.
     pub live: usize,
-    /// Id slots ever assigned (live + removed).
-    pub slots: usize,
-    /// Shard-local same-bucket pair count `N_H`.
-    pub nh: u64,
-    /// Non-empty shard-local buckets.
-    pub buckets: usize,
 }
 
 impl ShardState {
-    pub(crate) fn new(hasher: Arc<dyn BucketHasher>) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            table: LshTable::build(&VectorCollection::new(), hasher, Some(1)),
-            vectors: Vec::new(),
-            globals: Vec::new(),
+            rows: Vec::new(),
             by_global: HashMap::new(),
             delta: ShardDelta::Appends(Vec::new()),
         }
     }
 
-    /// Records one applied insert in the delta log (no-op once the
-    /// shard is already marked for a full re-collect).
-    fn log_insert(&mut self, global: GlobalId, key: u64, v: Arc<SparseVector>) {
+    /// Stores a vector under global id `global` with its bucket `key`
+    /// (the engine's hasher applied to `v`, or the key a checkpoint
+    /// stored at original ingest time). Returns `false` (and leaves the
+    /// shard untouched) when the id is already live here.
+    pub(crate) fn insert(&mut self, global: GlobalId, key: u64, v: Arc<SparseVector>) -> bool {
+        let Entry::Vacant(slot) = self.by_global.entry(global) else {
+            return false;
+        };
+        slot.insert(u32::try_from(self.rows.len()).expect("shard exceeds u32 rows"));
+        self.rows.push((global, key, v.clone()));
+        // Log the insert (no-op once the shard is already marked for a
+        // full re-collect).
         if let ShardDelta::Appends(buffer) = &mut self.delta {
             if buffer.len() >= DELTA_BUFFER_CAP {
                 self.delta = ShardDelta::Full;
@@ -87,57 +85,22 @@ impl ShardState {
                 buffer.push((global, key, v));
             }
         }
-    }
-
-    /// Hashes and indexes a vector under global id `global`. Returns
-    /// `false` (and leaves the shard untouched) when the id is already
-    /// live here.
-    pub(crate) fn insert(&mut self, global: GlobalId, v: Arc<SparseVector>) -> bool {
-        if self.by_global.contains_key(&global) {
-            return false;
-        }
-        let local = self.table.insert(&v);
-        self.vectors.push(Some(v.clone()));
-        self.globals.push(global);
-        self.by_global.insert(global, local);
-        self.log_insert(global, self.table.key_of(local), v);
-        true
-    }
-
-    /// Indexes a vector under `global` with an already-computed bucket
-    /// key — the recovery path: checkpoints store the keys the hasher
-    /// produced at original ingest time, so rebuilding a shard performs
-    /// no hash evaluations. Returns `false` when the id is already live.
-    pub(crate) fn insert_precomputed(
-        &mut self,
-        global: GlobalId,
-        key: u64,
-        v: Arc<SparseVector>,
-    ) -> bool {
-        if self.by_global.contains_key(&global) {
-            return false;
-        }
-        let local = self.table.insert_key(key);
-        self.vectors.push(Some(v.clone()));
-        self.globals.push(global);
-        self.by_global.insert(global, local);
-        self.log_insert(global, key, v);
         true
     }
 
     /// Removes the vector with global id `global`; `false` when absent.
     pub(crate) fn remove(&mut self, global: GlobalId) -> bool {
-        let Some(local) = self.by_global.remove(&global) else {
+        let Some(at) = self.by_global.remove(&global) else {
             return false;
         };
-        let removed = self.table.remove(local);
-        debug_assert!(removed, "by_global entry implies a live table id");
-        self.vectors[local as usize] = None;
+        self.rows.swap_remove(at as usize);
+        if let Some(moved) = self.rows.get(at as usize) {
+            self.by_global.insert(moved.0, at);
+        }
         // A removal shifts snapshot-local ids, which an incremental
         // epoch cannot express — the next publish re-collects this
         // shard (and only then does the buffer start refilling).
         self.delta = ShardDelta::Full;
-        self.maybe_compact();
         true
     }
 
@@ -147,63 +110,21 @@ impl ShardState {
         std::mem::replace(&mut self.delta, ShardDelta::Appends(Vec::new()))
     }
 
-    /// Rebuilds the shard densely once tombstone slots dominate. Ids
-    /// are never reused inside an [`LshTable`], so a remove/upsert-heavy
-    /// workload would otherwise grow slot storage without bound; when
-    /// dead slots outnumber live vectors 3:1 (and the shard is past a
-    /// small floor), re-key the live rows into a fresh table — an O(live)
-    /// copy using the *stored* bucket keys, no re-hashing. Local ids are
-    /// private to the shard, so nothing outside observes the renumbering.
-    fn maybe_compact(&mut self) {
-        let live = self.table.len();
-        let slots = self.table.slots();
-        if slots < 64 || slots < live.saturating_mul(4) {
-            return;
-        }
-        let mut locals: Vec<VectorId> = self.table.live_ids().to_vec();
-        locals.sort_unstable(); // preserve insertion order for determinism
-        let keys: Vec<u64> = locals.iter().map(|&l| self.table.key_of(l)).collect();
-        let mut vectors = Vec::with_capacity(locals.len());
-        let mut globals = Vec::with_capacity(locals.len());
-        let mut by_global = HashMap::with_capacity(locals.len());
-        for (new_local, &old_local) in locals.iter().enumerate() {
-            vectors.push(self.vectors[old_local as usize].take());
-            let global = self.globals[old_local as usize];
-            globals.push(global);
-            by_global.insert(global, new_local as VectorId);
-        }
-        self.table = LshTable::from_parts(self.table.hasher().clone(), keys);
-        self.vectors = vectors;
-        self.globals = globals;
-        self.by_global = by_global;
-    }
-
     /// Whether `global` is live in this shard.
     pub(crate) fn contains(&self, global: GlobalId) -> bool {
         self.by_global.contains_key(&global)
     }
 
-    /// Appends this shard's live vectors to the snapshot accumulator as
-    /// `(global id, bucket key, vector)` rows. Keys come from the table
-    /// (computed once at ingest) — assembling a snapshot re-hashes
-    /// nothing.
+    /// Appends this shard's live rows to the snapshot accumulator
+    /// (payloads are `Arc` clones; assembling a snapshot re-hashes
+    /// nothing).
     pub(crate) fn collect_live(&self, out: &mut Vec<(GlobalId, u64, Arc<SparseVector>)>) {
-        out.reserve(self.table.len());
-        for &local in self.table.live_ids() {
-            let v = self.vectors[local as usize]
-                .as_ref()
-                .expect("live table id must have a vector")
-                .clone();
-            out.push((self.globals[local as usize], self.table.key_of(local), v));
-        }
+        out.extend_from_slice(&self.rows);
     }
 
     pub(crate) fn stats(&self) -> ShardStats {
         ShardStats {
-            live: self.table.len(),
-            slots: self.table.slots(),
-            nh: self.table.nh(),
-            buckets: self.table.num_buckets(),
+            live: self.rows.len(),
         }
     }
 }
@@ -211,71 +132,71 @@ impl ShardState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsj_lsh::{Composite, MinHashFamily};
+    use vsj_lsh::{BucketHasher, Composite, MinHashFamily};
 
-    fn shard() -> ShardState {
-        ShardState::new(Arc::new(Composite::derive(MinHashFamily::new(), 1, 0, 8)))
+    fn key_of(v: &SparseVector) -> u64 {
+        Composite::derive(MinHashFamily::new(), 1, 0, 8).key(v)
     }
 
     fn vec_of(members: &[u32]) -> Arc<SparseVector> {
         Arc::new(SparseVector::binary_from_members(members.to_vec()))
     }
 
+    /// Inserts the way the engine does: key hashed first, then stored.
+    fn insert(s: &mut ShardState, global: GlobalId, v: Arc<SparseVector>) -> bool {
+        s.insert(global, key_of(&v), v)
+    }
+
     #[test]
     fn insert_remove_roundtrip() {
-        let mut s = shard();
-        assert!(s.insert(10, vec_of(&[1, 2])));
-        assert!(s.insert(20, vec_of(&[1, 2])));
-        assert!(!s.insert(10, vec_of(&[9])), "duplicate id rejected");
+        let mut s = ShardState::new();
+        assert!(insert(&mut s, 10, vec_of(&[1, 2])));
+        assert!(insert(&mut s, 20, vec_of(&[1, 2])));
+        assert!(!insert(&mut s, 10, vec_of(&[9])), "duplicate id rejected");
         assert_eq!(s.stats().live, 2);
-        assert_eq!(s.stats().nh, 1, "duplicates share a minhash bucket");
         assert!(s.contains(10));
         assert!(s.remove(10));
         assert!(!s.remove(10));
         assert!(!s.contains(10));
-        let st = s.stats();
-        assert_eq!((st.live, st.slots, st.nh), (1, 2, 0));
+        assert_eq!(s.stats().live, 1);
     }
 
     #[test]
     fn compaction_bounds_slot_growth_under_churn() {
-        // Steady-state upsert churn on a fixed key set: without
-        // compaction, slots would grow by one per operation forever.
-        let mut s = shard();
+        // Steady-state upsert churn on a fixed key set. A shard keeps
+        // exactly its live rows — there are no dead slots to compact,
+        // however long the churn runs.
+        let mut s = ShardState::new();
         for round in 0..2_000u64 {
             for id in 0..10u64 {
                 s.remove(id);
-                s.insert(id, vec_of(&[(id as u32) % 5, 60 + round as u32 % 3]));
+                insert(
+                    &mut s,
+                    id,
+                    vec_of(&[(id as u32) % 5, 60 + round as u32 % 3]),
+                );
             }
         }
-        let st = s.stats();
-        assert_eq!(st.live, 10);
-        // Compaction triggers (inside remove) at 64 slots for 10 live
-        // vectors; inserts between triggers add at most one round more.
-        assert!(
-            st.slots <= 128,
-            "slots {} not bounded by the compaction threshold",
-            st.slots
-        );
-        // State stays fully consistent after many compactions.
+        assert_eq!(s.stats().live, 10);
+        assert_eq!(s.rows.len(), 10, "a removal must not leave a slot behind");
+        assert_eq!(s.by_global.len(), 10);
+        // State stays fully consistent after 20 000 churn operations.
         let mut rows = Vec::new();
         s.collect_live(&mut rows);
         rows.sort_by_key(|r| r.0);
         assert_eq!(rows.len(), 10);
         for (i, (global, key, v)) in rows.iter().enumerate() {
             assert_eq!(*global, i as u64);
-            let hasher = Composite::derive(MinHashFamily::new(), 1, 0, 8);
-            use vsj_lsh::BucketHasher as _;
-            assert_eq!(*key, hasher.key(v), "stale key after compaction");
+            assert_eq!(*key, key_of(v), "stale key after churn");
         }
     }
 
     #[test]
     fn collect_live_carries_keys_and_globals() {
-        let mut s = shard();
-        s.insert(5, vec_of(&[1, 2]));
-        s.insert(3, vec_of(&[3, 4]));
-        s.insert(8, vec_of(&[5, 6]));
+        let mut s = ShardState::new();
+        insert(&mut s, 5, vec_of(&[1, 2]));
+        insert(&mut s, 3, vec_of(&[3, 4]));
+        insert(&mut s, 8, vec_of(&[5, 6]));
         s.remove(3);
         let mut rows = Vec::new();
         s.collect_live(&mut rows);
@@ -284,9 +205,117 @@ mod tests {
         assert_eq!(rows[0].0, 5);
         assert_eq!(rows[1].0, 8);
         // Keys must match a fresh hash of the vector.
-        let hasher = Composite::derive(MinHashFamily::new(), 1, 0, 8);
-        use vsj_lsh::BucketHasher as _;
-        assert_eq!(rows[0].1, hasher.key(&rows[0].2));
-        assert_eq!(rows[1].1, hasher.key(&rows[1].2));
+        assert_eq!(rows[0].1, key_of(&rows[0].2));
+        assert_eq!(rows[1].1, key_of(&rows[1].2));
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Insert(GlobalId, Vec<u32>),
+            Remove(GlobalId),
+            Upsert(GlobalId, Vec<u32>),
+            TakeDelta,
+        }
+
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            let members = || proptest::collection::vec(0u32..40, 1..5);
+            prop_oneof![
+                (0u64..12, members()).prop_map(|(g, m)| Op::Insert(g, m)),
+                (0u64..12, members()).prop_map(|(g, m)| Op::Insert(g, m)),
+                (0u64..12).prop_map(Op::Remove),
+                (0u64..12, members()).prop_map(|(g, m)| Op::Upsert(g, m)),
+                Just(Op::TakeDelta),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Random insert / remove / upsert / `take_delta` sequences
+            /// against a sorted-map model: membership, the live count,
+            /// the gid-sorted live rows and the delta kind agree after
+            /// every step, and a shard never holds a dead slot.
+            #[test]
+            fn shard_matches_sorted_map_model(
+                ops in proptest::collection::vec(op_strategy(), 1..60),
+            ) {
+                let mut shard = ShardState::new();
+                let mut model: BTreeMap<GlobalId, (u64, Vec<u32>)> = BTreeMap::new();
+                // Gids inserted since the last cut, in application
+                // order; `None` once a removal forced a full re-collect.
+                let mut appended: Option<Vec<GlobalId>> = Some(Vec::new());
+                for op in ops {
+                    match op {
+                        Op::Insert(g, m) => {
+                            let v = vec_of(&m);
+                            let fresh = !model.contains_key(&g);
+                            prop_assert_eq!(insert(&mut shard, g, v.clone()), fresh);
+                            if fresh {
+                                model.insert(g, (key_of(&v), v.indices().to_vec()));
+                                if let Some(log) = &mut appended {
+                                    log.push(g);
+                                }
+                            }
+                        }
+                        Op::Remove(g) => {
+                            let live = model.remove(&g).is_some();
+                            prop_assert_eq!(shard.remove(g), live);
+                            if live {
+                                appended = None;
+                            }
+                        }
+                        Op::Upsert(g, m) => {
+                            // As the engine applies it: vacate, then store.
+                            let v = vec_of(&m);
+                            let replaced = model.contains_key(&g);
+                            prop_assert_eq!(shard.remove(g), replaced);
+                            prop_assert!(insert(&mut shard, g, v.clone()));
+                            model.insert(g, (key_of(&v), v.indices().to_vec()));
+                            if replaced {
+                                appended = None;
+                            } else if let Some(log) = &mut appended {
+                                log.push(g);
+                            }
+                        }
+                        Op::TakeDelta => {
+                            match shard.take_delta() {
+                                ShardDelta::Appends(rows) => {
+                                    let gids: Vec<GlobalId> = rows.iter().map(|r| r.0).collect();
+                                    prop_assert_eq!(Some(gids), appended);
+                                    // The delta shares payloads with
+                                    // the stored rows, never copies.
+                                    for (g, key, v) in &rows {
+                                        let at = shard.by_global[g] as usize;
+                                        prop_assert_eq!(*key, shard.rows[at].1);
+                                        prop_assert!(Arc::ptr_eq(v, &shard.rows[at].2));
+                                    }
+                                }
+                                ShardDelta::Full => prop_assert!(appended.is_none()),
+                            }
+                            appended = Some(Vec::new());
+                        }
+                    }
+                    for g in 0..12 {
+                        prop_assert_eq!(shard.contains(g), model.contains_key(&g));
+                    }
+                    prop_assert_eq!(shard.stats().live, model.len());
+                    prop_assert_eq!(shard.rows.len(), model.len());
+                    let mut rows = Vec::new();
+                    shard.collect_live(&mut rows);
+                    rows.sort_by_key(|r| r.0);
+                    let got: Vec<_> = rows
+                        .iter()
+                        .map(|(g, key, v)| (*g, (*key, v.indices().to_vec())))
+                        .collect();
+                    let want: Vec<_> = model.iter().map(|(g, row)| (*g, row.clone())).collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
     }
 }

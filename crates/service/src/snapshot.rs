@@ -19,6 +19,12 @@
 //!   compaction periodically folds overlay + tombstones into a fresh
 //!   checkpoint and the view resets to a bare base.
 //!
+//! Both tiers implement only the storage primitives of [`IndexView`]
+//! (size, `N_H`, `same_bucket`, the pair-bucket alias table and member
+//! lists), and a snapshot merely dispatches those on its tier; the
+//! stratum draws are the trait's provided methods, one body for every
+//! backend.
+//!
 //! **Incremental publication.** Two assembly paths exist:
 //!
 //! * [`Snapshot::assemble_delta`] — the **O(changed)** path: when an
@@ -46,7 +52,7 @@ use std::sync::Arc;
 
 use vsj_core::IndexView;
 use vsj_lsh::{BucketHasher, LshTable};
-use vsj_sampling::Rng;
+use vsj_sampling::AliasTable;
 use vsj_vector::{SharedVectorCollection, SparseVector, VectorId, VectorStore};
 
 use crate::mapped::{MappedCheckpoint, MappedView, TombstoneSet};
@@ -356,7 +362,8 @@ impl std::fmt::Debug for Snapshot {
 }
 
 /// Snapshots are index views: estimators run against them directly,
-/// whichever tier backs them.
+/// whichever tier backs them. Only the storage primitives dispatch on
+/// the tier; the draws are the view's provided methods.
 impl IndexView for Snapshot {
     #[inline]
     fn len(&self) -> usize {
@@ -364,34 +371,18 @@ impl IndexView for Snapshot {
     }
 
     #[inline]
-    fn total_pairs(&self) -> u64 {
-        match &self.view {
-            View::Heap { table, .. } => table.total_pairs(),
-            View::Mapped(mapped) => IndexView::total_pairs(mapped),
-        }
-    }
-
-    #[inline]
     fn nh(&self) -> u64 {
         match &self.view {
             View::Heap { table, .. } => table.nh(),
-            View::Mapped(mapped) => IndexView::nh(mapped),
-        }
-    }
-
-    #[inline]
-    fn nl(&self) -> u64 {
-        match &self.view {
-            View::Heap { table, .. } => table.nl(),
-            View::Mapped(mapped) => IndexView::nl(mapped),
+            View::Mapped(mapped) => mapped.nh(),
         }
     }
 
     #[inline]
     fn k(&self) -> usize {
         match &self.view {
-            View::Heap { table, .. } => table.hasher().k(),
-            View::Mapped(mapped) => IndexView::k(mapped),
+            View::Heap { table, .. } => table.k(),
+            View::Mapped(mapped) => mapped.k(),
         }
     }
 
@@ -399,37 +390,27 @@ impl IndexView for Snapshot {
     fn same_bucket(&self, a: VectorId, b: VectorId) -> bool {
         match &self.view {
             View::Heap { table, .. } => table.same_bucket(a, b),
-            View::Mapped(mapped) => IndexView::same_bucket(mapped, a, b),
+            View::Mapped(mapped) => mapped.same_bucket(a, b),
         }
     }
 
     #[inline]
-    fn sample_same_bucket_pair<R: Rng + ?Sized>(
+    fn pair_alias(&self) -> Option<&AliasTable> {
+        match &self.view {
+            View::Heap { table, .. } => table.pair_alias(),
+            View::Mapped(mapped) => mapped.pair_alias(),
+        }
+    }
+
+    #[inline]
+    fn pair_bucket_pick(
         &self,
-        rng: &mut R,
-    ) -> Option<(VectorId, VectorId)> {
+        col: usize,
+        pick: impl FnOnce(usize) -> (usize, usize),
+    ) -> (VectorId, VectorId) {
         match &self.view {
-            View::Heap { table, .. } => table.sample_same_bucket_pair(rng),
-            View::Mapped(mapped) => mapped.sample_same_bucket_pair(rng),
-        }
-    }
-
-    #[inline]
-    fn sample_cross_bucket_pair<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-    ) -> Option<(VectorId, VectorId)> {
-        match &self.view {
-            View::Heap { table, .. } => table.sample_cross_bucket_pair(rng),
-            View::Mapped(mapped) => mapped.sample_cross_bucket_pair(rng),
-        }
-    }
-
-    #[inline]
-    fn sample_any_pair<R: Rng + ?Sized>(&self, rng: &mut R) -> (VectorId, VectorId, bool) {
-        match &self.view {
-            View::Heap { table, .. } => table.sample_any_pair(rng),
-            View::Mapped(mapped) => mapped.sample_any_pair(rng),
+            View::Heap { table, .. } => table.pair_bucket_pick(col, pick),
+            View::Mapped(mapped) => mapped.pair_bucket_pick(col, pick),
         }
     }
 }

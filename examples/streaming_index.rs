@@ -1,7 +1,11 @@
 //! Incremental index maintenance: a live deployment ingests documents
 //! continuously and re-estimates the join size as the table grows —
-//! no rebuild, O(1) bucket-count updates per insert (§4.1.1's "depending
-//! on implementation, the count may be readily available").
+//! no rebuild. A table is frozen once built, so each batch *extends*
+//! the previous table with `LshTable::from_parts_delta`: only the
+//! batch's keys are hashed and only the buckets they touch are copied,
+//! with bucket counts (§4.1.1) and `N_H` carried forward. This is the
+//! path the `vsj-service` engine publishes its epochs through, and the
+//! result is identical to a batch build over everything ingested so far.
 //!
 //! Also demonstrates the one-pass selectivity curve
 //! (`LshSs::estimate_curve`): all thresholds from a single sampling pass.
@@ -11,7 +15,7 @@
 //! ```
 
 use std::sync::Arc;
-use vsj::lsh::Composite;
+use vsj::lsh::{BucketHasher, Composite};
 use vsj::prelude::*;
 
 fn main() {
@@ -22,19 +26,20 @@ fn main() {
     // Start from an empty table; the hasher is fixed up front (the
     // index's identity is its seed + k).
     let hasher = Arc::new(Composite::derive(SimHashFamily::new(), 7, 0, 12));
-    let empty = VectorCollection::new();
-    let mut table = LshTable::build(&empty, Arc::clone(&hasher) as _, None);
+    let mut table = LshTable::from_parts(Arc::clone(&hasher) as _, Vec::new());
     let mut ingested = VectorCollection::new();
 
     let mut rng = Xoshiro256::seeded(1);
     println!("batch    n      N_H     Ĵ(0.7)   exact J(0.7)");
     println!("------------------------------------------------");
     for batch in 0..4 {
+        let mut keys = Vec::with_capacity(batch_size);
         for (_, v) in all.iter().skip(batch * batch_size).take(batch_size) {
-            let id = table.insert(v);
-            let id2 = ingested.push(v.clone());
-            assert_eq!(id, id2, "table and collection must agree on ids");
+            keys.push(hasher.key(v));
+            ingested.push(v.clone());
         }
+        table = LshTable::from_parts_delta(&table, &keys);
+        assert_eq!(table.len(), ingested.len(), "table and collection agree");
         let est = LshSs::with_defaults(ingested.len());
         let j = est
             .estimate(&ingested, &table, &Cosine, 0.7, &mut rng)

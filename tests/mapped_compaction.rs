@@ -131,10 +131,15 @@ fn assert_tiers_equivalent(a: &EstimationEngine, b: &EstimationEngine, context: 
 /// Builds a durable heap run (`pre` inserts + checkpoint) and kills it,
 /// leaving a mappable v3 base.
 fn seed_dir(dir: &Path, seed: u64, pre: u32) {
+    seed_dir_with(dir, seed, (0..pre).map(|i| members(i % 25, 2 + i % 5)));
+}
+
+/// [`seed_dir`] over caller-chosen rows.
+fn seed_dir_with(dir: &Path, seed: u64, rows: impl Iterator<Item = SparseVector>) {
     let engine =
         EstimationEngine::durable_with(config(seed), dir, options(StorageTier::Heap)).unwrap();
-    for i in 0..pre {
-        engine.insert(members(i % 25, 2 + i % 5));
+    for row in rows {
+        engine.insert(row);
     }
     engine.checkpoint().unwrap();
     drop(engine);
@@ -232,6 +237,159 @@ fn compact_on_heap_tier_degenerates_to_checkpoint() {
     assert_eq!(engine.stats().compactions, 0, "nothing was folded");
     assert_eq!(engine.wal_pending(), 0, "but the checkpoint was cut");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// --- the bucket directory, across builds and tiers ---------------------------
+
+/// The pair buckets a view exposes through its storage primitives, in
+/// alias-column order: one member list (`b_j` ids) per column.
+fn pair_columns<V: IndexView>(view: &V) -> Vec<Vec<u32>> {
+    let columns = view.pair_alias().map_or(0, |alias| alias.len());
+    (0..columns)
+        .map(|col| {
+            let mut b = 0;
+            view.pair_bucket_pick(col, |len| {
+                b = len;
+                (0, 0)
+            });
+            (0..b)
+                .map(|i| view.pair_bucket_pick(col, |_| (i, i)).0)
+                .collect()
+        })
+        .collect()
+}
+
+type Pair = Option<(u32, u32)>;
+
+/// 1 000 draws of each kind from one seed agree pair for pair.
+fn assert_same_draws<A: IndexView, B: IndexView>(a: &A, b: &B, context: &str) {
+    let mut ra = Xoshiro256::seeded(0xD1EC);
+    let mut rb = Xoshiro256::seeded(0xD1EC);
+    for _ in 0..1000 {
+        let same = a.sample_same_bucket_pair(&mut ra);
+        assert!(same.is_some(), "{context}: fixture has an S_H");
+        assert_eq!(same, b.sample_same_bucket_pair(&mut rb), "{context}: S_H");
+    }
+    for _ in 0..1000 {
+        let cross = a.sample_cross_bucket_pair(&mut ra);
+        assert!(cross.is_some(), "{context}: fixture has an S_L");
+        assert_eq!(cross, b.sample_cross_bucket_pair(&mut rb), "{context}: S_L");
+    }
+    for _ in 0..1000 {
+        assert_eq!(
+            a.sample_any_pair(&mut ra),
+            b.sample_any_pair(&mut rb),
+            "{context}: any pair"
+        );
+    }
+}
+
+/// One SampleH and one SampleL draw.
+fn stratum_draws<V: IndexView>(view: &V) -> (Pair, Pair) {
+    let mut rng = Xoshiro256::seeded(3);
+    (
+        view.sample_same_bucket_pair(&mut rng),
+        view.sample_cross_bucket_pair(&mut rng),
+    )
+}
+
+#[test]
+fn bucket_directory_is_identical_across_builds_and_tiers() {
+    use vsj::lsh::{BucketHasher, Composite};
+    use vsj::vector::VectorStore;
+
+    let hasher = || std::sync::Arc::new(Composite::derive(MinHashFamily::new(), 7, 0, 8));
+
+    // A mapped snapshot whose pair buckets take every shape the view
+    // knows. Base row i is `members(i % 25, 2 + i % 5)`, so gids i,
+    // i + 25 and i + 50 are duplicates.
+    let dir = fresh_dir("directory");
+    seed_dir(&dir, 7, 60);
+    let mapped = recover(&dir, StorageTier::Mapped);
+    assert!(mapped.remove(2), "tombstone inside bucket {{2, 27, 52}}");
+    assert!(mapped.remove(9), "tombstone inside bucket {{9, 34, 59}}");
+    // Interleaving upsert: the overlay row (gid 5) sorts *below* the
+    // base members {7, 32, 57} of the bucket it joins.
+    assert!(mapped.upsert(5, members(7, 4)));
+    // Append-only overlay: joins base bucket {3, 28, 53} from above...
+    mapped.insert(members(3, 5));
+    // ...and a bucket that lives in the overlay alone.
+    mapped.insert(members(100, 3));
+    mapped.insert(members(100, 3));
+    mapped.publish();
+    let snapshot = mapped.snapshot();
+    assert!(snapshot.is_mapped());
+    assert_eq!(mapped.stats().tombstones, 3);
+
+    // The same live rows, in the same (gid) order, as a batch-built
+    // heap table and as a chain of one-row deltas (which crosses the
+    // run-coalescing threshold and ends on a multi-run table).
+    let n = snapshot.len() as u32;
+    let keys: Vec<u64> = (0..n)
+        .map(|id| hasher().key(VectorStore::vector(snapshot.as_ref(), id)))
+        .collect();
+    let batch = LshTable::from_parts(hasher(), keys.clone());
+    let mut chain = LshTable::from_parts(hasher(), Vec::new());
+    for key in &keys {
+        chain = LshTable::from_parts_delta(&chain, std::slice::from_ref(key));
+    }
+
+    let columns = pair_columns(&batch);
+    assert!(
+        columns.iter().any(|c| c.len() == 4) && columns.len() > 10,
+        "fixture must have plenty of pair buckets, one of them {{5, 7, 32, 57}}: {columns:?}"
+    );
+    for members in &columns {
+        assert!(members.windows(2).all(|w| w[0] < w[1]), "ids ascend");
+    }
+    assert_eq!(pair_columns(&chain), columns, "delta chain: columns");
+    assert_eq!(pair_columns(snapshot.as_ref()), columns, "mapped: columns");
+    let nh: u64 = columns
+        .iter()
+        .map(|c| vsj::sampling::pair_count(c.len() as u64))
+        .sum();
+    assert_eq!(batch.nh(), nh);
+    assert_eq!(chain.nh(), nh);
+    assert_eq!(IndexView::nh(snapshot.as_ref()), nh);
+
+    assert_same_draws(&batch, &chain, "delta chain");
+    assert_same_draws(&batch, snapshot.as_ref(), "mapped");
+
+    // Degenerate views, on both tiers: nothing panics, and a stratum
+    // without pairs answers `None`.
+    let mapped_over = |tag: &str, rows: Vec<SparseVector>| {
+        let dir = fresh_dir(tag);
+        seed_dir_with(&dir, 7, rows.into_iter());
+        let snapshot = recover(&dir, StorageTier::Mapped).snapshot();
+        assert!(snapshot.is_mapped());
+        snapshot
+    };
+    // n = 0 and n = 1: no pair at all.
+    for n in 0..2usize {
+        let heap = LshTable::from_parts(hasher(), vec![9; n]);
+        assert_eq!(stratum_draws(&heap), (None, None), "heap, n = {n}");
+        let mapped = mapped_over("tiny", vec![members(1, 3); n]);
+        assert_eq!(IndexView::len(mapped.as_ref()), n);
+        assert_eq!(
+            stratum_draws(mapped.as_ref()),
+            (None, None),
+            "mapped, n = {n}"
+        );
+    }
+    // Every row in one bucket: S_L is empty.
+    let heap = LshTable::from_parts(hasher(), vec![9; 5]);
+    let mapped = mapped_over("one_bucket", vec![members(1, 3); 5]);
+    for (same, cross) in [stratum_draws(&heap), stratum_draws(mapped.as_ref())] {
+        assert!(same.is_some());
+        assert_eq!(cross, None);
+    }
+    // Every row in a bucket of its own: S_H is empty.
+    let heap = LshTable::from_parts(hasher(), (0..5).collect());
+    let mapped = mapped_over("distinct", (0..5).map(|i| members(10 * i, 3)).collect());
+    for (same, cross) in [stratum_draws(&heap), stratum_draws(mapped.as_ref())] {
+        assert_eq!(same, None);
+        assert!(cross.is_some());
+    }
 }
 
 // --- WAL truncation after the fold ------------------------------------------
