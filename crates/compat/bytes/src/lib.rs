@@ -168,6 +168,25 @@ impl Buf for Bytes {
     }
 }
 
+/// A slice reads by advancing itself past the consumed bytes.
+impl Buf for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    fn copy_to_slice(&mut self, dst: &mut [u8]) {
+        assert!(
+            dst.len() <= self.remaining(),
+            "copy_to_slice of {} bytes with {} remaining",
+            dst.len(),
+            self.remaining()
+        );
+        let (head, rest) = self.split_at(dst.len());
+        dst.copy_from_slice(head);
+        *self = rest;
+    }
+}
+
 /// Growable byte builder.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BytesMut {
@@ -245,6 +264,15 @@ mod tests {
         b2.copy_to_slice(&mut one);
         assert_eq!(b2.to_vec(), vec![2, 3]);
         assert_eq!(&*b, &[1, 2, 3]);
+    }
+
+    #[test]
+    fn slice_reads_advance_the_slice() {
+        let data = [7u8, 0, 0, 0, 1, 2];
+        let mut r: &[u8] = &data;
+        assert_eq!(r.get_u32_le(), 7);
+        assert_eq!(r.remaining(), 2);
+        assert_eq!(r, &[1, 2]);
     }
 
     #[test]

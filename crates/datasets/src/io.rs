@@ -423,8 +423,9 @@ pub fn encode_vector_into_slice(out: &mut [u8], v: &SparseVector) {
 }
 
 /// Decodes one vector's wire block (inverse of [`encode_vector_into`]),
-/// re-validating the vector invariants.
-pub fn decode_vector(data: &mut Bytes) -> Result<SparseVector, IoError> {
+/// re-validating the vector invariants. Reads from any [`Buf`]: an
+/// owned [`Bytes`] cursor or a borrowed `&[u8]` (e.g. a mapped block).
+pub fn decode_vector(data: &mut impl Buf) -> Result<SparseVector, IoError> {
     if data.remaining() < 4 {
         return Err(IoError::Corrupt("nnz truncated".into()));
     }

@@ -25,8 +25,17 @@
 //! published `(seed, epoch, τ)` — before, during, and after a
 //! background compaction folds the overlay and tombstones into a fresh
 //! base.
+//!
+//! Each view build (map + go, every publish, the compaction swap) is one
+//! O(base + overlay) pass that freezes the view's index: `rows`, one
+//! `u32` per live row naming its base or overlay row, and one
+//! key-ascending slab of pair-bucket members (dense ids) with a `u32`
+//! offset per column — the BOFF/BMEM shape of the checkpoint itself.
+//! Every id resolution, draw and scored pair is then one or two array
+//! reads, with no search over tombstones or the overlay. Columns are
+//! key-ascending and members dense-ascending, the heap table's order,
+//! so the frozen index changes no answer and no checkpoint byte.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,22 +88,10 @@ impl TombstoneSet {
         self.rows.len()
     }
 
-    /// True when no base row is tombstoned.
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Whether base row `row` is tombstoned.
     #[inline]
     pub(crate) fn contains(&self, row: u32) -> bool {
         self.rows.binary_search(&row).is_ok()
-    }
-
-    /// Number of tombstoned rows with index strictly below `row`.
-    #[inline]
-    pub(crate) fn rank_below(&self, row: u32) -> usize {
-        self.rows.partition_point(|&d| d < row)
     }
 
     /// The sorted row indices.
@@ -387,8 +384,7 @@ impl MappedCheckpoint {
         self.cells[i].get_or_init(|| {
             let start = self.payload_offset(i) as usize;
             let end = self.payload_offset(i + 1) as usize;
-            let mut block =
-                Bytes::copy_from_slice(&self.map[self.vpay.start + start..self.vpay.start + end]);
+            let mut block = &self.map[self.vpay.start + start..self.vpay.start + end];
             let v = io::decode_vector(&mut block)
                 .expect("checksummed VPAY block failed vector validation");
             self.materialized.fetch_add(1, Ordering::Relaxed);
@@ -409,26 +405,8 @@ pub(crate) enum MappedRow {
     Tail(usize),
 }
 
-/// One merged pair bucket (`C(b_j, 2) > 0`) of a [`MappedView`], in
-/// key-ascending enumeration order. Members are **dense view ids**
-/// (global-id ascending), matching the heap table's bucket member
-/// order exactly.
-#[derive(Debug, Clone, Copy)]
-enum Column {
-    /// The common shape: no tombstoned member, and every overlay member
-    /// sorts after every base member (append-only buckets). Base
-    /// members are read from the mapping and converted to dense ids at
-    /// sample time; overlay members are a run of `tail_members`.
-    Direct {
-        base_start: u64,
-        base_len: u32,
-        tail_start: u32,
-        tail_len: u32,
-    },
-    /// A bucket touched by a tombstone or an interleaving upsert: its
-    /// live members were merged explicitly into a run of `patched`.
-    Patched { start: u32, len: u32 },
-}
+/// `dense_of_row` entry of a tombstoned base row.
+const DEAD: VectorId = VectorId::MAX;
 
 /// The published index of a mapped engine: the mapped checkpoint base,
 /// minus its tombstoned rows, plus a heap overlay — presented as one
@@ -441,18 +419,17 @@ pub(crate) struct MappedView {
     tail_gids: Vec<GlobalId>,
     tail_keys: Vec<u64>,
     tail_vectors: Vec<Arc<SparseVector>>,
-    /// Dense view id of each overlay row (ascending — overlay rows are
-    /// gid-sorted).
-    tail_dense: Vec<VectorId>,
     /// Encoded size of the overlay's payload blocks — the "heap bytes
     /// a compaction would fold away" trigger signal.
     tail_bytes: u64,
-    /// Fast path: no tombstones and the whole overlay sorts after the
-    /// whole base, so dense ids are the identity over base rows.
-    plain: bool,
-    columns: Vec<Column>,
-    tail_members: Vec<VectorId>,
-    patched: Vec<VectorId>,
+    /// Backing row of each dense id: base row `r` as `r`, overlay row
+    /// `t` as `base.len() + t`.
+    rows: Vec<u32>,
+    /// Pair-bucket column `c` is `members[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
+    /// Dense-id members of every pair bucket, key-ascending by column
+    /// and dense-ascending within one.
+    members: Vec<VectorId>,
     alias: Option<AliasTable>,
     nh: u64,
 }
@@ -473,14 +450,13 @@ impl MappedView {
     /// overlay rows (`(gid, key, vector)`, strictly ascending by gid,
     /// never colliding with a live base gid — the caller validates).
     ///
-    /// Walks base buckets (key-ascending by layout) and overlay key
-    /// groups (key-ascending by `BTreeMap`) in a single merge, emitting
-    /// every bucket with ≥ 2 live merged members as an alias column —
-    /// the same column sequence and weights the heap table's sampler
-    /// derives over the live rows, hence the same sampling stream. Only
-    /// buckets actually touched by a tombstone or an interleaving
-    /// overlay row pay an explicit member merge; the append-only rest
-    /// stays O(1) per bucket.
+    /// One gid-order merge walk over the live base rows and the overlay
+    /// assigns every dense id and freezes `rows`. Base buckets
+    /// (key-ascending by layout) and overlay key groups are then merged
+    /// into one member slab, emitting every bucket with ≥ 2 live members
+    /// as an alias column — the same column sequence, weights and member
+    /// order the heap table derives over the live rows, hence the same
+    /// sampling stream. O(base + overlay · log overlay).
     pub(crate) fn new(
         base: Arc<MappedCheckpoint>,
         k: usize,
@@ -499,150 +475,78 @@ impl MappedView {
             tail_bytes += 4 + 8 * v.nnz() as u64;
             tail_vectors.push(v);
         }
-        let plain = tombstones.is_empty()
-            && (tail_gids.is_empty() || base_n == 0 || tail_gids[0] > base.gid(base_n - 1));
+        let row_id = |r: usize| VectorId::try_from(r).expect("base + overlay rows fit a u32");
 
-        // Dense id of each overlay row: live base rows with a smaller
-        // gid, plus earlier overlay rows (gid-sorted, so exactly `t`).
+        // The merge walk, and its inverse over base-then-overlay rows.
         let dead = tombstones.rows();
-        let live_base_below_gid = |gid: GlobalId| -> usize {
-            let mut lo = 0usize;
-            let mut hi = base_n;
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if base.gid(mid) < gid {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo - dead.partition_point(|&d| (d as usize) < lo)
+        let mut rows = Vec::with_capacity(base_n - dead.len() + tail_gids.len());
+        let mut dense_of_row = vec![DEAD; base_n + tail_gids.len()];
+        let mut push = |row: usize| {
+            dense_of_row[row] = row_id(rows.len());
+            rows.push(row_id(row));
         };
-        let tail_dense: Vec<VectorId> = tail_gids
-            .iter()
-            .enumerate()
-            .map(|(t, &gid)| (live_base_below_gid(gid) + t) as VectorId)
-            .collect();
-        let dense_of_row = |row: VectorId| -> VectorId {
-            if plain {
-                return row;
+        let (mut next_dead, mut t) = (0usize, 0usize);
+        for r in 0..base_n {
+            if dead.get(next_dead).is_some_and(|&d| d as usize == r) {
+                next_dead += 1;
+                continue;
             }
-            let live_rank = row as usize - dead.partition_point(|&d| d < row);
-            let below = tail_gids.partition_point(|&g| g < base.gid(row as usize));
-            (live_rank + below) as VectorId
-        };
-
-        // Buckets a tombstone touches, found by key lookup: only these
-        // pay the explicit member merge.
-        let mut dead_in_bucket: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-        for &row in dead {
-            let key = base.key(row as usize);
-            let mut lo = 0usize;
-            let mut hi = base.num_buckets();
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if base.bucket_key(mid) < key {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
+            while t < tail_gids.len() && tail_gids[t] < base.gid(r) {
+                push(base_n + t);
+                t += 1;
             }
-            debug_assert!(lo < base.num_buckets() && base.bucket_key(lo) == key);
-            dead_in_bucket.entry(lo).or_default().push(row);
+            push(r);
+        }
+        for t in t..tail_gids.len() {
+            push(base_n + t);
         }
 
-        let mut tail_groups: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        for (t, &key) in tail_keys.iter().enumerate() {
-            tail_groups.entry(key).or_default().push(t as u32);
-        }
+        // Overlay rows grouped by key; the stable sort keeps each group
+        // overlay-ascending, i.e. dense-ascending.
+        let mut tail_order: Vec<u32> = (0..tail_keys.len()).map(row_id).collect();
+        tail_order.sort_by_key(|&t| tail_keys[t as usize]);
+        let mut groups = tail_order
+            .chunk_by(|&a, &b| tail_keys[a as usize] == tail_keys[b as usize])
+            .peekable();
+        let group_key = |group: &[u32]| tail_keys[group[0] as usize];
 
-        let mut columns = Vec::new();
+        let mut starts = vec![0u32];
+        let mut members: Vec<VectorId> = Vec::with_capacity(rows.len());
         let mut weights = Vec::new();
-        let mut tail_members: Vec<VectorId> = Vec::new();
-        let mut patched: Vec<VectorId> = Vec::new();
         let mut nh = 0u64;
-        let empty_dead: Vec<u32> = Vec::new();
-        let mut emit = |bucket: Option<usize>, group: Option<&Vec<u32>>| {
-            let (start, len, bucket_dead) = match bucket {
-                Some(b) => {
-                    let (s, l) = base.bucket_members(b);
-                    (s, l, dead_in_bucket.get(&b).unwrap_or(&empty_dead))
-                }
-                None => (0, 0, &empty_dead),
-            };
-            let live_len = len - bucket_dead.len();
-            let tail_len = group.map_or(0, Vec::len);
-            let weight = pair_count((live_len + tail_len) as u64);
-            nh += weight;
-            if weight == 0 {
-                return;
+        let mut emit = |bucket: Option<usize>, group: &[u32]| {
+            let start = members.len();
+            if let Some(b) = bucket {
+                let (at, len) = base.bucket_members(b);
+                members.extend(
+                    (at..at + len)
+                        .map(|i| dense_of_row[base.member(i) as usize])
+                        .filter(|&d| d != DEAD),
+                );
             }
-            weights.push(weight as f64);
-            // Direct needs dense-ascending concatenation: all base
-            // members live, and the first overlay gid past the last
-            // base member's gid.
-            let interleaved = live_len > 0 && tail_len > 0 && {
-                let last_row = base.member(start + len - 1);
-                tail_gids[group.expect("tail_len > 0")[0] as usize] < base.gid(last_row as usize)
-            };
-            if bucket_dead.is_empty() && !interleaved {
-                let tail_start = tail_members.len() as u32;
-                if let Some(group) = group {
-                    tail_members.extend(group.iter().map(|&t| tail_dense[t as usize]));
-                }
-                columns.push(Column::Direct {
-                    base_start: start as u64,
-                    base_len: len as u32,
-                    tail_start,
-                    tail_len: tail_len as u32,
-                });
+            members.extend(group.iter().map(|&t| dense_of_row[base_n + t as usize]));
+            // Dense ids are unique, so sorting the run merges its base
+            // and overlay members into the heap table's member order.
+            members[start..].sort_unstable();
+            let weight = pair_count((members.len() - start) as u64);
+            if weight == 0 {
+                members.truncate(start);
             } else {
-                let p_start = patched.len() as u32;
-                let live: Vec<VectorId> = (0..len)
-                    .map(|off| base.member(start + off))
-                    .filter(|row| bucket_dead.binary_search(row).is_err())
-                    .map(dense_of_row)
-                    .collect();
-                let tail_ds: Vec<VectorId> = group
-                    .map(|g| g.iter().map(|&t| tail_dense[t as usize]).collect())
-                    .unwrap_or_default();
-                let (mut a, mut b) = (0usize, 0usize);
-                while a < live.len() && b < tail_ds.len() {
-                    if live[a] < tail_ds[b] {
-                        patched.push(live[a]);
-                        a += 1;
-                    } else {
-                        patched.push(tail_ds[b]);
-                        b += 1;
-                    }
-                }
-                patched.extend_from_slice(&live[a..]);
-                patched.extend_from_slice(&tail_ds[b..]);
-                columns.push(Column::Patched {
-                    start: p_start,
-                    len: (live_len + tail_len) as u32,
-                });
+                nh += weight;
+                weights.push(weight as f64);
+                starts.push(row_id(members.len()));
             }
         };
-
-        let mut tail_iter = tail_groups.iter().peekable();
         for b in 0..base.num_buckets() {
             let bucket_key = base.bucket_key(b);
-            while tail_iter
-                .peek()
-                .is_some_and(|(&tail_key, _)| tail_key < bucket_key)
-            {
-                let (_, members) = tail_iter.next().expect("peeked");
-                emit(None, Some(members));
+            while let Some(group) = groups.next_if(|g| group_key(g) < bucket_key) {
+                emit(None, group);
             }
-            let merged = tail_iter
-                .peek()
-                .is_some_and(|(&tail_key, _)| tail_key == bucket_key)
-                .then(|| tail_iter.next().expect("peeked").1);
-            emit(Some(b), merged);
+            let group = groups.next_if(|g| group_key(g) == bucket_key);
+            emit(Some(b), group.unwrap_or_default());
         }
-        for (_, members) in tail_iter {
-            emit(None, Some(members));
+        for group in groups {
+            emit(None, group);
         }
 
         let alias = if weights.is_empty() {
@@ -657,12 +561,10 @@ impl MappedView {
             tail_gids,
             tail_keys,
             tail_vectors,
-            tail_dense,
             tail_bytes,
-            plain,
-            columns,
-            tail_members,
-            patched,
+            rows,
+            starts,
+            members,
             alias,
             nh,
         }
@@ -670,8 +572,8 @@ impl MappedView {
 
     /// A new view with `rows` appended to the overlay (the mapped
     /// delta-publish path — tombstones unchanged by construction). The
-    /// base mapping and tombstone set are shared; merged columns are
-    /// rebuilt in O(buckets + overlay).
+    /// base mapping and tombstone set are shared; the frozen index is
+    /// rebuilt in one O(base + overlay) walk.
     pub(crate) fn extended(&self, rows: &[(GlobalId, u64, Arc<SparseVector>)]) -> Self {
         let mut tail: Vec<(GlobalId, u64, Arc<SparseVector>)> = self
             .tail_gids
@@ -709,40 +611,26 @@ impl MappedView {
     /// Live rows: base minus tombstones plus overlay.
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.base.len() - self.tombstones.len() + self.tail_keys.len()
+        self.rows.len()
     }
 
     /// Resolves a dense view id to its backing row.
+    #[inline]
     pub(crate) fn row_of_dense(&self, id: VectorId) -> MappedRow {
-        if self.plain {
-            let id = id as usize;
-            return if id < self.base.len() {
-                MappedRow::Base(id)
-            } else {
-                MappedRow::Tail(id - self.base.len())
-            };
+        let row = self.rows[id as usize] as usize;
+        if row < self.base.len() {
+            MappedRow::Base(row)
+        } else {
+            MappedRow::Tail(row - self.base.len())
         }
-        match self.tail_dense.binary_search(&id) {
-            Ok(t) => MappedRow::Tail(t),
-            Err(t) => {
-                // `id` is the (id - t)-th live base row; select it by
-                // binary search over the live-rank prefix function.
-                let live_rank = id as usize - t;
-                let dead = self.tombstones.rows();
-                let mut lo = 0usize;
-                let mut hi = self.base.len();
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    let live_through = mid + 1 - dead.partition_point(|&d| (d as usize) <= mid);
-                    if live_through <= live_rank {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                debug_assert!(lo < self.base.len() && !self.tombstones.contains(lo as u32));
-                MappedRow::Base(lo)
-            }
+    }
+
+    /// Global id of a dense view id.
+    #[inline]
+    pub(crate) fn gid_of(&self, id: VectorId) -> GlobalId {
+        match self.row_of_dense(id) {
+            MappedRow::Base(row) => self.base.gid(row),
+            MappedRow::Tail(t) => self.tail_gids[t],
         }
     }
 
@@ -762,48 +650,6 @@ impl MappedView {
         match self.row_of_dense(id) {
             MappedRow::Base(row) => self.base.vector(row),
             MappedRow::Tail(t) => &self.tail_vectors[t],
-        }
-    }
-
-    /// Dense view id of a live base row.
-    #[inline]
-    fn dense_of_base_row(&self, row: VectorId) -> VectorId {
-        if self.plain {
-            return row;
-        }
-        let live_rank = row as usize - self.tombstones.rank_below(row);
-        let below = self
-            .tail_gids
-            .partition_point(|&g| g < self.base.gid(row as usize));
-        (live_rank + below) as VectorId
-    }
-
-    #[inline]
-    fn column_member(&self, col: &Column, i: usize) -> VectorId {
-        match *col {
-            Column::Direct {
-                base_start,
-                base_len,
-                tail_start,
-                ..
-            } => {
-                if i < base_len as usize {
-                    self.dense_of_base_row(self.base.member(base_start as usize + i))
-                } else {
-                    self.tail_members[tail_start as usize + (i - base_len as usize)]
-                }
-            }
-            Column::Patched { start, .. } => self.patched[start as usize + i],
-        }
-    }
-
-    #[inline]
-    fn column_len(col: &Column) -> usize {
-        match *col {
-            Column::Direct {
-                base_len, tail_len, ..
-            } => (base_len + tail_len) as usize,
-            Column::Patched { len, .. } => len as usize,
         }
     }
 }
@@ -840,11 +686,213 @@ impl IndexView for MappedView {
         col: usize,
         pick: impl FnOnce(usize) -> (usize, usize),
     ) -> (VectorId, VectorId) {
-        let column = self.columns[col];
-        let (i, j) = pick(Self::column_len(&column));
-        (
-            self.column_member(&column, i),
-            self.column_member(&column, j),
-        )
+        let start = self.starts[col] as usize;
+        let column = &self.members[start..self.starts[col + 1] as usize];
+        let (i, j) = pick(column.len());
+        (column[i], column[j])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    use crate::persist::{self, CheckpointMeta};
+    use crate::snapshot::Snapshot;
+    use crate::ServiceConfig;
+    use vsj_lsh::{BucketHasher, Composite, MinHashFamily};
+
+    /// Base row `r` carries gid `3 (r + 1)`, so gids `3 i + 1` and
+    /// `3 i + 2` can interleave below the base watermark.
+    fn base_gid(r: usize) -> GlobalId {
+        3 * (r as u64 + 1)
+    }
+
+    /// A row whose payload names its gid, so a resolved vector shows
+    /// which row it came from.
+    fn row(gid: GlobalId, key: u64) -> (GlobalId, u64, Arc<SparseVector>) {
+        let v = SparseVector::binary_from_members(vec![gid as u32]);
+        (gid, key, Arc::new(v))
+    }
+
+    /// Maps a checkpoint whose base rows have `keys` (arbitrary bucket
+    /// keys: the view never re-hashes).
+    fn checkpoint(keys: &[u64]) -> Arc<MappedCheckpoint> {
+        static FILES: AtomicU64 = AtomicU64::new(0);
+        let rows = keys
+            .iter()
+            .enumerate()
+            .map(|(r, &key)| row(base_gid(r), key))
+            .collect();
+        let hasher: Arc<dyn BucketHasher> =
+            Arc::new(Composite::derive(MinHashFamily::new(), 1, 0, 8));
+        let meta = CheckpointMeta {
+            epoch: 1,
+            ingested: 0,
+            next_id: 1 << 20,
+            applied_seq: 0,
+            publishes: 1,
+            config: ServiceConfig::default(),
+        };
+        let bytes = persist::encode_checkpoint(&meta, &Snapshot::assemble(1, 0, hasher, rows));
+        let path = std::env::temp_dir().join(format!(
+            "vsj_mapped_view_{}_{}",
+            std::process::id(),
+            FILES.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, bytes.as_slice()).unwrap();
+        let base = MappedCheckpoint::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        Arc::new(base)
+    }
+
+    /// Brute force: the live rows `(gid, key, backing row)` in gid
+    /// order — the dense id space the view must present.
+    fn live_rows(
+        base_keys: &[u64],
+        dead: &[u32],
+        tail: &[(GlobalId, u64)],
+    ) -> Vec<(GlobalId, u64, MappedRow)> {
+        let mut live: Vec<_> = base_keys
+            .iter()
+            .enumerate()
+            .filter(|&(r, _)| !dead.contains(&(r as u32)))
+            .map(|(r, &key)| (base_gid(r), key, MappedRow::Base(r)))
+            .chain(
+                tail.iter()
+                    .enumerate()
+                    .map(|(t, &(gid, key))| (gid, key, MappedRow::Tail(t))),
+            )
+            .collect();
+        live.sort_by_key(|r| r.0);
+        live
+    }
+
+    fn view(base: &Arc<MappedCheckpoint>, dead: &[u32], tail: &[(GlobalId, u64)]) -> MappedView {
+        let tombstones = Arc::new(TombstoneSet::from_rows(dead.to_vec()));
+        let tail = tail.iter().map(|&(gid, key)| row(gid, key)).collect();
+        MappedView::new(base.clone(), 4, tombstones, tail)
+    }
+
+    /// Every id resolves to its brute-force row, and the pair-bucket
+    /// columns are the live rows grouped by key — key-ascending,
+    /// members dense-ascending, singletons dropped.
+    fn check(view: &MappedView, live: &[(GlobalId, u64, MappedRow)]) {
+        assert_eq!(view.len(), live.len());
+        assert_eq!(IndexView::len(view), live.len());
+        let mut by_key: BTreeMap<u64, Vec<VectorId>> = BTreeMap::new();
+        for (d, &(gid, key, at)) in live.iter().enumerate() {
+            let d = d as VectorId;
+            assert_eq!(view.row_of_dense(d), at, "row of dense {d}");
+            assert_eq!(view.key_of(d), key, "key of dense {d}");
+            assert_eq!(view.gid_of(d), gid, "gid of dense {d}");
+            assert_eq!(
+                view.vector(d).indices(),
+                &[gid as u32],
+                "vector of dense {d}"
+            );
+            by_key.entry(key).or_default().push(d);
+        }
+        for a in 0..live.len() {
+            for b in 0..live.len() {
+                let same = live[a].1 == live[b].1;
+                assert_eq!(view.same_bucket(a as VectorId, b as VectorId), same);
+            }
+        }
+        let columns: Vec<Vec<VectorId>> = by_key.into_values().filter(|m| m.len() >= 2).collect();
+        let nh: u64 = columns.iter().map(|m| pair_count(m.len() as u64)).sum();
+        assert_eq!(view.nh(), nh);
+        assert_eq!(view.pair_alias().map_or(0, AliasTable::len), columns.len());
+        for (c, want) in columns.iter().enumerate() {
+            let got: Vec<VectorId> = (0..want.len())
+                .map(|i| {
+                    view.pair_bucket_pick(c, |b_j| {
+                        assert_eq!(b_j, want.len(), "b_j of column {c}");
+                        (i, (i + 1) % b_j)
+                    })
+                    .0
+                })
+                .collect();
+            assert_eq!(&got, want, "members of column {c}");
+        }
+    }
+
+    #[test]
+    fn degenerate_views_match_the_brute_force_merge() {
+        // n = 0: no base, no overlay.
+        let empty = checkpoint(&[]);
+        let v = view(&empty, &[], &[]);
+        check(&v, &[]);
+        assert!(v.pair_alias().is_none());
+        // Every base row tombstoned.
+        let keys = [1, 1, 2, 2, 2];
+        let base = checkpoint(&keys);
+        let dead = [0, 1, 2, 3, 4];
+        check(&view(&base, &dead, &[]), &[]);
+        // ... and each one upserted back.
+        let upserts: Vec<_> = (0..5).map(|r| (base_gid(r), 7 + r as u64 % 2)).collect();
+        check(
+            &view(&base, &dead, &upserts),
+            &live_rows(&keys, &dead, &upserts),
+        );
+        // Overlay only.
+        let tail = [(1, 4), (2, 4), (5, 9)];
+        check(&view(&empty, &[], &tail), &live_rows(&[], &[], &tail));
+        // A bare base.
+        let keys = [0, 0, 1, 2, 2, 2];
+        check(
+            &view(&checkpoint(&keys), &[], &[]),
+            &live_rows(&keys, &[], &[]),
+        );
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Random bases with duplicate keys, random tombstones, and
+            /// overlays mixing appends, upserts of tombstoned gids,
+            /// interleaving fresh gids and overlay-only keys: the view
+            /// matches the brute-force gid-sorted merge, and extending a
+            /// prefix of the overlay equals building over all of it.
+            #[test]
+            fn view_matches_brute_force_merge(
+                base_rows in proptest::collection::vec((0u64..5, 0u8..3), 0..14),
+                overlay in proptest::collection::vec((0u8..3, 0u64..7, 0usize..64), 0..10),
+                split in 0usize..16,
+            ) {
+                let keys: Vec<u64> = base_rows.iter().map(|r| r.0).collect();
+                let dead: Vec<u32> = (0..keys.len() as u32)
+                    .filter(|&r| base_rows[r as usize].1 == 0)
+                    .collect();
+                // Keys 5 and 6 only ever occur in the overlay.
+                let mut tail: BTreeMap<GlobalId, u64> = BTreeMap::new();
+                for (i, &(kind, key, pick)) in overlay.iter().enumerate() {
+                    let gid = match kind {
+                        0 => 1_000 + i as u64,
+                        1 if !dead.is_empty() => base_gid(dead[pick % dead.len()] as usize),
+                        _ => 3 * (pick % (keys.len() + 1)) as u64 + 1,
+                    };
+                    tail.insert(gid, key);
+                }
+                let tail: Vec<(GlobalId, u64)> = tail.into_iter().collect();
+                let base = checkpoint(&keys);
+                let full = view(&base, &dead, &tail);
+                check(&full, &live_rows(&keys, &dead, &tail));
+
+                let split = split % (tail.len() + 1);
+                let suffix: Vec<_> = tail[split..].iter().map(|&(g, k)| row(g, k)).collect();
+                let extended = view(&base, &dead, &tail[..split]).extended(&suffix);
+                check(&extended, &live_rows(&keys, &dead, &tail));
+                prop_assert_eq!(&extended.rows, &full.rows);
+                prop_assert_eq!(&extended.starts, &full.starts);
+                prop_assert_eq!(&extended.members, &full.members);
+                prop_assert_eq!(extended.tail_bytes(), full.tail_bytes());
+            }
+        }
     }
 }

@@ -172,26 +172,16 @@ impl Snapshot {
                 return None;
             }
         }
-        // Merge live base gids with tail gids, ascending — the view's
-        // dense id order.
-        let mut ids = Vec::with_capacity(base_n - tombstones.len() + tail.len());
-        let mut next_tail = tail.iter().map(|r| r.0).peekable();
-        for i in 0..base_n {
-            if tombstones.contains(i as u32) {
-                continue;
-            }
-            let gid = base.gid(i);
-            while next_tail.peek().is_some_and(|&t| t < gid) {
-                ids.push(next_tail.next().expect("peeked"));
-            }
-            ids.push(gid);
-        }
-        ids.extend(next_tail);
+        let view = MappedView::new(base, k, tombstones, tail);
+        // The view's merge walk fixed the dense (gid-ascending) order.
+        let ids = (0..view.len() as VectorId)
+            .map(|d| view.gid_of(d))
+            .collect();
         Some(Self {
             epoch,
             ingested,
             ids,
-            view: View::Mapped(MappedView::new(base, k, tombstones, tail)),
+            view: View::Mapped(view),
         })
     }
 

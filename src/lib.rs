@@ -32,7 +32,7 @@
 //! * [`core`] — the estimators: RS(pop), RS(cross), JU, LSH-S, **LSH-SS**,
 //!   LSH-SS(D), multi-table and general-join variants, probability tooling;
 //!   plus the [`core::IndexView`] read abstraction estimators sample
-//!   through (an owned table, a service snapshot, or a test double).
+//!   through (an owned table or a service snapshot on either tier).
 //! * [`service`] — the **online layer**: a concurrent
 //!   [`service::EstimationEngine`] with a sharded mutable index
 //!   (insert/remove/upsert on live data), copy-on-write epoch snapshots
