@@ -9,16 +9,18 @@
 //! * `S_L` — the rest, sampled by rejection.
 //!
 //! `SampleH` draws a matched key pair with weight `b_j·c_j` (alias
-//! table), then one member uniformly from each side. Everything else —
-//! adaptive SampleL, safe lower bound, dampening — carries over from
-//! Algorithm 1 unchanged.
+//! table), then one member uniformly from each side; `SampleL` draws
+//! uniform cross pairs by rejection, each only when the accounting reads
+//! it. Only the draws are this module's: the per-τ accounting —
+//! adaptive stop at `δ`, safe lower bound, dampening — is Algorithm 1's
+//! own, shared with [`LshSs`].
 
 use std::sync::Arc;
 
-use crate::estimate::{clamp_estimate, Estimate, EstimateKind};
-use crate::lshss::{Dampening, LshSsConfig};
+use crate::estimate::Estimate;
+use crate::lshss::{LshSs, LshSsConfig};
 use vsj_lsh::{BucketHasher, LshTable};
-use vsj_sampling::{AdaptiveSampler, AliasTable, Rng};
+use vsj_sampling::{AliasTable, Rng};
 use vsj_vector::{Similarity, VectorCollection, VectorId};
 
 /// The paired-table structure for a general join.
@@ -179,64 +181,41 @@ impl GeneralLshSs {
     {
         assert_eq!(u.len(), index.table_u.len(), "U/table mismatch");
         assert_eq!(v.len(), index.table_v.len(), "V/table mismatch");
-        let total = index.total_pairs();
+        let score = |(a, b): (VectorId, VectorId)| measure.sim(u.vector(a), v.vector(b));
 
         // SampleH.
-        let jh = if index.nh() == 0 || self.config.m_h == 0 {
-            0.0
-        } else {
-            let mut positives = 0u64;
-            for _ in 0..self.config.m_h {
-                let (a, b) = index
+        let m_h = if index.nh() == 0 { 0 } else { self.config.m_h };
+        let h_sims: Vec<f64> = (0..m_h)
+            .map(|_| {
+                index
                     .sample_same_bucket_pair(rng)
-                    .expect("nh > 0 yields pairs");
-                if measure.sim(u.vector(a), v.vector(b)) >= tau {
-                    positives += 1;
-                }
-            }
-            positives as f64 * (index.nh() as f64 / self.config.m_h as f64)
-        };
+                    .expect("nh > 0 yields pairs")
+            })
+            .map(score)
+            .collect();
 
-        // SampleL (adaptive).
-        let mut lower_bound_used = false;
-        let jl = if index.nl() == 0 || self.config.m_l == 0 {
-            0.0
-        } else {
-            let sampler = AdaptiveSampler::new(self.config.delta, self.config.m_l);
-            let outcome = sampler.run(index.nl(), || {
-                let (a, b) = index
+        // SampleL, drawn as the accounting reads it.
+        let m_l = if index.nl() == 0 { 0 } else { self.config.m_l };
+        let l_sims = (0..m_l)
+            .map(|_| {
+                index
                     .sample_cross_bucket_pair(rng)
-                    .expect("nl > 0 yields pairs");
-                measure.sim(u.vector(a), v.vector(b)) >= tau
-            });
-            lower_bound_used = !outcome.is_reliable();
-            match self.config.dampening {
-                Dampening::SafeLowerBound => outcome.safe_estimate(),
-                Dampening::Constant(cs) => {
-                    outcome.dampened_estimate(index.nl(), cs.clamp(0.0, 1.0))
-                }
-                Dampening::NlOverDelta => {
-                    let cs = if self.config.delta == 0 {
-                        1.0
-                    } else {
-                        outcome.positives() as f64 / self.config.delta as f64
-                    };
-                    outcome.dampened_estimate(index.nl(), cs.clamp(0.0, 1.0))
-                }
-            }
-        };
+                    .expect("nl > 0 yields pairs")
+            })
+            .map(score);
 
-        Estimate {
-            value: clamp_estimate(jh + jl, total),
-            kind: if lower_bound_used {
-                match self.config.dampening {
-                    Dampening::SafeLowerBound => EstimateKind::SafeLowerBound,
-                    _ => EstimateKind::Dampened,
-                }
-            } else {
-                EstimateKind::Scaled
-            },
+        LshSs {
+            config: self.config,
         }
+        .replay_detailed(
+            h_sims,
+            l_sims,
+            index.nh() as f64,
+            index.nl() as f64,
+            tau,
+            index.total_pairs(),
+        )
+        .estimate
     }
 }
 

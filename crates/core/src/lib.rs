@@ -46,7 +46,7 @@ pub mod view;
 pub use estimate::{Estimate, EstimateKind};
 pub use estimator::{EstimationContext, Estimator};
 pub use lshs::{LshS, LshSVariant};
-pub use lshss::{CurveEstimate, Dampening, LshSs, LshSsConfig, LshSsEstimate};
+pub use lshss::{Dampening, LshSs, LshSsConfig, LshSsEstimate};
 pub use multi_table::{MedianEstimator, VirtualBucketEstimator};
 pub use rs::{RsCross, RsPop};
 pub use uniform::{CollisionModel, UniformLsh};

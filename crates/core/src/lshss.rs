@@ -13,12 +13,35 @@
 //! * `SampleH`: `m_H` uniform draws from `S_H` (bucket by `C(b_j,2)`
 //!   weight via alias table, then a uniform pair inside), scaled by
 //!   `N_H/m_H`. Plain Chernoff analysis applies (Lemma 1).
-//! * `SampleL`: *adaptive* sampling (Lipton et al.) — stop at `δ` true
-//!   pairs (scale by `N_L/i`, Theorem 3 regime) or at the budget `m_L`
-//!   with fewer, in which case the scaled estimate would be garbage
-//!   (Example 1) and the algorithm returns the **safe lower bound**
-//!   `Ĵ_L = n_L` — or the dampened `c_s·n_L·N_L/m_L` for LSH-SS(D)
-//!   (Theorem 2).
+//! * `SampleL`: *adaptive* sampling (Lipton, Naughton & Schneider,
+//!   SIGMOD 1990, \[15\] in the paper), which fixes the *answer* size
+//!   instead of the sample size: stop at the `δ`-th true pair and scale by
+//!   `N_L/i` (Theorem 3 regime), or run out of the budget `m_L` with fewer.
+//!   Then the scaled estimate would be garbage (Example 1), and instead of
+//!   \[15\]'s loose upper bound the algorithm returns the **safe lower
+//!   bound** `Ĵ_L = n_L` — or, for LSH-SS(D), the dampened
+//!   `c_s·n_L·N_L/m_L`, never below `n_L` (Theorem 2).
+//!
+//! # One accounting, recorded or lazy draws
+//!
+//! That per-τ accounting is written once. It reads each stratum's
+//! similarities as an iterator in draw order, so it serves two kinds of
+//! draws:
+//!
+//! * **recorded** — the curve methods, and so every answer the service
+//!   serves, draw and score all `m_H + m_L` pairs once, then replay the
+//!   accounting per τ over the recorded similarities;
+//! * **lazy** — [`LshSs::estimate_detailed`] (one τ) draws an `S_L` pair
+//!   only when the accounting reads it, so it stops drawing at the `δ`-th
+//!   hit.
+//!
+//! Both draw all of `S_H` first, then `S_L`, through the same index calls,
+//! and the accounting reads the same `S_L` prefix up to its stop; the
+//! recorded pass only draws the pairs after it without reading them. From
+//! one RNG state both therefore give the same answer, and only the RNG
+//! state they leave behind differs. The [general join](crate::general_join)
+//! and the [virtual buckets](crate::multi_table) draw their own pairs and
+//! share the same accounting.
 //!
 //! Defaults are the paper's: `m_H = m_L = n`, `δ = log₂ n`,
 //! LSH-SS(D) uses `c_s = n_L/δ` (§6.1).
@@ -26,8 +49,7 @@
 use crate::estimate::{clamp_estimate, Estimate, EstimateKind};
 use crate::view::IndexView;
 use vsj_pool::WorkPool;
-use vsj_sampling::Rng;
-use vsj_sampling::{AdaptiveOutcome, AdaptiveSampler, Summary};
+use vsj_sampling::{Rng, Summary};
 use vsj_vector::{Similarity, VectorId, VectorStore};
 
 /// Variance of the scaled stratum estimate `(N/m)·X` from the Welford
@@ -38,15 +60,14 @@ use vsj_vector::{Similarity, VectorId, VectorStore};
 /// `+½` smoothing, so a degenerate sample (0 or `m` positives) still
 /// reports the sampling uncertainty it carries instead of a zero-width
 /// interval — the point estimate itself never uses the smoothed rate.
-fn stratum_variance(acc: &Summary, stratum: u64) -> f64 {
+fn stratum_variance(acc: &Summary, stratum: f64) -> f64 {
     let m = acc.count() as f64;
-    if acc.count() == 0 || stratum == 0 {
+    if acc.count() == 0 || stratum == 0.0 {
         return 0.0;
     }
     let positives = acc.mean() * m;
     let p = (positives + 0.5) / (m + 1.0);
-    let n = stratum as f64;
-    n * n * p * (1.0 - p) / m
+    stratum * stratum * p * (1.0 - p) / m
 }
 
 /// Scale-up policy for an exhausted `SampleL` (fewer than `δ` true pairs
@@ -56,7 +77,8 @@ pub enum Dampening {
     /// Return the raw count `n_L` — the safe lower bound of Algorithm 1
     /// (plain LSH-SS).
     SafeLowerBound,
-    /// Scale by `c_s · N_L/m_L` with a fixed `0 < c_s ≤ 1`.
+    /// Scale by `c_s · N_L/m_L` with a fixed `0 < c_s ≤ 1`, never below
+    /// the raw count `n_L`.
     Constant(f64),
     /// The paper's LSH-SS(D) experimental setting: `c_s = n_L/δ`
     /// (adaptive confidence — the closer the run got to `δ`, the more of
@@ -71,7 +93,9 @@ pub struct LshSsConfig {
     pub m_h: u64,
     /// `m_L` — maximum sample size in stratum L.
     pub m_l: u64,
-    /// `δ` — answer-size threshold in stratum L.
+    /// `δ` — answer-size threshold in stratum L. `δ = 0` never stops:
+    /// SampleL reads its whole budget `m_L` and answers as exhausted,
+    /// through the [`Dampening`] policy.
     pub delta: u64,
     /// Exhaustion policy.
     pub dampening: Dampening,
@@ -79,13 +103,14 @@ pub struct LshSsConfig {
 
 impl LshSsConfig {
     /// The paper's defaults for database size `n`: `m_H = m_L = n`,
-    /// `δ = log₂ n`, safe lower bound.
+    /// `δ = max(1, ⌈log₂ n⌉)` (all logarithms in the paper are base 2),
+    /// safe lower bound.
     pub fn paper_defaults(n: usize) -> Self {
-        let sampler = AdaptiveSampler::paper_defaults(n);
+        let log2_ceil = usize::BITS - n.saturating_sub(1).leading_zeros();
         Self {
             m_h: n as u64,
-            m_l: sampler.max_samples,
-            delta: sampler.target_positives,
+            m_l: n as u64,
+            delta: u64::from(log2_ceil.max(1)),
             dampening: Dampening::SafeLowerBound,
         }
     }
@@ -98,10 +123,14 @@ pub struct LshSs {
     pub config: LshSsConfig,
 }
 
-/// Full decomposition of one LSH-SS run — what Figure 2's analysis needs
-/// and what a query optimizer can use to judge reliability.
+/// One LSH-SS answer at one τ with its full decomposition — what
+/// Figure 2's analysis needs and what a query optimizer can use to judge
+/// reliability. [`LshSs::estimate_detailed`] returns one; the curve
+/// methods return one per τ.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LshSsEstimate {
+    /// The combined estimate `Ĵ = Ĵ_H + Ĵ_L`, clamped to `[0, M]`.
+    pub estimate: Estimate,
     /// Stratum-H estimate `Ĵ_H`.
     pub jh: f64,
     /// Stratum-L estimate `Ĵ_L`.
@@ -110,41 +139,22 @@ pub struct LshSsEstimate {
     pub h_positives: u64,
     /// True pairs found by SampleL.
     pub l_positives: u64,
-    /// Draws consumed by SampleL.
+    /// Draws SampleL read: up to its stop at `δ`, else the budget.
     pub l_samples: u64,
-    /// Whether SampleL terminated by reaching `δ` (reliable scaling).
+    /// Whether SampleL stopped at `δ` (reliable scaling); also true when
+    /// it read nothing (empty stratum or zero budget).
     pub l_reliable: bool,
-    /// Total pairs `M` (for clamping / selectivity).
-    pub total_pairs: u64,
-    /// Which policy produced `jl` when unreliable.
-    pub dampening: Dampening,
     /// Normal-approximation variance of `Ĵ_H` (`N_H²·p̂(1−p̂)/m_H`,
     /// Jeffreys-smoothed rate). Zero when stratum H is empty.
     pub h_variance: f64,
     /// Normal-approximation variance of `Ĵ_L` over the draws SampleL
-    /// consumed. When SampleL exhausted its budget the spread is that of
-    /// the *fully scaled* estimator at the full budget — deliberately
+    /// read. When SampleL exhausted its budget the spread is that of the
+    /// *fully scaled* estimator at the full budget — deliberately
     /// conservative around the lower-bound / dampened point value.
     pub l_variance: f64,
 }
 
 impl LshSsEstimate {
-    /// The combined estimate `Ĵ = Ĵ_H + Ĵ_L` as an [`Estimate`].
-    pub fn estimate(&self) -> Estimate {
-        let kind = if self.l_reliable {
-            EstimateKind::Scaled
-        } else {
-            match self.dampening {
-                Dampening::SafeLowerBound => EstimateKind::SafeLowerBound,
-                _ => EstimateKind::Dampened,
-            }
-        };
-        Estimate {
-            value: clamp_estimate(self.jh + self.jl, self.total_pairs),
-            kind,
-        }
-    }
-
     /// Combined variance of `Ĵ` — the strata are sampled independently,
     /// so the components add.
     pub fn variance(&self) -> f64 {
@@ -153,33 +163,6 @@ impl LshSsEstimate {
 
     /// Standard error `√Var(Ĵ)` — the half-width unit of a
     /// normal-approximation confidence interval around the estimate.
-    pub fn std_err(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
-/// One point of a detailed threshold curve: the per-τ estimate together
-/// with its variance decomposition, from
-/// [`LshSs::estimate_curve_detailed`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CurveEstimate {
-    /// The join-size estimate at this τ.
-    pub estimate: Estimate,
-    /// Normal-approximation variance of the stratum-H component.
-    pub h_variance: f64,
-    /// Normal-approximation variance of the stratum-L component (see
-    /// [`LshSsEstimate::l_variance`] for the exhausted-budget
-    /// convention).
-    pub l_variance: f64,
-}
-
-impl CurveEstimate {
-    /// Combined variance (the strata are sampled independently).
-    pub fn variance(&self) -> f64 {
-        self.h_variance + self.l_variance
-    }
-
-    /// Standard error `√Var(Ĵ)`.
     pub fn std_err(&self) -> f64 {
         self.variance().sqrt()
     }
@@ -217,10 +200,14 @@ impl LshSs {
         R: Rng + ?Sized,
     {
         self.estimate_detailed(collection, table, measure, tau, rng)
-            .estimate()
+            .estimate
     }
 
-    /// Runs Algorithm 1 and returns the full decomposition.
+    /// Runs Algorithm 1 at one τ and returns the full decomposition.
+    ///
+    /// `S_L` pairs are drawn only as the accounting reads them, so the
+    /// call stops drawing at the `δ`-th hit. The answer equals
+    /// `estimate_curve_detailed(…, &[τ], …)[0]` from the same RNG state.
     pub fn estimate_detailed<C, V, S, R>(
         &self,
         collection: &C,
@@ -240,22 +227,18 @@ impl LshSs {
             table.len(),
             "table must index exactly this collection"
         );
-        let total_pairs = table.total_pairs();
-        let (jh, h_positives, h_variance) = self.sample_h(collection, table, measure, tau, rng);
-        let (jl, l_positives, l_samples, l_reliable, l_variance) =
-            self.sample_l(collection, table, measure, tau, rng);
-        LshSsEstimate {
-            jh,
-            jl,
-            h_positives,
-            l_positives,
-            l_samples,
-            l_reliable,
-            total_pairs,
-            dampening: self.config.dampening,
-            h_variance,
-            l_variance,
-        }
+        let score = |(u, v): (VectorId, VectorId)| collection.sim(measure, u, v);
+        // SampleH is read whole, so it is drawn before S_L's first draw.
+        let h_sims: Vec<f64> = self.h_draws(table, rng).map(score).collect();
+        let l_sims = self.l_draws(table, rng).map(score);
+        self.replay_detailed(
+            h_sims,
+            l_sims,
+            table.nh() as f64,
+            table.nl() as f64,
+            tau,
+            table.total_pairs(),
+        )
     }
 
     /// Estimates the join size at *several* thresholds from **one**
@@ -267,8 +250,7 @@ impl LshSs {
     /// This is what a query optimizer probing a selectivity curve or a
     /// dedup workflow sweeping τ wants: ~|τ grid|× fewer similarity
     /// evaluations than calling [`Self::estimate`] per threshold, with
-    /// per-τ results distributed identically to a single-τ run whose RNG
-    /// happened to draw this sample.
+    /// each τ's answer equal to a single-τ run from the same RNG state.
     ///
     /// Returned estimates are in the order of `taus`.
     pub fn estimate_curve<C, V, S, R>(
@@ -291,10 +273,9 @@ impl LshSs {
             .collect()
     }
 
-    /// [`Self::estimate_curve`] with the per-τ variance decomposition
-    /// attached to every point. Consumes the RNG identically to
-    /// `estimate_curve` (the variance is pure arithmetic over the same
-    /// recorded draws), so the point estimates are bit-identical.
+    /// [`Self::estimate_curve`] with the per-τ decomposition attached to
+    /// every point. Consumes the RNG identically to `estimate_curve`, so
+    /// the point estimates are bit-identical.
     pub fn estimate_curve_detailed<C, V, S, R>(
         &self,
         collection: &C,
@@ -302,7 +283,7 @@ impl LshSs {
         measure: &S,
         taus: &[f64],
         rng: &mut R,
-    ) -> Vec<CurveEstimate>
+    ) -> Vec<LshSsEstimate>
     where
         C: VectorStore + ?Sized,
         V: IndexView + ?Sized,
@@ -312,18 +293,57 @@ impl LshSs {
         // One shared pass: record similarities in draw order.
         let (h_sims, l_sims) =
             self.draw_pass(collection, table, rng, |u, v| collection.sim(measure, u, v));
+        let (nh, nl, total_pairs) = (table.nh() as f64, table.nl() as f64, table.total_pairs());
         taus.iter()
             .map(|&tau| {
                 self.replay_detailed(
-                    &h_sims,
-                    &l_sims,
-                    table.nh(),
-                    table.nl(),
+                    h_sims.iter().copied(),
+                    l_sims.iter().copied(),
+                    nh,
+                    nl,
                     tau,
-                    table.total_pairs(),
+                    total_pairs,
                 )
             })
             .collect()
+    }
+
+    /// SampleH's draws in order: `m_H` uniform `S_H` pairs, none when the
+    /// stratum is empty.
+    fn h_draws<'a, V, R>(
+        &self,
+        table: &'a V,
+        rng: &'a mut R,
+    ) -> impl Iterator<Item = (VectorId, VectorId)> + 'a
+    where
+        V: IndexView + ?Sized,
+        R: Rng + ?Sized,
+    {
+        let m = if table.nh() == 0 { 0 } else { self.config.m_h };
+        (0..m).map(move |_| {
+            table
+                .sample_same_bucket_pair(rng)
+                .expect("nh > 0 guarantees a same-bucket pair")
+        })
+    }
+
+    /// SampleL's draws in order: up to `m_L` uniform `S_L` pairs, none
+    /// when the stratum is empty. Lazy — a pair is drawn when read.
+    fn l_draws<'a, V, R>(
+        &self,
+        table: &'a V,
+        rng: &'a mut R,
+    ) -> impl Iterator<Item = (VectorId, VectorId)> + 'a
+    where
+        V: IndexView + ?Sized,
+        R: Rng + ?Sized,
+    {
+        let m = if table.nl() == 0 { 0 } else { self.config.m_l };
+        (0..m).map(move |_| {
+            table
+                .sample_cross_bucket_pair(rng)
+                .expect("nl > 0 guarantees a cross-bucket pair")
+        })
     }
 
     /// The `m_H` SampleH draws followed by the `m_L` SampleL draws of
@@ -348,30 +368,14 @@ impl LshSs {
             table.len(),
             "table must index exactly this collection"
         );
-        let h = if table.nh() == 0 {
-            Vec::new()
-        } else {
-            (0..self.config.m_h)
-                .map(|_| {
-                    let (u, v) = table
-                        .sample_same_bucket_pair(rng)
-                        .expect("nh > 0 guarantees a same-bucket pair");
-                    on_pair(u, v)
-                })
-                .collect()
-        };
-        let l = if table.nl() == 0 {
-            Vec::new()
-        } else {
-            (0..self.config.m_l)
-                .map(|_| {
-                    let (u, v) = table
-                        .sample_cross_bucket_pair(rng)
-                        .expect("nl > 0 guarantees a cross-bucket pair");
-                    on_pair(u, v)
-                })
-                .collect()
-        };
+        let h = self
+            .h_draws(table, rng)
+            .map(|(u, v)| on_pair(u, v))
+            .collect();
+        let l = self
+            .l_draws(table, rng)
+            .map(|(u, v)| on_pair(u, v))
+            .collect();
         (h, l)
     }
 
@@ -394,7 +398,7 @@ impl LshSs {
         taus: &[f64],
         rng: &mut R,
         pool: &WorkPool,
-    ) -> Vec<CurveEstimate>
+    ) -> Vec<LshSsEstimate>
     where
         C: VectorStore + Sync + ?Sized,
         V: IndexView + ?Sized,
@@ -410,9 +414,16 @@ impl LshSs {
             pool.parallel_map_indexed(&h_pairs, |_, &(u, v)| collection.sim(measure, u, v));
         let l_sims =
             pool.parallel_map_indexed(&l_pairs, |_, &(u, v)| collection.sim(measure, u, v));
-        let (nh, nl, total_pairs) = (table.nh(), table.nl(), table.total_pairs());
+        let (nh, nl, total_pairs) = (table.nh() as f64, table.nl() as f64, table.total_pairs());
         pool.parallel_map_indexed(taus, |_, &tau| {
-            self.replay_detailed(&h_sims, &l_sims, nh, nl, tau, total_pairs)
+            self.replay_detailed(
+                h_sims.iter().copied(),
+                l_sims.iter().copied(),
+                nh,
+                nl,
+                tau,
+                total_pairs,
+            )
         })
     }
 
@@ -428,198 +439,102 @@ impl LshSs {
         tau: f64,
         total_pairs: u64,
     ) -> Estimate {
-        self.replay_detailed(h_sims, l_sims, nh, nl, tau, total_pairs)
-            .estimate
+        self.replay_detailed(
+            h_sims.iter().copied(),
+            l_sims.iter().copied(),
+            nh as f64,
+            nl as f64,
+            tau,
+            total_pairs,
+        )
+        .estimate
     }
 
-    /// Per-τ accounting over recorded similarities (shared by
-    /// [`Self::estimate_curve_detailed`]): the point estimate plus the
-    /// per-stratum variance, accumulated by Welford over the indicator
-    /// contributions of the draws this τ consumed.
-    fn replay_detailed(
+    /// Algorithm 1's per-τ accounting — the crate's only one, shared by
+    /// every LSH-SS path, the general join and the virtual buckets.
+    ///
+    /// SampleH: every similarity in `h_sims` is read, `Ĵ_H = n_H·N_H/m_H`.
+    /// SampleL: `l_sims` is read in draw order up to the `δ`-th hit,
+    /// `Ĵ_L = δ·N_L/i`; nothing after the stop is pulled, so a lazy
+    /// iterator stops drawing exactly there. If the iterator ends first,
+    /// the [`Dampening`] policy answers, never below the raw count `n_L`.
+    /// An empty stratum contributes zero. Each stratum's variance is
+    /// accumulated by Welford over the indicator contributions of the
+    /// draws it read. `N_H` and `N_L` are stratum sizes (an estimator of
+    /// the virtual union stratum passes a fractional `N_H`).
+    pub(crate) fn replay_detailed(
         &self,
-        h_sims: &[f64],
-        l_sims: &[f64],
-        nh: u64,
-        nl: u64,
+        h_sims: impl IntoIterator<Item = f64>,
+        l_sims: impl IntoIterator<Item = f64>,
+        nh: f64,
+        nl: f64,
         tau: f64,
         total_pairs: u64,
-    ) -> CurveEstimate {
+    ) -> LshSsEstimate {
         // SampleH: plain scaled count.
-        let (jh, h_variance) = if h_sims.is_empty() {
-            (0.0, 0.0)
+        let mut h_acc = Summary::new();
+        let mut h_positives = 0u64;
+        for s in h_sims {
+            let hit = s >= tau;
+            h_acc.push(if hit { 1.0 } else { 0.0 });
+            h_positives += u64::from(hit);
+        }
+        let jh = if h_acc.count() == 0 {
+            0.0
         } else {
-            let mut acc = Summary::new();
-            let mut positives = 0u64;
-            for &s in h_sims {
-                let hit = s >= tau;
-                acc.push(if hit { 1.0 } else { 0.0 });
-                if hit {
-                    positives += 1;
-                }
-            }
-            (
-                positives as f64 * (nh as f64 / h_sims.len() as f64),
-                stratum_variance(&acc, nh),
-            )
+            h_positives as f64 * (nh / h_acc.count() as f64)
         };
-        // SampleL: replay the adaptive rule over the draw order. The
-        // Welford accumulator sees exactly the draws this τ consumed —
-        // up to the adaptive stop, or the whole budget on exhaustion.
-        let (jl, reliable, l_variance) = if l_sims.is_empty() {
-            (0.0, true, 0.0)
+        // SampleL: adaptive — stop at the δ-th hit (never, for δ = 0).
+        let delta = self.config.delta;
+        let mut l_acc = Summary::new();
+        let mut l_positives = 0u64;
+        let mut stopped = false;
+        for s in l_sims {
+            let hit = s >= tau;
+            l_acc.push(if hit { 1.0 } else { 0.0 });
+            l_positives += u64::from(hit);
+            if hit && delta > 0 && l_positives >= delta {
+                stopped = true;
+                break;
+            }
+        }
+        let l_samples = l_acc.count();
+        let n_l = l_positives as f64;
+        let l_reliable = stopped || l_samples == 0;
+        let jl = if l_samples == 0 {
+            0.0
+        } else if stopped {
+            n_l * (nl / l_samples as f64)
         } else {
-            let mut acc = Summary::new();
-            let mut positives = 0u64;
-            let mut stopped_at = None;
-            for (i, &s) in l_sims.iter().enumerate() {
-                let hit = s >= tau;
-                acc.push(if hit { 1.0 } else { 0.0 });
-                if hit {
-                    positives += 1;
-                    if positives >= self.config.delta && self.config.delta > 0 {
-                        stopped_at = Some(i as u64 + 1);
-                        break;
-                    }
-                }
-            }
-            let l_variance = stratum_variance(&acc, nl);
-            match stopped_at {
-                Some(i) => (positives as f64 * (nl as f64 / i as f64), true, l_variance),
-                None => {
-                    let jl = match self.config.dampening {
-                        Dampening::SafeLowerBound => positives as f64,
-                        Dampening::Constant(cs) => (cs.clamp(0.0, 1.0)
-                            * positives as f64
-                            * (nl as f64 / l_sims.len() as f64))
-                            .max(positives as f64),
-                        Dampening::NlOverDelta => {
-                            let cs = if self.config.delta == 0 {
-                                1.0
-                            } else {
-                                positives as f64 / self.config.delta as f64
-                            };
-                            (cs.clamp(0.0, 1.0)
-                                * positives as f64
-                                * (nl as f64 / l_sims.len() as f64))
-                                .max(positives as f64)
-                        }
-                    };
-                    (jl, false, l_variance)
-                }
-            }
+            // Exhausted: scale by c_s·N_L/m_L, never below the raw count;
+            // c_s = 0 is the safe lower bound itself.
+            let cs = match self.config.dampening {
+                Dampening::SafeLowerBound => 0.0,
+                Dampening::Constant(cs) => cs,
+                Dampening::NlOverDelta if delta == 0 => 1.0,
+                Dampening::NlOverDelta => n_l / delta as f64,
+            };
+            (cs.clamp(0.0, 1.0) * n_l * (nl / l_samples as f64)).max(n_l)
         };
-        let kind = if reliable {
-            EstimateKind::Scaled
-        } else {
-            match self.config.dampening {
-                Dampening::SafeLowerBound => EstimateKind::SafeLowerBound,
-                _ => EstimateKind::Dampened,
-            }
+        let kind = match (l_reliable, self.config.dampening) {
+            (true, _) => EstimateKind::Scaled,
+            (false, Dampening::SafeLowerBound) => EstimateKind::SafeLowerBound,
+            (false, _) => EstimateKind::Dampened,
         };
-        CurveEstimate {
+        LshSsEstimate {
             estimate: Estimate {
                 value: clamp_estimate(jh + jl, total_pairs),
                 kind,
             },
-            h_variance,
-            l_variance,
-        }
-    }
-
-    /// `SampleH` (Algorithm 1): uniform sampling in `S_H`, scaled by
-    /// `N_H/m_H`.
-    fn sample_h<C, V, S, R>(
-        &self,
-        collection: &C,
-        table: &V,
-        measure: &S,
-        tau: f64,
-        rng: &mut R,
-    ) -> (f64, u64, f64)
-    where
-        C: VectorStore + ?Sized,
-        V: IndexView + ?Sized,
-        S: Similarity,
-        R: Rng + ?Sized,
-    {
-        if table.nh() == 0 || self.config.m_h == 0 {
-            return (0.0, 0, 0.0);
-        }
-        let mut acc = Summary::new();
-        let mut positives = 0u64;
-        for _ in 0..self.config.m_h {
-            let (u, v) = table
-                .sample_same_bucket_pair(rng)
-                .expect("nh > 0 guarantees a same-bucket pair");
-            let hit = collection.sim(measure, u, v) >= tau;
-            acc.push(if hit { 1.0 } else { 0.0 });
-            if hit {
-                positives += 1;
-            }
-        }
-        (
-            positives as f64 * (table.nh() as f64 / self.config.m_h as f64),
-            positives,
-            stratum_variance(&acc, table.nh()),
-        )
-    }
-
-    /// `SampleL` (Algorithm 1): adaptive sampling in `S_L` with safe
-    /// lower bound / dampening on exhaustion.
-    fn sample_l<C, V, S, R>(
-        &self,
-        collection: &C,
-        table: &V,
-        measure: &S,
-        tau: f64,
-        rng: &mut R,
-    ) -> (f64, u64, u64, bool, f64)
-    where
-        C: VectorStore + ?Sized,
-        V: IndexView + ?Sized,
-        S: Similarity,
-        R: Rng + ?Sized,
-    {
-        let nl = table.nl();
-        if nl == 0 || self.config.m_l == 0 {
-            return (0.0, 0, 0, true, 0.0);
-        }
-        let mut acc = Summary::new();
-        let sampler = AdaptiveSampler::new(self.config.delta, self.config.m_l);
-        let outcome = sampler.run(nl, || {
-            let (u, v) = table
-                .sample_cross_bucket_pair(rng)
-                .expect("nl > 0 guarantees a cross-bucket pair");
-            let hit = collection.sim(measure, u, v) >= tau;
-            acc.push(if hit { 1.0 } else { 0.0 });
-            hit
-        });
-        let reliable = outcome.is_reliable();
-        let jl = match (&outcome, self.config.dampening) {
-            (_, Dampening::SafeLowerBound) => outcome.safe_estimate(),
-            (AdaptiveOutcome::Scaled { .. }, _) => outcome.safe_estimate(),
-            (AdaptiveOutcome::Exhausted { positives, .. }, Dampening::Constant(cs)) => outcome
-                .dampened_estimate(nl, cs.clamp(0.0, 1.0))
-                .max(*positives as f64),
-            (AdaptiveOutcome::Exhausted { positives, .. }, Dampening::NlOverDelta) => {
-                let cs = if self.config.delta == 0 {
-                    1.0
-                } else {
-                    *positives as f64 / self.config.delta as f64
-                };
-                outcome
-                    .dampened_estimate(nl, cs.clamp(0.0, 1.0))
-                    .max(*positives as f64)
-            }
-        };
-        (
+            jh,
             jl,
-            outcome.positives(),
-            outcome.samples(),
-            reliable,
-            stratum_variance(&acc, nl),
-        )
+            h_positives,
+            l_positives,
+            l_samples,
+            l_reliable,
+            h_variance: stratum_variance(&h_acc, nh),
+            l_variance: stratum_variance(&l_acc, nl),
+        }
     }
 }
 
@@ -769,7 +684,7 @@ mod tests {
         assert!(!d.l_reliable);
         // Safe lower bound: jl is the raw count, tiny.
         assert!(d.jl <= 64.0);
-        assert_eq!(d.estimate().kind, EstimateKind::SafeLowerBound);
+        assert_eq!(d.estimate.kind, EstimateKind::SafeLowerBound);
     }
 
     #[test]
@@ -806,7 +721,7 @@ mod tests {
             damp.jl
         );
         assert!(damp.jl <= full + 1e-9, "damp {} full {full}", damp.jl);
-        assert_eq!(damp.estimate().kind, EstimateKind::Dampened);
+        assert_eq!(damp.estimate.kind, EstimateKind::Dampened);
     }
 
     #[test]
@@ -1013,7 +928,7 @@ mod tests {
         // var_h = 100² · 0.7 · 0.3 / 4 = 525. SampleL stops at draw 4
         // with 2 positives -> p̃ = 2.5/5 = 0.5,
         // var_l = 1000² · 0.25 / 4 = 62500.
-        let d = est.replay_detailed(&h_sims, &l_sims, nh, nl, 0.5, m);
+        let d = est.replay_detailed(h_sims, l_sims, nh as f64, nl as f64, 0.5, m);
         assert!((d.h_variance - 525.0).abs() < 1e-9, "{}", d.h_variance);
         assert!((d.l_variance - 62_500.0).abs() < 1e-9, "{}", d.l_variance);
         assert!((d.variance() - 63_025.0).abs() < 1e-9);
@@ -1022,16 +937,16 @@ mod tests {
         // τ = 0.8: SampleL exhausts all 6 draws with 0 positives. The
         // smoothing keeps the interval open: p̃ = 0.5/7,
         // var_l = 1000² · p̃(1 − p̃) / 6 > 0 even on a degenerate sample.
-        let d = est.replay_detailed(&h_sims, &l_sims, nh, nl, 0.8, m);
+        let d = est.replay_detailed(h_sims, l_sims, nh as f64, nl as f64, 0.8, m);
         let p = 0.5 / 7.0;
         let want = 1000.0 * 1000.0 * p * (1.0 - p) / 6.0;
         assert!((d.l_variance - want).abs() < 1e-6, "{}", d.l_variance);
         assert!(d.std_err() > 0.0, "degenerate sample must keep CI open");
 
         // Empty strata contribute zero variance.
-        let d = est.replay_detailed(&[], &l_sims, 0, nl, 0.5, m);
+        let d = est.replay_detailed([], l_sims, 0.0, nl as f64, 0.5, m);
         assert_eq!(d.h_variance, 0.0);
-        let d = est.replay_detailed(&h_sims, &[], nh, 0, 0.5, m);
+        let d = est.replay_detailed(h_sims, [], nh as f64, 0.0, 0.5, m);
         assert_eq!(d.l_variance, 0.0);
     }
 
@@ -1157,6 +1072,339 @@ mod tests {
         );
     }
 
+    /// `SplitMix64`-folded fingerprint of a run's bits.
+    fn digest(words: &[u64]) -> u64 {
+        words
+            .iter()
+            .fold(0, |h, &w| vsj_sampling::SplitMix64::mix(h ^ w))
+    }
+
+    /// Fingerprint of one `estimate_detailed` call from `seed`: value,
+    /// kind, both components, both variances, the hit and draw counts,
+    /// reliability — and the RNG's next word after the call, which moves
+    /// whenever the call consumed a different number of draws.
+    fn detailed_fingerprint<V, S>(
+        est: &LshSs,
+        coll: &VectorCollection,
+        table: &V,
+        measure: &S,
+        tau: f64,
+        seed: u64,
+    ) -> u64
+    where
+        V: IndexView + ?Sized,
+        S: Similarity,
+    {
+        let mut rng = Xoshiro256::seeded(seed);
+        let e = est.estimate(coll, table, measure, tau, &mut rng.clone());
+        let d = est.estimate_detailed(coll, table, measure, tau, &mut rng);
+        digest(&[
+            e.value.to_bits(),
+            e.kind as u64,
+            d.jh.to_bits(),
+            d.jl.to_bits(),
+            d.h_variance.to_bits(),
+            d.l_variance.to_bits(),
+            d.h_positives,
+            d.l_positives,
+            d.l_samples,
+            u64::from(d.l_reliable),
+            rng.next_u64(),
+        ])
+    }
+
+    /// Fingerprint of one plain estimate plus the RNG word after it.
+    fn estimate_fingerprint(e: Estimate, rng: &mut Xoshiro256) -> u64 {
+        digest(&[e.value.to_bits(), e.kind as u64, rng.next_u64()])
+    }
+
+    const GOLDEN_TAUS: [f64; 6] = [0.05, 0.3, 0.5, 0.8, 0.95, 1.0];
+    const GOLDEN_DAMPENINGS: [Dampening; 3] = [
+        Dampening::SafeLowerBound,
+        Dampening::Constant(0.5),
+        Dampening::NlOverDelta,
+    ];
+
+    /// Fails naming every moved entry, and prints the whole table.
+    fn check_golden(name: &str, got: &[u64], want: &[u64]) {
+        if got == want {
+            return;
+        }
+        let moved: Vec<usize> = (0..got.len().max(want.len()))
+            .filter(|&i| got.get(i) != want.get(i))
+            .collect();
+        let table: Vec<String> = got.iter().map(|g| format!("0x{g:016x},")).collect();
+        panic!(
+            "{name}: entries {moved:?} moved; got:\n{}",
+            table.join("\n")
+        );
+    }
+
+    #[test]
+    fn golden_estimate_detailed_grid() {
+        // 2 families × 3 dampenings × 3 seeds × 6 τ, every field to the
+        // bit, paper-default budgets.
+        let coll = corpus(200, 101);
+        let minhash = minhash_table(&coll, 6, 103);
+        let simhash = LshTable::build(
+            &coll,
+            Arc::new(Composite::derive(SimHashFamily::new(), 107, 0, 8)),
+            Some(1),
+        );
+        let mut got = Vec::new();
+        for family in 0..2 {
+            for dampening in GOLDEN_DAMPENINGS {
+                let mut config = LshSsConfig::paper_defaults(coll.len());
+                config.dampening = dampening;
+                let est = LshSs { config };
+                for seed in [1u64, 2, 3] {
+                    for tau in GOLDEN_TAUS {
+                        got.push(if family == 0 {
+                            detailed_fingerprint(&est, &coll, &minhash, &Jaccard, tau, seed)
+                        } else {
+                            detailed_fingerprint(&est, &coll, &simhash, &Cosine, tau, seed)
+                        });
+                    }
+                }
+            }
+        }
+        const WANT: [u64; 108] = [
+            0xc20e714632a55f39,
+            0x4fd5c005a4bafd32,
+            0x4fd5c005a4bafd32,
+            0x666280bfd9887b4b,
+            0xeb15c388bb388f88,
+            0xeb15c388bb388f88,
+            0xe6f0def746d202ff,
+            0x174b1b10bd2b97f4,
+            0xb90ac99de623cd8d,
+            0xe495df530a8c1527,
+            0x1edb3bdc7f8c5e6f,
+            0x1edb3bdc7f8c5e6f,
+            0x8e3690acdae1497d,
+            0x5414194e85b5cb3b,
+            0x329ca75e2d103ed3,
+            0x506c51905f881038,
+            0x67b5cef2e0b2a520,
+            0x67b5cef2e0b2a520,
+            0x4257883d13e7c9eb,
+            0x59e9c8e6dec89e6c,
+            0x59e9c8e6dec89e6c,
+            0x018cd9451f0c709c,
+            0xa6399018e7b5ebc8,
+            0xa6399018e7b5ebc8,
+            0x311e629fd9c54a36,
+            0x30600f78b67c4150,
+            0xd749327000464fe9,
+            0x3c4163a369c8234b,
+            0x9cc9accd6ad30196,
+            0x9cc9accd6ad30196,
+            0x8e3690acdae1497d,
+            0x5414194e85b5cb3b,
+            0x0653718fd3c00e95,
+            0xc133bda37f1b2ede,
+            0xb3fe092494c1d4b0,
+            0xb3fe092494c1d4b0,
+            0xe9ffaa9d472fce32,
+            0xaa1b4760b52ecffe,
+            0xaa1b4760b52ecffe,
+            0x018cd9451f0c709c,
+            0xa6399018e7b5ebc8,
+            0xa6399018e7b5ebc8,
+            0xcfb0282520c7f7ee,
+            0x51179dfc45ec0e3e,
+            0x39834e563460f64c,
+            0x364a26bbabb008bd,
+            0x9cc9accd6ad30196,
+            0x9cc9accd6ad30196,
+            0x8e3690acdae1497d,
+            0x5414194e85b5cb3b,
+            0x0653718fd3c00e95,
+            0xc1a98e5f27a5b841,
+            0xb3fe092494c1d4b0,
+            0xb3fe092494c1d4b0,
+            0x6fe9df2fd49f3162,
+            0x165b54a0dcee3194,
+            0x52203bdd0a784515,
+            0xbbb581e15f66ee1c,
+            0xa50aafd30503e68e,
+            0xb8d05de1d750d9c1,
+            0xdd1b90589e052f24,
+            0x01fa0a56e61b8308,
+            0x6d60b80b8576eba1,
+            0x063229050e092f4c,
+            0x175cc2b6224e3d14,
+            0x5c384d586c4799d6,
+            0xa10f423ac6a2cfcb,
+            0x70557b7415dd1f62,
+            0x56ef1d9844ef7440,
+            0xff1fce5241690367,
+            0x4a54cec523e5ec8b,
+            0xd9d33c7b69ccb4af,
+            0x4e99dba025c776b8,
+            0xf313adb9767d6c6c,
+            0xa3eb6ab05391b89a,
+            0xb3d7a4f44f5fcd08,
+            0xfc187096beb3a5b6,
+            0x1c1196d072ecb156,
+            0xa936e405f49f1a12,
+            0xb75967d3171df8ac,
+            0x60c92fc9b2b2fd53,
+            0x6e30c9f397f5f59f,
+            0x7e0c4955b910538f,
+            0xf0c1b01d695e1b2a,
+            0xa10f423ac6a2cfcb,
+            0x70557b7415dd1f62,
+            0x56ef1d9844ef7440,
+            0x774f4eff6e8505a4,
+            0xe8402f154266c03d,
+            0x1e32f98e82bfc77b,
+            0xf1141458338ff270,
+            0xf313adb9767d6c6c,
+            0xf9d83881df6801da,
+            0xb3d7a4f44f5fcd08,
+            0xfc187096beb3a5b6,
+            0x1c1196d072ecb156,
+            0x59d9feb44627d7bf,
+            0x6292ed6b1e37ad8a,
+            0x83c4d002d6c6ce81,
+            0xa9a629139926ab43,
+            0x7e0c4955b910538f,
+            0xf0c1b01d695e1b2a,
+            0xa10f423ac6a2cfcb,
+            0x70557b7415dd1f62,
+            0x56ef1d9844ef7440,
+            0x60fe8e21b13d2645,
+            0xe8402f154266c03d,
+            0x1e32f98e82bfc77b,
+        ];
+        check_golden("estimate_detailed grid", &got, &WANT);
+    }
+
+    #[test]
+    fn golden_degenerate_strata() {
+        // N_L = 0 (all duplicates) and N_H = 0 (all distinct).
+        let dups =
+            VectorCollection::from_vectors(vec![SparseVector::binary_from_members(vec![1, 2]); 9]);
+        let dups_table = minhash_table(&dups, 4, 19);
+        assert_eq!(dups_table.nl(), 0);
+        let distinct = VectorCollection::from_vectors(
+            (0..12)
+                .map(|i| SparseVector::binary_from_members(vec![100 * i]))
+                .collect(),
+        );
+        let distinct_table = minhash_table(&distinct, 24, 23);
+        assert_eq!(distinct_table.nh(), 0);
+        let mut got = Vec::new();
+        for (coll, table) in [(&dups, &dups_table), (&distinct, &distinct_table)] {
+            for dampening in GOLDEN_DAMPENINGS {
+                let mut config = LshSsConfig::paper_defaults(coll.len());
+                config.dampening = dampening;
+                let est = LshSs { config };
+                for tau in GOLDEN_TAUS {
+                    got.push(detailed_fingerprint(&est, coll, table, &Jaccard, tau, 5));
+                }
+            }
+        }
+        const WANT: [u64; 36] = [
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0xf15d387206be2d76,
+            0x69be1cd188a9dfd9,
+            0x69be1cd188a9dfd9,
+            0x69be1cd188a9dfd9,
+            0x69be1cd188a9dfd9,
+            0x69be1cd188a9dfd9,
+            0x69be1cd188a9dfd9,
+            0x805f306742271bea,
+            0x805f306742271bea,
+            0x805f306742271bea,
+            0x805f306742271bea,
+            0x805f306742271bea,
+            0x805f306742271bea,
+            0x805f306742271bea,
+            0x805f306742271bea,
+            0x805f306742271bea,
+            0x805f306742271bea,
+            0x805f306742271bea,
+            0x805f306742271bea,
+        ];
+        check_golden("degenerate strata", &got, &WANT);
+    }
+
+    #[test]
+    fn golden_general_join_virtual_and_median() {
+        // Default-config answers and the RNG word after each call.
+        use crate::general_join::{GeneralJoinIndex, GeneralLshSs};
+        use crate::multi_table::{MedianEstimator, VirtualBucketEstimator};
+        use vsj_lsh::{LshIndex, LshParams};
+
+        let coll = corpus(200, 109);
+        let index = LshIndex::build_with_family(
+            &coll,
+            MinHashFamily::new(),
+            LshParams::new(6, 3).with_seed(113).with_threads(1),
+        );
+        let (u, v) = (corpus(80, 127), corpus(70, 131));
+        let join = GeneralJoinIndex::build(
+            &u,
+            &v,
+            Arc::new(Composite::derive(MinHashFamily::new(), 137, 0, 4)),
+            Some(1),
+        );
+        let virtual_buckets = VirtualBucketEstimator::with_defaults(coll.len());
+        let median = MedianEstimator::with_defaults(coll.len());
+        let general = GeneralLshSs::with_defaults(u.len(), v.len());
+        let mut got = Vec::new();
+        for tau in GOLDEN_TAUS {
+            let mut rng = Xoshiro256::seeded(7);
+            let e = virtual_buckets.estimate(&coll, &index, &Jaccard, tau, &mut rng);
+            got.push(estimate_fingerprint(e, &mut rng));
+            let mut rng = Xoshiro256::seeded(7);
+            let e = median.estimate(&coll, &index, &Jaccard, tau, &mut rng);
+            got.push(estimate_fingerprint(e, &mut rng));
+            let mut rng = Xoshiro256::seeded(7);
+            let e = general.estimate(&u, &v, &join, &Jaccard, tau, &mut rng);
+            got.push(estimate_fingerprint(e, &mut rng));
+        }
+        const WANT: [u64; 18] = [
+            0x4ba8f77a67530f20,
+            0xef0fd992ca16b086,
+            0x47f56c37e845e909,
+            0x3c5e4327db66f149,
+            0xfdc6a9cfdf395a62,
+            0x0577901c2978af01,
+            0xf6bbd357c5cdbc31,
+            0xf4098e1af931c9b1,
+            0xe91b7c442b7aa8c7,
+            0x2ced9af83f2e208a,
+            0xbf386b77621e30dc,
+            0xe1f7e01a102855b9,
+            0xadfc55cfcfe1e525,
+            0x8bf71d89b39b99b7,
+            0x929b231a61d1d45b,
+            0xadfc55cfcfe1e525,
+            0x8bf71d89b39b99b7,
+            0x929b231a61d1d45b,
+        ];
+        check_golden("general join, virtual buckets, median", &got, &WANT);
+    }
+
     #[test]
     fn paper_defaults_shape() {
         let c = LshSsConfig::paper_defaults(34_000);
@@ -1166,5 +1414,206 @@ mod tests {
         assert_eq!(c.dampening, Dampening::SafeLowerBound);
         let d = LshSs::dampened_with_defaults(34_000);
         assert_eq!(d.config.dampening, Dampening::NlOverDelta);
+    }
+
+    #[test]
+    fn paper_defaults_delta_is_log2_ceil() {
+        // δ = max(1, ⌈log₂ n⌉); DBLP scale: log₂ 800 000 ≈ 19.6 → 20.
+        for (n, delta) in [
+            (0, 1),
+            (1, 1),
+            (2, 1),
+            (3, 2),
+            (1024, 10),
+            (1025, 11),
+            (800_000, 20),
+        ] {
+            assert_eq!(LshSsConfig::paper_defaults(n).delta, delta, "n = {n}");
+        }
+    }
+
+    /// Fixture for the accounting alone, which takes its budgets from the
+    /// streams it reads: only δ and the dampening matter.
+    fn sample_l_only(delta: u64, dampening: Dampening) -> LshSs {
+        LshSs {
+            config: LshSsConfig {
+                m_h: 0,
+                m_l: 0,
+                delta,
+                dampening,
+            },
+        }
+    }
+
+    #[test]
+    fn sample_l_stops_at_the_delta_th_hit_and_scales() {
+        // Every 10th draw a hit, an endless stream: the accounting stops
+        // pulling at the 5th hit, draw 50, and scales 5/50 of 1M = 100k.
+        let mut pulled = 0u64;
+        let stream = (1u64..).map(|i| {
+            pulled += 1;
+            if i % 10 == 0 {
+                1.0
+            } else {
+                0.0
+            }
+        });
+        let d = sample_l_only(5, Dampening::SafeLowerBound).replay_detailed(
+            [],
+            stream,
+            0.0,
+            1e6,
+            0.5,
+            u64::MAX,
+        );
+        assert_eq!(pulled, 50);
+        assert_eq!((d.l_positives, d.l_samples), (5, 50));
+        assert!(d.l_reliable);
+        assert_eq!(d.estimate.kind, EstimateKind::Scaled);
+        assert!((d.jl - 100_000.0).abs() < 1e-9, "{}", d.jl);
+    }
+
+    #[test]
+    fn sample_l_exhaustion_returns_the_safe_lower_bound() {
+        let d = sample_l_only(3, Dampening::SafeLowerBound).replay_detailed(
+            [],
+            [0.0; 100],
+            0.0,
+            1e6,
+            0.5,
+            u64::MAX,
+        );
+        assert_eq!((d.l_positives, d.l_samples), (0, 100));
+        assert!(!d.l_reliable);
+        assert_eq!(d.jl, 0.0);
+        assert_eq!(d.estimate.kind, EstimateKind::SafeLowerBound);
+    }
+
+    #[test]
+    fn sample_l_exhaustion_with_partial_positives() {
+        // Example 1 of the paper: N_L = 1e6, one true pair among the ten
+        // draws, δ = 10. The safe reading is 1, never the naive 100 000.
+        let mut draws = [0.0; 10];
+        draws[3] = 1.0;
+        let jl = |dampening| {
+            let d =
+                sample_l_only(10, dampening).replay_detailed([], draws, 0.0, 1e6, 0.5, u64::MAX);
+            assert_eq!((d.l_positives, d.l_samples), (1, 10));
+            d.jl
+        };
+        assert_eq!(jl(Dampening::SafeLowerBound), 1.0);
+        // c_s = 0.1 (given, or n_L/δ = 1/10): 0.1 · 1 · 1e6/10 = 10 000.
+        assert!((jl(Dampening::Constant(0.1)) - 10_000.0).abs() < 1e-9);
+        assert!((jl(Dampening::NlOverDelta) - 10_000.0).abs() < 1e-9);
+        // c_s = 1 recovers full scaling; a tiny c_s stays at the count.
+        assert!((jl(Dampening::Constant(1.0)) - 100_000.0).abs() < 1e-9);
+        assert_eq!(jl(Dampening::Constant(1e-9)), 1.0);
+    }
+
+    #[test]
+    fn sample_l_zero_budget_draws_nothing() {
+        // m_L = 0 on a table with S_L pairs: SampleL reads nothing and the
+        // call consumes exactly SampleH's draws.
+        let coll = corpus(200, 81);
+        let table = minhash_table(&coll, 8, 83);
+        assert!(table.nl() > 0);
+        let est = LshSs {
+            config: LshSsConfig {
+                m_h: 50,
+                m_l: 0,
+                delta: 5,
+                dampening: Dampening::Constant(0.5),
+            },
+        };
+        let mut rng = Xoshiro256::seeded(85);
+        let d = est.estimate_detailed(&coll, &table, &Jaccard, 0.3, &mut rng);
+        assert_eq!((d.l_samples, d.l_positives), (0, 0));
+        assert_eq!((d.jl, d.l_variance), (0.0, 0.0));
+        assert!(d.l_reliable);
+        let mut h_only = Xoshiro256::seeded(85);
+        assert_eq!(est.h_draws(&table, &mut h_only).count(), 50);
+        assert_eq!(rng, h_only);
+    }
+
+    #[test]
+    fn delta_zero_reads_the_whole_budget_on_both_paths() {
+        // δ = 0 never stops SampleL: the lazy one-τ call reads the whole
+        // budget exactly as the recorded curve does, and both answer as
+        // exhausted. At the paper's δ the two paths agree as well.
+        let coll = corpus(300, 71);
+        let table = minhash_table(&coll, 8, 73);
+        let tau = 0.3;
+        for delta in [0, LshSsConfig::paper_defaults(coll.len()).delta] {
+            for dampening in GOLDEN_DAMPENINGS {
+                let est = LshSs {
+                    config: LshSsConfig {
+                        m_h: 100,
+                        m_l: 400,
+                        delta,
+                        dampening,
+                    },
+                };
+                let one = est.estimate_detailed(
+                    &coll,
+                    &table,
+                    &Jaccard,
+                    tau,
+                    &mut Xoshiro256::seeded(75),
+                );
+                let curve = est.estimate_curve_detailed(
+                    &coll,
+                    &table,
+                    &Jaccard,
+                    &[tau],
+                    &mut Xoshiro256::seeded(75),
+                );
+                assert_eq!(one, curve[0], "δ = {delta}, {dampening:?}");
+                assert!(one.l_positives > 0, "fixture needs an S_L hit");
+                if delta == 0 {
+                    assert_eq!(one.l_samples, 400);
+                    assert!(!one.l_reliable);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sample_l_estimate_converges_on_a_bernoulli_stream() {
+        // True rate 2 %: with δ = 256 the scaled estimate has relative σ
+        // ≈ 1/√256 ≈ 6 %, so 25 % is > 4σ — essentially every run lands.
+        let est = sample_l_only(256, Dampening::SafeLowerBound);
+        let population = 500_000.0;
+        let truth = 0.02 * population;
+        let mut ok = 0;
+        for seed in 0..20 {
+            let mut rng = Xoshiro256::seeded(seed);
+            let stream = std::iter::repeat_with(|| f64::from(u8::from(rng.bernoulli(0.02))));
+            let d = est.replay_detailed([], stream, 0.0, population, 0.5, u64::MAX);
+            if (d.jl - truth).abs() / truth < 0.25 {
+                ok += 1;
+            }
+        }
+        assert!(ok >= 19, "only {ok}/20 runs within 25%");
+    }
+
+    #[test]
+    fn sample_l_draws_track_the_inverse_rate() {
+        // E[draws to δ hits] = δ/p; check within 20 %.
+        let mut rng = Xoshiro256::seeded(99);
+        let stream = std::iter::repeat_with(|| f64::from(u8::from(rng.bernoulli(0.05))));
+        let d = sample_l_only(100, Dampening::SafeLowerBound).replay_detailed(
+            [],
+            stream,
+            0.0,
+            1.0,
+            0.5,
+            u64::MAX,
+        );
+        let expected = 100.0 / 0.05;
+        let got = d.l_samples as f64;
+        assert!(
+            (got - expected).abs() / expected < 0.2,
+            "draws {got} vs expected {expected}"
+        );
     }
 }

@@ -8,18 +8,21 @@
 //!   estimate deviates with probability `p < 1/2`, the median deviates
 //!   with probability `≤ 2^(−ℓ/2)` — reliability amplification at the
 //!   cost of splitting the sample budget.
+//!   The median carries the per-table kind: an exhausted S_L reads as
+//!   a safe lower bound under LSH-SS and as dampened under LSH-SS(D).
 //! * [`VirtualBucketEstimator`] — redefine the `H` event as *sharing a
 //!   bucket in any table*. `S_H` grows (union over tables), capturing
-//!   more of the true-pair mass when `k` is larger than necessary; the
-//!   estimator is the same stratified scheme run against the union
-//!   stratum, with `N_H^∪` estimated by multiplicity-corrected union
-//!   sampling (see `vsj_lsh::LshIndex`).
+//!   more of the true-pair mass when `k` is larger than necessary, with
+//!   `N_H^∪` estimated by multiplicity-corrected union sampling (see
+//!   `vsj_lsh::LshIndex`). The estimator draws its own pairs from the
+//!   union stratum and its complement, and the per-τ accounting is
+//!   Algorithm 1's own, shared with [`LshSs`].
 
 use crate::estimate::{clamp_estimate, Estimate, EstimateKind};
-use crate::lshss::{Dampening, LshSs, LshSsConfig};
+use crate::lshss::{LshSs, LshSsConfig};
 use vsj_lsh::LshIndex;
-use vsj_sampling::{AdaptiveSampler, Rng};
-use vsj_vector::{Similarity, VectorCollection};
+use vsj_sampling::Rng;
+use vsj_vector::{Similarity, VectorCollection, VectorId};
 
 /// Median-of-tables LSH-SS.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,11 +57,13 @@ impl MedianEstimator {
             config: self.per_table,
         };
         let mut values: Vec<f64> = Vec::with_capacity(index.num_tables());
-        let mut any_lower_bound = false;
+        let mut kind = EstimateKind::Scaled;
         for t in index.tables() {
-            let d = est.estimate_detailed(collection, t, measure, tau, rng);
-            any_lower_bound |= !d.l_reliable;
-            values.push(d.estimate().value);
+            let e = est.estimate(collection, t, measure, tau, rng);
+            if e.kind != EstimateKind::Scaled {
+                kind = e.kind;
+            }
+            values.push(e.value);
         }
         values.sort_by(|a, b| a.partial_cmp(b).expect("estimates are finite"));
         let mid = values.len() / 2;
@@ -69,11 +74,7 @@ impl MedianEstimator {
         };
         Estimate {
             value: clamp_estimate(median, collection.total_pairs()),
-            kind: if any_lower_bound {
-                EstimateKind::SafeLowerBound
-            } else {
-                EstimateKind::Scaled
-            },
+            kind,
         }
     }
 }
@@ -112,69 +113,49 @@ impl VirtualBucketEstimator {
         assert_eq!(collection.len(), index.len(), "index/collection mismatch");
         let m_total = collection.total_pairs();
         let n = collection.len() as u64;
+        let score = |(i, j): (VectorId, VectorId)| collection.sim(measure, i, j);
 
         // N_H^∪ (estimated; exact for one table).
         let nh_virtual = index.estimate_virtual_nh(rng, self.union_samples.max(1));
 
         // SampleH over the union stratum.
-        let jh = if nh_virtual <= 0.0 || self.config.m_h == 0 {
-            0.0
+        let m_h = if nh_virtual <= 0.0 {
+            0
         } else {
-            let mut positives = 0u64;
-            for _ in 0..self.config.m_h {
-                let (u, v) = index
-                    .sample_virtual_bucket_pair(rng)
-                    .expect("nh_virtual > 0 implies pairs exist");
-                if collection.sim(measure, u, v) >= tau {
-                    positives += 1;
-                }
-            }
-            positives as f64 * (nh_virtual / self.config.m_h as f64)
+            self.config.m_h
         };
+        let h_sims: Vec<f64> = (0..m_h)
+            .map(|_| {
+                index
+                    .sample_virtual_bucket_pair(rng)
+                    .expect("nh_virtual > 0 implies pairs exist")
+            })
+            .map(score)
+            .collect();
 
         // SampleL over the complement: uniform pairs rejected while in
-        // *any* common bucket.
+        // *any* common bucket, drawn as the accounting reads them.
         let nl_virtual = (m_total as f64 - nh_virtual).max(0.0);
-        let mut lower_bound_used = false;
-        let jl = if nl_virtual <= 0.0 || self.config.m_l == 0 || n < 2 {
-            0.0
+        let m_l = if nl_virtual <= 0.0 {
+            0
         } else {
-            let sampler = AdaptiveSampler::new(self.config.delta, self.config.m_l);
-            let outcome = sampler.run(nl_virtual.round() as u64, || loop {
-                let (i, j) = vsj_sampling::sample_distinct_pair(rng, n);
-                let (i, j) = (i as u32, j as u32);
-                if !index.same_bucket_any(i, j) {
-                    return collection.sim(measure, i, j) >= tau;
-                }
-            });
-            lower_bound_used = !outcome.is_reliable();
-            match self.config.dampening {
-                Dampening::SafeLowerBound => outcome.safe_estimate(),
-                Dampening::Constant(cs) => {
-                    outcome.dampened_estimate(nl_virtual.round() as u64, cs.clamp(0.0, 1.0))
-                }
-                Dampening::NlOverDelta => {
-                    let cs = if self.config.delta == 0 {
-                        1.0
-                    } else {
-                        outcome.positives() as f64 / self.config.delta as f64
-                    };
-                    outcome.dampened_estimate(nl_virtual.round() as u64, cs.clamp(0.0, 1.0))
-                }
-            }
+            self.config.m_l
         };
-
-        Estimate {
-            value: clamp_estimate(jh + jl, m_total),
-            kind: if lower_bound_used {
-                match self.config.dampening {
-                    Dampening::SafeLowerBound => EstimateKind::SafeLowerBound,
-                    _ => EstimateKind::Dampened,
+        let l_sims = (0..m_l)
+            .map(|_| loop {
+                let (i, j) = vsj_sampling::sample_distinct_pair(rng, n);
+                let (i, j) = (i as VectorId, j as VectorId);
+                if !index.same_bucket_any(i, j) {
+                    return (i, j);
                 }
-            } else {
-                EstimateKind::Scaled
-            },
+            })
+            .map(score);
+
+        LshSs {
+            config: self.config,
         }
+        .replay_detailed(h_sims, l_sims, nh_virtual, nl_virtual.round(), tau, m_total)
+        .estimate
     }
 }
 
@@ -331,5 +312,32 @@ mod tests {
         let mut rng = Xoshiro256::seeded(12);
         let e = est.estimate(&coll, &idx, &Jaccard, 0.9, &mut rng);
         assert!(e.value >= 0.0);
+    }
+
+    #[test]
+    fn median_reports_the_per_table_kind() {
+        // Every table exhausts S_L (δ out of reach): LSH-SS(D) per table
+        // makes the median dampened, plain LSH-SS a safe lower bound.
+        use crate::lshss::Dampening;
+        let coll = corpus(13);
+        let idx = index(&coll, 8, 3);
+        let kind = |dampening| {
+            let per_table = LshSsConfig {
+                m_h: 50,
+                m_l: 50,
+                delta: 1_000,
+                dampening,
+            };
+            let mut rng = Xoshiro256::seeded(14);
+            MedianEstimator { per_table }
+                .estimate(&coll, &idx, &Jaccard, 0.9, &mut rng)
+                .kind
+        };
+        assert_eq!(kind(Dampening::NlOverDelta), EstimateKind::Dampened);
+        assert_eq!(kind(Dampening::Constant(0.5)), EstimateKind::Dampened);
+        assert_eq!(
+            kind(Dampening::SafeLowerBound),
+            EstimateKind::SafeLowerBound
+        );
     }
 }

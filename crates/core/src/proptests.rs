@@ -10,10 +10,12 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use crate::general_join::{GeneralJoinIndex, GeneralLshSs};
 use crate::lshss::{Dampening, LshSs, LshSsConfig};
+use crate::multi_table::VirtualBucketEstimator;
 use crate::rs::{RsCross, RsPop};
 use crate::uniform::ju_closed_form;
-use vsj_lsh::{Composite, IndexView, LshTable, MinHashFamily};
+use vsj_lsh::{Composite, IndexView, LshIndex, LshParams, LshTable, MinHashFamily};
 use vsj_sampling::Xoshiro256;
 use vsj_vector::{Jaccard, SparseVector, VectorCollection};
 
@@ -71,7 +73,7 @@ proptest! {
         prop_assert!(d.jh >= 0.0 && d.jh <= table.nh() as f64 + 1e-9);
         prop_assert!(d.jl >= 0.0 && d.jl <= table.nl() as f64 + 1e-9);
         // The combined estimate is the clamped sum.
-        prop_assert!((d.estimate().value - (d.jh + d.jl).min(d.total_pairs as f64)).abs() < 1e-9);
+        prop_assert!((d.estimate.value - (d.jh + d.jl).min(table.total_pairs() as f64)).abs() < 1e-9);
         // Safe lower bound: when unreliable, jl never exceeds δ (it is a
         // raw count below the answer-size threshold).
         if !d.l_reliable {
@@ -89,7 +91,8 @@ proptest! {
         cs in 0.05f64..1.0,
     ) {
         // On identical sample paths: safe ≤ dampened(cs) for any cs, and
-        // dampened is monotone in cs.
+        // dampened is monotone in cs — for LSH-SS, the general join and
+        // the virtual buckets alike.
         let table = table_for(&coll, k, seed);
         let base = LshSsConfig {
             m_h: 16,
@@ -109,6 +112,44 @@ proptest! {
         let damp_hi = run(Dampening::Constant(cs));
         prop_assert!(safe <= damp_lo + 1e-9, "safe {safe} > dampened {damp_lo}");
         prop_assert!(damp_lo <= damp_hi + 1e-9, "dampening not monotone in cs");
+
+        // Same draws per dampening ⇒ equal Ĵ_H, so the (clamped) totals
+        // order as Ĵ_L does. U ⋈ U is a general join of its own.
+        let join = GeneralJoinIndex::build(
+            &coll,
+            &coll,
+            Arc::new(Composite::derive(MinHashFamily::new(), seed, 0, k)),
+            Some(1),
+        );
+        let general = |dampening| {
+            let est = GeneralLshSs {
+                config: LshSsConfig { dampening, ..base },
+            };
+            let mut rng = Xoshiro256::seeded(seed ^ 0xCAFE);
+            est.estimate(&coll, &coll, &join, &Jaccard, tau, &mut rng).value
+        };
+        let index = LshIndex::build_with_family(
+            &coll,
+            MinHashFamily::new(),
+            LshParams::new(k, 2).with_seed(seed).with_threads(1),
+        );
+        let virtual_buckets = |dampening| {
+            let est = VirtualBucketEstimator {
+                config: LshSsConfig { dampening, ..base },
+                union_samples: 64,
+            };
+            let mut rng = Xoshiro256::seeded(seed ^ 0xCAFE);
+            est.estimate(&coll, &index, &Jaccard, tau, &mut rng).value
+        };
+        let others: [(&str, &dyn Fn(Dampening) -> f64); 2] =
+            [("general join", &general), ("virtual buckets", &virtual_buckets)];
+        for (name, run) in others {
+            let safe = run(Dampening::SafeLowerBound);
+            let damp_lo = run(Dampening::Constant(cs * 0.5));
+            let damp_hi = run(Dampening::Constant(cs));
+            prop_assert!(safe <= damp_lo + 1e-9, "{name}: safe {safe} > dampened {damp_lo}");
+            prop_assert!(damp_lo <= damp_hi + 1e-9, "{name}: dampening not monotone in cs");
+        }
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //!   by `SampleH` of Algorithm 1 to draw buckets with weight `C(b_j, 2)`.
 //! * [`pairs`] — uniform sampling of unordered vector pairs and the
 //!   pair ⟷ linear-index bijection.
-//! * [`adaptive`] — the adaptive sampling loop of Lipton, Naughton &
-//!   Schneider (SIGMOD 1990, \[15\] in the paper), used by `SampleL`.
 //! * [`stats`] — streaming summaries (Welford), relative-error metrics
 //!   matching the paper's evaluation protocol (§6.1).
 //! * [`bounds`] — the Chernoff/Chebyshev constants from the paper's
@@ -27,7 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod alias;
 pub mod bounds;
 pub mod gauss;
@@ -35,7 +32,6 @@ pub mod pairs;
 pub mod rng;
 pub mod stats;
 
-pub use adaptive::{AdaptiveOutcome, AdaptiveSampler};
 pub use alias::AliasTable;
 pub use pairs::{decode_pair, encode_pair, pair_count, sample_distinct_pair};
 pub use rng::{Rng, RngStreams, SplitMix64, Xoshiro256};

@@ -15,7 +15,7 @@
 //!   BigCrush, and trivially forkable into independent streams.
 //!
 //! All consumers take `&mut impl Rng`, so tests can substitute scripted
-//! generators (see `adaptive.rs` for a failure-injection example).
+//! generators.
 
 /// Minimal random-source trait: everything else is derived from uniform
 /// 64-bit words via provided methods.

@@ -264,9 +264,10 @@ pub struct ServiceEstimate {
     /// The join-size estimate (value + how it was formed).
     pub estimate: Estimate,
     /// Standard error of the estimate: the square root of the summed
-    /// per-stratum variances the same sampling pass accumulated (see
-    /// [`vsj_core::LshSsEstimate::std_err`]). Cache-served answers
-    /// replay the std_err recorded when they were computed.
+    /// per-stratum variances LSH-SS's per-τ accounting accumulated over
+    /// the draws it read (see [`vsj_core::LshSsEstimate::std_err`]).
+    /// Cache-served answers replay the std_err recorded when they were
+    /// computed.
     pub std_err: f64,
     /// Epoch of the snapshot it was computed on.
     pub epoch: u64,

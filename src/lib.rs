@@ -20,8 +20,8 @@
 //! This facade re-exports the workspace crates:
 //!
 //! * [`vector`] — sparse vectors, cosine/Jaccard similarity, set embeddings.
-//! * [`sampling`] — seeded RNGs, alias tables, pair sampling, adaptive
-//!   sampling, estimate statistics.
+//! * [`sampling`] — seeded RNGs, alias tables, pair sampling, estimate
+//!   statistics.
 //! * [`lsh`] — SimHash/MinHash families, signature computation, LSH tables
 //!   with bucket counts, multi-table index, approximate search.
 //! * [`exact`] — exact join sizes (threaded naive + prefix-filter All-Pairs)
