@@ -1474,6 +1474,25 @@ mod tests {
     }
 
     #[test]
+    fn sample_l_paper_defaults_stop_at_16_hits_within_34000_draws() {
+        // n = 34 000: δ = ⌈log₂ 34 000⌉ = 16 and m_L = n. An all-hit
+        // budget stops at draw 16; a hitless one reads all 34 000 draws.
+        let est = LshSs {
+            config: LshSsConfig::paper_defaults(34_000),
+        };
+        let m_l = usize::try_from(est.config.m_l).unwrap();
+        let mut pulled = 0usize;
+        let hits = std::iter::repeat_n(1.0, m_l).inspect(|_| pulled += 1);
+        let d = est.replay_detailed([], hits, 0.0, 1e6, 0.5, u64::MAX);
+        assert_eq!(pulled, 16);
+        assert_eq!((d.l_positives, d.l_samples), (16, 16));
+        assert!(d.l_reliable);
+        let d = est.replay_detailed([], std::iter::repeat_n(0.0, m_l), 0.0, 1e6, 0.5, u64::MAX);
+        assert_eq!((d.l_positives, d.l_samples), (0, 34_000));
+        assert!(!d.l_reliable);
+    }
+
+    #[test]
     fn sample_l_exhaustion_returns_the_safe_lower_bound() {
         let d = sample_l_only(3, Dampening::SafeLowerBound).replay_detailed(
             [],
