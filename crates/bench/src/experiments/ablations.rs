@@ -1,4 +1,5 @@
-//! Design-choice ablations (beyond the paper's figures; DESIGN.md §3).
+//! Design-choice ablations (beyond the paper's figures; see the §6 row of
+//! `docs/PAPER_MAP.md`).
 //!
 //! Three questions the paper leaves implicit, answered on the DBLP
 //! analogue:

@@ -1,7 +1,7 @@
 //! Experiment harness for the VLDB 2011 reproduction.
 //!
-//! One runnable target per table/figure of the paper (see `DESIGN.md` §3
-//! for the index). The harness owns:
+//! One runnable target per table/figure of the paper (see the §6 row of
+//! `docs/PAPER_MAP.md` for the index). The harness owns:
 //!
 //! * [`workload`] — dataset + index + cached ground truth assembly;
 //! * [`report`] — aligned text tables on stdout and CSV files under
@@ -9,8 +9,8 @@
 //! * [`experiments`] — the per-artifact drivers (`fig2`, `table1`, …).
 //!
 //! Scales are laptop-sized by default (the paper ran 800K vectors on a
-//! 64 GB Xeon; the *shapes* under test are scale-invariant — see
-//! `DESIGN.md` §1). Every run is deterministic given `--seed`.
+//! 64 GB Xeon; the *shapes* under test are scale-invariant — see the §6
+//! row of `docs/PAPER_MAP.md`). Every run is deterministic given `--seed`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,12 +21,6 @@ pub mod workload;
 
 pub use report::{CsvSink, Table};
 pub use workload::{RunConfig, Workload};
-
-/// Schema version shared by every `*_BENCH_JSON:` artifact line the
-/// service/server benches emit (`"schema":N` field). Bump it when the
-/// shape of any artifact changes, so the perf-trajectory tooling can
-/// tell apples from oranges across PRs.
-pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
 /// The paper's threshold grid τ ∈ {0.1, …, 1.0}.
 pub fn tau_grid() -> Vec<f64> {

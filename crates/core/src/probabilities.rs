@@ -107,13 +107,12 @@ impl StratumProbabilities {
             acc
         } else {
             let mut parts = vec![(0u64, 0u64); threads];
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for p in &mut parts {
                     let scan = &scan;
-                    scope.spawn(move |_| scan(p));
+                    scope.spawn(move || scan(p));
                 }
-            })
-            .expect("probability workers must not panic");
+            });
             parts
                 .into_iter()
                 .fold((0, 0), |(a, b), (c, d)| (a + c, b + d))

@@ -71,13 +71,12 @@ impl SimilarityHistogram {
         }
         let mut partials: Vec<SimilarityHistogram> =
             (0..threads).map(|_| Self::new(num_bins)).collect();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for part in &mut partials {
                 let scan = &scan;
-                scope.spawn(move |_| scan(part));
+                scope.spawn(move || scan(part));
             }
-        })
-        .expect("histogram workers must not panic");
+        });
         let mut out = Self::new(num_bins);
         for p in &partials {
             out.merge(p);

@@ -111,13 +111,12 @@ impl<'a, S: Similarity + Sync> ExactJoin<'a, S> {
             return delta;
         }
         let mut partials: Vec<Vec<u64>> = vec![vec![0u64; sorted.len() + 1]; self.threads];
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for part in &mut partials {
                 let cursor = &cursor;
-                scope.spawn(move |_| run_rows(cursor, part));
+                scope.spawn(move || run_rows(cursor, part));
             }
-        })
-        .expect("join workers must not panic");
+        });
         let mut delta = vec![0u64; sorted.len() + 1];
         for part in &partials {
             for (d, p) in delta.iter_mut().zip(part) {

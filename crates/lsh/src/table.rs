@@ -266,27 +266,23 @@ impl PairIndex {
 impl LshTable {
     /// Builds the table, hashing vectors on a work pool sized by
     /// `threads` (`None` = the process-wide [`vsj_pool::global`] pool,
-    /// `Some(1)` = fully serial).
+    /// `Some(1)` = fully serial). Per-vector key hashing is pure, so
+    /// fanning it out with ordered collection yields exactly the serial
+    /// key vector — the table is bit-identical at any thread count.
+    /// Small inputs skip the pool entirely.
     pub fn build(
         collection: &VectorCollection,
         hasher: Arc<dyn BucketHasher>,
         threads: Option<usize>,
     ) -> Self {
-        match threads {
-            None => Self::build_with_pool(collection, hasher, vsj_pool::global()),
-            Some(n) => Self::build_with_pool(collection, hasher, &WorkPool::new(n)),
-        }
-    }
-
-    /// [`LshTable::build`] on an explicit pool. Per-vector key hashing is
-    /// pure, so fanning it out with ordered collection yields exactly the
-    /// serial key vector — the table is bit-identical at any thread
-    /// count. Small inputs skip the pool entirely.
-    pub fn build_with_pool(
-        collection: &VectorCollection,
-        hasher: Arc<dyn BucketHasher>,
-        pool: &WorkPool,
-    ) -> Self {
+        let local;
+        let pool = match threads {
+            None => vsj_pool::global(),
+            Some(n) => {
+                local = WorkPool::new(n);
+                &local
+            }
+        };
         let vectors = collection.vectors();
         let vector_keys = if pool.threads() == 1 || vectors.len() < 1024 {
             vectors.iter().map(|v| hasher.key(v)).collect()

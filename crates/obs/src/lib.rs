@@ -154,8 +154,8 @@ pub struct HistogramSpec {
     /// Upper bound of the first bucket (≥ 1).
     pub first_bound: u64,
     /// Number of buckets including the overflow bucket. `0` makes a
-    /// **disabled** histogram whose `record` is a no-op — the stub used
-    /// to measure instrumentation overhead; real specs need ≥ 2.
+    /// **disabled** histogram whose `record` is a no-op; real specs
+    /// need ≥ 2.
     pub buckets: usize,
 }
 
@@ -178,8 +178,8 @@ impl HistogramSpec {
         }
     }
 
-    /// A disabled spec: `record` becomes a no-op. For overhead
-    /// measurement only — production metrics stay always-on.
+    /// A disabled spec: `record` becomes a no-op. For tests that need
+    /// no metrics — production metrics stay always-on.
     pub fn disabled() -> Self {
         Self {
             first_bound: 1,
@@ -1022,8 +1022,7 @@ fn validate_labels(labels: &str) -> Result<(), String> {
 pub struct ObsOptions {
     /// First bucket bound (µs) of latency histograms.
     pub latency_first_bound_us: u64,
-    /// Bucket count of latency histograms (0 disables recording — the
-    /// measurement stub; see [`ObsOptions::stub`]).
+    /// Bucket count of latency histograms (0 disables recording).
     pub latency_buckets: usize,
     /// Bucket count of size histograms (batch sizes, pairs drawn).
     pub size_buckets: usize,
@@ -1047,17 +1046,6 @@ impl Default for ObsOptions {
 }
 
 impl ObsOptions {
-    /// A stub used only to measure instrumentation overhead (histogram
-    /// recording disabled). Production deployments keep the default —
-    /// instrumentation is designed to be always-on.
-    pub fn stub() -> Self {
-        Self {
-            latency_buckets: 0,
-            size_buckets: 0,
-            ..Self::default()
-        }
-    }
-
     /// The latency histogram spec these options describe.
     pub fn latency_spec(&self) -> HistogramSpec {
         HistogramSpec {
@@ -1401,10 +1389,9 @@ mod tests {
         let options = ObsOptions::default();
         options.validate();
         assert_eq!(options.latency_spec().buckets, 24);
-        let stub = ObsOptions::stub();
-        stub.validate();
-        assert_eq!(stub.latency_spec().buckets, 0);
-        assert_eq!(Histogram::new(stub.latency_spec()).count(), 0);
+        let off = HistogramSpec::disabled();
+        off.validate();
+        assert_eq!(Histogram::new(off).count(), 0);
     }
     #[test]
     #[should_panic(expected = "cannot merge histograms with different specs")]

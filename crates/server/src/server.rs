@@ -79,8 +79,8 @@ pub struct ServerConfig {
     pub checkpoint_on_shutdown: bool,
     /// Observability knobs for the server's own registry and slow-trace
     /// ring (histogram bucket shapes, slow-query threshold, ring
-    /// capacity). The engine carries its own copy — see
-    /// [`EstimationEngine::with_obs`](vsj_service::EstimationEngine::with_obs);
+    /// capacity). The engine's registry keeps the default layouts (see
+    /// [`EstimationEngine::new`](vsj_service::EstimationEngine::new));
     /// `GET /metrics` serves both registries concatenated.
     pub obs: ObsOptions,
 }

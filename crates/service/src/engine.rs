@@ -118,8 +118,8 @@ struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    fn new(obs: ObsOptions) -> Self {
-        obs.validate();
+    fn new() -> Self {
+        let obs = ObsOptions::default();
         let registry = Registry::new();
         let latency = obs.latency_spec();
         let size = obs.size_spec();
@@ -457,17 +457,11 @@ pub struct EstimationEngine {
 }
 
 impl EstimationEngine {
-    /// Builds an engine from a configuration (default observability
-    /// bucket layout — see [`with_obs`](Self::with_obs)).
+    /// Builds an engine from a configuration. The engine + WAL series
+    /// use the default histogram bucket layouts
+    /// ([`ObsOptions::default`]); a server's own registry is shaped by
+    /// its `ServerConfig.obs`.
     pub fn new(config: ServiceConfig) -> Self {
-        Self::with_obs(config, ObsOptions::default())
-    }
-
-    /// Builds an engine with explicit observability options (histogram
-    /// bucket layouts for the engine + WAL series). `obs` is purely
-    /// operational: it is not part of the persisted configuration and
-    /// may differ across lives of the same durable directory.
-    pub fn with_obs(config: ServiceConfig, obs: ObsOptions) -> Self {
         assert!(config.shards >= 1, "an engine needs at least one shard");
         assert!(config.k >= 1, "k must be at least 1");
         assert!(
@@ -492,7 +486,7 @@ impl EstimationEngine {
         let shards = (0..config.shards)
             .map(|_| Mutex::new(ShardState::new()))
             .collect();
-        let metrics = EngineMetrics::new(obs);
+        let metrics = EngineMetrics::new();
         let audit = AuditState::new(&metrics.registry, &metrics.obs);
         let pool = Arc::new(WorkPool::new(config.parallel.pool_threads));
         let task_us = metrics.pool_task_us.clone();

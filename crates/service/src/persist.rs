@@ -346,7 +346,7 @@ pub fn encode_checkpoint(meta: &CheckpointMeta, snapshot: &Snapshot) -> Bytes {
 /// by `parallel_encode_is_byte_identical` below and the checkpoint legs
 /// of `tests/parallel_determinism.rs`). A one-thread pool takes the
 /// exact serial path.
-pub fn encode_checkpoint_with(
+pub(crate) fn encode_checkpoint_with(
     meta: &CheckpointMeta,
     snapshot: &Snapshot,
     pool: &WorkPool,

@@ -148,6 +148,30 @@ fn mapped_recovery_reports_mapped_tier_and_serves_base_rows() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Map + go decodes no row: a mapped recovery materializes no base
+/// vector until an estimate scores one. (Its first estimate equals the
+/// heap tier's: `mapped_recovery_reports_mapped_tier_and_serves_base_rows`.)
+#[test]
+fn mapped_recovery_materializes_no_row_before_the_first_estimate() {
+    let dir = fresh_dir("coldstart");
+    seed_dir(&dir, 5, 40, 0);
+    let mapped = recover(&dir, StorageTier::Mapped);
+    let materialized = || {
+        mapped.stats();
+        let exposition = mapped.metrics().render();
+        exposition
+            .lines()
+            .find_map(|line| line.strip_prefix("vsj_engine_mapped_materialized_vectors "))
+            .expect("mapped engines export the materialized gauge")
+            .parse::<u64>()
+            .expect("integer gauge")
+    };
+    assert_eq!(materialized(), 0, "recovery must decode no row");
+    mapped.estimate(0.6);
+    assert!(materialized() > 0, "scoring pairs materializes their rows");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn mapped_recovery_replays_wal_tail_onto_base() {
     let dir = fresh_dir("tail");

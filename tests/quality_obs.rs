@@ -57,6 +57,35 @@ fn seeded_engine(seed: u64, docs: usize) -> Arc<EstimationEngine> {
     engine
 }
 
+/// The value of an unlabelled counter or gauge in an exposition.
+fn sample(exposition: &str, name: &str) -> u64 {
+    exposition
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("exposition lacks {name}"))
+        .parse()
+        .expect("integer sample")
+}
+
+/// Samples recorded so far across every histogram in an exposition
+/// (the sum of their `_count` series).
+fn histogram_records(exposition: &str) -> u64 {
+    let histograms: Vec<&str> = exposition
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE ")?.strip_suffix(" histogram"))
+        .collect();
+    exposition
+        .lines()
+        .filter_map(|line| {
+            let (series, value) = line.rsplit_once(' ')?;
+            let name = series.split('{').next()?.strip_suffix("_count")?;
+            histograms
+                .contains(&name)
+                .then(|| value.parse::<u64>().expect("integer count"))
+        })
+        .sum()
+}
+
 #[test]
 fn wire_responses_carry_a_well_ordered_interval_only_when_asked() {
     let engine = seeded_engine(42, 300);
@@ -247,4 +276,50 @@ fn quality_and_metrics_expose_the_audit_series() {
     assert!(ops.contains(&"request"), "no request trace in {ops:?}");
 
     server.shutdown().expect("shutdown");
+}
+
+/// Instrumentation is per request, not per pair: one uncached
+/// `estimate_batch` records the same number of histogram samples on a
+/// 2 000-row and on a 20 000-row engine, although the paper-default
+/// SampleL budget `m_L = n` (and with it every pass's pair count) is
+/// 10× larger on the second.
+#[test]
+fn instrumentation_records_per_request_not_per_pair() {
+    let added = |docs: usize| {
+        let engine = EstimationEngine::new(
+            ServiceConfig::builder()
+                .shards(4)
+                .k(8)
+                .seed(17)
+                .family(IndexFamily::MinHash)
+                .pool_threads(2)
+                .build(),
+        );
+        for v in DblpLike::with_size(docs).generate(17).vectors() {
+            engine.insert(v.clone());
+        }
+        engine.publish();
+        let before = engine.metrics().render();
+        let answers = engine.estimate_batch(&TAUS);
+        assert!(answers.iter().all(|a| !a.cached), "the pass must sample");
+        let after = engine.metrics().render();
+        let pairs = sample(&after, "vsj_engine_sampled_pairs_total")
+            - sample(&before, "vsj_engine_sampled_pairs_total");
+        assert!(sample(&after, "vsj_engine_sampling_passes_total") >= 1);
+        (
+            histogram_records(&after) - histogram_records(&before),
+            pairs,
+        )
+    };
+    let (small_records, small_pairs) = added(2_000);
+    let (large_records, large_pairs) = added(20_000);
+    assert!(
+        large_pairs >= 5 * small_pairs,
+        "the larger engine must score far more pairs ({large_pairs} vs {small_pairs})"
+    );
+    assert!(small_records > 0, "the pass must be instrumented");
+    assert_eq!(
+        small_records, large_records,
+        "histogram samples per request must not grow with the pairs scored"
+    );
 }
