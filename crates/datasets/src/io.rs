@@ -37,8 +37,11 @@
 //!
 //! [`ContainerIndex::parse`] verifies every checksum once and then hands
 //! out `offset..offset+len` ranges into the caller's buffer — no copies,
-//! which is what the mmap-backed checkpoint tier serves from. Any other
-//! version number is refused with [`IoError::BadVersion`].
+//! which is what the mmap-backed checkpoint tier serves from.
+//! [`ContainerIndex::parse_sections`] makes the same framing checks but
+//! verifies only the named sections, for a reader that needs one small
+//! section of a large file. Any other version number is refused with
+//! [`IoError::BadVersion`].
 //!
 //! A collection file holds a single `COLL` section: the vector count
 //! followed by one wire block per vector (`nnz u32`, `nnz × u32` sorted
@@ -229,12 +232,13 @@ impl ContainerWriter {
 }
 
 /// Zero-copy directory of a container: parsing verifies the framing
-/// and every section checksum once, then yields byte ranges into the
+/// and section checksums once, then yields byte ranges into the
 /// caller's buffer (typically a memory mapping) — payloads are never
 /// copied.
 #[derive(Debug, Clone)]
 pub struct ContainerIndex {
-    entries: Vec<([u8; 4], std::ops::Range<usize>)>,
+    /// `(tag, payload range, stored checksum)` in directory order.
+    entries: Vec<([u8; 4], std::ops::Range<usize>, u64)>,
 }
 
 impl ContainerIndex {
@@ -248,6 +252,30 @@ impl ContainerIndex {
     /// misalignment, overlapping or out-of-bounds payloads), and
     /// [`IoError::BadChecksum`] when any payload fails its checksum.
     pub fn parse(data: &[u8]) -> Result<Self, IoError> {
+        let index = Self::frame(data)?;
+        verify_section_checksums(data, &index.entries)?;
+        Ok(index)
+    }
+
+    /// Frames `data` exactly as [`ContainerIndex::parse`] does — every
+    /// framing check over the whole directory — but verifies the
+    /// checksums of, and indexes, only the sections tagged in `tags`:
+    /// O(directory + those payloads) for a reader that needs one small
+    /// section of a large container.
+    ///
+    /// # Errors
+    /// As [`ContainerIndex::parse`], with checksums checked only for
+    /// the named sections.
+    pub fn parse_sections(data: &[u8], tags: &[[u8; 4]]) -> Result<Self, IoError> {
+        let mut index = Self::frame(data)?;
+        index.entries.retain(|(tag, ..)| tags.contains(tag));
+        verify_section_checksums(data, &index.entries)?;
+        Ok(index)
+    }
+
+    /// The framing pass: magic, version, directory and payload tiling.
+    /// No checksum is verified.
+    fn frame(data: &[u8]) -> Result<Self, IoError> {
         let u32_at = |at: usize| -> u32 {
             u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes"))
         };
@@ -284,7 +312,6 @@ impl ContainerIndex {
             return Err(IoError::Corrupt("v3 directory truncated".into()));
         }
         let mut entries = Vec::with_capacity(count.min(64));
-        let mut pending = Vec::with_capacity(count.min(64));
         // Payloads must tile the tail of the file in directory order,
         // 8-aligned — that is what makes the layout mappable.
         let mut expected = dir_end as u64;
@@ -310,9 +337,7 @@ impl ContainerIndex {
                     "section {si}: payload runs past end of file"
                 )));
             }
-            let range = offset as usize..end as usize;
-            pending.push((tag, range.clone(), checksum));
-            entries.push((tag, range));
+            entries.push((tag, offset as usize..end as usize, checksum));
             let padded_end = end.checked_add((8 - len % 8) % 8).ok_or_else(overflow)?;
             if padded_end <= data.len() as u64
                 && data[end as usize..padded_end as usize]
@@ -334,21 +359,20 @@ impl ContainerIndex {
                 data.len() as u64 - expected
             )));
         }
-        verify_section_checksums(data, &pending)?;
         Ok(Self { entries })
     }
 
     /// The tags present, in file order.
     pub fn tags(&self) -> Vec<[u8; 4]> {
-        self.entries.iter().map(|(t, _)| *t).collect()
+        self.entries.iter().map(|(t, ..)| *t).collect()
     }
 
     /// Byte range of the first section with the given tag.
     pub fn range(&self, tag: [u8; 4]) -> Option<std::ops::Range<usize>> {
         self.entries
             .iter()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, r)| r.clone())
+            .find(|(t, ..)| *t == tag)
+            .map(|(_, r, _)| r.clone())
     }
 
     /// Like [`ContainerIndex::range`] but an error when absent.
@@ -708,6 +732,35 @@ mod tests {
             ContainerIndex::parse(&trailing),
             Err(IoError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn parse_sections_frames_everything_but_verifies_only_the_named_sections() {
+        let data = three_sections().to_vec();
+        let index = ContainerIndex::parse_sections(&data, &[*b"AAAA"]).unwrap();
+        assert_eq!(index.tags(), vec![*b"AAAA"]);
+        assert_eq!(&data[index.require(*b"AAAA").unwrap()], &[1, 2, 3]);
+        // A flipped payload byte outside the named sections passes; in
+        // one of them it fails the checksum.
+        let ccc = ContainerIndex::parse(&data)
+            .unwrap()
+            .range(*b"CCCC")
+            .unwrap();
+        let mut broken = data.clone();
+        broken[ccc.start] ^= 1;
+        assert!(ContainerIndex::parse(&broken).is_err());
+        assert!(ContainerIndex::parse_sections(&broken, &[*b"AAAA"]).is_ok());
+        assert!(matches!(
+            ContainerIndex::parse_sections(&broken, &[*b"CCCC"]),
+            Err(IoError::BadChecksum { section }) if &section == b"CCCC"
+        ));
+        // Framing is checked over the whole directory regardless.
+        for cut in [0, 15, 16, 40, data.len() - 1] {
+            assert!(
+                ContainerIndex::parse_sections(&data[..cut], &[*b"AAAA"]).is_err(),
+                "truncation at {cut} not detected"
+            );
+        }
     }
 
     #[test]

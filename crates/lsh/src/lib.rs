@@ -16,8 +16,6 @@
 //!   which Definition 3 holds *exactly* (`P(h(A)=h(B)) = sim_J(A,B)`);
 //!   used by the Lattice Counting baseline and by tests validating the
 //!   idealized theory.
-//! * [`hamming`] — Indyk–Motwani bit sampling for Hamming distance (also
-//!   exact under Definition 3, for Hamming similarity).
 //! * [`signature`] — composite functions `g = (h₁, …, h_k)`, signature
 //!   matrices (for LC) and folded 64-bit bucket keys (for tables).
 //! * [`table`] — a single, frozen hash table `D_g` with per-bucket
@@ -39,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod family;
-pub mod hamming;
 pub mod index;
 pub mod minhash;
 pub mod search;
@@ -50,7 +47,6 @@ pub mod table;
 pub mod view;
 
 pub use family::{BucketHasher, LshFamily, LshFunction};
-pub use hamming::HammingFamily;
 pub use index::{LshIndex, LshParams};
 pub use minhash::MinHashFamily;
 pub use search::SimilaritySearcher;

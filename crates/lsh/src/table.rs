@@ -289,7 +289,7 @@ impl LshTable {
         } else {
             pool.parallel_map_indexed(vectors, |_, v| hasher.key(v))
         };
-        Self::from_keys(hasher, vector_keys)
+        Self::from_parts(hasher, vector_keys)
     }
 
     /// Builds the table from *precomputed* bucket keys — the snapshot
@@ -301,14 +301,10 @@ impl LshTable {
     /// [`LshTable::build`] over a collection whose vectors hash to
     /// exactly `vector_keys` (same buckets, same order, same `N_H`, same
     /// sampling behavior for the same RNG stream).
+    ///
+    /// Groups ids by key, sorts buckets by key (members stay in id
+    /// order) and indexes everything; [`LshTable::build`] ends here too.
     pub fn from_parts(hasher: Arc<dyn BucketHasher>, vector_keys: Vec<u64>) -> Self {
-        Self::from_keys(hasher, vector_keys)
-    }
-
-    /// Shared tail of [`LshTable::build`]/[`LshTable::from_parts`]:
-    /// group ids by key, sort buckets by key (members stay in id
-    /// order), index everything.
-    fn from_keys(hasher: Arc<dyn BucketHasher>, vector_keys: Vec<u64>) -> Self {
         // Group ids by key. Reserve assuming mostly-distinct keys (true
         // at the k values the paper uses).
         let mut groups: HashMap<u64, Vec<VectorId>> = HashMap::with_capacity(vector_keys.len());

@@ -46,18 +46,20 @@ pub enum FsyncPolicy {
 ///
 /// The tier is an *operational* choice made at [`recover`] time: the
 /// on-disk format is identical either way (the v3 mappable container),
-/// and both tiers serve bit-identical estimates at every published
-/// `(seed, epoch, τ)`.
+/// both tiers open and validate it through the same reader — so they
+/// accept and refuse exactly the same files — and both serve
+/// bit-identical estimates at every published `(seed, epoch, τ)`.
 ///
 /// [`recover`]: crate::EstimationEngine::recover
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageTier {
-    /// Decode the checkpoint and rebuild heap tables — the classic
-    /// path. Cold-start is O(corpus decode); all operations are
-    /// supported.
+    /// Copy the validated checkpoint's rows onto the heap and rebuild
+    /// heap tables — the classic path. Cold-start is O(corpus decode);
+    /// all operations are supported.
     #[default]
     Heap,
-    /// "Map + go": `mmap` the checkpoint, validate section checksums,
+    /// "Map + go": `mmap` the checkpoint, validate it once (checksums,
+    /// cross-section structure, every row's vector invariants),
     /// and serve estimates directly from the on-disk base with the WAL
     /// tail replayed into a heap overlay. Cold-start is O(map + WAL
     /// tail) and the base corpus never enters the heap. [`remove`] and

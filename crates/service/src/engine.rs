@@ -657,22 +657,23 @@ impl EstimationEngine {
     /// (checkpoint retention, fsync policy, segment size, storage tier
     /// — see [`DurabilityOptions`]).
     ///
-    /// There is one recovery route. The tier picks how the checkpoint
-    /// becomes the base — [`StorageTier::Heap`] decodes it and rebuilds
-    /// the shards, [`StorageTier::Mapped`] maps it and validates it in
-    /// place (the base corpus is never decoded or rebuilt) — and both
-    /// then share one tail: open the [`WalSet`], replay the records past
-    /// the checkpoint's cut, collect the retained generations' horizons,
-    /// attach storage.
+    /// There is one recovery route and one checkpoint reader: the
+    /// checkpoint is mapped and validated once, and the tier decides
+    /// only what becomes of the validated mapping —
+    /// [`StorageTier::Mapped`] serves it as the base (the base corpus is
+    /// never decoded or rebuilt), [`StorageTier::Heap`] copies its rows
+    /// into the shards and drops it. Both then share one tail: open the
+    /// [`WalSet`], replay the records past the checkpoint's cut, collect
+    /// the retained generations' horizons, attach storage.
     ///
     /// # Errors
     /// Everything that is not exactly what this engine writes is
-    /// refused, never worked around: a checkpoint that fails to decode
-    /// or map is returned as the error it is — a container in another
-    /// version as [`IoError::BadVersion`](vsj_datasets::io::IoError) —
-    /// on either tier (a mapped recovery never degrades to the heap
-    /// tier), and a directory holding a single-file `wal.vsjw` fails
-    /// with a [`PersistError::Corrupt`] naming the file.
+    /// refused, never worked around, and both tiers refuse exactly the
+    /// same files: a checkpoint that fails to map or validate is
+    /// returned as the error it is — a container in another version as
+    /// [`IoError::BadVersion`](vsj_datasets::io::IoError) — and a
+    /// directory holding a single-file `wal.vsjw` fails with a
+    /// [`PersistError::Corrupt`] naming the file.
     pub fn recover_with(dir: &Path, options: DurabilityOptions) -> Result<Self, PersistError> {
         options.validate();
         let started = Instant::now();
@@ -687,12 +688,11 @@ impl EstimationEngine {
             );
         }
         persist::refuse_single_file_wal(dir)?;
-        let (mut engine, meta) = match options.storage_tier {
-            StorageTier::Heap => {
-                let (meta, rows) = persist::read_checkpoint(dir)?;
-                (Self::hydrate(&meta, rows)?, meta)
-            }
-            StorageTier::Mapped => Self::map_base(dir)?,
+        let base = MappedCheckpoint::open(&dir.join(CHECKPOINT_FILE))?;
+        let meta = *base.meta();
+        let mut engine = match options.storage_tier {
+            StorageTier::Heap => Self::hydrate(base),
+            StorageTier::Mapped => Self::serve_mapped(Arc::new(base)),
         };
         let (wal, entries) = WalSet::open(
             dir,
@@ -739,11 +739,10 @@ impl EstimationEngine {
     }
 
     /// The "map + go" base of [`recover_with`](Self::recover_with):
-    /// `mmap` the checkpoint, validate it in place, and serve it as the
-    /// published cut with an empty overlay — shards start empty (they
-    /// hold only post-checkpoint rows).
-    fn map_base(dir: &Path) -> Result<(Self, CheckpointMeta), PersistError> {
-        let base = Arc::new(MappedCheckpoint::open(&dir.join(CHECKPOINT_FILE))?);
+    /// serve the validated mapping as the published cut with an empty
+    /// overlay — shards start empty (they hold only post-checkpoint
+    /// rows).
+    fn serve_mapped(base: Arc<MappedCheckpoint>) -> Self {
         if !base.is_mapped() {
             // Non-Unix: the "mapping" is a buffered read. Everything
             // still works (and stays bit-identical); only the
@@ -766,39 +765,43 @@ impl EstimationEngine {
             )
             .expect("an empty overlay over a fresh mapping is trivially consistent"),
         );
-        Ok((engine, meta))
+        engine
     }
 
     /// Resurrects a **read-only view of a prior checkpoint generation**
     /// (`generation` = 1 for the most recent previous checkpoint, 2 for
     /// the one before, …; see [`DurabilityOptions::retain_checkpoints`]).
-    /// The returned engine is *non-durable* and replays **no** WAL: the
-    /// log on disk belongs to the newest generation, so an older
-    /// checkpoint can only be restored exactly as it was cut. Estimates
-    /// at that checkpoint's epoch are bit-identical to the answers the
-    /// original engine served then — the point-in-time debugging story.
+    /// The returned engine is *non-durable*, lives on the heap tier and
+    /// replays **no** WAL: the log on disk belongs to the newest
+    /// generation, so an older checkpoint can only be restored exactly
+    /// as it was cut. The file is opened and validated by the same
+    /// reader as [`recover_with`](Self::recover_with), so it refuses
+    /// exactly the files recovery refuses. Estimates at that
+    /// checkpoint's epoch are bit-identical to the answers the original
+    /// engine served then — the point-in-time debugging story.
     pub fn recover_generation(dir: &Path, generation: u64) -> Result<Self, PersistError> {
-        let (meta, rows) = persist::read_checkpoint_generation(dir, generation)?;
-        Self::hydrate(&meta, rows)
+        MappedCheckpoint::open(&persist::generation_path(dir, generation)).map(Self::hydrate)
     }
 
-    /// Rebuilds an engine from a decoded checkpoint — the restoration
+    /// Copies a validated checkpoint onto the heap — the restoration
     /// protocol shared by [`recover_with`](Self::recover_with) (which
     /// then replays the WAL and attaches storage) and
     /// [`recover_generation`](Self::recover_generation) (which stops
-    /// here): shards from the stored bucket keys (no re-hashing), the
-    /// checkpoint rows as the published snapshot, counters restored to
-    /// the cut.
-    fn hydrate(meta: &CheckpointMeta, rows: persist::SnapshotRows) -> Result<Self, PersistError> {
+    /// here): each row's gid and key come from the mapped arrays and its
+    /// vector is decoded straight from its payload block (no re-hashing,
+    /// no row cell filled); the rows become the shards and the published
+    /// snapshot, and the counters are restored to the cut. The mapping
+    /// is dropped on return.
+    fn hydrate(base: MappedCheckpoint) -> Self {
+        let meta = base.meta();
         let mut engine = Self::new(meta.config);
+        let rows: Vec<(GlobalId, u64, Arc<SparseVector>)> = (0..base.len())
+            .map(|i| (base.gid(i), base.key(i), Arc::new(base.decode(i))))
+            .collect();
         for (gid, key, v) in &rows {
             let shard = engine.shard_of(*gid);
             let fresh = engine.shards[shard].get_mut().insert(*gid, *key, v.clone());
-            if !fresh {
-                return Err(PersistError::Corrupt(format!(
-                    "checkpoint carries global id {gid} twice"
-                )));
-            }
+            assert!(fresh, "GIDS strictly ascend (checked at open)");
         }
         // The checkpoint rows ARE the base snapshot: drain the delta
         // logs the rebuild just filled so the next publish extends this
@@ -808,7 +811,7 @@ impl EstimationEngine {
         }
         let snapshot = Snapshot::assemble(meta.epoch, meta.ingested, engine.hasher.clone(), rows);
         engine.restore_cut(meta, snapshot);
-        Ok(engine)
+        engine
     }
 
     /// Installs `snapshot` as the published cut of a checkpoint and

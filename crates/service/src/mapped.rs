@@ -1,9 +1,11 @@
 //! The out-of-core "map + go" checkpoint tier.
 //!
-//! [`MappedCheckpoint`] serves a v3 checkpoint container *directly from
-//! the on-disk file*: the container is memory-mapped, every section's
-//! checksum and the cross-section structure are validated once, and
-//! from then on bucket runs, key arrays, and vector payloads are read
+//! [`MappedCheckpoint`] is the one reader of a v3 checkpoint container.
+//! The container is memory-mapped, and every section's checksum, the
+//! cross-section structure and every row's vector invariants are
+//! validated once, at open. The heap tier then copies the rows into its
+//! shards and drops the mapping; the mapped tier serves the file
+//! *directly*: bucket runs, key arrays, and vector payloads are read
 //! straight out of the mapping — the base corpus never enters the heap.
 //! Vector payloads materialize lazily (one [`OnceLock`] cell per row)
 //! the first time an estimator actually touches them, so a cold start
@@ -41,7 +43,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use bytes::Bytes;
 use memmap2::Mmap;
 use vsj_core::IndexView;
 use vsj_datasets::io::{self, ContainerIndex};
@@ -102,8 +103,9 @@ impl TombstoneSet {
 }
 
 /// A validated, memory-mapped v3 checkpoint: the base rows of a mapped
-/// engine. All integer reads go through `from_le_bytes` on mapped
-/// slices; vectors decode lazily into per-row cells on first touch.
+/// engine, and the source a heap recovery copies its rows from. All
+/// integer reads go through `from_le_bytes` on mapped slices; vectors
+/// decode lazily into per-row cells on first touch.
 pub(crate) struct MappedCheckpoint {
     map: Mmap,
     meta: CheckpointMeta,
@@ -133,13 +135,17 @@ impl std::fmt::Debug for MappedCheckpoint {
 }
 
 impl MappedCheckpoint {
-    /// Maps and validates the checkpoint at `path`.
+    /// Maps and validates the checkpoint at `path` — the only way any
+    /// code reads a checkpoint, whichever tier then serves it.
     ///
     /// Validation is one linear scan (the container's per-section
-    /// checksums) plus O(n) integer structure checks — no vector is
-    /// decoded, no heap table is built. Any framing, checksum, or
-    /// cross-section inconsistency fails loudly here so the serving
-    /// path can trust the mapping unconditionally.
+    /// checksums) plus O(n) structure checks over the integer sections
+    /// and, in place, every row's payload block (indices strictly
+    /// ascending, values finite — [`SparseVector::check_sorted`], the
+    /// definition the vector constructor applies). No vector is
+    /// decoded, no heap table is built. Any framing, checksum,
+    /// cross-section or row inconsistency fails loudly here so both
+    /// tiers can trust the mapping unconditionally.
     pub(crate) fn open(path: &Path) -> Result<Self, PersistError> {
         let file = std::fs::File::open(path)?;
         let map = Mmap::map(&file)?;
@@ -149,7 +155,7 @@ impl MappedCheckpoint {
     fn from_map(map: Mmap) -> Result<Self, PersistError> {
         let index = ContainerIndex::parse(&map)?;
         let meta_range = index.require(SECTION_META)?;
-        let (meta, n64) = decode_meta(Bytes::copy_from_slice(&map[meta_range]))?;
+        let (meta, n64) = decode_meta(&map[meta_range])?;
         if n64 > u32::MAX as u64 {
             return Err(corrupt(format!("{n64} rows exceed the id space")));
         }
@@ -251,6 +257,16 @@ impl MappedCheckpoint {
             if len != 4 + nnz * 8 {
                 return Err(corrupt("VPAY block length disagrees with its nnz prefix"));
             }
+            let (indices, values) = map[at + 4..at + len as usize].split_at(nnz as usize * 4);
+            SparseVector::check_sorted(
+                indices
+                    .chunks_exact(4)
+                    .map(|b| u32::from_le_bytes(b.try_into().expect("4"))),
+                values
+                    .chunks_exact(4)
+                    .map(|b| f32::from_le_bytes(b.try_into().expect("4"))),
+            )
+            .map_err(|e| corrupt(format!("VPAY row {i}: {e}")))?;
         }
         let mut cells = Vec::with_capacity(n);
         cells.resize_with(n, OnceLock::new);
@@ -375,21 +391,27 @@ impl MappedCheckpoint {
 
     /// The vector of base row `i`, decoding its payload block into the
     /// row's cell on first touch.
-    ///
-    /// # Panics
-    /// Panics if the block fails vector-invariant validation — ruled
-    /// out for disk corruption by the map-time checksums, so a panic
-    /// here means a writer bug, not bad media.
     pub(crate) fn vector(&self, i: usize) -> &SparseVector {
         self.cells[i].get_or_init(|| {
-            let start = self.payload_offset(i) as usize;
-            let end = self.payload_offset(i + 1) as usize;
-            let mut block = &self.map[self.vpay.start + start..self.vpay.start + end];
-            let v = io::decode_vector(&mut block)
-                .expect("checksummed VPAY block failed vector validation");
+            let v = self.decode(i);
             self.materialized.fetch_add(1, Ordering::Relaxed);
             v
         })
+    }
+
+    /// Decodes base row `i`'s vector straight from its payload block,
+    /// bypassing (and not filling) the row's cell — the heap tier's copy
+    /// out of the mapping.
+    ///
+    /// # Panics
+    /// Never on a checkpoint that opened: [`MappedCheckpoint::open`]
+    /// checks every block's length, order and finiteness, which is
+    /// everything decoding validates.
+    pub(crate) fn decode(&self, i: usize) -> SparseVector {
+        let start = self.payload_offset(i) as usize;
+        let end = self.payload_offset(i + 1) as usize;
+        let mut block = &self.map[self.vpay.start + start..self.vpay.start + end];
+        io::decode_vector(&mut block).expect("VPAY rows are validated at open")
     }
 }
 

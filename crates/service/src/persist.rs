@@ -4,9 +4,11 @@
 //! [`datasets::io`](vsj_datasets::io) container) holding everything
 //! needed to resurrect an [`EstimationEngine`]
 //! at a published epoch. It is written in the container's one layout
-//! (fixed-width directory, 8-byte-aligned sections): the heap tier
-//! decodes it, the out-of-core tier serves estimates straight from a
-//! mapping of the same file:
+//! (fixed-width directory, 8-byte-aligned sections) and read by one
+//! reader, the `mapped` module's `MappedCheckpoint`: every recovery maps
+//! the file and validates it once, then the out-of-core tier serves
+//! estimates straight from the mapping while the heap tier copies the
+//! rows into its shards and drops it:
 //!
 //! | section | payload |
 //! |---|---|
@@ -24,8 +26,11 @@
 //! grouped from them by [`LshTable::from_parts`](vsj_lsh::LshTable),
 //! exactly like snapshot publication — and the mapped tier skips even
 //! that, serving buckets from `BKTK`/`BOFF`/`BMEM` directly. Every
-//! section is checksummed by the container, so any flipped byte fails
-//! the load loudly instead of resurrecting a silently wrong index.
+//! section is checksummed by the container, and the structure across
+//! sections (including every row's vector invariants) is checked at
+//! open, so a damaged file — a flipped byte or a well-checksummed file
+//! that is not what this writer lays out — fails the load loudly on
+//! both tiers instead of resurrecting a silently wrong index.
 //!
 //! Checkpoint files are written to a temp name and atomically renamed,
 //! so a crash mid-checkpoint leaves the previous checkpoint intact. The
@@ -40,6 +45,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use memmap2::Mmap;
 use vsj_datasets::io::{self, ContainerIndex, ContainerWriter, IoError};
 use vsj_obs::{Trace, TraceRing};
 use vsj_pool::WorkPool;
@@ -50,7 +56,6 @@ use crate::config::{IndexFamily, ServiceConfig};
 use crate::engine::EstimationEngine;
 use crate::mapped::MappedRow;
 use crate::snapshot::Snapshot;
-use crate::GlobalId;
 
 /// File name of the checkpoint container inside a storage directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.vsjc";
@@ -201,8 +206,8 @@ fn corrupt(msg: impl Into<String>) -> PersistError {
     PersistError::Corrupt(msg.into())
 }
 
-pub(crate) fn decode_meta(mut data: Bytes) -> Result<(CheckpointMeta, u64), PersistError> {
-    let need = |data: &mut Bytes, bytes: usize, what: &str| -> Result<(), PersistError> {
+pub(crate) fn decode_meta(mut data: &[u8]) -> Result<(CheckpointMeta, u64), PersistError> {
+    let need = |data: &mut &[u8], bytes: usize, what: &str| -> Result<(), PersistError> {
         if data.remaining() < bytes {
             Err(corrupt(format!("META truncated at {what}")))
         } else {
@@ -309,22 +314,6 @@ fn encode_u64s(values: impl ExactSizeIterator<Item = u64>) -> Bytes {
     buf.freeze()
 }
 
-fn decode_u64s(data: &[u8], what: &str) -> Result<Vec<u64>, PersistError> {
-    if !data.len().is_multiple_of(8) {
-        return Err(corrupt(format!(
-            "{what} section length not a multiple of 8"
-        )));
-    }
-    Ok(data
-        .chunks_exact(8)
-        .map(|word| u64::from_le_bytes(word.try_into().expect("8 bytes")))
-        .collect())
-}
-
-/// The snapshot rows a checkpoint stores: `(global id, bucket key,
-/// vector)`, ascending by id.
-pub type SnapshotRows = Vec<(GlobalId, u64, Arc<SparseVector>)>;
-
 /// Serializes a checkpoint (exposed for tests and tooling; the private
 /// `write_checkpoint` is the durable path). Works for both storage
 /// tiers: a heap snapshot encodes its
@@ -413,7 +402,7 @@ fn encode_checkpoint_inner(
         }
     };
     // Bucket runs: group rows by key (key-ascending, members in id
-    // order) — exactly the grouping `LshTable::from_keys` performs, so
+    // order) — exactly the grouping `LshTable::from_parts` performs, so
     // a mapped reader enumerates the same bucket sequence as a heap
     // rebuild.
     let mut buckets: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
@@ -565,74 +554,6 @@ pub(crate) fn write_checkpoint(
     Ok(())
 }
 
-/// Decodes the payload slab into owned vectors: `voff` must partition
-/// the slab exactly, and every block must decode to a valid vector with
-/// no trailing bytes.
-fn decode_payload_slab(voff: &[u64], slab: &[u8]) -> Result<Vec<SparseVector>, PersistError> {
-    if voff.first() != Some(&0) || voff.last() != Some(&(slab.len() as u64)) {
-        return Err(corrupt("VOFF does not span exactly the payload slab"));
-    }
-    let mut out = Vec::with_capacity(voff.len().saturating_sub(1));
-    for w in voff.windows(2) {
-        if w[0] > w[1] || w[1] > slab.len() as u64 {
-            return Err(corrupt("VOFF offsets are not monotone"));
-        }
-        let mut block = Bytes::copy_from_slice(&slab[w[0] as usize..w[1] as usize]);
-        let v = io::decode_vector(&mut block)?;
-        if block.has_remaining() {
-            return Err(corrupt("trailing bytes in a VPAY block"));
-        }
-        out.push(v);
-    }
-    Ok(out)
-}
-
-/// Decodes checkpoint bytes into metadata plus snapshot rows
-/// `(global id, bucket key, vector)`, verifying every section checksum
-/// and cross-section consistency. The heap rebuild derives its buckets
-/// from `KEYS`, but a checkpoint must still carry the full mappable
-/// section set — a missing (or tag-corrupted) bucket section is damage,
-/// not an optional extra, even when this path would not read it.
-pub fn decode_checkpoint(bytes: Bytes) -> Result<(CheckpointMeta, SnapshotRows), PersistError> {
-    let data = bytes.as_slice();
-    let index = ContainerIndex::parse(data)?;
-    let section = |tag| index.require(tag).map(|range| &data[range]);
-    let (meta, n) = decode_meta(Bytes::copy_from_slice(section(SECTION_META)?))?;
-    let gids = decode_u64s(section(SECTION_GIDS)?, "GIDS")?;
-    let keys = decode_u64s(section(SECTION_KEYS)?, "KEYS")?;
-    for tag in [SECTION_BKTK, SECTION_BOFF, SECTION_BMEM] {
-        index.require(tag)?;
-    }
-    let voff = decode_u64s(section(SECTION_VOFF)?, "VOFF")?;
-    let vectors = decode_payload_slab(&voff, section(SECTION_VPAY)?)?;
-    if gids.len() as u64 != n || keys.len() as u64 != n || vectors.len() as u64 != n {
-        return Err(corrupt(format!(
-            "row count mismatch: META says {n}, sections carry {}/{}/{}",
-            gids.len(),
-            keys.len(),
-            vectors.len()
-        )));
-    }
-    if gids.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(corrupt("GIDS are not strictly ascending"));
-    }
-    if gids.last().is_some_and(|&last| last >= meta.next_id) {
-        return Err(corrupt("a snapshot row carries an unallocated global id"));
-    }
-    let rows = gids
-        .into_iter()
-        .zip(keys)
-        .zip(vectors)
-        .map(|((gid, key), v)| (gid, key, Arc::new(v)))
-        .collect();
-    Ok((meta, rows))
-}
-
-/// Reads and verifies the checkpoint file in `dir`.
-pub fn read_checkpoint(dir: &Path) -> Result<(CheckpointMeta, SnapshotRows), PersistError> {
-    decode_checkpoint(Bytes::from(std::fs::read(dir.join(CHECKPOINT_FILE))?))
-}
-
 // --- checkpoint generations ---------------------------------------------
 
 /// Path of checkpoint generation `generation` inside `dir`: `0` is the
@@ -646,85 +567,17 @@ pub fn generation_path(dir: &Path, generation: u64) -> PathBuf {
     }
 }
 
-/// Reads and verifies checkpoint generation `generation` in `dir` (see
-/// [`generation_path`]).
-pub fn read_checkpoint_generation(
-    dir: &Path,
-    generation: u64,
-) -> Result<(CheckpointMeta, SnapshotRows), PersistError> {
-    decode_checkpoint(Bytes::from(std::fs::read(generation_path(
-        dir, generation,
-    ))?))
-}
-
-/// Reads **only the `META` section** of a checkpoint container — the
-/// header and directory are read, `META` is one seek away, the other
-/// sections are never read into memory, and only `META`'s checksum is
-/// verified. This is what keeps WAL-horizon bookkeeping O(metadata):
-/// a checkpoint needs the cut sequence of every *retained* generation
-/// to know which WAL segments may be dropped, and decoding whole
-/// multi-megabyte containers for a single `u64` would put an O(corpus)
-/// read on the checkpoint path.
+/// Reads **only the `META` section** of a checkpoint container: the
+/// file is mapped and framed by the same directory walk every reader
+/// uses ([`ContainerIndex::parse_sections`]), and only `META`'s checksum
+/// is verified — the other payloads are never touched. Recovery peeks
+/// every retained generation once per life to learn its WAL cut (the
+/// retention horizon), which stays O(metadata) however large the
+/// generations are.
 pub fn peek_checkpoint_meta(path: &Path) -> Result<CheckpointMeta, PersistError> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut file = std::fs::File::open(path)?;
-    // Truncation anywhere in the walk — including a zero-length file —
-    // must surface as a *structured* corruption error, never a bare
-    // EOF panic or a misleading downstream failure.
-    fn read_frame(
-        file: &mut std::fs::File,
-        buf: &mut [u8],
-        what: &str,
-    ) -> Result<(), PersistError> {
-        file.read_exact(buf).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                corrupt(format!("checkpoint truncated reading {what}"))
-            } else {
-                PersistError::Io(e)
-            }
-        })
-    }
-    let mut header = [0u8; 8];
-    read_frame(&mut file, &mut header, "the container header")?;
-    if &header[0..4] != b"VSJC" {
-        return Err(IoError::BadMagic.into());
-    }
-    let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if version != io::VERSION_V3 {
-        return Err(IoError::BadVersion(version).into());
-    }
-    read_frame(&mut file, &mut header, "the section count")?;
-    let count = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let file_len = file.metadata()?.len();
-    for _ in 0..count {
-        let mut entry = [0u8; 32];
-        read_frame(&mut file, &mut entry, "a directory entry")?;
-        let tag: [u8; 4] = entry[0..4].try_into().expect("4 bytes");
-        if tag != SECTION_META {
-            continue;
-        }
-        let offset = u64::from_le_bytes(entry[8..16].try_into().expect("8 bytes"));
-        let len = u64::from_le_bytes(entry[16..24].try_into().expect("8 bytes"));
-        let checksum = u64::from_le_bytes(entry[24..32].try_into().expect("8 bytes"));
-        // A corrupt offset or length must fail loudly, not drive a huge
-        // allocation or a wrapping seek: bound both by the file.
-        if offset.checked_add(len).is_none_or(|end| end > file_len) {
-            return Err(corrupt(format!(
-                "META payload at {offset}+{len} overruns the container ({file_len} bytes)"
-            )));
-        }
-        file.seek(SeekFrom::Start(offset))?;
-        let mut payload = vec![0u8; len as usize];
-        read_frame(&mut file, &mut payload, "the META payload")?;
-        if io::checksum64_v3(&payload) != checksum {
-            return Err(IoError::BadChecksum {
-                section: SECTION_META,
-            }
-            .into());
-        }
-        return decode_meta(Bytes::from(payload)).map(|(meta, _)| meta);
-    }
-    Err(corrupt("container has no META section"))
+    let map = Mmap::map(&std::fs::File::open(path)?)?;
+    let index = ContainerIndex::parse_sections(&map, &[SECTION_META])?;
+    decode_meta(&map[index.require(SECTION_META)?]).map(|(meta, _)| meta)
 }
 
 /// Refuses a storage directory that holds a single-file `wal.vsjw`:

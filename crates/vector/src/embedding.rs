@@ -6,9 +6,7 @@
 //! times as the dimension value, using standard rounding techniques if
 //! values are not integral"* (following Arasu et al. \[2\]). The paper then
 //! argues this embedding has adverse effects in practice — we implement it
-//! so that claim can be exercised (the LC baseline can run on either the
-//! native vectors or on embedded sets, and the `bench` crate has an
-//! ablation comparing the two).
+//! so that claim can be exercised.
 
 use crate::merge::for_each_match;
 use crate::sparse::SparseVector;

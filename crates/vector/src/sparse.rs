@@ -104,22 +104,40 @@ impl SparseVector {
                 values: values.len(),
             });
         }
-        for (pos, w) in indices.windows(2).enumerate() {
-            if w[0] >= w[1] {
-                return Err(SparseVectorError::UnsortedIndices { position: pos + 1 });
-            }
-        }
-        for (pos, &v) in values.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(SparseVectorError::NonFiniteValue { position: pos });
-            }
-        }
+        Self::check_sorted(indices.iter().copied(), values.iter().copied())?;
         let (indices, values): (Vec<u32>, Vec<f32>) = indices
             .into_iter()
             .zip(values)
             .filter(|&(_, v)| v != 0.0)
             .unzip();
         Ok(Self::trusted(indices, values))
+    }
+
+    /// The per-coordinate invariants [`from_sorted`](Self::from_sorted)
+    /// enforces — indices strictly increasing, every value finite —
+    /// checked over any pair of sequences without building a vector, so
+    /// a reader can validate rows in place (e.g. inside a memory
+    /// mapping) by the one definition the constructor uses.
+    ///
+    /// # Errors
+    /// [`SparseVectorError::UnsortedIndices`] or
+    /// [`SparseVectorError::NonFiniteValue`] at the first offending
+    /// position.
+    pub fn check_sorted(
+        indices: impl IntoIterator<Item = u32>,
+        values: impl IntoIterator<Item = f32>,
+    ) -> Result<(), SparseVectorError> {
+        let mut prev: Option<u32> = None;
+        for (position, i) in indices.into_iter().enumerate() {
+            if prev.is_some_and(|p| p >= i) {
+                return Err(SparseVectorError::UnsortedIndices { position });
+            }
+            prev = Some(i);
+        }
+        match values.into_iter().position(|v| !v.is_finite()) {
+            Some(position) => Err(SparseVectorError::NonFiniteValue { position }),
+            None => Ok(()),
+        }
     }
 
     /// Builds a vector from arbitrary `(index, value)` entries: entries are

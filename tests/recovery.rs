@@ -368,15 +368,186 @@ fn corrupting_any_checkpoint_byte_fails_loudly_never_silently() {
     let checkpoint = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
     let work = fresh_dir("matrix_corrupt");
     clone_dir(&dir, &work);
-    for at in 0..checkpoint.len() {
-        let mut broken = checkpoint.clone();
-        broken[at] ^= 0x20;
-        std::fs::write(work.join(CHECKPOINT_FILE), &broken).unwrap();
+    for tier in [StorageTier::Heap, StorageTier::Mapped] {
+        for at in 0..checkpoint.len() {
+            let mut broken = checkpoint.clone();
+            broken[at] ^= 0x20;
+            std::fs::write(work.join(CHECKPOINT_FILE), &broken).unwrap();
+            assert!(
+                EstimationEngine::recover_with(&work, tier_options(tier)).is_err(),
+                "{tier:?}: checkpoint byte {at} flipped: recovery must fail, \
+                 not resurrect a wrong index"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&work).ok();
+}
+
+/// Rewrites a checkpoint's sections through `edit` and re-frames them
+/// with the container writer, so every checksum is valid: what is left
+/// to catch is the structure itself.
+fn reframe(checkpoint: &[u8], edit: impl FnOnce(&mut [([u8; 4], Vec<u8>)])) -> Vec<u8> {
+    let index = io::ContainerIndex::parse(checkpoint).unwrap();
+    let mut sections: Vec<([u8; 4], Vec<u8>)> = index
+        .tags()
+        .into_iter()
+        .map(|tag| (tag, checkpoint[index.range(tag).unwrap()].to_vec()))
+        .collect();
+    edit(&mut sections);
+    let mut writer = io::ContainerWriter::new();
+    for (tag, payload) in sections {
+        writer.section(tag, bytes::Bytes::from(payload));
+    }
+    writer.finish().to_vec()
+}
+
+/// The payload of section `tag`.
+fn section<'a>(sections: &'a mut [([u8; 4], Vec<u8>)], tag: &[u8; 4]) -> &'a mut Vec<u8> {
+    &mut sections.iter_mut().find(|(t, _)| t == tag).unwrap().1
+}
+
+/// Little-endian word `i` of a `u64` array section.
+fn word(payload: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(payload[i * 8..i * 8 + 8].try_into().unwrap())
+}
+
+fn set_word(payload: &mut [u8], i: usize, value: u64) {
+    payload[i * 8..i * 8 + 8].copy_from_slice(&value.to_le_bytes());
+}
+
+/// Both tiers and the generation restore accept exactly the same
+/// checkpoint files. Every case re-frames a real checkpoint with one
+/// structural defect and valid checksums; each must be refused with a
+/// structured error by heap recovery, mapped recovery and
+/// `recover_generation` alike — never served, never a panic — while the
+/// identity re-frame recovers on both tiers with the original answers.
+#[test]
+fn structurally_damaged_checkpoints_are_refused_by_every_reader() {
+    let dir = fresh_dir("structure");
+    let engine = durable_for_test(config(71), &dir);
+    // Every vector twice, so buckets hold several members.
+    for i in 0..24u32 {
+        engine.insert(members(i % 12, 3 + i % 12 % 4));
+    }
+    engine.checkpoint().unwrap();
+    let answer = engine.estimate(0.3);
+    drop(engine);
+    let checkpoint = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+    assert_eq!(
+        reframe(&checkpoint, |_| {}),
+        checkpoint,
+        "re-framing is exact"
+    );
+    type Edit = fn(&mut [([u8; 4], Vec<u8>)]);
+    let cases: [(&str, Edit); 15] = [
+        ("GIDS out of order", |s| {
+            let gids = section(s, b"GIDS");
+            let (a, b) = (word(gids, 0), word(gids, 1));
+            set_word(gids, 0, b);
+            set_word(gids, 1, a);
+        }),
+        ("GIDS past the id allocator", |s| {
+            let gids = section(s, b"GIDS");
+            let last = gids.len() / 8 - 1;
+            set_word(gids, last, u64::MAX);
+        }),
+        ("BKTK keys all zero", |s| section(s, b"BKTK").fill(0)),
+        ("BOFF not spanning the rows", |s| {
+            let boff = section(s, b"BOFF");
+            let last = boff.len() / 8 - 1;
+            let n = word(boff, last);
+            set_word(boff, last, n + 1);
+        }),
+        ("BOFF not increasing", |s| {
+            let boff = section(s, b"BOFF");
+            set_word(boff, 1, 0);
+        }),
+        ("BMEM member out of range", |s| {
+            let n = section(s, b"GIDS").len() / 8;
+            section(s, b"BMEM")[..4].copy_from_slice(&(n as u32).to_le_bytes());
+        }),
+        ("BMEM reversed", |s| {
+            let bmem = section(s, b"BMEM");
+            let members: Vec<u8> = bmem.chunks_exact(4).rev().flatten().copied().collect();
+            *bmem = members;
+        }),
+        ("BMEM member under another key", |s| {
+            let keys = section(s, b"KEYS");
+            let key = word(keys, 0);
+            set_word(keys, 0, key ^ 1);
+        }),
+        ("VOFF not spanning the payload", |s| {
+            section(s, b"VPAY").extend_from_slice(&[0; 4]);
+        }),
+        ("VOFF not monotone", |s| {
+            let voff = section(s, b"VOFF");
+            let second = word(voff, 2);
+            set_word(voff, 1, second + 1);
+        }),
+        ("nnz prefix disagrees with the block", |s| {
+            let vpay = section(s, b"VPAY");
+            let nnz = u32::from_le_bytes(vpay[..4].try_into().unwrap());
+            vpay[..4].copy_from_slice(&(nnz - 1).to_le_bytes());
+        }),
+        ("row sections disagree on the row count", |s| {
+            let gids = section(s, b"GIDS");
+            gids.truncate(gids.len() - 8);
+        }),
+        ("two indices of one row swapped", |s| {
+            let vpay = section(s, b"VPAY");
+            let (a, b) = (vpay[4..8].to_vec(), vpay[8..12].to_vec());
+            vpay[4..8].copy_from_slice(&b);
+            vpay[8..12].copy_from_slice(&a);
+        }),
+        ("a NaN value", |s| {
+            let vpay = section(s, b"VPAY");
+            let nnz = u32::from_le_bytes(vpay[..4].try_into().unwrap()) as usize;
+            let at = 4 + nnz * 4;
+            vpay[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+        }),
+        ("an infinite value", |s| {
+            let vpay = section(s, b"VPAY");
+            let nnz = u32::from_le_bytes(vpay[..4].try_into().unwrap()) as usize;
+            let at = 4 + 4 * nnz + 4;
+            vpay[at..at + 4].copy_from_slice(&f32::INFINITY.to_le_bytes());
+        }),
+    ];
+    let work = fresh_dir("structure_work");
+    let install = |bytes: &[u8]| {
+        clone_dir(&dir, &work);
+        std::fs::write(work.join(CHECKPOINT_FILE), bytes).unwrap();
+        std::fs::write(persist::generation_path(&work, 1), bytes).unwrap();
+    };
+    for (case, edit) in cases {
+        install(&reframe(&checkpoint, edit));
+        for tier in [StorageTier::Heap, StorageTier::Mapped] {
+            match EstimationEngine::recover_with(&work, tier_options(tier)) {
+                Err(_) => {}
+                Ok(_) => panic!("{case}: the {tier:?} tier recovered a damaged checkpoint"),
+            }
+        }
         assert!(
-            EstimationEngine::recover_with(&work, test_options()).is_err(),
-            "checkpoint byte {at} flipped: recovery must fail, not resurrect a wrong index"
+            EstimationEngine::recover_generation(&work, 1).is_err(),
+            "{case}: recover_generation restored a damaged checkpoint"
         );
     }
+    // The identity re-frame is the file itself: every reader serves it.
+    install(&checkpoint);
+    for tier in [StorageTier::Heap, StorageTier::Mapped] {
+        let recovered = EstimationEngine::recover_with(&work, tier_options(tier)).unwrap();
+        assert_eq!(
+            recovered.estimate(0.3),
+            answer,
+            "{tier:?}: identity re-frame"
+        );
+    }
+    assert_eq!(
+        EstimationEngine::recover_generation(&work, 1)
+            .unwrap()
+            .estimate(0.3),
+        answer
+    );
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&work).ok();
 }
