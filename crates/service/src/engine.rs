@@ -13,7 +13,7 @@ use vsj_lsh::{BucketHasher, Composite, MinHashFamily, SimHashFamily};
 use vsj_obs::{snapshot_ordered, Counter, Gauge, Histogram, ObsOptions, Registry};
 use vsj_pool::WorkPool;
 use vsj_sampling::{signed_relative_error, Rng, RngStreams, SplitMix64, Xoshiro256};
-use vsj_vector::{pairs_of, Cosine, Jaccard, SparseVector, VectorCollection, VectorStore};
+use vsj_vector::{pairs_of, Cosine, Jaccard, SparseVector, VectorCollection};
 
 use crate::audit::{AuditOptions, AuditRecord, AuditState, QualityReport};
 use crate::cache::{CacheEntry, CacheKey, EstimateCache};
@@ -97,8 +97,8 @@ struct EngineMetrics {
     tombstone_rows: Gauge,
     /// Bytes currently served from a checkpoint mapping.
     mapped_bytes: Gauge,
-    /// Base vectors materialized from the mapping so far (refreshed by
-    /// `stats()`).
+    /// Base vectors decoded onto the heap (refreshed by `stats()`): 0
+    /// on the served path, which scores base rows in place.
     mapped_materialized: Gauge,
     /// Process major page faults (refreshed by `stats()`; the mapped
     /// tier's "how much of the base did we actually touch" signal).
@@ -207,7 +207,7 @@ impl EngineMetrics {
             ),
             mapped_materialized: registry.gauge(
                 "vsj_engine_mapped_materialized_vectors",
-                "Mapped base vectors decoded into heap cells on demand",
+                "Mapped base vectors decoded onto the heap (0 on the served path, which scores rows in place)",
             ),
             major_faults: registry.gauge(
                 "vsj_process_major_page_faults",
@@ -788,8 +788,8 @@ impl EstimationEngine {
     /// then replays the WAL and attaches storage) and
     /// [`recover_generation`](Self::recover_generation) (which stops
     /// here): each row's gid and key come from the mapped arrays and its
-    /// vector is decoded straight from its payload block (no re-hashing,
-    /// no row cell filled); the rows become the shards and the published
+    /// vector is decoded straight from its payload block (no
+    /// re-hashing); the rows become the shards and the published
     /// snapshot, and the counters are restored to the cut. The mapping
     /// is dropped on return.
     fn hydrate(base: MappedCheckpoint) -> Self {
@@ -1921,11 +1921,12 @@ impl EstimationEngine {
 
         // The audited stratum: the whole corpus when it fits the exact
         // budget (truth is exact), otherwise a deterministic uniform
-        // subset with pair-count rescaling. Vectors are cloned through
-        // `VectorStore`, which serves both the heap and mapped tiers.
+        // subset with pair-count rescaling. Vectors are copied with
+        // `Snapshot::to_vector`: a mapped base row is decoded from its
+        // payload, and no decoded row outlives the audit.
         let bound = options.max_exact_n;
         let (vectors, scale): (Vec<SparseVector>, f64) = if n <= bound {
-            let all = (0..n).map(|i| snapshot.vector(i as u32).clone()).collect();
+            let all = (0..n).map(|i| snapshot.to_vector(i as u32)).collect();
             (all, 1.0)
         } else {
             let cycle = self.audit.cycles.get();
@@ -1936,7 +1937,7 @@ impl EstimationEngine {
             let picked = sample_distinct_indices(n, bound, &mut rng);
             let subset = picked
                 .iter()
-                .map(|&i| snapshot.vector(i as u32).clone())
+                .map(|&i| snapshot.to_vector(i as u32))
                 .collect();
             let scale = pairs_of(n as u64) as f64 / pairs_of(bound as u64) as f64;
             (subset, scale)

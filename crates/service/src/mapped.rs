@@ -7,9 +7,15 @@
 //! shards and drops the mapping; the mapped tier serves the file
 //! *directly*: bucket runs, key arrays, and vector payloads are read
 //! straight out of the mapping — the base corpus never enters the heap.
-//! Vector payloads materialize lazily (one [`OnceLock`] cell per row)
-//! the first time an estimator actually touches them, so a cold start
-//! costs O(map + validation scan) instead of O(decode + rebuild).
+//! A sampled pair is scored from borrowed slices of the rows' payload
+//! blocks ([`Row::from_le_words`]): no row is decoded and nothing is
+//! allocated, so a cold start costs O(map + validation scan) instead of
+//! O(decode + rebuild), and its first estimate costs what every later
+//! one does. The validation scan reads every value anyway, so it also
+//! records each row's L2 norm in an 8 B/row heap array — the one part of
+//! a row scoring needs that the payload does not store. Whole decoded
+//! vectors exist only for readers outside the served path
+//! ([`MappedCheckpoint::vector`], decoded all at once on first call).
 //!
 //! [`MappedView`] is the index a mapped engine publishes: the mapped
 //! base, minus a [`TombstoneSet`] of removed base rows, plus a heap
@@ -40,14 +46,13 @@
 
 use std::ops::Range;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use memmap2::Mmap;
 use vsj_core::IndexView;
 use vsj_datasets::io::{self, ContainerIndex};
 use vsj_sampling::{pair_count, AliasTable};
-use vsj_vector::{SparseVector, VectorId};
+use vsj_vector::{Row, SparseVector, VectorId};
 
 use crate::persist::{
     decode_meta, CheckpointMeta, PersistError, SECTION_BKTK, SECTION_BMEM, SECTION_BOFF,
@@ -104,8 +109,8 @@ impl TombstoneSet {
 
 /// A validated, memory-mapped v3 checkpoint: the base rows of a mapped
 /// engine, and the source a heap recovery copies its rows from. All
-/// integer reads go through `from_le_bytes` on mapped slices; vectors
-/// decode lazily into per-row cells on first touch.
+/// integer reads go through `from_le_bytes` on mapped slices; rows are
+/// scored in place ([`MappedCheckpoint::row`]).
 pub(crate) struct MappedCheckpoint {
     map: Mmap,
     meta: CheckpointMeta,
@@ -118,8 +123,10 @@ pub(crate) struct MappedCheckpoint {
     bmem: Range<usize>,
     voff: Range<usize>,
     vpay: Range<usize>,
-    cells: Vec<OnceLock<SparseVector>>,
-    materialized: AtomicU64,
+    /// L2 norm of each base row, recorded by the validation scan.
+    norms: Vec<f64>,
+    /// Every base row decoded, for [`MappedCheckpoint::vector`] only.
+    decoded: OnceLock<Box<[SparseVector]>>,
 }
 
 impl std::fmt::Debug for MappedCheckpoint {
@@ -141,9 +148,9 @@ impl MappedCheckpoint {
     /// Validation is one linear scan (the container's per-section
     /// checksums) plus O(n) structure checks over the integer sections
     /// and, in place, every row's payload block (indices strictly
-    /// ascending, values finite — [`SparseVector::check_sorted`], the
-    /// definition the vector constructor applies). No vector is
-    /// decoded, no heap table is built. Any framing, checksum,
+    /// ascending, values finite and non-zero — [`Row::check_le_words`],
+    /// which also returns the row's norm). No vector is decoded, no heap
+    /// table is built. Any framing, checksum,
     /// cross-section or row inconsistency fails loudly here so both
     /// tiers can trust the mapping unconditionally.
     pub(crate) fn open(path: &Path) -> Result<Self, PersistError> {
@@ -237,11 +244,12 @@ impl MappedCheckpoint {
             }
         }
         // Payload offsets: partition the slab, and each block's nnz
-        // prefix must account for its exact length, so lazy decoding
-        // can never run off a block.
+        // prefix must account for its exact length, so a row read in
+        // place can never run off its block.
         if u64_in(&voff, 0) != 0 || u64_in(&voff, n) != vpay.len() as u64 {
             return Err(corrupt("VOFF does not span exactly the payload slab"));
         }
+        let mut norms = Vec::with_capacity(n);
         for i in 0..n {
             let start = u64_in(&voff, i);
             let end = u64_in(&voff, i + 1);
@@ -257,19 +265,11 @@ impl MappedCheckpoint {
             if len != 4 + nnz * 8 {
                 return Err(corrupt("VPAY block length disagrees with its nnz prefix"));
             }
-            let (indices, values) = map[at + 4..at + len as usize].split_at(nnz as usize * 4);
-            SparseVector::check_sorted(
-                indices
-                    .chunks_exact(4)
-                    .map(|b| u32::from_le_bytes(b.try_into().expect("4"))),
-                values
-                    .chunks_exact(4)
-                    .map(|b| f32::from_le_bytes(b.try_into().expect("4"))),
-            )
-            .map_err(|e| corrupt(format!("VPAY row {i}: {e}")))?;
+            let (indices, values) = row_words(&map[at..at + len as usize]);
+            let norm = Row::check_le_words(indices, values)
+                .map_err(|e| corrupt(format!("VPAY row {i}: {e}")))?;
+            norms.push(norm);
         }
-        let mut cells = Vec::with_capacity(n);
-        cells.resize_with(n, OnceLock::new);
         Ok(Self {
             map,
             meta,
@@ -282,8 +282,8 @@ impl MappedCheckpoint {
             bmem,
             voff,
             vpay,
-            cells,
-            materialized: AtomicU64::new(0),
+            norms,
+            decoded: OnceLock::new(),
         })
     }
 
@@ -321,9 +321,10 @@ impl MappedCheckpoint {
         self.map.is_mapped()
     }
 
-    /// Base vectors whose payload has been decoded into the heap cell.
+    /// Base vectors decoded onto the heap: 0 until an off-path reader
+    /// asks for [`MappedCheckpoint::vector`], then every row.
     pub(crate) fn materialized(&self) -> u64 {
-        self.materialized.load(Ordering::Relaxed)
+        self.decoded.get().map_or(0, |rows| rows.len() as u64)
     }
 
     /// Global id of base row `i`.
@@ -389,30 +390,52 @@ impl MappedCheckpoint {
         self.u64_in(&self.voff, i)
     }
 
-    /// The vector of base row `i`, decoding its payload block into the
-    /// row's cell on first touch.
+    /// Base row `i`'s payload block: `nnz | indices | values`.
+    #[inline]
+    fn block(&self, i: usize) -> &[u8] {
+        let start = self.payload_offset(i) as usize;
+        let end = self.payload_offset(i + 1) as usize;
+        &self.map[self.vpay.start + start..self.vpay.start + end]
+    }
+
+    /// Base row `i`, borrowed from its payload block — the served path's
+    /// only read of a base row: no decode, no allocation.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> Row<'_> {
+        let (indices, values) = row_words(self.block(i));
+        Row::from_le_words(indices, values, self.norms[i])
+    }
+
+    /// The vector of base row `i`, for readers that need a
+    /// [`SparseVector`] reference (`VectorStore::vector`). Nothing on the
+    /// served path calls it: the first call decodes every base row onto
+    /// the heap, for as long as the mapping lives.
     pub(crate) fn vector(&self, i: usize) -> &SparseVector {
-        self.cells[i].get_or_init(|| {
-            let v = self.decode(i);
-            self.materialized.fetch_add(1, Ordering::Relaxed);
-            v
-        })
+        &self
+            .decoded
+            .get_or_init(|| (0..self.n).map(|r| self.decode(r)).collect())[i]
     }
 
     /// Decodes base row `i`'s vector straight from its payload block,
-    /// bypassing (and not filling) the row's cell — the heap tier's copy
-    /// out of the mapping.
+    /// keeping nothing — the heap tier's and the auditor's copy out of
+    /// the mapping.
     ///
     /// # Panics
     /// Never on a checkpoint that opened: [`MappedCheckpoint::open`]
-    /// checks every block's length, order and finiteness, which is
+    /// checks every block's length, order and values, which is
     /// everything decoding validates.
     pub(crate) fn decode(&self, i: usize) -> SparseVector {
-        let start = self.payload_offset(i) as usize;
-        let end = self.payload_offset(i + 1) as usize;
-        let mut block = &self.map[self.vpay.start + start..self.vpay.start + end];
+        let mut block = self.block(i);
         io::decode_vector(&mut block).expect("VPAY rows are validated at open")
     }
+}
+
+/// The index and value words of a payload block whose length matches its
+/// nnz prefix: `4 + 8 · nnz` bytes are `1 + 2 · nnz` words.
+#[inline]
+fn row_words(block: &[u8]) -> (&[[u8; 4]], &[[u8; 4]]) {
+    let (words, _) = block.as_chunks::<4>();
+    words[1..].split_at(words.len() / 2)
 }
 
 /// Where a dense view id resolves: a live base row of the mapping, or
@@ -665,13 +688,31 @@ impl MappedView {
         }
     }
 
-    /// The vector of a dense view id (base rows materialize from the
-    /// mapping on first touch).
+    /// The row of a dense view id: base rows borrowed from their
+    /// payload block, overlay rows from their heap vector.
     #[inline]
+    pub(crate) fn row(&self, id: VectorId) -> Row<'_> {
+        match self.row_of_dense(id) {
+            MappedRow::Base(row) => self.base.row(row),
+            MappedRow::Tail(t) => self.tail_vectors[t].as_row(),
+        }
+    }
+
+    /// The vector of a dense view id; a base row comes from
+    /// [`MappedCheckpoint::vector`], so this is off the served path.
     pub(crate) fn vector(&self, id: VectorId) -> &SparseVector {
         match self.row_of_dense(id) {
             MappedRow::Base(row) => self.base.vector(row),
             MappedRow::Tail(t) => &self.tail_vectors[t],
+        }
+    }
+
+    /// An owned copy of a dense view id's vector, decoded straight from
+    /// the payload for a base row (nothing is kept).
+    pub(crate) fn to_vector(&self, id: VectorId) -> SparseVector {
+        match self.row_of_dense(id) {
+            MappedRow::Base(row) => self.base.decode(row),
+            MappedRow::Tail(t) => (*self.tail_vectors[t]).clone(),
         }
     }
 }
@@ -719,11 +760,13 @@ impl IndexView for MappedView {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     use crate::persist::{self, CheckpointMeta};
     use crate::snapshot::Snapshot;
     use crate::ServiceConfig;
     use vsj_lsh::{BucketHasher, Composite, MinHashFamily};
+    use vsj_vector::{Cosine, Jaccard, Similarity};
 
     /// Base row `r` carries gid `3 (r + 1)`, so gids `3 i + 1` and
     /// `3 i + 2` can interleave below the base watermark.
@@ -731,11 +774,27 @@ mod tests {
         3 * (r as u64 + 1)
     }
 
-    /// A row whose payload names its gid, so a resolved vector shows
-    /// which row it came from.
+    /// The payload of row `gid`: a dimension naming the gid, so a
+    /// resolved vector shows which row it came from, plus 2–7 weighted
+    /// terms on dimensions other rows share — of both signs, over nine
+    /// binades, so a pair's `dot` rounds at every addition and depends on
+    /// the order of additions.
+    fn payload(gid: GlobalId) -> SparseVector {
+        let g = gid as u32;
+        let shared = (0..2 + g % 6).map(|t| {
+            let mantissa = 1.0 + ((g * 7 + t) % 13) as f32 / 13.0;
+            let sign = if (g + t).is_multiple_of(4) { -1.0 } else { 1.0 };
+            (
+                t * (1 + g % 3),
+                sign * mantissa * 2.0f32.powi(((g + t) % 9) as i32 - 4),
+            )
+        });
+        SparseVector::from_entries(shared.chain([(1_000 + g, 1.0)]).collect())
+            .expect("finite entries")
+    }
+
     fn row(gid: GlobalId, key: u64) -> (GlobalId, u64, Arc<SparseVector>) {
-        let v = SparseVector::binary_from_members(vec![gid as u32]);
-        (gid, key, Arc::new(v))
+        (gid, key, Arc::new(payload(gid)))
     }
 
     /// Maps a checkpoint whose base rows have `keys` (arbitrary bucket
@@ -797,9 +856,11 @@ mod tests {
         MappedView::new(base.clone(), 4, tombstones, tail)
     }
 
-    /// Every id resolves to its brute-force row, and the pair-bucket
-    /// columns are the live rows grouped by key — key-ascending,
-    /// members dense-ascending, singletons dropped.
+    /// Every id resolves to its brute-force row, every pair — base ×
+    /// base, base × overlay, overlay × overlay — scores in place to the
+    /// bits `Cosine` and `Jaccard` give the decoded vectors, and the
+    /// pair-bucket columns are the live rows grouped by key —
+    /// key-ascending, members dense-ascending, singletons dropped.
     fn check(view: &MappedView, live: &[(GlobalId, u64, MappedRow)]) {
         assert_eq!(view.len(), live.len());
         assert_eq!(IndexView::len(view), live.len());
@@ -809,17 +870,28 @@ mod tests {
             assert_eq!(view.row_of_dense(d), at, "row of dense {d}");
             assert_eq!(view.key_of(d), key, "key of dense {d}");
             assert_eq!(view.gid_of(d), gid, "gid of dense {d}");
-            assert_eq!(
-                view.vector(d).indices(),
-                &[gid as u32],
-                "vector of dense {d}"
-            );
+            assert_eq!(view.to_vector(d), payload(gid), "vector of dense {d}");
             by_key.entry(key).or_default().push(d);
         }
         for a in 0..live.len() {
+            let u = payload(live[a].0);
             for b in 0..live.len() {
                 let same = live[a].1 == live[b].1;
-                assert_eq!(view.same_bucket(a as VectorId, b as VectorId), same);
+                let (da, db) = (a as VectorId, b as VectorId);
+                assert_eq!(view.same_bucket(da, db), same);
+                let v = payload(live[b].0);
+                let (ra, rb) = (view.row(da), view.row(db));
+                let pair = format!("{:?} × {:?}", live[a].2, live[b].2);
+                assert_eq!(
+                    Cosine.sim_rows(ra, rb).to_bits(),
+                    Cosine.sim(&u, &v).to_bits(),
+                    "cosine of {pair}"
+                );
+                assert_eq!(
+                    Jaccard.sim_rows(ra, rb).to_bits(),
+                    Jaccard.sim(&u, &v).to_bits(),
+                    "jaccard of {pair}"
+                );
             }
         }
         let columns: Vec<Vec<VectorId>> = by_key.into_values().filter(|m| m.len() >= 2).collect();
@@ -879,8 +951,10 @@ mod tests {
             /// Random bases with duplicate keys, random tombstones, and
             /// overlays mixing appends, upserts of tombstoned gids,
             /// interleaving fresh gids and overlay-only keys: the view
-            /// matches the brute-force gid-sorted merge, and extending a
-            /// prefix of the overlay equals building over all of it.
+            /// matches the brute-force gid-sorted merge and scores every
+            /// pair in place, bit-identically to the decoded rows, with
+            /// no row decoded onto the heap; and extending a prefix of
+            /// the overlay equals building over all of it.
             #[test]
             fn view_matches_brute_force_merge(
                 base_rows in proptest::collection::vec((0u64..5, 0u8..3), 0..14),
@@ -914,6 +988,13 @@ mod tests {
                 prop_assert_eq!(&extended.starts, &full.starts);
                 prop_assert_eq!(&extended.members, &full.members);
                 prop_assert_eq!(extended.tail_bytes(), full.tail_bytes());
+
+                prop_assert_eq!(base.materialized(), 0);
+                for d in 0..full.len() as VectorId {
+                    prop_assert_eq!(full.vector(d), &full.to_vector(d));
+                }
+                let decoded = if full.len() > full.tail_vectors().len() { base.len() } else { 0 };
+                prop_assert_eq!(base.materialized(), decoded as u64);
             }
         }
     }

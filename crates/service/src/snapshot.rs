@@ -53,7 +53,7 @@ use std::sync::Arc;
 use vsj_core::IndexView;
 use vsj_lsh::{BucketHasher, LshTable};
 use vsj_sampling::AliasTable;
-use vsj_vector::{SharedVectorCollection, SparseVector, VectorId, VectorStore};
+use vsj_vector::{SharedVectorCollection, Similarity, SparseVector, VectorId, VectorStore};
 
 use crate::mapped::{MappedCheckpoint, MappedView, TombstoneSet};
 use crate::GlobalId;
@@ -326,6 +326,16 @@ impl Snapshot {
         }
     }
 
+    /// An owned copy of a vector. A mapped base row is decoded straight
+    /// from its payload block and nothing is kept, unlike
+    /// [`VectorStore::vector`].
+    pub(crate) fn to_vector(&self, id: VectorId) -> SparseVector {
+        match &self.view {
+            View::Heap { collection, .. } => collection.vector(id).clone(),
+            View::Mapped(mapped) => mapped.to_vector(id),
+        }
+    }
+
     /// Global id of a snapshot-local vector id.
     #[inline]
     pub fn global_of(&self, id: VectorId) -> GlobalId {
@@ -405,9 +415,12 @@ impl IndexView for Snapshot {
     }
 }
 
-/// Snapshots are vector stores: similarity evaluation reads payloads
-/// from whichever tier holds them (heap `Arc`s, or lazily-materialized
-/// mapped blocks).
+/// Snapshots are vector stores. Similarity — what the sampling passes
+/// ask of a store — reads each tier's rows where they lie: heap `Arc`s,
+/// or, on the mapped tier, base rows borrowed from the checkpoint's
+/// payload blocks and overlay rows from the heap, with no decode. The
+/// `vector` accessor is off the served path; on the mapped tier its
+/// first call decodes the whole base onto the heap.
 impl VectorStore for Snapshot {
     #[inline]
     fn len(&self) -> usize {
@@ -419,6 +432,14 @@ impl VectorStore for Snapshot {
         match &self.view {
             View::Heap { collection, .. } => collection.vector(id),
             View::Mapped(mapped) => mapped.vector(id),
+        }
+    }
+
+    #[inline]
+    fn sim<S: Similarity + ?Sized>(&self, measure: &S, a: VectorId, b: VectorId) -> f64 {
+        match &self.view {
+            View::Heap { collection, .. } => collection.sim(measure, a, b),
+            View::Mapped(mapped) => measure.sim_rows(mapped.row(a), mapped.row(b)),
         }
     }
 }

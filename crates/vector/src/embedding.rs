@@ -42,6 +42,7 @@ impl Multiset {
             &self.entries,
             &other.entries,
             |(dim, _)| dim,
+            |(dim, _)| dim,
             |i, j| acc += u64::from(self.entries[i].1.min(other.entries[j].1)),
         );
         acc

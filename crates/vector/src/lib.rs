@@ -12,8 +12,12 @@
 //!   coordinates and `f32` weights. Sets are represented as binary vectors
 //!   (all weights 1), exactly as the paper treats a set as "a special case
 //!   of a binary vector" (§1).
-//! * [`Similarity`] implementations — [`Cosine`] (the paper's measure),
-//!   [`Jaccard`] (for the SSJ baseline track), and weighted variants.
+//! * [`Row`] — a borrowed row, from a [`SparseVector`] or from the
+//!   little-endian words of a stored row, so a memory-mapped row is
+//!   scored in place.
+//! * [`Similarity`] implementations — [`Cosine`] (the paper's measure)
+//!   and [`Jaccard`] (for the SSJ baseline track), written once over
+//!   [`Row`].
 //! * [`VectorCollection`] — the vector database `V = {v1, ..., vn}` with
 //!   summary statistics.
 //! * [`SharedVectorCollection`] / [`VectorStore`] — `Arc`-shared payload
@@ -33,13 +37,15 @@
 pub mod collection;
 pub mod embedding;
 mod merge;
+pub mod row;
 pub mod shared;
 pub mod similarity;
 pub mod sparse;
 
 pub use collection::{CollectionStats, VectorCollection};
+pub use row::Row;
 pub use shared::{SharedVectorCollection, VectorStore};
-pub use similarity::{AngularKernel, Cosine, DotProduct, Jaccard, Overlap, Similarity};
+pub use similarity::{AngularKernel, Cosine, Jaccard, Similarity};
 pub use sparse::{SparseVector, SparseVectorBuilder};
 
 /// Identifier of a vector inside a [`VectorCollection`].

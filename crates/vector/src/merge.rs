@@ -25,6 +25,13 @@
 //! merge used. `dot` adds its products in the order they are reported, so
 //! its floating-point sum is bit-identical to the scalar merge's, whichever
 //! of the paths below runs and whichever argument is the shorter one.
+//!
+//! **Representation.** Each side brings its own key function, so the two
+//! lists need not share a type: a [`SparseVector`](crate::SparseVector)'s
+//! `u32` indices merge against the little-endian words of a stored row
+//! ([`Row`](crate::Row)) with neither side copied or decoded first. The
+//! keys compared, and so the path taken and the matches reported, are the
+//! same whichever representation each side has.
 
 /// Keys compared all-against-all per step: four `u32` fill one SSE2
 /// register, the widest unit every x86-64 (and NEON) target has.
@@ -53,15 +60,16 @@ type Lanes = [u32; BLOCK];
 /// `a[i + r]` equals one at `b[j..j + BLOCK]`, namely the one at
 /// `b[j + col[r]]`. Single-key steps of the tail report in lane 0.
 #[inline(always)]
-fn walk_blocks<T: Copy>(
-    a: &[T],
-    b: &[T],
-    key: impl Fn(T) -> u32,
+fn walk_blocks<A: Copy, B: Copy>(
+    a: &[A],
+    b: &[B],
+    key_a: impl Fn(A) -> u32,
+    key_b: impl Fn(B) -> u32,
     mut on_block: impl FnMut(usize, usize, Lanes, Lanes),
 ) {
     let (mut i, mut j) = (0usize, 0usize);
     while let (Some(x), Some(y)) = (a[i..].first_chunk::<BLOCK>(), b[j..].first_chunk::<BLOCK>()) {
-        let (x, y) = (x.map(&key), y.map(&key));
+        let (x, y) = (x.map(&key_a), y.map(&key_b));
         let (mut hit, mut col) = ([0u32; BLOCK], [0u32; BLOCK]);
         for (c, &other) in (0u32..).zip(&y) {
             for r in 0..BLOCK {
@@ -75,7 +83,7 @@ fn walk_blocks<T: Copy>(
         j += BLOCK * usize::from(y[BLOCK - 1] <= x[BLOCK - 1]);
     }
     while i < a.len() && j < b.len() {
-        let (x, y) = (key(a[i]), key(b[j]));
+        let (x, y) = (key_a(a[i]), key_b(b[j]));
         let mut hit = [0u32; BLOCK];
         hit[0] = u32::from(x == y);
         on_block(i, j, hit, [0; BLOCK]);
@@ -87,15 +95,16 @@ fn walk_blocks<T: Copy>(
 /// Binary-searches each key of `short` in the not yet passed part of
 /// `long`; `on_match(i, j)` gets the positions in `short` and `long`.
 #[inline(always)]
-fn gallop<T: Copy>(
-    short: &[T],
-    long: &[T],
-    key: impl Fn(T) -> u32,
+fn gallop<S: Copy, L: Copy>(
+    short: &[S],
+    long: &[L],
+    key_short: impl Fn(S) -> u32,
+    key_long: impl Fn(L) -> u32,
     mut on_match: impl FnMut(usize, usize),
 ) {
     let mut lo = 0usize;
     for (i, &probe) in short.iter().enumerate() {
-        match long[lo..].binary_search_by_key(&key(probe), |&t| key(t)) {
+        match long[lo..].binary_search_by_key(&key_short(probe), |&t| key_long(t)) {
             Ok(pos) => {
                 on_match(i, lo + pos);
                 lo += pos + 1;
@@ -115,24 +124,25 @@ fn lopsided(a: usize, b: usize) -> bool {
 }
 
 /// Calls `on_match(i, j)` for every pair of positions with
-/// `key(a[i]) == key(b[j])`, in ascending key order. Both lists must be
-/// strictly increasing in `key`.
+/// `key_a(a[i]) == key_b(b[j])`, in ascending key order. Both lists must
+/// be strictly increasing in their key.
 #[inline(always)]
-pub(crate) fn for_each_match<T: Copy>(
-    a: &[T],
-    b: &[T],
-    key: impl Fn(T) -> u32,
+pub(crate) fn for_each_match<A: Copy, B: Copy>(
+    a: &[A],
+    b: &[B],
+    key_a: impl Fn(A) -> u32,
+    key_b: impl Fn(B) -> u32,
     mut on_match: impl FnMut(usize, usize),
 ) {
     if lopsided(a.len(), b.len()) {
         if a.len() <= b.len() {
-            gallop(a, b, key, on_match);
+            gallop(a, b, key_a, key_b, on_match);
         } else {
-            gallop(b, a, key, |j, i| on_match(i, j));
+            gallop(b, a, key_b, key_a, |j, i| on_match(i, j));
         }
         return;
     }
-    walk_blocks(a, b, key, |i, j, hit, col| {
+    walk_blocks(a, b, key_a, key_b, |i, j, hit, col| {
         if hit != [0; BLOCK] {
             for r in 0..BLOCK {
                 if hit[r] != 0 {
@@ -144,12 +154,17 @@ pub(crate) fn for_each_match<T: Copy>(
 }
 
 /// Number of keys the two lists share. Both must be strictly increasing
-/// in `key`.
+/// in their key.
 #[inline(always)]
-pub(crate) fn count_matches<T: Copy>(a: &[T], b: &[T], key: impl Fn(T) -> u32) -> usize {
+pub(crate) fn count_matches<A: Copy, B: Copy>(
+    a: &[A],
+    b: &[B],
+    key_a: impl Fn(A) -> u32,
+    key_b: impl Fn(B) -> u32,
+) -> usize {
     if lopsided(a.len(), b.len()) {
         let mut count = 0usize;
-        for_each_match(a, b, key, |_, _| count += 1);
+        for_each_match(a, b, key_a, key_b, |_, _| count += 1);
         return count;
     }
     // One counter per lane keeps the sum in a SIMD register. Lane `r`
@@ -157,7 +172,7 @@ pub(crate) fn count_matches<T: Copy>(a: &[T], b: &[T], key: impl Fn(T) -> u32) -
     // distinct keys (lane 0 also the tail's, at most three), so it cannot
     // overflow.
     let mut lanes = [0u32; BLOCK];
-    walk_blocks(a, b, key, |_, _, hit, _| {
+    walk_blocks(a, b, key_a, key_b, |_, _, hit, _| {
         for r in 0..BLOCK {
             lanes[r] += hit[r];
         }
@@ -168,6 +183,7 @@ pub(crate) fn count_matches<T: Copy>(a: &[T], b: &[T], key: impl Fn(T) -> u32) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Row, SparseVector};
 
     /// `len` keyed entries, keys `offset, offset + step, …`; the payload
     /// is there so the key closure has something to skip.
@@ -197,13 +213,77 @@ mod tests {
                 for (step_a, step_b) in [(1, 1), (2, 3), (3, 2), (5, 1), (2, 2)] {
                     let (a, b) = (keyed(la, step_a, 0), keyed(lb, step_b, step_a % 2));
                     let mut seen = Vec::new();
-                    for_each_match(&a, &b, |(k, _)| k, |i, j| seen.push((i, j)));
+                    let key = |(k, _): (u32, u8)| k;
+                    for_each_match(&a, &b, key, key, |i, j| seen.push((i, j)));
                     assert_eq!(
                         seen,
                         all_pairs(&a, &b),
                         "{la} × {lb}, steps {step_a}/{step_b}"
                     );
-                    assert_eq!(count_matches(&a, &b, |(k, _)| k), seen.len());
+                    assert_eq!(count_matches(&a, &b, key, key), seen.len());
+                }
+            }
+        }
+    }
+
+    /// Strictly increasing indices `offset, offset + step, …` with
+    /// weights over thirty binades, so every addition of a `dot` rounds
+    /// and a kernel that adds out of order is caught.
+    fn ragged(len: usize, step: u32, offset: u32, salt: u32) -> SparseVector {
+        let (indices, values) = (0..len as u32)
+            .map(|k| {
+                let mantissa = 1.0 + ((k * 37 + salt * 11) % 101) as f32 / 101.0;
+                let sign = if (k + salt).is_multiple_of(3) {
+                    -1.0
+                } else {
+                    1.0
+                };
+                let weight = sign * mantissa * 2.0f32.powi(((k * 7 + salt) % 31) as i32 - 15);
+                (k * step + offset, weight)
+            })
+            .unzip();
+        SparseVector::from_sorted(indices, values).expect("increasing indices")
+    }
+
+    #[test]
+    fn mixed_representations_score_bit_identically_to_native_rows() {
+        // (len_a, len_b): the block path with its tails, the tail path
+        // alone, and the search path in both directions (ratio ≥ 32).
+        let shapes = [
+            (64, 64),
+            (17, 23),
+            (3, 2),
+            (5, 1),
+            (2, 2 * GALLOP_RATIO),
+            (3 * GALLOP_RATIO + 1, 3),
+        ];
+        for (la, lb) in shapes {
+            for (step_a, step_b) in [(1, 1), (2, 3), (3, 2), (1, 5)] {
+                let a = ragged(la, step_a, 0, 1);
+                let b = ragged(lb, step_b, 0, 2);
+                let words = |v: &SparseVector| -> (Vec<[u8; 4]>, Vec<[u8; 4]>) {
+                    (
+                        v.indices().iter().map(|i| i.to_le_bytes()).collect(),
+                        v.values().iter().map(|w| w.to_le_bytes()).collect(),
+                    )
+                };
+                let (ai, av) = words(&a);
+                let (bi, bv) = words(&b);
+                let stored_a = Row::from_le_words(&ai, &av, a.norm());
+                let stored_b = Row::from_le_words(&bi, &bv, b.norm());
+                let dot = a.as_row().dot(b.as_row());
+                let common = a.as_row().intersection_size(b.as_row());
+                assert!(common > 0, "{la} × {lb}: the case must share keys");
+                for (u, v) in [
+                    (a.as_row(), stored_b),
+                    (stored_a, b.as_row()),
+                    (stored_a, stored_b),
+                ] {
+                    let case = format!("{la} × {lb}, steps {step_a}/{step_b}");
+                    assert_eq!(u.dot(v).to_bits(), dot.to_bits(), "{case}");
+                    assert_eq!(v.dot(u).to_bits(), dot.to_bits(), "{case}, swapped");
+                    assert_eq!(u.intersection_size(v), common, "{case}");
+                    assert_eq!(v.intersection_size(u), common, "{case}, swapped");
                 }
             }
         }

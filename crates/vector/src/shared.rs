@@ -53,7 +53,11 @@ pub trait VectorStore {
         pairs_of(self.len() as u64)
     }
 
-    /// Similarity between two members by id.
+    /// Similarity between two members by id — the call every estimator
+    /// scores a sampled pair with. A store whose rows are not
+    /// [`SparseVector`]s (a memory-mapped checkpoint) overrides it to
+    /// score its [`Row`](crate::Row)s in place through
+    /// [`Similarity::sim_rows`].
     #[inline]
     fn sim<S: Similarity + ?Sized>(&self, measure: &S, a: VectorId, b: VectorId) -> f64 {
         measure.sim(self.vector(a), self.vector(b))
@@ -79,6 +83,11 @@ impl<T: VectorStore + ?Sized> VectorStore for &T {
 
     fn vector(&self, id: VectorId) -> &SparseVector {
         (**self).vector(id)
+    }
+
+    #[inline]
+    fn sim<S: Similarity + ?Sized>(&self, measure: &S, a: VectorId, b: VectorId) -> f64 {
+        (**self).sim(measure, a, b)
     }
 }
 

@@ -6,13 +6,23 @@
 //! trait; the LSH crate pairs each [`Similarity`] with a hash family whose
 //! collision probability is a known function of it.
 
+use crate::row::Row;
 use crate::sparse::SparseVector;
 
-/// A symmetric similarity measure `sim : V × V → [0, 1]` (or ℝ for
-/// [`DotProduct`]).
+/// A symmetric similarity measure `sim : V × V → [-1, 1]`.
+///
+/// A measure is defined once, over borrowed [`Row`]s, so it scores a heap
+/// [`SparseVector`] and a row stored in a checkpoint's payload by the same
+/// code, to the same bits.
 pub trait Similarity {
+    /// Computes the similarity of two borrowed rows.
+    fn sim_rows(&self, u: Row<'_>, v: Row<'_>) -> f64;
+
     /// Computes the similarity of `u` and `v`.
-    fn sim(&self, u: &SparseVector, v: &SparseVector) -> f64;
+    #[inline]
+    fn sim(&self, u: &SparseVector, v: &SparseVector) -> f64 {
+        self.sim_rows(u.as_row(), v.as_row())
+    }
 
     /// Short stable name used in reports and experiment CSVs.
     fn name(&self) -> &'static str;
@@ -29,7 +39,7 @@ pub struct Cosine;
 
 impl Similarity for Cosine {
     #[inline]
-    fn sim(&self, u: &SparseVector, v: &SparseVector) -> f64 {
+    fn sim_rows(&self, u: Row<'_>, v: Row<'_>) -> f64 {
         let denom = u.norm() * v.norm();
         if denom == 0.0 {
             return 0.0;
@@ -52,7 +62,7 @@ pub struct Jaccard;
 
 impl Similarity for Jaccard {
     #[inline]
-    fn sim(&self, u: &SparseVector, v: &SparseVector) -> f64 {
+    fn sim_rows(&self, u: Row<'_>, v: Row<'_>) -> f64 {
         let inter = u.intersection_size(v);
         let union = u.nnz() + v.nnz() - inter;
         if union == 0 {
@@ -64,42 +74,6 @@ impl Similarity for Jaccard {
 
     fn name(&self) -> &'static str {
         "jaccard"
-    }
-}
-
-/// Set-overlap similarity `|u ∩ v| / min(|u|, |v|)` (weights ignored);
-/// included for completeness of the SSJ track.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Overlap;
-
-impl Similarity for Overlap {
-    #[inline]
-    fn sim(&self, u: &SparseVector, v: &SparseVector) -> f64 {
-        let m = u.nnz().min(v.nnz());
-        if m == 0 {
-            return if u.nnz() == v.nnz() { 1.0 } else { 0.0 };
-        }
-        u.intersection_size(v) as f64 / m as f64
-    }
-
-    fn name(&self) -> &'static str {
-        "overlap"
-    }
-}
-
-/// Raw dot product (not normalized to `[0,1]`; useful on pre-normalized
-/// collections where it coincides with cosine but skips two divisions).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DotProduct;
-
-impl Similarity for DotProduct {
-    #[inline]
-    fn sim(&self, u: &SparseVector, v: &SparseVector) -> f64 {
-        u.dot(v)
-    }
-
-    fn name(&self) -> &'static str {
-        "dot"
     }
 }
 
@@ -198,14 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_known_values() {
-        let a = sv(&[(1, 1.0), (2, 1.0)]);
-        let b = sv(&[(2, 1.0), (3, 1.0), (4, 1.0)]);
-        assert!((Overlap.sim(&a, &b) - 0.5).abs() < 1e-12);
-        assert_eq!(Overlap.sim(&a, &SparseVector::empty()), 0.0);
-    }
-
-    #[test]
     fn angular_kernel_fixed_points() {
         let k = AngularKernel;
         // Identical vectors: θ=0, p=1.
@@ -220,8 +186,6 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(Cosine.name(), "cosine");
         assert_eq!(Jaccard.name(), "jaccard");
-        assert_eq!(Overlap.name(), "overlap");
-        assert_eq!(DotProduct.name(), "dot");
     }
 
     proptest! {

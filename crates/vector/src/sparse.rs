@@ -2,8 +2,9 @@
 //!
 //! The representation is the classic coordinate-sorted pair of parallel
 //! arrays (`indices[i]` ↔ `values[i]`, strictly increasing indices). All
-//! pairwise kernels (dot product, overlap) are one merge over the two
-//! sorted index arrays — the dominant inner loop of both the exact join and
+//! pairwise kernels (dot product, intersection size) are one merge over
+//! the two sorted index arrays, reached through the vector's borrowed
+//! [`Row`] — the dominant inner loop of both the exact join and
 //! the sampling estimators (one similarity per sampled pair), so it is
 //! allocation-free, block-wise and branch-free: the `merge` module compares
 //! four indices of each side all-against-all per step and advances by
@@ -13,7 +14,7 @@
 
 use std::fmt;
 
-use crate::merge::{count_matches, for_each_match};
+use crate::row::Row;
 
 /// An immutable sparse vector: strictly increasing `u32` dimension indices
 /// with `f32` weights.
@@ -69,6 +70,12 @@ pub enum SparseVectorError {
         /// Position of the offending weight.
         position: usize,
     },
+    /// A stored row holds a zero weight at the reported position
+    /// ([`Row::check_le_words`]; the constructors drop zeros instead).
+    ZeroValue {
+        /// Position of the offending weight.
+        position: usize,
+    },
 }
 
 impl fmt::Display for SparseVectorError {
@@ -83,6 +90,9 @@ impl fmt::Display for SparseVectorError {
             }
             Self::NonFiniteValue { position } => {
                 write!(f, "non-finite value at position {position}")
+            }
+            Self::ZeroValue { position } => {
+                write!(f, "stored zero value at position {position}")
             }
         }
     }
@@ -116,8 +126,8 @@ impl SparseVector {
     /// The per-coordinate invariants [`from_sorted`](Self::from_sorted)
     /// enforces — indices strictly increasing, every value finite —
     /// checked over any pair of sequences without building a vector, so
-    /// a reader can validate rows in place (e.g. inside a memory
-    /// mapping) by the one definition the constructor uses.
+    /// a stored row is validated in place ([`Row::check_le_words`]) by
+    /// the one definition the constructor uses.
     ///
     /// # Errors
     /// [`SparseVectorError::UnsortedIndices`] or
@@ -190,11 +200,7 @@ impl SparseVector {
     fn trusted(indices: Vec<u32>, values: Vec<f32>) -> Self {
         debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(values.iter().all(|v| v.is_finite() && *v != 0.0));
-        let norm = values
-            .iter()
-            .map(|&v| f64::from(v) * f64::from(v))
-            .sum::<f64>()
-            .sqrt();
+        let norm = l2_norm(values.iter().copied());
         Self {
             indices: indices.into_boxed_slice(),
             values: values.into_boxed_slice(),
@@ -273,26 +279,27 @@ impl SparseVector {
         self.values.iter().all(|&v| v == 1.0)
     }
 
+    /// The vector as a borrowed [`Row`], the form similarities read.
+    #[inline]
+    pub fn as_row(&self) -> Row<'_> {
+        Row::native(self)
+    }
+
     /// Dot product `u·v = Σ u[i]·v[i]` over the shared dimensions,
     /// accumulated in `f64`.
     ///
     /// The products are added in ascending dimension order whatever the
     /// lengths of the two vectors, so `u.dot(v)` and `v.dot(u)` are the
     /// same bits.
+    #[inline]
     pub fn dot(&self, other: &Self) -> f64 {
-        let mut acc = 0.0f64;
-        for_each_match(
-            &self.indices,
-            &other.indices,
-            |index| index,
-            |i, j| acc += f64::from(self.values[i]) * f64::from(other.values[j]),
-        );
-        acc
+        self.as_row().dot(other.as_row())
     }
 
     /// Size of the coordinate-set intersection `|u ∩ v|` (ignores weights).
+    #[inline]
     pub fn intersection_size(&self, other: &Self) -> usize {
-        count_matches(&self.indices, &other.indices, |index| index)
+        self.as_row().intersection_size(other.as_row())
     }
 
     /// Returns a copy scaled to unit L2 norm. The empty vector is returned
@@ -310,6 +317,16 @@ impl SparseVector {
         // Renormalize exactly: rounding to f32 perturbs the norm slightly.
         Self::trusted(self.indices.to_vec(), values)
     }
+}
+
+/// L2 norm `sqrt(Σ v²)` of a row's weights, summed in `f64` in order —
+/// the one definition behind [`SparseVector::norm`] and
+/// [`Row::check_le_words`], so a stored row's norm has the vector's bits.
+pub(crate) fn l2_norm(values: impl Iterator<Item = f32>) -> f64 {
+    values
+        .map(|v| f64::from(v) * f64::from(v))
+        .sum::<f64>()
+        .sqrt()
 }
 
 /// Incremental builder accumulating `(dimension, weight)` entries, e.g. one

@@ -148,11 +148,14 @@ fn mapped_recovery_reports_mapped_tier_and_serves_base_rows() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Map + go decodes no row: a mapped recovery materializes no base
-/// vector until an estimate scores one. (Its first estimate equals the
-/// heap tier's: `mapped_recovery_reports_mapped_tier_and_serves_base_rows`.)
+/// Map + go decodes no row, and neither does serving: a mapped engine
+/// scores base rows straight from the checkpoint's payload blocks, so
+/// the materialized gauge stays 0 through recovery, an estimate and an
+/// audit (which copies its rows out of the payload and keeps none).
+/// (The answers equal the heap tier's:
+/// `mapped_recovery_reports_mapped_tier_and_serves_base_rows`.)
 #[test]
-fn mapped_recovery_materializes_no_row_before_the_first_estimate() {
+fn mapped_serving_and_auditing_materialize_no_row() {
     let dir = fresh_dir("coldstart");
     seed_dir(&dir, 5, 40, 0);
     let mapped = recover(&dir, StorageTier::Mapped);
@@ -168,7 +171,10 @@ fn mapped_recovery_materializes_no_row_before_the_first_estimate() {
     };
     assert_eq!(materialized(), 0, "recovery must decode no row");
     mapped.estimate(0.6);
-    assert!(materialized() > 0, "scoring pairs materializes their rows");
+    assert_eq!(materialized(), 0, "scoring pairs must decode no row");
+    let audited = mapped.audit_once(&AuditOptions::default());
+    assert!(audited.is_some(), "a served τ is audited");
+    assert_eq!(materialized(), 0, "an audit must keep no decoded row");
     std::fs::remove_dir_all(&dir).ok();
 }
 

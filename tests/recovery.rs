@@ -440,7 +440,7 @@ fn structurally_damaged_checkpoints_are_refused_by_every_reader() {
         "re-framing is exact"
     );
     type Edit = fn(&mut [([u8; 4], Vec<u8>)]);
-    let cases: [(&str, Edit); 15] = [
+    let cases: [(&str, Edit); 16] = [
         ("GIDS out of order", |s| {
             let gids = section(s, b"GIDS");
             let (a, b) = (word(gids, 0), word(gids, 1));
@@ -511,6 +511,12 @@ fn structurally_damaged_checkpoints_are_refused_by_every_reader() {
             let nnz = u32::from_le_bytes(vpay[..4].try_into().unwrap()) as usize;
             let at = 4 + 4 * nnz + 4;
             vpay[at..at + 4].copy_from_slice(&f32::INFINITY.to_le_bytes());
+        }),
+        ("a stored zero value", |s| {
+            let vpay = section(s, b"VPAY");
+            let nnz = u32::from_le_bytes(vpay[..4].try_into().unwrap()) as usize;
+            let at = 4 + nnz * 4;
+            vpay[at..at + 4].copy_from_slice(&0.0f32.to_le_bytes());
         }),
     ];
     let work = fresh_dir("structure_work");
