@@ -7,7 +7,6 @@
 //! denominator: an [`EstimationContext`] bundling everything any of them
 //! might need, and the [`Estimator`] trait dispatching on it.
 
-use crate::bifocal::Bifocal;
 use crate::estimate::Estimate;
 use crate::lshs::LshS;
 use crate::lshss::LshSs;
@@ -160,23 +159,6 @@ impl Estimator for VirtualBucketEstimator {
     }
 }
 
-impl Estimator for Bifocal {
-    fn name(&self) -> String {
-        "Bifocal".into()
-    }
-
-    fn estimate(&self, ctx: &EstimationContext<'_>, tau: f64, rng: &mut Xoshiro256) -> Estimate {
-        Bifocal::estimate(
-            self,
-            ctx.collection,
-            ctx.require_index().table(0),
-            &Cosine,
-            tau,
-            rng,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,7 +192,6 @@ mod tests {
             Box::new(LshSs::dampened_with_defaults(n)),
             Box::new(MedianEstimator::with_defaults(n)),
             Box::new(VirtualBucketEstimator::with_defaults(n)),
-            Box::new(Bifocal::with_defaults(n)),
         ];
         let mut rng = Xoshiro256::seeded(1);
         for e in &estimators {

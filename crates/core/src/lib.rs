@@ -15,7 +15,6 @@
 //! | App. B.2.1 | [`MedianEstimator`], [`VirtualBucketEstimator`] | multi-table extensions |
 //! | App. B.2.2 | [`general_join`] | non-self joins `U ⋈ V` |
 //! | App. B.1 | [`optimal_k`] | the Optimal-k search problem |
-//! | §2 | [`bifocal`] | bifocal sampling \[9\] adapted to VSJ (related-work baseline) |
 //!
 //! Plus [`probabilities`] — exact/sampled measurement of `P(T)`,
 //! `P(T|H)`, `P(H|T)`, `P(T|L)` (`α`, `β`), reproducing Tables 1 and 2.
@@ -28,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bifocal;
 pub mod estimate;
 pub mod estimator;
 pub mod general_join;

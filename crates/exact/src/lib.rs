@@ -11,8 +11,6 @@
 //!   paper), exact for cosine thresholds and far faster at high τ. It also
 //!   plays the role of the "similarity join processing algorithm" whose
 //!   query plans the size estimator is supposed to inform.
-//! * [`histogram`] — exact or sampled pair-similarity histograms (the
-//!   distributional view behind Figure 1 and the LC baseline).
 //! * [`ground_truth`] — cached multi-threshold join sizes with file
 //!   round-tripping for the experiment harness.
 
@@ -21,12 +19,10 @@
 
 pub mod allpairs;
 pub mod ground_truth;
-pub mod histogram;
 pub mod inverted;
 pub mod naive;
 
 pub use allpairs::AllPairs;
 pub use ground_truth::GroundTruth;
-pub use histogram::SimilarityHistogram;
 pub use inverted::InvertedIndex;
 pub use naive::ExactJoin;

@@ -27,9 +27,6 @@
 //!   rejection-sampled cross-bucket pairs), written once.
 //! * [`index`] — the ℓ-table index `I_G = {D_g1, …, D_gℓ}` with the
 //!   virtual-bucket view of Appendix B.2.1.
-//! * [`search`] — the similarity-search application the index exists for
-//!   (candidate generation + verification), making the crate a usable LSH
-//!   library in its own right.
 //! * [`stats`] — bucket statistics and the memory accounting behind the
 //!   paper's §6.3 table-size table.
 
@@ -39,7 +36,6 @@
 pub mod family;
 pub mod index;
 pub mod minhash;
-pub mod search;
 pub mod signature;
 pub mod simhash;
 pub mod stats;
@@ -49,7 +45,6 @@ pub mod view;
 pub use family::{BucketHasher, LshFamily, LshFunction};
 pub use index::{LshIndex, LshParams};
 pub use minhash::MinHashFamily;
-pub use search::SimilaritySearcher;
 pub use signature::{bucket_key, Composite, SignatureMatrix};
 pub use simhash::SimHashFamily;
 pub use stats::{IndexStats, TableStats};

@@ -44,7 +44,7 @@ use crate::family::BucketHasher;
 use crate::view::IndexView;
 use vsj_pool::WorkPool;
 use vsj_sampling::AliasTable;
-use vsj_vector::{pairs_of, SparseVector, VectorCollection, VectorId};
+use vsj_vector::{pairs_of, VectorCollection, VectorId};
 
 /// One bucket: its folded key and the ids of its members. The paper's
 /// bucket count `b_j` is `members.len()`.
@@ -552,13 +552,6 @@ impl LshTable {
         self.vector_keys[id as usize]
     }
 
-    /// Bucket key of an *arbitrary* (possibly non-indexed) vector,
-    /// computed through `g`.
-    #[inline]
-    pub fn query_key(&self, v: &SparseVector) -> u64 {
-        self.hasher.key(v)
-    }
-
     /// Whether two indexed vectors share a bucket — the event `H`.
     #[inline]
     pub fn same_bucket(&self, a: VectorId, b: VectorId) -> bool {
@@ -755,6 +748,7 @@ mod tests {
     use crate::signature::Composite;
     use crate::simhash::SimHashFamily;
     use vsj_sampling::{Rng, Xoshiro256};
+    use vsj_vector::SparseVector;
 
     fn set(members: &[u32]) -> SparseVector {
         SparseVector::binary_from_members(members.to_vec())
@@ -808,15 +802,6 @@ mod tests {
         members.sort_unstable();
         assert_eq!(members, vec![0, 1, 2]);
         assert_eq!(t.bucket_count(key ^ 0xFFFF), 0);
-    }
-
-    #[test]
-    fn query_key_matches_indexed_key() {
-        let coll = clustered_collection();
-        let t = minhash_table(&coll, 16);
-        for (id, v) in coll.iter() {
-            assert_eq!(t.query_key(v), t.key_of(id));
-        }
     }
 
     #[test]

@@ -34,7 +34,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
+
+use crate::locks;
 
 use vsj_obs::{Counter, Histogram, ObsOptions, Registry, Trace, TraceRing};
 use vsj_sampling::Summary;
@@ -214,7 +216,7 @@ impl AuditState {
     /// Notes a threshold the engine just answered (deduplicated by bit
     /// pattern; bounded ring).
     pub(crate) fn note_served(&self, tau: f64) {
-        let mut ring = self.served.lock();
+        let mut ring = locks::lock(&self.served);
         if ring.taus.iter().any(|t| t.to_bits() == tau.to_bits()) {
             return;
         }
@@ -230,7 +232,7 @@ impl AuditState {
     /// Deterministic rotation over the served ring — each call audits
     /// the next resident threshold, so every served τ gets its turn.
     pub(crate) fn next_tau(&self) -> Option<f64> {
-        let ring = self.served.lock();
+        let ring = locks::lock(&self.served);
         if ring.taus.is_empty() {
             return None;
         }
@@ -240,7 +242,7 @@ impl AuditState {
 
     /// The thresholds currently in the served ring (tests, reports).
     pub(crate) fn served_taus(&self) -> Vec<f64> {
-        self.served.lock().taus.clone()
+        locks::lock(&self.served).taus.clone()
     }
 
     /// Folds one scored cycle into the series and the worst ring.
@@ -258,9 +260,9 @@ impl AuditState {
             self.under_error_bp.record(bp);
         }
         if record.signed_error.is_finite() {
-            self.errors.lock().push(record.signed_error);
+            locks::lock(&self.errors).push(record.signed_error);
         }
-        let mut worst = self.worst.lock();
+        let mut worst = locks::lock(&self.worst);
         worst.push(record);
         worst.sort_by(|a, b| {
             b.signed_error
@@ -286,9 +288,9 @@ impl AuditState {
             within_ci,
             outside_ci,
             coverage: (scored > 0).then(|| within_ci as f64 / scored as f64),
-            errors: *self.errors.lock(),
-            worst: self.worst.lock().clone(),
-            served_taus: self.served.lock().taus.len(),
+            errors: *locks::lock(&self.errors),
+            worst: locks::lock(&self.worst).clone(),
+            served_taus: locks::lock(&self.served).taus.len(),
         }
     }
 }

@@ -5,7 +5,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
+
+use crate::locks;
 
 use vsj_core::{Estimate, IndexView, LshSs, LshSsConfig};
 use vsj_exact::ExactJoin;
@@ -800,14 +802,15 @@ impl EstimationEngine {
             .collect();
         for (gid, key, v) in &rows {
             let shard = engine.shard_of(*gid);
-            let fresh = engine.shards[shard].get_mut().insert(*gid, *key, v.clone());
+            let fresh =
+                locks::unpoison(engine.shards[shard].get_mut()).insert(*gid, *key, v.clone());
             assert!(fresh, "GIDS strictly ascend (checked at open)");
         }
         // The checkpoint rows ARE the base snapshot: drain the delta
         // logs the rebuild just filled so the next publish extends this
         // snapshot rather than double-counting its rows.
         for shard in &mut engine.shards {
-            let _ = shard.get_mut().take_delta();
+            let _ = locks::unpoison(shard.get_mut()).take_delta();
         }
         let snapshot = Snapshot::assemble(meta.epoch, meta.ingested, engine.hasher.clone(), rows);
         engine.restore_cut(meta, snapshot);
@@ -817,8 +820,8 @@ impl EstimationEngine {
     /// Installs `snapshot` as the published cut of a checkpoint and
     /// restores the epoch/id/ingest/publish counters to that cut.
     fn restore_cut(&mut self, meta: &CheckpointMeta, snapshot: Snapshot) {
-        *self.current.get_mut() = Arc::new(snapshot);
-        *self.publish_lock.get_mut() = meta.epoch;
+        *locks::unpoison(self.current.get_mut()) = Arc::new(snapshot);
+        *locks::unpoison(self.publish_lock.get_mut()) = meta.epoch;
         *self.next_id.get_mut() = meta.next_id;
         self.metrics.ingests.store(meta.ingested);
         self.metrics.publishes.store(meta.publishes);
@@ -834,7 +837,7 @@ impl EstimationEngine {
             WalRecord::Insert { id, vector } => {
                 self.next_id.fetch_max(id + 1, Ordering::Relaxed);
                 let key = self.hasher.key(vector);
-                let fresh = self.shards[self.shard_of(*id)].lock().insert(
+                let fresh = locks::lock(&self.shards[self.shard_of(*id)]).insert(
                     *id,
                     key,
                     Arc::new(vector.clone()),
@@ -850,7 +853,7 @@ impl EstimationEngine {
                 // Mirror the live path: a shard row is removed in
                 // place; a live mapped base row is tombstoned.
                 let removed = {
-                    let mut shard = self.shards[self.shard_of(*id)].lock();
+                    let mut shard = locks::lock(&self.shards[self.shard_of(*id)]);
                     shard.remove(*id) || self.tombstone_base_row(*id)
                 };
                 if !removed {
@@ -863,7 +866,7 @@ impl EstimationEngine {
             WalRecord::Upsert { id, vector } => {
                 self.next_id.fetch_max(id + 1, Ordering::Relaxed);
                 let key = self.hasher.key(vector);
-                let mut shard = self.shards[self.shard_of(*id)].lock();
+                let mut shard = locks::lock(&self.shards[self.shard_of(*id)]);
                 // Mirror the live path: replacing a live mapped base
                 // row tombstones it; the fresh vector lands in the
                 // shard (the overlay).
@@ -969,7 +972,7 @@ impl EstimationEngine {
             .is_some_and(|limit| view.tail_bytes() >= limit);
         let ratio = options.compact_tombstone_ratio.is_some_and(|limit| {
             let base_n = view.base().len();
-            base_n > 0 && self.tombstones.lock().len() as f64 >= limit * base_n as f64
+            base_n > 0 && locks::lock(&self.tombstones).len() as f64 >= limit * base_n as f64
         });
         overlay || ratio
     }
@@ -995,7 +998,7 @@ impl EstimationEngine {
     }
 
     fn cut_inner(&self, durability: &Durability, fold: bool) -> Result<(u64, bool), PersistError> {
-        let _quiesced = durability.gate.write();
+        let _quiesced = locks::write(&durability.gate);
         durability.wal.append(PUBLISH_SHARD, WalOp::Publish)?;
         durability.pending.fetch_add(1, Ordering::Relaxed);
         let epoch = self.publish_inner();
@@ -1016,7 +1019,7 @@ impl EstimationEngine {
             // The generation set just rotated: the new cut is [0], the
             // old horizons shift back, pruned ones fall off the window.
             let horizon = {
-                let mut horizons = durability.horizons.lock();
+                let mut horizons = locks::lock(&durability.horizons);
                 horizons.insert(0, cut_seq);
                 horizons.truncate(durability.options.retain_checkpoints);
                 *horizons.last().expect("at least the fresh cut")
@@ -1077,19 +1080,19 @@ impl EstimationEngine {
             Arc::new(TombstoneSet::empty()),
         )
         .expect("an empty overlay over a fresh mapping is trivially consistent");
-        let last_epoch = self.publish_lock.lock();
+        let last_epoch = locks::lock(&self.publish_lock);
         debug_assert_eq!(*last_epoch, meta.epoch, "remap raced a publish");
-        let mut guards: Vec<_> = self.shards.iter().map(Mutex::lock).collect();
+        let mut guards: Vec<_> = self.shards.iter().map(locks::lock).collect();
         debug_assert_eq!(
-            self.current.read().global_ids(),
+            locks::read(&self.current).global_ids(),
             fresh.global_ids(),
             "the folded base must present exactly the live id set"
         );
         for g in guards.iter_mut() {
             **g = ShardState::new();
         }
-        self.tombstones.lock().clear();
-        *self.current.write() = Arc::new(fresh);
+        locks::lock(&self.tombstones).clear();
+        *locks::write(&self.current) = Arc::new(fresh);
         drop(guards);
         drop(last_epoch);
         self.metrics.checkpoint_maps.inc();
@@ -1155,10 +1158,10 @@ impl EstimationEngine {
     /// the caller before any shard lock is taken.
     fn insert_arc(&self, v: Arc<SparseVector>, key: u64) -> GlobalId {
         if let Some(durability) = &self.durability {
-            let shared = durability.gate.read();
+            let shared = locks::read(&durability.gate);
             let (id, ticket) = loop {
                 let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                let mut shard = self.shards[self.shard_of(id)].lock();
+                let mut shard = locks::lock(&self.shards[self.shard_of(id)]);
                 // A concurrent upsert may have claimed this id between
                 // our allocation and the shard lock (its fetch_max
                 // reservation is not atomic with our fetch_add); ids
@@ -1196,7 +1199,7 @@ impl EstimationEngine {
         loop {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
             // See the durable arm for why a collision is possible here.
-            let mut shard = self.shards[self.shard_of(id)].lock();
+            let mut shard = locks::lock(&self.shards[self.shard_of(id)]);
             let apply_started = Instant::now();
             let inserted = shard.insert(id, key, v.clone());
             self.metrics
@@ -1251,14 +1254,14 @@ impl EstimationEngine {
     /// refusing it.
     pub fn remove(&self, global: GlobalId) -> bool {
         if let Some(durability) = &self.durability {
-            let shared = durability.gate.read();
+            let shared = locks::read(&durability.gate);
             // One shard guard across peek, log, and apply: only applied
             // removes reach the WAL, with no window for liveness to
             // change in between. The guard also covers the tombstone
             // decision — upserts of this gid mutate the tombstone set
             // under the same shard lock, so shard row and base row are
             // judged against one consistent state.
-            let mut shard = self.shards[self.shard_of(global)].lock();
+            let mut shard = locks::lock(&self.shards[self.shard_of(global)]);
             let ticket = if shard.contains(global) {
                 let ticket = durability
                     .wal
@@ -1282,7 +1285,7 @@ impl EstimationEngine {
                     .expect("WAL append failed; refusing to apply an unlogged remove");
                 durability.pending.fetch_add(1, Ordering::Relaxed);
                 let apply_started = Instant::now();
-                let mut tombstones = self.tombstones.lock();
+                let mut tombstones = locks::lock(&self.tombstones);
                 let at = tombstones
                     .binary_search(&row)
                     .expect_err("live_base_row() held under the shard lock");
@@ -1307,7 +1310,7 @@ impl EstimationEngine {
         }
         let apply_started = Instant::now();
         let removed = {
-            let mut shard = self.shards[self.shard_of(global)].lock();
+            let mut shard = locks::lock(&self.shards[self.shard_of(global)]);
             shard.remove(global) || self.tombstone_base_row(global)
         };
         self.metrics
@@ -1326,8 +1329,7 @@ impl EstimationEngine {
     fn live_base_row(&self, global: GlobalId) -> Option<u32> {
         let snapshot = self.snapshot();
         let row = snapshot.mapped_view()?.base().find_gid(global)? as u32;
-        self.tombstones
-            .lock()
+        locks::lock(&self.tombstones)
             .binary_search(&row)
             .is_err()
             .then_some(row)
@@ -1345,7 +1347,7 @@ impl EstimationEngine {
             return false;
         };
         let row = row as u32;
-        let mut tombstones = self.tombstones.lock();
+        let mut tombstones = locks::lock(&self.tombstones);
         match tombstones.binary_search(&row) {
             Ok(_) => false,
             Err(at) => {
@@ -1370,10 +1372,10 @@ impl EstimationEngine {
     pub fn upsert(&self, global: GlobalId, v: SparseVector) -> bool {
         let key = self.hasher.key(&v);
         if let Some(durability) = &self.durability {
-            let shared = durability.gate.read();
+            let shared = locks::read(&durability.gate);
             self.next_id.fetch_max(global + 1, Ordering::Relaxed);
             let (replaced, ticket) = {
-                let mut shard = self.shards[self.shard_of(global)].lock();
+                let mut shard = locks::lock(&self.shards[self.shard_of(global)]);
                 let ticket = durability
                     .wal
                     .append(self.shard_of(global), WalOp::Upsert(global, &v))
@@ -1405,7 +1407,7 @@ impl EstimationEngine {
         }
         self.next_id.fetch_max(global + 1, Ordering::Relaxed);
         let replaced = {
-            let mut shard = self.shards[self.shard_of(global)].lock();
+            let mut shard = locks::lock(&self.shards[self.shard_of(global)]);
             let apply_started = Instant::now();
             let replaced = shard.remove(global) || self.tombstone_base_row(global);
             let inserted = shard.insert(global, key, Arc::new(v));
@@ -1424,7 +1426,7 @@ impl EstimationEngine {
     /// checkpoint base row counts as live unless it has been tombstoned
     /// by a [`remove`](Self::remove)/[`upsert`](Self::upsert).
     pub fn contains(&self, global: GlobalId) -> bool {
-        let shard = self.shards[self.shard_of(global)].lock();
+        let shard = locks::lock(&self.shards[self.shard_of(global)]);
         shard.contains(global) || self.live_base_row(global).is_some()
     }
 
@@ -1456,7 +1458,7 @@ impl EstimationEngine {
     /// with a larger one has started, so merge-replay firing the
     /// publish at this sequence reproduces the cut exactly.
     fn durable_publish(&self, durability: &Durability) -> u64 {
-        let excl = durability.gate.write();
+        let excl = locks::write(&durability.gate);
         let ticket = durability
             .wal
             .append(PUBLISH_SHARD, WalOp::Publish)
@@ -1537,18 +1539,18 @@ impl EstimationEngine {
     /// (recorded in checkpoint metadata), and WAL replay itself.
     fn publish_inner(&self) -> u64 {
         let publish_started = Instant::now();
-        let mut last_epoch = self.publish_lock.lock();
+        let mut last_epoch = locks::lock(&self.publish_lock);
         // Only publish() (serialized by the lock we hold) and recovery
         // (exclusive access) replace `current`, so this read is the
         // previous cut — the base the delta path extends.
-        let prev = self.current.read().clone();
+        let prev = locks::read(&self.current).clone();
         // Lock every shard (in index order) for the cut: ingest counter
         // and delta/live rows are read under the same freeze, so the
         // snapshot is transactionally consistent. The publish path is
         // decided *under the cut* — a delta found invalid here must be
         // re-collected before any writer can slip in a mutation that
         // would otherwise straddle two epochs.
-        let mut guards: Vec<_> = self.shards.iter().map(Mutex::lock).collect();
+        let mut guards: Vec<_> = self.shards.iter().map(locks::lock).collect();
         let ingested = self.metrics.ingests.get();
         let mut delta = Vec::new();
         let mut full = false;
@@ -1563,7 +1565,9 @@ impl EstimationEngine {
         // shard lock, all of which we hold). The shard delta logs don't
         // see tombstones, so any change since the published set forces
         // the full path.
-        let tombstone_cut = prev.is_mapped().then(|| self.tombstones.lock().clone());
+        let tombstone_cut = prev
+            .is_mapped()
+            .then(|| locks::lock(&self.tombstones).clone());
         if !full {
             if let Some(cut) = &tombstone_cut {
                 let published = prev.mapped_view().expect("is_mapped() held").tombstones();
@@ -1618,7 +1622,7 @@ impl EstimationEngine {
                     .expect("append-only delta was validated under the cut"),
             )
         };
-        *self.current.write() = snapshot;
+        *locks::write(&self.current) = snapshot;
         *last_epoch = epoch;
         // Counter order matters for torn-read-free stats: the total is
         // bumped before its per-kind breakdown, and stats() reads the
@@ -1643,7 +1647,7 @@ impl EstimationEngine {
     /// briefly held read lock; sampling happens entirely lock-free
     /// against the immutable snapshot).
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.current.read().clone()
+        locks::read(&self.current).clone()
     }
 
     /// Epoch of the current snapshot.
@@ -1751,7 +1755,7 @@ impl EstimationEngine {
         // actually served, misses only for the batch that bypasses the
         // cache).
         {
-            let cache = self.cache.lock();
+            let cache = locks::lock(&self.cache);
             let hits: Option<Vec<ServiceEstimate>> = taus
                 .iter()
                 .map(|&tau| {
@@ -1829,7 +1833,7 @@ impl EstimationEngine {
         self.metrics.pairs_per_pass.record(sampled);
         self.metrics.sampled_pairs.add(sampled);
         self.metrics.sampling_passes.inc();
-        let mut cache = self.cache.lock();
+        let mut cache = locks::lock(&self.cache);
         let answers: Vec<ServiceEstimate> = taus
             .iter()
             .zip(curve)
@@ -1868,7 +1872,7 @@ impl EstimationEngine {
 
     /// Drops every cached estimate (forces recomputation).
     pub fn clear_cache(&self) {
-        self.cache.lock().clear();
+        locks::lock(&self.cache).clear();
     }
 
     // --- observability ---------------------------------------------------
@@ -2032,8 +2036,8 @@ impl EstimationEngine {
             &m.publishes,
             &m.ingests,
         ]);
-        let shards: Vec<ShardStats> = self.shards.iter().map(|s| s.lock().stats()).collect();
-        let cache_entries = self.cache.lock().len();
+        let shards: Vec<ShardStats> = self.shards.iter().map(|s| locks::lock(s).stats()).collect();
+        let cache_entries = locks::lock(&self.cache).len();
         let wal = self.durability.as_ref().map(|d| d.wal.stats());
         let snapshot = self.snapshot();
         // The mapped base is live data the shards don't see; fold it
@@ -2042,7 +2046,7 @@ impl EstimationEngine {
         let mapped_base = snapshot.mapped_view().map(|m| m.base().clone());
         let overlay_bytes = snapshot.mapped_view().map_or(0, |m| m.tail_bytes());
         let tombstones = if mapped_base.is_some() {
-            self.tombstones.lock().len()
+            locks::lock(&self.tombstones).len()
         } else {
             0
         };

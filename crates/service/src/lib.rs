@@ -89,6 +89,7 @@ mod background;
 mod cache;
 mod config;
 mod engine;
+mod locks;
 mod mapped;
 pub mod persist;
 mod shard;

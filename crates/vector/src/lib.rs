@@ -24,8 +24,6 @@
 //!   storage and the read trait that lets estimators run against either
 //!   collection flavor (an owned offline database or a service epoch
 //!   snapshot sharing payloads with the mutable shards).
-//! * [`embedding`] — the vector ↔ multiset rounding embedding the paper
-//!   discusses (§1) when adapting SSJ techniques to VSJ.
 //!
 //! Similarities are computed in `f64` from `f32` storage: collections are
 //! large (storage matters) but estimator math is sensitive to cancellation
@@ -35,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod collection;
-pub mod embedding;
 mod merge;
 pub mod row;
 pub mod shared;

@@ -1,8 +1,8 @@
 //! The one sorted-merge kernel of the crate.
 //!
 //! Every pairwise operation over two coordinate-sorted lists — `dot`,
-//! `intersection_size`, the multiset intersection — is "find the
-//! positions whose keys are equal", and all of them get it from here:
+//! `intersection_size` — is "find the positions whose keys are equal",
+//! and both get it from here:
 //! [`count_matches`] when only the number of matches is wanted,
 //! [`for_each_match`] when the matching positions are.
 //!

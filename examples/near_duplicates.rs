@@ -50,15 +50,4 @@ fn main() {
     for (a, b, s) in preview {
         println!("  doc {a} ↔ doc {b}  (cosine {s:.4})");
     }
-
-    // Bonus: the same index serves point lookups — find the duplicates of
-    // one suspicious document via LSH search.
-    if let Some(&(a, _, _)) = pairs.first() {
-        let searcher = SimilaritySearcher::new(&index, &data, Cosine);
-        let hits = searcher.range_query(data.vector(a), tau);
-        println!(
-            "\nLSH range query around doc {a}: {} verified matches ≥ {tau:.2}",
-            hits.len()
-        );
-    }
 }

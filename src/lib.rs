@@ -19,11 +19,11 @@
 //!
 //! This facade re-exports the workspace crates:
 //!
-//! * [`vector`] — sparse vectors, cosine/Jaccard similarity, set embeddings.
+//! * [`vector`] — sparse vectors, cosine/Jaccard similarity.
 //! * [`sampling`] — seeded RNGs, alias tables, pair sampling, estimate
 //!   statistics.
 //! * [`lsh`] — SimHash/MinHash families, signature computation, LSH tables
-//!   with bucket counts, multi-table index, approximate search.
+//!   with bucket counts, multi-table index.
 //! * [`exact`] — exact join sizes (threaded naive + prefix-filter All-Pairs)
 //!   for ground truth.
 //! * [`datasets`] — synthetic DBLP/NYT/PUBMED-like generators and I/O.
@@ -86,7 +86,6 @@ pub use vsj_vector as vector;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use vsj_core::{
-        bifocal::Bifocal,
         general_join::{exact_general_join, GeneralJoinIndex, GeneralLshSs, GeneralRsPop},
         optimal_k::OptimalKSearch,
         probabilities::StratumProbabilities,
@@ -95,11 +94,9 @@ pub mod prelude {
         VirtualBucketEstimator,
     };
     pub use vsj_datasets::{Dataset, DblpLike, NytLike, PubmedLike};
-    pub use vsj_exact::{AllPairs, ExactJoin, GroundTruth, SimilarityHistogram};
+    pub use vsj_exact::{AllPairs, ExactJoin, GroundTruth};
     pub use vsj_lc::LatticeCounting;
-    pub use vsj_lsh::{
-        LshIndex, LshParams, LshTable, MinHashFamily, SimHashFamily, SimilaritySearcher,
-    };
+    pub use vsj_lsh::{LshIndex, LshParams, LshTable, MinHashFamily, SimHashFamily};
     pub use vsj_pool::WorkPool;
     pub use vsj_sampling::{Rng, RngStreams, SplitMix64, Xoshiro256};
     pub use vsj_server::{Client, ClientError, Estimated, Server, ServerConfig, ServerStats};

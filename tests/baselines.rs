@@ -95,42 +95,6 @@ fn lshs_weighted_beats_ju_at_low_tau() {
 }
 
 #[test]
-fn bifocal_dense_focus_handles_duplicate_clusters() {
-    let (data, index, seed) = fixture();
-    let table = index.table(0);
-    let bf = Bifocal::with_defaults(data.len());
-    let tau = 0.95;
-    let truth = ExactJoin::new(&data, Cosine).with_threads(2).count(tau) as f64;
-    if truth < 10.0 {
-        return;
-    }
-    let mut rng = Xoshiro256::seeded(seed + 3);
-    let mut sum = 0.0;
-    for _ in 0..15 {
-        sum += bf.estimate(&data, table, &Cosine, tau, &mut rng).value;
-    }
-    let mean = sum / 15.0;
-    // Bifocal's dense focus sees same-bucket duplicates; its sparse focus
-    // is RS-like. Expect right order of magnitude but no better.
-    assert!(
-        mean > truth * 0.1 && mean < truth * 10.0,
-        "bifocal mean {mean} vs truth {truth}"
-    );
-}
-
-#[test]
-fn histograms_agree_with_exact_joins() {
-    let (data, _, _) = fixture();
-    let hist = SimilarityHistogram::exact(&data, &Cosine, 20, 2);
-    let join = ExactJoin::new(&data, Cosine).with_threads(2);
-    for b in [2usize, 10, 16] {
-        let tau = b as f64 / 20.0;
-        assert_eq!(hist.count_at_least(tau), join.count(tau), "τ={tau}");
-    }
-    assert_eq!(hist.total(), data.total_pairs());
-}
-
-#[test]
 fn allpairs_matches_naive_on_generated_data() {
     let (data, _, _) = fixture();
     let naive = ExactJoin::new(&data, Cosine).with_threads(2);

@@ -106,7 +106,6 @@ fn estimator_trait_pipeline_runs_all_algorithms() {
         Box::new(LshSs::dampened_with_defaults(n)),
         Box::new(MedianEstimator::with_defaults(n)),
         Box::new(VirtualBucketEstimator::with_defaults(n)),
-        Box::new(Bifocal::with_defaults(n)),
     ];
     let m = data.total_pairs() as f64;
     let mut rng = Xoshiro256::seeded(5);
@@ -150,26 +149,11 @@ fn lc_baseline_runs_against_ground_truth() {
 }
 
 #[test]
-fn similarity_search_and_estimation_share_one_index() {
-    // The paper's pitch: estimation is a minimal addition to an index
-    // that already serves search. Exercise both against one build.
+fn median_over_three_tables_tracks_the_exact_join() {
     let data = DblpLike::with_size(500).generate(33);
     let n = data.len();
     let index = LshIndex::build(&data, LshParams::new(8, 3).with_seed(2).with_threads(2));
 
-    // Search side.
-    let searcher = SimilaritySearcher::new(&index, &data, Cosine);
-    let mut found_any = false;
-    for probe in 0..50u32 {
-        let hits = searcher.range_query(data.vector(probe), 0.9);
-        for h in &hits {
-            assert!(Cosine.sim(data.vector(probe), data.vector(h.id)) >= 0.9);
-        }
-        found_any |= hits.len() > 1;
-    }
-    assert!(found_any, "duplicate tail should yield search hits");
-
-    // Estimation side (same tables, median across them).
     let est = MedianEstimator::with_defaults(n);
     let mut rng = Xoshiro256::seeded(3);
     let truth = ExactJoin::new(&data, Cosine).with_threads(2).count(0.9) as f64;
