@@ -405,8 +405,10 @@ fn verify_section_checksums(
 // --- vector payload (the COLL section body) ---------------------------------
 
 /// Encodes one vector's wire block (`nnz u32`, `nnz × u32` indices,
-/// `nnz × f32` weights) — the single definition of the per-vector
-/// layout, shared by collection payloads and the service WAL.
+/// `nnz × f32` weights) — the per-vector layout of collection payloads
+/// and the service WAL, and the block a
+/// [`SharedVectorCollection`](vsj_vector::SharedVectorCollection) payload
+/// slab (and so a checkpoint's payload section) stores.
 pub fn encode_vector_into(buf: &mut BytesMut, v: &SparseVector) {
     buf.put_u32_le(v.nnz() as u32);
     for &i in v.indices() {
@@ -414,35 +416,6 @@ pub fn encode_vector_into(buf: &mut BytesMut, v: &SparseVector) {
     }
     for &w in v.values() {
         buf.put_f32_le(w);
-    }
-}
-
-/// Exact wire size of one vector's block: `4 + nnz × 8` bytes. Pairing
-/// this with [`encode_vector_into_slice`] lets writers prefix-sum the
-/// payload layout up front and fill disjoint slices in parallel.
-#[inline]
-pub fn encoded_vector_len(v: &SparseVector) -> usize {
-    4 + v.nnz() * 8
-}
-
-/// Encodes one vector's wire block into an exactly-sized slice —
-/// byte-identical to [`encode_vector_into`] on a fresh buffer.
-///
-/// # Panics
-/// Panics if `out.len() != encoded_vector_len(v)`.
-pub fn encode_vector_into_slice(out: &mut [u8], v: &SparseVector) {
-    assert_eq!(
-        out.len(),
-        encoded_vector_len(v),
-        "slice must be exactly sized"
-    );
-    out[..4].copy_from_slice(&(v.nnz() as u32).to_le_bytes());
-    let (idx_bytes, val_bytes) = out[4..].split_at_mut(v.nnz() * 4);
-    for (slot, &i) in idx_bytes.chunks_exact_mut(4).zip(v.indices()) {
-        slot.copy_from_slice(&i.to_le_bytes());
-    }
-    for (slot, &w) in val_bytes.chunks_exact_mut(4).zip(v.values()) {
-        slot.copy_from_slice(&w.to_le_bytes());
     }
 }
 
@@ -588,15 +561,15 @@ mod tests {
         }
     }
 
+    /// A payload slab's encoder writes exactly the wire block.
     #[test]
     fn slice_encoder_matches_buffer_encoder() {
         let coll = sample();
         for v in coll.vectors() {
             let mut reference = BytesMut::new();
             encode_vector_into(&mut reference, v);
-            let mut slab = vec![0u8; encoded_vector_len(v)];
-            encode_vector_into_slice(&mut slab, v);
-            assert_eq!(reference.freeze().as_slice(), slab.as_slice());
+            let row = vsj_vector::EncodedRow::new(v);
+            assert_eq!(reference.freeze().as_slice(), row.block().as_flattened());
         }
     }
 

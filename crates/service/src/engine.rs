@@ -15,14 +15,14 @@ use vsj_lsh::{BucketHasher, Composite, MinHashFamily, SimHashFamily};
 use vsj_obs::{snapshot_ordered, Counter, Gauge, Histogram, ObsOptions, Registry};
 use vsj_pool::WorkPool;
 use vsj_sampling::{signed_relative_error, Rng, RngStreams, SplitMix64, Xoshiro256};
-use vsj_vector::{pairs_of, Cosine, Jaccard, SparseVector, VectorCollection};
+use vsj_vector::{pairs_of, Cosine, EncodedRow, Jaccard, SparseVector, VectorCollection};
 
 use crate::audit::{AuditOptions, AuditRecord, AuditState, QualityReport};
 use crate::cache::{CacheEntry, CacheKey, EstimateCache};
 use crate::config::{DurabilityOptions, FsyncPolicy, IndexFamily, ServiceConfig, StorageTier};
 use crate::mapped::{MappedCheckpoint, TombstoneSet};
 use crate::persist::{self, CheckpointMeta, PersistError, CHECKPOINT_FILE};
-use crate::shard::{ShardDelta, ShardState, ShardStats};
+use crate::shard::{ShardState, ShardStats};
 use crate::snapshot::Snapshot;
 use crate::wal::{WalMetrics, WalOp, WalRecord, WalSet};
 use crate::GlobalId;
@@ -400,10 +400,11 @@ pub struct EngineStats {
 ///   [`ServiceConfig::auto_publish_every`] ingests) takes a consistent
 ///   cut across the shards and assembles an immutable epoch
 ///   [`Snapshot`] in **O(changed)**: append-only epochs extend the
-///   previous snapshot (payloads and untouched bucket runs are
-///   `Arc`-shared; no re-hashing, no payload copies), and only epochs
-///   with removals or replacing upserts pay a full — still
-///   pointer-only — merge. The new snapshot is then swapped in as the
+///   previous snapshot (payload slabs and untouched bucket runs are
+///   `Arc`-shared; only the new rows' blocks are copied, nothing is
+///   re-hashed), and only epochs with removals or replacing upserts pay
+///   a full merge, which rebuilds the row directory but still copies no
+///   published payload. The new snapshot is then swapped in as the
 ///   current read view.
 /// * **Reads** (`estimate` / `estimate_batch`) clone the current
 ///   snapshot `Arc` (readers never block writers or each other beyond
@@ -663,8 +664,9 @@ impl EstimationEngine {
     /// checkpoint is mapped and validated once, and the tier decides
     /// only what becomes of the validated mapping —
     /// [`StorageTier::Mapped`] serves it as the base (the base corpus is
-    /// never decoded or rebuilt), [`StorageTier::Heap`] copies its rows
-    /// into the shards and drops it. Both then share one tail: open the
+    /// never decoded or rebuilt), [`StorageTier::Heap`] copies its
+    /// payload section into one heap slab, gives the shards each row's
+    /// gid and key, and drops it. Both then share one tail: open the
     /// [`WalSet`], replay the records past the checkpoint's cut, collect
     /// the retained generations' horizons, attach storage.
     ///
@@ -764,6 +766,7 @@ impl EstimationEngine {
                 base,
                 Vec::new(),
                 Arc::new(TombstoneSet::empty()),
+                None,
             )
             .expect("an empty overlay over a fresh mapping is trivially consistent"),
         );
@@ -789,30 +792,22 @@ impl EstimationEngine {
     /// protocol shared by [`recover_with`](Self::recover_with) (which
     /// then replays the WAL and attaches storage) and
     /// [`recover_generation`](Self::recover_generation) (which stops
-    /// here): each row's gid and key come from the mapped arrays and its
-    /// vector is decoded straight from its payload block (no
-    /// re-hashing); the rows become the shards and the published
-    /// snapshot, and the counters are restored to the cut. The mapping
-    /// is dropped on return.
+    /// here): the published snapshot is the checkpoint's payload section
+    /// copied once, with its offsets as the row directory and the norms
+    /// the open-time validation computed (nothing is decoded or
+    /// re-hashed); the shards get each row's gid and key, with no
+    /// payload — the snapshot holds it — and the counters are restored
+    /// to the cut. The mapping is dropped on return.
     fn hydrate(base: MappedCheckpoint) -> Self {
         let meta = base.meta();
         let mut engine = Self::new(meta.config);
-        let rows: Vec<(GlobalId, u64, Arc<SparseVector>)> = (0..base.len())
-            .map(|i| (base.gid(i), base.key(i), Arc::new(base.decode(i))))
-            .collect();
-        for (gid, key, v) in &rows {
-            let shard = engine.shard_of(*gid);
-            let fresh =
-                locks::unpoison(engine.shards[shard].get_mut()).insert(*gid, *key, v.clone());
+        for i in 0..base.len() {
+            let gid = base.gid(i);
+            let shard = engine.shard_of(gid);
+            let fresh = locks::unpoison(engine.shards[shard].get_mut()).restore(gid, base.key(i));
             assert!(fresh, "GIDS strictly ascend (checked at open)");
         }
-        // The checkpoint rows ARE the base snapshot: drain the delta
-        // logs the rebuild just filled so the next publish extends this
-        // snapshot rather than double-counting its rows.
-        for shard in &mut engine.shards {
-            let _ = locks::unpoison(shard.get_mut()).take_delta();
-        }
-        let snapshot = Snapshot::assemble(meta.epoch, meta.ingested, engine.hasher.clone(), rows);
+        let snapshot = Snapshot::from_checkpoint(&base, engine.hasher.clone());
         engine.restore_cut(meta, snapshot);
         engine
     }
@@ -840,7 +835,7 @@ impl EstimationEngine {
                 let fresh = locks::lock(&self.shards[self.shard_of(*id)]).insert(
                     *id,
                     key,
-                    Arc::new(vector.clone()),
+                    EncodedRow::new(vector),
                 );
                 if !fresh {
                     return Err(PersistError::Corrupt(format!(
@@ -871,7 +866,7 @@ impl EstimationEngine {
                 // row tombstones it; the fresh vector lands in the
                 // shard (the overlay).
                 let replaced = shard.remove(*id) || self.tombstone_base_row(*id);
-                let inserted = shard.insert(*id, key, Arc::new(vector.clone()));
+                let inserted = shard.insert(*id, key, EncodedRow::new(vector));
                 debug_assert!(inserted, "id was just vacated");
                 if replaced {
                     2
@@ -1078,6 +1073,7 @@ impl EstimationEngine {
             base.clone(),
             Vec::new(),
             Arc::new(TombstoneSet::empty()),
+            None,
         )
         .expect("an empty overlay over a fresh mapping is trivially consistent");
         let last_epoch = locks::lock(&self.publish_lock);
@@ -1151,12 +1147,14 @@ impl EstimationEngine {
     /// write that would vanish on restart is worse than refusing it.
     pub fn insert(&self, v: SparseVector) -> GlobalId {
         let key = self.hasher.key(&v);
-        self.insert_arc(Arc::new(v), key)
+        self.insert_row(&v, EncodedRow::new(&v), key)
     }
 
-    /// Shared insert body. `key` is the vector's bucket key, hashed by
-    /// the caller before any shard lock is taken.
-    fn insert_arc(&self, v: Arc<SparseVector>, key: u64) -> GlobalId {
+    /// Shared insert body. `key` is `v`'s bucket key and `row` its
+    /// encoding, both made before any shard lock is taken; the shard
+    /// keeps only `row` (`v` is what the WAL logs).
+    fn insert_row(&self, v: &SparseVector, row: EncodedRow, key: u64) -> GlobalId {
+        let mut row = Some(row);
         if let Some(durability) = &self.durability {
             let shared = locks::read(&durability.gate);
             let (id, ticket) = loop {
@@ -1174,11 +1172,11 @@ impl EstimationEngine {
                 }
                 let ticket = durability
                     .wal
-                    .append(self.shard_of(id), WalOp::Insert(id, &v))
+                    .append(self.shard_of(id), WalOp::Insert(id, v))
                     .expect("WAL append failed; refusing to apply an unlogged insert");
                 durability.pending.fetch_add(1, Ordering::Relaxed);
                 let apply_started = Instant::now();
-                let fresh = shard.insert(id, key, v.clone());
+                let fresh = shard.insert(id, key, row.take().expect("inserted once"));
                 self.metrics
                     .ingest_apply_us
                     .record_duration(apply_started.elapsed());
@@ -1200,16 +1198,18 @@ impl EstimationEngine {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
             // See the durable arm for why a collision is possible here.
             let mut shard = locks::lock(&self.shards[self.shard_of(id)]);
+            if shard.contains(id) {
+                continue;
+            }
             let apply_started = Instant::now();
-            let inserted = shard.insert(id, key, v.clone());
+            let inserted = shard.insert(id, key, row.take().expect("inserted once"));
             self.metrics
                 .ingest_apply_us
                 .record_duration(apply_started.elapsed());
             drop(shard);
-            if inserted {
-                self.after_ingest(1);
-                return id;
-            }
+            debug_assert!(inserted, "freshness checked under this shard guard");
+            self.after_ingest(1);
+            return id;
         }
     }
 
@@ -1226,15 +1226,19 @@ impl EstimationEngine {
     where
         I: IntoIterator<Item = SparseVector>,
     {
-        let vectors: Vec<Arc<SparseVector>> = vectors.into_iter().map(Arc::new).collect();
+        let vectors: Vec<SparseVector> = vectors.into_iter().collect();
         let hasher = &self.hasher;
         let keys = self
             .pool
             .parallel_map_indexed(&vectors, |_, v| hasher.key(v));
+        // Every row is encoded before any vector is dropped, so the
+        // encoded rows lie together and leave together at the cut.
+        let rows: Vec<EncodedRow> = vectors.iter().map(EncodedRow::new).collect();
         vectors
-            .into_iter()
+            .iter()
+            .zip(rows)
             .zip(keys)
-            .map(|(v, key)| self.insert_arc(v, key))
+            .map(|((v, row), key)| self.insert_row(v, row, key))
             .collect()
     }
 
@@ -1387,7 +1391,7 @@ impl EstimationEngine {
                 // an earlier upsert of the same gid already tombstoned
                 // the base row when it created the shard row).
                 let replaced = shard.remove(global) || self.tombstone_base_row(global);
-                let inserted = shard.insert(global, key, Arc::new(v));
+                let inserted = shard.insert(global, key, EncodedRow::new(&v));
                 self.metrics
                     .ingest_apply_us
                     .record_duration(apply_started.elapsed());
@@ -1410,7 +1414,7 @@ impl EstimationEngine {
             let mut shard = locks::lock(&self.shards[self.shard_of(global)]);
             let apply_started = Instant::now();
             let replaced = shard.remove(global) || self.tombstone_base_row(global);
-            let inserted = shard.insert(global, key, Arc::new(v));
+            let inserted = shard.insert(global, key, EncodedRow::new(&v));
             self.metrics
                 .ingest_apply_us
                 .record_duration(apply_started.elapsed());
@@ -1489,14 +1493,18 @@ impl EstimationEngine {
     /// shard's delta is append-only (pure inserts with fresh, past-cut
     /// global ids — the common ingest pattern), the new epoch is
     /// assembled from the previous snapshot plus the delta
-    /// (`Snapshot::assemble_delta`): payloads and untouched buckets
-    /// are `Arc`-shared, so an epoch after `k` ingests into an
-    /// `n`-vector corpus costs O(k) real work. Epochs whose delta holds
-    /// removals, replacing upserts, or out-of-order ids fall back to a
-    /// full merge — O(n log n) but still pure pointer work (payloads
-    /// stay shared, nothing is re-hashed). Either way the published
-    /// snapshot is bit-identical to a full offline rebuild; only the
-    /// assembly cost differs (see [`EngineStats::delta_publishes`]).
+    /// (`Snapshot::assemble_delta`): payload slabs and untouched
+    /// buckets are `Arc`-shared and only the appended rows' blocks are copied,
+    /// so an epoch after `k` ingests into an `n`-vector corpus costs
+    /// O(k) real work. Epochs whose delta holds removals, replacing
+    /// upserts, or out-of-order ids fall back to a full merge — O(n log
+    /// n) over the live rows' ids and keys, rebuilding only the row
+    /// directory: rows published earlier keep their payload blocks,
+    /// only the cut's new rows are copied in, and nothing is re-hashed.
+    /// The shards hand their pending payloads to the cut and keep none.
+    /// Either way the published snapshot is bit-identical to a full
+    /// offline rebuild; only the assembly cost differs (see
+    /// [`EngineStats::delta_publishes`]).
     ///
     /// # Example
     ///
@@ -1552,14 +1560,7 @@ impl EstimationEngine {
         // would otherwise straddle two epochs.
         let mut guards: Vec<_> = self.shards.iter().map(locks::lock).collect();
         let ingested = self.metrics.ingests.get();
-        let mut delta = Vec::new();
-        let mut full = false;
-        for g in &mut guards {
-            match g.take_delta() {
-                ShardDelta::Appends(rows) => delta.extend(rows),
-                ShardDelta::Full => full = true,
-            }
-        }
+        let mut full = guards.iter().any(|g| g.appended().is_none());
         // A mapped cut freezes the tombstone state under the same
         // guards as the shard deltas (every tombstone mutation holds a
         // shard lock, all of which we hold). The shard delta logs don't
@@ -1575,14 +1576,20 @@ impl EstimationEngine {
             }
         }
         if !full {
-            delta.sort_unstable_by_key(|r| r.0);
-            full = !Snapshot::is_append_only(&prev, &delta);
+            let mut appended: Vec<GlobalId> = guards
+                .iter()
+                .flat_map(|g| g.appended().expect("no shard needs a re-collect"))
+                .collect();
+            appended.sort_unstable();
+            full = !Snapshot::is_append_only(&prev, appended);
         }
+        // The cut takes every pending payload out of the shards: from
+        // here on the snapshot's slabs are the rows' only copy.
         let epoch = *last_epoch + 1;
         let snapshot = if full {
             let mut rows = Vec::new();
-            for g in &guards {
-                g.collect_live(&mut rows);
+            for g in &mut guards {
+                g.take_live(&mut rows);
             }
             drop(guards);
             if let Some(mapped) = prev.mapped_view() {
@@ -1604,11 +1611,13 @@ impl EstimationEngine {
                         mapped.base().clone(),
                         rows,
                         tombstones,
+                        Some(mapped),
                     )
                     .expect("overlay rows never collide with live base rows"),
                 )
             } else {
                 Arc::new(Snapshot::assemble(
+                    &prev,
                     epoch,
                     ingested,
                     self.hasher.clone(),
@@ -1616,6 +1625,10 @@ impl EstimationEngine {
                 ))
             }
         } else {
+            let mut delta = Vec::new();
+            for g in &mut guards {
+                g.take_appends(&mut delta);
+            }
             drop(guards);
             Arc::new(
                 Snapshot::assemble_delta(&prev, epoch, ingested, delta)
@@ -2113,6 +2126,7 @@ impl std::fmt::Debug for EstimationEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vsj_vector::VectorId;
 
     fn mapped_engine_with_dirty_overlay(dir: &std::path::Path) -> EstimationEngine {
         let config = ServiceConfig::builder()
@@ -2190,9 +2204,9 @@ mod tests {
     }
 
     /// The pooled checkpoint encoder must produce the exact bytes of
-    /// the serial one — on the heap tier (Arc payload re-encode) and on
-    /// the mapped tier (base byte-copy interleaved with overlay
-    /// re-encode, tombstoned rows dropped) — at every thread count.
+    /// the serial one — on the heap tier (slab block copies) and on the
+    /// mapped tier (base block copies interleaved with overlay slab
+    /// blocks, tombstoned rows dropped) — at every thread count.
     #[test]
     fn parallel_encode_is_byte_identical() {
         let config = ServiceConfig::builder().shards(3).k(8).seed(42).build();
@@ -2251,5 +2265,117 @@ mod tests {
             stats.pool_tasks > 0,
             "the batch pre-hash must run on the pool"
         );
+    }
+
+    fn weighted(i: u64, round: u64) -> SparseVector {
+        let entries = (0..1 + (i + round) % 6)
+            .map(|t| (((t * 5 + i) % 97) as u32 + 100 * t as u32, 0.5 + t as f32))
+            .collect();
+        SparseVector::from_entries(entries).expect("finite entries")
+    }
+
+    /// The heap twin of `mapped_tier::mapped_serving_and_auditing_materialize_no_row`:
+    /// ingest, a delta publish, an upsert + remove + full publish,
+    /// estimates, an audit and a checkpoint read every heap row in place
+    /// — no snapshot's decode-once cache holds a row afterwards.
+    #[test]
+    fn heap_serving_and_auditing_materialize_no_row() {
+        let dir = std::env::temp_dir().join(format!("vsj_engine_heapdec_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = ServiceConfig::builder().shards(2).k(4).seed(9).build();
+        let engine =
+            EstimationEngine::durable_with(config, &dir, DurabilityOptions::default()).unwrap();
+        let ids = engine.insert_batch((0..60).map(|i| weighted(i, 0)));
+        let mut snapshots = vec![];
+        engine.publish();
+        snapshots.push(engine.snapshot());
+        assert_eq!(engine.stats().delta_publishes, 1);
+        assert!(engine.upsert(ids[3], weighted(3, 1)));
+        assert!(engine.remove(ids[5]));
+        engine.publish();
+        snapshots.push(engine.snapshot());
+        assert_eq!(engine.stats().full_publishes, 1);
+        engine.estimate_batch(&[0.3, 0.6]);
+        engine.estimate(0.9);
+        assert!(engine.audit_once(&AuditOptions::default()).is_some());
+        engine.checkpoint().unwrap();
+        snapshots.push(engine.snapshot());
+        for (at, snapshot) in snapshots.iter().enumerate() {
+            assert!(!snapshot.is_mapped());
+            assert_eq!(snapshot.materialized(), 0, "snapshot {at} decoded rows");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A published row's payload is held once, in a snapshot slab — no
+    /// shard row keeps it — and 200 rounds of upserts, removals, inserts
+    /// and both publish paths keep a snapshot's slabs few and its
+    /// garbage bounded, while every row still decodes to what was
+    /// written.
+    #[test]
+    fn published_payloads_are_held_once_and_garbage_stays_bounded() {
+        let engine = EstimationEngine::new(ServiceConfig::builder().shards(3).k(6).seed(4).build());
+        let mut model: std::collections::BTreeMap<GlobalId, SparseVector> =
+            std::collections::BTreeMap::new();
+        for (i, id) in engine
+            .insert_batch((0..300).map(|i| weighted(i, 0)))
+            .into_iter()
+            .enumerate()
+        {
+            model.insert(id, weighted(i as u64, 0));
+        }
+        let pending = || -> usize { engine.shards.iter().map(|s| locks::lock(s).pending()).sum() };
+        assert_eq!(pending(), 300);
+        engine.publish();
+        assert_eq!(pending(), 0, "the cut took every payload");
+        let mut rng = Xoshiro256::seeded(17);
+        for round in 1..=200u64 {
+            let live: Vec<GlobalId> = model.keys().copied().collect();
+            let mut pick = || live[(rng.next_u64() % live.len() as u64) as usize];
+            if round % 3 != 0 {
+                for _ in 0..4 {
+                    let gid = pick();
+                    engine.upsert(gid, weighted(gid, round));
+                    model.insert(gid, weighted(gid, round));
+                }
+                for _ in 0..2 {
+                    let gid = pick();
+                    if model.remove(&gid).is_some() {
+                        assert!(engine.remove(gid));
+                    }
+                }
+            }
+            for i in 0..3 {
+                let v = weighted(round * 7 + i, round);
+                model.insert(engine.insert(v.clone()), v);
+            }
+            engine.publish();
+            assert_eq!(pending(), 0, "round {round}: a shard kept a payload");
+            let snapshot = engine.snapshot();
+            let rows = snapshot.collection();
+            let slab_bytes: u64 = rows.slabs().iter().map(|s| 4 * s.len() as u64).sum();
+            let live_bytes: u64 = (0..snapshot.len() as VectorId)
+                .map(|id| 4 * rows.block(id).len() as u64)
+                .sum();
+            assert_eq!(live_bytes, rows.payload_bytes());
+            assert!(
+                rows.slabs().len() <= 32,
+                "round {round}: {} slabs",
+                rows.slabs().len()
+            );
+            assert!(
+                slab_bytes <= 2 * live_bytes,
+                "round {round}: {slab_bytes} slab bytes hold {live_bytes} live"
+            );
+        }
+        let snapshot = engine.snapshot();
+        assert_eq!(
+            snapshot.global_ids(),
+            model.keys().copied().collect::<Vec<_>>()
+        );
+        for (local, v) in model.values().enumerate() {
+            assert_eq!(&snapshot.to_vector(local as VectorId), v);
+        }
+        assert_eq!(engine.stats().delta_publishes, 1 + 200 / 3);
     }
 }

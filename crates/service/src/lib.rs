@@ -16,8 +16,9 @@
 //!  └──┬───┘  └───┬──┘   └───┬──┘       hashed before the shard lock
 //!     └──────────┼──────────┘
 //!                │ publish(): O(changed) — previous snapshot + per-shard
-//!                │ deltas (payloads & bucket runs Arc-shared; full
-//!                │ pointer-merge fallback for removal epochs)
+//!                │ deltas (payload slabs & bucket runs Arc-shared, new
+//!                │ rows encoded once; full directory-merge fallback for
+//!                │ removal epochs)
 //!          ┌─────▼──────┐
 //!          │ Snapshot e │  immutable, Arc-shared, epoch-tagged
 //!          └─────┬──────┘

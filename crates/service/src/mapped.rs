@@ -3,14 +3,15 @@
 //! [`MappedCheckpoint`] is the one reader of a v3 checkpoint container.
 //! The container is memory-mapped, and every section's checksum, the
 //! cross-section structure and every row's vector invariants are
-//! validated once, at open. The heap tier then copies the rows into its
-//! shards and drops the mapping; the mapped tier serves the file
+//! validated once, at open. The heap tier then copies the payload
+//! section once into a heap payload slab and drops the mapping; the
+//! mapped tier serves the file
 //! *directly*: bucket runs, key arrays, and vector payloads are read
 //! straight out of the mapping — the base corpus never enters the heap.
 //! A sampled pair is scored from borrowed slices of the rows' payload
 //! blocks ([`Row::from_le_words`]): no row is decoded and nothing is
 //! allocated, so a cold start costs O(map + validation scan) instead of
-//! O(decode + rebuild), and its first estimate costs what every later
+//! O(copy + rebuild), and its first estimate costs what every later
 //! one does. The validation scan reads every value anyway, so it also
 //! records each row's L2 norm in an 8 B/row heap array — the one part of
 //! a row scoring needs that the payload does not store. Whole decoded
@@ -52,12 +53,15 @@ use memmap2::Mmap;
 use vsj_core::IndexView;
 use vsj_datasets::io::{self, ContainerIndex};
 use vsj_sampling::{pair_count, AliasTable};
-use vsj_vector::{Row, SparseVector, VectorId};
+use vsj_vector::{
+    row_words, EncodedRow, Row, SharedVectorCollection, SparseVector, VectorId, VectorStore,
+};
 
 use crate::persist::{
     decode_meta, CheckpointMeta, PersistError, SECTION_BKTK, SECTION_BMEM, SECTION_BOFF,
     SECTION_GIDS, SECTION_KEYS, SECTION_META, SECTION_VOFF, SECTION_VPAY,
 };
+use crate::shard::AppendedRow;
 use crate::GlobalId;
 
 fn corrupt(msg: impl Into<String>) -> PersistError {
@@ -108,7 +112,7 @@ impl TombstoneSet {
 }
 
 /// A validated, memory-mapped v3 checkpoint: the base rows of a mapped
-/// engine, and the source a heap recovery copies its rows from. All
+/// engine, and the source a heap recovery copies its payloads from. All
 /// integer reads go through `from_le_bytes` on mapped slices; rows are
 /// scored in place ([`MappedCheckpoint::row`]).
 pub(crate) struct MappedCheckpoint {
@@ -265,7 +269,7 @@ impl MappedCheckpoint {
             if len != 4 + nnz * 8 {
                 return Err(corrupt("VPAY block length disagrees with its nnz prefix"));
             }
-            let (indices, values) = row_words(&map[at..at + len as usize]);
+            let (indices, values) = row_words(map[at..at + len as usize].as_chunks::<4>().0);
             let norm = Row::check_le_words(indices, values)
                 .map_err(|e| corrupt(format!("VPAY row {i}: {e}")))?;
             norms.push(norm);
@@ -379,20 +383,20 @@ impl MappedCheckpoint {
         u32::from_le_bytes(self.map[off..off + 4].try_into().expect("4 bytes"))
     }
 
-    /// The whole payload slab (for re-encoding at checkpoint time).
-    pub(crate) fn payload_slab(&self) -> &[u8] {
+    /// The whole payload slab.
+    fn payload_slab(&self) -> &[u8] {
         &self.map[self.vpay.clone()]
     }
 
     /// Byte offset of row `i`'s payload block inside the slab.
     #[inline]
-    pub(crate) fn payload_offset(&self, i: usize) -> u64 {
+    fn payload_offset(&self, i: usize) -> u64 {
         self.u64_in(&self.voff, i)
     }
 
     /// Base row `i`'s payload block: `nnz | indices | values`.
     #[inline]
-    fn block(&self, i: usize) -> &[u8] {
+    pub(crate) fn block(&self, i: usize) -> &[u8] {
         let start = self.payload_offset(i) as usize;
         let end = self.payload_offset(i + 1) as usize;
         &self.map[self.vpay.start + start..self.vpay.start + end]
@@ -402,8 +406,19 @@ impl MappedCheckpoint {
     /// only read of a base row: no decode, no allocation.
     #[inline]
     pub(crate) fn row(&self, i: usize) -> Row<'_> {
-        let (indices, values) = row_words(self.block(i));
+        let (indices, values) = row_words(self.block(i).as_chunks::<4>().0);
         Row::from_le_words(indices, values, self.norms[i])
+    }
+
+    /// The whole base as one heap collection: the payload slab copied
+    /// once, its offsets as the directory and the norms the validation
+    /// scan recorded — nothing is decoded.
+    pub(crate) fn to_collection(&self) -> SharedVectorCollection {
+        let (words, _) = self.payload_slab().as_chunks::<4>();
+        SharedVectorCollection::from_payload(
+            words,
+            (0..self.n).map(|i| (self.payload_offset(i) as usize / 4, self.norms[i])),
+        )
     }
 
     /// The vector of base row `i`, for readers that need a
@@ -430,18 +445,8 @@ impl MappedCheckpoint {
     }
 }
 
-/// The index and value words of a payload block whose length matches its
-/// nnz prefix: `4 + 8 · nnz` bytes are `1 + 2 · nnz` words.
-#[inline]
-fn row_words(block: &[u8]) -> (&[[u8; 4]], &[[u8; 4]]) {
-    let (words, _) = block.as_chunks::<4>();
-    words[1..].split_at(words.len() / 2)
-}
-
 /// Where a dense view id resolves: a live base row of the mapping, or
-/// an overlay row on the heap. The checkpoint writer walks dense ids
-/// through this to byte-copy base payload blocks and re-encode only the
-/// overlay.
+/// an overlay row in a heap payload slab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MappedRow {
     /// Base row index into the mapped checkpoint.
@@ -463,7 +468,8 @@ pub(crate) struct MappedView {
     tombstones: Arc<TombstoneSet>,
     tail_gids: Vec<GlobalId>,
     tail_keys: Vec<u64>,
-    tail_vectors: Vec<Arc<SparseVector>>,
+    /// The overlay rows' payloads, in overlay-row order.
+    tail: SharedVectorCollection,
     /// Encoded size of the overlay's payload blocks — the "heap bytes
     /// a compaction would fold away" trigger signal.
     tail_bytes: u64,
@@ -492,8 +498,8 @@ impl std::fmt::Debug for MappedView {
 
 impl MappedView {
     /// Builds the merged view from the base, the tombstone set, and the
-    /// overlay rows (`(gid, key, vector)`, strictly ascending by gid,
-    /// never colliding with a live base gid — the caller validates).
+    /// overlay rows (gids strictly ascending, never colliding with a live
+    /// base gid — the caller validates — with their keys and payloads).
     ///
     /// One gid-order merge walk over the live base rows and the overlay
     /// assigns every dense id and freezes `rows`. Base buckets
@@ -506,20 +512,15 @@ impl MappedView {
         base: Arc<MappedCheckpoint>,
         k: usize,
         tombstones: Arc<TombstoneSet>,
-        tail: Vec<(GlobalId, u64, Arc<SparseVector>)>,
+        tail_gids: Vec<GlobalId>,
+        tail_keys: Vec<u64>,
+        tail: SharedVectorCollection,
     ) -> Self {
-        debug_assert!(tail.windows(2).all(|w| w[0].0 < w[1].0), "tail gid-sorted");
+        debug_assert!(tail_gids.windows(2).all(|w| w[0] < w[1]), "tail gid-sorted");
+        debug_assert_eq!(tail_gids.len(), tail_keys.len());
+        debug_assert_eq!(tail_gids.len(), tail.len());
         let base_n = base.len();
-        let mut tail_gids = Vec::with_capacity(tail.len());
-        let mut tail_keys = Vec::with_capacity(tail.len());
-        let mut tail_vectors = Vec::with_capacity(tail.len());
-        let mut tail_bytes = 0u64;
-        for (gid, key, v) in tail {
-            tail_gids.push(gid);
-            tail_keys.push(key);
-            tail_bytes += 4 + 8 * v.nnz() as u64;
-            tail_vectors.push(v);
-        }
+        let tail_bytes = tail.payload_bytes();
         let row_id = |r: usize| VectorId::try_from(r).expect("base + overlay rows fit a u32");
 
         // The merge walk, and its inverse over base-then-overlay rows.
@@ -605,7 +606,7 @@ impl MappedView {
             tombstones,
             tail_gids,
             tail_keys,
-            tail_vectors,
+            tail,
             tail_bytes,
             rows,
             starts,
@@ -617,18 +618,23 @@ impl MappedView {
 
     /// A new view with `rows` appended to the overlay (the mapped
     /// delta-publish path — tombstones unchanged by construction). The
-    /// base mapping and tombstone set are shared; the frozen index is
+    /// base mapping, tombstone set and overlay slabs are shared, the
+    /// appended payloads go into one new slab, and the frozen index is
     /// rebuilt in one O(base + overlay) walk.
-    pub(crate) fn extended(&self, rows: &[(GlobalId, u64, Arc<SparseVector>)]) -> Self {
-        let mut tail: Vec<(GlobalId, u64, Arc<SparseVector>)> = self
-            .tail_gids
-            .iter()
-            .zip(&self.tail_keys)
-            .zip(&self.tail_vectors)
-            .map(|((&g, &k), v)| (g, k, v.clone()))
-            .collect();
-        tail.extend_from_slice(rows);
-        Self::new(self.base.clone(), self.k, self.tombstones.clone(), tail)
+    pub(crate) fn extended(&self, rows: &[AppendedRow]) -> Self {
+        let mut tail_gids = self.tail_gids.clone();
+        let mut tail_keys = self.tail_keys.clone();
+        tail_gids.extend(rows.iter().map(|r| r.0));
+        tail_keys.extend(rows.iter().map(|r| r.1));
+        let vectors: Vec<&EncodedRow> = rows.iter().map(|r| &r.2).collect();
+        Self::new(
+            self.base.clone(),
+            self.k,
+            self.tombstones.clone(),
+            tail_gids,
+            tail_keys,
+            self.tail.extended(&vectors),
+        )
     }
 
     /// The mapped base.
@@ -641,9 +647,14 @@ impl MappedView {
         &self.tombstones
     }
 
-    /// The overlay's vectors, in overlay-row order.
-    pub(crate) fn tail_vectors(&self) -> &[Arc<SparseVector>] {
-        &self.tail_vectors
+    /// The overlay's global ids, ascending (overlay-row order).
+    pub(crate) fn tail_gids(&self) -> &[GlobalId] {
+        &self.tail_gids
+    }
+
+    /// The overlay's payloads, in overlay-row order.
+    pub(crate) fn tail(&self) -> &SharedVectorCollection {
+        &self.tail
     }
 
     /// Encoded bytes of the overlay's payload blocks — the heap-resident
@@ -688,31 +699,42 @@ impl MappedView {
         }
     }
 
-    /// The row of a dense view id: base rows borrowed from their
-    /// payload block, overlay rows from their heap vector.
+    /// The row of a dense view id, borrowed from its payload block in
+    /// the mapping or in an overlay slab.
     #[inline]
     pub(crate) fn row(&self, id: VectorId) -> Row<'_> {
         match self.row_of_dense(id) {
             MappedRow::Base(row) => self.base.row(row),
-            MappedRow::Tail(t) => self.tail_vectors[t].as_row(),
+            MappedRow::Tail(t) => self.tail.row(t as VectorId),
         }
     }
 
-    /// The vector of a dense view id; a base row comes from
-    /// [`MappedCheckpoint::vector`], so this is off the served path.
+    /// The payload block of a dense view id, in the mapping or in an
+    /// overlay slab.
+    pub(crate) fn block(&self, id: VectorId) -> &[u8] {
+        match self.row_of_dense(id) {
+            MappedRow::Base(row) => self.base.block(row),
+            MappedRow::Tail(t) => self.tail.block(t as VectorId).as_flattened(),
+        }
+    }
+
+    /// The vector of a dense view id, off the served path: the first
+    /// call for a base row decodes the whole base
+    /// ([`MappedCheckpoint::vector`]), for an overlay row the whole
+    /// overlay.
     pub(crate) fn vector(&self, id: VectorId) -> &SparseVector {
         match self.row_of_dense(id) {
             MappedRow::Base(row) => self.base.vector(row),
-            MappedRow::Tail(t) => &self.tail_vectors[t],
+            MappedRow::Tail(t) => self.tail.vector(t as VectorId),
         }
     }
 
     /// An owned copy of a dense view id's vector, decoded straight from
-    /// the payload for a base row (nothing is kept).
+    /// its payload block (nothing is kept).
     pub(crate) fn to_vector(&self, id: VectorId) -> SparseVector {
         match self.row_of_dense(id) {
             MappedRow::Base(row) => self.base.decode(row),
-            MappedRow::Tail(t) => (*self.tail_vectors[t]).clone(),
+            MappedRow::Tail(t) => self.tail.decode(t as VectorId),
         }
     }
 }
@@ -816,7 +838,7 @@ mod tests {
             publishes: 1,
             config: ServiceConfig::default(),
         };
-        let bytes = persist::encode_checkpoint(&meta, &Snapshot::assemble(1, 0, hasher, rows));
+        let bytes = persist::encode_checkpoint(&meta, &Snapshot::of_rows(1, 0, hasher, rows));
         let path = std::env::temp_dir().join(format!(
             "vsj_mapped_view_{}_{}",
             std::process::id(),
@@ -852,8 +874,19 @@ mod tests {
 
     fn view(base: &Arc<MappedCheckpoint>, dead: &[u32], tail: &[(GlobalId, u64)]) -> MappedView {
         let tombstones = Arc::new(TombstoneSet::from_rows(dead.to_vec()));
-        let tail = tail.iter().map(|&(gid, key)| row(gid, key)).collect();
-        MappedView::new(base.clone(), 4, tombstones, tail)
+        let rows: Vec<EncodedRow> = tail
+            .iter()
+            .map(|&(gid, _)| EncodedRow::new(&payload(gid)))
+            .collect();
+        let refs: Vec<&EncodedRow> = rows.iter().collect();
+        MappedView::new(
+            base.clone(),
+            4,
+            tombstones,
+            tail.iter().map(|r| r.0).collect(),
+            tail.iter().map(|r| r.1).collect(),
+            SharedVectorCollection::new().extended(&refs),
+        )
     }
 
     /// Every id resolves to its brute-force row, every pair — base ×
@@ -981,7 +1014,10 @@ mod tests {
                 check(&full, &live_rows(&keys, &dead, &tail));
 
                 let split = split % (tail.len() + 1);
-                let suffix: Vec<_> = tail[split..].iter().map(|&(g, k)| row(g, k)).collect();
+                let suffix: Vec<_> = tail[split..]
+                    .iter()
+                    .map(|&(g, k)| (g, k, EncodedRow::new(&payload(g))))
+                    .collect();
                 let extended = view(&base, &dead, &tail[..split]).extended(&suffix);
                 check(&extended, &live_rows(&keys, &dead, &tail));
                 prop_assert_eq!(&extended.rows, &full.rows);
@@ -993,8 +1029,9 @@ mod tests {
                 for d in 0..full.len() as VectorId {
                     prop_assert_eq!(full.vector(d), &full.to_vector(d));
                 }
-                let decoded = if full.len() > full.tail_vectors().len() { base.len() } else { 0 };
+                let decoded = if full.len() > full.tail().len() { base.len() } else { 0 };
                 prop_assert_eq!(base.materialized(), decoded as u64);
+                prop_assert_eq!(full.tail().materialized(), full.tail().len());
             }
         }
     }

@@ -8,7 +8,7 @@
 //! reader, the `mapped` module's `MappedCheckpoint`: every recovery maps
 //! the file and validates it once, then the out-of-core tier serves
 //! estimates straight from the mapping while the heap tier copies the
-//! rows into its shards and drops it:
+//! payload section into one heap slab and drops it:
 //!
 //! | section | payload |
 //! |---|---|
@@ -19,7 +19,7 @@
 //! | `BOFF` | bucket member-run offsets (`(B+1) × u64`, `[0] = 0`, `[B] = n`) |
 //! | `BMEM` | bucket member runs: row ids grouped by bucket, ascending within (`n × u32`) |
 //! | `VOFF` | payload-slab byte offsets (`(n+1) × u64`) |
-//! | `VPAY` | concatenated per-vector wire blocks |
+//! | `VPAY` | concatenated per-vector wire blocks: `nnz`, indices, values (the layout of a heap payload slab) |
 //!
 //! Storing the bucket keys means recovery re-hashes *nothing*: shard
 //! rows are restored with their stored keys and the published table is
@@ -46,15 +46,13 @@ use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use memmap2::Mmap;
-use vsj_datasets::io::{self, ContainerIndex, ContainerWriter, IoError};
+use vsj_datasets::io::{ContainerIndex, ContainerWriter, IoError};
 use vsj_obs::{Trace, TraceRing};
 use vsj_pool::WorkPool;
-use vsj_vector::SparseVector;
 
 use crate::background::PollThread;
 use crate::config::{IndexFamily, ServiceConfig};
 use crate::engine::EstimationEngine;
-use crate::mapped::MappedRow;
 use crate::snapshot::Snapshot;
 
 /// File name of the checkpoint container inside a storage directory.
@@ -316,12 +314,11 @@ fn encode_u64s(values: impl ExactSizeIterator<Item = u64>) -> Bytes {
 
 /// Serializes a checkpoint (exposed for tests and tooling; the private
 /// `write_checkpoint` is the durable path). Works for both storage
-/// tiers: a heap snapshot encodes its
-/// table and `Arc`-shared payloads; a mapped snapshot walks its dense
-/// id space — tombstoned base rows are *dropped* and overlay rows are
-/// interleaved in global-id order, so the file a compaction writes is
-/// exactly the file a from-scratch build over the live rows would
-/// write.
+/// tiers, copying every row's payload block as it lies. A mapped
+/// snapshot walks its dense id space — tombstoned base rows are
+/// *dropped* and overlay rows are interleaved in global-id order, so the
+/// file a compaction writes is exactly the file a from-scratch build over
+/// the live rows would write.
 pub fn encode_checkpoint(meta: &CheckpointMeta, snapshot: &Snapshot) -> Bytes {
     encode_checkpoint_inner(meta, snapshot, None)
 }
@@ -347,10 +344,10 @@ pub(crate) fn encode_checkpoint_with(
     }
 }
 
-/// Serializes contiguous row chunks of a pre-sized payload slab in
-/// parallel: chunk `r..e` owns the disjoint byte range
-/// `voff[r]..voff[e]`, handed out by `split_at_mut`, and `encode_row`
-/// fills each row's exact-length cell.
+/// Fills contiguous row chunks of a pre-sized payload slab in parallel:
+/// chunk `r..e` owns the disjoint byte range `voff[r]..voff[e]`, handed
+/// out by `split_at_mut`, and `encode_row` fills each row's exact-length
+/// cell.
 fn fill_payload_parallel(
     pool: &WorkPool,
     voff: &[u64],
@@ -392,14 +389,9 @@ fn encode_checkpoint_inner(
 ) -> Bytes {
     let n = snapshot.len();
     // Row keys in snapshot-local id order, whichever tier holds them.
-    let keys: Vec<u64> = match snapshot.heap_parts() {
-        Some((_, table)) => table.to_parts(),
-        None => {
-            let view = snapshot
-                .mapped_view()
-                .expect("a snapshot is heap or mapped");
-            (0..n as u32).map(|d| view.key_of(d)).collect()
-        }
+    let keys: Vec<u64> = match snapshot.mapped_view() {
+        Some(view) => (0..n as u32).map(|d| view.key_of(d)).collect(),
+        None => snapshot.table().to_parts(),
     };
     // Bucket runs: group rows by key (key-ascending, members in id
     // order) — exactly the grouping `LshTable::from_parts` performs, so
@@ -420,105 +412,18 @@ fn encode_checkpoint_inner(
             bmem.put_u32_le(m);
         }
     }
-    // Payload slab + per-row offsets. Heap: serialize once, straight
-    // from the shared `Arc` handles. Mapped: base rows are byte-copied
-    // straight from the mapping's slab (no decode — the wire blocks are
-    // position-independent) and overlay rows are re-encoded in place,
-    // all in dense-id order.
-    let (voff, vpay): (Vec<u64>, Bytes) = match (snapshot.heap_parts(), pool) {
-        (Some((collection, _)), None) => {
-            let mut buf = BytesMut::new();
-            let mut voff = Vec::with_capacity(n + 1);
-            voff.push(0);
-            for v in collection.iter_arcs() {
-                io::encode_vector_into(&mut buf, v.as_ref());
-                voff.push(buf.len() as u64);
-            }
-            (voff, buf.freeze())
-        }
-        (Some((collection, _)), Some(pool)) => {
-            let vectors: Vec<&Arc<SparseVector>> = collection.iter_arcs().collect();
-            let lens = pool
-                .parallel_map_indexed(&vectors, |_, v| io::encoded_vector_len(v.as_ref()) as u64);
-            let mut voff = Vec::with_capacity(n + 1);
-            voff.push(0u64);
-            let mut total = 0u64;
-            for len in lens {
-                total += len;
-                voff.push(total);
-            }
-            let mut slab = vec![0u8; total as usize];
-            fill_payload_parallel(pool, &voff, &mut slab, |r, out| {
-                io::encode_vector_into_slice(out, vectors[r].as_ref());
-            });
-            (voff, Bytes::from(slab))
-        }
-        (None, maybe_pool) => {
-            let view = snapshot
-                .mapped_view()
-                .expect("a snapshot is heap or mapped");
-            let base = view.base();
-            let slab = base.payload_slab();
-            match maybe_pool {
-                None => {
-                    let mut buf = BytesMut::with_capacity(slab.len());
-                    let mut voff = Vec::with_capacity(n + 1);
-                    voff.push(0);
-                    for d in 0..n {
-                        match view.row_of_dense(d as u32) {
-                            MappedRow::Base(row) => {
-                                let lo = base.payload_offset(row) as usize;
-                                let hi = base.payload_offset(row + 1) as usize;
-                                buf.put_slice(&slab[lo..hi]);
-                            }
-                            MappedRow::Tail(t) => {
-                                io::encode_vector_into(&mut buf, view.tail_vectors()[t].as_ref());
-                            }
-                        }
-                        voff.push(buf.len() as u64);
-                    }
-                    (voff, buf.freeze())
-                }
-                Some(pool) => {
-                    // Base rows contribute their slab block verbatim
-                    // (length from the offset table, no decode); tail
-                    // rows their re-encoded length — both pure reads,
-                    // so length and fill passes parallelize freely.
-                    let rows: Vec<u32> = (0..n as u32).collect();
-                    let lens =
-                        pool.parallel_map_indexed(&rows, |_, &d| match view.row_of_dense(d) {
-                            MappedRow::Base(row) => {
-                                base.payload_offset(row + 1) - base.payload_offset(row)
-                            }
-                            MappedRow::Tail(t) => {
-                                io::encoded_vector_len(view.tail_vectors()[t].as_ref()) as u64
-                            }
-                        });
-                    let mut voff = Vec::with_capacity(n + 1);
-                    voff.push(0u64);
-                    let mut total = 0u64;
-                    for len in lens {
-                        total += len;
-                        voff.push(total);
-                    }
-                    let mut out_slab = vec![0u8; total as usize];
-                    fill_payload_parallel(pool, &voff, &mut out_slab, |r, out| {
-                        match view.row_of_dense(r as u32) {
-                            MappedRow::Base(row) => {
-                                let lo = base.payload_offset(row) as usize;
-                                let hi = base.payload_offset(row + 1) as usize;
-                                out.copy_from_slice(&slab[lo..hi]);
-                            }
-                            MappedRow::Tail(t) => {
-                                io::encode_vector_into_slice(out, view.tail_vectors()[t].as_ref());
-                            }
-                        }
-                    });
-                    (voff, Bytes::from(out_slab))
-                }
-            }
-        }
-    };
+    // Payload slab + per-row offsets: every row's block is copied as it
+    // lies — from a heap or overlay payload slab, or from the mapping's
+    // slab for a mapped base row — with no decode and no re-encode (the
+    // blocks are position-independent), all in snapshot-id order.
+    let block = |d: usize| snapshot.block(d as u32);
+    let mut voff = Vec::with_capacity(n + 1);
+    voff.push(0u64);
+    let mut total = 0u64;
+    for d in 0..n {
+        total += block(d).len() as u64;
+        voff.push(total);
+    }
 
     let mut w = ContainerWriter::new();
     w.section(SECTION_META, encode_meta(meta, n as u64));
@@ -530,8 +435,19 @@ fn encode_checkpoint_inner(
     w.section(SECTION_BKTK, encode_u64s(buckets.keys().copied()));
     w.section(SECTION_BOFF, encode_u64s(boff.into_iter()));
     w.section(SECTION_BMEM, bmem.freeze());
+    let mut vpay = vec![0u8; total as usize];
+    match pool {
+        Some(pool) => fill_payload_parallel(pool, &voff, &mut vpay, |r, out| {
+            out.copy_from_slice(block(r));
+        }),
+        None => {
+            for d in 0..n {
+                vpay[voff[d] as usize..voff[d + 1] as usize].copy_from_slice(block(d));
+            }
+        }
+    }
     w.section(SECTION_VOFF, encode_u64s(voff.into_iter()));
-    w.section(SECTION_VPAY, vpay);
+    w.section(SECTION_VPAY, Bytes::from(vpay));
     w.finish()
 }
 

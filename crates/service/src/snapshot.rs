@@ -9,9 +9,10 @@
 //!
 //! **Two storage tiers** back a snapshot:
 //!
-//! * **Heap** — the classic `(collection, table)` pair. Payloads live
-//!   behind `Arc`s ([`SharedVectorCollection`]), so a snapshot never
-//!   copies vector data.
+//! * **Heap** — the classic `(collection, table)` pair. Rows live as
+//!   payload blocks in `Arc`-shared slabs, laid out like a checkpoint's
+//!   payload section ([`SharedVectorCollection`]), and a sampled pair is
+//!   scored from the two blocks in place, as on the mapped tier.
 //! * **Mapped** — a [`MappedView`](crate::mapped::MappedView): a
 //!   memory-mapped checkpoint base, minus a tombstone set of removed
 //!   base rows, plus a heap overlay. The base corpus stays on disk;
@@ -30,13 +31,19 @@
 //! * [`Snapshot::assemble_delta`] — the **O(changed)** path: when an
 //!   epoch's delta is append-only (only inserts, all with global ids
 //!   past the previous cut — the common ingest pattern), the new
-//!   snapshot extends the previous one: payload handles are shared,
-//!   and the heap table is built by [`LshTable::from_parts_delta`]
-//!   (the mapped tier extends its overlay the same way).
+//!   snapshot extends the previous one: its slabs are shared, the
+//!   appended rows are copied into one new slab, and the heap table is
+//!   built by [`LshTable::from_parts_delta`] (the mapped tier extends
+//!   its overlay the same way).
 //! * [`Snapshot::assemble`] — the general merge for epochs whose delta
 //!   contains removals, upserts, or out-of-order ids: an O(n log n)
-//!   re-sort of the live rows, but still pure pointer work (no payload
-//!   copies, no re-hashing).
+//!   re-sort of the live rows and a rebuilt row directory. A row an
+//!   earlier cut published keeps its block (found by a global-id merge
+//!   walk of the previous snapshot), only the cut's new rows are
+//!   encoded, and nothing is re-hashed.
+//!
+//! Either way the shards hand their pending payloads over at the cut and
+//! keep none, so a published row's payload is held once, in a slab.
 //!
 //! **Offline equivalence.** Every path produces a view observationally
 //! identical to [`LshTable::build`] over the same live vectors in
@@ -53,9 +60,12 @@ use std::sync::Arc;
 use vsj_core::IndexView;
 use vsj_lsh::{BucketHasher, LshTable};
 use vsj_sampling::AliasTable;
-use vsj_vector::{SharedVectorCollection, Similarity, SparseVector, VectorId, VectorStore};
+use vsj_vector::{
+    EncodedRow, Payload, SharedVectorCollection, Similarity, SparseVector, VectorId, VectorStore,
+};
 
 use crate::mapped::{MappedCheckpoint, MappedView, TombstoneSet};
+use crate::shard::{AppendedRow, ShardRow};
 use crate::GlobalId;
 
 /// The storage backing a snapshot's index and payloads.
@@ -63,7 +73,7 @@ use crate::GlobalId;
 // between the variants never multiplies across copies.
 #[allow(clippy::large_enum_variant)]
 enum View {
-    /// Decoded, heap-resident collection and table.
+    /// Heap payload slabs and table.
     Heap {
         collection: SharedVectorCollection,
         table: LshTable,
@@ -96,39 +106,76 @@ impl Snapshot {
         }
     }
 
-    /// Assembles a heap snapshot from shard rows (`global id`,
-    /// precomputed bucket key, vector). Rows may arrive in any order;
-    /// they are sorted by global id so the layout is independent of
-    /// shard count and removal history.
+    /// Assembles a heap snapshot from the live shard rows of a full cut
+    /// (`global id`, precomputed bucket key, pending payload) on top of
+    /// `prev`, the previous heap cut. Rows may arrive in any order; they
+    /// are sorted by global id so the layout is independent of shard
+    /// count and removal history.
     ///
-    /// Cost: O(n log n) for the sort plus O(n) *pointer* work — the
-    /// payloads are `Arc`-shared with the shards, never copied, and the
-    /// bucket keys were computed at ingest so no hashing happens here.
-    /// This is the general path; epochs whose delta is append-only go
-    /// through [`Snapshot::assemble_delta`] instead and skip even the
-    /// O(n) regrouping.
+    /// Cost: O(n log n) for the sort plus an O(n) directory rebuild. A
+    /// row without a payload keeps the block it occupies in `prev`
+    /// (found by one merge walk over both gid orders), only the rows
+    /// with payloads are copied in, and the bucket keys were computed at
+    /// ingest so no hashing happens here. This is the general path;
+    /// epochs whose delta is append-only go through
+    /// [`Snapshot::assemble_delta`] instead and skip even the O(n)
+    /// regrouping.
+    ///
+    /// # Panics
+    /// Panics if `prev` is mapped, or holds no row for a payload-less
+    /// gid.
     pub(crate) fn assemble(
+        prev: &Snapshot,
         epoch: u64,
         ingested: u64,
         hasher: Arc<dyn BucketHasher>,
-        mut rows: Vec<(GlobalId, u64, Arc<SparseVector>)>,
+        mut rows: Vec<ShardRow>,
     ) -> Self {
         rows.sort_unstable_by_key(|r| r.0);
-        let mut ids = Vec::with_capacity(rows.len());
-        let mut keys = Vec::with_capacity(rows.len());
-        let mut vectors = Vec::with_capacity(rows.len());
-        for (global, key, v) in rows {
-            ids.push(global);
-            keys.push(key);
-            vectors.push(v);
-        }
+        let View::Heap { collection, .. } = &prev.view else {
+            panic!("a heap cut follows a heap cut");
+        };
+        let collection = payloads(&prev.ids, collection, &rows);
         Self {
             epoch,
             ingested,
-            ids,
+            ids: rows.iter().map(|r| r.0).collect(),
             view: View::Heap {
-                collection: SharedVectorCollection::from_arcs(vectors),
-                table: LshTable::from_parts(hasher, keys),
+                collection,
+                table: LshTable::from_parts(hasher, rows.iter().map(|r| r.1).collect()),
+            },
+        }
+    }
+
+    /// A heap snapshot of unpublished rows, as the first full cut of a
+    /// fresh engine assembles it.
+    #[cfg(test)]
+    pub(crate) fn of_rows(
+        epoch: u64,
+        ingested: u64,
+        hasher: Arc<dyn BucketHasher>,
+        rows: Vec<(GlobalId, u64, Arc<SparseVector>)>,
+    ) -> Self {
+        let rows = rows
+            .into_iter()
+            .map(|(g, k, v)| (g, k, Some(EncodedRow::new(&v))))
+            .collect();
+        Self::assemble(&Self::empty(hasher.clone()), epoch, ingested, hasher, rows)
+    }
+
+    /// The heap snapshot of a validated checkpoint: its payload section
+    /// copied once into one slab, its offsets as the row directory, and
+    /// the norms the validation scan recorded; nothing is decoded or
+    /// re-hashed.
+    pub(crate) fn from_checkpoint(base: &MappedCheckpoint, hasher: Arc<dyn BucketHasher>) -> Self {
+        let meta = base.meta();
+        Self {
+            epoch: meta.epoch,
+            ingested: meta.ingested,
+            ids: (0..base.len()).map(|i| base.gid(i)).collect(),
+            view: View::Heap {
+                collection: base.to_collection(),
+                table: LshTable::from_parts(hasher, (0..base.len()).map(|i| base.key(i)).collect()),
             },
         }
     }
@@ -136,7 +183,8 @@ impl Snapshot {
     /// Assembles a **mapped** snapshot: the memory-mapped checkpoint
     /// base, minus `tombstones` (removed base rows), plus `tail` rows
     /// ingested after the checkpoint cut (the replayed WAL tail, or a
-    /// full republish of the live shard rows).
+    /// full republish of the live shard rows). A tail row without a
+    /// payload keeps its block in `prev`, the previous cut's overlay.
     ///
     /// The tail may interleave *below* the base gid watermark — an
     /// upsert replacing a tombstoned base row lands there — but it must
@@ -149,8 +197,9 @@ impl Snapshot {
         ingested: u64,
         k: usize,
         base: Arc<MappedCheckpoint>,
-        mut tail: Vec<(GlobalId, u64, Arc<SparseVector>)>,
+        mut tail: Vec<ShardRow>,
         tombstones: Arc<TombstoneSet>,
+        prev: Option<&MappedView>,
     ) -> Option<Self> {
         tail.sort_unstable_by_key(|r| r.0);
         let base_n = base.len();
@@ -172,7 +221,18 @@ impl Snapshot {
                 return None;
             }
         }
-        let view = MappedView::new(base, k, tombstones, tail);
+        let overlay = match prev {
+            Some(prev) => payloads(prev.tail_gids(), prev.tail(), &tail),
+            None => payloads(&[], &SharedVectorCollection::new(), &tail),
+        };
+        let view = MappedView::new(
+            base,
+            k,
+            tombstones,
+            tail.iter().map(|r| r.0).collect(),
+            tail.iter().map(|r| r.1).collect(),
+            overlay,
+        );
         // The view's merge walk fixed the dense (gid-ascending) order.
         let ids = (0..view.len() as VectorId)
             .map(|d| view.gid_of(d))
@@ -186,10 +246,10 @@ impl Snapshot {
     }
 
     /// Assembles the next epoch **incrementally** from the previous
-    /// snapshot plus this epoch's delta rows — O(changed) instead of
-    /// O(n): payload handles and untouched table buckets are shared
-    /// with `prev` by `Arc`; only the delta is newly indexed. On the
-    /// mapped tier the base mapping is shared and the overlay extended.
+    /// snapshot plus this epoch's appended rows — O(changed) instead of
+    /// O(n): slabs and untouched table buckets are shared with `prev` by
+    /// `Arc`; only the delta is newly encoded and indexed. On the mapped
+    /// tier the base mapping is shared and the overlay extended.
     ///
     /// Returns `None` (caller falls back to [`Snapshot::assemble`])
     /// unless the delta is *append-only*: inserts only, every global id
@@ -201,10 +261,10 @@ impl Snapshot {
         prev: &Snapshot,
         epoch: u64,
         ingested: u64,
-        mut delta: Vec<(GlobalId, u64, Arc<SparseVector>)>,
+        mut delta: Vec<AppendedRow>,
     ) -> Option<Self> {
         delta.sort_unstable_by_key(|r| r.0);
-        if !Self::is_append_only(prev, &delta) {
+        if !Self::is_append_only(prev, delta.iter().map(|r| r.0)) {
             return None;
         }
         let mut ids = Vec::with_capacity(prev.ids.len() + delta.len());
@@ -212,14 +272,10 @@ impl Snapshot {
         ids.extend(delta.iter().map(|r| r.0));
         let view = match &prev.view {
             View::Heap { collection, table } => {
-                let mut keys = Vec::with_capacity(delta.len());
-                let mut arcs = Vec::with_capacity(delta.len());
-                for (_, key, v) in delta {
-                    keys.push(key);
-                    arcs.push(v);
-                }
+                let keys: Vec<u64> = delta.iter().map(|r| r.1).collect();
+                let vectors: Vec<&EncodedRow> = delta.iter().map(|r| &r.2).collect();
                 View::Heap {
-                    collection: collection.extended(arcs),
+                    collection: collection.extended(&vectors),
                     table: LshTable::from_parts_delta(table, &keys),
                 }
             }
@@ -233,21 +289,22 @@ impl Snapshot {
         })
     }
 
-    /// The single source of truth for delta-path eligibility: `delta`
-    /// (sorted by global id) is *append-only* on top of this snapshot —
-    /// strictly ascending ids, all past this snapshot's largest. The
-    /// engine uses this to pick the publish path under the cut, and
+    /// The single source of truth for delta-path eligibility: the
+    /// appended `gids` (sorted) are *append-only* on top of this
+    /// snapshot — strictly ascending, all past this snapshot's largest.
+    /// The engine uses this to pick the publish path under the cut, and
     /// [`Snapshot::assemble_delta`] re-checks the same predicate, so
     /// the two can never disagree.
     pub(crate) fn is_append_only(
         prev: &Snapshot,
-        delta: &[(GlobalId, u64, Arc<SparseVector>)],
+        gids: impl IntoIterator<Item = GlobalId>,
     ) -> bool {
-        let floor = prev.ids.last().copied();
-        delta.windows(2).all(|w| w[0].0 < w[1].0)
-            && delta
-                .first()
-                .is_none_or(|first| floor.is_none_or(|max| first.0 > max))
+        let mut floor = prev.ids.last().copied();
+        gids.into_iter().all(|gid| {
+            let above = floor.is_none_or(|max| gid > max);
+            floor = Some(gid);
+            above
+        })
     }
 
     /// The snapshot's epoch (monotonically increasing per engine).
@@ -281,9 +338,10 @@ impl Snapshot {
         matches!(self.view, View::Mapped(_))
     }
 
-    /// The frozen heap collection (aligned with [`Snapshot::table`]).
-    /// The payloads are `Arc`-shared with the shards and, typically,
-    /// with the neighboring epochs' snapshots.
+    /// The frozen heap collection (aligned with [`Snapshot::table`]):
+    /// the rows' payload blocks, in slabs `Arc`-shared with the
+    /// neighboring epochs' snapshots. It scores pairs in place; its
+    /// [`VectorStore::vector`] decodes every row on first call.
     ///
     /// # Panics
     /// Panics on a mapped snapshot — the base payloads live in the
@@ -310,14 +368,6 @@ impl Snapshot {
         }
     }
 
-    /// The heap parts, when this snapshot is heap-backed.
-    pub(crate) fn heap_parts(&self) -> Option<(&SharedVectorCollection, &LshTable)> {
-        match &self.view {
-            View::Heap { collection, table } => Some((collection, table)),
-            View::Mapped(_) => None,
-        }
-    }
-
     /// The mapped view, when this snapshot is map-backed.
     pub(crate) fn mapped_view(&self) -> Option<&MappedView> {
         match &self.view {
@@ -326,13 +376,35 @@ impl Snapshot {
         }
     }
 
-    /// An owned copy of a vector. A mapped base row is decoded straight
-    /// from its payload block and nothing is kept, unlike
-    /// [`VectorStore::vector`].
+    /// An owned copy of a vector, decoded straight from its payload
+    /// block; nothing is kept, unlike [`VectorStore::vector`].
     pub(crate) fn to_vector(&self, id: VectorId) -> SparseVector {
         match &self.view {
-            View::Heap { collection, .. } => collection.vector(id).clone(),
+            View::Heap { collection, .. } => collection.decode(id),
             View::Mapped(mapped) => mapped.to_vector(id),
+        }
+    }
+
+    /// Rows held decoded by the decode-once caches behind
+    /// [`VectorStore::vector`] (the heap collection's, or the mapped
+    /// base's and overlay's) — 0 while only the served path has read
+    /// this snapshot.
+    #[cfg(test)]
+    pub(crate) fn materialized(&self) -> usize {
+        match &self.view {
+            View::Heap { collection, .. } => collection.materialized(),
+            View::Mapped(mapped) => {
+                mapped.base().materialized() as usize + mapped.tail().materialized()
+            }
+        }
+    }
+
+    /// Row `id`'s payload block (`nnz | indices | values`, little-endian
+    /// words), borrowed from wherever it lies — what a checkpoint stores.
+    pub(crate) fn block(&self, id: VectorId) -> &[u8] {
+        match &self.view {
+            View::Heap { collection, .. } => collection.block(id).as_flattened(),
+            View::Mapped(mapped) => mapped.block(id),
         }
     }
 
@@ -359,6 +431,32 @@ impl std::fmt::Debug for Snapshot {
             .field("ingested", &self.ingested)
             .finish()
     }
+}
+
+/// The payload collection of gid-sorted cut rows. A row the cut found
+/// without a payload was published by an earlier cut and keeps the block
+/// it occupies in `prev` (whose rows carry the ascending `prev_gids`),
+/// found by one merge walk; only the rows with payloads are copied in.
+fn payloads(
+    prev_gids: &[GlobalId],
+    prev: &SharedVectorCollection,
+    rows: &[ShardRow],
+) -> SharedVectorCollection {
+    let mut at = 0usize;
+    prev.rebuilt(rows.iter().map(move |(gid, _, payload)| match payload {
+        Some(v) => Payload::New(v),
+        None => {
+            while prev_gids.get(at).is_some_and(|g| g < gid) {
+                at += 1;
+            }
+            assert_eq!(
+                prev_gids.get(at),
+                Some(gid),
+                "a published row is in the previous cut"
+            );
+            Payload::Kept(at as VectorId)
+        }
+    }))
 }
 
 /// Snapshots are index views: estimators run against them directly,
@@ -416,11 +514,12 @@ impl IndexView for Snapshot {
 }
 
 /// Snapshots are vector stores. Similarity — what the sampling passes
-/// ask of a store — reads each tier's rows where they lie: heap `Arc`s,
-/// or, on the mapped tier, base rows borrowed from the checkpoint's
-/// payload blocks and overlay rows from the heap, with no decode. The
-/// `vector` accessor is off the served path; on the mapped tier its
-/// first call decodes the whole base onto the heap.
+/// ask of a store — reads each tier's rows where they lie, with no
+/// decode: heap rows and mapped overlay rows borrowed from their payload
+/// slabs, mapped base rows from the checkpoint's payload blocks. The
+/// `vector` accessor is off the served path; its first call decodes the
+/// whole collection (on the mapped tier: the whole base, or the whole
+/// overlay) onto the heap.
 impl VectorStore for Snapshot {
     #[inline]
     fn len(&self) -> usize {
@@ -430,7 +529,7 @@ impl VectorStore for Snapshot {
     #[inline]
     fn vector(&self, id: VectorId) -> &SparseVector {
         match &self.view {
-            View::Heap { collection, .. } => collection.vector(id),
+            View::Heap { collection, .. } => VectorStore::vector(collection, id),
             View::Mapped(mapped) => mapped.vector(id),
         }
     }
@@ -449,7 +548,7 @@ mod tests {
     use super::*;
     use vsj_lsh::{Composite, MinHashFamily};
     use vsj_sampling::Xoshiro256;
-    use vsj_vector::VectorCollection;
+    use vsj_vector::{Cosine, Jaccard, VectorCollection};
 
     fn hasher() -> Arc<dyn BucketHasher> {
         Arc::new(Composite::derive(MinHashFamily::new(), 2, 0, 8))
@@ -459,6 +558,12 @@ mod tests {
         Arc::new(SparseVector::binary_from_members(members.to_vec()))
     }
 
+    fn encoded(rows: &[(GlobalId, u64, Arc<SparseVector>)]) -> Vec<AppendedRow> {
+        rows.iter()
+            .map(|(g, k, v)| (*g, *k, EncodedRow::new(v)))
+            .collect()
+    }
+
     #[test]
     fn assemble_sorts_by_global_id_and_matches_build() {
         let rows = vec![
@@ -466,7 +571,7 @@ mod tests {
             (10, hasher().key(&v(&[1, 2])), v(&[1, 2])),
             (20, hasher().key(&v(&[5, 6])), v(&[5, 6])),
         ];
-        let snap = Snapshot::assemble(3, 7, hasher(), rows);
+        let snap = Snapshot::of_rows(3, 7, hasher(), rows);
         assert_eq!(snap.epoch(), 3);
         assert_eq!(snap.ingested(), 7);
         assert_eq!(snap.global_ids(), &[10, 20, 30]);
@@ -491,31 +596,65 @@ mod tests {
 
     #[test]
     fn assemble_shares_payloads_instead_of_copying() {
-        let payload = v(&[1, 2, 3]);
-        let rows = vec![(5, hasher().key(&payload), payload.clone())];
-        let snap = Snapshot::assemble(1, 1, hasher(), rows);
-        assert!(
-            Arc::ptr_eq(snap.collection().arc(0), &payload),
-            "snapshot must hold the shard's Arc, not a copy"
-        );
+        let rows: Vec<_> = (0..6u64)
+            .map(|g| (g, hasher().key(&v(&[g as u32, 9])), v(&[g as u32, 9])))
+            .collect();
+        let prev = Snapshot::of_rows(1, 6, hasher(), rows.clone());
+        // The next full cut: gid 2 removed, the rest published earlier
+        // (no payload), plus one new row that brings its payload.
+        let fresh = v(&[7, 8, 9]);
+        let mut cut: Vec<ShardRow> = rows
+            .iter()
+            .filter(|r| r.0 != 2)
+            .map(|r| (r.0, r.1, None))
+            .collect();
+        cut.push((40, hasher().key(&fresh), Some(EncodedRow::new(&fresh))));
+        let next = Snapshot::assemble(&prev, 2, 8, hasher(), cut);
+        assert_eq!(next.global_ids(), &[0, 1, 3, 4, 5, 40]);
+        let (old, new) = (prev.collection(), next.collection());
+        // One fresh slab for the new row; the old slab shared by `Arc`.
+        assert_eq!(new.slabs().len(), 2);
+        assert!(Arc::ptr_eq(&old.slabs()[0], &new.slabs()[1]));
+        assert_eq!(new.slabs()[0].len(), 1 + 2 * fresh.nnz());
+        for (local, prev_local) in [(0, 0), (1, 1), (2, 3), (3, 4), (4, 5)] {
+            assert!(
+                std::ptr::eq(new.block(local), old.block(prev_local)),
+                "row {local} was copied, not shared"
+            );
+        }
+        assert_eq!(next.to_vector(5), *fresh);
     }
 
     #[test]
     fn delta_assembly_matches_full_merge() {
+        let weighted = |g: u64| {
+            let g = g as u32;
+            let entries = (0..1 + g % 4)
+                .map(|t| {
+                    (
+                        t * 3 + g % 2,
+                        (1.0 + t as f32) * if g.is_multiple_of(3) { -0.75 } else { 1.5 },
+                    )
+                })
+                .collect();
+            Arc::new(SparseVector::from_entries(entries).expect("finite entries"))
+        };
         let base_rows: Vec<_> = [(1u64, &[1, 2][..]), (4, &[5, 6]), (9, &[1, 2])]
             .iter()
             .map(|&(g, m)| (g, hasher().key(&v(m)), v(m)))
+            .chain([3u64, 7].map(|g| (g, hasher().key(&weighted(g)), weighted(g))))
             .collect();
         let delta_rows: Vec<_> = [(12u64, &[1, 2][..]), (15, &[9, 9])]
             .iter()
             .map(|&(g, m)| (g, hasher().key(&v(m)), v(m)))
+            .chain([16u64, 18].map(|g| (g, hasher().key(&weighted(g)), weighted(g))))
             .collect();
-        let prev = Snapshot::assemble(1, 3, hasher(), base_rows.clone());
-        let next = Snapshot::assemble_delta(&prev, 2, 5, delta_rows.clone())
+        let prev = Snapshot::of_rows(1, 3, hasher(), base_rows.clone());
+        let next = Snapshot::assemble_delta(&prev, 2, 5, encoded(&delta_rows))
             .expect("append-only delta must take the incremental path");
         let mut all = base_rows;
         all.extend(delta_rows);
-        let merged = Snapshot::assemble(2, 5, hasher(), all);
+        let merged = Snapshot::of_rows(2, 5, hasher(), all.clone());
         assert_eq!(next.global_ids(), merged.global_ids());
         assert_eq!(next.table().nh(), merged.table().nh());
         assert_eq!(next.len(), merged.len());
@@ -532,10 +671,35 @@ mod tests {
                 merged.table().sample_cross_bucket_pair(&mut r2)
             );
         }
-        // And the epoch chain shares payloads with its base.
+        // Both score every pair in place to the bits of the vectors.
+        all.sort_by_key(|r| r.0);
+        for (a, (_, _, u)) in all.iter().enumerate() {
+            for (b, (_, _, w)) in all.iter().enumerate() {
+                let (a, b) = (a as VectorId, b as VectorId);
+                for snap in [&next, &merged] {
+                    assert_eq!(snap.to_vector(a), **u);
+                    assert_eq!(
+                        snap.sim(&Cosine, a, b).to_bits(),
+                        Cosine.sim(u, w).to_bits()
+                    );
+                    assert_eq!(
+                        snap.sim(&Jaccard, a, b).to_bits(),
+                        Jaccard.sim(u, w).to_bits()
+                    );
+                }
+            }
+        }
+        // And the epoch chain shares its base's slab.
+        assert!(Arc::ptr_eq(
+            &prev.collection().slabs()[0],
+            &next.collection().slabs()[0]
+        ));
         for local in 0..prev.len() as u32 {
             assert!(
-                Arc::ptr_eq(prev.collection().arc(local), next.collection().arc(local)),
+                std::ptr::eq(
+                    prev.collection().block(local),
+                    next.collection().block(local)
+                ),
                 "payload {local} was copied across epochs"
             );
         }
@@ -543,16 +707,16 @@ mod tests {
 
     #[test]
     fn delta_assembly_rejects_non_appends() {
-        let prev = Snapshot::assemble(1, 2, hasher(), vec![(10, hasher().key(&v(&[1])), v(&[1]))]);
+        let prev = Snapshot::of_rows(1, 2, hasher(), vec![(10, hasher().key(&v(&[1])), v(&[1]))]);
         // Id below the floor → fallback.
         let low = vec![(3, hasher().key(&v(&[2])), v(&[2]))];
-        assert!(Snapshot::assemble_delta(&prev, 2, 3, low).is_none());
+        assert!(Snapshot::assemble_delta(&prev, 2, 3, encoded(&low)).is_none());
         // Duplicate ids inside the delta → fallback.
         let dup = vec![
             (11, hasher().key(&v(&[2])), v(&[2])),
             (11, hasher().key(&v(&[3])), v(&[3])),
         ];
-        assert!(Snapshot::assemble_delta(&prev, 2, 3, dup).is_none());
+        assert!(Snapshot::assemble_delta(&prev, 2, 3, encoded(&dup)).is_none());
         // Empty delta is a valid (trivial) append.
         let same = Snapshot::assemble_delta(&prev, 2, 3, Vec::new()).unwrap();
         assert_eq!(same.len(), 1);

@@ -66,9 +66,7 @@ impl VectorCollection {
         &self.vectors
     }
 
-    /// Consumes the collection, yielding the owned vectors in id order
-    /// (the zero-copy path into
-    /// [`SharedVectorCollection`](crate::SharedVectorCollection)).
+    /// Consumes the collection, yielding the owned vectors in id order.
     pub fn into_vectors(self) -> Vec<SparseVector> {
         self.vectors
     }

@@ -20,10 +20,10 @@
 //!   [`Row`].
 //! * [`VectorCollection`] — the vector database `V = {v1, ..., vn}` with
 //!   summary statistics.
-//! * [`SharedVectorCollection`] / [`VectorStore`] — `Arc`-shared payload
-//!   storage and the read trait that lets estimators run against either
-//!   collection flavor (an owned offline database or a service epoch
-//!   snapshot sharing payloads with the mutable shards).
+//! * [`SharedVectorCollection`] / [`VectorStore`] — rows stored as
+//!   payload blocks in `Arc`-shared slabs (a service epoch snapshot's
+//!   rows, scored in place), and the read trait that lets estimators run
+//!   against either collection flavor.
 //!
 //! Similarities are computed in `f64` from `f32` storage: collections are
 //! large (storage matters) but estimator math is sensitive to cancellation
@@ -40,8 +40,8 @@ pub mod similarity;
 pub mod sparse;
 
 pub use collection::{CollectionStats, VectorCollection};
-pub use row::Row;
-pub use shared::{SharedVectorCollection, VectorStore};
+pub use row::{row_words, Row};
+pub use shared::{EncodedRow, Payload, SharedVectorCollection, VectorStore};
 pub use similarity::{AngularKernel, Cosine, Jaccard, Similarity};
 pub use sparse::{SparseVector, SparseVectorBuilder};
 

@@ -17,6 +17,18 @@
 use crate::merge::{count_matches, for_each_match};
 use crate::sparse::{l2_norm, SparseVector, SparseVectorError};
 
+/// The index and value words of a stored row's payload block — `nnz |
+/// indices | values`, one little-endian word each, the layout of a
+/// checkpoint's payload section and of a heap payload slab. Both storage
+/// tiers split a block through this one function.
+///
+/// The block must be exactly `1 + 2 · nnz` words long; a block that is
+/// not yields slices of unequal length (never undefined behaviour).
+#[inline]
+pub fn row_words(block: &[[u8; 4]]) -> (&[[u8; 4]], &[[u8; 4]]) {
+    block[1..].split_at(block.len() / 2)
+}
+
 /// A borrowed sparse row: strictly increasing `u32` coordinates with
 /// finite, non-zero `f32` weights, and its L2 norm.
 #[derive(Debug, Clone, Copy)]

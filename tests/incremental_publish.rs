@@ -113,12 +113,12 @@ fn consecutive_epochs_share_payloads_and_buckets() {
     engine.publish();
     let second = engine.snapshot();
     assert_eq!(engine.stats().delta_publishes, 2);
-    // Every payload of epoch 1 is the same allocation in epoch 2.
+    // Every payload block of epoch 1 is the same memory in epoch 2.
     for local in 0..first.len() as u32 {
         assert!(
-            Arc::ptr_eq(
-                first.collection().arc(local),
-                second.collection().arc(local)
+            std::ptr::eq(
+                first.collection().block(local),
+                second.collection().block(local)
             ),
             "payload {local} was deep-copied between epochs"
         );
@@ -200,9 +200,9 @@ fn empty_epoch_is_shared_wholesale() {
     assert_eq!(second.len(), first.len());
     assert_eq!(engine.stats().delta_publishes, 2);
     for local in 0..first.len() as u32 {
-        assert!(Arc::ptr_eq(
-            first.collection().arc(local),
-            second.collection().arc(local)
+        assert!(std::ptr::eq(
+            first.collection().block(local),
+            second.collection().block(local)
         ));
     }
     assert_eq!(first.table().nh(), second.table().nh());
