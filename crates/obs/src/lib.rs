@@ -428,7 +428,7 @@ pub const MAX_TRACE_STAGES: usize = 8;
 /// One named stage timing inside a [`Trace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceStage {
-    /// Stage name (e.g. `"queue_wait"`).
+    /// Stage name (e.g. `"sampling"`).
     pub name: &'static str,
     /// Stage duration in microseconds.
     pub micros: u64,

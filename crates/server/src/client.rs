@@ -27,8 +27,6 @@ pub enum ClientError {
         /// The server's explanation.
         message: String,
     },
-    /// The estimate missed its deadline (`504`).
-    DeadlineExceeded,
     /// Any other non-`200` answer.
     Status {
         /// HTTP status code.
@@ -48,7 +46,6 @@ impl std::fmt::Display for ClientError {
                 retry_after,
                 message,
             } => write!(f, "shed by server (retry after {retry_after:?}): {message}"),
-            Self::DeadlineExceeded => write!(f, "estimate deadline exceeded"),
             Self::Status { status, message } => write!(f, "server answered {status}: {message}"),
             Self::Protocol(msg) => write!(f, "protocol error: {msg}"),
         }
@@ -76,11 +73,6 @@ pub struct Estimated {
     pub tau: f64,
     /// Served from the engine's estimate cache.
     pub cached: bool,
-    /// Shared sampling pass that served it: answers with equal `batch`
-    /// ids were computed together (one pass, one epoch).
-    pub batch: u64,
-    /// Requests that rode in that pass.
-    pub batch_size: usize,
     /// Standard error of the estimate — present only when the request
     /// asked for intervals ([`Client::estimate_with_ci`]).
     pub std_err: Option<f64>,
@@ -228,7 +220,6 @@ impl Client {
                     .map_or(Duration::from_secs(1), Duration::from_secs),
                 message,
             },
-            504 => ClientError::DeadlineExceeded,
             status => ClientError::Status { status, message },
         })
     }
@@ -247,37 +238,20 @@ impl Client {
 
     // --- endpoints -------------------------------------------------------
 
-    /// `POST /estimate` with the server's default deadline.
+    /// `POST /estimate`.
     pub fn estimate(&mut self, tau: f64) -> Result<Estimated, ClientError> {
-        self.estimate_request(tau, None, false)
-    }
-
-    /// `POST /estimate` with an explicit deadline.
-    pub fn estimate_within(
-        &mut self,
-        tau: f64,
-        deadline: Duration,
-    ) -> Result<Estimated, ClientError> {
-        self.estimate_request(tau, Some(deadline), false)
+        self.estimate_request(tau, false)
     }
 
     /// `POST /estimate` asking for the interval fields: the returned
     /// [`Estimated`] carries `std_err`/`ci_low`/`ci_high` (a ~95%
     /// normal-approximation interval around the point estimate).
     pub fn estimate_with_ci(&mut self, tau: f64) -> Result<Estimated, ClientError> {
-        self.estimate_request(tau, None, true)
+        self.estimate_request(tau, true)
     }
 
-    fn estimate_request(
-        &mut self,
-        tau: f64,
-        deadline: Option<Duration>,
-        with_ci: bool,
-    ) -> Result<Estimated, ClientError> {
+    fn estimate_request(&mut self, tau: f64, with_ci: bool) -> Result<Estimated, ClientError> {
         let mut body = vec![("tau", Json::Num(tau))];
-        if let Some(deadline) = deadline {
-            body.push(("deadline_ms", Json::u64(deadline.as_millis() as u64)));
-        }
         if with_ci {
             body.push(("ci", Json::Bool(true)));
         }
@@ -294,8 +268,6 @@ impl Client {
             n: Self::field_u64(&json, "n")? as usize,
             tau: json.get("tau").and_then(Json::as_f64).unwrap_or(tau),
             cached: Self::field_bool(&json, "cached")?,
-            batch: Self::field_u64(&json, "batch")?,
-            batch_size: Self::field_u64(&json, "batch_size")? as usize,
             std_err: json.get("std_err").and_then(Json::as_f64),
             ci_low: json.get("ci_low").and_then(Json::as_f64),
             ci_high: json.get("ci_high").and_then(Json::as_f64),

@@ -81,17 +81,36 @@ pub fn read_request<S: BufRead>(stream: &mut S, max_body: usize) -> Result<Reque
     }
     let method = method.to_ascii_uppercase();
     let path = path.to_string();
+    let (headers, body) = read_headers_and_body(stream, &mut line, max_body)?;
+    Ok(Request {
+        method,
+        path,
+        headers,
+        body,
+    })
+}
 
+/// Reads the header block that follows a start line, then the body its
+/// `Content-Length` declares: the part a request and a response share.
+/// `Content-Length` must appear at most once and be `1*DIGIT`
+/// (RFC 9112 §6.3). A map keeps only the last of two values and
+/// `usize::from_str` also takes `+11`; either would read a body of the
+/// wrong length and desynchronise a keep-alive stream.
+fn read_headers_and_body<S: BufRead>(
+    stream: &mut S,
+    line: &mut String,
+    max_body: usize,
+) -> Result<(BTreeMap<String, String>, Vec<u8>), ReadError> {
     let mut headers = BTreeMap::new();
     let mut head_bytes = line.len();
     loop {
         line.clear();
-        if read_line_limited(stream, &mut line)? == 0 {
+        if read_line_limited(stream, line)? == 0 {
             return Err(ReadError::Malformed("EOF inside headers".into()));
         }
         head_bytes += line.len();
         if head_bytes > MAX_HEAD {
-            return Err(ReadError::Malformed("request head too large".into()));
+            return Err(ReadError::Malformed("head too large".into()));
         }
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
@@ -100,7 +119,11 @@ pub fn read_request<S: BufRead>(stream: &mut S, max_body: usize) -> Result<Reque
         let Some((name, value)) = trimmed.split_once(':') else {
             return Err(ReadError::Malformed(format!("bad header {trimmed:?}")));
         };
-        headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
+        let name = name.trim().to_ascii_lowercase();
+        if name == "content-length" && headers.contains_key(&name) {
+            return Err(ReadError::Malformed("repeated content-length".into()));
+        }
+        headers.insert(name, value.trim().to_string());
     }
 
     if headers.contains_key("transfer-encoding") {
@@ -110,9 +133,10 @@ pub fn read_request<S: BufRead>(stream: &mut S, max_body: usize) -> Result<Reque
     }
     let declared = match headers.get("content-length") {
         None => 0,
-        Some(v) => v
+        Some(v) if !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()) => v
             .parse::<usize>()
-            .map_err(|_| ReadError::Malformed(format!("bad content-length {v:?}")))?,
+            .map_err(|_| ReadError::Malformed(format!("content-length {v} out of range")))?,
+        Some(v) => return Err(ReadError::Malformed(format!("bad content-length {v:?}"))),
     };
     if declared > max_body {
         return Err(ReadError::BodyTooLarge {
@@ -122,12 +146,7 @@ pub fn read_request<S: BufRead>(stream: &mut S, max_body: usize) -> Result<Reque
     }
     let mut body = vec![0u8; declared];
     stream.read_exact(&mut body)?;
-    Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-    })
+    Ok((headers, body))
 }
 
 /// `read_line` with the head cap enforced per line as well, so one
@@ -155,8 +174,6 @@ pub fn reason(status: u16) -> &'static str {
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
         _ => "Unknown",
     }
 }
@@ -230,31 +247,7 @@ pub fn read_response<S: BufRead>(stream: &mut S, max_body: usize) -> Result<Resp
             .map_err(|_| ReadError::Malformed(format!("bad status {code:?}")))?,
         _ => return Err(ReadError::Malformed(format!("bad status line {line:?}"))),
     };
-    let mut headers = BTreeMap::new();
-    loop {
-        line.clear();
-        if read_line_limited(stream, &mut line)? == 0 {
-            return Err(ReadError::Malformed("EOF inside headers".into()));
-        }
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
-        }
-    }
-    let declared = headers
-        .get("content-length")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0);
-    if declared > max_body {
-        return Err(ReadError::Malformed(format!(
-            "response body {declared} exceeds limit"
-        )));
-    }
-    let mut body = vec![0u8; declared];
-    stream.read_exact(&mut body)?;
+    let (headers, body) = read_headers_and_body(stream, &mut line, max_body)?;
     Ok(Response {
         status,
         headers,
@@ -269,6 +262,10 @@ mod tests {
 
     fn parse(raw: &str) -> Result<Request, ReadError> {
         read_request(&mut BufReader::new(raw.as_bytes()), 1024)
+    }
+
+    fn parse_response(raw: &str) -> Result<Response, ReadError> {
+        read_response(&mut BufReader::new(raw.as_bytes()), 1024)
     }
 
     #[test]
@@ -311,6 +308,57 @@ mod tests {
     }
 
     #[test]
+    fn repeated_content_length_is_refused() {
+        assert!(matches!(
+            parse(
+                "POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 11\r\n\r\n{\"tau\":0.8}"
+            ),
+            Err(ReadError::Malformed(_))
+        ));
+        // Equal values are refused too: the rule is "at most once".
+        assert!(matches!(
+            parse("POST / HTTP/1.1\r\ncontent-length: 2\r\nCONTENT-LENGTH: 2\r\n\r\n{}"),
+            Err(ReadError::Malformed(_))
+        ));
+        assert!(matches!(
+            parse_response("HTTP/1.1 200 OK\r\ncontent-length: 2\r\ncontent-length: 0\r\n\r\n{}"),
+            Err(ReadError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn content_length_must_be_digits() {
+        for value in [
+            "+11",
+            "-0",
+            " ",
+            "1_0",
+            "0x0b",
+            "11 11",
+            "99999999999999999999999",
+        ] {
+            let request =
+                format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\n{{\"tau\":0.8}}");
+            assert!(
+                matches!(parse(&request), Err(ReadError::Malformed(_))),
+                "request content-length {value:?}"
+            );
+            let response =
+                format!("HTTP/1.1 200 OK\r\ncontent-length: {value}\r\n\r\n{{\"tau\":0.8}}");
+            assert!(
+                matches!(parse_response(&response), Err(ReadError::Malformed(_))),
+                "response content-length {value:?}"
+            );
+        }
+        assert_eq!(
+            parse_response("HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\n{}")
+                .unwrap()
+                .body,
+            b"{}"
+        );
+    }
+
+    #[test]
     fn response_roundtrip() {
         let mut wire = Vec::new();
         write_response(
@@ -347,5 +395,79 @@ mod tests {
         assert_eq!(rendered(Duration::from_millis(1500)), "2");
         assert_eq!(rendered(Duration::from_secs(2)), "2");
         assert_eq!(rendered(Duration::from_millis(2500)), "3");
+    }
+
+    mod hostile_input {
+        use super::*;
+        use crate::json::Json;
+        use proptest::prelude::*;
+
+        /// Well-formed exchanges of every protocol shape, the seeds the
+        /// mutation test damages.
+        const VALID: &[&str] = &[
+            "POST /estimate HTTP/1.1\r\nhost: vsj\r\ncontent-length: 21\r\n\r\n{\"tau\":0.8,\"ci\":true}",
+            "POST /insert HTTP/1.1\r\ncontent-length: 23\r\n\r\n{\"members\":[1,2,30000]}",
+            "POST /upsert HTTP/1.1\r\ncontent-length: 44\r\n\r\n{\"id\":7,\"indices\":[4,9],\"weights\":[0.5,1e3]}",
+            "GET /stats HTTP/1.1\r\nconnection: close\r\n\r\n",
+            "HTTP/1.1 429 Too Many Requests\r\nretry-after: 2\r\ncontent-length: 16\r\n\r\n{\"error\":\"shed\"}",
+        ];
+
+        /// Feeds `bytes` to every reader the server and client expose
+        /// to the wire; none may panic, whatever the bytes are.
+        fn read_everything(bytes: &[u8]) {
+            if let Ok(request) = read_request(&mut BufReader::new(bytes), 1 << 12) {
+                let _ = Json::parse(&String::from_utf8_lossy(&request.body));
+            }
+            if let Ok(response) = read_response(&mut BufReader::new(bytes), 1 << 12) {
+                let _ = Json::parse(&String::from_utf8_lossy(&response.body));
+            }
+            let _ = Json::parse(&String::from_utf8_lossy(bytes));
+        }
+
+        fn any_byte() -> impl Strategy<Value = u8> {
+            (0u32..256).prop_map(|b| b as u8)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any_byte(), 0..4097)) {
+                read_everything(&bytes);
+            }
+
+            #[test]
+            fn mutated_valid_exchanges_never_panic(
+                seed in 0usize..VALID.len(),
+                edits in proptest::collection::vec((0usize..256, any_byte(), 0u32..3), 1..8),
+            ) {
+                let mut bytes = VALID[seed].as_bytes().to_vec();
+                for (at, byte, op) in edits {
+                    let at = at % (bytes.len() + 1);
+                    match op {
+                        0 if at < bytes.len() => bytes[at] = byte,
+                        1 => bytes.insert(at, byte),
+                        _ if at < bytes.len() => {
+                            bytes.remove(at);
+                        }
+                        _ => bytes.push(byte),
+                    }
+                }
+                read_everything(&bytes);
+            }
+        }
+
+        #[test]
+        fn seeds_are_valid() {
+            for raw in &VALID[..4] {
+                let request = read_request(&mut BufReader::new(raw.as_bytes()), 1 << 12).unwrap();
+                if !request.body.is_empty() {
+                    Json::parse(std::str::from_utf8(&request.body).unwrap()).unwrap();
+                }
+            }
+            let response =
+                read_response(&mut BufReader::new(VALID[4].as_bytes()), 1 << 12).unwrap();
+            assert_eq!(response.status, 429);
+        }
     }
 }

@@ -1,45 +1,44 @@
 //! `vsj-server` — the network serving layer over
 //! [`vsj_service::EstimationEngine`].
 //!
-//! PR 1–3 built a concurrent, durable, incrementally-publishing
-//! estimation engine — but only as an in-process library. This crate
-//! puts a wire in front of it: a small HTTP/1.1 JSON protocol
-//! (`docs/PROTOCOL.md`) served entirely on `std::net` blocking sockets
-//! (the build environment has no registry access, so no tokio/hyper —
-//! a bounded thread-pool acceptor plus one dedicated batcher thread).
+//! The engine is a concurrent, durable, incrementally-publishing
+//! estimator, but only as an in-process library. This crate puts a wire
+//! in front of it: a small HTTP/1.1 JSON protocol (`docs/PROTOCOL.md`)
+//! served entirely on `std::net` blocking sockets (the build
+//! environment has no registry access, so no tokio/hyper — one acceptor
+//! thread and a bounded pool of workers).
 //!
 //! ```text
 //!   clients ──► acceptor ──► bounded conn queue ──► workers
 //!                                                     │
-//!                     ingests (shed 429 on publish lag)│estimates
+//!                    ingests (shed 429 on publish lag) │ estimates
 //!                                                     ▼
-//!                               batcher: coalesce concurrent requests
-//!                               into ONE estimate_batch sampling pass
+//!                             EstimationEngine::estimate(τ): one
+//!                             sampling pass on the worker that read it
 //! ```
 //!
 //! Three properties define the layer:
 //!
-//! * **Batching without bias** — concurrent `estimate` requests are
-//!   coalesced onto one shared sampling pass
-//!   ([`EstimationEngine::estimate_batch`]). The engine's batch RNG is
-//!   keyed by the epoch alone, so each τ's answer is bit-identical
-//!   whether it rode alone or with others: batching changes cost, never
-//!   answers. One pass serves one epoch — the batcher can never mix
-//!   epochs inside a pass, because the pass pins a single snapshot
-//!   (cache-served answers keep the older epoch they were computed at).
+//! * **One pass per request** — a `POST /estimate` runs
+//!   [`EstimationEngine::estimate`] on the worker that read it, inside
+//!   the router's panic guard: a panicking pass costs that request a
+//!   `500`, never a thread or a later request. The engine's batch RNG
+//!   is keyed by the epoch alone, so every answer equals the offline
+//!   run at its epoch, whichever requests ran beside it. Passes on
+//!   different workers share the engine's work pool.
 //! * **Backpressure, not queues** — ingest requests are shed with `429`
 //!   once the engine's publish lag crosses
-//!   [`ServerConfig::max_publish_lag`], and estimate requests once the
-//!   batch queue hits [`ServerConfig::max_queue_depth`]; the connection
-//!   queue is bounded too. Nothing in the server grows without bound
-//!   under overload (the I/O-efficient-join lesson: keep the hot path
-//!   batch-friendly and refuse work you cannot finish).
+//!   [`ServerConfig::max_publish_lag`] (or the WAL backlog crosses
+//!   [`ServerConfig::max_wal_depth`]); the connection queue is bounded,
+//!   and estimates in flight are at most
+//!   [`ServerConfig::workers`]. Nothing in the server grows without
+//!   bound under overload.
 //! * **Graceful shutdown** — [`Server::shutdown`] stops intake, drains
-//!   queued connections and in-flight batches (every accepted request
+//!   queued connections and in-flight requests (every accepted request
 //!   gets a real answer), and optionally cuts a final checkpoint on a
 //!   durable engine.
 //!
-//! [`EstimationEngine::estimate_batch`]: vsj_service::EstimationEngine::estimate_batch
+//! [`EstimationEngine::estimate`]: vsj_service::EstimationEngine::estimate
 //!
 //! # Example
 //!
@@ -67,13 +66,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod client;
 mod http;
 pub mod json;
 mod server;
 
-pub use batch::BatchedEstimate;
 pub use client::{Client, ClientError, Estimated};
 pub use server::{Server, ServerConfig, ServerConfigBuilder, ServerStats};
 pub use vsj_obs::ObsOptions;
@@ -241,26 +238,6 @@ mod tests {
         // A publish clears the lag; ingests flow again.
         client.publish().unwrap();
         client.insert_members(&[500, 501]).unwrap();
-        server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn estimate_deadline_is_enforced() {
-        let server = start(
-            engine(),
-            ServerConfig::builder()
-                .batch_gather(Duration::from_millis(200))
-                .build(),
-        );
-        let mut client = Client::connect(server.addr()).unwrap();
-        client.insert_members(&[1, 2]).unwrap();
-        client.publish().unwrap();
-        // A 1 ms deadline dies inside the 200 ms gather window.
-        match client.estimate_within(0.5, Duration::from_millis(1)) {
-            Err(ClientError::DeadlineExceeded) => {}
-            other => panic!("expected deadline error, got {other:?}"),
-        }
-        assert_eq!(server.stats().estimate_timeouts, 1);
         server.shutdown().unwrap();
     }
 

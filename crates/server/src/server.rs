@@ -2,18 +2,18 @@
 //!
 //! ```text
 //!            TcpListener (acceptor thread)
-//!                  │ bounded connection queue (503 when full)
+//!                  │ bounded connection queue (dropped when full)
 //!        ┌─────────┼─────────┐
 //!     worker …  worker …  worker        parse HTTP → route
 //!        │         │         │
 //!   ingest ops   estimate    admin (publish/checkpoint/stats)
-//!   (shed 429    requests
-//!    on publish    │  bounded batch queue (shed 429 when full)
-//!    lag)       batcher thread → one estimate_batch pass per drain
+//!   (shed 429    one sampling
+//!    on publish  pass on the
+//!    lag)        worker
 //! ```
 //!
 //! See `docs/PROTOCOL.md` for the wire format and
-//! `docs/ARCHITECTURE.md` for the batching/backpressure contract.
+//! `docs/ARCHITECTURE.md` for the serving/backpressure contract.
 
 use std::collections::VecDeque;
 use std::io::BufReader;
@@ -29,7 +29,6 @@ use vsj_obs::{
 use vsj_service::{AuditRecord, EstimationEngine, FsyncPolicy, PersistError, StorageTier};
 use vsj_vector::SparseVector;
 
-use crate::batch::{BatchCounters, BatchMetrics, BatchRejected, Batcher};
 use crate::http::{self, ReadError, Request};
 use crate::json::Json;
 
@@ -48,11 +47,8 @@ pub struct ServerConfig {
     /// Worker threads parsing and answering requests.
     pub workers: usize,
     /// Bound on accepted-but-unserviced connections; past it the
-    /// acceptor sheds with `503` instead of queuing.
+    /// acceptor drops new connections instead of queuing them.
     pub max_pending_connections: usize,
-    /// Bound on queued estimate requests (the batcher's inbox); past it
-    /// estimate requests are shed with `429`.
-    pub max_queue_depth: usize,
     /// Ingest backpressure: when the engine's publish lag (ingests not
     /// yet visible to reads) exceeds this, `insert`/`upsert`/`remove`
     /// are shed with `429` until a publish catches the view up. `None`
@@ -65,13 +61,6 @@ pub struct ServerConfig {
     /// — a checkpoint (manual or background) drains it. `None` disables
     /// shedding; it is also inert on non-durable engines (depth 0).
     pub max_wal_depth: Option<u64>,
-    /// Deadline applied to estimate requests that do not carry their
-    /// own `deadline_ms`.
-    pub default_deadline: Duration,
-    /// How long the batcher waits after the first queued request before
-    /// cutting a pass. Zero (default) drains continuously — under load,
-    /// requests arriving while a pass samples coalesce naturally.
-    pub batch_gather: Duration,
     /// Largest accepted request body.
     pub max_body: usize,
     /// Cut a final checkpoint during [`Server::shutdown`] when the
@@ -91,11 +80,8 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             max_pending_connections: 128,
-            max_queue_depth: 1024,
             max_publish_lag: None,
             max_wal_depth: None,
-            default_deadline: Duration::from_secs(2),
-            batch_gather: Duration::ZERO,
             max_body: 1 << 20,
             checkpoint_on_shutdown: false,
             obs: ObsOptions::default(),
@@ -139,12 +125,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Sets the estimate queue bound (≥ 1).
-    pub fn max_queue_depth(mut self, bound: usize) -> Self {
-        self.config.max_queue_depth = bound;
-        self
-    }
-
     /// Sets the ingest-shedding publish-lag threshold.
     pub fn max_publish_lag(mut self, lag: u64) -> Self {
         self.config.max_publish_lag = Some(lag);
@@ -154,18 +134,6 @@ impl ServerConfigBuilder {
     /// Sets the ingest-shedding per-shard WAL depth threshold.
     pub fn max_wal_depth(mut self, depth: u64) -> Self {
         self.config.max_wal_depth = Some(depth);
-        self
-    }
-
-    /// Sets the default estimate deadline.
-    pub fn default_deadline(mut self, deadline: Duration) -> Self {
-        self.config.default_deadline = deadline;
-        self
-    }
-
-    /// Sets the batcher gather window.
-    pub fn batch_gather(mut self, gather: Duration) -> Self {
-        self.config.batch_gather = gather;
         self
     }
 
@@ -191,8 +159,7 @@ impl ServerConfigBuilder {
     /// Validates and returns the configuration.
     ///
     /// # Panics
-    /// Panics when `workers`, `max_pending_connections`, or
-    /// `max_queue_depth` is zero.
+    /// Panics when `workers` or `max_pending_connections` is zero.
     pub fn build(self) -> ServerConfig {
         let c = self.config;
         assert!(c.workers >= 1, "a server needs at least one worker");
@@ -200,7 +167,6 @@ impl ServerConfigBuilder {
             c.max_pending_connections >= 1,
             "connection queue needs capacity"
         );
-        assert!(c.max_queue_depth >= 1, "estimate queue needs capacity");
         c.obs.validate();
         c
     }
@@ -217,25 +183,19 @@ pub struct ServerStats {
     pub connections: u64,
     /// Connections refused because the queue was full.
     pub rejected_connections: u64,
-    /// Shared sampling passes the batcher ran.
-    pub batches: u64,
-    /// Estimate requests answered through a batcher pass.
+    /// Requests routed to `/estimate` (its route counter). Kept only
+    /// for vsjbench, which reads it.
     pub batched_estimates: u64,
-    /// Requests beyond the first in their pass — the passes batching
-    /// saved.
+    /// Always 0: each estimate runs its own pass. Kept only for
+    /// vsjbench, which reads it.
     pub merged_estimates: u64,
-    /// Largest single pass (requests).
-    pub max_batch: u64,
-    /// Estimate requests shed with `429` (queue full).
+    /// Always 0: estimates are never shed. Kept only for vsjbench,
+    /// which reads it.
     pub shed_estimates: u64,
     /// Ingest requests shed with `429` (publish lag).
     pub shed_ingests: u64,
     /// Ingest requests shed with `429` (per-shard WAL depth).
     pub shed_wal: u64,
-    /// Estimate requests that missed their deadline.
-    pub estimate_timeouts: u64,
-    /// Momentary batcher queue depth.
-    pub queue_depth: usize,
 }
 
 /// The routes the server knows, each with a per-route counter and
@@ -275,16 +235,11 @@ struct ServerMetrics {
     requests: Counter,
     connections: Counter,
     rejected_connections: Counter,
-    shed_estimates: Counter,
     shed_ingests: Counter,
     shed_wal: Counter,
-    queue_depth: Gauge,
     publish_lag: Gauge,
     slow_traces: Counter,
     routes: Vec<RouteMetrics>,
-    queue_wait_us: Histogram,
-    batch_wait_us: Histogram,
-    coalesce: Histogram,
 }
 
 impl ServerMetrics {
@@ -321,11 +276,6 @@ impl ServerMetrics {
                 "vsj_server_rejected_connections_total",
                 "Connections refused because the queue was full",
             ),
-            shed_estimates: registry.counter_with(
-                "vsj_server_shed_total",
-                "Requests shed with 429, by cause",
-                &[("cause", "estimate_queue")],
-            ),
             shed_ingests: registry.counter_with(
                 "vsj_server_shed_total",
                 "Requests shed with 429, by cause",
@@ -336,10 +286,6 @@ impl ServerMetrics {
                 "Requests shed with 429, by cause",
                 &[("cause", "wal_depth")],
             ),
-            queue_depth: registry.gauge(
-                "vsj_server_queue_depth",
-                "Momentary batcher queue depth (set at scrape time)",
-            ),
             publish_lag: registry.gauge(
                 "vsj_server_publish_lag",
                 "Engine publish lag: ingests not yet visible to reads (set at scrape time)",
@@ -349,21 +295,6 @@ impl ServerMetrics {
                 "Requests slower than the slow-query threshold, captured into the trace ring",
             ),
             routes,
-            queue_wait_us: registry.histogram(
-                "vsj_server_queue_wait_us",
-                "Estimate queue wait: enqueue to batcher wake (µs)",
-                latency,
-            ),
-            batch_wait_us: registry.histogram(
-                "vsj_server_batch_wait_us",
-                "Batch gather wait: batcher wake to sampling start (µs)",
-                latency,
-            ),
-            coalesce: registry.histogram(
-                "vsj_server_batch_coalesce_size",
-                "Estimate requests coalesced per shared sampling pass",
-                obs.size_spec(),
-            ),
             registry,
         }
     }
@@ -374,15 +305,6 @@ impl ServerMetrics {
             .iter()
             .find(|r| r.label == path)
             .unwrap_or_else(|| self.routes.last().expect("`other` route is always present"))
-    }
-
-    /// Histogram clones for the batcher thread.
-    fn batch_metrics(&self) -> BatchMetrics {
-        BatchMetrics {
-            queue_wait_us: self.queue_wait_us.clone(),
-            batch_wait_us: self.batch_wait_us.clone(),
-            coalesce: self.coalesce.clone(),
-        }
     }
 }
 
@@ -440,8 +362,6 @@ struct Inner {
     metrics: ServerMetrics,
     traces: Arc<TraceRing>,
     started: Instant,
-    batch_counters: Arc<BatchCounters>,
-    batcher: Batcher,
     connections: ConnectionQueue,
     shutting_down: AtomicBool,
 }
@@ -483,13 +403,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, spawns the acceptor + worker pool + batcher, and returns
-    /// the handle. With port 0 the chosen port is in [`Server::addr`].
+    /// Binds, spawns the acceptor and the worker pool, and returns the
+    /// handle. With port 0 the chosen port is in [`Server::addr`].
     pub fn start(engine: Arc<EstimationEngine>, config: ServerConfig) -> std::io::Result<Server> {
         assert!(config.workers >= 1, "a server needs at least one worker");
         assert!(
-            config.max_pending_connections >= 1 && config.max_queue_depth >= 1,
-            "server queues need capacity"
+            config.max_pending_connections >= 1,
+            "connection queue needs capacity"
         );
         config.obs.validate();
         let listener = TcpListener::bind(&config.addr)?;
@@ -499,21 +419,11 @@ impl Server {
             config.obs.trace_ring,
             config.obs.slow_query_threshold,
         ));
-        let batch_counters = Arc::new(BatchCounters::default());
-        let batcher = Batcher::spawn(
-            engine.clone(),
-            batch_counters.clone(),
-            metrics.batch_metrics(),
-            config.max_queue_depth,
-            config.batch_gather,
-        );
         let inner = Arc::new(Inner {
             engine,
             metrics,
             traces,
             started: Instant::now(),
-            batch_counters,
-            batcher,
             connections: ConnectionQueue::new(config.max_pending_connections),
             shutting_down: AtomicBool::new(false),
             config,
@@ -567,7 +477,7 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting, finish queued connections and
-    /// in-flight batches, join every thread, and — when
+    /// in-flight requests, join every thread, and — when
     /// [`ServerConfig::checkpoint_on_shutdown`] is set and the engine
     /// is durable — cut a final checkpoint. Returns the checkpointed
     /// epoch, if one was taken.
@@ -582,7 +492,6 @@ impl Server {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        self.inner.batcher.close();
         if self.inner.config.checkpoint_on_shutdown && self.inner.engine.is_durable() {
             return self.inner.engine.checkpoint().map(Some);
         }
@@ -888,10 +797,6 @@ fn tier_str(tier: StorageTier) -> &'static str {
 /// `vsj_obs_duplicate_metric_names` gauge it always emits makes such a
 /// collision loud instead of silent.
 fn handle_metrics(inner: &Arc<Inner>) -> Reply {
-    inner
-        .metrics
-        .queue_depth
-        .set(inner.batch_counters.queue_depth.load(Ordering::Relaxed) as u64);
     inner.metrics.publish_lag.set(inner.engine.publish_lag());
     let mut text = String::new();
     render_registries(
@@ -1113,13 +1018,6 @@ fn handle_estimate(inner: &Arc<Inner>, request: &Request) -> Reply {
     if !(0.0..=1.0).contains(&tau) {
         return Reply::error(400, format!("tau {tau} outside [0, 1]"));
     }
-    let deadline = match body.get("deadline_ms") {
-        None => inner.config.default_deadline,
-        Some(ms) => match ms.as_u64() {
-            Some(ms) => Duration::from_millis(ms),
-            None => return Reply::error(400, "deadline_ms must be a non-negative integer"),
-        },
-    };
     // Opt-in interval fields: responses without `"ci": true` stay
     // byte-identical to the pre-interval protocol, so old clients (and
     // byte-level response pins) are unaffected.
@@ -1130,48 +1028,32 @@ fn handle_estimate(inner: &Arc<Inner>, request: &Request) -> Reply {
             None => return Reply::error(400, "ci must be a boolean"),
         },
     };
-    match inner.batcher.estimate(tau, Instant::now() + deadline) {
-        Ok(answer) => {
-            let e = answer.estimate;
-            // The estimate pipeline's stage breakdown, as measured by
-            // the batcher: where did this request's latency go?
-            let mut trace = Trace::new("/estimate");
-            trace.stage("queue_wait", micros(answer.queue_wait));
-            trace.stage("batch_wait", micros(answer.batch_wait));
-            trace.stage("sampling", micros(answer.sampling));
-            let mut fields = vec![
-                ("value", Json::Num(e.estimate.value)),
-                ("kind", Json::str(kind_str(e.estimate.kind))),
-                ("epoch", Json::u64(e.epoch)),
-                ("n", Json::usize(e.n)),
-                ("tau", Json::Num(e.tau)),
-                ("cached", Json::Bool(e.cached)),
-                ("batch", Json::u64(answer.batch)),
-                ("batch_size", Json::usize(answer.batch_size)),
-            ];
-            if with_ci {
-                fields.push(("std_err", Json::Num(e.std_err)));
-                fields.push(("ci_low", Json::Num(e.ci_low())));
-                fields.push(("ci_high", Json::Num(e.ci_high())));
-            }
-            Reply::ok(Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            ))
-            .with_trace(trace)
-        }
-        Err(BatchRejected::QueueFull) => {
-            inner.metrics.shed_estimates.inc();
-            Reply::shed(format!(
-                "estimate queue at capacity ({})",
-                inner.config.max_queue_depth
-            ))
-        }
-        Err(BatchRejected::DeadlineExceeded) => Reply::error(504, "deadline exceeded"),
-        Err(BatchRejected::ShuttingDown) => Reply::error(503, "server is shutting down"),
+    // The pass runs here, on the worker, inside `route`'s panic guard:
+    // a panicking pass costs this request a 500 and nothing else.
+    let sampling_started = Instant::now();
+    let e = inner.engine.estimate(tau);
+    let mut trace = Trace::new("/estimate");
+    trace.stage("sampling", micros(sampling_started.elapsed()));
+    let mut fields = vec![
+        ("value", Json::Num(e.estimate.value)),
+        ("kind", Json::str(kind_str(e.estimate.kind))),
+        ("epoch", Json::u64(e.epoch)),
+        ("n", Json::usize(e.n)),
+        ("tau", Json::Num(e.tau)),
+        ("cached", Json::Bool(e.cached)),
+    ];
+    if with_ci {
+        fields.push(("std_err", Json::Num(e.std_err)));
+        fields.push(("ci_low", Json::Num(e.ci_low())));
+        fields.push(("ci_high", Json::Num(e.ci_high())));
     }
+    Reply::ok(Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    ))
+    .with_trace(trace)
 }
 
 fn handle_insert(inner: &Arc<Inner>, request: &Request) -> Reply {
@@ -1286,15 +1168,8 @@ fn handle_stats(inner: &Arc<Inner>) -> Reply {
                     "rejected_connections",
                     Json::u64(server.rejected_connections),
                 ),
-                ("batches", Json::u64(server.batches)),
-                ("batched_estimates", Json::u64(server.batched_estimates)),
-                ("merged_estimates", Json::u64(server.merged_estimates)),
-                ("max_batch", Json::u64(server.max_batch)),
-                ("shed_estimates", Json::u64(server.shed_estimates)),
                 ("shed_ingests", Json::u64(server.shed_ingests)),
                 ("shed_wal", Json::u64(server.shed_wal)),
-                ("estimate_timeouts", Json::u64(server.estimate_timeouts)),
-                ("queue_depth", Json::usize(server.queue_depth)),
             ]),
         ),
     ]))
@@ -1302,20 +1177,15 @@ fn handle_stats(inner: &Arc<Inner>) -> Reply {
 
 fn stats_of(inner: &Inner) -> ServerStats {
     let m = &inner.metrics;
-    let b = &inner.batch_counters;
     ServerStats {
         requests: m.requests.get(),
         connections: m.connections.get(),
         rejected_connections: m.rejected_connections.get(),
-        batches: b.batches.load(Ordering::Relaxed),
-        batched_estimates: b.batched_estimates.load(Ordering::Relaxed),
-        merged_estimates: b.merged_estimates.load(Ordering::Relaxed),
-        max_batch: b.max_batch.load(Ordering::Relaxed),
-        shed_estimates: m.shed_estimates.get(),
+        batched_estimates: m.route("/estimate").requests.get(),
+        merged_estimates: 0,
+        shed_estimates: 0,
         shed_ingests: m.shed_ingests.get(),
         shed_wal: m.shed_wal.get(),
-        estimate_timeouts: b.timeouts.load(Ordering::Relaxed),
-        queue_depth: b.queue_depth.load(Ordering::Relaxed),
     }
 }
 

@@ -15,7 +15,7 @@
 //! estimator parameters that produced them, so a config change (e.g.
 //! paper defaults re-derived at a different `n`) never serves a stale
 //! shape of estimate. There is one entry per `(τ, config)`: every
-//! answer — single, batched, coalesced on the wire, re-asked by the
+//! answer — single, a τ grid, a wire request, re-asked by the
 //! auditor — is computed by the one estimate path and shares it.
 //!
 //! The cache is pure storage: hit/miss accounting lives on the engine's

@@ -1700,10 +1700,9 @@ impl EstimationEngine {
     /// independently of the grid (one shared pair sample, per-τ replay),
     /// so with a grid-independent stream every τ's answer at a given
     /// epoch is one fixed value no matter which other thresholds ride in
-    /// the same call. That is what lets a serving layer coalesce
-    /// whatever estimate requests happen to be concurrent into one
-    /// sampling pass without changing any individual answer. Exposed so
-    /// offline runs can replicate service answers exactly:
+    /// the same call: a lone `estimate(τ)` and the τ entry of any
+    /// same-epoch grid are one value. Exposed so offline runs can
+    /// replicate service answers exactly:
     /// `LshSs::estimate_curve_detailed(snapshot, snapshot, measure,
     /// &[τ], &mut engine.batch_rng(epoch))[0]` equals
     /// [`estimate`](Self::estimate) at that epoch.
@@ -1746,14 +1745,14 @@ impl EstimationEngine {
     /// Estimates a whole threshold grid from **one** sampling pass
     /// ([`LshSs::estimate_curve`]) unless every τ is already cached
     /// within tolerance. This is the engine's **one estimate path** —
-    /// [`estimate`](Self::estimate), the wire's coalescing batcher and
-    /// the auditor all come through here — and results are cached per
-    /// `(τ, config)`. The pass samples through
+    /// [`estimate`](Self::estimate) (and with it every wire request)
+    /// and the auditor all come through here — and results are cached
+    /// per `(τ, config)`. The pass samples through
     /// [`batch_rng`](Self::batch_rng), keyed by the epoch alone, so each
     /// τ's answer at a given epoch is **independent of the grid it rides
     /// in**: `estimate_batch(&[τ])` equals the τ entry of any larger
-    /// same-epoch batch, which is what makes request coalescing in a
-    /// serving layer invisible to callers.
+    /// same-epoch batch. Concurrent calls each run their own pass; they
+    /// share the engine's work pool.
     pub fn estimate_batch(&self, taus: &[f64]) -> Vec<ServiceEstimate> {
         if taus.is_empty() {
             return Vec::new();

@@ -40,8 +40,8 @@
 //!   ([`EstimationEngine::batch_rng`]).
 //! * **One estimate path** — [`EstimationEngine::estimate`] is
 //!   [`estimate_batch`](EstimationEngine::estimate_batch) of one: a
-//!   direct call, a wire request coalesced with others, and the
-//!   auditor's re-ask all get the same cached answer per `(epoch, τ)`.
+//!   direct call, a wire request, a τ grid, and the auditor's re-ask
+//!   all get the same cached answer per `(epoch, τ)`.
 //! * **Determinism** — everything derives from the master seed; the
 //!   same ingest history gives the same answers, across thread counts.
 //! * **Durability** (opt-in) — [`EstimationEngine::durable`] attaches a

@@ -16,12 +16,12 @@
 //!    equals, bit for bit, an offline `LshSs` run over a freshly built
 //!    index of the same vectors with the engine's epoch-keyed batch
 //!    RNG.
-//! 2. **Batching** — the stats counters show the batcher coalesced
-//!    concurrent requests into fewer shared sampling passes.
-//! 3. **Observability** — `GET /metrics` serves a valid Prometheus
-//!    text exposition with engine, WAL, and server series, and
-//!    `GET /trace/slow` serves the slow-request ring.
-//! 4. **Graceful shutdown + restart** — shutdown cuts a final
+//! 2. **Observability** — `GET /metrics` serves a valid Prometheus
+//!    text exposition with engine, WAL, and server series; its
+//!    `/estimate` route counter equals the answers the readers got
+//!    (each request is answered on the worker that read it),
+//!    and `GET /trace/slow` serves the slow-request ring.
+//! 3. **Graceful shutdown + restart** — shutdown cuts a final
 //!    checkpoint; a recovered engine answers bit-identically.
 //!
 //! Run with: `cargo run --release --example server`
@@ -63,7 +63,6 @@ fn main() {
         engine.clone(),
         ServerConfig::builder()
             .workers(8)
-            .batch_gather(Duration::from_millis(2))
             .checkpoint_on_shutdown(true)
             .build(),
     )
@@ -191,27 +190,7 @@ fn main() {
         );
     }
 
-    // --- 2. batching + backpressure counters ----------------------------
-    let stats = server.stats();
-    println!(
-        "\nserver: {} requests on {} connections; {} estimates in {} shared passes \
-         (largest {}, {} rode for free), {} shed, {} timeouts",
-        stats.requests,
-        stats.connections,
-        stats.batched_estimates,
-        stats.batches,
-        stats.max_batch,
-        stats.merged_estimates,
-        stats.shed_estimates + stats.shed_ingests,
-        stats.estimate_timeouts,
-    );
-    assert_eq!(stats.batched_estimates, served_answers + TAUS.len() as u64);
-    assert!(
-        stats.batches <= stats.batched_estimates,
-        "batching can only reduce passes"
-    );
-
-    // --- 3. observability: /metrics + /trace/slow scrape -----------------
+    // --- 2. observability: /metrics + /trace/slow scrape -----------------
     let exposition = client.metrics().expect("scrape /metrics");
     let samples = vsj::obs::validate_exposition(&exposition)
         .expect("/metrics must serve a valid Prometheus text exposition");
@@ -220,7 +199,6 @@ fn main() {
         "vsj_engine_publish_duration_us_count",
         "vsj_wal_fsync_duration_us_count",
         "vsj_server_route_latency_us_count",
-        "vsj_server_batch_coalesce_size_count",
         "vsj_server_publish_lag",
     ] {
         assert!(
@@ -228,6 +206,18 @@ fn main() {
             "/metrics is missing the required series {required}"
         );
     }
+    let estimates = exposition
+        .lines()
+        .find_map(|line| line.strip_prefix("vsj_server_route_requests_total{route=\"/estimate\"} "))
+        .and_then(|value| value.parse::<f64>().ok())
+        .expect("the /estimate route counter");
+    assert_eq!(estimates, (served_answers + TAUS.len() as u64) as f64);
+    let stats = server.stats();
+    println!(
+        "\nserver: {} requests on {} connections; {estimates} estimates answered on the workers; \
+         {} ingests shed",
+        stats.requests, stats.connections, stats.shed_ingests,
+    );
     let slow = client.slow_traces().expect("scrape /trace/slow");
     let captured = slow
         .get("captured")
@@ -235,7 +225,7 @@ fn main() {
         .expect("capture counter");
     println!("observability: {samples} metric samples exposed; {captured} slow traces captured");
 
-    // --- 4. graceful shutdown cuts a checkpoint; restart is identical ---
+    // --- 3. graceful shutdown cuts a checkpoint; restart is identical ---
     let checkpointed = server
         .shutdown()
         .expect("graceful shutdown")

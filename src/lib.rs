@@ -39,9 +39,9 @@
 //!   serving any number of reader threads, and a drift-invalidated
 //!   estimate cache. See `examples/service.rs`.
 //! * [`server`] — the **network layer**: an HTTP/1.1 JSON front-end
-//!   ([`server::Server`]) over the engine with request batching onto
-//!   shared sampling passes, publish-lag backpressure, and a blocking
-//!   [`server::Client`]. See `examples/server.rs` and
+//!   ([`server::Server`]) over the engine that answers each estimate
+//!   on the worker that read it, publish-lag backpressure, and a
+//!   blocking [`server::Client`]. See `examples/server.rs` and
 //!   `docs/PROTOCOL.md`.
 //!
 //! ## Quickstart
