@@ -44,14 +44,19 @@
 //! [`IoError::BadVersion`].
 //!
 //! A collection file holds a single `COLL` section: the vector count
-//! followed by one wire block per vector (`nnz u32`, `nnz × u32` sorted
-//! dimension indices, `nnz × f32` weights).
+//! (`u64`) followed by one row block per vector (`nnz u32`, `nnz × u32`
+//! sorted dimension indices, `nnz × f32` weights). The blocks are
+//! written, checked and decoded by [`vsj_vector::row`], the one codec of
+//! a stored row, so a collection file refuses what a checkpoint refuses
+//! (a zero weight among them).
+//!
+//! Writers build a `Vec<u8>`; readers walk a `&[u8]`.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::Path;
 
 use vsj_sampling::SplitMix64;
-use vsj_vector::{SparseVector, VectorCollection};
+use vsj_vector::row::{block_words, split_block};
+use vsj_vector::VectorCollection;
 
 const MAGIC: &[u8; 4] = b"VSJC";
 /// The container version: the mappable aligned-directory layout.
@@ -187,7 +192,7 @@ fn chunk_digests(data: &[u8]) -> Vec<u64> {
 /// over its payload.
 #[derive(Debug, Default)]
 pub struct ContainerWriter {
-    sections: Vec<([u8; 4], Bytes)>,
+    sections: Vec<([u8; 4], Vec<u8>)>,
 }
 
 impl ContainerWriter {
@@ -197,37 +202,37 @@ impl ContainerWriter {
     }
 
     /// Appends a section.
-    pub fn section(&mut self, tag: [u8; 4], payload: Bytes) -> &mut Self {
+    pub fn section(&mut self, tag: [u8; 4], payload: Vec<u8>) -> &mut Self {
         self.sections.push((tag, payload));
         self
     }
 
     /// Assembles the container bytes: fixed-width directory up front,
     /// every payload 8-byte aligned.
-    pub fn finish(&self) -> Bytes {
+    pub fn finish(&self) -> Vec<u8> {
         let header = 16 + self.sections.len() * 32;
         let payload_total: usize = self.sections.iter().map(|(_, p)| (p.len() + 7) & !7).sum();
-        let mut buf = BytesMut::with_capacity(header + payload_total);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_V3);
-        buf.put_u32_le(self.sections.len() as u32);
-        buf.put_u32_le(0);
+        let mut buf = Vec::with_capacity(header + payload_total);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION_V3.to_le_bytes());
+        buf.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
         // Directory: offsets are absolute, pre-computed from the fixed
         // header size plus the padded lengths of preceding payloads.
         let mut offset = header as u64;
         for (tag, payload) in &self.sections {
-            buf.put_slice(tag);
-            buf.put_u32_le(0);
-            buf.put_u64_le(offset);
-            buf.put_u64_le(payload.len() as u64);
-            buf.put_u64_le(checksum64_v3(payload.as_slice()));
+            buf.extend_from_slice(tag);
+            buf.extend_from_slice(&0u32.to_le_bytes());
+            buf.extend_from_slice(&offset.to_le_bytes());
+            buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            buf.extend_from_slice(&checksum64_v3(payload).to_le_bytes());
             offset += ((payload.len() + 7) & !7) as u64;
         }
         for (_, payload) in &self.sections {
-            buf.put_slice(payload.as_slice());
-            buf.put_slice(&[0u8; 8][..(8 - payload.len() % 8) % 8]);
+            buf.extend_from_slice(payload);
+            buf.extend_from_slice(&[0u8; 8][..(8 - payload.len() % 8) % 8]);
         }
-        buf.freeze()
+        buf
     }
 }
 
@@ -404,91 +409,43 @@ fn verify_section_checksums(
 
 // --- vector payload (the COLL section body) ---------------------------------
 
-/// Encodes one vector's wire block (`nnz u32`, `nnz × u32` indices,
-/// `nnz × f32` weights) — the per-vector layout of collection payloads
-/// and the service WAL, and the block a
-/// [`SharedVectorCollection`](vsj_vector::SharedVectorCollection) payload
-/// slab (and so a checkpoint's payload section) stores.
-pub fn encode_vector_into(buf: &mut BytesMut, v: &SparseVector) {
-    buf.put_u32_le(v.nnz() as u32);
-    for &i in v.indices() {
-        buf.put_u32_le(i);
-    }
-    for &w in v.values() {
-        buf.put_f32_le(w);
-    }
-}
-
-/// Decodes one vector's wire block (inverse of [`encode_vector_into`]),
-/// re-validating the vector invariants. Reads from any [`Buf`]: an
-/// owned [`Bytes`] cursor or a borrowed `&[u8]` (e.g. a mapped block).
-pub fn decode_vector(data: &mut impl Buf) -> Result<SparseVector, IoError> {
-    if data.remaining() < 4 {
-        return Err(IoError::Corrupt("nnz truncated".into()));
-    }
-    let nnz = data.get_u32_le() as usize;
-    if data.remaining() < nnz * 8 {
-        return Err(IoError::Corrupt("vector payload truncated".into()));
-    }
-    let mut indices = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        indices.push(data.get_u32_le());
-    }
-    let mut values = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        values.push(data.get_f32_le());
-    }
-    SparseVector::from_sorted(indices, values).map_err(|e| IoError::Corrupt(e.to_string()))
-}
-
-/// Encodes the bare vector payload (`n` + per-vector data) — the `COLL`
-/// section payload.
-pub fn encode_vectors(collection: &VectorCollection) -> Bytes {
-    encode_vector_list(collection.vectors().iter())
-}
-
-/// Encodes a bare vector payload from any exactly-sized iterator of
-/// vectors — the wire format of [`encode_vectors`] without demanding an
-/// owned [`VectorCollection`]. This is how the service serializes its
-/// `Arc`-shared snapshot payloads into a checkpoint: the vectors are
-/// written once, straight from the shared handles, never first copied
-/// into an owned collection.
-pub fn encode_vector_list<'a, I>(vectors: I) -> Bytes
-where
-    I: ExactSizeIterator<Item = &'a SparseVector> + Clone,
-{
-    let total_nnz: usize = vectors.clone().map(SparseVector::nnz).sum();
-    let mut buf = BytesMut::with_capacity(8 + vectors.len() * 4 + total_nnz * 8);
-    buf.put_u64_le(vectors.len() as u64);
+/// Encodes the bare vector payload — the `COLL` section: the vector
+/// count, then each vector's row block.
+pub fn encode_vectors(collection: &VectorCollection) -> Vec<u8> {
+    let vectors = collection.vectors();
+    let words: usize = vectors.iter().map(|v| 1 + 2 * v.nnz()).sum();
+    let mut buf: Vec<[u8; 4]> = Vec::with_capacity(2 + words);
+    let count = (vectors.len() as u64).to_le_bytes();
+    buf.extend_from_slice(count.as_chunks().0);
     for v in vectors {
-        encode_vector_into(&mut buf, v);
+        buf.extend(block_words(v));
     }
-    buf.freeze()
+    buf.into_flattened()
 }
 
-/// Decodes a bare vector payload, re-validating every vector invariant.
+/// Decodes a bare vector payload, checking every row block as a stored
+/// row ([`split_block`]).
 ///
 /// # Errors
-/// [`IoError::Corrupt`] on truncation, trailing bytes, or invariant
-/// violations.
-pub fn decode_vectors(mut data: Bytes) -> Result<VectorCollection, IoError> {
-    if data.remaining() < 8 {
-        return Err(IoError::Corrupt("vector count truncated".into()));
-    }
-    let n = data.get_u64_le() as usize;
-    let mut vectors = Vec::with_capacity(n.min(1 << 20));
+/// [`IoError::Corrupt`] on truncation, trailing bytes, or a block that
+/// is not a stored row.
+pub fn decode_vectors(data: impl AsRef<[u8]>) -> Result<VectorCollection, IoError> {
+    let (count, rest) = data
+        .as_ref()
+        .split_first_chunk()
+        .ok_or_else(|| IoError::Corrupt("vector count truncated".into()))?;
+    let n = u64::from_le_bytes(*count);
+    let (mut words, tail) = rest.as_chunks();
+    let mut vectors = Vec::with_capacity(n.min(1 << 20) as usize);
     for vi in 0..n {
-        let v = decode_vector(&mut data).map_err(|e| match e {
-            IoError::Corrupt(msg) => IoError::Corrupt(format!("vector {vi}: {msg}")),
-            other => other,
-        })?;
-        vectors.push(v);
+        let (row, rest) =
+            split_block(words).map_err(|e| IoError::Corrupt(format!("vector {vi}: {e}")))?;
+        vectors.push(row.to_vector());
+        words = rest;
     }
-    if data.has_remaining() {
-        return Err(IoError::Corrupt(format!(
-            "{} trailing bytes",
-            data.remaining()
-        )));
+    let trailing = 4 * words.len() + tail.len();
+    if trailing > 0 {
+        return Err(IoError::Corrupt(format!("{trailing} trailing bytes")));
     }
     Ok(VectorCollection::from_vectors(vectors))
 }
@@ -497,7 +454,7 @@ pub fn decode_vectors(mut data: Bytes) -> Result<VectorCollection, IoError> {
 
 /// Encodes a collection as a container holding one checksummed `COLL`
 /// section.
-pub fn encode(collection: &VectorCollection) -> Bytes {
+pub fn encode(collection: &VectorCollection) -> Vec<u8> {
     let mut w = ContainerWriter::new();
     w.section(SECTION_COLLECTION, encode_vectors(collection));
     w.finish()
@@ -507,12 +464,11 @@ pub fn encode(collection: &VectorCollection) -> Bytes {
 ///
 /// # Errors
 /// Returns [`IoError`] on malformed input: the framing and the `COLL`
-/// checksum are verified by [`ContainerIndex::parse`], and all vector
-/// invariants are re-validated (the file may have been edited or
-/// truncated).
-pub fn decode(data: Bytes) -> Result<VectorCollection, IoError> {
-    let range = ContainerIndex::parse(data.as_slice())?.require(SECTION_COLLECTION)?;
-    decode_vectors(Bytes::copy_from_slice(&data.as_slice()[range]))
+/// checksum are verified by [`ContainerIndex::parse`], and every row
+/// block is checked (the file may have been edited or truncated).
+pub fn decode(data: &[u8]) -> Result<VectorCollection, IoError> {
+    let range = ContainerIndex::parse(data)?.require(SECTION_COLLECTION)?;
+    decode_vectors(&data[range])
 }
 
 /// Writes a collection container (creating parent directories).
@@ -526,7 +482,7 @@ pub fn save(collection: &VectorCollection, path: &Path) -> Result<(), IoError> {
 
 /// Reads a collection container.
 pub fn load(path: &Path) -> Result<VectorCollection, IoError> {
-    decode(Bytes::from(std::fs::read(path)?))
+    decode(&std::fs::read(path)?)
 }
 
 /// Order-sensitive 64-bit content hash of a collection — the cache key
@@ -554,23 +510,37 @@ mod tests {
     #[test]
     fn roundtrip_preserves_collection() {
         let coll = sample();
-        let decoded = decode(encode(&coll)).unwrap();
+        let decoded = decode(&encode(&coll)).unwrap();
         assert_eq!(coll.len(), decoded.len());
         for (a, b) in coll.vectors().iter().zip(decoded.vectors()) {
             assert_eq!(a, b);
         }
     }
 
-    /// A payload slab's encoder writes exactly the wire block.
+    /// A `COLL` payload is the count, then the blocks a heap payload
+    /// slab stores.
     #[test]
     fn slice_encoder_matches_buffer_encoder() {
         let coll = sample();
+        let mut want = (coll.len() as u64).to_le_bytes().to_vec();
         for v in coll.vectors() {
-            let mut reference = BytesMut::new();
-            encode_vector_into(&mut reference, v);
-            let row = vsj_vector::EncodedRow::new(v);
-            assert_eq!(reference.freeze().as_slice(), row.block().as_flattened());
+            want.extend_from_slice(vsj_vector::EncodedRow::new(v).block().as_flattened());
         }
+        assert_eq!(encode_vectors(&coll), want);
+    }
+
+    /// A checksum-valid `COLL` block holding a zero weight is refused,
+    /// as a checkpoint refuses it — never decoded with the zero dropped.
+    #[test]
+    fn a_stored_zero_weight_is_corrupt() {
+        let v = vsj_vector::SparseVector::from_sorted(vec![3, 8], vec![0.5, 2.0]).unwrap();
+        let mut payload = encode_vectors(&VectorCollection::from_vectors(vec![v]));
+        let weight = 8 + 4 + 2 * 4;
+        assert_eq!(payload[weight..weight + 4], 0.5f32.to_le_bytes());
+        payload[weight..weight + 4].copy_from_slice(&0.0f32.to_le_bytes());
+        let mut w = ContainerWriter::new();
+        w.section(SECTION_COLLECTION, payload);
+        assert!(matches!(decode(&w.finish()), Err(IoError::Corrupt(_))));
     }
 
     #[test]
@@ -586,43 +556,37 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut data = encode(&sample()).to_vec();
+        let mut data = encode(&sample());
         data[0] = b'X';
-        assert!(matches!(decode(Bytes::from(data)), Err(IoError::BadMagic)));
+        assert!(matches!(decode(&data), Err(IoError::BadMagic)));
     }
 
     #[test]
     fn bad_version_rejected() {
-        let mut data = encode(&sample()).to_vec();
+        let mut data = encode(&sample());
         data[4] = 99;
-        assert!(matches!(
-            decode(Bytes::from(data)),
-            Err(IoError::BadVersion(99))
-        ));
+        assert!(matches!(decode(&data), Err(IoError::BadVersion(99))));
     }
 
     #[test]
     fn truncation_detected() {
-        let data = encode(&sample()).to_vec();
+        let data = encode(&sample());
         for cut in [10, data.len() / 2, data.len() - 1] {
-            let r = decode(Bytes::copy_from_slice(&data[..cut]));
+            let r = decode(&data[..cut]);
             assert!(r.is_err(), "truncation at {cut} not detected");
         }
     }
 
     #[test]
     fn trailing_garbage_detected() {
-        let mut data = encode(&sample()).to_vec();
+        let mut data = encode(&sample());
         data.push(0);
-        assert!(matches!(
-            decode(Bytes::from(data)),
-            Err(IoError::Corrupt(_))
-        ));
+        assert!(matches!(decode(&data), Err(IoError::Corrupt(_))));
     }
 
     #[test]
     fn any_payload_flip_fails_the_checksum() {
-        let data = encode(&sample()).to_vec();
+        let data = encode(&sample());
         // Flip a byte at a spread of offsets past the container header;
         // every one must surface as *some* decode error (checksum for
         // payload bytes, framing for header bytes) — never a silent
@@ -631,26 +595,26 @@ mod tests {
             let mut broken = data.clone();
             broken[at] ^= 0x40;
             assert!(
-                decode(Bytes::from(broken)).is_err(),
+                decode(&broken).is_err(),
                 "flip at byte {at} was not detected"
             );
         }
     }
 
-    fn three_sections() -> Bytes {
+    fn three_sections() -> Vec<u8> {
         let mut w = ContainerWriter::new();
-        w.section(*b"AAAA", Bytes::from(vec![1u8, 2, 3]));
-        w.section(*b"BBBB", Bytes::from(Vec::<u8>::new()));
-        w.section(*b"CCCC", Bytes::from(vec![9u8; 300]));
+        w.section(*b"AAAA", vec![1u8, 2, 3]);
+        w.section(*b"BBBB", Vec::new());
+        w.section(*b"CCCC", vec![9u8; 300]);
         w.finish()
     }
 
     #[test]
     fn sectioned_container_roundtrip_and_lookup() {
         let data = three_sections();
-        let index = ContainerIndex::parse(data.as_slice()).unwrap();
+        let index = ContainerIndex::parse(&data).unwrap();
         assert_eq!(index.tags(), vec![*b"AAAA", *b"BBBB", *b"CCCC"]);
-        assert_eq!(&data.as_slice()[index.range(*b"AAAA").unwrap()], &[1, 2, 3]);
+        assert_eq!(&data[index.range(*b"AAAA").unwrap()], &[1, 2, 3]);
         assert_eq!(index.range(*b"BBBB").unwrap().len(), 0);
         assert_eq!(index.range(*b"CCCC").unwrap().len(), 300);
         assert!(index.range(*b"ZZZZ").is_none());
@@ -663,7 +627,7 @@ mod tests {
     #[test]
     fn v3_layout_is_aligned_and_indexable() {
         let data = three_sections();
-        let index = ContainerIndex::parse(data.as_slice()).unwrap();
+        let index = ContainerIndex::parse(&data).unwrap();
         for tag in index.tags() {
             let range = index.range(tag).unwrap();
             assert_eq!(range.start % 8, 0, "payload of {tag:?} is 8-aligned");
@@ -678,12 +642,9 @@ mod tests {
     #[test]
     fn v3_flips_and_truncations_are_detected() {
         let mut w = ContainerWriter::new();
-        w.section(
-            *b"AAAA",
-            Bytes::from((0u16..500).flat_map(u16::to_le_bytes).collect::<Vec<_>>()),
-        );
-        w.section(*b"BBBB", Bytes::from(vec![7u8; 33]));
-        let data = w.finish().to_vec();
+        w.section(*b"AAAA", (0u16..500).flat_map(u16::to_le_bytes).collect());
+        w.section(*b"BBBB", vec![7u8; 33]);
+        let data = w.finish();
         assert!(ContainerIndex::parse(&data).is_ok());
         for at in (4..data.len()).step_by(41) {
             let mut broken = data.clone();
@@ -709,7 +670,7 @@ mod tests {
 
     #[test]
     fn parse_sections_frames_everything_but_verifies_only_the_named_sections() {
-        let data = three_sections().to_vec();
+        let data = three_sections();
         let index = ContainerIndex::parse_sections(&data, &[*b"AAAA"]).unwrap();
         assert_eq!(index.tags(), vec![*b"AAAA"]);
         assert_eq!(&data[index.require(*b"AAAA").unwrap()], &[1, 2, 3]);
@@ -754,7 +715,7 @@ mod tests {
     #[test]
     fn empty_collection_roundtrip() {
         let empty = VectorCollection::new();
-        let decoded = decode(encode(&empty)).unwrap();
+        let decoded = decode(&encode(&empty)).unwrap();
         assert!(decoded.is_empty());
     }
 }

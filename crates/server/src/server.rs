@@ -223,6 +223,7 @@ struct RouteMetrics {
     label: &'static str,
     requests: Counter,
     latency_us: Histogram,
+    panics: Counter,
 }
 
 /// The server's own metric registry and the lock-free handles the hot
@@ -260,6 +261,11 @@ impl ServerMetrics {
                     "Request handling latency by endpoint (µs, read to reply)",
                     labels,
                     latency,
+                ),
+                panics: registry.counter_with(
+                    "vsj_server_panics_total",
+                    "Handler panics answered with 500, by endpoint",
+                    labels,
                 ),
             })
             .collect();
@@ -603,6 +609,7 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> std::io::Result<()
         inner.metrics.requests.inc();
         let close = request.wants_close();
         let handling_started = Instant::now();
+        let route_metrics = inner.metrics.route(&request.path);
         // Panic isolation: a handler panic (most plausibly a durable
         // engine refusing an unlogged write after a WAL I/O failure)
         // must cost a 500, not a worker thread — a shrinking pool would
@@ -610,6 +617,7 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> std::io::Result<()
         let reply =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(inner, &request)))
                 .unwrap_or_else(|panic| {
+                    route_metrics.panics.inc();
                     let reason = panic
                         .downcast_ref::<&str>()
                         .map(|s| s.to_string())
@@ -618,7 +626,6 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> std::io::Result<()
                     Reply::error(500, format!("internal error: {reason}"))
                 });
         let elapsed = handling_started.elapsed();
-        let route_metrics = inner.metrics.route(&request.path);
         route_metrics.requests.inc();
         route_metrics.latency_us.record_duration(elapsed);
         // Every request carries a trace on the stack; it crosses into

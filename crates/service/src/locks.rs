@@ -1,13 +1,15 @@
-//! Lock acquisition for the engine and the auditor, under one poisoning
-//! policy.
+//! Lock acquisition for the engine, the auditor and the WAL, under one
+//! poisoning policy.
 //!
 //! A thread that panics while holding a `std::sync` lock poisons it. The
-//! engine and the auditor take every lock through these helpers, which
-//! hand a poisoned guard back to the caller as if the lock were healthy:
-//! a poisoned lock is never unwrapped into a second panic. The first
-//! panic still surfaces where it happened; the state behind the lock is
-//! what the panicking holder left, exactly as it would be after an
-//! unpoisonable lock.
+//! engine, the auditor and the WAL take every lock (and every condvar
+//! wait) through these helpers, which hand a poisoned guard back to the
+//! caller as if the lock were healthy: a poisoned lock is never
+//! unwrapped into a second panic. The first panic still surfaces where
+//! it happened; the state behind the lock is what the panicking holder
+//! left, exactly as it would be after an unpoisonable lock. A holder
+//! that cannot trust that state says so itself: the WAL latches its set
+//! failed when a shard lock comes back poisoned.
 
 use std::sync::{
     LockResult, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,

@@ -9,7 +9,7 @@
 //! *directly*: bucket runs, key arrays, and vector payloads are read
 //! straight out of the mapping — the base corpus never enters the heap.
 //! A sampled pair is scored from borrowed slices of the rows' payload
-//! blocks ([`Row::from_le_words`]): no row is decoded and nothing is
+//! blocks ([`Row::from_block`]): no row is decoded and nothing is
 //! allocated, so a cold start costs O(map + validation scan) instead of
 //! O(copy + rebuild), and its first estimate costs what every later
 //! one does. The validation scan reads every value anyway, so it also
@@ -51,11 +51,10 @@ use std::sync::{Arc, OnceLock};
 
 use memmap2::Mmap;
 use vsj_core::IndexView;
-use vsj_datasets::io::{self, ContainerIndex};
+use vsj_datasets::io::ContainerIndex;
 use vsj_sampling::{pair_count, AliasTable};
-use vsj_vector::{
-    row_words, EncodedRow, Row, SharedVectorCollection, SparseVector, VectorId, VectorStore,
-};
+use vsj_vector::row::split_block;
+use vsj_vector::{EncodedRow, Row, SharedVectorCollection, SparseVector, VectorId, VectorStore};
 
 use crate::persist::{
     decode_meta, CheckpointMeta, PersistError, SECTION_BKTK, SECTION_BMEM, SECTION_BOFF,
@@ -152,8 +151,8 @@ impl MappedCheckpoint {
     /// Validation is one linear scan (the container's per-section
     /// checksums) plus O(n) structure checks over the integer sections
     /// and, in place, every row's payload block (indices strictly
-    /// ascending, values finite and non-zero — [`Row::check_le_words`],
-    /// which also returns the row's norm). No vector is decoded, no heap
+    /// ascending, values finite and non-zero — [`split_block`], which
+    /// also returns the row's norm). No vector is decoded, no heap
     /// table is built. Any framing, checksum,
     /// cross-section or row inconsistency fails loudly here so both
     /// tiers can trust the mapping unconditionally.
@@ -249,7 +248,8 @@ impl MappedCheckpoint {
         }
         // Payload offsets: partition the slab, and each block's nnz
         // prefix must account for its exact length, so a row read in
-        // place can never run off its block.
+        // place can never run off its block. The row itself is checked
+        // by the one splitter every stored row goes through.
         if u64_in(&voff, 0) != 0 || u64_in(&voff, n) != vpay.len() as u64 {
             return Err(corrupt("VOFF does not span exactly the payload slab"));
         }
@@ -260,19 +260,14 @@ impl MappedCheckpoint {
             if start > end || end > vpay.len() as u64 {
                 return Err(corrupt("VOFF offsets are not monotone"));
             }
-            let len = end - start;
-            if len < 4 {
-                return Err(corrupt("VPAY block too short for an nnz prefix"));
-            }
-            let at = vpay.start + start as usize;
-            let nnz = u32::from_le_bytes(map[at..at + 4].try_into().expect("4 bytes")) as u64;
-            if len != 4 + nnz * 8 {
+            let (words, tail) =
+                map[vpay.start + start as usize..vpay.start + end as usize].as_chunks();
+            let (row, rest) =
+                split_block(words).map_err(|e| corrupt(format!("VPAY row {i}: {e}")))?;
+            if !rest.is_empty() || !tail.is_empty() {
                 return Err(corrupt("VPAY block length disagrees with its nnz prefix"));
             }
-            let (indices, values) = row_words(map[at..at + len as usize].as_chunks::<4>().0);
-            let norm = Row::check_le_words(indices, values)
-                .map_err(|e| corrupt(format!("VPAY row {i}: {e}")))?;
-            norms.push(norm);
+            norms.push(row.norm());
         }
         Ok(Self {
             map,
@@ -406,8 +401,7 @@ impl MappedCheckpoint {
     /// only read of a base row: no decode, no allocation.
     #[inline]
     pub(crate) fn row(&self, i: usize) -> Row<'_> {
-        let (indices, values) = row_words(self.block(i).as_chunks::<4>().0);
-        Row::from_le_words(indices, values, self.norms[i])
+        Row::from_block(self.block(i).as_chunks().0, self.norms[i])
     }
 
     /// The whole base as one heap collection: the payload slab copied
@@ -435,13 +429,10 @@ impl MappedCheckpoint {
     /// keeping nothing — the heap tier's and the auditor's copy out of
     /// the mapping.
     ///
-    /// # Panics
-    /// Never on a checkpoint that opened: [`MappedCheckpoint::open`]
-    /// checks every block's length, order and values, which is
-    /// everything decoding validates.
+    /// [`MappedCheckpoint::open`] checked every block, so the decode
+    /// trusts it.
     pub(crate) fn decode(&self, i: usize) -> SparseVector {
-        let mut block = self.block(i);
-        io::decode_vector(&mut block).expect("VPAY rows are validated at open")
+        self.row(i).to_vector()
     }
 }
 

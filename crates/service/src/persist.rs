@@ -19,7 +19,7 @@
 //! | `BOFF` | bucket member-run offsets (`(B+1) × u64`, `[0] = 0`, `[B] = n`) |
 //! | `BMEM` | bucket member runs: row ids grouped by bucket, ascending within (`n × u32`) |
 //! | `VOFF` | payload-slab byte offsets (`(n+1) × u64`) |
-//! | `VPAY` | concatenated per-vector wire blocks: `nnz`, indices, values (the layout of a heap payload slab) |
+//! | `VPAY` | concatenated row blocks: `nnz`, indices, values (the layout of a heap payload slab; [`vsj_vector::row`] is its codec) |
 //!
 //! Storing the bucket keys means recovery re-hashes *nothing*: shard
 //! rows are restored with their stored keys and the published table is
@@ -44,7 +44,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use memmap2::Mmap;
 use vsj_datasets::io::{ContainerIndex, ContainerWriter, IoError};
 use vsj_obs::{Trace, TraceRing};
@@ -156,107 +155,99 @@ pub fn config_fingerprint(config: &ServiceConfig) -> u64 {
     SplitMix64::mix(acc ^ family)
 }
 
-fn encode_meta(meta: &CheckpointMeta, n: u64) -> Bytes {
+fn encode_meta(meta: &CheckpointMeta, n: u64) -> Vec<u8> {
     let c = &meta.config;
-    let mut buf = BytesMut::with_capacity(128);
-    buf.put_u64_le(meta.epoch);
-    buf.put_u64_le(meta.ingested);
-    buf.put_u64_le(meta.next_id);
-    buf.put_u64_le(meta.applied_seq);
-    buf.put_u64_le(meta.publishes);
-    buf.put_u64_le(n);
-    buf.put_u64_le(c.seed);
-    buf.put_u64_le(c.k as u64);
-    buf.put_u64_le(c.shards as u64);
-    buf.put_slice(&[match c.family {
-        IndexFamily::SimHash => 0u8,
-        IndexFamily::MinHash => 1u8,
-    }]);
-    buf.put_u64_le(c.cache_epsilon);
+    let mut buf = Vec::with_capacity(128);
+    for word in [
+        meta.epoch,
+        meta.ingested,
+        meta.next_id,
+        meta.applied_seq,
+        meta.publishes,
+        n,
+        c.seed,
+        c.k as u64,
+        c.shards as u64,
+    ] {
+        buf.extend_from_slice(&word.to_le_bytes());
+    }
+    buf.push(match c.family {
+        IndexFamily::SimHash => 0,
+        IndexFamily::MinHash => 1,
+    });
+    buf.extend_from_slice(&c.cache_epsilon.to_le_bytes());
     match c.auto_publish_every {
-        None => buf.put_slice(&[0]),
+        None => buf.push(0),
         Some(b) => {
-            buf.put_slice(&[1]);
-            buf.put_u64_le(b);
+            buf.push(1);
+            buf.extend_from_slice(&b.to_le_bytes());
         }
     }
     match c.estimator {
-        None => buf.put_slice(&[0]),
+        None => buf.push(0),
         Some(e) => {
-            buf.put_slice(&[1]);
-            buf.put_u64_le(e.m_h);
-            buf.put_u64_le(e.m_l);
-            buf.put_u64_le(e.delta);
+            buf.push(1);
+            for word in [e.m_h, e.m_l, e.delta] {
+                buf.extend_from_slice(&word.to_le_bytes());
+            }
             match e.dampening {
-                vsj_core::Dampening::SafeLowerBound => buf.put_slice(&[0]),
+                vsj_core::Dampening::SafeLowerBound => buf.push(0),
                 vsj_core::Dampening::Constant(v) => {
-                    buf.put_slice(&[1]);
-                    buf.put_f64_le(v);
+                    buf.push(1);
+                    buf.extend_from_slice(&v.to_le_bytes());
                 }
-                vsj_core::Dampening::NlOverDelta => buf.put_slice(&[2]),
+                vsj_core::Dampening::NlOverDelta => buf.push(2),
             }
         }
     }
-    buf.freeze()
+    buf
 }
 
 fn corrupt(msg: impl Into<String>) -> PersistError {
     PersistError::Corrupt(msg.into())
 }
 
+/// Splits the first `N` bytes off `data` — how the readers of this crate
+/// walk a little-endian record (checkpoint metadata, WAL segments).
+pub(crate) fn take<const N: usize>(data: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = data.split_first_chunk()?;
+    *data = rest;
+    Some(*head)
+}
+
 pub(crate) fn decode_meta(mut data: &[u8]) -> Result<(CheckpointMeta, u64), PersistError> {
-    let need = |data: &mut &[u8], bytes: usize, what: &str| -> Result<(), PersistError> {
-        if data.remaining() < bytes {
-            Err(corrupt(format!("META truncated at {what}")))
-        } else {
-            Ok(())
-        }
-    };
-    need(&mut data, 6 * 8, "counters")?;
-    let epoch = data.get_u64_le();
-    let ingested = data.get_u64_le();
-    let next_id = data.get_u64_le();
-    let applied_seq = data.get_u64_le();
-    let publishes = data.get_u64_le();
-    let n = data.get_u64_le();
-    need(&mut data, 3 * 8 + 1, "config")?;
-    let seed = data.get_u64_le();
-    let k = data.get_u64_le() as usize;
-    let shards = data.get_u64_le() as usize;
-    let mut byte = [0u8; 1];
-    data.copy_to_slice(&mut byte);
-    let family = match byte[0] {
+    let truncated = || corrupt("META truncated");
+    let u64_le = |data: &mut &[u8]| take(data).map(u64::from_le_bytes).ok_or_else(truncated);
+    let byte = |data: &mut &[u8]| take(data).map(|[b]| b).ok_or_else(truncated);
+    let epoch = u64_le(&mut data)?;
+    let ingested = u64_le(&mut data)?;
+    let next_id = u64_le(&mut data)?;
+    let applied_seq = u64_le(&mut data)?;
+    let publishes = u64_le(&mut data)?;
+    let n = u64_le(&mut data)?;
+    let seed = u64_le(&mut data)?;
+    let k = u64_le(&mut data)? as usize;
+    let shards = u64_le(&mut data)? as usize;
+    let family = match byte(&mut data)? {
         0 => IndexFamily::SimHash,
         1 => IndexFamily::MinHash,
         b => return Err(corrupt(format!("unknown family tag {b}"))),
     };
-    need(&mut data, 8 + 1, "cache/publish policy")?;
-    let cache_epsilon = data.get_u64_le();
-    data.copy_to_slice(&mut byte);
-    let auto_publish_every = match byte[0] {
+    let cache_epsilon = u64_le(&mut data)?;
+    let auto_publish_every = match byte(&mut data)? {
         0 => None,
-        1 => {
-            need(&mut data, 8, "auto-publish batch")?;
-            Some(data.get_u64_le())
-        }
+        1 => Some(u64_le(&mut data)?),
         b => return Err(corrupt(format!("bad auto-publish flag {b}"))),
     };
-    need(&mut data, 1, "estimator flag")?;
-    data.copy_to_slice(&mut byte);
-    let estimator = match byte[0] {
+    let estimator = match byte(&mut data)? {
         0 => None,
         1 => {
-            need(&mut data, 3 * 8 + 1, "estimator config")?;
-            let m_h = data.get_u64_le();
-            let m_l = data.get_u64_le();
-            let delta = data.get_u64_le();
-            data.copy_to_slice(&mut byte);
-            let dampening = match byte[0] {
+            let m_h = u64_le(&mut data)?;
+            let m_l = u64_le(&mut data)?;
+            let delta = u64_le(&mut data)?;
+            let dampening = match byte(&mut data)? {
                 0 => vsj_core::Dampening::SafeLowerBound,
-                1 => {
-                    need(&mut data, 8, "dampening constant")?;
-                    vsj_core::Dampening::Constant(data.get_f64_le())
-                }
+                1 => vsj_core::Dampening::Constant(f64::from_bits(u64_le(&mut data)?)),
                 2 => vsj_core::Dampening::NlOverDelta,
                 b => return Err(corrupt(format!("unknown dampening tag {b}"))),
             };
@@ -269,8 +260,8 @@ pub(crate) fn decode_meta(mut data: &[u8]) -> Result<(CheckpointMeta, u64), Pers
         }
         b => return Err(corrupt(format!("bad estimator flag {b}"))),
     };
-    if data.has_remaining() {
-        return Err(corrupt(format!("{} trailing META bytes", data.remaining())));
+    if !data.is_empty() {
+        return Err(corrupt(format!("{} trailing META bytes", data.len())));
     }
     // Re-validate what the builder validates: a corrupt-but-checksummed
     // file must fail loudly here, never panic inside engine assembly.
@@ -304,12 +295,12 @@ pub(crate) fn decode_meta(mut data: &[u8]) -> Result<(CheckpointMeta, u64), Pers
     ))
 }
 
-fn encode_u64s(values: impl ExactSizeIterator<Item = u64>) -> Bytes {
-    let mut buf = BytesMut::with_capacity(values.len() * 8);
+fn encode_u64s(values: impl ExactSizeIterator<Item = u64>) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(values.len() * 8);
     for v in values {
-        buf.put_u64_le(v);
+        buf.extend_from_slice(&v.to_le_bytes());
     }
-    buf.freeze()
+    buf
 }
 
 /// Serializes a checkpoint (exposed for tests and tooling; the private
@@ -319,7 +310,7 @@ fn encode_u64s(values: impl ExactSizeIterator<Item = u64>) -> Bytes {
 /// *dropped* and overlay rows are interleaved in global-id order, so the
 /// file a compaction writes is exactly the file a from-scratch build over
 /// the live rows would write.
-pub fn encode_checkpoint(meta: &CheckpointMeta, snapshot: &Snapshot) -> Bytes {
+pub fn encode_checkpoint(meta: &CheckpointMeta, snapshot: &Snapshot) -> Vec<u8> {
     encode_checkpoint_inner(meta, snapshot, None)
 }
 
@@ -336,7 +327,7 @@ pub(crate) fn encode_checkpoint_with(
     meta: &CheckpointMeta,
     snapshot: &Snapshot,
     pool: &WorkPool,
-) -> Bytes {
+) -> Vec<u8> {
     if pool.threads() <= 1 {
         encode_checkpoint_inner(meta, snapshot, None)
     } else {
@@ -386,7 +377,7 @@ fn encode_checkpoint_inner(
     meta: &CheckpointMeta,
     snapshot: &Snapshot,
     pool: Option<&WorkPool>,
-) -> Bytes {
+) -> Vec<u8> {
     let n = snapshot.len();
     // Row keys in snapshot-local id order, whichever tier holds them.
     let keys: Vec<u64> = match snapshot.mapped_view() {
@@ -403,13 +394,13 @@ fn encode_checkpoint_inner(
     }
     let mut boff = Vec::with_capacity(buckets.len() + 1);
     boff.push(0u64);
-    let mut bmem = BytesMut::with_capacity(n * 4);
+    let mut bmem = Vec::with_capacity(n * 4);
     let mut covered = 0u64;
     for members in buckets.values() {
         covered += members.len() as u64;
         boff.push(covered);
         for &m in members {
-            bmem.put_u32_le(m);
+            bmem.extend_from_slice(&m.to_le_bytes());
         }
     }
     // Payload slab + per-row offsets: every row's block is copied as it
@@ -434,7 +425,7 @@ fn encode_checkpoint_inner(
     w.section(SECTION_KEYS, encode_u64s(keys.into_iter()));
     w.section(SECTION_BKTK, encode_u64s(buckets.keys().copied()));
     w.section(SECTION_BOFF, encode_u64s(boff.into_iter()));
-    w.section(SECTION_BMEM, bmem.freeze());
+    w.section(SECTION_BMEM, bmem);
     let mut vpay = vec![0u8; total as usize];
     match pool {
         Some(pool) => fill_payload_parallel(pool, &voff, &mut vpay, |r, out| {
@@ -447,7 +438,7 @@ fn encode_checkpoint_inner(
         }
     }
     w.section(SECTION_VOFF, encode_u64s(voff.into_iter()));
-    w.section(SECTION_VPAY, Bytes::from(vpay));
+    w.section(SECTION_VPAY, vpay);
     w.finish()
 }
 
@@ -463,7 +454,7 @@ pub(crate) fn write_checkpoint(
     let tmp = dir.join(CHECKPOINT_TMP);
     {
         let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes.as_slice())?;
+        file.write_all(&bytes)?;
         file.sync_data()?;
     }
     std::fs::rename(&tmp, dir.join(CHECKPOINT_FILE))?;

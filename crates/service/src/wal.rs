@@ -34,8 +34,16 @@
 //!     seq u64      global sequence number
 //!     op  u8       1 = insert, 2 = remove, 3 = upsert, 4 = publish
 //!     id  u64      global id (0 for publish)
-//!     (insert/upsert) nnz u32, nnz × u32 indices, nnz × f32 weights
+//!     (insert/upsert) the row block: nnz u32, nnz × u32 indices,
+//!                     nnz × f32 weights
 //! ```
+//!
+//! The row block is the one a checkpoint stores, written, checked and
+//! decoded by [`vsj_vector::row`], the block's one codec: a record whose
+//! block is not a stored row (unsorted indices, a non-finite or zero
+//! weight, a wrong length) is undecodable like a failed checksum. A
+//! frame is built in one buffer and read in place from the segment's
+//! bytes.
 //!
 //! Within a chain, sequence numbers strictly increase (the sequence is
 //! assigned under the shard's append lock), so file order is sequence
@@ -70,22 +78,25 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use vsj_datasets::io::{checksum64, decode_vector, encode_vector_into};
+use vsj_datasets::io::checksum64;
 use vsj_obs::{Histogram, HistogramSpec, Registry};
+use vsj_vector::row::{block_words, split_block};
 use vsj_vector::SparseVector;
 
 use crate::config::FsyncPolicy;
-use crate::persist::PersistError;
+use crate::locks;
+use crate::persist::{take, PersistError};
 use crate::GlobalId;
 
 const WAL_MAGIC: &[u8; 4] = b"VSJW";
 /// The segmented per-shard format.
 const WAL_SEGMENT_VERSION: u32 = 3;
 const SEGMENT_HEADER_LEN: u64 = 28;
+/// A frame's `len | checksum` ahead of its payload.
+const FRAME_HEADER_LEN: usize = 12;
 
 const OP_INSERT: u8 = 1;
 const OP_REMOVE: u8 = 2;
@@ -135,53 +146,61 @@ pub enum WalRecord {
     Publish,
 }
 
-fn encode_payload(op: WalOp<'_>) -> Bytes {
+/// The frame of `op` under sequence `seq`, built in one buffer: `len |
+/// checksum` over the payload `seq | op | id | block`, the block written
+/// by the row codec.
+fn encode_frame(seq: u64, op: WalOp<'_>) -> Vec<u8> {
     let (tag, id, vector) = match op {
         WalOp::Insert(id, v) => (OP_INSERT, id, Some(v)),
         WalOp::Remove(id) => (OP_REMOVE, id, None),
         WalOp::Upsert(id, v) => (OP_UPSERT, id, Some(v)),
         WalOp::Publish => (OP_PUBLISH, 0, None),
     };
-    let nnz = vector.map_or(0, SparseVector::nnz);
-    let mut buf = BytesMut::with_capacity(9 + 4 + nnz * 8);
-    buf.put_slice(&[tag]);
-    buf.put_u64_le(id);
+    let words = vector.map_or(0, |v| 1 + 2 * v.nnz());
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + 17 + 4 * words);
+    frame.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    frame.extend_from_slice(&seq.to_le_bytes());
+    frame.push(tag);
+    frame.extend_from_slice(&id.to_le_bytes());
     if let Some(v) = vector {
-        encode_vector_into(&mut buf, v);
+        block_words(v).for_each(|word| frame.extend_from_slice(&word));
     }
-    buf.freeze()
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
+    frame
 }
 
-fn decode_payload(mut data: Bytes) -> Result<WalRecord, String> {
-    if data.remaining() < 9 {
-        return Err("payload shorter than op + id".into());
-    }
-    let mut tag = [0u8; 1];
-    data.copy_to_slice(&mut tag);
-    let id = data.get_u64_le();
-    let vector = match tag[0] {
-        OP_REMOVE | OP_PUBLISH => None,
-        OP_INSERT | OP_UPSERT => Some(decode_vector(&mut data).map_err(|e| e.to_string())?),
-        t => return Err(format!("unknown op tag {t}")),
+/// The sequence number and record of one frame payload, or `None` when
+/// the payload is not a record this writer lays down (an unknown op,
+/// trailing bytes, or a block that is not a stored row).
+fn decode_payload(mut data: &[u8]) -> Option<(u64, WalRecord)> {
+    let seq = u64::from_le_bytes(take(&mut data)?);
+    let [tag] = take(&mut data)?;
+    let id = u64::from_le_bytes(take(&mut data)?);
+    let vector = || {
+        let (words, []) = data.as_chunks() else {
+            return None;
+        };
+        let (row, []) = split_block(words).ok()? else {
+            return None;
+        };
+        Some(row.to_vector())
     };
-    if data.has_remaining() {
-        return Err(format!("{} trailing payload bytes", data.remaining()));
-    }
-    Ok(match (tag[0], vector) {
-        (OP_INSERT, Some(vector)) => WalRecord::Insert { id, vector },
-        (OP_UPSERT, Some(vector)) => WalRecord::Upsert { id, vector },
-        (OP_REMOVE, None) => WalRecord::Remove { id },
-        (OP_PUBLISH, None) => WalRecord::Publish,
-        _ => unreachable!("tag/vector pairing checked above"),
-    })
-}
-
-fn frame(payload: &Bytes) -> Bytes {
-    let mut frame = BytesMut::with_capacity(12 + payload.len());
-    frame.put_u32_le(payload.len() as u32);
-    frame.put_u64_le(checksum64(payload.as_slice()));
-    frame.put_slice(payload.as_slice());
-    frame.freeze()
+    let record = match tag {
+        OP_INSERT => WalRecord::Insert {
+            id,
+            vector: vector()?,
+        },
+        OP_UPSERT => WalRecord::Upsert {
+            id,
+            vector: vector()?,
+        },
+        OP_REMOVE if data.is_empty() => WalRecord::Remove { id },
+        OP_PUBLISH if data.is_empty() => WalRecord::Publish,
+        _ => return None,
+    };
+    Some((seq, record))
 }
 
 /// Walks length+checksum frames from `data`, handing each valid payload
@@ -189,29 +208,26 @@ fn frame(payload: &Bytes) -> Bytes {
 /// failure). Returns the byte length of the valid prefix (relative to
 /// `start`) and whether the whole input was consumed cleanly.
 fn walk_frames(
-    mut data: Bytes,
+    mut data: &[u8],
     start: u64,
-    mut sink: impl FnMut(Bytes, u64) -> bool,
+    mut sink: impl FnMut(&[u8], u64) -> bool,
 ) -> (u64, bool) {
     let mut offset = start;
-    while data.has_remaining() {
-        if data.remaining() < 12 {
+    while !data.is_empty() {
+        let (Some(len), Some(checksum)) = (take(&mut data), take(&mut data)) else {
+            return (offset, false);
+        };
+        let Some((payload, rest)) = data.split_at_checked(u32::from_le_bytes(len) as usize) else {
+            return (offset, false);
+        };
+        if checksum64(payload) != u64::from_le_bytes(checksum) {
             return (offset, false);
         }
-        let len = data.get_u32_le() as usize;
-        let checksum = data.get_u64_le();
-        if data.remaining() < len {
+        let end = offset + (FRAME_HEADER_LEN + payload.len()) as u64;
+        if !sink(payload, end) {
             return (offset, false);
         }
-        let mut payload = vec![0u8; len];
-        data.copy_to_slice(&mut payload);
-        if checksum64(&payload) != checksum {
-            return (offset, false);
-        }
-        let end = offset + 12 + len as u64;
-        if !sink(Bytes::from(payload), end) {
-            return (offset, false);
-        }
+        data = rest;
         offset = end;
     }
     (offset, true)
@@ -251,14 +267,15 @@ pub fn segment_files(dir: &Path, shard: usize) -> Vec<PathBuf> {
     found.into_iter().map(|(_, path)| path).collect()
 }
 
-fn encode_segment_header(fingerprint: u64, shard: usize, index: u64) -> Bytes {
-    let mut buf = BytesMut::with_capacity(SEGMENT_HEADER_LEN as usize);
-    buf.put_slice(WAL_MAGIC);
-    buf.put_u32_le(WAL_SEGMENT_VERSION);
-    buf.put_u64_le(fingerprint);
-    buf.put_u32_le(shard as u32);
-    buf.put_u64_le(index);
-    buf.freeze()
+fn encode_segment_header(fingerprint: u64, shard: usize, index: u64) -> Vec<u8> {
+    [
+        WAL_MAGIC.as_slice(),
+        &WAL_SEGMENT_VERSION.to_le_bytes(),
+        &fingerprint.to_le_bytes(),
+        &(shard as u32).to_le_bytes(),
+        &index.to_le_bytes(),
+    ]
+    .concat()
 }
 
 /// One validated record: the global sequence number, the shard whose
@@ -300,32 +317,32 @@ pub struct SegmentReplay {
 /// this segment was allowed to tear (only the last of a chain is).
 pub fn read_segment(path: &Path) -> Result<SegmentReplay, PersistError> {
     let raw = std::fs::read(path)?;
-    let mut data = Bytes::from(raw);
-    if data.remaining() < SEGMENT_HEADER_LEN as usize {
+    let mut data = raw.as_slice();
+    let (Some(magic), Some(version), Some(fingerprint), Some(shard), Some(index)) = (
+        take::<4>(&mut data),
+        take(&mut data).map(u32::from_le_bytes),
+        take(&mut data).map(u64::from_le_bytes),
+        take(&mut data).map(|s| u32::from_le_bytes(s) as usize),
+        take(&mut data).map(u64::from_le_bytes),
+    ) else {
         return Err(PersistError::Corrupt(format!(
             "WAL segment header truncated ({} bytes) in {}",
-            data.remaining(),
+            raw.len(),
             path.display()
         )));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
+    };
     if &magic != WAL_MAGIC {
         return Err(PersistError::Corrupt(format!(
             "{} is not a VSJW segment",
             path.display()
         )));
     }
-    let version = data.get_u32_le();
     if version != WAL_SEGMENT_VERSION {
         return Err(PersistError::Corrupt(format!(
             "unsupported WAL segment version {version} in {}",
             path.display()
         )));
     }
-    let fingerprint = data.get_u64_le();
-    let shard = data.get_u32_le() as usize;
-    let index = data.get_u64_le();
     if let Some((name_shard, name_index)) = path
         .file_name()
         .and_then(|n| n.to_str())
@@ -339,12 +356,8 @@ pub fn read_segment(path: &Path) -> Result<SegmentReplay, PersistError> {
         }
     }
     let mut entries = Vec::new();
-    let (valid_len, clean) = walk_frames(data, SEGMENT_HEADER_LEN, |mut payload, end| {
-        if payload.remaining() < 8 {
-            return false;
-        }
-        let seq = payload.get_u64_le();
-        let Ok(record) = decode_payload(payload) else {
+    let (valid_len, clean) = walk_frames(data, SEGMENT_HEADER_LEN, |payload, end| {
+        let Some((seq, record)) = decode_payload(payload) else {
             return false;
         };
         entries.push(SeqEntry {
@@ -498,9 +511,10 @@ struct ShardWal {
 /// All methods take `&self`; per-shard appends synchronize on their
 /// shard's lock only, so writers on different shards proceed in
 /// parallel. The set is **failure-latching**: any I/O error on any
-/// shard poisons the whole set and every further append is refused
-/// (a deployment that cannot persist must not keep acknowledging
-/// writes it may lose).
+/// shard, or a panic while a shard's lock was held, poisons the whole
+/// set and every further append is refused (a deployment that cannot
+/// persist must not keep acknowledging writes it may lose). Shard locks
+/// are taken under the crate's one lock policy (the `locks` module).
 pub struct WalSet {
     dir: PathBuf,
     fingerprint: u64,
@@ -564,7 +578,7 @@ fn create_segment(
 ) -> Result<File, PersistError> {
     let path = dir.join(segment_file_name(shard, index));
     let mut file = File::create(&path)?;
-    file.write_all(encode_segment_header(fingerprint, shard, index).as_slice())?;
+    file.write_all(&encode_segment_header(fingerprint, shard, index))?;
     // The header must be durable before records land behind it: page
     // cache flush order is not write order, so an unsynced header could
     // be lost while later record pages survive, orphaning the chain.
@@ -837,7 +851,7 @@ impl WalSet {
         self.poisoned.store(true, Ordering::SeqCst);
         for shard in &self.shards {
             // Waiters blocked in commit() must observe the failure.
-            shard.state.lock().expect("wal shard lock").failed = true;
+            self.lock(shard).failed = true;
             shard.flushed.notify_all();
         }
     }
@@ -859,8 +873,33 @@ impl WalSet {
             .unwrap_or(0)
     }
 
+    /// Locks `shard`'s state under the crate's lock policy
+    /// ([`locks`]): a poisoned lock hands its guard back, and latches the
+    /// set failed.
+    fn lock<'a>(&self, shard: &'a ShardWal) -> MutexGuard<'a, ShardWalState> {
+        self.latch_poisoned(shard, locks::lock(&shard.state))
+    }
+
+    /// `st`, once the set is latched failed if `shard`'s lock is
+    /// poisoned: a holder panicked mid-append or mid-flush and may have
+    /// left a torn frame, which would hide every later record of the
+    /// shard from recovery — so, as after an I/O error, nothing more is
+    /// appended or acknowledged.
+    fn latch_poisoned<'a>(
+        &self,
+        shard: &'a ShardWal,
+        mut st: MutexGuard<'a, ShardWalState>,
+    ) -> MutexGuard<'a, ShardWalState> {
+        if shard.state.is_poisoned() && !st.failed {
+            st.failed = true;
+            self.poisoned.store(true, Ordering::SeqCst);
+            shard.flushed.notify_all();
+        }
+        st
+    }
+
     fn poison_err(&self) -> PersistError {
-        PersistError::Corrupt("WAL set is poisoned by an earlier I/O failure".into())
+        PersistError::Corrupt("WAL set is poisoned by an earlier I/O failure or panic".into())
     }
 
     /// Appends one operation to `shard`'s active segment, assigning the
@@ -881,7 +920,7 @@ impl WalSet {
             return Err(self.poison_err());
         }
         let shard_wal = &self.shards[shard];
-        let mut st = shard_wal.state.lock().expect("wal shard lock");
+        let mut st = self.lock(shard_wal);
         if st.failed {
             return Err(self.poison_err());
         }
@@ -895,12 +934,8 @@ impl WalSet {
             shard_wal.flushed.notify_all();
         }
         let seq = self.last_seq.fetch_add(1, Ordering::SeqCst) + 1;
-        let op_payload = encode_payload(op);
-        let mut payload = BytesMut::with_capacity(8 + op_payload.len());
-        payload.put_u64_le(seq);
-        payload.put_slice(op_payload.as_slice());
-        let frame = frame(&payload.freeze());
-        if let Err(e) = st.file.write_all(frame.as_slice()) {
+        let frame = encode_frame(seq, op);
+        if let Err(e) = st.file.write_all(&frame) {
             let _ = st.file.set_len(st.offset);
             st.failed = true;
             drop(st);
@@ -970,7 +1005,7 @@ impl WalSet {
         };
         let wait_started = Instant::now();
         let shard_wal = &self.shards[ticket.shard];
-        let mut st = shard_wal.state.lock().expect("wal shard lock");
+        let mut st = self.lock(shard_wal);
         loop {
             if st.flushed >= ticket.ticket {
                 self.metrics
@@ -1008,7 +1043,7 @@ impl WalSet {
                 self.metrics
                     .fsync_us
                     .record_duration(fsync_started.elapsed());
-                st = shard_wal.state.lock().expect("wal shard lock");
+                st = self.lock(shard_wal);
                 st.flushing = false;
                 match result {
                     Ok(()) => {
@@ -1042,11 +1077,8 @@ impl WalSet {
                     .saturating_sub(elapsed)
                     .max(Duration::from_micros(50))
             };
-            let (guard, _) = shard_wal
-                .flushed
-                .wait_timeout(st, wait)
-                .expect("wal shard lock");
-            st = guard;
+            let (guard, _) = locks::unpoison(shard_wal.flushed.wait_timeout(st, wait));
+            st = self.latch_poisoned(shard_wal, guard);
         }
     }
 
@@ -1067,7 +1099,7 @@ impl WalSet {
     /// tickets — the checkpoint-cut flush, independent of the policy.
     pub fn sync_all(&self) -> Result<(), PersistError> {
         for shard_wal in &self.shards {
-            let mut st = shard_wal.state.lock().expect("wal shard lock");
+            let mut st = self.lock(shard_wal);
             if st.failed {
                 return Err(self.poison_err());
             }
@@ -1105,7 +1137,7 @@ impl WalSet {
     /// Filesystem failures sealing or opening a segment.
     pub fn seal_active(&self) -> Result<(), PersistError> {
         for (shard, shard_wal) in self.shards.iter().enumerate() {
-            let mut st = shard_wal.state.lock().expect("wal shard lock");
+            let mut st = self.lock(shard_wal);
             if st.has_records {
                 self.rotate(shard, &mut st)?;
             }
@@ -1131,7 +1163,7 @@ impl WalSet {
         let truncation_started = Instant::now();
         let mut dropped = 0u64;
         for (shard, shard_wal) in self.shards.iter().enumerate() {
-            let mut st = shard_wal.state.lock().expect("wal shard lock");
+            let mut st = self.lock(shard_wal);
             let mut keep = Vec::with_capacity(st.sealed.len());
             for &(index, last_seq) in &st.sealed {
                 if last_seq <= horizon {
@@ -1156,7 +1188,7 @@ impl WalSet {
     pub fn stats(&self) -> WalSetStats {
         let mut segments = 0u64;
         for shard in &self.shards {
-            segments += shard.state.lock().expect("wal shard lock").sealed.len() as u64 + 1;
+            segments += self.lock(shard).sealed.len() as u64 + 1;
         }
         WalSetStats {
             segments,
@@ -1482,6 +1514,66 @@ mod tests {
         wal.poison();
         assert!(wal.is_poisoned());
         assert!(wal.append(1, WalOp::Insert(1, &v(&[2]))).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checksum-valid insert frame whose block holds a zero weight.
+    fn zero_weight_frame(seq: u64) -> Vec<u8> {
+        let vector = SparseVector::from_sorted(vec![4], vec![2.5]).unwrap();
+        let mut frame = encode_frame(seq, WalOp::Insert(seq, &vector));
+        let weight = frame.len() - 4;
+        assert_eq!(frame[weight..], 2.5f32.to_le_bytes());
+        frame[weight..].copy_from_slice(&0.0f32.to_le_bytes());
+        let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
+        header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
+        frame
+    }
+
+    /// A record whose block is not a stored row is undecodable like any
+    /// other: the last segment's tail tears there, and inside a sealed
+    /// segment it is corruption.
+    #[test]
+    fn a_zero_weight_record_is_refused_like_any_undecodable_record() {
+        let dir = tmp_dir("seg_zero");
+        let write_segment = |index: u64, frames: &[Vec<u8>]| {
+            let mut bytes = encode_segment_header(0xFEED, 0, index);
+            for frame in frames {
+                bytes.extend_from_slice(frame);
+            }
+            std::fs::write(dir.join(segment_file_name(0, index)), bytes).unwrap();
+        };
+        let ok = |seq: u64| encode_frame(seq, WalOp::Insert(seq, &v(&[1])));
+        write_segment(0, &[ok(1), zero_weight_frame(2), ok(3)]);
+        let (_, entries) = WalSet::open(&dir, 1, 0, 0xFEED, FsyncPolicy::Never, 1024).unwrap();
+        let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [1], "the tail tears at the zero weight");
+
+        write_segment(0, &[ok(1), zero_weight_frame(2), ok(3)]);
+        write_segment(1, &[ok(4)]);
+        assert!(matches!(
+            WalSet::open(&dir, 1, 0, 0xFEED, FsyncPolicy::Never, 1024),
+            Err(PersistError::Corrupt(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_poisoned_shard_lock_latches_the_set_failed() {
+        let dir = tmp_dir("seg_lock_poison");
+        let wal = small_set(&dir, 2, FsyncPolicy::Always);
+        append_commit(&wal, 1, WalOp::Insert(0, &v(&[1])));
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = wal.shards[0].state.lock();
+                panic!("a holder panics with the shard lock held");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(wal.append(0, WalOp::Insert(1, &v(&[2]))).is_err());
+        assert!(wal.is_poisoned());
+        assert!(wal.append(1, WalOp::Insert(2, &v(&[3]))).is_err());
+        assert_eq!(wal.stats().segments, 2);
+        assert!(wal.sync_all().is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -12,9 +12,9 @@
 //!   coordinates and `f32` weights. Sets are represented as binary vectors
 //!   (all weights 1), exactly as the paper treats a set as "a special case
 //!   of a binary vector" (§1).
-//! * [`Row`] — a borrowed row, from a [`SparseVector`] or from the
-//!   little-endian words of a stored row, so a memory-mapped row is
-//!   scored in place.
+//! * [`Row`] — a borrowed row, from a [`SparseVector`] or from a stored
+//!   row's block (`nnz | indices | values`), so a memory-mapped row is
+//!   scored in place. The [`row`] module is the block's one codec.
 //! * [`Similarity`] implementations — [`Cosine`] (the paper's measure)
 //!   and [`Jaccard`] (for the SSJ baseline track), written once over
 //!   [`Row`].
@@ -40,7 +40,7 @@ pub mod similarity;
 pub mod sparse;
 
 pub use collection::{CollectionStats, VectorCollection};
-pub use row::{row_words, Row};
+pub use row::Row;
 pub use shared::{EncodedRow, Payload, SharedVectorCollection, VectorStore};
 pub use similarity::{AngularKernel, Cosine, Jaccard, Similarity};
 pub use sparse::{SparseVector, SparseVectorBuilder};

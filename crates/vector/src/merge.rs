@@ -183,7 +183,8 @@ pub(crate) fn count_matches<A: Copy, B: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Row, SparseVector};
+    use crate::row::{block_words, Row};
+    use crate::SparseVector;
 
     /// `len` keyed entries, keys `offset, offset + step, …`; the payload
     /// is there so the key closure has something to skip.
@@ -261,16 +262,10 @@ mod tests {
             for (step_a, step_b) in [(1, 1), (2, 3), (3, 2), (1, 5)] {
                 let a = ragged(la, step_a, 0, 1);
                 let b = ragged(lb, step_b, 0, 2);
-                let words = |v: &SparseVector| -> (Vec<[u8; 4]>, Vec<[u8; 4]>) {
-                    (
-                        v.indices().iter().map(|i| i.to_le_bytes()).collect(),
-                        v.values().iter().map(|w| w.to_le_bytes()).collect(),
-                    )
-                };
-                let (ai, av) = words(&a);
-                let (bi, bv) = words(&b);
-                let stored_a = Row::from_le_words(&ai, &av, a.norm());
-                let stored_b = Row::from_le_words(&bi, &bv, b.norm());
+                let (block_a, block_b): (Vec<_>, Vec<_>) =
+                    (block_words(&a).collect(), block_words(&b).collect());
+                let stored_a = Row::from_block(&block_a, a.norm());
+                let stored_b = Row::from_block(&block_b, b.norm());
                 let dot = a.as_row().dot(b.as_row());
                 let common = a.as_row().intersection_size(b.as_row());
                 assert!(common > 0, "{la} × {lb}: the case must share keys");

@@ -1,13 +1,25 @@
-//! Borrowed sparse rows, whichever way they are stored.
+//! Borrowed sparse rows, whichever way they are stored, and the one
+//! codec of a stored row.
 //!
 //! A similarity reads two things of a row: its coordinates (strictly
 //! increasing indices with their weights) and its L2 norm. [`Row`]
 //! borrows them from either place a row lives: a [`SparseVector`] on the
-//! heap, or the `indices | values` words of a stored row — little-endian,
-//! as a checkpoint's payload block holds them — so a memory-mapped row is
-//! scored where it lies, with no decode and no allocation.
-//! [`Cosine`](crate::Cosine) and [`Jaccard`](crate::Jaccard) are written
-//! once over it.
+//! heap, or a stored row's **block** — `nnz | indices | values`, one
+//! little-endian word each — so a memory-mapped row is scored where it
+//! lies, with no decode and no allocation. [`Cosine`](crate::Cosine) and
+//! [`Jaccard`](crate::Jaccard) are written once over it.
+//!
+//! The block is the one stored form of a row: a checkpoint's payload
+//! section, a heap payload slab, a collection file's `COLL` section and
+//! a WAL insert or upsert record all hold it, and this module is the only
+//! code that knows its layout:
+//!
+//! * [`block_words`] encodes a vector as its block;
+//! * [`split_block`] splits the block at the head of some words and
+//!   checks it as a stored row — the one validation policy: indices
+//!   strictly increasing, every weight finite and non-zero;
+//! * [`Row::from_block`] borrows a block already checked, and
+//!   [`Row::to_vector`] decodes a row into an owned vector.
 //!
 //! Every pair goes through the one merge kernel with a key function per
 //! side, so a pair scores to the same bits whatever mix of
@@ -17,16 +29,57 @@
 use crate::merge::{count_matches, for_each_match};
 use crate::sparse::{l2_norm, SparseVector, SparseVectorError};
 
-/// The index and value words of a stored row's payload block — `nnz |
-/// indices | values`, one little-endian word each, the layout of a
-/// checkpoint's payload section and of a heap payload slab. Both storage
-/// tiers split a block through this one function.
-///
-/// The block must be exactly `1 + 2 · nnz` words long; a block that is
-/// not yields slices of unequal length (never undefined behaviour).
+/// The block of `v`, word by word: `nnz`, then the indices, then the
+/// weights, each one little-endian word — the one encoder of a stored
+/// row.
+pub fn block_words(v: &SparseVector) -> impl Iterator<Item = [u8; 4]> + '_ {
+    std::iter::once((v.nnz() as u32).to_le_bytes())
+        .chain(v.indices().iter().map(|i| i.to_le_bytes()))
+        .chain(v.values().iter().map(|w| w.to_le_bytes()))
+}
+
+/// The block starting at word `at` of `words`, a run of blocks (a
+/// payload slab): its `nnz` prefix fixes its length. Nothing is checked.
 #[inline]
-pub fn row_words(block: &[[u8; 4]]) -> (&[[u8; 4]], &[[u8; 4]]) {
-    block[1..].split_at(block.len() / 2)
+pub(crate) fn block_at(words: &[[u8; 4]], at: usize) -> &[[u8; 4]] {
+    let nnz = u32::from_le_bytes(words[at]) as usize;
+    &words[at..at + 1 + 2 * nnz]
+}
+
+/// Splits the block at the head of `words` — its `nnz` prefix fixes its
+/// length — and checks it as a stored row: indices strictly increasing,
+/// every weight finite ([`SparseVector::check_sorted`]) and non-zero (a
+/// writer never stores a zero, and a [`SparseVector`] never holds one).
+/// Returns the row, whose norm is bit-identical to the one the decoded
+/// vector caches, and the words after the block.
+///
+/// This is the one check of a stored row: every reader of a checkpoint,
+/// a collection file or a WAL record splits its blocks here.
+///
+/// # Errors
+/// [`SparseVectorError::TruncatedBlock`] when `words` is shorter than
+/// the prefix says, else the [`SparseVectorError`] of the first
+/// violation.
+pub fn split_block(words: &[[u8; 4]]) -> Result<(Row<'_>, &[[u8; 4]]), SparseVectorError> {
+    let (&nnz, rest) = words
+        .split_first()
+        .ok_or(SparseVectorError::TruncatedBlock)?;
+    let nnz = u32::from_le_bytes(nnz) as usize;
+    if rest.len() / 2 < nnz {
+        return Err(SparseVectorError::TruncatedBlock);
+    }
+    let (indices, rest) = rest.split_at(nnz);
+    let (values, rest) = rest.split_at(nnz);
+    let weights = || values.iter().map(|&w| f32::from_le_bytes(w));
+    SparseVector::check_sorted(indices.iter().map(|&i| u32::from_le_bytes(i)), weights())?;
+    if let Some(position) = weights().position(|w| w == 0.0) {
+        return Err(SparseVectorError::ZeroValue { position });
+    }
+    let row = Row {
+        coords: Coords::Le(Parts { indices, values }),
+        norm: l2_norm(weights()),
+    };
+    Ok((row, rest))
 }
 
 /// A borrowed sparse row: strictly increasing `u32` coordinates with
@@ -117,15 +170,16 @@ impl<'a> Row<'a> {
         }
     }
 
-    /// A stored row: its little-endian index and weight words and the
-    /// norm [`Row::check_le_words`] returned for them.
+    /// A stored row: its block (exactly `1 + 2 · nnz` words) and the
+    /// norm [`split_block`] returned for it.
     ///
-    /// Nothing is checked here — scoring trusts the words. A row that was
-    /// not checked scores to a meaningless number (never to undefined
+    /// Nothing is checked here — scoring trusts the words. A block that
+    /// was not checked scores to a meaningless number (never to undefined
     /// behaviour), so a reader checks every stored row once, when it
     /// opens the store.
     #[inline]
-    pub fn from_le_words(indices: &'a [[u8; 4]], values: &'a [[u8; 4]], norm: f64) -> Self {
+    pub fn from_block(block: &'a [[u8; 4]], norm: f64) -> Self {
+        let (indices, values) = block[1..].split_at(block.len() / 2);
         debug_assert_eq!(indices.len(), values.len());
         Self {
             coords: Coords::Le(Parts { indices, values }),
@@ -133,30 +187,17 @@ impl<'a> Row<'a> {
         }
     }
 
-    /// Checks little-endian index and weight words as a stored row:
-    /// equal lengths, indices strictly increasing, every weight finite
-    /// ([`SparseVector::check_sorted`]) and non-zero — a writer never
-    /// stores a zero, and a [`SparseVector`] never holds one. Returns the
-    /// row's L2 norm, bit-identical to the one the decoded vector caches.
-    ///
-    /// # Errors
-    /// The [`SparseVectorError`] of the first violation.
-    pub fn check_le_words(
-        indices: &[[u8; 4]],
-        values: &[[u8; 4]],
-    ) -> Result<f64, SparseVectorError> {
-        if indices.len() != values.len() {
-            return Err(SparseVectorError::LengthMismatch {
-                indices: indices.len(),
-                values: values.len(),
-            });
+    /// The row decoded into an owned vector — the one decoder of a
+    /// stored row. The row must hold what a vector may: a block that
+    /// [`split_block`] checked, or one [`block_words`] wrote.
+    pub fn to_vector(self) -> SparseVector {
+        match self.coords {
+            Coords::Native(p) => SparseVector::trusted(p.indices.to_vec(), p.values.to_vec()),
+            Coords::Le(p) => SparseVector::trusted(
+                p.indices.iter().map(|&i| i.key()).collect(),
+                p.values.iter().map(|&w| f32::from_le_bytes(w)).collect(),
+            ),
         }
-        let weights = || values.iter().map(|&w| f32::from_le_bytes(w));
-        SparseVector::check_sorted(indices.iter().map(|&i| u32::from_le_bytes(i)), weights())?;
-        if let Some(position) = weights().position(|w| w == 0.0) {
-            return Err(SparseVectorError::ZeroValue { position });
-        }
-        Ok(l2_norm(weights()))
     }
 
     /// Number of stored coordinates.
@@ -202,12 +243,12 @@ impl<'a> Row<'a> {
 mod tests {
     use super::*;
 
-    /// A vector's row as stored words: indices, then values.
-    fn le_words(v: &SparseVector) -> (Vec<[u8; 4]>, Vec<[u8; 4]>) {
-        (
-            v.indices().iter().map(|i| i.to_le_bytes()).collect(),
-            v.values().iter().map(|w| w.to_le_bytes()).collect(),
-        )
+    /// A block from raw indices and weights.
+    fn block(indices: &[u32], weights: &[f32]) -> Vec<[u8; 4]> {
+        let mut words = vec![(indices.len() as u32).to_le_bytes()];
+        words.extend(indices.iter().map(|i| i.to_le_bytes()));
+        words.extend(weights.iter().map(|w| w.to_le_bytes()));
+        words
     }
 
     #[test]
@@ -216,25 +257,38 @@ mod tests {
             SparseVector::empty(),
             SparseVector::from_sorted(vec![1, 5, 9], vec![0.1, -2.5, 3e-7]).unwrap(),
         ] {
-            let (indices, values) = le_words(&v);
-            let norm = Row::check_le_words(&indices, &values).unwrap();
-            assert_eq!(norm.to_bits(), v.norm().to_bits());
-            let row = Row::from_le_words(&indices, &values, norm);
+            let mut words: Vec<[u8; 4]> = block_words(&v).collect();
+            assert_eq!(words, block(v.indices(), v.values()));
+            words.push(*b"next");
+            let (row, rest) = split_block(&words).unwrap();
+            assert_eq!(rest, [*b"next"]);
+            assert_eq!(row.norm().to_bits(), v.norm().to_bits());
             assert_eq!(row.nnz(), v.nnz());
+            assert_eq!(row.to_vector(), v);
+            let stored = Row::from_block(&words[..words.len() - 1], row.norm());
+            assert_eq!(stored.to_vector(), v);
+            assert_eq!(v.as_row().to_vector(), v);
         }
     }
 
     #[test]
     fn checking_words_refuses_what_no_vector_holds() {
-        let words = |xs: &[u32]| xs.iter().map(|x| x.to_le_bytes()).collect::<Vec<_>>();
-        let weights = |xs: &[f32]| xs.iter().map(|x| x.to_le_bytes()).collect::<Vec<_>>();
-        let check = |i: &[u32], w: &[f32]| Row::check_le_words(&words(i), &weights(w));
+        let check = |i: &[u32], w: &[f32]| split_block(&block(i, w)).map(|(row, _)| row.norm());
         assert_eq!(
-            check(&[1, 2], &[1.0]),
-            Err(SparseVectorError::LengthMismatch {
-                indices: 2,
-                values: 1
-            })
+            split_block(&[]).err(),
+            Some(SparseVectorError::TruncatedBlock)
+        );
+        let mut short = block(&[1, 2], &[1.0, 1.0]);
+        short.pop();
+        assert_eq!(
+            split_block(&short).err(),
+            Some(SparseVectorError::TruncatedBlock)
+        );
+        let mut huge = block(&[1], &[1.0]);
+        huge[0] = u32::MAX.to_le_bytes();
+        assert_eq!(
+            split_block(&huge).err(),
+            Some(SparseVectorError::TruncatedBlock)
         );
         assert_eq!(
             check(&[2, 2], &[1.0, 1.0]),

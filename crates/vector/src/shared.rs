@@ -8,9 +8,10 @@
 //! little-endian word each — in an immutable, `Arc`-shared payload
 //! **slab**, reached through a per-row directory entry (slab, block
 //! offset, L2 norm). A sampled pair is scored from borrowed slices of the
-//! two blocks ([`Row::from_le_words`](crate::Row::from_le_words)), with
-//! no decode and no allocation — exactly how the memory-mapped tier
-//! scores its base rows.
+//! two blocks ([`Row::from_block`]), with no decode and no allocation —
+//! exactly how the memory-mapped tier scores its base rows. Blocks are
+//! written, borrowed and decoded only through the [`row`](crate::row)
+//! module, the block's one codec.
 //!
 //! * [`SharedVectorCollection::extended`] appends one run of new rows in
 //!   one new slab and shares every existing slab and directory run by
@@ -36,7 +37,7 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::collection::VectorCollection;
-use crate::row::{row_words, Row};
+use crate::row::{block_at, block_words, Row};
 use crate::similarity::Similarity;
 use crate::sparse::SparseVector;
 use crate::{pairs_of, VectorId};
@@ -142,9 +143,7 @@ impl EncodedRow {
         let mut words = Vec::with_capacity(3 + 2 * v.nnz());
         words.push([norm[0], norm[1], norm[2], norm[3]]);
         words.push([norm[4], norm[5], norm[6], norm[7]]);
-        words.push((v.nnz() as u32).to_le_bytes());
-        words.extend(v.indices().iter().map(|i| i.to_le_bytes()));
-        words.extend(v.values().iter().map(|w| w.to_le_bytes()));
+        words.extend(block_words(v));
         Self {
             words: words.into_boxed_slice(),
         }
@@ -205,13 +204,6 @@ impl std::fmt::Debug for SharedVectorCollection {
             .field("materialized", &self.materialized())
             .finish()
     }
-}
-
-/// The block starting at word `at` of `slab`.
-#[inline]
-fn block_at(slab: &[[u8; 4]], at: usize) -> &[[u8; 4]] {
-    let nnz = u32::from_le_bytes(slab[at]) as usize;
-    &slab[at..at + 1 + 2 * nnz]
 }
 
 /// The `n` items of `items` in one allocation of exactly `n` (collecting
@@ -279,7 +271,8 @@ impl SharedVectorCollection {
     /// word offset `blocks[i].0`, with L2 norm `blocks[i].1`.
     ///
     /// Nothing is checked: the caller validated every block (see
-    /// [`Row::check_le_words`], which also yields the norm). An offset
+    /// [`split_block`](crate::row::split_block), which also yields the
+    /// norm). An offset
     /// that is not a block start panics or scores to a meaningless
     /// number, never to undefined behaviour.
     pub fn from_payload(
@@ -496,8 +489,7 @@ impl SharedVectorCollection {
     #[inline]
     pub fn row(&self, id: VectorId) -> Row<'_> {
         let entry = self.entry(id);
-        let (indices, values) = row_words(self.block_of(entry));
-        Row::from_le_words(indices, values, entry.norm)
+        Row::from_block(self.block_of(entry), entry.norm)
     }
 
     /// Row `id` decoded into an owned vector; nothing is kept.
@@ -505,12 +497,7 @@ impl SharedVectorCollection {
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn decode(&self, id: VectorId) -> SparseVector {
-        let (indices, values) = row_words(self.block(id));
-        SparseVector::from_sorted(
-            indices.iter().map(|&i| u32::from_le_bytes(i)).collect(),
-            values.iter().map(|&w| f32::from_le_bytes(w)).collect(),
-        )
-        .expect("stored rows are valid vectors")
+        self.row(id).to_vector()
     }
 
     /// Encoded bytes of the rows' payload blocks (what a checkpoint
@@ -560,6 +547,7 @@ impl VectorStore for SharedVectorCollection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::split_block;
     use crate::similarity::{Cosine, Jaccard};
 
     fn sv(entries: &[(u32, f32)]) -> SparseVector {
@@ -610,9 +598,9 @@ mod tests {
             want.extend(v.indices().iter().map(|i| i.to_le_bytes()));
             want.extend(v.values().iter().map(|w| w.to_le_bytes()));
             assert_eq!(block, &want[..], "block {id}");
-            let (indices, values) = row_words(block);
-            let norm = Row::check_le_words(indices, values).unwrap();
-            assert_eq!(norm.to_bits(), v.norm().to_bits());
+            let (row, rest) = split_block(block).unwrap();
+            assert!(rest.is_empty());
+            assert_eq!(row.norm().to_bits(), v.norm().to_bits());
         }
     }
 
@@ -620,9 +608,8 @@ mod tests {
     fn encoded_rows_carry_block_and_norm() {
         for v in rows() {
             let row = EncodedRow::new(&v);
-            let (indices, values) = row_words(row.block());
-            let norm = Row::check_le_words(indices, values).unwrap();
-            assert_eq!(row.norm().to_bits(), norm.to_bits());
+            let (checked, _) = split_block(row.block()).unwrap();
+            assert_eq!(row.norm().to_bits(), checked.norm().to_bits());
             assert_eq!(row.norm().to_bits(), v.norm().to_bits());
         }
     }

@@ -71,11 +71,15 @@ pub enum SparseVectorError {
         position: usize,
     },
     /// A stored row holds a zero weight at the reported position
-    /// ([`Row::check_le_words`]; the constructors drop zeros instead).
+    /// ([`split_block`](crate::row::split_block); the constructors drop
+    /// zeros instead).
     ZeroValue {
         /// Position of the offending weight.
         position: usize,
     },
+    /// A stored row's block is shorter than its `nnz` prefix says
+    /// ([`split_block`](crate::row::split_block)).
+    TruncatedBlock,
 }
 
 impl fmt::Display for SparseVectorError {
@@ -94,6 +98,7 @@ impl fmt::Display for SparseVectorError {
             Self::ZeroValue { position } => {
                 write!(f, "stored zero value at position {position}")
             }
+            Self::TruncatedBlock => write!(f, "row block shorter than its nnz prefix"),
         }
     }
 }
@@ -126,7 +131,8 @@ impl SparseVector {
     /// The per-coordinate invariants [`from_sorted`](Self::from_sorted)
     /// enforces — indices strictly increasing, every value finite —
     /// checked over any pair of sequences without building a vector, so
-    /// a stored row is validated in place ([`Row::check_le_words`]) by
+    /// a stored row is validated in place
+    /// ([`split_block`](crate::row::split_block)) by
     /// the one definition the constructor uses.
     ///
     /// # Errors
@@ -197,7 +203,7 @@ impl SparseVector {
 
     /// Internal constructor for inputs already known to satisfy the
     /// invariants (sorted, deduplicated, finite, non-zero).
-    fn trusted(indices: Vec<u32>, values: Vec<f32>) -> Self {
+    pub(crate) fn trusted(indices: Vec<u32>, values: Vec<f32>) -> Self {
         debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(values.iter().all(|v| v.is_finite() && *v != 0.0));
         let norm = l2_norm(values.iter().copied());
@@ -321,7 +327,8 @@ impl SparseVector {
 
 /// L2 norm `sqrt(Σ v²)` of a row's weights, summed in `f64` in order —
 /// the one definition behind [`SparseVector::norm`] and
-/// [`Row::check_le_words`], so a stored row's norm has the vector's bits.
+/// [`split_block`](crate::row::split_block), so a stored row's norm has
+/// the vector's bits.
 pub(crate) fn l2_norm(values: impl Iterator<Item = f32>) -> f64 {
     values
         .map(|v| f64::from(v) * f64::from(v))

@@ -1013,25 +1013,19 @@ fn golden_ops(engine: &EstimationEngine) {
 }
 
 /// The destructive tail the fixture carries in its v3 segments (must
-/// mirror [`regenerate_golden_v3_fixture`]).
+/// mirror [`write_golden_v3`]).
 fn golden_tail(engine: &EstimationEngine) {
     engine.insert(members(2, 5));
     assert!(engine.remove(1));
     assert!(engine.upsert(4, members(9, 4)));
 }
 
-/// Regenerates the committed v3 fixture: a compacted checkpoint whose
-/// WAL tail tombstones base rows. Run manually after an *intentional*
-/// layout change:
-/// `cargo test --test mapped_compaction -- --ignored regenerate_golden_v3_fixture`
-#[test]
-#[ignore = "writes the committed fixture; run only on intentional format changes"]
-fn regenerate_golden_v3_fixture() {
-    let dir = golden_dir();
-    std::fs::remove_dir_all(&dir).ok();
+/// Writes the fixture's generation into `dir` with today's writer: a
+/// compacted checkpoint whose WAL tail tombstones base rows.
+fn write_golden_v3(dir: &Path) {
     let engine = EstimationEngine::durable_with(
         golden_config(),
-        &dir,
+        dir,
         DurabilityOptions {
             segment_bytes: 1024,
             ..DurabilityOptions::default()
@@ -1044,7 +1038,51 @@ fn regenerate_golden_v3_fixture() {
     engine.publish();
     drop(engine);
     std::fs::remove_file(dir.join("checkpoint.vsjc.tmp")).ok();
+}
+
+/// The files of `dir`, sorted by name, with their bytes.
+fn dir_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|entry| {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(entry.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Regenerates the committed v3 fixture. Run manually after an
+/// *intentional* layout change:
+/// `cargo test --test mapped_compaction -- --ignored regenerate_golden_v3_fixture`
+#[test]
+#[ignore = "writes the committed fixture; run only on intentional format changes"]
+fn regenerate_golden_v3_fixture() {
+    let dir = golden_dir();
+    std::fs::remove_dir_all(&dir).ok();
+    write_golden_v3(&dir);
     println!("golden v3 fixture regenerated at {}", dir.display());
+}
+
+/// The writer byte pin: today's checkpoint and WAL writers reproduce
+/// the committed fixture byte for byte, so any change to the bytes
+/// either writer lays down fails here.
+#[test]
+fn todays_writer_writes_the_golden_v3_fixture() {
+    let dir = fresh_dir("golden_writer");
+    write_golden_v3(&dir);
+    let written = dir_files(&dir);
+    let committed = dir_files(&golden_dir());
+    let names =
+        |files: &[(String, Vec<u8>)]| files.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&written), names(&committed));
+    assert_eq!(written.len(), 3, "a checkpoint and one segment per shard");
+    for ((name, ours), (_, theirs)) in written.iter().zip(&committed) {
+        assert!(ours == theirs, "{name} differs from the committed fixture");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

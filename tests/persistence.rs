@@ -43,7 +43,7 @@ fn saved_collection_parses_with_container_index() {
     assert_eq!(index.tags(), vec![io::SECTION_COLLECTION]);
     let payload = index.require(io::SECTION_COLLECTION).unwrap();
     assert_eq!(payload.start % 8, 0, "payloads are mappable: 8-aligned");
-    assert_eq!(&bytes[payload], io::encode_vectors(&coll).as_slice());
+    assert_eq!(bytes[payload], io::encode_vectors(&coll));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -102,10 +102,10 @@ fn corrupted_container_is_rejected_not_misread() {
     let coll = DblpLike::with_size(60).generate(11);
     let bytes = io::encode(&coll);
     // Flip a byte inside the payload region.
-    let mut broken = bytes.to_vec();
+    let mut broken = bytes.clone();
     let mid = broken.len() / 2;
     broken[mid] ^= 0xFF;
-    match io::decode(bytes::Bytes::from(broken)) {
+    match io::decode(&broken) {
         // Either an explicit error…
         Err(_) => {}
         // …or a structurally valid but *different* collection (a flipped
@@ -114,4 +114,16 @@ fn corrupted_container_is_rejected_not_misread() {
             assert_ne!(io::content_hash(&parsed), io::content_hash(&coll));
         }
     }
+}
+
+/// The collection writer's bytes, pinned over a TF-IDF corpus (weights
+/// that are not all 1.0): any change to the container framing, the
+/// `COLL` layout or the row blocks moves this checksum.
+#[test]
+fn collection_writer_bytes_are_pinned() {
+    let coll = NytLike::with_size(80).generate(2);
+    assert!(!coll.vectors().iter().all(SparseVector::is_binary));
+    let bytes = io::encode(&coll);
+    assert_eq!(bytes.len(), 114_248);
+    assert_eq!(io::checksum64(&bytes), 0x5208_89cb_2fc5_971f);
 }

@@ -397,9 +397,9 @@ fn reframe(checkpoint: &[u8], edit: impl FnOnce(&mut [([u8; 4], Vec<u8>)])) -> V
     edit(&mut sections);
     let mut writer = io::ContainerWriter::new();
     for (tag, payload) in sections {
-        writer.section(tag, bytes::Bytes::from(payload));
+        writer.section(tag, payload);
     }
-    writer.finish().to_vec()
+    writer.finish()
 }
 
 /// The payload of section `tag`.
@@ -803,7 +803,7 @@ fn older_container_versions_are_refused_with_bad_version_on_every_reader() {
     // Collection files share the layout and the refusal.
     for (bytes, v) in [(&V1_EMPTY_COLLECTION[..], 1), (&V2_CHECKPOINT_HEAD[..], 2)] {
         assert!(matches!(
-            io::decode(bytes::Bytes::copy_from_slice(bytes)),
+            io::decode(bytes),
             Err(IoError::BadVersion(got)) if got == v
         ));
     }

@@ -271,6 +271,16 @@ fn a_panicking_estimate_pass_costs_a_500_not_the_route() {
         );
     }
     assert_eq!(client.health().expect("healthz after the panics"), epoch);
+    let exposition = client.metrics().expect("metrics after the panics");
+    assert_eq!(
+        sample_value(&exposition, "vsj_server_panics_total{route=\"/estimate\"}"),
+        Some(2.0),
+        "each panic is counted against its route"
+    );
+    assert_eq!(
+        sample_value(&exposition, "vsj_server_panics_total{route=\"/healthz\"}"),
+        Some(0.0)
+    );
     server.shutdown().expect("shutdown");
 }
 
