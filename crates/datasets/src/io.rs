@@ -10,7 +10,8 @@
 //!
 //! There is **one on-disk layout** for every artefact — collection
 //! files and service checkpoints alike — written by
-//! [`ContainerWriter::finish`] and parsed by [`ContainerIndex::parse`]:
+//! [`ContainerWriter::write_to`] (into a file, or into a `Vec` through
+//! [`ContainerWriter::finish`]) and parsed by [`ContainerIndex::parse`]:
 //! a tag/checksum section model laid out for zero-copy access through a
 //! memory mapping. A fixed-width directory up front carries absolute
 //! offsets, and every payload starts on an 8-byte boundary so
@@ -52,6 +53,7 @@
 //!
 //! Writers build a `Vec<u8>`; readers walk a `&[u8]`.
 
+use std::io::Write;
 use std::path::Path;
 
 use vsj_sampling::SplitMix64;
@@ -207,12 +209,28 @@ impl ContainerWriter {
         self
     }
 
-    /// Assembles the container bytes: fixed-width directory up front,
-    /// every payload 8-byte aligned.
-    pub fn finish(&self) -> Vec<u8> {
+    /// The container bytes in one buffer: [`write_to`](Self::write_to)
+    /// into a `Vec`.
+    pub fn finish(self) -> Vec<u8> {
         let header = 16 + self.sections.len() * 32;
         let payload_total: usize = self.sections.iter().map(|(_, p)| (p.len() + 7) & !7).sum();
         let mut buf = Vec::with_capacity(header + payload_total);
+        self.write_to(&mut buf)
+            .expect("writing to a Vec cannot fail");
+        buf
+    }
+
+    /// Writes the container to `out`: the header and fixed-width
+    /// directory from one small buffer, then every payload, zero-padded
+    /// to the next 8-byte boundary. Each payload is written from where
+    /// it lies and dropped once written, so a container is never held
+    /// twice.
+    ///
+    /// # Errors
+    /// Whatever `out` returns.
+    pub fn write_to(self, out: &mut impl Write) -> std::io::Result<()> {
+        let header = 16 + self.sections.len() * 32;
+        let mut buf = Vec::with_capacity(header);
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&VERSION_V3.to_le_bytes());
         buf.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
@@ -228,11 +246,12 @@ impl ContainerWriter {
             buf.extend_from_slice(&checksum64_v3(payload).to_le_bytes());
             offset += ((payload.len() + 7) & !7) as u64;
         }
-        for (_, payload) in &self.sections {
-            buf.extend_from_slice(payload);
-            buf.extend_from_slice(&[0u8; 8][..(8 - payload.len() % 8) % 8]);
+        out.write_all(&buf)?;
+        for (_, payload) in self.sections {
+            out.write_all(&payload)?;
+            out.write_all(&[0u8; 8][..(8 - payload.len() % 8) % 8])?;
         }
-        buf
+        Ok(())
     }
 }
 

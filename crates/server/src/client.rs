@@ -71,7 +71,8 @@ pub struct Estimated {
     pub n: usize,
     /// The threshold asked for.
     pub tau: f64,
-    /// Served from the engine's estimate cache.
+    /// Served from the answering snapshot's memo (same bits, no new
+    /// sampling pass).
     pub cached: bool,
     /// Standard error of the estimate — present only when the request
     /// asked for intervals ([`Client::estimate_with_ci`]).

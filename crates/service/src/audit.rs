@@ -24,6 +24,13 @@
 //! CI-coverage ratio (how often truth fell inside the served ~95%
 //! interval — should sit near 0.95 when the estimator is calibrated).
 //!
+//! One limit of this loop: every answer at an epoch comes from the one
+//! pair sample that epoch's RNG draws, so re-auditing a τ at the same
+//! epoch re-serves the same sample (from the snapshot's memo, with no
+//! new sampling pass) and scores it again. Repeated audits of one τ are
+//! not independent trials; coverage and bias only average out across
+//! epochs (or seeds), never across repeated calls at one epoch.
+//!
 //! [`Auditor`] is the background driver, shaped like
 //! [`Checkpointer`](crate::Checkpointer) /
 //! [`Compactor`](crate::Compactor): a poll loop, explicit
@@ -102,7 +109,7 @@ pub struct AuditRecord {
     pub signed_error: f64,
     /// Whether truth fell inside `[ci_low, ci_high]`.
     pub within_ci: bool,
-    /// Whether the served answer came from the estimate cache.
+    /// Whether the served answer came from the snapshot's memo.
     pub cached: bool,
     /// Time serving the estimate took (cache hit or sampling pass), µs.
     pub serve_us: u64,

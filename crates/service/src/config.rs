@@ -226,11 +226,6 @@ pub struct ServiceConfig {
     /// Master seed: derives the hash functions and every estimate RNG
     /// stream.
     pub seed: u64,
-    /// Estimate-cache drift tolerance ε: a cached estimate stays
-    /// servable until more than ε ingest operations (inserts + removes)
-    /// have been applied since the epoch it was computed at. `0` means
-    /// any mutation invalidates.
-    pub cache_epsilon: u64,
     /// When `Some(b)`, the engine publishes a fresh snapshot
     /// automatically after every `b` ingest operations; `None` leaves
     /// publication entirely to explicit [`publish`] calls.
@@ -252,7 +247,6 @@ impl Default for ServiceConfig {
             k: 20,
             family: IndexFamily::SimHash,
             seed: 0,
-            cache_epsilon: 0,
             auto_publish_every: None,
             estimator: None,
             parallel: ParallelOptions::default(),
@@ -299,12 +293,6 @@ impl ServiceConfigBuilder {
     /// Sets the master seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Sets the cache drift tolerance ε.
-    pub fn cache_epsilon(mut self, epsilon: u64) -> Self {
-        self.config.cache_epsilon = epsilon;
         self
     }
 
@@ -355,14 +343,12 @@ mod tests {
             .k(12)
             .family(IndexFamily::MinHash)
             .seed(7)
-            .cache_epsilon(100)
             .auto_publish_every(64)
             .build();
         assert_eq!(c.shards, 4);
         assert_eq!(c.k, 12);
         assert_eq!(c.family, IndexFamily::MinHash);
         assert_eq!(c.seed, 7);
-        assert_eq!(c.cache_epsilon, 100);
         assert_eq!(c.auto_publish_every, Some(64));
         assert!(c.estimator.is_none());
     }

@@ -18,7 +18,6 @@ use vsj_sampling::{signed_relative_error, Rng, RngStreams, SplitMix64, Xoshiro25
 use vsj_vector::{pairs_of, Cosine, EncodedRow, Jaccard, SparseVector, VectorCollection};
 
 use crate::audit::{AuditOptions, AuditRecord, AuditState, QualityReport};
-use crate::cache::{CacheEntry, CacheKey, EstimateCache};
 use crate::config::{DurabilityOptions, FsyncPolicy, IndexFamily, ServiceConfig, StorageTier};
 use crate::mapped::{MappedCheckpoint, TombstoneSet};
 use crate::persist::{self, CheckpointMeta, PersistError, CHECKPOINT_FILE};
@@ -268,8 +267,8 @@ pub struct ServiceEstimate {
     /// Standard error of the estimate: the square root of the summed
     /// per-stratum variances LSH-SS's per-τ accounting accumulated over
     /// the draws it read (see [`vsj_core::LshSsEstimate::std_err`]).
-    /// Cache-served answers replay the std_err recorded when they were
-    /// computed.
+    /// Memo-served answers replay the std_err of the pass that computed
+    /// them.
     pub std_err: f64,
     /// Epoch of the snapshot it was computed on.
     pub epoch: u64,
@@ -277,8 +276,8 @@ pub struct ServiceEstimate {
     pub n: usize,
     /// The threshold asked for.
     pub tau: f64,
-    /// Whether the answer came from the estimate cache (no sampling
-    /// performed by this call).
+    /// Whether the answer came from its snapshot's memo (no sampling
+    /// performed by this call; same bits as the pass that computed it).
     pub cached: bool,
 }
 
@@ -346,7 +345,7 @@ pub struct EngineStats {
     pub cache_hits: u64,
     /// Estimate-cache misses.
     pub cache_misses: u64,
-    /// Resident cache entries.
+    /// Answers the current snapshot remembers.
     pub cache_entries: usize,
     /// Estimate computations that actually sampled (cache misses served).
     pub sampling_passes: u64,
@@ -410,9 +409,9 @@ pub struct EngineStats {
 ///   snapshot `Arc` (readers never block writers or each other beyond
 ///   that pointer read) and run the paper's LSH-SS estimator against
 ///   it, through the [`IndexView`](vsj_core::IndexView) abstraction.
-/// * **The estimate cache** short-circuits repeated thresholds: answers
-///   stay servable until the data drifts more than ε ingests past the
-///   state they were computed on.
+/// * **Each snapshot remembers its answers** by τ: a repeated threshold
+///   at the same epoch is served from that memo, bit-identical to a
+///   fresh pass, and a newly published snapshot starts with none.
 ///
 /// Determinism: every estimate at an epoch replays the one pair sample
 /// drawn from the RNG [`EstimationEngine::batch_rng`] derives from the
@@ -430,7 +429,6 @@ pub struct EstimationEngine {
     publish_lock: Mutex<u64>,
     next_id: AtomicU64,
     metrics: EngineMetrics,
-    cache: Mutex<EstimateCache>,
     streams: RngStreams,
     /// Mapped-tier removal state: base-row indices removed (or replaced
     /// by an upsert) since the current mapping's cut, sorted ascending.
@@ -503,7 +501,6 @@ impl EstimationEngine {
             next_id: AtomicU64::new(0),
             metrics,
             audit,
-            cache: Mutex::new(EstimateCache::default()),
             streams: RngStreams::new(config.seed),
             tombstones: Mutex::new(Vec::new()),
             checkpoint_in_flight: AtomicBool::new(false),
@@ -1710,101 +1707,72 @@ impl EstimationEngine {
         self.streams.subfamily(epoch).stream(0x6A09_E667_F3BC_C909)
     }
 
-    /// Cache fingerprint of the estimator *policy*. With a fixed config
-    /// the exact parameters are hashed; with per-snapshot paper defaults
-    /// a constant is used — the defaults drift together with `n`, and
-    /// serving an answer computed under a ≤ ε-stale `n` is precisely the
-    /// staleness the drift tolerance already accepts.
-    fn fingerprint(&self) -> u64 {
-        match self.config.estimator {
-            None => 0x7A9E_7A9E_7A9E_7A9E,
-            Some(config) => {
-                let damp = match config.dampening {
-                    vsj_core::Dampening::SafeLowerBound => 0u64,
-                    vsj_core::Dampening::Constant(c) => 1 ^ c.to_bits().rotate_left(8),
-                    vsj_core::Dampening::NlOverDelta => 2,
-                };
-                let mut acc = SplitMix64::mix(config.m_h);
-                acc = SplitMix64::mix(acc ^ config.m_l);
-                acc = SplitMix64::mix(acc ^ config.delta);
-                SplitMix64::mix(acc ^ damp)
-            }
-        }
-    }
-
     /// Estimates the join size at threshold `τ` against the current
-    /// snapshot, serving from the estimate cache when a previous answer
-    /// is within the configured drift tolerance ε. A single estimate
-    /// *is* a batch of one: this is
-    /// [`estimate_batch(&[τ])`](Self::estimate_batch), same answer,
-    /// same cache entry.
+    /// snapshot, serving the snapshot's remembered answer when τ was
+    /// asked at this epoch before. A single estimate *is* a batch of
+    /// one: this is [`estimate_batch(&[τ])`](Self::estimate_batch), same
+    /// answer, same memo entry.
     pub fn estimate(&self, tau: f64) -> ServiceEstimate {
         self.estimate_batch(&[tau])[0]
     }
 
     /// Estimates a whole threshold grid from **one** sampling pass
-    /// ([`LshSs::estimate_curve`]) unless every τ is already cached
-    /// within tolerance. This is the engine's **one estimate path** —
-    /// [`estimate`](Self::estimate) (and with it every wire request)
-    /// and the auditor all come through here — and results are cached
-    /// per `(τ, config)`. The pass samples through
-    /// [`batch_rng`](Self::batch_rng), keyed by the epoch alone, so each
-    /// τ's answer at a given epoch is **independent of the grid it rides
-    /// in**: `estimate_batch(&[τ])` equals the τ entry of any larger
-    /// same-epoch batch. Concurrent calls each run their own pass; they
-    /// share the engine's work pool.
+    /// ([`LshSs::estimate_curve`]) over the current snapshot, unless
+    /// that snapshot already remembers every τ. This is the engine's
+    /// **one estimate path** — [`estimate`](Self::estimate) (and with it
+    /// every wire request) and the auditor all come through here. The
+    /// pass samples through [`batch_rng`](Self::batch_rng), keyed by the
+    /// epoch alone, so each τ's answer at a given epoch is **independent
+    /// of the grid it rides in**: `estimate_batch(&[τ])` equals the τ
+    /// entry of any larger same-epoch batch. That makes an answer a pure
+    /// function of (epoch, τ), and the snapshot remembers each one it
+    /// computed: a repeat carries the same bits and the same epoch as
+    /// the pass that computed it. Concurrent calls each run their own
+    /// pass; they share the engine's work pool.
     pub fn estimate_batch(&self, taus: &[f64]) -> Vec<ServiceEstimate> {
         if taus.is_empty() {
             return Vec::new();
         }
         let started = Instant::now();
         let snapshot = self.snapshot();
-        let est_config = self.estimator_config(snapshot.len());
-        let config_fp = self.fingerprint();
-        let now = snapshot.ingested();
-        // Fast path: only when *every* threshold can be served from
-        // cache (lookup is a pure read — hits are recorded only if
-        // actually served, misses only for the batch that bypasses the
-        // cache).
-        {
-            let cache = locks::lock(&self.cache);
-            let hits: Option<Vec<ServiceEstimate>> = taus
-                .iter()
-                .map(|&tau| {
-                    cache
-                        .lookup(
-                            CacheKey {
-                                tau_bits: tau.to_bits(),
-                                config: config_fp,
-                            },
-                            now,
-                            self.config.cache_epsilon,
-                        )
-                        .map(|hit| ServiceEstimate {
-                            estimate: hit.estimate,
-                            std_err: hit.std_err,
-                            epoch: hit.epoch,
-                            n: hit.n,
-                            tau,
-                            cached: true,
-                        })
-                })
-                .collect();
-            drop(cache);
-            match hits {
-                Some(all) => {
-                    self.metrics.cache_hits.add(taus.len() as u64);
-                    self.metrics.cache_hit_us.record_duration(started.elapsed());
-                    for &tau in taus {
-                        self.audit.note_served(tau);
-                    }
-                    return all;
-                }
-                None => self.metrics.cache_misses.add(taus.len() as u64),
+        // Hits are recorded only when the memo serves the whole batch,
+        // misses only for the batch that samples.
+        let (points, cached) = match snapshot.memo().recall(taus) {
+            Some(points) => {
+                self.metrics.cache_hits.add(taus.len() as u64);
+                self.metrics.cache_hit_us.record_duration(started.elapsed());
+                (points, true)
             }
+            None => {
+                self.metrics.cache_misses.add(taus.len() as u64);
+                let points = self.sample(&snapshot, taus);
+                snapshot
+                    .memo()
+                    .remember(taus.iter().copied().zip(points.iter().copied()));
+                (points, false)
+            }
+        };
+        for &tau in taus {
+            self.audit.note_served(tau);
         }
-        // Shared pass over the grid.
-        let sampling_started = Instant::now();
+        taus.iter()
+            .zip(points)
+            .map(|(&tau, (estimate, std_err))| ServiceEstimate {
+                estimate,
+                std_err,
+                epoch: snapshot.epoch(),
+                n: snapshot.len(),
+                tau,
+                cached,
+            })
+            .collect()
+    }
+
+    /// One sampling pass over `snapshot` for the whole grid: each τ's
+    /// `(estimate, std_err)`, in order.
+    fn sample(&self, snapshot: &Snapshot, taus: &[f64]) -> Vec<(Estimate, f64)> {
+        let started = Instant::now();
+        let est_config = self.estimator_config(snapshot.len());
         let est = LshSs { config: est_config };
         let mut rng = self.batch_rng(snapshot.epoch());
         // Pooled: pair draws stay serial on `rng`, similarity scoring
@@ -1814,77 +1782,35 @@ impl EstimationEngine {
         // parallel determinism battery).
         let curve = match self.config.family {
             IndexFamily::SimHash => est.estimate_curve_detailed_pooled(
-                snapshot.as_ref(),
-                snapshot.as_ref(),
-                &Cosine,
-                taus,
-                &mut rng,
-                &self.pool,
+                snapshot, snapshot, &Cosine, taus, &mut rng, &self.pool,
             ),
             IndexFamily::MinHash => est.estimate_curve_detailed_pooled(
-                snapshot.as_ref(),
-                snapshot.as_ref(),
-                &Jaccard,
-                taus,
-                &mut rng,
-                &self.pool,
+                snapshot, snapshot, &Jaccard, taus, &mut rng, &self.pool,
             ),
         };
-        let sampled = if IndexView::nh(snapshot.as_ref()) > 0 {
+        let sampled = if IndexView::nh(snapshot) > 0 {
             est_config.m_h
         } else {
             0
-        } + if IndexView::nl(snapshot.as_ref()) > 0 {
+        } + if IndexView::nl(snapshot) > 0 {
             est_config.m_l
         } else {
             0
         };
-        self.metrics
-            .sampling_us
-            .record_duration(sampling_started.elapsed());
+        self.metrics.sampling_us.record_duration(started.elapsed());
         self.metrics.pairs_per_pass.record(sampled);
         self.metrics.sampled_pairs.add(sampled);
         self.metrics.sampling_passes.inc();
-        let mut cache = locks::lock(&self.cache);
-        let answers: Vec<ServiceEstimate> = taus
+        curve
             .iter()
-            .zip(curve)
-            .map(|(&tau, point)| {
-                let estimate = point.estimate;
-                let std_err = point.std_err();
-                cache.store(
-                    CacheKey {
-                        tau_bits: tau.to_bits(),
-                        config: config_fp,
-                    },
-                    CacheEntry {
-                        estimate,
-                        std_err,
-                        epoch: snapshot.epoch(),
-                        ingested: now,
-                        n: snapshot.len(),
-                    },
-                );
-                ServiceEstimate {
-                    estimate,
-                    std_err,
-                    epoch: snapshot.epoch(),
-                    n: snapshot.len(),
-                    tau,
-                    cached: false,
-                }
-            })
-            .collect();
-        drop(cache);
-        for &tau in taus {
-            self.audit.note_served(tau);
-        }
-        answers
+            .map(|point| (point.estimate, point.std_err()))
+            .collect()
     }
 
-    /// Drops every cached estimate (forces recomputation).
+    /// Forgets every answer the current snapshot remembers (forces the
+    /// next estimate to sample).
     pub fn clear_cache(&self) {
-        locks::lock(&self.cache).clear();
+        self.snapshot().memo().clear();
     }
 
     // --- observability ---------------------------------------------------
@@ -1912,10 +1838,12 @@ impl EstimationEngine {
     /// vectors. Corpora larger than [`AuditOptions::max_exact_n`] are
     /// audited on a deterministic uniform subset, with truth scaled by
     /// `C(n,2)/C(b,2)` — unbiased over the subset draw, at bounded
-    /// cost. The served answer may be up to cache-ε stale relative to
-    /// the snapshot the truth is computed on; that is exactly the
-    /// staleness the drift tolerance already accepts, and miscalibration
-    /// it causes is precisely what the audit series exist to surface.
+    /// cost. The served answer carries its snapshot's epoch; a publish
+    /// between the audit's snapshot read and the re-ask means the truth
+    /// is computed on an older snapshot than the answer, which the audit
+    /// series surface like any other miscalibration. Re-auditing a τ at
+    /// one epoch re-serves the same sample (see the [`audit`](crate::audit)
+    /// module docs).
     ///
     /// Usually driven by a background [`crate::Auditor`]; callable
     /// directly for synchronous audits in tests and tools.
@@ -2049,9 +1977,9 @@ impl EstimationEngine {
             &m.ingests,
         ]);
         let shards: Vec<ShardStats> = self.shards.iter().map(|s| locks::lock(s).stats()).collect();
-        let cache_entries = locks::lock(&self.cache).len();
         let wal = self.durability.as_ref().map(|d| d.wal.stats());
         let snapshot = self.snapshot();
+        let cache_entries = snapshot.memo().len();
         // The mapped base is live data the shards don't see; fold it
         // (minus its tombstoned rows) into the live count and refresh
         // the lazily-sampled gauges.

@@ -24,8 +24,8 @@
 //!          └─────┬──────┘
 //!     ┌──────────┼──────────┐
 //!  readers: estimate(τ) = estimate_batch(&[τ]) → one LSH-SS pass per
-//!  epoch over the snapshot (IndexView), answers cached per (τ, config)
-//!  until drift > ε ingests
+//!  epoch over the snapshot (IndexView); each snapshot remembers the
+//!  answers computed on it, by τ
 //! ```
 //!
 //! Key properties:
@@ -41,7 +41,8 @@
 //! * **One estimate path** — [`EstimationEngine::estimate`] is
 //!   [`estimate_batch`](EstimationEngine::estimate_batch) of one: a
 //!   direct call, a wire request, a τ grid, and the auditor's re-ask
-//!   all get the same cached answer per `(epoch, τ)`.
+//!   all get the same answer per `(epoch, τ)`, sampled once and then
+//!   served from the snapshot's memo.
 //! * **Determinism** — everything derives from the master seed; the
 //!   same ingest history gives the same answers, across thread counts.
 //! * **Durability** (opt-in) — [`EstimationEngine::durable`] attaches a
@@ -78,7 +79,7 @@
 //! let answer = engine.estimate(0.8);
 //! assert_eq!(answer.epoch, 1);
 //! assert!(answer.estimate.value >= 0.0);
-//! // Same epoch, same τ: served from cache, no new sampling.
+//! // Same epoch, same τ: served from the snapshot's memo, no new sampling.
 //! assert!(engine.estimate(0.8).cached);
 //! ```
 
@@ -212,6 +213,11 @@ mod tests {
             let again = engine.estimate(0.7);
             assert!(again.cached);
             assert_eq!(again.estimate, first.estimate);
+            assert_eq!(
+                again.std_err.to_bits(),
+                first.std_err.to_bits(),
+                "a remembered answer replays its interval"
+            );
             assert_eq!(again.epoch, first.epoch);
         }
         assert_eq!(
@@ -223,38 +229,64 @@ mod tests {
     }
 
     #[test]
-    fn cache_invalidates_after_drift_exceeds_epsilon() {
-        let engine = EstimationEngine::new(
-            ServiceConfig::builder()
-                .shards(2)
-                .k(8)
-                .seed(3)
-                .family(IndexFamily::MinHash)
-                .cache_epsilon(5)
-                .build(),
-        );
+    fn a_publish_starts_a_fresh_memo() {
+        let engine = minhash_engine(2);
         for i in 0..50u32 {
             engine.insert(members(i % 10, 4));
         }
         engine.publish();
         let first = engine.estimate(0.6);
         assert!(!first.cached);
+        assert!(engine.estimate(0.6).cached);
 
-        // Drift of 3 ≤ ε = 5: still served from cache after republish.
-        for i in 0..3u32 {
-            engine.insert(members(i, 4));
-        }
-        engine.publish();
-        assert!(engine.estimate(0.6).cached, "drift 3 within ε=5");
-
-        // Total drift 8 > ε: recomputed against the new epoch.
-        for i in 0..5u32 {
-            engine.insert(members(i, 4));
-        }
+        // A publish with no ingests moves the epoch: the new snapshot
+        // remembers nothing, so the answer is sampled and carries it.
         engine.publish();
         let fresh = engine.estimate(0.6);
-        assert!(!fresh.cached, "drift 8 exceeds ε=5");
+        assert!(!fresh.cached, "an answer outlived its snapshot");
         assert_eq!(fresh.epoch, engine.current_epoch());
+        assert_eq!(fresh.epoch, first.epoch + 1);
+
+        let again = engine.estimate(0.6);
+        assert!(again.cached);
+        assert_eq!(again.epoch, fresh.epoch);
+        assert_eq!(
+            again.estimate.value.to_bits(),
+            fresh.estimate.value.to_bits()
+        );
+        assert_eq!(again.std_err.to_bits(), fresh.std_err.to_bits());
+    }
+
+    #[test]
+    fn the_memo_is_capped_and_past_the_cap_recomputes_exactly() {
+        let engine = minhash_engine(2);
+        for i in 0..60u32 {
+            engine.insert(members(i % 12, 4));
+        }
+        engine.publish();
+        let cap = crate::cache::MEMO_CAP;
+        let taus: Vec<f64> = (0..cap + 10).map(|i| 0.05 + i as f64 * 1e-4).collect();
+        let grid = engine.estimate_batch(&taus);
+        let stats = engine.stats();
+        assert_eq!(stats.cache_entries, cap, "the memo holds exactly the cap");
+        assert_eq!(stats.sampling_passes, 1);
+
+        // A τ the memo had no room for is sampled again, with the bits
+        // the grid gave it, and is still not stored.
+        let past = *grid.last().expect("non-empty grid");
+        for pass in 2..4 {
+            let again = engine.estimate(past.tau);
+            assert!(!again.cached);
+            assert_eq!(
+                again.estimate.value.to_bits(),
+                past.estimate.value.to_bits()
+            );
+            assert_eq!(again.std_err.to_bits(), past.std_err.to_bits());
+            assert_eq!(engine.stats().sampling_passes, pass);
+            assert_eq!(engine.stats().cache_entries, cap);
+        }
+        // A τ inside the cap is served from the memo.
+        assert!(engine.estimate(taus[0]).cached);
     }
 
     #[test]

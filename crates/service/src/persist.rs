@@ -12,7 +12,7 @@
 //!
 //! | section | payload |
 //! |---|---|
-//! | `META` | epoch, ingest counter, id allocator, WAL cut, publishes, full [`ServiceConfig`] |
+//! | `META` | epoch, ingest counter, id allocator, WAL cut, publishes, row count, then the [`ServiceConfig`]: seed, `k`, shards, family, a retired `u64` slot (written 0, ignored on read), auto-publish batch, estimator |
 //! | `GIDS` | global ids of the snapshot rows, ascending (`n × u64`) |
 //! | `KEYS` | precomputed LSH bucket keys, parallel to `GIDS` (`n × u64`) |
 //! | `BKTK` | bucket keys, strictly ascending (`B × u64`) |
@@ -175,7 +175,8 @@ fn encode_meta(meta: &CheckpointMeta, n: u64) -> Vec<u8> {
         IndexFamily::SimHash => 0,
         IndexFamily::MinHash => 1,
     });
-    buf.extend_from_slice(&c.cache_epsilon.to_le_bytes());
+    // A retired u64 slot, always written as 0 (see `decode_meta`).
+    buf.extend_from_slice(&0u64.to_le_bytes());
     match c.auto_publish_every {
         None => buf.push(0),
         Some(b) => {
@@ -233,7 +234,9 @@ pub(crate) fn decode_meta(mut data: &[u8]) -> Result<(CheckpointMeta, u64), Pers
         1 => IndexFamily::MinHash,
         b => return Err(corrupt(format!("unknown family tag {b}"))),
     };
-    let cache_epsilon = u64_le(&mut data)?;
+    // A retired u64 slot: older writers stored an estimate-cache
+    // tolerance here. It no longer means anything and is skipped.
+    u64_le(&mut data)?;
     let auto_publish_every = match byte(&mut data)? {
         0 => None,
         1 => Some(u64_le(&mut data)?),
@@ -277,7 +280,6 @@ pub(crate) fn decode_meta(mut data: &[u8]) -> Result<(CheckpointMeta, u64), Pers
         k,
         family,
         seed,
-        cache_epsilon,
         auto_publish_every,
         estimator,
         parallel: crate::config::ParallelOptions::default(),
@@ -311,7 +313,7 @@ fn encode_u64s(values: impl ExactSizeIterator<Item = u64>) -> Vec<u8> {
 /// file a compaction writes is exactly the file a from-scratch build over
 /// the live rows would write.
 pub fn encode_checkpoint(meta: &CheckpointMeta, snapshot: &Snapshot) -> Vec<u8> {
-    encode_checkpoint_inner(meta, snapshot, None)
+    encode_checkpoint_inner(meta, snapshot, None).finish()
 }
 
 /// [`encode_checkpoint`] with the `VPAY` payload slab filled in
@@ -322,17 +324,15 @@ pub fn encode_checkpoint(meta: &CheckpointMeta, snapshot: &Snapshot) -> Vec<u8> 
 /// are **identical** to the serial encoding at any thread count (pinned
 /// by `parallel_encode_is_byte_identical` below and the checkpoint legs
 /// of `tests/parallel_determinism.rs`). A one-thread pool takes the
-/// exact serial path.
+/// exact serial path. [`write_checkpoint`] streams the same container to
+/// its file instead of assembling it in memory.
+#[cfg(test)]
 pub(crate) fn encode_checkpoint_with(
     meta: &CheckpointMeta,
     snapshot: &Snapshot,
     pool: &WorkPool,
 ) -> Vec<u8> {
-    if pool.threads() <= 1 {
-        encode_checkpoint_inner(meta, snapshot, None)
-    } else {
-        encode_checkpoint_inner(meta, snapshot, Some(pool))
-    }
+    encode_checkpoint_inner(meta, snapshot, Some(pool)).finish()
 }
 
 /// Fills contiguous row chunks of a pre-sized payload slab in parallel:
@@ -373,11 +373,13 @@ fn fill_payload_parallel(
     });
 }
 
+/// The checkpoint's sections, ready to be written; the `VPAY` slab is
+/// filled on `pool` unless it has a single thread.
 fn encode_checkpoint_inner(
     meta: &CheckpointMeta,
     snapshot: &Snapshot,
     pool: Option<&WorkPool>,
-) -> Vec<u8> {
+) -> ContainerWriter {
     let n = snapshot.len();
     // Row keys in snapshot-local id order, whichever tier holds them.
     let keys: Vec<u64> = match snapshot.mapped_view() {
@@ -427,7 +429,7 @@ fn encode_checkpoint_inner(
     w.section(SECTION_BOFF, encode_u64s(boff.into_iter()));
     w.section(SECTION_BMEM, bmem);
     let mut vpay = vec![0u8; total as usize];
-    match pool {
+    match pool.filter(|pool| pool.threads() > 1) {
         Some(pool) => fill_payload_parallel(pool, &voff, &mut vpay, |r, out| {
             out.copy_from_slice(block(r));
         }),
@@ -439,7 +441,7 @@ fn encode_checkpoint_inner(
     }
     w.section(SECTION_VOFF, encode_u64s(voff.into_iter()));
     w.section(SECTION_VPAY, vpay);
-    w.finish()
+    w
 }
 
 /// Atomically replaces the checkpoint file in `dir`.
@@ -449,12 +451,11 @@ pub(crate) fn write_checkpoint(
     snapshot: &Snapshot,
     pool: &WorkPool,
 ) -> Result<(), PersistError> {
-    use std::io::Write;
-    let bytes = encode_checkpoint_with(meta, snapshot, pool);
+    let writer = encode_checkpoint_inner(meta, snapshot, Some(pool));
     let tmp = dir.join(CHECKPOINT_TMP);
     {
         let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
+        writer.write_to(&mut file)?;
         file.sync_data()?;
     }
     std::fs::rename(&tmp, dir.join(CHECKPOINT_FILE))?;

@@ -54,6 +54,14 @@
 //! comparable to the paper's offline numbers. The mapped tier upholds
 //! the same contract: at every published `(seed, epoch, τ)` it is
 //! bit-identical to the heap tier.
+//!
+//! **Memoized answers.** The engine samples every pass over a snapshot
+//! from an RNG keyed by the snapshot's epoch alone, so an answer is a
+//! pure function of (snapshot, τ). Each snapshot remembers the answers
+//! computed on it, by τ, in its own [`Memo`], and a repeat is served from there with the same
+//! bits a fresh pass would give. Every snapshot — a publish, a
+//! checkpoint cut, a compaction re-map — starts with an empty memo, so
+//! an answer is only ever served by the snapshot it was computed on.
 
 use std::sync::Arc;
 
@@ -64,6 +72,7 @@ use vsj_vector::{
     EncodedRow, Payload, SharedVectorCollection, Similarity, SparseVector, VectorId, VectorStore,
 };
 
+use crate::cache::Memo;
 use crate::mapped::{MappedCheckpoint, MappedView, TombstoneSet};
 use crate::shard::{AppendedRow, ShardRow};
 use crate::GlobalId;
@@ -85,11 +94,14 @@ enum View {
 /// An immutable epoch-consistent view of the engine's live data.
 pub struct Snapshot {
     epoch: u64,
-    /// Ingest-counter value at the cut (drift reference for the cache).
+    /// Ingest-counter value at the cut (the publish lag's reference,
+    /// recorded in checkpoint metadata).
     ingested: u64,
     /// Snapshot index → global id (ascending).
     ids: Vec<GlobalId>,
     view: View,
+    /// Answers computed on this snapshot.
+    memo: Memo,
 }
 
 impl Snapshot {
@@ -103,6 +115,7 @@ impl Snapshot {
                 collection: SharedVectorCollection::new(),
                 table: LshTable::from_parts(hasher, Vec::new()),
             },
+            memo: Memo::default(),
         }
     }
 
@@ -144,6 +157,7 @@ impl Snapshot {
                 collection,
                 table: LshTable::from_parts(hasher, rows.iter().map(|r| r.1).collect()),
             },
+            memo: Memo::default(),
         }
     }
 
@@ -177,6 +191,7 @@ impl Snapshot {
                 collection: base.to_collection(),
                 table: LshTable::from_parts(hasher, (0..base.len()).map(|i| base.key(i)).collect()),
             },
+            memo: Memo::default(),
         }
     }
 
@@ -242,6 +257,7 @@ impl Snapshot {
             ingested,
             ids,
             view: View::Mapped(view),
+            memo: Memo::default(),
         })
     }
 
@@ -286,6 +302,7 @@ impl Snapshot {
             ingested,
             ids,
             view,
+            memo: Memo::default(),
         })
     }
 
@@ -418,6 +435,11 @@ impl Snapshot {
     #[inline]
     pub fn global_ids(&self) -> &[GlobalId] {
         &self.ids
+    }
+
+    /// The answers remembered for this snapshot.
+    pub(crate) fn memo(&self) -> &Memo {
+        &self.memo
     }
 }
 

@@ -42,7 +42,6 @@ fn main() {
             .shards(8)
             .k(16)
             .seed(7)
-            .cache_epsilon(256) // serve answers up to 256 ingests stale
             .auto_publish_every(512)
             .build(),
     );
@@ -130,7 +129,8 @@ fn main() {
                 per_epoch_n.insert(a.epoch, a.n);
             }
             // Same (epoch, τ) must mean the same deterministic value, no
-            // matter which reader asked or whether the cache answered.
+            // matter which reader asked or whether the snapshot's memo
+            // answered.
             let v = per_epoch_value.entry(a.epoch).or_insert(a.estimate.value);
             assert_eq!(
                 *v, a.estimate.value,
@@ -140,7 +140,7 @@ fn main() {
         }
     }
     println!(
-        "\nreaders: {answers} answers ({cached_answers} cache-served, {:.1}%), {} distinct epochs observed, all epoch-consistent",
+        "\nreaders: {answers} answers ({cached_answers} memo-served, {:.1}%), {} distinct epochs observed, all epoch-consistent",
         100.0 * cached_answers as f64 / answers.max(1) as f64,
         per_epoch_n.len(),
     );

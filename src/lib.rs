@@ -36,8 +36,8 @@
 //! * [`service`] — the **online layer**: a concurrent
 //!   [`service::EstimationEngine`] with a sharded mutable index
 //!   (insert/remove/upsert on live data), copy-on-write epoch snapshots
-//!   serving any number of reader threads, and a drift-invalidated
-//!   estimate cache. See `examples/service.rs`.
+//!   serving any number of reader threads, each snapshot remembering
+//!   the answers computed on it. See `examples/service.rs`.
 //! * [`server`] — the **network layer**: an HTTP/1.1 JSON front-end
 //!   ([`server::Server`]) over the engine that answers each estimate
 //!   on the worker that read it, publish-lag backpressure, and a

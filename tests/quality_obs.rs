@@ -6,7 +6,7 @@
 //!
 //! 1. **Interval invariants on every wire response** — a `"ci": true`
 //!    estimate request yields `ci_low ≤ value ≤ ci_high` with
-//!    `ci_low ≥ 0`, and a cache-served answer replays the same interval
+//!    `ci_low ≥ 0`, and a memo-served answer replays the same interval
 //!    it was computed with. Responses without the flag carry none of
 //!    the new keys (old clients stay byte-stable).
 //! 2. **Audit CI-coverage** — on a synthetic corpus at default auditor
@@ -113,9 +113,9 @@ fn wire_responses_carry_a_well_ordered_interval_only_when_asked() {
             with_ci.value
         );
 
-        // A cache-served replay carries the identical interval.
+        // A memo-served replay carries the identical interval.
         let replay = client.estimate_with_ci(tau).expect("cached estimate");
-        assert!(replay.cached, "second ask should hit the estimate cache");
+        assert!(replay.cached, "second ask should hit the snapshot's memo");
         assert_eq!(replay.value.to_bits(), with_ci.value.to_bits());
         assert_eq!(replay.std_err.unwrap().to_bits(), std_err.to_bits());
         assert_eq!(replay.ci_low.unwrap().to_bits(), ci_low.to_bits());

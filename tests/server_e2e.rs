@@ -330,12 +330,12 @@ fn estimate_batch_pins_one_epoch_under_concurrent_publish() {
     // Quiescent: grid answers equal per-request (singleton-grid)
     // answers, entry by entry — the bit-identity that makes a lone
     // request's pass equal any larger same-epoch pass.
-    // Both sides are fresh passes at `epoch`: with no ingest since the
-    // racing reads, the cache could serve the grid from an earlier
-    // epoch, whose stream differs.
+    // Both sides are fresh passes at `epoch`: the publish starts a new
+    // snapshot, and the memo is cleared after the grid so each lone τ
+    // is sampled again.
     let epoch = engine.publish();
-    engine.clear_cache();
     let grid = engine.estimate_batch(&TAUS);
+    assert!(grid.iter().all(|a| !a.cached && a.epoch == epoch));
     engine.clear_cache();
     for (tau, from_grid) in TAUS.iter().zip(&grid) {
         let alone = engine.estimate_batch(&[*tau])[0];
@@ -658,10 +658,25 @@ fn mapped_server_compacts_over_the_wire() {
     // epoch advances by exactly one and the server keeps serving.
     let folded = client.compact().expect("POST /compact");
     assert_eq!(folded, before.epoch + 1);
-    // The fold changed no answer, so the drift-tolerant estimate cache
-    // may legitimately serve the pre-fold pass; the value must match.
+    // The folded base is a new snapshot: its answer is sampled there and
+    // carries its epoch, never the pre-fold answer; a repeat is that
+    // snapshot's memo, and both equal a fresh in-process pass.
     let after = client.estimate(0.5).expect("estimate after the fold");
-    assert_eq!(after.value.to_bits(), before.value.to_bits());
+    assert!(!after.cached);
+    assert_eq!(after.epoch, folded);
+    let again = client.estimate(0.5).expect("repeat after the fold");
+    assert!(again.cached);
+    assert_eq!(
+        (again.epoch, again.value.to_bits()),
+        (folded, after.value.to_bits())
+    );
+    server.engine().clear_cache();
+    let direct = server.engine().estimate(0.5);
+    assert!(!direct.cached);
+    assert_eq!(
+        (direct.epoch, direct.estimate.value.to_bits()),
+        (folded, after.value.to_bits())
+    );
     let stats = client.stats().expect("stats after fold");
     let engine_stats = stats.get("engine").expect("engine object");
     assert_eq!(
@@ -677,7 +692,8 @@ fn mapped_server_compacts_over_the_wire() {
         engine_stats.get("compactions").and_then(Json::as_u64),
         Some(1)
     );
-    // Drift past the cache: the next pass samples the folded base.
+    // A post-fold write and publish: the next pass samples the folded
+    // base plus its new overlay.
     client.insert(&members_for(200)).expect("post-fold insert");
     client.publish().expect("post-fold publish");
     let fresh = client

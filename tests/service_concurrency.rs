@@ -21,7 +21,6 @@ fn readers_observe_only_consistent_monotone_epochs() {
             .k(10)
             .seed(21)
             .family(IndexFamily::MinHash)
-            .cache_epsilon(64)
             .auto_publish_every(100)
             .build(),
     );
@@ -109,11 +108,18 @@ fn readers_observe_only_consistent_monotone_epochs() {
     let epoch = engine.publish();
     let snapshot = engine.snapshot();
     assert_eq!(snapshot.len(), total_docs);
-    // The last cached answer may legitimately still be within ε of the
-    // final cut; force a fresh, epoch-pinned computation.
-    engine.clear_cache();
+    // The final cut is a new snapshot: its answer is sampled at `epoch`,
+    // and a repeat is the snapshot's memo of the same bits.
     let served = engine.estimate(0.7);
+    assert!(!served.cached);
     assert_eq!(served.epoch, epoch);
+    assert_eq!(
+        engine.estimate(0.7),
+        ServiceEstimate {
+            cached: true,
+            ..served
+        }
+    );
     let estimator = LshSs {
         config: engine.estimator_config(snapshot.len()),
     };
