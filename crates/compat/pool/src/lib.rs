@@ -13,6 +13,8 @@
 //!   output is **always in submission order**, regardless of which worker
 //!   ran which chunk. This is the primitive the bit-identity contract is
 //!   built on: callers get exactly the `Vec` a serial loop would produce.
+//!   [`WorkPool::for_each_chunked`] is its in-place twin: the same chunks
+//!   fill a preallocated output, each with its own scratch state.
 //!
 //! # Determinism
 //!
@@ -41,7 +43,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Chunks created per thread by [`WorkPool::parallel_map_indexed`]. More
+/// Chunks created per thread by [`WorkPool::parallel_map_indexed`] and
+/// [`WorkPool::for_each_chunked`]. More
 /// chunks than threads lets stealing smooth out skew (one heavy chunk no
 /// longer serializes the pass) at the cost of slightly more queue traffic.
 const CHUNKS_PER_THREAD: usize = 4;
@@ -341,7 +344,7 @@ impl WorkPool {
                 .map(|(i, item)| f(i, item))
                 .collect();
         }
-        let chunk_len = n.div_ceil((self.threads * CHUNKS_PER_THREAD).min(n));
+        let chunk_len = self.chunk_len(n);
         let chunk_count = n.div_ceil(chunk_len);
         let slots: Vec<Mutex<Option<Vec<R>>>> =
             (0..chunk_count).map(|_| Mutex::new(None)).collect();
@@ -365,6 +368,59 @@ impl WorkPool {
             result.extend(chunk);
         }
         result
+    }
+
+    /// Run `each(scratch, item, words)` for every element of `items`,
+    /// where `words` is the item's own `out.len() / items.len()` words
+    /// of `out`, over the contiguous chunks of
+    /// [`parallel_map_indexed`](Self::parallel_map_indexed); each chunk
+    /// makes one `scratch`. Every item writes only its own words, so
+    /// `out` is the serial loop's at any thread count; with
+    /// `threads == 1` (or a tiny input) this is exactly that loop.
+    pub fn for_each_chunked<T, U, W>(
+        &self,
+        items: &[T],
+        out: &mut [U],
+        scratch: impl Fn() -> W + Sync,
+        each: impl Fn(&mut W, &T, &mut [U]) + Sync,
+    ) where
+        T: Sync,
+        U: Send,
+    {
+        let n = items.len();
+        if n == 0 {
+            assert!(out.is_empty(), "no items, so no output words");
+            return;
+        }
+        let width = out.len() / n;
+        assert!(
+            width > 0 && out.len() == n * width,
+            "out must hold the same nonzero number of words for every item"
+        );
+        let run = |items: &[T], out: &mut [U]| {
+            let mut state = scratch();
+            for (item, words) in items.iter().zip(out.chunks_exact_mut(width)) {
+                each(&mut state, item, words);
+            }
+        };
+        if self.threads <= 1 || n < 2 {
+            return run(items, out);
+        }
+        let chunk_len = self.chunk_len(n);
+        let run = &run;
+        self.scope(|scope| {
+            for (items, out) in items
+                .chunks(chunk_len)
+                .zip(out.chunks_mut(chunk_len * width))
+            {
+                scope.spawn(move || run(items, out));
+            }
+        });
+    }
+
+    /// Items per chunk when `n ≥ 2` items fan out: `threads × 4` chunks.
+    fn chunk_len(&self, n: usize) -> usize {
+        n.div_ceil((self.threads * CHUNKS_PER_THREAD).min(n))
     }
 }
 
@@ -435,6 +491,27 @@ mod tests {
             pool.parallel_map_indexed(&[7u8], |i, x| *x as usize + i),
             vec![7]
         );
+    }
+
+    #[test]
+    fn for_each_chunked_matches_serial_at_every_thread_count() {
+        let items: Vec<u64> = (0..1000).collect();
+        let serial: Vec<u64> = items.iter().flat_map(|x| [x * 3, x + 1]).collect();
+        for threads in [1, 2, 3, 8] {
+            let pool = WorkPool::new(threads);
+            let mut out = vec![0u64; items.len() * 2];
+            pool.for_each_chunked(&items, &mut out, Vec::new, |buf, x, words| {
+                buf.clear();
+                buf.extend([x * 3, x + 1]);
+                words.copy_from_slice(buf);
+            });
+            assert_eq!(out, serial, "threads={threads}");
+        }
+        let pool = WorkPool::new(4);
+        pool.for_each_chunked(&[] as &[u8], &mut [] as &mut [u8], || (), |_, _, _| {});
+        let mut one = [0u8; 3];
+        pool.for_each_chunked(&[7u8], &mut one, || (), |_, x, w| w.fill(*x));
+        assert_eq!(one, [7; 3]);
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! `p(s)^k`, with the paper's idealized closed forms available as the
 //! special case `p(s) = s`.
 
+use std::sync::OnceLock;
+
+use vsj_pool::WorkPool;
 use vsj_vector::SparseVector;
 
 /// One concrete hash function `h : ℝ^d → U` drawn from a family.
@@ -43,6 +46,60 @@ pub trait LshFamily: Send + Sync {
 
     /// Stable short name for reports.
     fn name(&self) -> &'static str;
+
+    /// Hashes a batch of rows under `funcs` (functions of this family)
+    /// on `pool`: for every row, `emit(signature, words)` receives the
+    /// row's signature `(funcs[0].hash(row), …)` and the row's own
+    /// `out.len() / rows.len()` words of `out`.
+    ///
+    /// The default evaluates every function on every row. A family
+    /// whose functions share per-dimension work overrides it to do that
+    /// work once per batch ([`SimHashFamily`](crate::SimHashFamily)).
+    /// Either way every signature equals the per-row `hash` values and
+    /// each row writes only its own words, so `out` is the serial
+    /// loop's at any thread count. A batch of fewer than 64 rows is
+    /// hashed on the calling thread.
+    fn hash_batch<E>(
+        &self,
+        funcs: &[Self::Func],
+        rows: &[&SparseVector],
+        pool: &WorkPool,
+        out: &mut [u64],
+        emit: E,
+    ) where
+        E: Fn(&[u64], &mut [u64]) + Sync,
+    {
+        batch_pool(pool, rows.len()).for_each_chunked(
+            rows,
+            out,
+            || vec![0u64; funcs.len()],
+            |signature, row, words| {
+                for (slot, f) in signature.iter_mut().zip(funcs) {
+                    *slot = f.hash(row);
+                }
+                emit(signature, words);
+            },
+        );
+    }
+}
+
+/// Batches of fewer rows are hashed on the calling thread. Fanning one
+/// out wakes workers that may otherwise stay idle for the process's
+/// life (a restarted server replaying a short WAL tail), and touching
+/// their stacks and allocator arenas costs that process a few hundred
+/// KB of resident memory.
+const MIN_POOLED_ROWS: usize = 64;
+
+/// The pool a batch of `rows` rows is hashed on: `pool`, or below
+/// [`MIN_POOLED_ROWS`] a one-thread pool, which runs on the calling
+/// thread and has no workers.
+pub(crate) fn batch_pool(pool: &WorkPool, rows: usize) -> &WorkPool {
+    static CALLER: OnceLock<WorkPool> = OnceLock::new();
+    if rows >= MIN_POOLED_ROWS {
+        pool
+    } else {
+        CALLER.get_or_init(|| WorkPool::new(1))
+    }
 }
 
 impl<F: LshFamily> LshFamily for &F {
@@ -63,6 +120,19 @@ impl<F: LshFamily> LshFamily for &F {
     fn name(&self) -> &'static str {
         (**self).name()
     }
+
+    fn hash_batch<E>(
+        &self,
+        funcs: &[Self::Func],
+        rows: &[&SparseVector],
+        pool: &WorkPool,
+        out: &mut [u64],
+        emit: E,
+    ) where
+        E: Fn(&[u64], &mut [u64]) + Sync,
+    {
+        (**self).hash_batch(funcs, rows, pool, out, emit)
+    }
 }
 
 /// A composite bucket hasher `g = (h₁, …, h_k)` reduced to a single 64-bit
@@ -72,6 +142,12 @@ pub trait BucketHasher: Send + Sync {
     /// The bucket key of `v` — equal keys ⇔ same bucket (up to the
     /// documented ~2⁻⁶⁴ fold-collision rate).
     fn key(&self, v: &SparseVector) -> u64;
+
+    /// The bucket keys of a batch of rows, hashed on `pool`: exactly
+    /// `rows.map(key)`, at any thread count.
+    /// [`Composite`](crate::Composite) hashes through its family's
+    /// [`LshFamily::hash_batch`].
+    fn keys(&self, rows: &[&SparseVector], pool: &WorkPool) -> Vec<u64>;
 
     /// Number of concatenated functions `k`.
     fn k(&self) -> usize;

@@ -13,6 +13,7 @@
 //!   `n × k` matrix.
 
 use crate::family::{BucketHasher, LshFamily, LshFunction};
+use vsj_pool::WorkPool;
 use vsj_sampling::SplitMix64;
 use vsj_vector::{SparseVector, VectorCollection};
 
@@ -25,11 +26,25 @@ use vsj_vector::{SparseVector, VectorCollection};
 /// sampling error, as the paper's "standard hashing" implicitly assumes.
 #[inline]
 pub fn bucket_key(signature: &[u64]) -> u64 {
-    let mut acc = 0x9E37_79B9_7F4A_7C15u64 ^ (signature.len() as u64);
-    for (pos, &h) in signature.iter().enumerate() {
-        acc = SplitMix64::mix(acc ^ SplitMix64::mix(h.wrapping_add(pos as u64).rotate_left(17)));
-    }
-    acc
+    signature
+        .iter()
+        .enumerate()
+        .fold(fold_start(signature.len()), |acc, (pos, &h)| {
+            fold_step(acc, pos, h)
+        })
+}
+
+/// The fold's state before the first of `k` positions.
+#[inline]
+fn fold_start(k: usize) -> u64 {
+    0x9E37_79B9_7F4A_7C15u64 ^ (k as u64)
+}
+
+/// Folds hash `h` at signature position `pos` into `acc` — the one
+/// step [`bucket_key`] and [`Composite::key`] share.
+#[inline]
+fn fold_step(acc: u64, pos: usize, h: u64) -> u64 {
+    SplitMix64::mix(acc ^ SplitMix64::mix(h.wrapping_add(pos as u64).rotate_left(17)))
 }
 
 /// A materialized composite `g` for one table: the k functions plus the
@@ -81,13 +96,21 @@ impl<F: LshFamily> Composite<F> {
 impl<F: LshFamily> BucketHasher for Composite<F> {
     fn key(&self, v: &SparseVector) -> u64 {
         // Fold incrementally without allocating the signature.
-        let mut acc = 0x9E37_79B9_7F4A_7C15u64 ^ (self.funcs.len() as u64);
-        for (pos, f) in self.funcs.iter().enumerate() {
-            let h = f.hash(v);
-            acc =
-                SplitMix64::mix(acc ^ SplitMix64::mix(h.wrapping_add(pos as u64).rotate_left(17)));
-        }
-        acc
+        self.funcs
+            .iter()
+            .enumerate()
+            .fold(fold_start(self.funcs.len()), |acc, (pos, f)| {
+                fold_step(acc, pos, f.hash(v))
+            })
+    }
+
+    fn keys(&self, rows: &[&SparseVector], pool: &WorkPool) -> Vec<u64> {
+        let mut keys = vec![0u64; rows.len()];
+        self.family
+            .hash_batch(&self.funcs, rows, pool, &mut keys, |signature, key| {
+                key[0] = bucket_key(signature);
+            });
+        keys
     }
 
     fn k(&self) -> usize {
@@ -113,40 +136,26 @@ pub struct SignatureMatrix {
 }
 
 impl SignatureMatrix {
-    /// Computes signatures for every vector in the collection.
-    ///
-    /// Rows are independent pure hashes, so large collections fan out
-    /// across the process-wide work pool; each task fills a disjoint
-    /// row range of the matrix, making the result bit-identical to the
-    /// serial loop at any thread count.
-    pub fn build<F>(collection: &VectorCollection, family: F, seed: u64, k: usize) -> Self
-    where
-        F: LshFamily + Sync,
-        F::Func: Sync,
-    {
+    /// Computes signatures for every vector in the collection, as one
+    /// batch on the process-wide work pool
+    /// ([`LshFamily::hash_batch`]): bit-identical to the per-row loop
+    /// at any thread count.
+    pub fn build<F: LshFamily>(
+        collection: &VectorCollection,
+        family: F,
+        seed: u64,
+        k: usize,
+    ) -> Self {
         let composite = Composite::derive(family, seed, 0, k);
-        let n = collection.len();
-        let mut data = vec![0u64; n * k];
-        let vectors = collection.vectors();
-        let pool = vsj_pool::global();
-        if pool.threads() == 1 || n < 1024 {
-            for (i, v) in vectors.iter().enumerate() {
-                composite.signature_into(v, &mut data[i * k..(i + 1) * k]);
-            }
-        } else {
-            let chunk_rows = n.div_ceil((pool.threads() * 4).min(n));
-            pool.scope(|scope| {
-                for (ci, slab) in data.chunks_mut(chunk_rows * k).enumerate() {
-                    let start = ci * chunk_rows;
-                    let composite = &composite;
-                    scope.spawn(move || {
-                        for (row, out) in slab.chunks_mut(k).enumerate() {
-                            composite.signature_into(&vectors[start + row], out);
-                        }
-                    });
-                }
-            });
-        }
+        let rows: Vec<&SparseVector> = collection.vectors().iter().collect();
+        let mut data = vec![0u64; rows.len() * k];
+        composite.family.hash_batch(
+            &composite.funcs,
+            &rows,
+            vsj_pool::global(),
+            &mut data,
+            |signature, words| words.copy_from_slice(signature),
+        );
         Self { k, data }
     }
 

@@ -12,8 +12,8 @@
 //!   stratum `S_H` (SampleH, Algorithm 1 lines 3–4) or, by rejection,
 //!   from stratum `S_L` (SampleL line 3).
 //!
-//! Construction hashes all vectors in parallel (the only data-parallel
-//! step; grouping is a sequential hash-map pass).
+//! Construction hashes all vectors as one batch on a work pool (the
+//! only data-parallel step; grouping is a sequential hash-map pass).
 //!
 //! # One frozen table
 //!
@@ -44,7 +44,7 @@ use crate::family::BucketHasher;
 use crate::view::IndexView;
 use vsj_pool::WorkPool;
 use vsj_sampling::AliasTable;
-use vsj_vector::{pairs_of, VectorCollection, VectorId};
+use vsj_vector::{pairs_of, SparseVector, VectorCollection, VectorId};
 
 /// One bucket: its folded key and the ids of its members. The paper's
 /// bucket count `b_j` is `members.len()`.
@@ -264,12 +264,11 @@ impl PairIndex {
 }
 
 impl LshTable {
-    /// Builds the table, hashing vectors on a work pool sized by
-    /// `threads` (`None` = the process-wide [`vsj_pool::global`] pool,
-    /// `Some(1)` = fully serial). Per-vector key hashing is pure, so
-    /// fanning it out with ordered collection yields exactly the serial
-    /// key vector — the table is bit-identical at any thread count.
-    /// Small inputs skip the pool entirely.
+    /// Builds the table, hashing the vectors as one batch
+    /// ([`BucketHasher::keys`]) on a work pool sized by `threads`
+    /// (`None` = the process-wide [`vsj_pool::global`] pool, `Some(1)`
+    /// = fully serial). Batch keys are exactly the per-vector keys, so
+    /// the table is bit-identical at any thread count.
     pub fn build(
         collection: &VectorCollection,
         hasher: Arc<dyn BucketHasher>,
@@ -283,12 +282,8 @@ impl LshTable {
                 &local
             }
         };
-        let vectors = collection.vectors();
-        let vector_keys = if pool.threads() == 1 || vectors.len() < 1024 {
-            vectors.iter().map(|v| hasher.key(v)).collect()
-        } else {
-            pool.parallel_map_indexed(vectors, |_, v| hasher.key(v))
-        };
+        let rows: Vec<&SparseVector> = collection.vectors().iter().collect();
+        let vector_keys = hasher.keys(&rows, pool);
         Self::from_parts(hasher, vector_keys)
     }
 

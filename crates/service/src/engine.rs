@@ -707,11 +707,21 @@ impl EstimationEngine {
         // in the shards (on the mapped tier, the future overlay),
         // removals/upserts of mapped base rows land in the tombstone
         // set, publish barriers re-fire their epochs — the same
-        // epoch/ingest boundaries, hence bit-identical estimates.
-        for entry in &entries {
-            if entry.seq > meta.applied_seq {
-                engine.apply_replayed(&entry.record)?;
-            }
+        // epoch/ingest boundaries, hence bit-identical estimates. The
+        // tail's vectors are keyed as one batch on the pool first;
+        // records then apply serially, in log order.
+        let tail: Vec<&WalRecord> = entries
+            .iter()
+            .filter(|entry| entry.seq > meta.applied_seq)
+            .map(|entry| &entry.record)
+            .collect();
+        let rows: Vec<&SparseVector> = tail.iter().filter_map(|r| r.vector()).collect();
+        let mut keys = engine.hasher.keys(&rows, &engine.pool).into_iter();
+        for record in tail {
+            let key = record
+                .vector()
+                .map(|_| keys.next().expect("one key per vector"));
+            engine.apply_replayed(record, key)?;
         }
         let pending = wal.last_seq().saturating_sub(meta.applied_seq);
         // The retention horizon needs every kept generation's cut;
@@ -823,12 +833,13 @@ impl EstimationEngine {
     /// recovery, reproducing the original serialized order exactly.
     /// The log carries every publish (explicit, auto, checkpoint) as a
     /// barrier record, so replay counts ingests but never re-derives an
-    /// auto-publish from the counter.
-    fn apply_replayed(&self, record: &WalRecord) -> Result<(), PersistError> {
+    /// auto-publish from the counter. `key` is the bucket key of the
+    /// record's vector (`None` exactly when it carries none).
+    fn apply_replayed(&self, record: &WalRecord, key: Option<u64>) -> Result<(), PersistError> {
         let ops = match record {
             WalRecord::Insert { id, vector } => {
                 self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-                let key = self.hasher.key(vector);
+                let key = key.expect("an insert record is keyed");
                 let fresh = locks::lock(&self.shards[self.shard_of(*id)]).insert(
                     *id,
                     key,
@@ -857,7 +868,7 @@ impl EstimationEngine {
             }
             WalRecord::Upsert { id, vector } => {
                 self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-                let key = self.hasher.key(vector);
+                let key = key.expect("an upsert record is keyed");
                 let mut shard = locks::lock(&self.shards[self.shard_of(*id)]);
                 // Mirror the live path: replacing a live mapped base
                 // row tombstones it; the fresh vector lands in the
@@ -1213,21 +1224,21 @@ impl EstimationEngine {
     /// Ingests a batch, returning the assigned ids (one auto-publish
     /// check per vector, same as sequential inserts).
     ///
-    /// The bucket keys of the whole batch are hashed on the engine's
+    /// The bucket keys of the whole batch are hashed as one batch
+    /// ([`BucketHasher::keys`]) on the engine's
     /// [work pool](crate::ParallelOptions) (serially on a one-thread
     /// pool) *before* any shard lock is taken, and each insert applies
-    /// its key. Hashing consumes no RNG and is a pure function of the
-    /// vector, so ids, shard contents, and every later estimate are
+    /// its key. Batch keys are exactly the per-vector keys and consume
+    /// no RNG, so ids, shard contents, and every later estimate are
     /// bit-identical to inserting the vectors one by one.
     pub fn insert_batch<I>(&self, vectors: I) -> Vec<GlobalId>
     where
         I: IntoIterator<Item = SparseVector>,
     {
         let vectors: Vec<SparseVector> = vectors.into_iter().collect();
-        let hasher = &self.hasher;
         let keys = self
-            .pool
-            .parallel_map_indexed(&vectors, |_, v| hasher.key(v));
+            .hasher
+            .keys(&vectors.iter().collect::<Vec<_>>(), &self.pool);
         // Every row is encoded before any vector is dropped, so the
         // encoded rows lie together and leave together at the cut.
         let rows: Vec<EncodedRow> = vectors.iter().map(EncodedRow::new).collect();

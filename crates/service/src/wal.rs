@@ -146,6 +146,16 @@ pub enum WalRecord {
     Publish,
 }
 
+impl WalRecord {
+    /// The vector an insert or upsert carries; `None` for the others.
+    pub fn vector(&self) -> Option<&SparseVector> {
+        match self {
+            WalRecord::Insert { vector, .. } | WalRecord::Upsert { vector, .. } => Some(vector),
+            WalRecord::Remove { .. } | WalRecord::Publish => None,
+        }
+    }
+}
+
 /// The frame of `op` under sequence `seq`, built in one buffer: `len |
 /// checksum` over the payload `seq | op | id | block`, the block written
 /// by the row codec.

@@ -24,6 +24,11 @@
 //!
 //! A proptest sweeps random op sequences and τ grids over the same
 //! three pool sizes.
+//!
+//! Every check runs under both index families: MinHash over binary
+//! rows, and SimHash over weighted rows (negative weights included), so
+//! the batched SimHash keys — f32 weights times f64 hyperplane
+//! coordinates, summed per row — are held to the per-row bits too.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,35 +50,48 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
 const TAUS: [f64; 4] = [0.2, 0.5, 0.8, 0.95];
+const FAMILIES: [IndexFamily; 2] = [IndexFamily::MinHash, IndexFamily::SimHash];
 
-fn config(seed: u64, pool_threads: usize) -> ServiceConfig {
+fn config(family: IndexFamily, seed: u64, pool_threads: usize) -> ServiceConfig {
     ServiceConfig::builder()
         .shards(3)
         .k(8)
         .seed(seed)
-        .family(IndexFamily::MinHash)
+        .family(family)
         .pool_threads(pool_threads)
         .build()
 }
 
-fn members(start: u32, len: u32) -> SparseVector {
-    SparseVector::binary_from_members((start..start + len).collect())
+/// The row over dimensions `start..start + len`: binary for MinHash
+/// (a set), weighted for SimHash, with weights of both signs that
+/// depend on the dimension and on `start`.
+fn members(family: IndexFamily, start: u32, len: u32) -> SparseVector {
+    let dims = start..start + len;
+    match family {
+        IndexFamily::MinHash => SparseVector::binary_from_members(dims.collect()),
+        IndexFamily::SimHash => SparseVector::from_entries(
+            dims.map(|d| (d, ((d * 7 + start * 3) % 11) as f32 * 0.37 - 1.6))
+                .collect(),
+        )
+        .expect("finite weights"),
+    }
 }
 
 /// A deterministic mixed workload: two batch ingests (the pooled
 /// pre-hash path), scattered single inserts, and a couple of removes,
 /// with a publish after each phase so several epochs exist.
-fn run_workload(engine: &EstimationEngine) {
-    let batch: Vec<SparseVector> = (0..120u32).map(|i| members(i % 37, 3 + i % 5)).collect();
+fn run_workload(engine: &EstimationEngine, family: IndexFamily) {
+    let row = |start, len| members(family, start, len);
+    let batch: Vec<SparseVector> = (0..120u32).map(|i| row(i % 37, 3 + i % 5)).collect();
     let ids = engine.insert_batch(batch);
     engine.publish();
     for i in 0..40u32 {
-        engine.insert(members(100 + i % 23, 2 + i % 7));
+        engine.insert(row(100 + i % 23, 2 + i % 7));
     }
     engine.remove(ids[7]);
     engine.remove(ids[31]);
     engine.publish();
-    let tail: Vec<SparseVector> = (0..64u32).map(|i| members(i % 19, 4 + i % 3)).collect();
+    let tail: Vec<SparseVector> = (0..64u32).map(|i| row(i % 19, 4 + i % 3)).collect();
     engine.insert_batch(tail);
     engine.publish();
 }
@@ -115,20 +133,22 @@ fn assert_serving_identical(a: &EstimationEngine, b: &EstimationEngine, context:
 }
 
 /// Estimate identity: the same workload at pool sizes 1/2/8 serves
-/// bit-identical answers at every (seed, epoch, τ).
+/// bit-identical answers at every (family, seed, epoch, τ).
 #[test]
 fn estimates_are_bit_identical_across_pool_sizes() {
-    for seed in [3u64, 17, 4242] {
-        let reference = EstimationEngine::new(config(seed, 1));
-        run_workload(&reference);
-        for threads in POOL_SIZES {
-            let pooled = EstimationEngine::new(config(seed, threads));
-            run_workload(&pooled);
-            assert_serving_identical(
-                &reference,
-                &pooled,
-                &format!("seed {seed}, {threads} threads"),
-            );
+    for family in FAMILIES {
+        for seed in [3u64, 17, 4242] {
+            let reference = EstimationEngine::new(config(family, seed, 1));
+            run_workload(&reference, family);
+            for threads in POOL_SIZES {
+                let pooled = EstimationEngine::new(config(family, seed, threads));
+                run_workload(&pooled, family);
+                assert_serving_identical(
+                    &reference,
+                    &pooled,
+                    &format!("{family:?}, seed {seed}, {threads} threads"),
+                );
+            }
         }
     }
 }
@@ -142,13 +162,19 @@ fn checkpoint_bytes(dir: &Path) -> Vec<u8> {
 /// tail + compaction folds to byte-equal files again.
 #[test]
 fn checkpoint_files_are_byte_equal_across_pool_sizes() {
+    for family in FAMILIES {
+        assert_checkpoints_byte_equal(family);
+    }
+}
+
+fn assert_checkpoints_byte_equal(family: IndexFamily) {
     let mut heap_files: Vec<Vec<u8>> = Vec::new();
     let mut compacted_files: Vec<Vec<u8>> = Vec::new();
     let mut dirs: Vec<PathBuf> = Vec::new();
     for threads in POOL_SIZES {
         let dir = fresh_dir(&format!("ckpt_{threads}"));
-        let engine = EstimationEngine::durable(config(9, threads), &dir).unwrap();
-        run_workload(&engine);
+        let engine = EstimationEngine::durable(config(family, 9, threads), &dir).unwrap();
+        run_workload(&engine, family);
         engine.checkpoint().unwrap();
         drop(engine);
         heap_files.push(checkpoint_bytes(&dir));
@@ -166,8 +192,8 @@ fn checkpoint_files_are_byte_equal_across_pool_sizes() {
         .unwrap();
         assert!(mapped.remove(5), "base row for id 5 is live");
         mapped.insert_batch(
-            (0..48u32)
-                .map(|i| members(200 + i % 11, 3))
+            (0..96u32)
+                .map(|i| members(family, 200 + i % 11, 3))
                 .collect::<Vec<_>>(),
         );
         mapped.publish();
@@ -179,11 +205,11 @@ fn checkpoint_files_are_byte_equal_across_pool_sizes() {
     for (i, threads) in POOL_SIZES.iter().enumerate().skip(1) {
         assert_eq!(
             heap_files[0], heap_files[i],
-            "heap checkpoint diverged at {threads} threads"
+            "{family:?}: heap checkpoint diverged at {threads} threads"
         );
         assert_eq!(
             compacted_files[0], compacted_files[i],
-            "compacted checkpoint diverged at {threads} threads"
+            "{family:?}: compacted checkpoint diverged at {threads} threads"
         );
     }
     // Recovery identity: every (byte-equal) directory recovers — heap
@@ -214,11 +240,18 @@ fn checkpoint_files_are_byte_equal_across_pool_sizes() {
 /// the engine is quiescent.
 #[test]
 fn concurrent_publish_keeps_pooled_answers_deterministic() {
+    for family in FAMILIES {
+        assert_concurrent_publish_deterministic(family);
+    }
+}
+
+fn assert_concurrent_publish_deterministic(family: IndexFamily) {
     let dir = fresh_dir("conc");
-    let engine = std::sync::Arc::new(EstimationEngine::durable(config(21, 4), &dir).unwrap());
+    let engine =
+        std::sync::Arc::new(EstimationEngine::durable(config(family, 21, 4), &dir).unwrap());
     engine.insert_batch(
         (0..80u32)
-            .map(|i| members(i % 29, 3 + i % 4))
+            .map(|i| members(family, i % 29, 3 + i % 4))
             .collect::<Vec<_>>(),
     );
     engine.publish();
@@ -240,9 +273,10 @@ fn concurrent_publish_keeps_pooled_answers_deterministic() {
         let engine = engine.clone();
         std::thread::spawn(move || {
             for round in 0..10u32 {
+                // 64 rows: the smallest batch hashed on the pool.
                 engine.insert_batch(
-                    (0..12u32)
-                        .map(|i| members(300 + round * 16 + i, 3))
+                    (0..64u32)
+                        .map(|i| members(family, 300 + round * 16 + i, 3))
                         .collect::<Vec<_>>(),
                 );
                 engine.publish();
@@ -265,7 +299,7 @@ fn concurrent_publish_keeps_pooled_answers_deterministic() {
             assert_eq!(
                 answers.iter().map(answer_bits).collect::<Vec<_>>(),
                 other.iter().map(answer_bits).collect::<Vec<_>>(),
-                "epoch {epoch} served two curves"
+                "{family:?}: epoch {epoch} served two curves"
             );
         }
     }
@@ -287,21 +321,22 @@ mod properties {
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
             (0u32..40, 2u32..7).prop_map(|(s, l)| Op::Insert(s, l)),
-            (0u32..40, 3u8..20).prop_map(|(s, c)| Op::Batch(s, c)),
+            // Batches of 64 rows and more are hashed on the pool.
+            (0u32..40, 3u8..100).prop_map(|(s, c)| Op::Batch(s, c)),
             (0u64..60).prop_map(Op::Remove),
             Just(Op::Publish),
         ]
     }
 
-    fn apply(engine: &EstimationEngine, op: &Op) {
+    fn apply(engine: &EstimationEngine, family: IndexFamily, op: &Op) {
         match *op {
             Op::Insert(s, l) => {
-                engine.insert(members(s, l));
+                engine.insert(members(family, s, l));
             }
             Op::Batch(s, c) => {
                 engine.insert_batch(
                     (0..u32::from(c))
-                        .map(|i| members(s + i % 13, 2 + i % 5))
+                        .map(|i| members(family, s + i % 13, 2 + i % 5))
                         .collect::<Vec<_>>(),
                 );
             }
@@ -325,26 +360,28 @@ mod properties {
             taus in proptest::collection::vec(0.05f64..1.0, 1..5),
             seed in 0u64..500,
         ) {
-            let mut curves: Vec<Vec<ServiceEstimate>> = Vec::new();
-            let mut files: Vec<Vec<u8>> = Vec::new();
-            for threads in POOL_SIZES {
-                let dir = fresh_dir(&format!("prop_{threads}"));
-                let engine =
-                    EstimationEngine::durable(config(seed, threads), &dir).unwrap();
-                for op in &ops {
-                    apply(&engine, op);
+            for family in FAMILIES {
+                let mut curves: Vec<Vec<ServiceEstimate>> = Vec::new();
+                let mut files: Vec<Vec<u8>> = Vec::new();
+                for threads in POOL_SIZES {
+                    let dir = fresh_dir(&format!("prop_{threads}"));
+                    let engine =
+                        EstimationEngine::durable(config(family, seed, threads), &dir).unwrap();
+                    for op in &ops {
+                        apply(&engine, family, op);
+                    }
+                    engine.publish();
+                    curves.push(engine.estimate_batch(&taus));
+                    engine.checkpoint().unwrap();
+                    drop(engine);
+                    files.push(checkpoint_bytes(&dir));
+                    std::fs::remove_dir_all(&dir).ok();
                 }
-                engine.publish();
-                curves.push(engine.estimate_batch(&taus));
-                engine.checkpoint().unwrap();
-                drop(engine);
-                files.push(checkpoint_bytes(&dir));
-                std::fs::remove_dir_all(&dir).ok();
+                prop_assert_eq!(&curves[0], &curves[1], "{:?}", family);
+                prop_assert_eq!(&curves[0], &curves[2], "{:?}", family);
+                prop_assert_eq!(&files[0], &files[1], "{:?}", family);
+                prop_assert_eq!(&files[0], &files[2], "{:?}", family);
             }
-            prop_assert_eq!(&curves[0], &curves[1]);
-            prop_assert_eq!(&curves[0], &curves[2]);
-            prop_assert_eq!(&files[0], &files[1]);
-            prop_assert_eq!(&files[0], &files[2]);
         }
     }
 }

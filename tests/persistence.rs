@@ -127,3 +127,44 @@ fn collection_writer_bytes_are_pinned() {
     assert_eq!(bytes.len(), 114_248);
     assert_eq!(io::checksum64(&bytes), 0x5208_89cb_2fc5_971f);
 }
+
+/// SimHash keys and answers, pinned: `Composite::derive(SimHashFamily,
+/// 2011, 0, 16)` over a DBLP-like corpus (per-row `key` and the batched
+/// `LshTable::build` alike), and the value and standard-error bits a
+/// heap engine that `insert_batch`es the same rows serves at epoch 1.
+/// Any change to the hyperplane coordinates, the projection sums, the
+/// sign rule or the key fold moves these.
+#[test]
+fn simhash_keys_and_answers_are_pinned() {
+    use std::sync::Arc;
+    use vsj::lsh::{BucketHasher, Composite};
+
+    let coll = DblpLike::with_size(2_000).generate(1);
+    let hasher = Composite::derive(SimHashFamily::new(), 2011, 0, 16);
+    let keys: Vec<u64> = coll.vectors().iter().map(|v| hasher.key(v)).collect();
+    assert_eq!(
+        LshTable::build(&coll, Arc::new(hasher), Some(4)).to_parts(),
+        keys
+    );
+    let bytes: Vec<u8> = keys.iter().flat_map(|k| k.to_le_bytes()).collect();
+    assert_eq!(io::checksum64(&bytes), 0x2a18_54e7_2f72_af4a);
+
+    let engine = EstimationEngine::new(
+        ServiceConfig::builder()
+            .shards(4)
+            .k(16)
+            .seed(2011)
+            .family(IndexFamily::SimHash)
+            .pool_threads(2)
+            .build(),
+    );
+    engine.insert_batch(coll.into_vectors());
+    assert_eq!(engine.publish(), 1);
+    let bits: Vec<(u64, u64)> = engine
+        .estimate_batch(&[0.5, 0.8])
+        .iter()
+        .map(|e| (e.estimate.value.to_bits(), e.std_err.to_bits()))
+        .collect();
+    // Ĵ = 433.18 with standard error ≈ 1223.07 at both thresholds.
+    assert_eq!(bits, [(0x407b_12e1_47ae_147b, 0x4093_1c4a_c810_c09a); 2]);
+}

@@ -702,6 +702,63 @@ mod restart_equivalence {
     }
 }
 
+/// What an engine serves at its current epoch, as bits: the epoch, the
+/// live ids, `N_H`, and the value and standard error of a τ curve.
+fn served_bits(engine: &EstimationEngine) -> (u64, Vec<GlobalId>, u64, Vec<(u64, u64)>) {
+    let snapshot = engine.snapshot();
+    let curve = engine
+        .estimate_batch(&[0.3, 0.6, 0.9])
+        .iter()
+        .map(|e| (e.estimate.value.to_bits(), e.std_err.to_bits()))
+        .collect();
+    (
+        snapshot.epoch(),
+        snapshot.global_ids().to_vec(),
+        snapshot.nh(),
+        curve,
+    )
+}
+
+/// SimHash replay: a WAL tail of a 2 000-row batch insert, weighted
+/// upserts and removes — with no checkpoint after them — recovers on
+/// both tiers to an engine that serves the live engine's bits at the
+/// same epoch. Recovery keys the tail's vectors as one batch, so this
+/// holds the batched SimHash keys to the keys the live engine applied.
+#[test]
+fn simhash_tail_replays_bit_identically_on_both_tiers() {
+    let dir = fresh_dir("simhash_tail");
+    let config = ServiceConfig::builder()
+        .shards(3)
+        .k(16)
+        .seed(2011)
+        .family(IndexFamily::SimHash)
+        .build();
+    let engine = durable_for_test(config, &dir);
+    let ids = engine.insert_batch(DblpLike::with_size(2_000).generate(5).into_vectors());
+    engine.publish();
+    for (i, &id) in ids.iter().step_by(97).enumerate() {
+        let i = i as u32;
+        let weighted = SparseVector::from_entries(vec![
+            (i % 40, 1.5),
+            (40 + i % 7, -0.25 - i as f32),
+            (u32::MAX - 1 - i, 0.5),
+        ])
+        .unwrap();
+        assert!(engine.upsert(id, weighted), "id {id} is live");
+    }
+    for &id in ids.iter().skip(13).step_by(101) {
+        engine.remove(id);
+    }
+    engine.publish();
+    let live = served_bits(&engine);
+    drop(engine);
+    for tier in [StorageTier::Heap, StorageTier::Mapped] {
+        let recovered = EstimationEngine::recover_with(&dir, tier_options(tier)).unwrap();
+        assert_eq!(served_bits(&recovered), live, "{tier:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // --- refuse, never mis-serve -------------------------------------------------
 
 /// A durable directory with a checkpoint and a WAL tail, engine dropped.
