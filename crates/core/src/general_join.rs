@@ -124,7 +124,7 @@ impl GeneralJoinIndex {
             .table_v
             .bucket_by_key(key)
             .expect("matched bucket in V");
-        Some((*rng.choose(&bu.members), *rng.choose(&bv.members)))
+        Some((*rng.choose(bu.members), *rng.choose(bv.members)))
     }
 
     /// Uniform cross pair from `S_L` by rejection (`None` when

@@ -19,9 +19,9 @@
 //!   idealized theory.
 //! * [`signature`] — composite functions `g = (h₁, …, h_k)`, signature
 //!   matrices (for LC) and folded 64-bit bucket keys (for tables).
-//! * [`table`] — a single, frozen hash table `D_g` with per-bucket
-//!   member lists *and counts* `b_j`, the pair count `N_H = Σ C(b_j,2)`,
-//!   and the alias table over its pair buckets.
+//! * [`table`] — a single, frozen hash table `D_g` whose buckets — member
+//!   lists *and counts* `b_j` — are one key-ordered slab, with the pair
+//!   count `N_H = Σ C(b_j,2)` and the alias table over its pair buckets.
 //! * [`view`] — [`IndexView`], the read surface estimators sample
 //!   through: a backend supplies storage primitives and inherits the two
 //!   stratum draws LSH-SS needs (alias-weighted same-bucket pairs,
@@ -49,5 +49,5 @@ pub use minhash::MinHashFamily;
 pub use signature::{bucket_key, Composite, SignatureMatrix};
 pub use simhash::SimHashFamily;
 pub use stats::{IndexStats, TableStats};
-pub use table::LshTable;
+pub use table::{BucketSlab, LshTable};
 pub use view::IndexView;

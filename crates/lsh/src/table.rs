@@ -13,7 +13,7 @@
 //!   from stratum `S_L` (SampleL line 3).
 //!
 //! Construction hashes all vectors as one batch on a work pool (the
-//! only data-parallel step; grouping is a sequential hash-map pass).
+//! only data-parallel step; grouping is one sort).
 //!
 //! # One frozen table
 //!
@@ -25,19 +25,25 @@
 //! means rebuilding from the surviving keys (the service's write side
 //! keeps rows, not a table, for exactly that reason).
 //!
+//! Buckets live in one [`BucketSlab`]: the keys ascending, a `u32`
+//! offset per bucket and every member id in one array, id-ascending
+//! within a bucket — the `BKTK`/`BOFF`/`BMEM` sections of a checkpoint
+//! and the layout the mapped tier serves. Each pair bucket (`b_j ≥ 2`)
+//! is one alias column holding its member range, so a SampleH draw
+//! reads the column's range and then the two members.
+//!
 //! # Incremental (epoch) construction
 //!
-//! Bucket storage is a list of immutable, `Arc`-shared **runs**
-//! (`BucketStore`). A batch build produces one run; the epoch path
-//! ([`LshTable::from_parts_delta`]) reuses every run of the previous
-//! epoch's table by pointer and appends one small run holding only the
-//! buckets this delta touched or created — so consecutive epoch tables
-//! share all unchanged state, and building the next epoch costs
-//! O(delta), not O(n). Runs are coalesced once the list grows past
-//! an internal bound, which bounds lookup depth and reclaims the stale
-//! copies superseded by later runs.
+//! [`LshTable::from_parts_delta`] merges the previous epoch's slab with
+//! the sorted appended keys in one linear pass. Appended ids are larger
+//! than every existing id, so a touched bucket is its old members
+//! followed by its new ones, and the merged slab equals the one a batch
+//! grouping of all keys yields, array for array. The pass copies
+//! 4 bytes per indexed row plus 12 per bucket — the same O(n) class as
+//! the row-key copy and the alias rebuild a publish already does — and
+//! hashes and regroups nothing.
 
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::family::BucketHasher;
@@ -46,23 +52,18 @@ use vsj_pool::WorkPool;
 use vsj_sampling::AliasTable;
 use vsj_vector::{pairs_of, SparseVector, VectorCollection, VectorId};
 
-/// One bucket: its folded key and the ids of its members. The paper's
-/// bucket count `b_j` is `members.len()`.
-///
-/// Member lists sit behind an [`Arc`] so a table assembled by
-/// [`LshTable::from_parts_delta`] can *share* every unchanged bucket
-/// with its predecessor epoch — cloning a bucket is a pointer bump, and
-/// only buckets actually touched by the delta get their members copied
-/// (via `Arc::make_mut`).
-#[derive(Debug, Clone)]
-pub struct Bucket {
+/// One bucket: its folded key and the ids of its members, borrowed from
+/// the table's [`BucketSlab`]. The paper's bucket count `b_j` is
+/// `members.len()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bucket<'a> {
     /// Folded `g`-value identifying the bucket.
     pub key: u64,
-    /// Ids of the vectors hashed here (shared across epoch tables).
-    pub members: Arc<Vec<VectorId>>,
+    /// Ids of the vectors hashed here, ascending.
+    pub members: &'a [VectorId],
 }
 
-impl Bucket {
+impl Bucket<'_> {
     /// The bucket count `b_j`.
     #[inline]
     pub fn count(&self) -> usize {
@@ -76,191 +77,149 @@ impl Bucket {
     }
 }
 
-/// Maximum bucket runs before [`LshTable::from_parts_delta`] coalesces
-/// them into one (it also coalesces when the touched-bucket overlay
-/// outgrows a fraction of the store). Bounds per-lookup run-search and
-/// overlay depth; coalescing is an O(#buckets) pointer pass amortized
-/// over this many epochs.
-const COALESCE_RUNS: usize = 32;
-
-/// Bucket storage: a list of immutable, `Arc`-shared runs addressed by
-/// a flat `u32` index (run-major). Batch-built tables hold one run;
-/// each incremental epoch appends one run of *new* buckets, parks its
-/// copies of *touched* buckets in the overlay, and shares every run
-/// with its predecessor.
-#[derive(Debug, Clone)]
-struct BucketStore {
-    runs: Vec<Arc<Vec<Bucket>>>,
-    /// Flat index of the first bucket of each run (parallel to `runs`).
-    starts: Vec<u32>,
-    /// Total physical slots.
-    len: u32,
-    /// Per-index replacements: buckets an epoch delta *touched* are
-    /// copied here under their original index (so nothing that refers
-    /// to bucket indices — enumeration order, pair order, the alias
-    /// columns — needs patching), while the run they came from stays
-    /// shared, byte-for-byte, with the previous epoch's table. Bounded
-    /// by coalescing.
-    overlay: HashMap<u32, Bucket>,
+/// Ids grouped by bucket key in three flat arrays — the checkpoint's
+/// `BKTK`/`BOFF`/`BMEM` shape. Bucket `j` has key `keys[j]` (strictly
+/// ascending) and members `members[offsets[j]..offsets[j + 1]]`
+/// (ascending ids).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BucketSlab {
+    keys: Vec<u64>,
+    offsets: Vec<u32>,
+    members: Vec<VectorId>,
 }
 
-impl BucketStore {
-    fn from_vec(buckets: Vec<Bucket>) -> Self {
-        let len = u32::try_from(buckets.len()).expect("bucket count exceeds u32");
-        Self {
-            runs: vec![Arc::new(buckets)],
-            starts: vec![0],
-            len,
-            overlay: HashMap::new(),
+impl BucketSlab {
+    /// Groups ids `0..vector_keys.len()` by their keys with one sort.
+    ///
+    /// # Panics
+    /// Panics when the ids do not fit a `u32`.
+    pub fn group(vector_keys: &[u64]) -> Self {
+        let n = VectorId::try_from(vector_keys.len()).expect("table exceeds u32 ids");
+        let mut slab = Self::with_capacity(vector_keys.len());
+        for (key, id) in sorted_by_key(vector_keys, 0..n) {
+            slab.push(key, id);
         }
+        slab.close()
     }
 
-    /// Total physical slots.
-    #[inline]
-    fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Run containing flat index `idx`.
-    #[inline]
-    fn run_of(&self, idx: u32) -> usize {
-        if self.runs.len() == 1 {
-            0
-        } else {
-            self.starts.partition_point(|&s| s <= idx) - 1
-        }
-    }
-
-    /// The bucket in its backing run, ignoring the overlay.
-    #[inline]
-    fn get_base(&self, idx: u32) -> &Bucket {
-        let run = self.run_of(idx);
-        &self.runs[run][(idx - self.starts[run]) as usize]
-    }
-
-    #[inline]
-    fn get(&self, idx: u32) -> &Bucket {
-        if !self.overlay.is_empty() {
-            if let Some(b) = self.overlay.get(&idx) {
-                return b;
+    /// This slab with ids `first..` (all larger than every id here)
+    /// keyed by `new_keys` merged in: one linear pass that bulk-copies
+    /// the stretches of buckets the delta does not touch.
+    fn merged(&self, first: VectorId, new_keys: &[u64]) -> Self {
+        let end =
+            VectorId::try_from(first as usize + new_keys.len()).expect("table exceeds u32 ids");
+        let delta = sorted_by_key(new_keys, first..end);
+        let mut slab = Self::with_capacity(self.members.len() + delta.len());
+        let mut next = 0usize;
+        for group in delta.chunk_by(|a, b| a.0 == b.0) {
+            let key = group[0].0;
+            let at = next + self.keys[next..].partition_point(|&k| k < key);
+            let hit = self.keys.get(at) == Some(&key);
+            let end = at + usize::from(hit);
+            slab.copy_buckets(self, next..end);
+            if !hit {
+                slab.open(key);
             }
+            slab.members.extend(group.iter().map(|&(_, id)| id));
+            next = end;
         }
-        self.get_base(idx)
+        slab.copy_buckets(self, next..self.keys.len());
+        slab.close()
     }
 
-    /// Mutable access for the delta under construction. Runs are
-    /// shared with the previous epoch's (frozen) table and never
-    /// written — the bucket is copied into the overlay instead.
-    fn get_mut(&mut self, idx: u32) -> &mut Bucket {
-        let run = self.run_of(idx);
-        let base = &self.runs[run][(idx - self.starts[run]) as usize];
-        self.overlay.entry(idx).or_insert_with(|| base.clone())
+    fn with_capacity(members: usize) -> Self {
+        Self {
+            keys: Vec::new(),
+            offsets: Vec::new(),
+            members: Vec::with_capacity(members),
+        }
     }
 
-    /// Appends a whole run (the epoch delta path).
-    fn append_run(&mut self, run: Vec<Bucket>) {
-        let added = u32::try_from(run.len()).expect("bucket count exceeds u32");
-        assert!(
-            self.len.checked_add(added).is_some(),
-            "bucket count exceeds u32"
-        );
-        self.starts.push(self.len);
-        self.runs.push(Arc::new(run));
-        self.len += added;
+    /// Starts bucket `key` at the current end of `members`.
+    fn open(&mut self, key: u64) {
+        self.keys.push(key);
+        self.offsets.push(self.members.len() as u32);
+    }
+
+    /// Appends `id` to bucket `key`, opening it unless it is the last.
+    fn push(&mut self, key: u64, id: VectorId) {
+        if self.keys.last() != Some(&key) {
+            self.open(key);
+        }
+        self.members.push(id);
+    }
+
+    /// Appends `from`'s buckets `range` whole.
+    fn copy_buckets(&mut self, from: &Self, range: Range<usize>) {
+        if range.is_empty() {
+            return;
+        }
+        let members = from.offsets[range.start] as usize..from.offsets[range.end] as usize;
+        // Everything before `range` in `from` is already here.
+        let shift = self.members.len() as u32 - from.offsets[range.start];
+        self.keys.extend_from_slice(&from.keys[range.clone()]);
+        self.offsets
+            .extend(from.offsets[range].iter().map(|&o| o + shift));
+        self.members.extend_from_slice(&from.members[members]);
+    }
+
+    /// Ends the last bucket.
+    fn close(mut self) -> Self {
+        self.offsets.push(self.members.len() as u32);
+        self
+    }
+
+    /// Bucket keys, strictly ascending (`BKTK`).
+    #[inline]
+    pub fn keys(&self) -> &[u64] {
+        &self.keys
+    }
+
+    /// Member offsets, one per bucket plus the end (`BOFF`).
+    #[inline]
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Member ids, bucket by bucket (`BMEM`).
+    #[inline]
+    pub fn members(&self) -> &[VectorId] {
+        &self.members
+    }
+
+    /// Bucket `j`.
+    #[inline]
+    fn bucket(&self, j: usize) -> Bucket<'_> {
+        Bucket {
+            key: self.keys[j],
+            members: &self.members[self.offsets[j] as usize..self.offsets[j + 1] as usize],
+        }
     }
 }
 
-/// The order in which buckets are *enumerated* (by the pair-bucket
-/// alias columns, [`LshTable::buckets`], and key lookups on delta tables),
-/// decoupled from their physical run/slot position.
-///
-/// Sampling is sensitive to enumeration order — the alias table's
-/// columns follow it — so two tables over the same data sample
-/// identically iff they enumerate identically. Batch construction
-/// ([`LshTable::build`] / [`LshTable::from_parts`]) physically sorts
-/// buckets by key and uses the trivial `Physical` order; the delta path
-/// ([`LshTable::from_parts_delta`]) appends touched/new buckets in a
-/// fresh run (so unchanged runs stay shared) and carries an `Explicit`
-/// key-sorted permutation instead — both enumerate the same
-/// key-ascending sequence, which is what makes delta tables sample
-/// bit-identically to batch-built ones.
-#[derive(Debug, Clone)]
-enum BucketOrder {
-    /// Enumerate buckets in physical (flat-index) order.
-    Physical,
-    /// Enumerate buckets via this permutation of physical indices.
-    Explicit(Vec<u32>),
-}
-
-impl BucketOrder {
-    /// Physical bucket indices in enumeration order. `physical_len` is
-    /// the store's slot count, used by the `Physical` variant only.
-    fn indices(&self, physical_len: usize) -> impl Iterator<Item = u32> + '_ {
-        let explicit = match self {
-            Self::Physical => None,
-            Self::Explicit(perm) => Some(perm),
-        };
-        let n = explicit.map_or(physical_len, |p| p.len());
-        (0..n as u32).map(move |i| explicit.map_or(i, |p| p[i as usize]))
-    }
-
-    /// Number of live (enumerated) buckets.
-    fn live(&self, physical_len: usize) -> usize {
-        match self {
-            Self::Physical => physical_len,
-            Self::Explicit(perm) => perm.len(),
-        }
-    }
+/// `(key, id)` pairs sorted by key, ids ascending within a key.
+fn sorted_by_key(keys: &[u64], ids: Range<VectorId>) -> Vec<(u64, VectorId)> {
+    let mut pairs: Vec<(u64, VectorId)> = keys.iter().copied().zip(ids).collect();
+    pairs.sort_unstable();
+    pairs
 }
 
 /// A bucket-counted LSH table over a vector collection.
 pub struct LshTable {
     hasher: Arc<dyn BucketHasher>,
-    buckets: BucketStore,
-    /// Bucket index by key (the "standard hashing" of §4.1: only existing
-    /// buckets are stored). **Empty for delta-built tables** — cloning a
-    /// large hash map per epoch is exactly the O(n) cost the delta path
-    /// exists to avoid; key lookups there binary-search the key-sorted
-    /// enumeration order instead.
-    by_key: HashMap<u64, u32>,
+    /// The buckets, key-ascending.
+    slab: BucketSlab,
     /// Bucket key of each vector id — O(1) `B(v)` lookup without
     /// re-hashing the vector.
     vector_keys: Vec<u64>,
-    /// Bucket enumeration order (see [`BucketOrder`]).
-    order: BucketOrder,
-    /// The pair buckets (`C(b_j, 2) > 0`) in enumeration order, with
-    /// their weights — lets an epoch build and maintain its sampler in
-    /// O(#pair buckets) without touching the buckets themselves. Its
-    /// `order` is the column → bucket map of `alias`.
-    pairs: PairIndex,
+    /// Member range in `slab` of each pair bucket (`C(b_j, 2) > 0`),
+    /// key-ascending: column `c` of `alias`.
+    pairs: Vec<(u32, u32)>,
     /// `N_H = Σ_j C(b_j, 2)`.
     nh: u64,
     /// Alias table over `pairs` with `weight(B_j) = C(b_j, 2)`; `None`
     /// when no bucket holds ≥ 2 vectors.
     alias: Option<AliasTable>,
-}
-
-/// Key-ordered index of the pair buckets (`C(b_j, 2) > 0`): their
-/// store indices and, in lockstep, their pair weights. Carrying the
-/// weights here lets an epoch build its sampler from two contiguous
-/// arrays — no scattered bucket reads — and lets the next epoch update
-/// it by splicing in O(delta).
-#[derive(Debug, Clone)]
-struct PairIndex {
-    order: Vec<u32>,
-    weights: Vec<u64>,
-}
-
-impl PairIndex {
-    /// The weighted-bucket sampler over these pair buckets — weights
-    /// are already gathered, so no bucket is read.
-    fn alias(&self) -> Option<AliasTable> {
-        if self.weights.is_empty() {
-            return None;
-        }
-        let weights: Vec<f64> = self.weights.iter().map(|&w| w as f64).collect();
-        Some(AliasTable::new(&weights).expect("positive C(b,2) weights"))
-    }
 }
 
 impl LshTable {
@@ -289,218 +248,67 @@ impl LshTable {
 
     /// Builds the table from *precomputed* bucket keys — the snapshot
     /// path of the service layer: hashing happened once, at ingest
-    /// time, so assembling a global read view is a pure O(n)
-    /// grouping pass with no similarity-hash evaluations.
+    /// time, so assembling a global read view is a pure
+    /// O(n log n) grouping sort with no similarity-hash evaluations.
     ///
     /// The result is indistinguishable from
     /// [`LshTable::build`] over a collection whose vectors hash to
     /// exactly `vector_keys` (same buckets, same order, same `N_H`, same
-    /// sampling behavior for the same RNG stream).
-    ///
-    /// Groups ids by key, sorts buckets by key (members stay in id
-    /// order) and indexes everything; [`LshTable::build`] ends here too.
+    /// sampling behavior for the same RNG stream);
+    /// [`LshTable::build`] ends here too.
     pub fn from_parts(hasher: Arc<dyn BucketHasher>, vector_keys: Vec<u64>) -> Self {
-        // Group ids by key. Reserve assuming mostly-distinct keys (true
-        // at the k values the paper uses).
-        let mut groups: HashMap<u64, Vec<VectorId>> = HashMap::with_capacity(vector_keys.len());
-        for (id, &key) in vector_keys.iter().enumerate() {
-            groups.entry(key).or_default().push(id as VectorId);
-        }
-        let mut buckets: Vec<Bucket> = groups
-            .into_iter()
-            .map(|(key, members)| Bucket {
-                key,
-                members: Arc::new(members),
-            })
-            .collect();
-        // Deterministic bucket order regardless of hash-map iteration.
-        buckets.sort_unstable_by_key(|b| b.key);
-
-        let mut by_key = HashMap::with_capacity(buckets.len());
-        let mut pairs = PairIndex {
-            order: Vec::new(),
-            weights: Vec::new(),
-        };
-        let mut nh = 0u64;
-        for (idx, b) in buckets.iter().enumerate() {
-            by_key.insert(b.key, idx as u32);
-            let w = b.pair_weight();
-            if w > 0 {
-                pairs.order.push(idx as u32);
-                pairs.weights.push(w);
-            }
-            nh += w;
-        }
-        Self {
-            hasher,
-            buckets: BucketStore::from_vec(buckets),
-            by_key,
-            vector_keys,
-            order: BucketOrder::Physical,
-            alias: pairs.alias(),
-            pairs,
-            nh,
-        }
+        let slab = BucketSlab::group(&vector_keys);
+        Self::index(hasher, slab, vector_keys)
     }
 
     /// Builds the table for `prev`'s keys followed by `new_keys` — the
-    /// **incremental epoch path**: instead of regrouping all `n + k`
-    /// keys, the previous epoch's table is extended by the `k` appended
-    /// ones. Every unchanged bucket *run* is reused by `Arc`; one new
-    /// run holds copies of the buckets the delta touched plus the
-    /// brand-new ones, and the key-sorted enumeration order and
-    /// pair-bucket sampler are rebuilt by merging — O(k) bucket work
-    /// plus O(#buckets + #pair buckets) cheap index moves, no
-    /// re-hashing, no re-grouping, no payload traffic.
+    /// **incremental epoch path**: `prev`'s slab and the sorted new keys
+    /// are merged in one linear pass, with no re-hashing and no
+    /// regrouping of the `n` existing keys.
     ///
-    /// The result is **observationally identical** to
-    /// [`LshTable::from_parts`] over the concatenated key sequence:
-    /// same `N_H`, same buckets, and — because new buckets are woven
-    /// into the key-sorted *enumeration order* (an internal permutation)
-    /// even though they live in the appended run — the same sampling
-    /// stream for the same RNG. The equivalence is pinned by tests and
-    /// is what lets the service publish epochs incrementally while
-    /// keeping estimates bit-identical to a full merge.
+    /// The result equals [`LshTable::from_parts`] over the concatenated
+    /// key sequence array for array — slab, pair columns, `N_H` — so it
+    /// draws the same sampling stream for the same RNG. The equivalence
+    /// is pinned by tests and is what lets the service publish epochs
+    /// incrementally while keeping estimates bit-identical to a full
+    /// merge.
     ///
     /// # Panics
     /// Panics when the id space would overflow `u32`.
     pub fn from_parts_delta(prev: &Self, new_keys: &[u64]) -> Self {
-        let prev_pairs = &prev.pairs;
-        let n0 = prev.vector_keys.len();
-        u32::try_from(n0 + new_keys.len()).expect("table exceeds u32 ids");
-        let mut vector_keys = Vec::with_capacity(n0 + new_keys.len());
+        let first = VectorId::try_from(prev.len()).expect("table exceeds u32 ids");
+        let slab = prev.slab.merged(first, new_keys);
+        let mut vector_keys = Vec::with_capacity(prev.len() + new_keys.len());
         vector_keys.extend_from_slice(&prev.vector_keys);
         vector_keys.extend_from_slice(new_keys);
-
-        // Apply the delta: touched buckets are copied into the store's
-        // overlay *under their original index* (runs stay shared with
-        // `prev` untouched, and nothing index-keyed needs rewriting);
-        // fresh keys build up one appended run.
-        let mut store = prev.buckets.clone();
-        let base_len = store.len;
-        let mut run: Vec<Bucket> = Vec::new();
-        // Original member count of each touched bucket (for pair-order
-        // admission below) and key → run position for fresh keys.
-        let mut touched: HashMap<u32, usize> = HashMap::new();
-        let mut local: HashMap<u64, u32> = HashMap::with_capacity(new_keys.len().min(1 << 12));
-        let mut nh = prev.nh;
-        for (i, &key) in new_keys.iter().enumerate() {
-            let id = (n0 + i) as VectorId;
-            let members = match prev.find_bucket(key) {
-                Some(old_idx) => {
-                    let bucket = store.get_mut(old_idx);
-                    touched.entry(old_idx).or_insert(bucket.members.len());
-                    &mut bucket.members
-                }
-                None => match local.get(&key) {
-                    Some(&pos) => &mut run[pos as usize].members,
-                    None => {
-                        let pos = u32::try_from(run.len()).expect("bucket count exceeds u32");
-                        run.push(Bucket {
-                            key,
-                            members: Arc::new(Vec::new()),
-                        });
-                        local.insert(key, pos);
-                        &mut run[pos as usize].members
-                    }
-                },
-            };
-            let members = Arc::make_mut(members);
-            nh += members.len() as u64;
-            members.push(id);
-        }
-
-        // Newcomers to the enumeration order (fresh keys) and the pair
-        // index (fresh pairs + touched buckets that crossed 1 → 2), as
-        // key-sorted (key, flat index[, weight]) lists; touched buckets
-        // that already were pairs just get their weight refreshed in
-        // place (their key — hence their position — is unchanged).
-        let mut fresh: Vec<(u64, u32)> = run
-            .iter()
-            .enumerate()
-            .map(|(pos, b)| (b.key, base_len + pos as u32))
-            .collect();
-        let mut new_pairs: Vec<(u64, u32, u64)> = fresh
-            .iter()
-            .zip(&run)
-            .filter(|(_, b)| b.count() >= 2)
-            .map(|(&(key, idx), b)| (key, idx, b.pair_weight()))
-            .collect();
-        let mut pair_weights = prev_pairs.weights.clone();
-        for (&idx, &old_count) in &touched {
-            let bucket = store.get(idx);
-            if old_count < 2 {
-                new_pairs.push((bucket.key, idx, bucket.pair_weight()));
-            } else {
-                let key = bucket.key;
-                let p = prev_pairs
-                    .order
-                    .partition_point(|&e| store.get(e).key < key);
-                debug_assert_eq!(store.get(prev_pairs.order[p]).key, key);
-                pair_weights[p] = bucket.pair_weight();
-            }
-        }
-        fresh.sort_unstable_by_key(|&(key, _)| key);
-        new_pairs.sort_unstable_by_key(|&(key, _, _)| key);
-        store.append_run(run);
-
-        // Weave the newcomers into the key-ascending orders: indices of
-        // existing buckets are unchanged (the overlay preserved them),
-        // so the merges are pure splices — binary-search each
-        // newcomer's slot, bulk-copy the stretches between.
-        let order = splice_by_key(&prev.order, prev.buckets.len(), fresh, |idx| {
-            store.get(idx).key
-        });
-        let pairs = splice_pairs(&prev_pairs.order, &pair_weights, new_pairs, |idx| {
-            store.get(idx).key
-        });
-
-        let overlay_heavy = store.overlay.len() * 8 > store.len().max(64);
-        let (store, order, pairs) = if store.runs.len() > COALESCE_RUNS || overlay_heavy {
-            coalesce(store, &order)
-        } else {
-            (store, BucketOrder::Explicit(order), pairs)
-        };
-
-        Self {
-            hasher: prev.hasher.clone(),
-            buckets: store,
-            by_key: HashMap::new(),
-            vector_keys,
-            order,
-            alias: pairs.alias(),
-            pairs,
-            nh,
-        }
+        Self::index(prev.hasher.clone(), slab, vector_keys)
     }
 
-    /// Physical index of the bucket with `key`, through the hash map
-    /// when present (batch-built tables) or by binary search over the
-    /// key-sorted enumeration order (delta-built tables, which
-    /// deliberately carry no map — see [`LshTable::by_key`]).
-    fn find_bucket(&self, key: u64) -> Option<u32> {
-        if self.buckets.len() == 0 {
-            return None;
+    /// Indexes the pair buckets of `slab` and their sampler.
+    fn index(hasher: Arc<dyn BucketHasher>, slab: BucketSlab, vector_keys: Vec<u64>) -> Self {
+        let pairs: Vec<(u32, u32)> = slab
+            .offsets
+            .windows(2)
+            .filter(|w| w[1] - w[0] >= 2)
+            .map(|w| (w[0], w[1]))
+            .collect();
+        let weights: Vec<u64> = pairs
+            .iter()
+            .map(|&(start, end)| pairs_of(u64::from(end - start)))
+            .collect();
+        let nh = weights.iter().sum();
+        let alias = (!weights.is_empty()).then(|| {
+            let weights: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+            AliasTable::new(&weights).expect("positive C(b,2) weights")
+        });
+        Self {
+            hasher,
+            slab,
+            vector_keys,
+            pairs,
+            nh,
+            alias,
         }
-        if !self.by_key.is_empty() {
-            return self.by_key.get(&key).copied();
-        }
-        let live = self.order.live(self.buckets.len());
-        let mut lo = 0usize;
-        let mut hi = live;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let idx = match &self.order {
-                BucketOrder::Physical => mid as u32,
-                BucketOrder::Explicit(perm) => perm[mid],
-            };
-            match self.buckets.get(idx).key.cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(idx),
-            }
-        }
-        None
     }
 
     /// Number of indexed vectors `n` (ids are `0..n`).
@@ -518,7 +326,7 @@ impl LshTable {
     /// Number of buckets `n_g` (only non-empty buckets are stored).
     #[inline]
     pub fn num_buckets(&self) -> usize {
-        self.order.live(self.buckets.len())
+        self.slab.keys.len()
     }
 
     /// `N_H = Σ_j C(b_j, 2)` — pairs in the same bucket.
@@ -531,6 +339,13 @@ impl LshTable {
     #[inline]
     pub fn hasher(&self) -> &Arc<dyn BucketHasher> {
         &self.hasher
+    }
+
+    /// The buckets as one key-ordered slab — what a checkpoint writes
+    /// as its `BKTK`/`BOFF`/`BMEM` sections.
+    #[inline]
+    pub fn slab(&self) -> &BucketSlab {
+        &self.slab
     }
 
     /// Serializes the table to its parts: the bucket key of every
@@ -553,21 +368,21 @@ impl LshTable {
         self.vector_keys[a as usize] == self.vector_keys[b as usize]
     }
 
-    /// The bucket with the given key, if present.
-    pub fn bucket_by_key(&self, key: u64) -> Option<&Bucket> {
-        self.find_bucket(key).map(|i| self.buckets.get(i))
+    /// The bucket with the given key, if present (the "standard
+    /// hashing" of §4.1: only existing buckets are stored).
+    pub fn bucket_by_key(&self, key: u64) -> Option<Bucket<'_>> {
+        let j = self.slab.keys.binary_search(&key).ok()?;
+        Some(self.slab.bucket(j))
     }
 
     /// All buckets, key-ascending.
-    pub fn buckets(&self) -> impl Iterator<Item = &Bucket> {
-        self.order
-            .indices(self.buckets.len())
-            .map(|i| self.buckets.get(i))
+    pub fn buckets(&self) -> impl Iterator<Item = Bucket<'_>> {
+        (0..self.num_buckets()).map(|j| self.slab.bucket(j))
     }
 
     /// Bucket count `b_j` for a key (0 when the bucket does not exist).
     pub fn bucket_count(&self, key: u64) -> usize {
-        self.bucket_by_key(key).map_or(0, Bucket::count)
+        self.bucket_by_key(key).map_or(0, |b| b.count())
     }
 }
 
@@ -605,122 +420,11 @@ impl IndexView for LshTable {
         col: usize,
         pick: impl FnOnce(usize) -> (usize, usize),
     ) -> (VectorId, VectorId) {
-        let members = &self.buckets.get(self.pairs.order[col]).members;
+        let (start, end) = self.pairs[col];
+        let members = &self.slab.members[start as usize..end as usize];
         let (i, j) = pick(members.len());
         (members[i], members[j])
     }
-}
-
-/// Splices key-sorted `(key, index)` newcomers into a key-sorted index
-/// slice (disjoint key sets): binary-search each newcomer's slot,
-/// bulk-copy the stretches between — O(new · log existing) probes plus
-/// one pass of `memcpy`, no per-element key lookups.
-fn splice_sorted(
-    existing: &[u32],
-    incoming: Vec<(u64, u32)>,
-    key_at: impl Fn(u32) -> u64,
-) -> Vec<u32> {
-    if incoming.is_empty() {
-        return existing.to_vec();
-    }
-    let mut merged = Vec::with_capacity(existing.len() + incoming.len());
-    let mut start = 0usize;
-    for (key, idx) in incoming {
-        let p = start + existing[start..].partition_point(|&e| key_at(e) < key);
-        merged.extend_from_slice(&existing[start..p]);
-        merged.push(idx);
-        start = p;
-    }
-    merged.extend_from_slice(&existing[start..]);
-    merged
-}
-
-/// [`splice_sorted`] over parallel (index, weight) arrays — the pair
-/// index variant.
-fn splice_pairs(
-    existing_order: &[u32],
-    existing_weights: &[u64],
-    incoming: Vec<(u64, u32, u64)>,
-    key_at: impl Fn(u32) -> u64,
-) -> PairIndex {
-    debug_assert_eq!(existing_order.len(), existing_weights.len());
-    if incoming.is_empty() {
-        return PairIndex {
-            order: existing_order.to_vec(),
-            weights: existing_weights.to_vec(),
-        };
-    }
-    let capacity = existing_order.len() + incoming.len();
-    let mut order = Vec::with_capacity(capacity);
-    let mut weights = Vec::with_capacity(capacity);
-    let mut start = 0usize;
-    for (key, idx, weight) in incoming {
-        let p = start + existing_order[start..].partition_point(|&e| key_at(e) < key);
-        order.extend_from_slice(&existing_order[start..p]);
-        weights.extend_from_slice(&existing_weights[start..p]);
-        order.push(idx);
-        weights.push(weight);
-        start = p;
-    }
-    order.extend_from_slice(&existing_order[start..]);
-    weights.extend_from_slice(&existing_weights[start..]);
-    PairIndex { order, weights }
-}
-
-/// [`splice_sorted`] over a [`BucketOrder`] (the `Physical` variant's
-/// identity sequence is spliced without materializing it first).
-fn splice_by_key(
-    order: &BucketOrder,
-    physical_len: usize,
-    incoming: Vec<(u64, u32)>,
-    key_at: impl Fn(u32) -> u64,
-) -> Vec<u32> {
-    match order {
-        BucketOrder::Explicit(perm) => splice_sorted(perm, incoming, key_at),
-        BucketOrder::Physical => {
-            let end = physical_len as u32;
-            let mut merged = Vec::with_capacity(physical_len + incoming.len());
-            let mut start = 0u32;
-            for (key, idx) in incoming {
-                let mut lo = start;
-                let mut hi = end;
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if key_at(mid) < key {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                merged.extend(start..lo);
-                merged.push(idx);
-                start = lo;
-            }
-            merged.extend(start..end);
-            merged
-        }
-    }
-}
-
-/// Flattens a run list (overlay included) into one physically
-/// key-ordered run. Returns the new store, the (now trivial) order,
-/// and the recomputed pair index.
-fn coalesce(store: BucketStore, order: &[u32]) -> (BucketStore, BucketOrder, PairIndex) {
-    let mut flat = Vec::with_capacity(order.len());
-    let mut pairs = PairIndex {
-        order: Vec::new(),
-        weights: Vec::new(),
-    };
-    for &idx in order {
-        let bucket = store.get(idx).clone();
-        let w = bucket.pair_weight();
-        if w > 0 {
-            pairs.order.push(flat.len() as u32);
-            pairs.weights.push(w);
-        }
-        flat.push(bucket);
-    }
-    (BucketStore::from_vec(flat), BucketOrder::Physical, pairs)
 }
 
 impl std::fmt::Debug for LshTable {
@@ -730,18 +434,17 @@ impl std::fmt::Debug for LshTable {
             .field("k", &self.hasher.k())
             .field("family", &self.hasher.family_name())
             .field("buckets", &self.num_buckets())
-            .field("runs", &self.buckets.runs.len())
             .field("nh", &self.nh)
             .finish()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::minhash::MinHashFamily;
     use crate::signature::Composite;
     use crate::simhash::SimHashFamily;
+    use std::collections::HashMap;
     use vsj_sampling::{Rng, Xoshiro256};
     use vsj_vector::SparseVector;
 
@@ -793,9 +496,7 @@ mod tests {
         assert_eq!(t.bucket_count(key), 3);
         let b = t.bucket_by_key(key).unwrap();
         assert_eq!(b.pair_weight(), 3);
-        let mut members = (*b.members).clone();
-        members.sort_unstable();
-        assert_eq!(members, vec![0, 1, 2]);
+        assert_eq!(b.members, [0, 1, 2]);
         assert_eq!(t.bucket_count(key ^ 0xFFFF), 0);
     }
 
@@ -1011,8 +712,9 @@ mod tests {
 
     // ---- incremental (delta) construction ---------------------------------
 
-    /// Asserts full observational equivalence: statistics, per-id keys,
-    /// key-ordered bucket enumeration, and the sampling streams.
+    /// Asserts full equivalence: statistics, per-id keys, the frozen
+    /// arrays (slab and pair columns), key-ordered bucket enumeration,
+    /// and the sampling streams.
     fn assert_tables_equivalent(a: &LshTable, b: &LshTable, context: &str) {
         assert_eq!(a.len(), b.len(), "{context}: len");
         assert_eq!(a.nh(), b.nh(), "{context}: nh");
@@ -1020,9 +722,9 @@ mod tests {
         for id in 0..a.len() as u32 {
             assert_eq!(a.key_of(id), b.key_of(id), "{context}: key of {id}");
         }
-        let pairs: Vec<_> = a.buckets().map(|x| (x.key, x.members.clone())).collect();
-        let pairs_b: Vec<_> = b.buckets().map(|x| (x.key, x.members.clone())).collect();
-        assert_eq!(pairs, pairs_b, "{context}: enumeration order");
+        assert_eq!(a.slab, b.slab, "{context}: bucket slab");
+        assert_eq!(a.pairs, b.pairs, "{context}: pair columns");
+        assert!(a.buckets().eq(b.buckets()), "{context}: enumeration order");
         let mut r1 = Xoshiro256::seeded(0xD3);
         let mut r2 = Xoshiro256::seeded(0xD3);
         for _ in 0..400 {
@@ -1073,7 +775,6 @@ mod tests {
     #[test]
     fn chained_deltas_match_batch_build() {
         // Epoch after epoch of appends — the service's publish cadence.
-        // 500/7 ≈ 72 epochs also crosses the run-coalescing threshold.
         let hasher = || Arc::new(Composite::derive(MinHashFamily::new(), 7, 0, 8));
         let keys = key_sequence(500, 43);
         let mut table = LshTable::from_parts(hasher(), Vec::new());
@@ -1085,24 +786,19 @@ mod tests {
     }
 
     #[test]
-    fn delta_shares_untouched_buckets_with_base() {
-        let hasher = Arc::new(Composite::derive(MinHashFamily::new(), 3, 0, 8));
-        let base = LshTable::from_parts(hasher, vec![10, 20, 20, 30, 30, 30]);
+    fn delta_slab_equals_batch_slab() {
+        let hasher = || Arc::new(Composite::derive(MinHashFamily::new(), 3, 0, 8));
+        let base = LshTable::from_parts(hasher(), vec![10, 20, 20, 30, 30, 30]);
         // Delta touches key 20 and creates key 40; 10 and 30 untouched.
         let next = LshTable::from_parts_delta(&base, &[20, 40]);
-        let find = |t: &LshTable, key: u64| t.bucket_by_key(key).unwrap().members.clone();
-        assert!(
-            Arc::ptr_eq(&find(&base, 10), &find(&next, 10)),
-            "untouched bucket 10 must be shared"
-        );
-        assert!(
-            Arc::ptr_eq(&find(&base, 30), &find(&next, 30)),
-            "untouched bucket 30 must be shared"
-        );
-        assert!(
-            !Arc::ptr_eq(&find(&base, 20), &find(&next, 20)),
-            "touched bucket must be copied, not mutated in place"
-        );
+        assert_eq!(next.slab.keys(), [10, 20, 30, 40]);
+        assert_eq!(next.slab.offsets(), [0, 1, 4, 7, 8]);
+        assert_eq!(next.slab.members(), [0, 1, 2, 6, 3, 4, 5, 7]);
+        // Pair columns: bucket 20's and bucket 30's member ranges.
+        assert_eq!(next.pairs, [(1, 4), (4, 7)]);
+        let batch = LshTable::from_parts(hasher(), vec![10, 20, 20, 30, 30, 30, 20, 40]);
+        assert_eq!(next.slab, batch.slab);
+        assert_eq!(next.pairs, batch.pairs);
         // The base epoch is frozen: its bucket 20 still has two members.
         assert_eq!(base.bucket_count(20), 2);
         assert_eq!(next.bucket_count(20), 3);
@@ -1117,8 +813,7 @@ mod tests {
         let next = LshTable::from_parts_delta(&base, &[40, 5, 60, 20]);
         let enumerated: Vec<u64> = next.buckets().map(|b| b.key).collect();
         assert_eq!(enumerated, vec![5, 10, 20, 30, 40, 50, 60]);
-        // Key lookups keep working on the woven order (no hash map on
-        // the delta path).
+        // Key lookups binary-search the merged keys.
         for key in [5, 10, 20, 30, 40, 50, 60] {
             assert_eq!(next.bucket_count(key), 1, "key {key}");
         }
@@ -1140,8 +835,8 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
-            /// Any split of any key sequence: delta == batch, including
-            /// the sampling streams.
+            /// Any split of any key sequence: delta == batch, the frozen
+            /// arrays and the sampling streams alike.
             #[test]
             fn delta_equals_batch_everywhere(
                 n in 0usize..300,
@@ -1155,7 +850,8 @@ mod tests {
                 let delta = LshTable::from_parts_delta(&base, &keys[split..]);
                 let batch = LshTable::from_parts(hasher(), keys.clone());
                 prop_assert_eq!(delta.nh(), batch.nh());
-                prop_assert_eq!(delta.num_buckets(), batch.num_buckets());
+                prop_assert_eq!(&delta.slab, &batch.slab);
+                prop_assert_eq!(&delta.pairs, &batch.pairs);
                 let mut r1 = Xoshiro256::seeded(seed ^ 0xA5A5);
                 let mut r2 = Xoshiro256::seeded(seed ^ 0xA5A5);
                 for _ in 0..60 {
@@ -1170,8 +866,8 @@ mod tests {
                 }
             }
 
-            /// Chains of deltas (crossing the coalesce threshold) stay
-            /// equivalent to one batch build.
+            /// Chains of deltas stay equal to one batch build, the frozen
+            /// arrays and the sampling stream alike.
             #[test]
             fn delta_chains_equal_batch(
                 n in 0usize..240,
@@ -1186,7 +882,8 @@ mod tests {
                 }
                 let batch = LshTable::from_parts(hasher(), keys.clone());
                 prop_assert_eq!(table.nh(), batch.nh());
-                prop_assert_eq!(table.num_buckets(), batch.num_buckets());
+                prop_assert_eq!(&table.slab, &batch.slab);
+                prop_assert_eq!(&table.pairs, &batch.pairs);
                 let mut r1 = Xoshiro256::seeded(seed ^ 0x77);
                 let mut r2 = Xoshiro256::seeded(seed ^ 0x77);
                 for _ in 0..40 {

@@ -398,13 +398,13 @@ pub struct EngineStats {
 /// * **Publication** (`publish`, or automatic every
 ///   [`ServiceConfig::auto_publish_every`] ingests) takes a consistent
 ///   cut across the shards and assembles an immutable epoch
-///   [`Snapshot`] in **O(changed)**: append-only epochs extend the
-///   previous snapshot (payload slabs and untouched bucket runs are
-///   `Arc`-shared; only the new rows' blocks are copied, nothing is
-///   re-hashed), and only epochs with removals or replacing upserts pay
-///   a full merge, which rebuilds the row directory but still copies no
-///   published payload. The new snapshot is then swapped in as the
-///   current read view.
+///   [`Snapshot`]: append-only epochs extend the previous snapshot
+///   (payload slabs are `Arc`-shared and only the new rows' blocks are
+///   copied; the bucket slab is merged with the delta's keys in one
+///   linear pass; nothing is re-hashed), and only epochs with removals
+///   or replacing upserts pay a full merge, which rebuilds the row
+///   directory but still copies no published payload. The new
+///   snapshot is then swapped in as the current read view.
 /// * **Reads** (`estimate` / `estimate_batch`) clone the current
 ///   snapshot `Arc` (readers never block writers or each other beyond
 ///   that pointer read) and run the paper's LSH-SS estimator against

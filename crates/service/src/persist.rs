@@ -38,7 +38,6 @@
 //! [`EstimationEngine::checkpoint`](crate::EstimationEngine::checkpoint)
 //! for the full protocol).
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,6 +45,7 @@ use std::time::{Duration, Instant};
 
 use memmap2::Mmap;
 use vsj_datasets::io::{ContainerIndex, ContainerWriter, IoError};
+use vsj_lsh::BucketSlab;
 use vsj_obs::{Trace, TraceRing};
 use vsj_pool::WorkPool;
 
@@ -381,30 +381,20 @@ fn encode_checkpoint_inner(
     pool: Option<&WorkPool>,
 ) -> ContainerWriter {
     let n = snapshot.len();
-    // Row keys in snapshot-local id order, whichever tier holds them.
-    let keys: Vec<u64> = match snapshot.mapped_view() {
-        Some(view) => (0..n as u32).map(|d| view.key_of(d)).collect(),
-        None => snapshot.table().to_parts(),
-    };
-    // Bucket runs: group rows by key (key-ascending, members in id
-    // order) — exactly the grouping `LshTable::from_parts` performs, so
-    // a mapped reader enumerates the same bucket sequence as a heap
+    // Row keys in snapshot-local id order, whichever tier holds them,
+    // and their buckets (key-ascending, members in id order): the heap
+    // table's own slab, or the same grouping over the mapped view's
+    // keys, so a mapped reader enumerates the bucket sequence of a heap
     // rebuild.
-    let mut buckets: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-    for (id, &key) in keys.iter().enumerate() {
-        buckets.entry(key).or_default().push(id as u32);
-    }
-    let mut boff = Vec::with_capacity(buckets.len() + 1);
-    boff.push(0u64);
-    let mut bmem = Vec::with_capacity(n * 4);
-    let mut covered = 0u64;
-    for members in buckets.values() {
-        covered += members.len() as u64;
-        boff.push(covered);
-        for &m in members {
-            bmem.extend_from_slice(&m.to_le_bytes());
+    let grouped;
+    let (keys, slab) = match snapshot.mapped_view() {
+        Some(view) => {
+            let keys: Vec<u64> = (0..n as u32).map(|d| view.key_of(d)).collect();
+            grouped = BucketSlab::group(&keys);
+            (keys, &grouped)
         }
-    }
+        None => (snapshot.table().to_parts(), snapshot.table().slab()),
+    };
     // Payload slab + per-row offsets: every row's block is copied as it
     // lies — from a heap or overlay payload slab, or from the mapping's
     // slab for a mapped base row — with no decode and no re-encode (the
@@ -425,8 +415,15 @@ fn encode_checkpoint_inner(
         encode_u64s(snapshot.global_ids().iter().copied()),
     );
     w.section(SECTION_KEYS, encode_u64s(keys.into_iter()));
-    w.section(SECTION_BKTK, encode_u64s(buckets.keys().copied()));
-    w.section(SECTION_BOFF, encode_u64s(boff.into_iter()));
+    w.section(SECTION_BKTK, encode_u64s(slab.keys().iter().copied()));
+    w.section(
+        SECTION_BOFF,
+        encode_u64s(slab.offsets().iter().map(|&o| u64::from(o))),
+    );
+    let mut bmem = Vec::with_capacity(slab.members().len() * 4);
+    for m in slab.members() {
+        bmem.extend_from_slice(&m.to_le_bytes());
+    }
     w.section(SECTION_BMEM, bmem);
     let mut vpay = vec![0u8; total as usize];
     match pool.filter(|pool| pool.threads() > 1) {

@@ -28,13 +28,14 @@
 //!
 //! **Incremental publication.** Two assembly paths exist:
 //!
-//! * [`Snapshot::assemble_delta`] — the **O(changed)** path: when an
+//! * [`Snapshot::assemble_delta`] — the incremental path: when an
 //!   epoch's delta is append-only (only inserts, all with global ids
 //!   past the previous cut — the common ingest pattern), the new
 //!   snapshot extends the previous one: its slabs are shared, the
 //!   appended rows are copied into one new slab, and the heap table is
-//!   built by [`LshTable::from_parts_delta`] (the mapped tier extends
-//!   its overlay the same way).
+//!   built by [`LshTable::from_parts_delta`], one linear merge of the
+//!   previous bucket slab with the delta's keys (the mapped tier
+//!   extends its overlay the same way).
 //! * [`Snapshot::assemble`] — the general merge for epochs whose delta
 //!   contains removals, upserts, or out-of-order ids: an O(n log n)
 //!   re-sort of the live rows and a rebuilt row directory. A row an

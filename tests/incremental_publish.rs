@@ -1,20 +1,21 @@
-//! Incremental O(changed) publication: equivalence and sharing.
+//! Incremental publication: equivalence and sharing.
 //!
 //! The contract under test: a snapshot published through the delta path
 //! (previous epoch + per-shard append logs) is **observationally
 //! identical** to a from-scratch offline build over the same live
 //! vectors in global-id order — same table statistics and bit-identical
 //! estimates at every `(seed, epoch, τ)` — while actually *sharing* its
-//! payloads and untouched buckets with the previous epoch instead of
-//! copying them. The fallback (full pointer-merge) path used for epochs
-//! with removals/upserts must satisfy the same equivalence.
+//! payloads with the previous epoch instead of copying them; its merged
+//! bucket slab and pair columns equal a batch grouping's, array for
+//! array. The fallback (full pointer-merge) path used for epochs with
+//! removals/upserts must satisfy the same equivalence.
 
 use std::sync::Arc;
 
-use vsj_core::LshSs;
+use vsj_core::{IndexView, LshSs};
 use vsj_lsh::{BucketHasher, Composite, LshTable, MinHashFamily};
 use vsj_service::{EstimationEngine, IndexFamily, ServiceConfig, Snapshot};
-use vsj_vector::{Jaccard, SparseVector, VectorCollection};
+use vsj_vector::{Jaccard, SparseVector, VectorCollection, VectorId};
 
 const SEED: u64 = 0xBEE5;
 const TAUS: [f64; 3] = [0.3, 0.6, 0.9];
@@ -100,15 +101,17 @@ fn append_only_epochs_take_delta_path_and_match_offline() {
 }
 
 #[test]
-fn consecutive_epochs_share_payloads_and_buckets() {
+fn consecutive_epochs_share_payloads_and_match_batch_slabs() {
     let engine = EstimationEngine::new(config(4));
+    // Ten documents six times over, then a delta that both grows those
+    // buckets and opens new ones.
     for i in 0..60 {
-        engine.insert(doc(i));
+        engine.insert(doc(i % 10));
     }
     engine.publish();
     let first = engine.snapshot();
     for i in 60..70 {
-        engine.insert(doc(i));
+        engine.insert(doc(i % 13));
     }
     engine.publish();
     let second = engine.snapshot();
@@ -123,21 +126,32 @@ fn consecutive_epochs_share_payloads_and_buckets() {
             "payload {local} was deep-copied between epochs"
         );
     }
-    // Buckets the delta did not touch are shared between the tables.
-    let untouched_shared = first
-        .table()
-        .buckets()
-        .filter(|b| {
-            second
-                .table()
-                .bucket_by_key(b.key)
-                .is_some_and(|b2| Arc::ptr_eq(&b.members, &b2.members))
+    // The delta-merged table holds the arrays a batch grouping of the
+    // same keys lays out: the bucket slab and every pair column.
+    let merged = second.table();
+    let batch = LshTable::from_parts(merged.hasher().clone(), merged.to_parts());
+    assert_eq!(merged.slab(), batch.slab(), "bucket slab");
+    let columns = pair_columns(&batch);
+    assert!(!columns.is_empty(), "the corpus has same-bucket pairs");
+    assert_eq!(pair_columns(merged), columns, "pair columns");
+}
+
+/// The members of every pair bucket in alias-column order, read through
+/// the draw primitive `pair_bucket_pick`.
+fn pair_columns(view: &impl IndexView) -> Vec<Vec<VectorId>> {
+    let columns = view.pair_alias().map_or(0, |alias| alias.len());
+    (0..columns)
+        .map(|col| {
+            let mut count = 0;
+            view.pair_bucket_pick(col, |b| {
+                count = b;
+                (0, 0)
+            });
+            (0..count)
+                .map(|i| view.pair_bucket_pick(col, |_| (i, i)).0)
+                .collect()
         })
-        .count();
-    assert!(
-        untouched_shared > 0,
-        "no bucket sharing observed between consecutive epochs"
-    );
+        .collect()
 }
 
 #[test]

@@ -23,6 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use vsj::prelude::*;
+use vsj::vector::VectorId;
 
 /// Fresh per-test storage directory (tests run in parallel).
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -91,6 +92,11 @@ fn assert_tiers_equivalent(heap: &EstimationEngine, mapped: &EstimationEngine, c
         IndexView::nl(sm.as_ref()),
         "{context}: N_L"
     );
+    assert_eq!(
+        pair_columns(sh.as_ref()),
+        pair_columns(sm.as_ref()),
+        "{context}: pair columns"
+    );
     for tau in TAUS {
         let (eh, em) = (heap.estimate(tau), mapped.estimate(tau));
         assert_eq!(eh, em, "{context}: LSH-SS at τ={tau}");
@@ -100,6 +106,24 @@ fn assert_tiers_equivalent(heap: &EstimationEngine, mapped: &EstimationEngine, c
         mapped.estimate_batch(&TAUS),
         "{context}: batch curve"
     );
+}
+
+/// The members of every pair bucket in alias-column order, read through
+/// the draw primitive `pair_bucket_pick`.
+fn pair_columns(view: &impl IndexView) -> Vec<Vec<VectorId>> {
+    let columns = view.pair_alias().map_or(0, |alias| alias.len());
+    (0..columns)
+        .map(|col| {
+            let mut count = 0;
+            view.pair_bucket_pick(col, |b| {
+                count = b;
+                (0, 0)
+            });
+            (0..count)
+                .map(|i| view.pair_bucket_pick(col, |_| (i, i)).0)
+                .collect()
+        })
+        .collect()
 }
 
 /// Builds a durable run: `pre` inserts, checkpoint, `post` tail inserts
@@ -219,6 +243,31 @@ fn mapped_engine_keeps_ingesting_and_publishing() {
     }
     assert_eq!(heap.publish(), mapped.publish());
     assert_tiers_equivalent(&heap, &mapped, "second publish");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn heap_and_mapped_snapshots_draw_from_equal_pair_columns() {
+    let dir = fresh_dir("columns");
+    seed_dir(&dir, 29, 60, 15);
+    let heap = recover(&dir, StorageTier::Heap);
+    let mapped = recover(&dir, StorageTier::Mapped);
+    let columns = |engine: &EstimationEngine| pair_columns(engine.snapshot().as_ref());
+    let recovered = columns(&heap);
+    assert!(!recovered.is_empty(), "the corpus has same-bucket pairs");
+    assert_eq!(recovered, columns(&mapped), "base + WAL tail");
+
+    // A tombstoned base row, an upserted one, and overlay inserts.
+    for engine in [&heap, &mapped] {
+        assert!(engine.remove(3));
+        assert!(engine.upsert(5, members(0, 2)));
+        for i in 0..6 {
+            engine.insert(members(i, 3));
+        }
+    }
+    assert_eq!(heap.publish(), mapped.publish());
+    assert_eq!(mapped.storage_tier(), StorageTier::Mapped, "still mapped");
+    assert_eq!(columns(&heap), columns(&mapped), "tombstones + overlay");
     std::fs::remove_dir_all(&dir).ok();
 }
 
