@@ -18,19 +18,23 @@
 //! # One frozen table
 //!
 //! A table is built — [`LshTable::build`], [`LshTable::from_parts`],
-//! [`LshTable::from_parts_delta`] — and never mutated: ids are dense
-//! (`0..len`), buckets enumerate key-ascending, the sampler is a plain
-//! field read without a lock. Growing an index means building the next
-//! table from the previous one plus the appended keys; removing rows
-//! means rebuilding from the surviving keys (the service's write side
-//! keeps rows, not a table, for exactly that reason).
+//! [`LshTable::from_parts_delta`], [`LshTable::from_slab`] — and never
+//! mutated: ids are dense (`0..len`), buckets enumerate key-ascending,
+//! the sampler is a plain field read without a lock. Growing an index
+//! means building the next table from the previous one plus the
+//! appended keys; removing rows means rebuilding from the surviving
+//! keys (the service's write side keeps rows, not a table, for exactly
+//! that reason).
 //!
 //! Buckets live in one [`BucketSlab`]: the keys ascending, a `u32`
 //! offset per bucket and every member id in one array, id-ascending
-//! within a bucket — the `BKTK`/`BOFF`/`BMEM` sections of a checkpoint
-//! and the layout the mapped tier serves. Each pair bucket (`b_j ≥ 2`)
-//! is one alias column holding its member range, so a SampleH draw
-//! reads the column's range and then the two members.
+//! within a bucket — the `BKTK`/`BOFF`/`BMEM` sections of a checkpoint.
+//! Each pair bucket (`b_j ≥ 2`) is one alias column holding its member
+//! range, so a SampleH draw reads the column's range and then the two
+//! members. The slab, not the table, owns those columns, `N_H` and the
+//! alias table: the mapped tier and heap recovery build their slabs
+//! from buckets that are already grouped ([`BucketSlab::from_grouped`])
+//! and index them by the same code.
 //!
 //! # Incremental (epoch) construction
 //!
@@ -78,14 +82,24 @@ impl Bucket<'_> {
 }
 
 /// Ids grouped by bucket key in three flat arrays — the checkpoint's
-/// `BKTK`/`BOFF`/`BMEM` shape. Bucket `j` has key `keys[j]` (strictly
-/// ascending) and members `members[offsets[j]..offsets[j + 1]]`
-/// (ascending ids).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `BKTK`/`BOFF`/`BMEM` shape — and the §4.1.1 extension over them.
+/// Bucket `j` has key `keys[j]` (strictly ascending) and members
+/// `members[offsets[j]..offsets[j + 1]]` (ascending ids). The slab
+/// answers the [`IndexView`] storage primitives `nh`, `pair_alias` and
+/// `pair_bucket_pick` for both storage tiers.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BucketSlab {
     keys: Vec<u64>,
     offsets: Vec<u32>,
     members: Vec<VectorId>,
+    /// Member range of each pair bucket, key-ascending: column `c` of
+    /// `alias`.
+    pairs: Vec<(u32, u32)>,
+    /// `N_H = Σ_j C(b_j, 2)`.
+    nh: u64,
+    /// Alias table over `pairs` with `weight(B_j) = C(b_j, 2)`; `None`
+    /// when no bucket holds ≥ 2 vectors.
+    alias: Option<AliasTable>,
 }
 
 impl BucketSlab {
@@ -94,12 +108,49 @@ impl BucketSlab {
     /// # Panics
     /// Panics when the ids do not fit a `u32`.
     pub fn group(vector_keys: &[u64]) -> Self {
-        let n = VectorId::try_from(vector_keys.len()).expect("table exceeds u32 ids");
-        let mut slab = Self::with_capacity(vector_keys.len());
-        for (key, id) in sorted_by_key(vector_keys, 0..n) {
-            slab.push(key, id);
+        Self::with_capacity(0).close().merged(0, vector_keys)
+    }
+
+    /// The slab of buckets that are already grouped: `keys` strictly
+    /// ascending, `offsets` one per bucket plus the end of `members`,
+    /// each bucket's members non-empty and ascending. Every slab ends
+    /// here, which builds its pair columns, `N_H` and alias table;
+    /// nothing is sorted or copied.
+    ///
+    /// # Panics
+    /// Panics when `offsets` does not run from 0 to `members.len()` with
+    /// one entry per bucket plus one.
+    pub fn from_grouped(keys: Vec<u64>, offsets: Vec<u32>, members: Vec<VectorId>) -> Self {
+        assert!(
+            offsets.len() == keys.len() + 1
+                && offsets[0] == 0
+                && offsets[keys.len()] as usize == members.len(),
+            "one offset per bucket plus the end of the members"
+        );
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] < w[1])
+                && offsets.windows(2).all(|w| {
+                    w[0] < w[1] && members[w[0] as usize..w[1] as usize].is_sorted_by(|a, b| a < b)
+                }),
+            "keys ascending, buckets non-empty, members ascending"
+        );
+        let pair_buckets = || offsets.windows(2).filter(|w| w[1] - w[0] >= 2);
+        let mut pairs = Vec::with_capacity(pair_buckets().count());
+        pairs.extend(pair_buckets().map(|w| (w[0], w[1])));
+        let weight = |&(start, end): &(u32, u32)| pairs_of(u64::from(end - start));
+        let nh = pairs.iter().map(weight).sum();
+        let alias = (!pairs.is_empty()).then(|| {
+            AliasTable::from_vec(pairs.iter().map(|p| weight(p) as f64).collect())
+                .expect("positive C(b,2) weights")
+        });
+        Self {
+            keys,
+            offsets,
+            members,
+            pairs,
+            nh,
+            alias,
         }
-        slab.close()
     }
 
     /// This slab with ids `first..` (all larger than every id here)
@@ -127,11 +178,15 @@ impl BucketSlab {
         slab.close()
     }
 
+    /// An empty slab to append buckets to in key order.
     fn with_capacity(members: usize) -> Self {
         Self {
             keys: Vec::new(),
             offsets: Vec::new(),
             members: Vec::with_capacity(members),
+            pairs: Vec::new(),
+            nh: 0,
+            alias: None,
         }
     }
 
@@ -139,14 +194,6 @@ impl BucketSlab {
     fn open(&mut self, key: u64) {
         self.keys.push(key);
         self.offsets.push(self.members.len() as u32);
-    }
-
-    /// Appends `id` to bucket `key`, opening it unless it is the last.
-    fn push(&mut self, key: u64, id: VectorId) {
-        if self.keys.last() != Some(&key) {
-            self.open(key);
-        }
-        self.members.push(id);
     }
 
     /// Appends `from`'s buckets `range` whole.
@@ -163,10 +210,10 @@ impl BucketSlab {
         self.members.extend_from_slice(&from.members[members]);
     }
 
-    /// Ends the last bucket.
+    /// Ends the last bucket and indexes the slab.
     fn close(mut self) -> Self {
         self.offsets.push(self.members.len() as u32);
-        self
+        Self::from_grouped(self.keys, self.offsets, self.members)
     }
 
     /// Bucket keys, strictly ascending (`BKTK`).
@@ -187,6 +234,32 @@ impl BucketSlab {
         &self.members
     }
 
+    /// `N_H = Σ_j C(b_j, 2)` — pairs in the same bucket.
+    #[inline]
+    pub fn nh(&self) -> u64 {
+        self.nh
+    }
+
+    /// See [`IndexView::pair_alias`].
+    #[inline]
+    pub fn pair_alias(&self) -> Option<&AliasTable> {
+        self.alias.as_ref()
+    }
+
+    /// See [`IndexView::pair_bucket_pick`]: one range read, then the
+    /// two member reads.
+    #[inline]
+    pub fn pair_bucket_pick(
+        &self,
+        col: usize,
+        pick: impl FnOnce(usize) -> (usize, usize),
+    ) -> (VectorId, VectorId) {
+        let (start, end) = self.pairs[col];
+        let members = &self.members[start as usize..end as usize];
+        let (i, j) = pick(members.len());
+        (members[i], members[j])
+    }
+
     /// Bucket `j`.
     #[inline]
     fn bucket(&self, j: usize) -> Bucket<'_> {
@@ -204,22 +277,15 @@ fn sorted_by_key(keys: &[u64], ids: Range<VectorId>) -> Vec<(u64, VectorId)> {
     pairs
 }
 
-/// A bucket-counted LSH table over a vector collection.
+/// A bucket-counted LSH table over a vector collection: the hasher, the
+/// bucket key of every row and the [`BucketSlab`] grouping them.
 pub struct LshTable {
     hasher: Arc<dyn BucketHasher>,
-    /// The buckets, key-ascending.
-    slab: BucketSlab,
     /// Bucket key of each vector id — O(1) `B(v)` lookup without
     /// re-hashing the vector.
     vector_keys: Vec<u64>,
-    /// Member range in `slab` of each pair bucket (`C(b_j, 2) > 0`),
-    /// key-ascending: column `c` of `alias`.
-    pairs: Vec<(u32, u32)>,
-    /// `N_H = Σ_j C(b_j, 2)`.
-    nh: u64,
-    /// Alias table over `pairs` with `weight(B_j) = C(b_j, 2)`; `None`
-    /// when no bucket holds ≥ 2 vectors.
-    alias: Option<AliasTable>,
+    /// The buckets, key-ascending, with their pair columns and sampler.
+    slab: BucketSlab,
 }
 
 impl LshTable {
@@ -246,32 +312,22 @@ impl LshTable {
         Self::from_parts(hasher, vector_keys)
     }
 
-    /// Builds the table from *precomputed* bucket keys — the snapshot
-    /// path of the service layer: hashing happened once, at ingest
-    /// time, so assembling a global read view is a pure
-    /// O(n log n) grouping sort with no similarity-hash evaluations.
-    ///
-    /// The result is indistinguishable from
-    /// [`LshTable::build`] over a collection whose vectors hash to
-    /// exactly `vector_keys` (same buckets, same order, same `N_H`, same
-    /// sampling behavior for the same RNG stream);
-    /// [`LshTable::build`] ends here too.
+    /// Builds the table from *precomputed* bucket keys (the service
+    /// hashes once, at ingest): one O(n log n) grouping sort, no hash
+    /// evaluations. [`LshTable::build`] ends here, so the result equals
+    /// it over vectors hashing to `vector_keys`, draw for draw.
     pub fn from_parts(hasher: Arc<dyn BucketHasher>, vector_keys: Vec<u64>) -> Self {
         let slab = BucketSlab::group(&vector_keys);
-        Self::index(hasher, slab, vector_keys)
+        Self::from_slab(hasher, vector_keys, slab)
     }
 
     /// Builds the table for `prev`'s keys followed by `new_keys` — the
     /// **incremental epoch path**: `prev`'s slab and the sorted new keys
     /// are merged in one linear pass, with no re-hashing and no
-    /// regrouping of the `n` existing keys.
-    ///
-    /// The result equals [`LshTable::from_parts`] over the concatenated
-    /// key sequence array for array — slab, pair columns, `N_H` — so it
-    /// draws the same sampling stream for the same RNG. The equivalence
-    /// is pinned by tests and is what lets the service publish epochs
-    /// incrementally while keeping estimates bit-identical to a full
-    /// merge.
+    /// regrouping of the `n` existing keys. The result equals
+    /// [`LshTable::from_parts`] over the concatenated keys slab for slab
+    /// (pinned by tests), so epochs publish incrementally with estimates
+    /// bit-identical to a full merge.
     ///
     /// # Panics
     /// Panics when the id space would overflow `u32`.
@@ -281,33 +337,22 @@ impl LshTable {
         let mut vector_keys = Vec::with_capacity(prev.len() + new_keys.len());
         vector_keys.extend_from_slice(&prev.vector_keys);
         vector_keys.extend_from_slice(new_keys);
-        Self::index(prev.hasher.clone(), slab, vector_keys)
+        Self::from_slab(prev.hasher.clone(), vector_keys, slab)
     }
 
-    /// Indexes the pair buckets of `slab` and their sampler.
-    fn index(hasher: Arc<dyn BucketHasher>, slab: BucketSlab, vector_keys: Vec<u64>) -> Self {
-        let pairs: Vec<(u32, u32)> = slab
-            .offsets
-            .windows(2)
-            .filter(|w| w[1] - w[0] >= 2)
-            .map(|w| (w[0], w[1]))
-            .collect();
-        let weights: Vec<u64> = pairs
-            .iter()
-            .map(|&(start, end)| pairs_of(u64::from(end - start)))
-            .collect();
-        let nh = weights.iter().sum();
-        let alias = (!weights.is_empty()).then(|| {
-            let weights: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
-            AliasTable::new(&weights).expect("positive C(b,2) weights")
-        });
+    /// The table over `vector_keys` whose buckets `slab` already groups
+    /// ([`BucketSlab::group`] of `vector_keys`): heap recovery's path,
+    /// with the slab copied out of a validated checkpoint, not sorted.
+    pub fn from_slab(
+        hasher: Arc<dyn BucketHasher>,
+        vector_keys: Vec<u64>,
+        slab: BucketSlab,
+    ) -> Self {
+        debug_assert_eq!(slab.members.len(), vector_keys.len(), "one member per row");
         Self {
             hasher,
-            slab,
             vector_keys,
-            pairs,
-            nh,
-            alias,
+            slab,
         }
     }
 
@@ -332,7 +377,7 @@ impl LshTable {
     /// `N_H = Σ_j C(b_j, 2)` — pairs in the same bucket.
     #[inline]
     pub fn nh(&self) -> u64 {
-        self.nh
+        self.slab.nh
     }
 
     /// The composite hasher `g` of this table.
@@ -386,8 +431,8 @@ impl LshTable {
     }
 }
 
-/// The table's storage primitives; the stratum draws are the view's
-/// provided methods.
+/// The table's storage primitives are its slab's; the stratum draws are
+/// the view's provided methods.
 impl IndexView for LshTable {
     #[inline]
     fn len(&self) -> usize {
@@ -396,7 +441,7 @@ impl IndexView for LshTable {
 
     #[inline]
     fn nh(&self) -> u64 {
-        self.nh
+        self.slab.nh
     }
 
     #[inline]
@@ -411,7 +456,7 @@ impl IndexView for LshTable {
 
     #[inline]
     fn pair_alias(&self) -> Option<&AliasTable> {
-        self.alias.as_ref()
+        self.slab.pair_alias()
     }
 
     #[inline]
@@ -420,10 +465,7 @@ impl IndexView for LshTable {
         col: usize,
         pick: impl FnOnce(usize) -> (usize, usize),
     ) -> (VectorId, VectorId) {
-        let (start, end) = self.pairs[col];
-        let members = &self.slab.members[start as usize..end as usize];
-        let (i, j) = pick(members.len());
-        (members[i], members[j])
+        self.slab.pair_bucket_pick(col, pick)
     }
 }
 
@@ -434,7 +476,7 @@ impl std::fmt::Debug for LshTable {
             .field("k", &self.hasher.k())
             .field("family", &self.hasher.family_name())
             .field("buckets", &self.num_buckets())
-            .field("nh", &self.nh)
+            .field("nh", &self.slab.nh)
             .finish()
     }
 }
@@ -723,7 +765,7 @@ mod tests {
             assert_eq!(a.key_of(id), b.key_of(id), "{context}: key of {id}");
         }
         assert_eq!(a.slab, b.slab, "{context}: bucket slab");
-        assert_eq!(a.pairs, b.pairs, "{context}: pair columns");
+        assert_eq!(a.slab.pairs, b.slab.pairs, "{context}: pair columns");
         assert!(a.buckets().eq(b.buckets()), "{context}: enumeration order");
         let mut r1 = Xoshiro256::seeded(0xD3);
         let mut r2 = Xoshiro256::seeded(0xD3);
@@ -795,10 +837,10 @@ mod tests {
         assert_eq!(next.slab.offsets(), [0, 1, 4, 7, 8]);
         assert_eq!(next.slab.members(), [0, 1, 2, 6, 3, 4, 5, 7]);
         // Pair columns: bucket 20's and bucket 30's member ranges.
-        assert_eq!(next.pairs, [(1, 4), (4, 7)]);
+        assert_eq!(next.slab.pairs, [(1, 4), (4, 7)]);
         let batch = LshTable::from_parts(hasher(), vec![10, 20, 20, 30, 30, 30, 20, 40]);
         assert_eq!(next.slab, batch.slab);
-        assert_eq!(next.pairs, batch.pairs);
+        assert_eq!(next.slab.pairs, batch.slab.pairs);
         // The base epoch is frozen: its bucket 20 still has two members.
         assert_eq!(base.bucket_count(20), 2);
         assert_eq!(next.bucket_count(20), 3);
@@ -851,7 +893,7 @@ mod tests {
                 let batch = LshTable::from_parts(hasher(), keys.clone());
                 prop_assert_eq!(delta.nh(), batch.nh());
                 prop_assert_eq!(&delta.slab, &batch.slab);
-                prop_assert_eq!(&delta.pairs, &batch.pairs);
+                prop_assert_eq!(&delta.slab.pairs, &batch.slab.pairs);
                 let mut r1 = Xoshiro256::seeded(seed ^ 0xA5A5);
                 let mut r2 = Xoshiro256::seeded(seed ^ 0xA5A5);
                 for _ in 0..60 {
@@ -883,7 +925,7 @@ mod tests {
                 let batch = LshTable::from_parts(hasher(), keys.clone());
                 prop_assert_eq!(table.nh(), batch.nh());
                 prop_assert_eq!(&table.slab, &batch.slab);
-                prop_assert_eq!(&table.pairs, &batch.pairs);
+                prop_assert_eq!(&table.slab.pairs, &batch.slab.pairs);
                 let mut r1 = Xoshiro256::seeded(seed ^ 0x77);
                 let mut r2 = Xoshiro256::seeded(seed ^ 0x77);
                 for _ in 0..40 {

@@ -41,7 +41,7 @@ impl std::fmt::Display for AliasError {
 impl std::error::Error for AliasError {}
 
 /// A Walker alias table over indices `0..n` with the given weights.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AliasTable {
     /// Probability of keeping the column's own index (scaled to [0,1]).
     prob: Box<[f64]>,
@@ -57,6 +57,15 @@ impl AliasTable {
     /// See [`AliasError`]. Zero weights are allowed (those indices are
     /// simply never drawn) as long as the total mass is positive.
     pub fn new(weights: &[f64]) -> Result<Self, AliasError> {
+        Self::from_vec(weights.to_vec())
+    }
+
+    /// [`AliasTable::new`] over owned weights, whose buffer becomes the
+    /// table's probability column instead of being copied.
+    ///
+    /// # Errors
+    /// As [`AliasTable::new`].
+    pub fn from_vec(weights: Vec<f64>) -> Result<Self, AliasError> {
         if weights.is_empty() {
             return Err(AliasError::Empty);
         }
@@ -73,7 +82,8 @@ impl AliasTable {
         let n = weights.len();
         assert!(n <= u32::MAX as usize, "alias table limited to u32 indices");
         let scale = n as f64 / total;
-        let mut prob: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
+        let mut prob = weights;
+        prob.iter_mut().for_each(|p| *p *= scale);
         let mut alias: Vec<u32> = (0..n as u32).collect();
 
         let mut small: Vec<u32> = Vec::new();
@@ -248,6 +258,11 @@ mod tests {
         assert!((dist[0] - 1.0 / 14.0).abs() < 0.005);
         assert!((dist[1] - 3.0 / 14.0).abs() < 0.005);
         assert!((dist[2] - 10.0 / 14.0).abs() < 0.005);
+        assert_eq!(
+            AliasTable::from_vec(weights.clone()),
+            Ok(t),
+            "owned weights"
+        );
     }
 
     proptest! {

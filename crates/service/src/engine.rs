@@ -769,7 +769,6 @@ impl EstimationEngine {
             Snapshot::from_mapped(
                 meta.epoch,
                 meta.ingested,
-                meta.config.k,
                 base,
                 Vec::new(),
                 Arc::new(TombstoneSet::empty()),
@@ -1077,7 +1076,6 @@ impl EstimationEngine {
         let fresh = Snapshot::from_mapped(
             meta.epoch,
             meta.ingested,
-            meta.config.k,
             base.clone(),
             Vec::new(),
             Arc::new(TombstoneSet::empty()),
@@ -1615,7 +1613,6 @@ impl EstimationEngine {
                     Snapshot::from_mapped(
                         epoch,
                         ingested,
-                        IndexView::k(prev.as_ref()),
                         mapped.base().clone(),
                         rows,
                         tombstones,

@@ -5,9 +5,9 @@
 //! cross-section structure and every row's vector invariants are
 //! validated once, at open. The heap tier then copies the payload
 //! section once into a heap payload slab and drops the mapping; the
-//! mapped tier serves the file
-//! *directly*: bucket runs, key arrays, and vector payloads are read
-//! straight out of the mapping — the base corpus never enters the heap.
+//! mapped tier serves the file *directly*: key arrays and vector
+//! payloads are read straight out of the mapping — the base corpus never
+//! enters the heap, only its bucket index ([`MappedView`]).
 //! A sampled pair is scored from borrowed slices of the rows' payload
 //! blocks ([`Row::from_block`]): no row is decoded and nothing is
 //! allocated, so a cold start costs O(map + validation scan) instead of
@@ -24,35 +24,31 @@
 //! tail and live inserts — including upserts that replace a tombstoned
 //! base row). The view presents one **dense id space** `[0, n_live)`
 //! in global-id order — exactly the id space the heap
-//! [`LshTable`](vsj_lsh::LshTable) would assign to the same live rows —
-//! and implements the storage primitives of [`IndexView`] over it:
-//! merged buckets are enumerated key-ascending, so the pair-bucket
-//! columns and the alias table built from their `C(b_j, 2)` weights are
-//! the heap table's, member for member. The draws themselves are the
-//! view's provided methods, shared with the heap table — which is what
-//! makes the mapped tier bit-identical to the heap tier at every
-//! published `(seed, epoch, τ)` — before, during, and after a
-//! background compaction folds the overlay and tombstones into a fresh
-//! base.
+//! [`LshTable`](vsj_lsh::LshTable) would assign to the same live rows.
 //!
 //! Each view build (map + go, every publish, the compaction swap) is one
 //! O(base + overlay) pass that freezes the view's index: `rows`, one
-//! `u32` per live row naming its base or overlay row, and one
-//! key-ascending slab of pair-bucket members (dense ids) with a `u32`
-//! offset per column — the BOFF/BMEM shape of the checkpoint itself.
-//! Every id resolution, draw and scored pair is then one or two array
-//! reads, with no search over tombstones or the overlay. Columns are
-//! key-ascending and members dense-ascending, the heap table's order,
-//! so the frozen index changes no answer and no checkpoint byte.
+//! `u32` per live row naming its base or overlay row, and a
+//! [`BucketSlab`] over the dense ids — every live bucket, key-ascending,
+//! members dense-ascending, singletons included. That is exactly
+//! [`BucketSlab::group`] over the live rows' keys, the heap table's own
+//! slab, so the pair columns, `N_H` and the alias table are the heap
+//! tier's, built by the same code; the draws are the
+//! [`IndexView`](vsj_core::IndexView) provided methods every tier shares.
+//! This is what makes the mapped tier bit-identical to the heap tier at
+//! every published `(seed, epoch, τ)` — before, during, and after a
+//! background compaction folds the overlay and tombstones into a fresh
+//! base — and what a checkpoint writes as `BKTK`/`BOFF`/`BMEM`. Every id
+//! resolution, draw and scored pair is one or two array reads, with no
+//! search over tombstones or the overlay.
 
 use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use memmap2::Mmap;
-use vsj_core::IndexView;
 use vsj_datasets::io::ContainerIndex;
-use vsj_sampling::{pair_count, AliasTable};
+use vsj_lsh::BucketSlab;
 use vsj_vector::row::split_block;
 use vsj_vector::{EncodedRow, Row, SharedVectorCollection, SparseVector, VectorId, VectorStore};
 
@@ -415,6 +411,19 @@ impl MappedCheckpoint {
         )
     }
 
+    /// The base's buckets as one heap slab: `BKTK`, `BOFF` and `BMEM`
+    /// copied once. [`MappedCheckpoint::open`] checked that they group
+    /// `KEYS` exactly, so nothing is sorted.
+    pub(crate) fn to_slab(&self) -> BucketSlab {
+        BucketSlab::from_grouped(
+            (0..self.buckets).map(|b| self.bucket_key(b)).collect(),
+            (0..=self.buckets)
+                .map(|b| self.u64_in(&self.boff, b) as u32)
+                .collect(),
+            (0..self.n).map(|at| self.member(at)).collect(),
+        )
+    }
+
     /// The vector of base row `i`, for readers that need a
     /// [`SparseVector`] reference (`VectorStore::vector`). Nothing on the
     /// served path calls it: the first call decodes every base row onto
@@ -455,7 +464,6 @@ const DEAD: VectorId = VectorId::MAX;
 /// equivalent heap table.
 pub(crate) struct MappedView {
     base: Arc<MappedCheckpoint>,
-    k: usize,
     tombstones: Arc<TombstoneSet>,
     tail_gids: Vec<GlobalId>,
     tail_keys: Vec<u64>,
@@ -467,13 +475,10 @@ pub(crate) struct MappedView {
     /// Backing row of each dense id: base row `r` as `r`, overlay row
     /// `t` as `base.len() + t`.
     rows: Vec<u32>,
-    /// Pair-bucket column `c` is `members[starts[c]..starts[c + 1]]`.
-    starts: Vec<u32>,
-    /// Dense-id members of every pair bucket, key-ascending by column
-    /// and dense-ascending within one.
-    members: Vec<VectorId>,
-    alias: Option<AliasTable>,
-    nh: u64,
+    /// Every live bucket over the dense ids.
+    slab: BucketSlab,
+    /// Global id of each dense id, for [`MappedView::gids`] only.
+    gids: OnceLock<Box<[GlobalId]>>,
 }
 
 impl std::fmt::Debug for MappedView {
@@ -482,7 +487,7 @@ impl std::fmt::Debug for MappedView {
             .field("base_n", &self.base.len())
             .field("tombstones", &self.tombstones.len())
             .field("tail_n", &self.tail_keys.len())
-            .field("nh", &self.nh)
+            .field("nh", &self.slab.nh())
             .finish()
     }
 }
@@ -492,16 +497,18 @@ impl MappedView {
     /// overlay rows (gids strictly ascending, never colliding with a live
     /// base gid — the caller validates — with their keys and payloads).
     ///
-    /// One gid-order merge walk over the live base rows and the overlay
-    /// assigns every dense id and freezes `rows`. Base buckets
-    /// (key-ascending by layout) and overlay key groups are then merged
-    /// into one member slab, emitting every bucket with ≥ 2 live members
-    /// as an alias column — the same column sequence, weights and member
-    /// order the heap table derives over the live rows, hence the same
-    /// sampling stream. O(base + overlay · log overlay).
+    /// A bare base (no tombstone, no overlay: map + go and the compaction
+    /// swap) presents its rows as they lie, so its slab is a copy of the
+    /// checkpoint's own, as a heap recovery takes it. Otherwise one
+    /// gid-order merge walk over the live base rows and the overlay
+    /// assigns every dense id and freezes `rows`, and base buckets
+    /// (key-ascending by layout) and overlay key groups merge into one
+    /// slab of every bucket with a live member. Either way the buckets,
+    /// member order and pair columns are those the heap table derives
+    /// over the live rows, hence the same sampling stream.
+    /// O(base + overlay · log overlay).
     pub(crate) fn new(
         base: Arc<MappedCheckpoint>,
-        k: usize,
         tombstones: Arc<TombstoneSet>,
         tail_gids: Vec<GlobalId>,
         tail_keys: Vec<u64>,
@@ -510,100 +517,21 @@ impl MappedView {
         debug_assert!(tail_gids.windows(2).all(|w| w[0] < w[1]), "tail gid-sorted");
         debug_assert_eq!(tail_gids.len(), tail_keys.len());
         debug_assert_eq!(tail_gids.len(), tail.len());
-        let base_n = base.len();
-        let tail_bytes = tail.payload_bytes();
-        let row_id = |r: usize| VectorId::try_from(r).expect("base + overlay rows fit a u32");
-
-        // The merge walk, and its inverse over base-then-overlay rows.
-        let dead = tombstones.rows();
-        let mut rows = Vec::with_capacity(base_n - dead.len() + tail_gids.len());
-        let mut dense_of_row = vec![DEAD; base_n + tail_gids.len()];
-        let mut push = |row: usize| {
-            dense_of_row[row] = row_id(rows.len());
-            rows.push(row_id(row));
-        };
-        let (mut next_dead, mut t) = (0usize, 0usize);
-        for r in 0..base_n {
-            if dead.get(next_dead).is_some_and(|&d| d as usize == r) {
-                next_dead += 1;
-                continue;
-            }
-            while t < tail_gids.len() && tail_gids[t] < base.gid(r) {
-                push(base_n + t);
-                t += 1;
-            }
-            push(r);
-        }
-        for t in t..tail_gids.len() {
-            push(base_n + t);
-        }
-
-        // Overlay rows grouped by key; the stable sort keeps each group
-        // overlay-ascending, i.e. dense-ascending.
-        let mut tail_order: Vec<u32> = (0..tail_keys.len()).map(row_id).collect();
-        tail_order.sort_by_key(|&t| tail_keys[t as usize]);
-        let mut groups = tail_order
-            .chunk_by(|&a, &b| tail_keys[a as usize] == tail_keys[b as usize])
-            .peekable();
-        let group_key = |group: &[u32]| tail_keys[group[0] as usize];
-
-        let mut starts = vec![0u32];
-        let mut members: Vec<VectorId> = Vec::with_capacity(rows.len());
-        let mut weights = Vec::new();
-        let mut nh = 0u64;
-        let mut emit = |bucket: Option<usize>, group: &[u32]| {
-            let start = members.len();
-            if let Some(b) = bucket {
-                let (at, len) = base.bucket_members(b);
-                members.extend(
-                    (at..at + len)
-                        .map(|i| dense_of_row[base.member(i) as usize])
-                        .filter(|&d| d != DEAD),
-                );
-            }
-            members.extend(group.iter().map(|&t| dense_of_row[base_n + t as usize]));
-            // Dense ids are unique, so sorting the run merges its base
-            // and overlay members into the heap table's member order.
-            members[start..].sort_unstable();
-            let weight = pair_count((members.len() - start) as u64);
-            if weight == 0 {
-                members.truncate(start);
-            } else {
-                nh += weight;
-                weights.push(weight as f64);
-                starts.push(row_id(members.len()));
-            }
-        };
-        for b in 0..base.num_buckets() {
-            let bucket_key = base.bucket_key(b);
-            while let Some(group) = groups.next_if(|g| group_key(g) < bucket_key) {
-                emit(None, group);
-            }
-            let group = groups.next_if(|g| group_key(g) == bucket_key);
-            emit(Some(b), group.unwrap_or_default());
-        }
-        for group in groups {
-            emit(None, group);
-        }
-
-        let alias = if weights.is_empty() {
-            None
+        let (rows, slab) = if tombstones.rows().is_empty() && tail_gids.is_empty() {
+            ((0..base.len() as u32).collect(), base.to_slab())
         } else {
-            Some(AliasTable::new(&weights).expect("positive C(b,2) weights"))
+            merged_index(&base, tombstones.rows(), &tail_gids, &tail_keys)
         };
         Self {
+            tail_bytes: tail.payload_bytes(),
             base,
-            k,
             tombstones,
             tail_gids,
             tail_keys,
             tail,
-            tail_bytes,
             rows,
-            starts,
-            members,
-            alias,
-            nh,
+            slab,
+            gids: OnceLock::new(),
         }
     }
 
@@ -620,12 +548,18 @@ impl MappedView {
         let vectors: Vec<&EncodedRow> = rows.iter().map(|r| &r.2).collect();
         Self::new(
             self.base.clone(),
-            self.k,
             self.tombstones.clone(),
             tail_gids,
             tail_keys,
             self.tail.extended(&vectors),
         )
+    }
+
+    /// Every live bucket over the dense ids: the heap table's slab for
+    /// the same live rows.
+    #[inline]
+    pub(crate) fn slab(&self) -> &BucketSlab {
+        &self.slab
     }
 
     /// The mapped base.
@@ -681,6 +615,17 @@ impl MappedView {
         }
     }
 
+    /// The global id of every dense view id, ascending: built on the
+    /// first call (8 B per live row) for readers that need one slice;
+    /// the served path and the checkpoint writer call `gid_of`.
+    pub(crate) fn gids(&self) -> &[GlobalId] {
+        self.gids.get_or_init(|| {
+            (0..self.len() as VectorId)
+                .map(|d| self.gid_of(d))
+                .collect()
+        })
+    }
+
     /// Bucket key of a dense view id.
     #[inline]
     pub(crate) fn key_of(&self, id: VectorId) -> u64 {
@@ -730,43 +675,90 @@ impl MappedView {
     }
 }
 
-impl IndexView for MappedView {
-    #[inline]
-    fn len(&self) -> usize {
-        MappedView::len(self)
+/// The frozen index of a base with tombstones `dead` (sorted base rows)
+/// and an overlay: `rows`, the backing row of each dense id, and the slab
+/// of every live bucket over the dense ids.
+fn merged_index(
+    base: &MappedCheckpoint,
+    dead: &[u32],
+    tail_gids: &[GlobalId],
+    tail_keys: &[u64],
+) -> (Vec<u32>, BucketSlab) {
+    let base_n = base.len();
+    let row_id = |r: usize| VectorId::try_from(r).expect("base + overlay rows fit a u32");
+
+    // The merge walk, and its inverse over base-then-overlay rows.
+    let mut rows = Vec::with_capacity(base_n - dead.len() + tail_gids.len());
+    let mut dense_of_row = vec![DEAD; base_n + tail_gids.len()];
+    let mut push = |row: usize| {
+        dense_of_row[row] = row_id(rows.len());
+        rows.push(row_id(row));
+    };
+    let (mut next_dead, mut t) = (0usize, 0usize);
+    for r in 0..base_n {
+        if dead.get(next_dead).is_some_and(|&d| d as usize == r) {
+            next_dead += 1;
+            continue;
+        }
+        while t < tail_gids.len() && tail_gids[t] < base.gid(r) {
+            push(base_n + t);
+            t += 1;
+        }
+        push(r);
+    }
+    for t in t..tail_gids.len() {
+        push(base_n + t);
     }
 
-    #[inline]
-    fn nh(&self) -> u64 {
-        self.nh
-    }
+    // Overlay rows grouped by key; the stable sort keeps each group
+    // overlay-ascending, i.e. dense-ascending.
+    let mut tail_order: Vec<u32> = (0..tail_keys.len()).map(row_id).collect();
+    tail_order.sort_by_key(|&t| tail_keys[t as usize]);
+    let mut groups = tail_order
+        .chunk_by(|&a, &b| tail_keys[a as usize] == tail_keys[b as usize])
+        .peekable();
+    let group_key = |group: &[u32]| tail_keys[group[0] as usize];
 
-    #[inline]
-    fn k(&self) -> usize {
-        self.k
+    // At most one bucket per base bucket and per overlay row.
+    let buckets = base.num_buckets() + tail_keys.len();
+    let mut keys = Vec::with_capacity(buckets);
+    let mut offsets = Vec::with_capacity(buckets + 1);
+    offsets.push(0u32);
+    let mut members: Vec<VectorId> = Vec::with_capacity(rows.len());
+    let mut emit = |key: u64, bucket: Option<usize>, group: &[u32]| {
+        let start = members.len();
+        if let Some(b) = bucket {
+            let (at, len) = base.bucket_members(b);
+            members.extend(
+                (at..at + len)
+                    .map(|i| dense_of_row[base.member(i) as usize])
+                    .filter(|&d| d != DEAD),
+            );
+        }
+        members.extend(group.iter().map(|&t| dense_of_row[base_n + t as usize]));
+        // Dense ids are unique, so sorting the run merges its base
+        // and overlay members into the heap table's member order.
+        members[start..].sort_unstable();
+        if members.len() > start {
+            keys.push(key);
+            offsets.push(row_id(members.len()));
+        }
+    };
+    for b in 0..base.num_buckets() {
+        let bucket_key = base.bucket_key(b);
+        while let Some(group) = groups.next_if(|g| group_key(g) < bucket_key) {
+            emit(group_key(group), None, group);
+        }
+        let group = groups.next_if(|g| group_key(g) == bucket_key);
+        emit(bucket_key, Some(b), group.unwrap_or_default());
     }
-
-    #[inline]
-    fn same_bucket(&self, a: VectorId, b: VectorId) -> bool {
-        self.key_of(a) == self.key_of(b)
+    for group in groups {
+        emit(group_key(group), None, group);
     }
-
-    #[inline]
-    fn pair_alias(&self) -> Option<&AliasTable> {
-        self.alias.as_ref()
-    }
-
-    #[inline]
-    fn pair_bucket_pick(
-        &self,
-        col: usize,
-        pick: impl FnOnce(usize) -> (usize, usize),
-    ) -> (VectorId, VectorId) {
-        let start = self.starts[col] as usize;
-        let column = &self.members[start..self.starts[col + 1] as usize];
-        let (i, j) = pick(column.len());
-        (column[i], column[j])
-    }
+    // Freed before the slab builds its alias table, which reuses the
+    // memory: a view build's peak stays in `VmRSS`.
+    drop((dense_of_row, tail_order));
+    (rows, BucketSlab::from_grouped(keys, offsets, members))
 }
 
 #[cfg(test)]
@@ -779,6 +771,7 @@ mod tests {
     use crate::snapshot::Snapshot;
     use crate::ServiceConfig;
     use vsj_lsh::{BucketHasher, Composite, MinHashFamily};
+    use vsj_sampling::{pair_count, AliasTable};
     use vsj_vector::{Cosine, Jaccard, Similarity};
 
     /// Base row `r` carries gid `3 (r + 1)`, so gids `3 i + 1` and
@@ -872,7 +865,6 @@ mod tests {
         let refs: Vec<&EncodedRow> = rows.iter().collect();
         MappedView::new(
             base.clone(),
-            4,
             tombstones,
             tail.iter().map(|r| r.0).collect(),
             tail.iter().map(|r| r.1).collect(),
@@ -882,12 +874,14 @@ mod tests {
 
     /// Every id resolves to its brute-force row, every pair — base ×
     /// base, base × overlay, overlay × overlay — scores in place to the
-    /// bits `Cosine` and `Jaccard` give the decoded vectors, and the
-    /// pair-bucket columns are the live rows grouped by key —
-    /// key-ascending, members dense-ascending, singletons dropped.
+    /// bits `Cosine` and `Jaccard` give the decoded vectors, the slab is
+    /// [`BucketSlab::group`] over the live rows' keys — singletons
+    /// included — and its pair-bucket columns are the live rows grouped
+    /// by key: key-ascending, members dense-ascending, singletons dropped.
     fn check(view: &MappedView, live: &[(GlobalId, u64, MappedRow)]) {
         assert_eq!(view.len(), live.len());
-        assert_eq!(IndexView::len(view), live.len());
+        let dense_keys: Vec<u64> = live.iter().map(|r| r.1).collect();
+        assert_eq!(view.slab(), &BucketSlab::group(&dense_keys), "slab");
         let mut by_key: BTreeMap<u64, Vec<VectorId>> = BTreeMap::new();
         for (d, &(gid, key, at)) in live.iter().enumerate() {
             let d = d as VectorId;
@@ -902,7 +896,7 @@ mod tests {
             for b in 0..live.len() {
                 let same = live[a].1 == live[b].1;
                 let (da, db) = (a as VectorId, b as VectorId);
-                assert_eq!(view.same_bucket(da, db), same);
+                assert_eq!(view.key_of(da) == view.key_of(db), same);
                 let v = payload(live[b].0);
                 let (ra, rb) = (view.row(da), view.row(db));
                 let pair = format!("{:?} × {:?}", live[a].2, live[b].2);
@@ -920,12 +914,13 @@ mod tests {
         }
         let columns: Vec<Vec<VectorId>> = by_key.into_values().filter(|m| m.len() >= 2).collect();
         let nh: u64 = columns.iter().map(|m| pair_count(m.len() as u64)).sum();
-        assert_eq!(view.nh(), nh);
-        assert_eq!(view.pair_alias().map_or(0, AliasTable::len), columns.len());
+        let slab = view.slab();
+        assert_eq!(slab.nh(), nh);
+        assert_eq!(slab.pair_alias().map_or(0, AliasTable::len), columns.len());
         for (c, want) in columns.iter().enumerate() {
             let got: Vec<VectorId> = (0..want.len())
                 .map(|i| {
-                    view.pair_bucket_pick(c, |b_j| {
+                    slab.pair_bucket_pick(c, |b_j| {
                         assert_eq!(b_j, want.len(), "b_j of column {c}");
                         (i, (i + 1) % b_j)
                     })
@@ -942,7 +937,7 @@ mod tests {
         let empty = checkpoint(&[]);
         let v = view(&empty, &[], &[]);
         check(&v, &[]);
-        assert!(v.pair_alias().is_none());
+        assert!(v.slab().pair_alias().is_none());
         // Every base row tombstoned.
         let keys = [1, 1, 2, 2, 2];
         let base = checkpoint(&keys);
@@ -975,10 +970,12 @@ mod tests {
             /// Random bases with duplicate keys, random tombstones, and
             /// overlays mixing appends, upserts of tombstoned gids,
             /// interleaving fresh gids and overlay-only keys: the view
-            /// matches the brute-force gid-sorted merge and scores every
-            /// pair in place, bit-identically to the decoded rows, with
-            /// no row decoded onto the heap; and extending a prefix of
-            /// the overlay equals building over all of it.
+            /// matches the brute-force gid-sorted merge, its slab is the
+            /// batch grouping of its dense keys (full and extended view
+            /// alike), and it scores every pair in place, bit-identically
+            /// to the decoded rows, with no row decoded onto the heap;
+            /// and extending a prefix of the overlay equals building over
+            /// all of it.
             #[test]
             fn view_matches_brute_force_merge(
                 base_rows in proptest::collection::vec((0u64..5, 0u8..3), 0..14),
@@ -1012,8 +1009,7 @@ mod tests {
                 let extended = view(&base, &dead, &tail[..split]).extended(&suffix);
                 check(&extended, &live_rows(&keys, &dead, &tail));
                 prop_assert_eq!(&extended.rows, &full.rows);
-                prop_assert_eq!(&extended.starts, &full.starts);
-                prop_assert_eq!(&extended.members, &full.members);
+                prop_assert_eq!(&extended.slab, &full.slab);
                 prop_assert_eq!(extended.tail_bytes(), full.tail_bytes());
 
                 prop_assert_eq!(base.materialized(), 0);

@@ -21,11 +21,11 @@
 //! | `VOFF` | payload-slab byte offsets (`(n+1) × u64`) |
 //! | `VPAY` | concatenated row blocks: `nnz`, indices, values (the layout of a heap payload slab; [`vsj_vector::row`] is its codec) |
 //!
-//! Storing the bucket keys means recovery re-hashes *nothing*: shard
-//! rows are restored with their stored keys and the published table is
-//! grouped from them by [`LshTable::from_parts`](vsj_lsh::LshTable),
-//! exactly like snapshot publication — and the mapped tier skips even
-//! that, serving buckets from `BKTK`/`BOFF`/`BMEM` directly. Every
+//! Storing the bucket keys and their grouping means recovery re-hashes
+//! and regroups *nothing*: shard rows are restored with their stored
+//! keys, the heap tier copies `BKTK`/`BOFF`/`BMEM` once into its table's
+//! [`BucketSlab`](vsj_lsh::BucketSlab), and the mapped tier merges them
+//! with its overlay into the slab it serves. Every
 //! section is checksummed by the container, and the structure across
 //! sections (including every row's vector invariants) is checked at
 //! open, so a damaged file — a flipped byte or a well-checksummed file
@@ -45,7 +45,6 @@ use std::time::{Duration, Instant};
 
 use memmap2::Mmap;
 use vsj_datasets::io::{ContainerIndex, ContainerWriter, IoError};
-use vsj_lsh::BucketSlab;
 use vsj_obs::{Trace, TraceRing};
 use vsj_pool::WorkPool;
 
@@ -381,20 +380,11 @@ fn encode_checkpoint_inner(
     pool: Option<&WorkPool>,
 ) -> ContainerWriter {
     let n = snapshot.len();
-    // Row keys in snapshot-local id order, whichever tier holds them,
-    // and their buckets (key-ascending, members in id order): the heap
-    // table's own slab, or the same grouping over the mapped view's
-    // keys, so a mapped reader enumerates the bucket sequence of a heap
-    // rebuild.
-    let grouped;
-    let (keys, slab) = match snapshot.mapped_view() {
-        Some(view) => {
-            let keys: Vec<u64> = (0..n as u32).map(|d| view.key_of(d)).collect();
-            grouped = BucketSlab::group(&keys);
-            (keys, &grouped)
-        }
-        None => (snapshot.table().to_parts(), snapshot.table().slab()),
-    };
+    // Row keys in snapshot-local id order, and the buckets grouping them
+    // (key-ascending, members in id order): the one slab both tiers
+    // sample from, so a reader of either tier enumerates the bucket
+    // sequence of a heap rebuild.
+    let slab = snapshot.slab();
     // Payload slab + per-row offsets: every row's block is copied as it
     // lies — from a heap or overlay payload slab, or from the mapping's
     // slab for a mapped base row — with no decode and no re-encode (the
@@ -412,9 +402,12 @@ fn encode_checkpoint_inner(
     w.section(SECTION_META, encode_meta(meta, n as u64));
     w.section(
         SECTION_GIDS,
-        encode_u64s(snapshot.global_ids().iter().copied()),
+        encode_u64s((0..n as u32).map(|d| snapshot.global_of(d))),
     );
-    w.section(SECTION_KEYS, encode_u64s(keys.into_iter()));
+    w.section(
+        SECTION_KEYS,
+        encode_u64s((0..n as u32).map(|d| snapshot.key_of(d))),
+    );
     w.section(SECTION_BKTK, encode_u64s(slab.keys().iter().copied()));
     w.section(
         SECTION_BOFF,

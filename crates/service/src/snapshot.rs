@@ -20,11 +20,11 @@
 //!   compaction periodically folds overlay + tombstones into a fresh
 //!   checkpoint and the view resets to a bare base.
 //!
-//! Both tiers implement only the storage primitives of [`IndexView`]
-//! (size, `N_H`, `same_bucket`, the pair-bucket alias table and member
-//! lists), and a snapshot merely dispatches those on its tier; the
-//! stratum draws are the trait's provided methods, one body for every
-//! backend.
+//! Both tiers keep their buckets in one [`BucketSlab`], which answers
+//! the [`IndexView`] storage primitives (`N_H`, the pair-bucket alias
+//! table and member lists) whichever tier built it; `same_bucket`
+//! compares two rows' keys. The stratum draws are the trait's provided
+//! methods, one body for every backend.
 //!
 //! **Incremental publication.** Two assembly paths exist:
 //!
@@ -67,7 +67,7 @@
 use std::sync::Arc;
 
 use vsj_core::IndexView;
-use vsj_lsh::{BucketHasher, LshTable};
+use vsj_lsh::{BucketHasher, BucketSlab, LshTable};
 use vsj_sampling::AliasTable;
 use vsj_vector::{
     EncodedRow, Payload, SharedVectorCollection, Similarity, SparseVector, VectorId, VectorStore,
@@ -83,8 +83,9 @@ use crate::GlobalId;
 // between the variants never multiplies across copies.
 #[allow(clippy::large_enum_variant)]
 enum View {
-    /// Heap payload slabs and table.
+    /// The rows' global ids (ascending), heap payload slabs and table.
     Heap {
+        ids: Vec<GlobalId>,
         collection: SharedVectorCollection,
         table: LshTable,
     },
@@ -98,8 +99,6 @@ pub struct Snapshot {
     /// Ingest-counter value at the cut (the publish lag's reference,
     /// recorded in checkpoint metadata).
     ingested: u64,
-    /// Snapshot index → global id (ascending).
-    ids: Vec<GlobalId>,
     view: View,
     /// Answers computed on this snapshot.
     memo: Memo,
@@ -111,8 +110,8 @@ impl Snapshot {
         Self {
             epoch: 0,
             ingested: 0,
-            ids: Vec::new(),
             view: View::Heap {
+                ids: Vec::new(),
                 collection: SharedVectorCollection::new(),
                 table: LshTable::from_parts(hasher, Vec::new()),
             },
@@ -146,15 +145,18 @@ impl Snapshot {
         mut rows: Vec<ShardRow>,
     ) -> Self {
         rows.sort_unstable_by_key(|r| r.0);
-        let View::Heap { collection, .. } = &prev.view else {
+        let View::Heap {
+            ids, collection, ..
+        } = &prev.view
+        else {
             panic!("a heap cut follows a heap cut");
         };
-        let collection = payloads(&prev.ids, collection, &rows);
+        let collection = payloads(ids, collection, &rows);
         Self {
             epoch,
             ingested,
-            ids: rows.iter().map(|r| r.0).collect(),
             view: View::Heap {
+                ids: rows.iter().map(|r| r.0).collect(),
                 collection,
                 table: LshTable::from_parts(hasher, rows.iter().map(|r| r.1).collect()),
             },
@@ -180,17 +182,18 @@ impl Snapshot {
 
     /// The heap snapshot of a validated checkpoint: its payload section
     /// copied once into one slab, its offsets as the row directory, and
-    /// the norms the validation scan recorded; nothing is decoded or
-    /// re-hashed.
+    /// the norms the validation scan recorded, and its bucket slab copied
+    /// once; nothing is decoded, re-hashed or regrouped.
     pub(crate) fn from_checkpoint(base: &MappedCheckpoint, hasher: Arc<dyn BucketHasher>) -> Self {
         let meta = base.meta();
+        let keys = (0..base.len()).map(|i| base.key(i)).collect();
         Self {
             epoch: meta.epoch,
             ingested: meta.ingested,
-            ids: (0..base.len()).map(|i| base.gid(i)).collect(),
             view: View::Heap {
+                ids: (0..base.len()).map(|i| base.gid(i)).collect(),
                 collection: base.to_collection(),
-                table: LshTable::from_parts(hasher, (0..base.len()).map(|i| base.key(i)).collect()),
+                table: LshTable::from_slab(hasher, keys, base.to_slab()),
             },
             memo: Memo::default(),
         }
@@ -211,7 +214,6 @@ impl Snapshot {
     pub(crate) fn from_mapped(
         epoch: u64,
         ingested: u64,
-        k: usize,
         base: Arc<MappedCheckpoint>,
         mut tail: Vec<ShardRow>,
         tombstones: Arc<TombstoneSet>,
@@ -243,30 +245,24 @@ impl Snapshot {
         };
         let view = MappedView::new(
             base,
-            k,
             tombstones,
             tail.iter().map(|r| r.0).collect(),
             tail.iter().map(|r| r.1).collect(),
             overlay,
         );
-        // The view's merge walk fixed the dense (gid-ascending) order.
-        let ids = (0..view.len() as VectorId)
-            .map(|d| view.gid_of(d))
-            .collect();
         Some(Self {
             epoch,
             ingested,
-            ids,
             view: View::Mapped(view),
             memo: Memo::default(),
         })
     }
 
     /// Assembles the next epoch **incrementally** from the previous
-    /// snapshot plus this epoch's appended rows — O(changed) instead of
-    /// O(n): slabs and untouched table buckets are shared with `prev` by
-    /// `Arc`; only the delta is newly encoded and indexed. On the mapped
-    /// tier the base mapping is shared and the overlay extended.
+    /// snapshot plus this epoch's appended rows: payload slabs are shared
+    /// with `prev` by `Arc`, only the delta is newly encoded, and the
+    /// bucket slab is one linear merge with the delta's keys. On the
+    /// mapped tier the base mapping is shared and the overlay extended.
     ///
     /// Returns `None` (caller falls back to [`Snapshot::assemble`])
     /// unless the delta is *append-only*: inserts only, every global id
@@ -284,14 +280,19 @@ impl Snapshot {
         if !Self::is_append_only(prev, delta.iter().map(|r| r.0)) {
             return None;
         }
-        let mut ids = Vec::with_capacity(prev.ids.len() + delta.len());
-        ids.extend_from_slice(&prev.ids);
-        ids.extend(delta.iter().map(|r| r.0));
         let view = match &prev.view {
-            View::Heap { collection, table } => {
+            View::Heap {
+                ids,
+                collection,
+                table,
+            } => {
+                let mut next = Vec::with_capacity(ids.len() + delta.len());
+                next.extend_from_slice(ids);
+                next.extend(delta.iter().map(|r| r.0));
                 let keys: Vec<u64> = delta.iter().map(|r| r.1).collect();
                 let vectors: Vec<&EncodedRow> = delta.iter().map(|r| &r.2).collect();
                 View::Heap {
+                    ids: next,
                     collection: collection.extended(&vectors),
                     table: LshTable::from_parts_delta(table, &keys),
                 }
@@ -301,7 +302,6 @@ impl Snapshot {
         Some(Self {
             epoch,
             ingested,
-            ids,
             view,
             memo: Memo::default(),
         })
@@ -317,7 +317,9 @@ impl Snapshot {
         prev: &Snapshot,
         gids: impl IntoIterator<Item = GlobalId>,
     ) -> bool {
-        let mut floor = prev.ids.last().copied();
+        let mut floor = (prev.len() as VectorId)
+            .checked_sub(1)
+            .map(|last| prev.global_of(last));
         gids.into_iter().all(|gid| {
             let above = floor.is_none_or(|max| gid > max);
             floor = Some(gid);
@@ -340,13 +342,16 @@ impl Snapshot {
     /// Number of vectors in the view.
     #[inline]
     pub fn len(&self) -> usize {
-        self.ids.len()
+        match &self.view {
+            View::Heap { ids, .. } => ids.len(),
+            View::Mapped(mapped) => mapped.len(),
+        }
     }
 
     /// True when the view is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len() == 0
     }
 
     /// True when this snapshot serves its base from a memory-mapped
@@ -383,6 +388,26 @@ impl Snapshot {
         match &self.view {
             View::Heap { table, .. } => table,
             View::Mapped(_) => panic!("mapped snapshots have no heap table"),
+        }
+    }
+
+    /// The buckets, whichever tier built them: what every draw and a
+    /// checkpoint's `BKTK`/`BOFF`/`BMEM` read.
+    #[inline]
+    pub fn slab(&self) -> &BucketSlab {
+        match &self.view {
+            View::Heap { table, .. } => table.slab(),
+            View::Mapped(mapped) => mapped.slab(),
+        }
+    }
+
+    /// Bucket key of a snapshot-local vector id (`B(v)`), whichever tier
+    /// holds it.
+    #[inline]
+    pub(crate) fn key_of(&self, id: VectorId) -> u64 {
+        match &self.view {
+            View::Heap { table, .. } => table.key_of(id),
+            View::Mapped(mapped) => mapped.key_of(id),
         }
     }
 
@@ -429,13 +454,21 @@ impl Snapshot {
     /// Global id of a snapshot-local vector id.
     #[inline]
     pub fn global_of(&self, id: VectorId) -> GlobalId {
-        self.ids[id as usize]
+        match &self.view {
+            View::Heap { ids, .. } => ids[id as usize],
+            View::Mapped(mapped) => mapped.gid_of(id),
+        }
     }
 
-    /// All global ids, ascending (parallel to the view's rows).
+    /// All global ids, ascending (parallel to the view's rows). A mapped
+    /// snapshot builds this array on the first call (8 B per row); the
+    /// served path and the checkpoint writer read [`Snapshot::global_of`].
     #[inline]
     pub fn global_ids(&self) -> &[GlobalId] {
-        &self.ids
+        match &self.view {
+            View::Heap { ids, .. } => ids,
+            View::Mapped(mapped) => mapped.gids(),
+        }
     }
 
     /// The answers remembered for this snapshot.
@@ -483,8 +516,8 @@ fn payloads(
 }
 
 /// Snapshots are index views: estimators run against them directly,
-/// whichever tier backs them. Only the storage primitives dispatch on
-/// the tier; the draws are the view's provided methods.
+/// whichever tier backs them. The storage primitives read the tier's
+/// slab and row keys; the draws are the view's provided methods.
 impl IndexView for Snapshot {
     #[inline]
     fn len(&self) -> usize {
@@ -493,34 +526,25 @@ impl IndexView for Snapshot {
 
     #[inline]
     fn nh(&self) -> u64 {
-        match &self.view {
-            View::Heap { table, .. } => table.nh(),
-            View::Mapped(mapped) => mapped.nh(),
-        }
+        self.slab().nh()
     }
 
     #[inline]
     fn k(&self) -> usize {
         match &self.view {
             View::Heap { table, .. } => table.k(),
-            View::Mapped(mapped) => mapped.k(),
+            View::Mapped(mapped) => mapped.base().meta().config.k,
         }
     }
 
     #[inline]
     fn same_bucket(&self, a: VectorId, b: VectorId) -> bool {
-        match &self.view {
-            View::Heap { table, .. } => table.same_bucket(a, b),
-            View::Mapped(mapped) => mapped.same_bucket(a, b),
-        }
+        self.key_of(a) == self.key_of(b)
     }
 
     #[inline]
     fn pair_alias(&self) -> Option<&AliasTable> {
-        match &self.view {
-            View::Heap { table, .. } => table.pair_alias(),
-            View::Mapped(mapped) => mapped.pair_alias(),
-        }
+        self.slab().pair_alias()
     }
 
     #[inline]
@@ -529,10 +553,7 @@ impl IndexView for Snapshot {
         col: usize,
         pick: impl FnOnce(usize) -> (usize, usize),
     ) -> (VectorId, VectorId) {
-        match &self.view {
-            View::Heap { table, .. } => table.pair_bucket_pick(col, pick),
-            View::Mapped(mapped) => mapped.pair_bucket_pick(col, pick),
-        }
+        self.slab().pair_bucket_pick(col, pick)
     }
 }
 

@@ -328,8 +328,8 @@ fn bucket_directory_is_identical_across_builds_and_tiers() {
     assert_eq!(mapped.stats().tombstones, 3);
 
     // The same live rows, in the same (gid) order, as a batch-built
-    // heap table and as a chain of one-row deltas (which crosses the
-    // run-coalescing threshold and ends on a multi-run table).
+    // heap table and as a chain of one-row deltas (one linear slab merge
+    // per row).
     let n = snapshot.len() as u32;
     let keys: Vec<u64> = (0..n)
         .map(|id| hasher().key(VectorStore::vector(snapshot.as_ref(), id)))

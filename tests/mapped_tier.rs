@@ -253,9 +253,17 @@ fn heap_and_mapped_snapshots_draw_from_equal_pair_columns() {
     let heap = recover(&dir, StorageTier::Heap);
     let mapped = recover(&dir, StorageTier::Mapped);
     let columns = |engine: &EstimationEngine| pair_columns(engine.snapshot().as_ref());
+    let slabs_equal = |context: &str| {
+        assert_eq!(
+            heap.snapshot().slab(),
+            mapped.snapshot().slab(),
+            "{context}: bucket slab"
+        );
+    };
     let recovered = columns(&heap);
     assert!(!recovered.is_empty(), "the corpus has same-bucket pairs");
     assert_eq!(recovered, columns(&mapped), "base + WAL tail");
+    slabs_equal("base + WAL tail");
 
     // A tombstoned base row, an upserted one, and overlay inserts.
     for engine in [&heap, &mapped] {
@@ -268,6 +276,7 @@ fn heap_and_mapped_snapshots_draw_from_equal_pair_columns() {
     assert_eq!(heap.publish(), mapped.publish());
     assert_eq!(mapped.storage_tier(), StorageTier::Mapped, "still mapped");
     assert_eq!(columns(&heap), columns(&mapped), "tombstones + overlay");
+    slabs_equal("tombstones + overlay");
     std::fs::remove_dir_all(&dir).ok();
 }
 

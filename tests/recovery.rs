@@ -759,6 +759,88 @@ fn simhash_tail_replays_bit_identically_on_both_tiers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The members of every pair bucket in alias-column order, read through
+/// the draw primitive `pair_bucket_pick`.
+fn pair_columns(view: &impl IndexView) -> Vec<Vec<u32>> {
+    let columns = view.pair_alias().map_or(0, |alias| alias.len());
+    (0..columns)
+        .map(|col| {
+            let mut count = 0;
+            view.pair_bucket_pick(col, |b| {
+                count = b;
+                (0, 0)
+            });
+            (0..count)
+                .map(|i| view.pair_bucket_pick(col, |_| (i, i)).0)
+                .collect()
+        })
+        .collect()
+}
+
+/// Heap recovery copies its bucket slab out of the checkpoint's
+/// `BKTK`/`BOFF`/`BMEM` instead of regrouping `KEYS`. A checkpoint
+/// written from a mapped snapshot with tombstones and an overlay
+/// recovers on the heap to the slab, pair columns, `N_H` and draws of a
+/// batch grouping of the same keys — and to the mapped snapshot's own
+/// slab.
+#[test]
+fn heap_recovery_of_a_mapped_checkpoint_serves_its_stored_slab() {
+    let dir = fresh_dir("stored_slab");
+    let engine = durable_for_test(config(31), &dir);
+    for i in 0..60u32 {
+        engine.insert(members(i % 25, 2 + i % 5));
+    }
+    engine.checkpoint().unwrap();
+    drop(engine);
+
+    let mapped = EstimationEngine::recover_with(&dir, tier_options(StorageTier::Mapped)).unwrap();
+    assert!(mapped.remove(2), "tombstone inside bucket {{2, 27, 52}}");
+    assert!(mapped.remove(9), "tombstone inside bucket {{9, 34, 59}}");
+    assert!(
+        mapped.upsert(5, members(7, 4)),
+        "overlay row below base members"
+    );
+    mapped.insert(members(3, 5));
+    mapped.insert(members(100, 3));
+    mapped.insert(members(100, 3));
+    mapped.publish();
+    let written = mapped.snapshot();
+    assert!(written.is_mapped());
+    assert_eq!(mapped.stats().tombstones, 3);
+    mapped.checkpoint().unwrap();
+    drop(mapped);
+
+    let heap = EstimationEngine::recover_with(&dir, tier_options(StorageTier::Heap)).unwrap();
+    let snapshot = heap.snapshot();
+    assert!(!snapshot.is_mapped());
+    assert_eq!(snapshot.global_ids(), written.global_ids());
+    assert_eq!(
+        snapshot.slab(),
+        written.slab(),
+        "the mapped snapshot's slab"
+    );
+    let table = snapshot.table();
+    let batch = LshTable::from_parts(table.hasher().clone(), table.to_parts());
+    assert_eq!(snapshot.slab(), batch.slab(), "slab");
+    let columns = pair_columns(&batch);
+    assert!(columns.len() > 10, "plenty of pair buckets: {columns:?}");
+    assert_eq!(pair_columns(snapshot.as_ref()), columns, "pair columns");
+    assert_eq!(IndexView::nh(snapshot.as_ref()), batch.nh(), "N_H");
+    let mut r1 = Xoshiro256::seeded(0x51AB);
+    let mut r2 = Xoshiro256::seeded(0x51AB);
+    for _ in 0..1000 {
+        let same = snapshot.sample_same_bucket_pair(&mut r1);
+        assert!(same.is_some(), "the corpus has an S_H");
+        assert_eq!(same, batch.sample_same_bucket_pair(&mut r2), "S_H");
+    }
+    for _ in 0..1000 {
+        let cross = snapshot.sample_cross_bucket_pair(&mut r1);
+        assert!(cross.is_some(), "the corpus has an S_L");
+        assert_eq!(cross, batch.sample_cross_bucket_pair(&mut r2), "S_L");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // --- refuse, never mis-serve -------------------------------------------------
 
 /// A durable directory with a checkpoint and a WAL tail, engine dropped.
