@@ -778,7 +778,6 @@ fn fsync_str(policy: Option<FsyncPolicy>) -> &'static str {
     match policy {
         None => "none",
         Some(FsyncPolicy::Always) => "always",
-        Some(FsyncPolicy::GroupCommit { .. }) => "group_commit",
         Some(FsyncPolicy::Never) => "never",
     }
 }
@@ -1074,7 +1073,7 @@ fn handle_insert(inner: &Arc<Inner>, request: &Request) -> Reply {
     match parse_vector(&body) {
         Ok(vector) => {
             // On a durable engine the apply stage includes the WAL
-            // append and commit wait (fsync, under Always/GroupCommit).
+            // append and commit wait (fsync, under Always).
             let mut trace = Trace::new("/insert");
             let apply_started = Instant::now();
             let id = inner.engine.insert(vector);

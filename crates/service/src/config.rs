@@ -1,8 +1,6 @@
 //! Service configuration and builder, plus the storage-layer knobs of
 //! durable engines ([`DurabilityOptions`], [`FsyncPolicy`]).
 
-use std::time::Duration;
-
 use vsj_core::LshSsConfig;
 
 /// When a durable write is acknowledged relative to `fsync`.
@@ -17,22 +15,11 @@ use vsj_core::LshSsConfig;
 pub enum FsyncPolicy {
     /// Every acknowledged write is on stable storage: the writer blocks
     /// until an fsync covers its record. Concurrent writers on the same
-    /// shard still share one fsync (the group-commit machinery runs
-    /// with a batch of 1 and no delay), so the cost is one fsync per
-    /// *quiet-period* write, not per record under load.
+    /// shard share one fsync — it covers every record outstanding on
+    /// the shard when it starts — so the cost is one fsync per
+    /// *quiet-period* write, not per record under load. Nothing defers
+    /// a flush: there is no batch size and no timer.
     Always,
-    /// Group commit: the writer blocks until its record is flushed, but
-    /// the flush itself is deferred until `max_batch` records await
-    /// acknowledgement on the shard or the oldest waiter has aged
-    /// `max_delay` — amortizing one fsync over the whole group.
-    GroupCommit {
-        /// Flush when this many unacknowledged records accumulate on a
-        /// shard (≥ 1).
-        max_batch: u64,
-        /// Flush when the oldest unacknowledged record has waited this
-        /// long, whether or not the batch filled.
-        max_delay: Duration,
-    },
     /// Acknowledge as soon as the frame is in the OS page cache — the
     /// pre-segmented engine's behavior, and the default. A process
     /// crash loses nothing (the kernel still holds the bytes); an OS
@@ -136,7 +123,7 @@ impl Default for DurabilityOptions {
 
 impl DurabilityOptions {
     /// Panics unless the options are internally valid (positive
-    /// capacities, sane batch sizes).
+    /// capacities, sane compaction triggers).
     pub(crate) fn validate(&self) {
         assert!(
             self.retain_checkpoints >= 1,
@@ -146,9 +133,6 @@ impl DurabilityOptions {
             self.segment_bytes >= 1024,
             "segment_bytes must be at least 1 KiB"
         );
-        if let FsyncPolicy::GroupCommit { max_batch, .. } = self.fsync {
-            assert!(max_batch >= 1, "group commit needs a batch of at least 1");
-        }
         if let Some(bytes) = self.compact_overlay_bytes {
             assert!(
                 bytes >= 1,
@@ -173,8 +157,8 @@ impl DurabilityOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelOptions {
     /// Parallelism degree of the engine's work pool, used by batch
-    /// estimate fan-out, batch-ingest key hashing, and checkpoint /
-    /// compaction encoding. `1` runs the exact legacy serial path (no
+    /// estimate fan-out and by key hashing of batch ingests and
+    /// replayed WAL tails. `1` runs the exact legacy serial path (no
     /// worker threads at all). Defaults to `VSJ_POOL_THREADS` when set,
     /// else [`std::thread::available_parallelism`].
     pub pool_threads: usize,

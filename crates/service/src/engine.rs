@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, MutexGuard, RwLock};
 
 use crate::locks;
 
@@ -45,10 +45,6 @@ struct Durability {
     dir: PathBuf,
     wal: WalSet,
     gate: RwLock<()>,
-    /// Records appended since the last checkpoint cut, mirrored in an
-    /// atomic so `stats()`/`wal_pending()` never block on a checkpoint
-    /// in progress.
-    pending: AtomicU64,
     /// Cut sequences of the checkpoint generations on disk, newest
     /// first (`[0]` = current). Their minimum is the WAL retention
     /// horizon: segments older than it can serve no kept generation and
@@ -362,7 +358,7 @@ pub struct EngineStats {
     pub wal_segments: u64,
     /// fsync calls the WAL issued — appends under
     /// [`FsyncPolicy::Always`](crate::FsyncPolicy) share one per
-    /// group-commit batch, segment seals and checkpoint cuts always
+    /// flush of their shard, segment seals and checkpoint cuts always
     /// sync.
     pub wal_fsyncs: u64,
     /// Segment rotations (seal + fresh segment).
@@ -449,7 +445,7 @@ pub struct EstimationEngine {
     /// worst-calibrated ring (see [`crate::Auditor`]).
     audit: AuditState,
     /// The engine's work pool for data-parallel hot paths (batch
-    /// hashing, `estimate_batch` fan-out, checkpoint encode). Sized by
+    /// hashing, `estimate_batch` fan-out, WAL-tail keying). Sized by
     /// [`crate::ParallelOptions::pool_threads`]; one thread means the
     /// pool spawns no workers and every hot path takes its exact serial
     /// legacy route. Every pooled path is bit-identical to serial at
@@ -522,8 +518,10 @@ impl EstimationEngine {
     /// Durable writes are **shard-parallel**: each ingest appends to
     /// its own shard's WAL segment chain under that shard's locks only,
     /// stitched into one replayable history by a global sequence
-    /// number. Acknowledgement is governed by
-    /// [`DurabilityOptions::fsync`] (see
+    /// number. Every write takes the one write path (gate → shard
+    /// guard → plan → log → apply → count → ack → publish), and is
+    /// acknowledged per [`DurabilityOptions::fsync`]: at once under
+    /// `Never`, once an fsync covers its record under `Always` (see
     /// [`FsyncPolicy`](crate::FsyncPolicy)).
     ///
     /// # Errors
@@ -581,7 +579,7 @@ impl EstimationEngine {
             publishes: 0,
             config,
         };
-        persist::write_checkpoint(dir, &meta, &engine.snapshot(), &engine.pool)?;
+        persist::write_checkpoint(dir, &meta, &engine.snapshot())?;
         let wal = WalSet::create(
             dir,
             config.shards,
@@ -595,7 +593,6 @@ impl EstimationEngine {
             dir: dir.to_path_buf(),
             wal,
             gate: RwLock::new(()),
-            pending: AtomicU64::new(0),
             horizons: Mutex::new(vec![0]),
             options,
         });
@@ -723,7 +720,6 @@ impl EstimationEngine {
                 .map(|_| keys.next().expect("one key per vector"));
             engine.apply_replayed(record, key)?;
         }
-        let pending = wal.last_seq().saturating_sub(meta.applied_seq);
         // The retention horizon needs every kept generation's cut;
         // their METAs are peeked (not fully decoded) once per life.
         let mut horizons = vec![meta.applied_seq];
@@ -737,7 +733,6 @@ impl EstimationEngine {
             dir: dir.to_path_buf(),
             wal: wal.with_metrics(engine.metrics.wal_metrics()),
             gate: RwLock::new(()),
-            pending: AtomicU64::new(pending),
             horizons: Mutex::new(horizons),
             options,
         });
@@ -828,10 +823,11 @@ impl EstimationEngine {
         self.metrics.publishes.store(meta.publishes);
     }
 
-    /// Re-applies one replayed WAL record. Runs single-threaded during
-    /// recovery, reproducing the original serialized order exactly.
-    /// The log carries every publish (explicit, auto, checkpoint) as a
-    /// barrier record, so replay counts ingests but never re-derives an
+    /// Re-applies one replayed WAL record through the live writes'
+    /// apply functions. Runs single-threaded during recovery,
+    /// reproducing the original serialized order exactly. The log
+    /// carries every publish (explicit, auto, checkpoint) as a barrier
+    /// record, so replay counts ingests but never re-derives an
     /// auto-publish from the counter. `key` is the bucket key of the
     /// record's vector (`None` exactly when it carries none).
     fn apply_replayed(&self, record: &WalRecord, key: Option<u64>) -> Result<(), PersistError> {
@@ -839,12 +835,7 @@ impl EstimationEngine {
             WalRecord::Insert { id, vector } => {
                 self.next_id.fetch_max(id + 1, Ordering::Relaxed);
                 let key = key.expect("an insert record is keyed");
-                let fresh = locks::lock(&self.shards[self.shard_of(*id)]).insert(
-                    *id,
-                    key,
-                    EncodedRow::new(vector),
-                );
-                if !fresh {
+                if !self.shard(*id).insert(*id, key, EncodedRow::new(vector)) {
                     return Err(PersistError::Corrupt(format!(
                         "WAL replays insert of already-live id {id}"
                     )));
@@ -852,13 +843,7 @@ impl EstimationEngine {
                 1
             }
             WalRecord::Remove { id } => {
-                // Mirror the live path: a shard row is removed in
-                // place; a live mapped base row is tombstoned.
-                let removed = {
-                    let mut shard = locks::lock(&self.shards[self.shard_of(*id)]);
-                    shard.remove(*id) || self.tombstone_base_row(*id)
-                };
-                if !removed {
+                if !self.apply_remove(&mut self.shard(*id), *id) {
                     return Err(PersistError::Corrupt(format!(
                         "WAL replays remove of non-live id {id}"
                     )));
@@ -868,18 +853,7 @@ impl EstimationEngine {
             WalRecord::Upsert { id, vector } => {
                 self.next_id.fetch_max(id + 1, Ordering::Relaxed);
                 let key = key.expect("an upsert record is keyed");
-                let mut shard = locks::lock(&self.shards[self.shard_of(*id)]);
-                // Mirror the live path: replacing a live mapped base
-                // row tombstones it; the fresh vector lands in the
-                // shard (the overlay).
-                let replaced = shard.remove(*id) || self.tombstone_base_row(*id);
-                let inserted = shard.insert(*id, key, EncodedRow::new(vector));
-                debug_assert!(inserted, "id was just vacated");
-                if replaced {
-                    2
-                } else {
-                    1
-                }
+                self.apply_upsert(&mut self.shard(*id), *id, key, EncodedRow::new(vector))
             }
             WalRecord::Publish => {
                 self.publish_inner();
@@ -1002,7 +976,6 @@ impl EstimationEngine {
     fn cut_inner(&self, durability: &Durability, fold: bool) -> Result<(u64, bool), PersistError> {
         let _quiesced = locks::write(&durability.gate);
         durability.wal.append(PUBLISH_SHARD, WalOp::Publish)?;
-        durability.pending.fetch_add(1, Ordering::Relaxed);
         let epoch = self.publish_inner();
         let cut_seq = durability.wal.last_seq();
         let snapshot = self.snapshot();
@@ -1017,7 +990,7 @@ impl EstimationEngine {
         };
         let result = durability.wal.sync_all().and_then(|()| {
             persist::rotate_generations(&durability.dir, durability.options.retain_checkpoints)?;
-            persist::write_checkpoint(&durability.dir, &meta, &snapshot, &self.pool)?;
+            persist::write_checkpoint(&durability.dir, &meta, &snapshot)?;
             // The generation set just rotated: the new cut is [0], the
             // old horizons shift back, pruned ones fall off the window.
             let horizon = {
@@ -1056,7 +1029,6 @@ impl EstimationEngine {
             }
             Ok(remapped) => {
                 durability.wal.mark_cut();
-                durability.pending.store(0, Ordering::Relaxed);
                 Ok((epoch, remapped))
             }
         }
@@ -1114,12 +1086,10 @@ impl EstimationEngine {
     }
 
     /// WAL records not yet covered by a checkpoint (0 when
-    /// non-durable). Lock-free: safe to poll while a checkpoint is in
-    /// flight.
+    /// non-durable): the sum of the per-shard depths. Lock-free: safe
+    /// to poll while a checkpoint is in flight.
     pub fn wal_pending(&self) -> u64 {
-        self.durability
-            .as_ref()
-            .map_or(0, |d| d.pending.load(Ordering::Relaxed))
+        self.durability.as_ref().map_or(0, |d| d.wal.pending())
     }
 
     /// The deepest per-shard WAL backlog (records past the checkpoint
@@ -1144,6 +1114,75 @@ impl EstimationEngine {
 
     // --- writes ----------------------------------------------------------
 
+    /// The guard of `global`'s shard.
+    fn shard(&self, global: GlobalId) -> MutexGuard<'_, ShardState> {
+        locks::lock(&self.shards[self.shard_of(global)])
+    }
+
+    /// The one write path: [`insert`](Self::insert),
+    /// [`remove`](Self::remove) and [`upsert`](Self::upsert) run this
+    /// body on durable and non-durable engines alike, and differ only
+    /// in the gids they offer, their `plan` and their `apply`:
+    ///
+    /// 1. a durable engine takes its apply gate *shared*;
+    /// 2. the shard of the next gid of `gids` is locked, and `plan`
+    ///    decides under that guard whether the write applies to it —
+    ///    if not, the next gid is tried, and once `gids` runs out the
+    ///    write is dropped unlogged and uncounted (`None`);
+    /// 3. a durable engine appends `op(gid)` to the shard's WAL chain
+    ///    *before* the apply and under the same guard, so for one gid
+    ///    file order is apply order;
+    /// 4. `apply` mutates the shard (and, on the mapped tier, the
+    ///    tombstones) and returns the ingest operations it counts, which
+    ///    are counted before the guard drops;
+    /// 5. the gate drops, then a durable engine waits on
+    ///    [`WalSet::commit`] — a record whose flush failed is never
+    ///    acknowledged;
+    /// 6. a crossed auto-publish boundary fires [`publish`](Self::publish),
+    ///    which logs it as a barrier on a durable engine.
+    ///
+    /// Returns the gid written and the operations counted.
+    ///
+    /// # Panics
+    /// When the WAL append or flush fails.
+    fn write<'v>(
+        &self,
+        gids: impl IntoIterator<Item = GlobalId>,
+        plan: impl Fn(&ShardState, GlobalId) -> bool,
+        op: impl FnOnce(GlobalId) -> WalOp<'v>,
+        apply: impl FnOnce(&mut ShardState, GlobalId) -> u64,
+    ) -> Option<(GlobalId, u64)> {
+        let gate = self.durability.as_ref().map(|d| locks::read(&d.gate));
+        let (gid, mut shard) = gids.into_iter().find_map(|gid| {
+            let shard = self.shard(gid);
+            plan(&shard, gid).then_some((gid, shard))
+        })?;
+        let logged = self.durability.as_ref().map(|d| {
+            let ticket = d
+                .wal
+                .append(self.shard_of(gid), op(gid))
+                .expect("WAL append failed; refusing to apply an unlogged write");
+            (d, ticket)
+        });
+        let apply_started = Instant::now();
+        let ops = apply(&mut shard, gid);
+        self.metrics
+            .ingest_apply_us
+            .record_duration(apply_started.elapsed());
+        let crossed = self.count_ingest(ops);
+        drop(shard);
+        drop(gate);
+        if let Some((d, ticket)) = logged {
+            d.wal
+                .commit(&ticket)
+                .expect("WAL flush failed; refusing to acknowledge an unflushed write");
+        }
+        if crossed {
+            self.publish();
+        }
+        Some((gid, ops))
+    }
+
     /// Ingests a vector, returning its engine-assigned global id. Not
     /// visible to reads until the next [`publish`](Self::publish). On a
     /// durable engine the vector is WAL-logged before it is applied.
@@ -1160,63 +1199,20 @@ impl EstimationEngine {
     /// encoding, both made before any shard lock is taken; the shard
     /// keeps only `row` (`v` is what the WAL logs).
     fn insert_row(&self, v: &SparseVector, row: EncodedRow, key: u64) -> GlobalId {
-        let mut row = Some(row);
-        if let Some(durability) = &self.durability {
-            let shared = locks::read(&durability.gate);
-            let (id, ticket) = loop {
-                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                let mut shard = locks::lock(&self.shards[self.shard_of(id)]);
-                // A concurrent upsert may have claimed this id between
-                // our allocation and the shard lock (its fetch_max
-                // reservation is not atomic with our fetch_add); ids
-                // only grow, so retrying with a fresh id terminates.
-                // The check and the log share one shard guard — the
-                // same guard the upsert's own log+apply holds — so a
-                // logged insert is always fresh.
-                if shard.contains(id) {
-                    continue;
-                }
-                let ticket = durability
-                    .wal
-                    .append(self.shard_of(id), WalOp::Insert(id, v))
-                    .expect("WAL append failed; refusing to apply an unlogged insert");
-                durability.pending.fetch_add(1, Ordering::Relaxed);
-                let apply_started = Instant::now();
-                let fresh = shard.insert(id, key, row.take().expect("inserted once"));
-                self.metrics
-                    .ingest_apply_us
-                    .record_duration(apply_started.elapsed());
-                debug_assert!(fresh, "freshness checked under this shard guard");
-                break (id, ticket);
-            };
-            let crossed = self.count_ingest(1);
-            drop(shared);
-            durability
-                .wal
-                .commit(&ticket)
-                .expect("WAL flush failed; refusing to acknowledge an unflushed insert");
-            if crossed {
-                self.durable_publish(durability);
-            }
-            return id;
-        }
-        loop {
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            // See the durable arm for why a collision is possible here.
-            let mut shard = locks::lock(&self.shards[self.shard_of(id)]);
-            if shard.contains(id) {
-                continue;
-            }
-            let apply_started = Instant::now();
-            let inserted = shard.insert(id, key, row.take().expect("inserted once"));
-            self.metrics
-                .ingest_apply_us
-                .record_duration(apply_started.elapsed());
-            drop(shard);
-            debug_assert!(inserted, "freshness checked under this shard guard");
-            self.after_ingest(1);
-            return id;
-        }
+        // A concurrent upsert may claim an allocated id before its shard
+        // is locked (the upsert's reservation is not atomic with this
+        // allocation), so the plan skips a live id; ids only grow, so
+        // the next one terminates the retry.
+        let ids = std::iter::repeat_with(|| self.next_id.fetch_add(1, Ordering::Relaxed));
+        let plan = |shard: &ShardState, id| !shard.contains(id);
+        let apply = |shard: &mut ShardState, id| {
+            let fresh = shard.insert(id, key, row);
+            debug_assert!(fresh, "freshness planned under this shard guard");
+            1
+        };
+        self.write(ids, plan, |id| WalOp::Insert(id, v), apply)
+            .expect("an insert retries until its id is fresh")
+            .0
     }
 
     /// Ingests a batch, returning the assigned ids (one auto-publish
@@ -1263,73 +1259,42 @@ impl EstimationEngine {
     /// removal that would silently reappear on restart is worse than
     /// refusing it.
     pub fn remove(&self, global: GlobalId) -> bool {
-        if let Some(durability) = &self.durability {
-            let shared = locks::read(&durability.gate);
-            // One shard guard across peek, log, and apply: only applied
-            // removes reach the WAL, with no window for liveness to
-            // change in between. The guard also covers the tombstone
-            // decision — upserts of this gid mutate the tombstone set
-            // under the same shard lock, so shard row and base row are
-            // judged against one consistent state.
-            let mut shard = locks::lock(&self.shards[self.shard_of(global)]);
-            let ticket = if shard.contains(global) {
-                let ticket = durability
-                    .wal
-                    .append(self.shard_of(global), WalOp::Remove(global))
-                    .expect("WAL append failed; refusing to apply an unlogged remove");
-                durability.pending.fetch_add(1, Ordering::Relaxed);
-                let apply_started = Instant::now();
-                let removed = shard.remove(global);
-                self.metrics
-                    .ingest_apply_us
-                    .record_duration(apply_started.elapsed());
-                debug_assert!(removed, "contains() held under the shard lock");
-                ticket
-            } else {
-                let Some(row) = self.live_base_row(global) else {
-                    return false;
-                };
-                let ticket = durability
-                    .wal
-                    .append(self.shard_of(global), WalOp::Remove(global))
-                    .expect("WAL append failed; refusing to apply an unlogged remove");
-                durability.pending.fetch_add(1, Ordering::Relaxed);
-                let apply_started = Instant::now();
-                let mut tombstones = locks::lock(&self.tombstones);
-                let at = tombstones
-                    .binary_search(&row)
-                    .expect_err("live_base_row() held under the shard lock");
-                tombstones.insert(at, row);
-                drop(tombstones);
-                self.metrics
-                    .ingest_apply_us
-                    .record_duration(apply_started.elapsed());
-                ticket
-            };
-            drop(shard);
-            let crossed = self.count_ingest(1);
-            drop(shared);
-            durability
-                .wal
-                .commit(&ticket)
-                .expect("WAL flush failed; refusing to acknowledge an unflushed remove");
-            if crossed {
-                self.durable_publish(durability);
-            }
-            return true;
-        }
-        let apply_started = Instant::now();
-        let removed = {
-            let mut shard = locks::lock(&self.shards[self.shard_of(global)]);
-            shard.remove(global) || self.tombstone_base_row(global)
+        // The plan, log and apply share one shard guard, which also
+        // covers the tombstone decision: upserts of this gid mutate the
+        // tombstone set under the same lock.
+        let plan = |shard: &ShardState, id| shard.contains(id) || self.live_base_row(id).is_some();
+        let apply = |shard: &mut ShardState, id| {
+            let removed = self.apply_remove(shard, id);
+            debug_assert!(removed, "liveness planned under this shard guard");
+            1
         };
-        self.metrics
-            .ingest_apply_us
-            .record_duration(apply_started.elapsed());
-        if removed {
-            self.after_ingest(1);
-        }
-        removed
+        self.write([global], plan, WalOp::Remove, apply).is_some()
+    }
+
+    /// Applies a remove of `global` under its shard guard: a shard row
+    /// is removed in place, a live mapped base row tombstoned. `false`
+    /// when `global` is not live.
+    fn apply_remove(&self, shard: &mut ShardState, global: GlobalId) -> bool {
+        shard.remove(global) || self.tombstone_base_row(global)
+    }
+
+    /// Applies an upsert of `global` under its shard guard and returns
+    /// the ingest operations it counts: 2 when it replaced a live row,
+    /// else 1. A live mapped base row is replaced by tombstoning it
+    /// (checked only when no shard row was — an earlier upsert of the
+    /// same gid already tombstoned the base row when it created the
+    /// shard row).
+    fn apply_upsert(
+        &self,
+        shard: &mut ShardState,
+        global: GlobalId,
+        key: u64,
+        row: EncodedRow,
+    ) -> u64 {
+        let replaced = self.apply_remove(shard, global);
+        let inserted = shard.insert(global, key, row);
+        debug_assert!(inserted, "id was just vacated");
+        1 + u64::from(replaced)
     }
 
     /// The base row currently holding `global` as **live** data: in the
@@ -1381,54 +1346,17 @@ impl EstimationEngine {
     /// [`insert`](Self::insert).
     pub fn upsert(&self, global: GlobalId, v: SparseVector) -> bool {
         let key = self.hasher.key(&v);
-        if let Some(durability) = &self.durability {
-            let shared = locks::read(&durability.gate);
-            self.next_id.fetch_max(global + 1, Ordering::Relaxed);
-            let (replaced, ticket) = {
-                let mut shard = locks::lock(&self.shards[self.shard_of(global)]);
-                let ticket = durability
-                    .wal
-                    .append(self.shard_of(global), WalOp::Upsert(global, &v))
-                    .expect("WAL append failed; refusing to apply an unlogged upsert");
-                durability.pending.fetch_add(1, Ordering::Relaxed);
-                let apply_started = Instant::now();
-                // A live mapped base row under this gid is replaced by
-                // tombstoning it (checked only when no shard row was —
-                // an earlier upsert of the same gid already tombstoned
-                // the base row when it created the shard row).
-                let replaced = shard.remove(global) || self.tombstone_base_row(global);
-                let inserted = shard.insert(global, key, EncodedRow::new(&v));
-                self.metrics
-                    .ingest_apply_us
-                    .record_duration(apply_started.elapsed());
-                debug_assert!(inserted, "id was just vacated");
-                (replaced, ticket)
-            };
-            let crossed = self.count_ingest(if replaced { 2 } else { 1 });
-            drop(shared);
-            durability
-                .wal
-                .commit(&ticket)
-                .expect("WAL flush failed; refusing to acknowledge an unflushed upsert");
-            if crossed {
-                self.durable_publish(durability);
-            }
-            return replaced;
-        }
-        self.next_id.fetch_max(global + 1, Ordering::Relaxed);
-        let replaced = {
-            let mut shard = locks::lock(&self.shards[self.shard_of(global)]);
-            let apply_started = Instant::now();
-            let replaced = shard.remove(global) || self.tombstone_base_row(global);
-            let inserted = shard.insert(global, key, EncodedRow::new(&v));
-            self.metrics
-                .ingest_apply_us
-                .record_duration(apply_started.elapsed());
-            debug_assert!(inserted, "id was just vacated");
-            replaced
+        let row = EncodedRow::new(&v);
+        // Every upsert applies; planning it reserves the id.
+        let plan = |_: &ShardState, id: GlobalId| {
+            self.next_id.fetch_max(id + 1, Ordering::Relaxed);
+            true
         };
-        self.after_ingest(if replaced { 2 } else { 1 });
-        replaced
+        let apply = |shard: &mut ShardState, id| self.apply_upsert(shard, id, key, row);
+        let (_, ops) = self
+            .write([global], plan, |id| WalOp::Upsert(id, &v), apply)
+            .expect("an upsert always applies");
+        ops == 2
     }
 
     /// Whether a global id is currently live in the mutable index (the
@@ -1436,15 +1364,14 @@ impl EstimationEngine {
     /// checkpoint base row counts as live unless it has been tombstoned
     /// by a [`remove`](Self::remove)/[`upsert`](Self::upsert).
     pub fn contains(&self, global: GlobalId) -> bool {
-        let shard = locks::lock(&self.shards[self.shard_of(global)]);
+        let shard = self.shard(global);
         shard.contains(global) || self.live_base_row(global).is_some()
     }
 
     /// Counts `ops` ingest operations; returns whether the counter
-    /// crossed an auto-publish boundary. The *caller* owns firing the
-    /// publish: inline for non-durable engines
-    /// ([`after_ingest`](Self::after_ingest)), as a logged sequence
-    /// barrier for durable ones ([`durable_publish`](Self::durable_publish)).
+    /// crossed an auto-publish boundary. The live write path fires that
+    /// publish ([`write`](Self::write)); replay never does (the log
+    /// holds every publish as a barrier record).
     fn count_ingest(&self, ops: u64) -> bool {
         let count = self.metrics.ingests.add_fetch(ops);
         match self.config.auto_publish_every {
@@ -1453,38 +1380,6 @@ impl EstimationEngine {
             Some(batch) => count / batch > (count - ops) / batch,
             None => false,
         }
-    }
-
-    fn after_ingest(&self, ops: u64) {
-        if self.count_ingest(ops) {
-            self.publish_inner();
-        }
-    }
-
-    /// Logs a publish barrier record and fires the publish under the
-    /// exclusive apply gate — the durable arm of every explicit and
-    /// auto publish. Exclusivity is what makes the record a barrier:
-    /// every ingest with a smaller sequence has fully applied, none
-    /// with a larger one has started, so merge-replay firing the
-    /// publish at this sequence reproduces the cut exactly.
-    fn durable_publish(&self, durability: &Durability) -> u64 {
-        let excl = locks::write(&durability.gate);
-        let ticket = durability
-            .wal
-            .append(PUBLISH_SHARD, WalOp::Publish)
-            .expect("WAL append failed; refusing to apply an unlogged publish");
-        durability.pending.fetch_add(1, Ordering::Relaxed);
-        let epoch = self.publish_inner();
-        drop(excl);
-        // Barrier acknowledgement flushes every chain (not just the
-        // barrier's own): the ack promises the cut epoch is
-        // reproducible, which needs every smaller-sequence record on
-        // every shard durable.
-        durability
-            .wal
-            .commit_barrier(&ticket)
-            .expect("WAL flush failed; refusing to acknowledge an unflushed publish");
-        epoch
     }
 
     // --- publication -----------------------------------------------------
@@ -1541,16 +1436,35 @@ impl EstimationEngine {
     /// the ingest paths: acknowledging an epoch that would vanish on
     /// restart is worse than refusing it.
     pub fn publish(&self) -> u64 {
-        if let Some(durability) = &self.durability {
-            return self.durable_publish(durability);
-        }
-        self.publish_inner()
+        let Some(durability) = &self.durability else {
+            return self.publish_inner();
+        };
+        // Logged and fired under the exclusive apply gate, the record
+        // is a barrier: every ingest with a smaller sequence has fully
+        // applied, none with a larger one has started, so merge-replay
+        // firing the publish at this sequence reproduces the cut.
+        let excl = locks::write(&durability.gate);
+        let ticket = durability
+            .wal
+            .append(PUBLISH_SHARD, WalOp::Publish)
+            .expect("WAL append failed; refusing to apply an unlogged publish");
+        let epoch = self.publish_inner();
+        drop(excl);
+        // Barrier acknowledgement flushes every chain (not just the
+        // barrier's own): the ack promises the cut epoch is
+        // reproducible, which needs every smaller-sequence record on
+        // every shard durable.
+        durability
+            .wal
+            .commit_barrier(&ticket)
+            .expect("WAL flush failed; refusing to acknowledge an unflushed publish");
+        epoch
     }
 
     /// The publish machinery, *without* WAL logging — the shared tail
-    /// of explicit publishes (logged by [`publish`](Self::publish)),
-    /// auto-publishes (reproduced by ingest replay), checkpoint cuts
-    /// (recorded in checkpoint metadata), and WAL replay itself.
+    /// of every explicit and auto publish (logged first by
+    /// [`publish`](Self::publish) on a durable engine), checkpoint cuts
+    /// (which log their own barrier), and WAL replay itself.
     fn publish_inner(&self) -> u64 {
         let publish_started = Instant::now();
         let mut last_epoch = locks::lock(&self.publish_lock);
@@ -2113,53 +2027,6 @@ mod tests {
             !engine.compaction_due(),
             "the fold emptied the overlay below the threshold"
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    fn assert_pooled_encode_matches(engine: &EstimationEngine, what: &str) {
-        let snapshot = engine.snapshot();
-        let meta = CheckpointMeta {
-            epoch: snapshot.epoch(),
-            ingested: snapshot.ingested(),
-            next_id: engine.next_id.load(Ordering::SeqCst),
-            applied_seq: 0,
-            publishes: 1,
-            config: *engine.config(),
-        };
-        let serial = persist::encode_checkpoint(&meta, &snapshot);
-        for threads in [1usize, 2, 8] {
-            let pool = WorkPool::new(threads);
-            let pooled = persist::encode_checkpoint_with(&meta, &snapshot, &pool);
-            assert_eq!(
-                serial.as_slice(),
-                pooled.as_slice(),
-                "{what}: pooled encode diverged at {threads} threads"
-            );
-        }
-    }
-
-    /// The pooled checkpoint encoder must produce the exact bytes of
-    /// the serial one — on the heap tier (slab block copies) and on the
-    /// mapped tier (base block copies interleaved with overlay slab
-    /// blocks, tombstoned rows dropped) — at every thread count.
-    #[test]
-    fn parallel_encode_is_byte_identical() {
-        let config = ServiceConfig::builder().shards(3).k(8).seed(42).build();
-        let engine = EstimationEngine::new(config);
-        let ids: Vec<GlobalId> =
-            engine.insert_batch((0..257u32).map(|i| {
-                SparseVector::binary_from_members(vec![i, i * 7 % 97, i * 13 % 101 + 200])
-            }));
-        engine.remove(ids[3]);
-        engine.publish();
-        assert_pooled_encode_matches(&engine, "heap");
-
-        let dir = std::env::temp_dir().join(format!("vsj_engine_parenc_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let mapped = mapped_engine_with_dirty_overlay(&dir);
-        assert!(mapped.remove(2), "base row 2 is live");
-        mapped.publish();
-        assert_pooled_encode_matches(&mapped, "mapped");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -50,7 +50,7 @@
 //!   [`datasets::io`](vsj_datasets::io) containers, see [`persist`])
 //!   plus a **per-shard segmented write-ahead log** of every ingest
 //!   between checkpoints ([`wal`]): durable writers on different
-//!   shards append (and group-commit fsync, per [`FsyncPolicy`]) in
+//!   shards append (and share fsyncs, per [`FsyncPolicy`]) in
 //!   parallel, stitched by a global sequence number.
 //!   [`EstimationEngine::recover`] rebuilds the engine — shards from
 //!   stored bucket keys, no re-hashing — and merge-replays the chains

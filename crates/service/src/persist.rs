@@ -46,7 +46,6 @@ use std::time::{Duration, Instant};
 use memmap2::Mmap;
 use vsj_datasets::io::{ContainerIndex, ContainerWriter, IoError};
 use vsj_obs::{Trace, TraceRing};
-use vsj_pool::WorkPool;
 
 use crate::background::PollThread;
 use crate::config::{IndexFamily, ServiceConfig};
@@ -312,73 +311,13 @@ fn encode_u64s(values: impl ExactSizeIterator<Item = u64>) -> Vec<u8> {
 /// file a compaction writes is exactly the file a from-scratch build over
 /// the live rows would write.
 pub fn encode_checkpoint(meta: &CheckpointMeta, snapshot: &Snapshot) -> Vec<u8> {
-    encode_checkpoint_inner(meta, snapshot, None).finish()
+    encode_checkpoint_inner(meta, snapshot).finish()
 }
 
-/// [`encode_checkpoint`] with the `VPAY` payload slab filled in
-/// parallel on `pool`: per-row block lengths are computed first (a pool
-/// map), a prefix sum pre-sizes the slab and fixes every row's offset,
-/// and contiguous row chunks are serialized into disjoint `&mut` slices
-/// concurrently. Offsets are a pure function of the rows, so the bytes
-/// are **identical** to the serial encoding at any thread count (pinned
-/// by `parallel_encode_is_byte_identical` below and the checkpoint legs
-/// of `tests/parallel_determinism.rs`). A one-thread pool takes the
-/// exact serial path. [`write_checkpoint`] streams the same container to
-/// its file instead of assembling it in memory.
-#[cfg(test)]
-pub(crate) fn encode_checkpoint_with(
-    meta: &CheckpointMeta,
-    snapshot: &Snapshot,
-    pool: &WorkPool,
-) -> Vec<u8> {
-    encode_checkpoint_inner(meta, snapshot, Some(pool)).finish()
-}
-
-/// Fills contiguous row chunks of a pre-sized payload slab in parallel:
-/// chunk `r..e` owns the disjoint byte range `voff[r]..voff[e]`, handed
-/// out by `split_at_mut`, and `encode_row` fills each row's exact-length
-/// cell.
-fn fill_payload_parallel(
-    pool: &WorkPool,
-    voff: &[u64],
-    slab: &mut [u8],
-    encode_row: impl Fn(usize, &mut [u8]) + Sync,
-) {
-    let n = voff.len() - 1;
-    if n == 0 {
-        return;
-    }
-    let chunk_rows = n.div_ceil((pool.threads() * 4).min(n));
-    let encode_row = &encode_row;
-    pool.scope(|scope| {
-        let mut rest = slab;
-        let mut row = 0usize;
-        while row < n {
-            let end = (row + chunk_rows).min(n);
-            let bytes = (voff[end] - voff[row]) as usize;
-            let (chunk, tail) = rest.split_at_mut(bytes);
-            rest = tail;
-            scope.spawn(move || {
-                let mut out = chunk;
-                for r in row..end {
-                    let len = (voff[r + 1] - voff[r]) as usize;
-                    let (cell, after) = out.split_at_mut(len);
-                    encode_row(r, cell);
-                    out = after;
-                }
-            });
-            row = end;
-        }
-    });
-}
-
-/// The checkpoint's sections, ready to be written; the `VPAY` slab is
-/// filled on `pool` unless it has a single thread.
-fn encode_checkpoint_inner(
-    meta: &CheckpointMeta,
-    snapshot: &Snapshot,
-    pool: Option<&WorkPool>,
-) -> ContainerWriter {
+/// The checkpoint's sections, every one — `VPAY` included — built in
+/// memory, ready to be written: [`encode_checkpoint`] concatenates them
+/// into one buffer, [`write_checkpoint`] writes them to its file.
+fn encode_checkpoint_inner(meta: &CheckpointMeta, snapshot: &Snapshot) -> ContainerWriter {
     let n = snapshot.len();
     // Row keys in snapshot-local id order, and the buckets grouping them
     // (key-ascending, members in id order): the one slab both tiers
@@ -418,30 +357,24 @@ fn encode_checkpoint_inner(
         bmem.extend_from_slice(&m.to_le_bytes());
     }
     w.section(SECTION_BMEM, bmem);
-    let mut vpay = vec![0u8; total as usize];
-    match pool.filter(|pool| pool.threads() > 1) {
-        Some(pool) => fill_payload_parallel(pool, &voff, &mut vpay, |r, out| {
-            out.copy_from_slice(block(r));
-        }),
-        None => {
-            for d in 0..n {
-                vpay[voff[d] as usize..voff[d + 1] as usize].copy_from_slice(block(d));
-            }
-        }
+    let mut vpay = Vec::with_capacity(total as usize);
+    for d in 0..n {
+        vpay.extend_from_slice(block(d));
     }
     w.section(SECTION_VOFF, encode_u64s(voff.into_iter()));
     w.section(SECTION_VPAY, vpay);
     w
 }
 
-/// Atomically replaces the checkpoint file in `dir`.
+/// Atomically replaces the checkpoint file in `dir`: the sections are
+/// built in memory ([`encode_checkpoint_inner`]), written to a temp file,
+/// fsync'd and renamed over the current checkpoint.
 pub(crate) fn write_checkpoint(
     dir: &Path,
     meta: &CheckpointMeta,
     snapshot: &Snapshot,
-    pool: &WorkPool,
 ) -> Result<(), PersistError> {
-    let writer = encode_checkpoint_inner(meta, snapshot, Some(pool));
+    let writer = encode_checkpoint_inner(meta, snapshot);
     let tmp = dir.join(CHECKPOINT_TMP);
     {
         let mut file = std::fs::File::create(&tmp)?;

@@ -9,8 +9,10 @@
 //! **sequence barriers** (they are only logged while no ingest is in
 //! flight, so "every record with a smaller sequence is applied, none
 //! with a larger one" holds both live and under replay).
-//! Acknowledgement is governed by a per-shard group-commit ticket
-//! protocol ([`FsyncPolicy`]). This is the only log format: recovery
+//! Acknowledgement is one rule ([`WalSet::commit`], per
+//! [`FsyncPolicy`]): under `Always` a writer's ticket is acknowledged
+//! once an fsync covers it, and one fsync covers every ticket
+//! outstanding on its shard. This is the only log format: recovery
 //! refuses a directory holding anything else (see
 //! [`EstimationEngine::recover_with`](crate::EstimationEngine::recover_with)).
 //!
@@ -79,7 +81,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vsj_datasets::io::checksum64;
 use vsj_obs::{Histogram, HistogramSpec, Registry};
@@ -405,15 +407,15 @@ pub struct WalTicket {
 /// (their `_count` series double as registry-side event counters).
 #[derive(Debug, Clone)]
 pub struct WalMetrics {
-    /// Segment-file fsync latency, µs (group-commit leaders, seals,
-    /// checkpoint syncs).
+    /// Segment-file fsync latency, µs (`Always` flush leaders, seals,
+    /// barrier and checkpoint syncs).
     pub fsync_us: Histogram,
     /// Full [`WalSet::commit`] wait, µs — time from calling commit to
     /// the durable acknowledgement, leader or follower. Not recorded
     /// under [`FsyncPolicy::Never`] (commit is a no-op there).
     pub commit_wait_us: Histogram,
-    /// Tickets covered per completed flush — the group-commit batch
-    /// size distribution.
+    /// Tickets covered per completed flush — how many writers each
+    /// `Always` fsync (or seal, or sync) acknowledged.
     pub group_batch: Histogram,
     /// Segment rotation duration (seal fsync + next-segment create), µs.
     pub rotation_us: Histogram,
@@ -499,8 +501,6 @@ struct ShardWalState {
     flushed: u64,
     /// A leader is mid-fsync.
     flushing: bool,
-    /// When the oldest unflushed record was appended.
-    batch_opened: Option<Instant>,
     /// Sealed segments still on disk: `(chain index, last seq)`.
     sealed: Vec<(u64, u64)>,
     /// Latched failure (mirrored by the set-wide poison flag).
@@ -629,7 +629,6 @@ impl WalSet {
                     appended: 0,
                     flushed: 0,
                     flushing: false,
-                    batch_opened: None,
                     sealed: Vec::new(),
                     failed: false,
                 }),
@@ -783,7 +782,6 @@ impl WalSet {
                     appended: 0,
                     flushed: 0,
                     flushing: false,
-                    batch_opened: None,
                     sealed,
                     failed: false,
                 }),
@@ -873,6 +871,15 @@ impl WalSet {
         self.shards[shard].pending.load(Ordering::Relaxed)
     }
 
+    /// Records on every shard not yet covered by a checkpoint — the
+    /// sum of the per-shard depths. Lock-free.
+    pub fn pending(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.pending.load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// The deepest per-shard backlog (records past the checkpoint cut).
     /// Lock-free; the serving layer's shed signal.
     pub fn max_shard_pending(&self) -> u64 {
@@ -957,9 +964,6 @@ impl WalSet {
         st.has_records = true;
         st.appended += 1;
         let ticket = st.appended;
-        if st.batch_opened.is_none() {
-            st.batch_opened = Some(Instant::now());
-        }
         shard_wal.pending.fetch_add(1, Ordering::Relaxed);
         Ok(WalTicket { seq, shard, ticket })
     }
@@ -979,7 +983,6 @@ impl WalSet {
             self.metrics.group_batch.record(covered);
         }
         st.flushed = st.appended;
-        st.batch_opened = None;
         st.sealed.push((st.index, st.last_seq));
         let next = st.index + 1;
         st.file = create_segment(&self.dir, self.fingerprint, shard, next)?;
@@ -996,23 +999,19 @@ impl WalSet {
 
     /// Blocks until the ticket's record is flushed per the engine's
     /// [`FsyncPolicy`] — the acknowledgement point of a durable write.
-    /// Under `Never` this returns immediately; under `Always` /
-    /// `GroupCommit` the calling thread waits for (or performs, as the
-    /// elected leader) the fsync that covers its record, shared with
-    /// every other writer waiting on the same shard.
+    /// Under `Never` this returns immediately. Under `Always` the
+    /// caller finds its record flushed, or waits for the flush in
+    /// progress on its shard, or becomes the shard's flush leader: one
+    /// fsync that covers every ticket outstanding on the shard. There
+    /// is no batch size and no timer.
     ///
     /// # Errors
-    /// A flush failure on this shard (which poisons the set) — the
-    /// caller must not acknowledge the write.
+    /// A flush failure on this shard, or a set poisoned while the
+    /// caller waited — the caller must not acknowledge the write.
     pub fn commit(&self, ticket: &WalTicket) -> Result<(), PersistError> {
-        let (max_batch, max_delay) = match self.policy {
-            FsyncPolicy::Never => return Ok(()),
-            FsyncPolicy::Always => (1, Duration::ZERO),
-            FsyncPolicy::GroupCommit {
-                max_batch,
-                max_delay,
-            } => (max_batch.max(1), max_delay),
-        };
+        if self.policy == FsyncPolicy::Never {
+            return Ok(());
+        }
         let wait_started = Instant::now();
         let shard_wal = &self.shards[ticket.shard];
         let mut st = self.lock(shard_wal);
@@ -1026,82 +1025,61 @@ impl WalSet {
             if st.failed || self.is_poisoned() {
                 return Err(self.poison_err());
             }
-            let waiting = st.appended - st.flushed;
-            let elapsed = st
-                .batch_opened
-                .map(|t| t.elapsed())
-                .unwrap_or(Duration::ZERO);
-            let due = waiting >= max_batch || elapsed >= max_delay;
-            if due && !st.flushing {
-                // Become the flush leader: fsync outside the lock so
-                // same-shard appends (and fellow waiters) keep moving.
-                st.flushing = true;
-                let covers = st.appended;
-                let file = match st.file.try_clone() {
-                    Ok(file) => file,
-                    Err(e) => {
-                        st.flushing = false;
-                        st.failed = true;
-                        drop(st);
-                        self.poison();
-                        return Err(e.into());
-                    }
-                };
-                drop(st);
-                let fsync_started = Instant::now();
-                let result = file.sync_data();
-                self.metrics
-                    .fsync_us
-                    .record_duration(fsync_started.elapsed());
-                st = self.lock(shard_wal);
-                st.flushing = false;
-                match result {
-                    Ok(()) => {
-                        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                        let batch = covers.saturating_sub(st.flushed);
-                        if batch > 0 {
-                            self.metrics.group_batch.record(batch);
-                        }
-                        st.flushed = st.flushed.max(covers);
-                        st.batch_opened = if st.appended > st.flushed {
-                            Some(Instant::now())
-                        } else {
-                            None
-                        };
-                        shard_wal.flushed.notify_all();
-                    }
-                    Err(e) => {
-                        st.failed = true;
-                        drop(st);
-                        self.poison();
-                        return Err(e.into());
-                    }
-                }
+            if st.flushing {
+                // The leader notifies when its flush lands; a failed
+                // flush poisons the set, which notifies too.
+                let guard = locks::unpoison(shard_wal.flushed.wait(st));
+                st = self.latch_poisoned(shard_wal, guard);
                 continue;
             }
-            let wait = if due {
-                // A leader is flushing; it will notify.
-                Duration::from_millis(50)
-            } else {
-                max_delay
-                    .saturating_sub(elapsed)
-                    .max(Duration::from_micros(50))
+            // Become the flush leader: fsync outside the lock so
+            // same-shard appends (and fellow waiters) keep moving.
+            st.flushing = true;
+            let covers = st.appended;
+            let file = match st.file.try_clone() {
+                Ok(file) => file,
+                Err(e) => {
+                    st.flushing = false;
+                    st.failed = true;
+                    drop(st);
+                    self.poison();
+                    return Err(e.into());
+                }
             };
-            let (guard, _) = locks::unpoison(shard_wal.flushed.wait_timeout(st, wait));
-            st = self.latch_poisoned(shard_wal, guard);
+            drop(st);
+            let fsync_started = Instant::now();
+            let result = file.sync_data();
+            self.metrics
+                .fsync_us
+                .record_duration(fsync_started.elapsed());
+            st = self.lock(shard_wal);
+            st.flushing = false;
+            if let Err(e) = result {
+                st.failed = true;
+                drop(st);
+                self.poison();
+                return Err(e.into());
+            }
+            self.fsyncs.fetch_add(1, Ordering::Relaxed);
+            let batch = covers.saturating_sub(st.flushed);
+            if batch > 0 {
+                self.metrics.group_batch.record(batch);
+            }
+            st.flushed = st.flushed.max(covers);
+            shard_wal.flushed.notify_all();
         }
     }
 
     /// The acknowledgement point of a **publish barrier**: under
-    /// `Always`/`GroupCommit` this flushes *every* shard's chain, not
-    /// just the barrier's own — an acknowledged barrier promises that
-    /// the epoch it cut is reproducible, which requires every record
-    /// below its sequence (on any shard) to be durable, acknowledged or
-    /// not. Under `Never` it returns immediately, like any commit.
+    /// `Always` this flushes *every* shard's chain, not just the
+    /// barrier's own — an acknowledged barrier promises that the epoch
+    /// it cut is reproducible, which requires every record below its
+    /// sequence (on any shard) to be durable, acknowledged or not.
+    /// Under `Never` it returns immediately, like any commit.
     pub fn commit_barrier(&self, _ticket: &WalTicket) -> Result<(), PersistError> {
         match self.policy {
             FsyncPolicy::Never => Ok(()),
-            FsyncPolicy::Always | FsyncPolicy::GroupCommit { .. } => self.sync_all(),
+            FsyncPolicy::Always => self.sync_all(),
         }
     }
 
@@ -1129,7 +1107,6 @@ impl WalSet {
                 self.metrics.group_batch.record(batch);
             }
             st.flushed = st.appended;
-            st.batch_opened = None;
             shard_wal.flushed.notify_all();
         }
         Ok(())
@@ -1455,50 +1432,36 @@ mod tests {
         std::fs::remove_dir_all(&forge_dir).ok();
     }
 
+    /// Under `Always` one flush covers every ticket outstanding on its
+    /// shard: committing the last of N uncommitted appends costs exactly
+    /// one fsync (recorded as one flush of N tickets), the earlier
+    /// tickets then commit with none, and a reopen reads all N.
     #[test]
-    fn group_commit_shares_fsyncs_across_writers() {
-        let dir = tmp_dir("seg_group");
-        let wal = std::sync::Arc::new(
-            WalSet::create(
-                &dir,
-                2,
-                0,
-                1,
-                FsyncPolicy::GroupCommit {
-                    max_batch: 8,
-                    max_delay: Duration::from_millis(5),
-                },
-                1 << 20,
-            )
-            .unwrap(),
-        );
-        let writers = 4;
-        let per_writer = 32;
-        std::thread::scope(|scope| {
-            for w in 0..writers {
-                let wal = wal.clone();
-                scope.spawn(move || {
-                    for i in 0..per_writer {
-                        let shard = (w % 2) as usize;
-                        let id = (w * 1000 + i) as u64;
-                        let vec = v(&[i as u32]);
-                        let ticket = wal.append(shard, WalOp::Insert(id, &vec)).unwrap();
-                        wal.commit(&ticket).unwrap();
-                    }
-                });
-            }
-        });
-        let stats = wal.stats();
-        let total = (writers * per_writer) as u64;
-        assert!(
-            stats.fsyncs < total,
-            "group commit must batch: {} fsyncs for {total} commits",
-            stats.fsyncs
-        );
-        assert_eq!(wal.last_seq(), total);
+    fn one_always_flush_covers_every_outstanding_ticket() {
+        let dir = tmp_dir("seg_always_shared");
+        let registry = Registry::new();
+        let obs = vsj_obs::ObsOptions::default();
+        let metrics = WalMetrics::registered(&registry, obs.latency_spec(), obs.size_spec());
+        let wal = WalSet::create(&dir, 2, 0, 1, FsyncPolicy::Always, 1 << 20)
+            .unwrap()
+            .with_metrics(metrics.clone());
+        const N: u64 = 16;
+        let tickets: Vec<WalTicket> = (0..N)
+            .map(|i| wal.append(1, WalOp::Insert(i, &v(&[i as u32]))).unwrap())
+            .collect();
+        assert_eq!(wal.stats().fsyncs, 0, "appending flushes nothing");
+        wal.commit(tickets.last().unwrap()).unwrap();
+        assert_eq!(wal.stats().fsyncs, 1, "one fsync for the last ticket");
+        for ticket in &tickets {
+            wal.commit(ticket).unwrap();
+        }
+        assert_eq!(wal.stats().fsyncs, 1, "the earlier tickets were covered");
+        assert_eq!(metrics.group_batch.count(), 1);
+        assert_eq!(metrics.group_batch.sum(), N, "one flush of N tickets");
         drop(wal);
         let (_, entries) = WalSet::open(&dir, 2, 0, 1, FsyncPolicy::Never, 1 << 20).unwrap();
-        assert_eq!(entries.len(), total as usize, "every commit is durable");
+        let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (1..=N).collect::<Vec<_>>(), "every record is on disk");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -22,9 +22,9 @@
 //! * **Liveness** — writers, readers, and the background [`Compactor`]
 //!   race freely; answers stay pinned per epoch throughout (soak test).
 //!
-//! `VSJ_TEST_FSYNC` (`never` / `group` / `always`) selects the fsync
-//! policy, as in `tests/recovery.rs`, so the CI matrix exercises the
-//! group-commit protocol under compaction too.
+//! `VSJ_TEST_FSYNC` (`never` / `always`) selects the fsync policy, as
+//! in `tests/recovery.rs`, so the CI matrix exercises the shared-flush
+//! commit protocol under compaction too.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -57,15 +57,14 @@ fn config(seed: u64) -> ServiceConfig {
         .build()
 }
 
-/// The fsync policy the CI matrix selects (default `Never`).
+/// The fsync policy the CI matrix selects (default `Never`). Any other
+/// value fails loudly rather than silently running `Never`.
 fn test_fsync() -> FsyncPolicy {
-    match std::env::var("VSJ_TEST_FSYNC").as_deref() {
-        Ok("always") => FsyncPolicy::Always,
-        Ok("group") => FsyncPolicy::GroupCommit {
-            max_batch: 4,
-            max_delay: Duration::from_millis(2),
-        },
-        _ => FsyncPolicy::Never,
+    match std::env::var("VSJ_TEST_FSYNC") {
+        Err(std::env::VarError::NotPresent) => FsyncPolicy::Never,
+        Ok(value) if value == "never" => FsyncPolicy::Never,
+        Ok(value) if value == "always" => FsyncPolicy::Always,
+        other => panic!("VSJ_TEST_FSYNC must be unset, `never` or `always`, not {other:?}"),
     }
 }
 

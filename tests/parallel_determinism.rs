@@ -10,8 +10,8 @@
 //!   path, so this pins pooled == serial, not merely pooled == pooled.
 //! * **Checkpoint identity** — the checkpoint files durable engines cut
 //!   (including a mapped-tier compaction's fold) are **byte-equal**
-//!   across pool sizes: the pooled `VPAY` slab fill and the batch
-//!   pre-hash leave no trace in the on-disk artifact.
+//!   across pool sizes: the batch pre-hash leaves no trace in the
+//!   on-disk artifact.
 //! * **Recovery identity** — recovering any of those byte-equal
 //!   directories (heap and mapped tier alike) yields engines that
 //!   serve bit-identically to an uninterrupted serial engine; a

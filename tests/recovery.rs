@@ -25,15 +25,13 @@
 //!   current checkpoint and recovering reproduces the pre-crash engine
 //!   exactly.
 //!
-//! The `VSJ_TEST_FSYNC` env var (`never` / `group` / `always`) selects
-//! the fsync policy the durable engines under test run with, so the CI
-//! matrix exercises the group-commit ticket protocol on the same
-//! scenarios.
+//! The `VSJ_TEST_FSYNC` env var (`never` / `always`) selects the fsync
+//! policy the durable engines under test run with, so the CI matrix
+//! exercises the shared-flush commit protocol on the same scenarios.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 use vsj::datasets::io::{self, IoError};
 use vsj::prelude::*;
@@ -62,15 +60,14 @@ fn config(seed: u64) -> ServiceConfig {
 }
 
 /// The fsync policy the CI matrix selects (default: `Never`, the
-/// page-cache policy).
+/// page-cache policy). Any other value fails loudly rather than
+/// silently running `Never`.
 fn test_fsync() -> FsyncPolicy {
-    match std::env::var("VSJ_TEST_FSYNC").as_deref() {
-        Ok("always") => FsyncPolicy::Always,
-        Ok("group") => FsyncPolicy::GroupCommit {
-            max_batch: 4,
-            max_delay: Duration::from_millis(2),
-        },
-        _ => FsyncPolicy::Never,
+    match std::env::var("VSJ_TEST_FSYNC") {
+        Err(std::env::VarError::NotPresent) => FsyncPolicy::Never,
+        Ok(value) if value == "never" => FsyncPolicy::Never,
+        Ok(value) if value == "always" => FsyncPolicy::Always,
+        other => panic!("VSJ_TEST_FSYNC must be unset, `never` or `always`, not {other:?}"),
     }
 }
 
@@ -638,17 +635,13 @@ mod restart_equivalence {
         ]
     }
 
-    fn apply(engine: &EstimationEngine, op: &Op) {
+    /// What one op returned: the insert's id, or the remove's or
+    /// upsert's bool.
+    fn apply(engine: &EstimationEngine, op: &Op) -> (Option<GlobalId>, bool) {
         match *op {
-            Op::Insert(s, l) => {
-                engine.insert(members(s, l));
-            }
-            Op::Remove(id) => {
-                engine.remove(id);
-            }
-            Op::Upsert(id, s, l) => {
-                engine.upsert(id, members(s, l));
-            }
+            Op::Insert(s, l) => (Some(engine.insert(members(s, l))), false),
+            Op::Remove(id) => (None, engine.remove(id)),
+            Op::Upsert(id, s, l) => (None, engine.upsert(id, members(s, l))),
         }
     }
 
@@ -660,38 +653,47 @@ mod restart_equivalence {
         /// the remaining ops (leaving them as a WAL tail) and
         /// recovering yields estimates — LSH-SS, JU, LSH-S — that are
         /// bit-identical to an uninterrupted engine at the same epoch
-        /// and seed.
+        /// and seed. Every op returns the same on both engines.
+        ///
+        /// `auto_publish` 0 runs without auto-publish; 1..=8 publishes
+        /// every that many ingests — inline on the uninterrupted engine,
+        /// as a logged barrier on the durable one, and replayed from
+        /// that barrier on recovery.
         #[test]
         fn recovered_engine_is_bit_identical_to_uninterrupted(
             ops in proptest::collection::vec(op_strategy(), 1..40),
             checkpoint_at in 0usize..40,
             seed in 0u64..1000,
+            auto_publish in 0u64..9,
         ) {
             let split = checkpoint_at.min(ops.len());
             let dir = fresh_dir("prop");
+            let config = ServiceConfig {
+                auto_publish_every: (auto_publish > 0).then_some(auto_publish),
+                ..config(seed)
+            };
 
             // Uninterrupted reference: publishes where the durable
             // engine checkpoints (a checkpoint *is* a durable publish).
-            let uninterrupted = EstimationEngine::new(config(seed));
+            let uninterrupted = EstimationEngine::new(config);
             // Durable run, killed after the last op.
-            let durable = durable_for_test(config(seed), &dir);
+            let durable = durable_for_test(config, &dir);
 
             for op in &ops[..split] {
-                apply(&uninterrupted, op);
-                apply(&durable, op);
+                prop_assert_eq!(apply(&uninterrupted, op), apply(&durable, op));
             }
             let epoch_a = uninterrupted.publish();
             let epoch_b = durable.checkpoint().unwrap();
             prop_assert_eq!(epoch_a, epoch_b);
             for op in &ops[split..] {
-                apply(&uninterrupted, op);
-                apply(&durable, op);
+                prop_assert_eq!(apply(&uninterrupted, op), apply(&durable, op));
             }
+            prop_assert_eq!(durable.current_epoch(), uninterrupted.current_epoch());
             drop(durable); // kill: the tail lives only in the WAL
 
             let recovered = EstimationEngine::recover_with(&dir, test_options()).unwrap();
             // Same epoch before and after the final publish.
-            prop_assert_eq!(recovered.current_epoch(), epoch_a);
+            prop_assert_eq!(recovered.current_epoch(), uninterrupted.current_epoch());
             assert_engines_equivalent(&uninterrupted, &recovered, "pre-publish");
             let final_a = uninterrupted.publish();
             let final_b = recovered.publish();
