@@ -660,10 +660,20 @@ impl Registry {
 
     /// Registers (or fetches) a gauge.
     pub fn gauge(&self, name: &'static str, help: &'static str) -> Gauge {
+        self.gauge_with(name, help, &[])
+    }
+
+    /// Registers (or fetches) a gauge with static labels.
+    pub fn gauge_with(
+        &self,
+        name: &'static str,
+        help: &'static str,
+        labels: &'static [(&'static str, &'static str)],
+    ) -> Gauge {
         match self.register(Entry {
             name,
             help,
-            labels: &[],
+            labels,
             metric: Metric::Gauge(Gauge::new()),
         }) {
             Metric::Gauge(g) => g,

@@ -120,6 +120,19 @@ impl EngineMetrics {
         let registry = Registry::new();
         let latency = obs.latency_spec();
         let size = obs.size_spec();
+        // 1 on the merge step this CPU scores long rows with, so that
+        // timings from hosts with and without AVX2 can be told apart.
+        let kernel: &'static [(&str, &str)] = match vsj_vector::scoring_kernel() {
+            "avx2" => &[("kernel", "avx2")],
+            _ => &[("kernel", "portable")],
+        };
+        registry
+            .gauge_with(
+                "vsj_engine_scoring_kernel",
+                "Merge step that scores long rows on this CPU (1 on the one in use)",
+                kernel,
+            )
+            .set(1);
         Self {
             ingests: registry.counter(
                 "vsj_engine_ingests_total",
@@ -128,7 +141,7 @@ impl EngineMetrics {
             publishes: registry.counter("vsj_engine_publishes_total", "Snapshots published"),
             delta_publishes: registry.counter(
                 "vsj_engine_delta_publishes_total",
-                "Publishes served by the incremental O(changed) path",
+                "Publishes served by the incremental append-only path",
             ),
             full_publishes: registry.counter(
                 "vsj_engine_full_publishes_total",
@@ -329,8 +342,9 @@ pub struct EngineStats {
     pub publish_lag: u64,
     /// Snapshots published.
     pub publishes: u64,
-    /// Publishes served by the incremental O(changed) path (append-only
-    /// epochs extending the previous snapshot).
+    /// Publishes served by the incremental delta path (append-only
+    /// epochs extending the previous snapshot: payload slabs shared, new
+    /// rows encoded once, the bucket slab merged in one linear pass).
     pub delta_publishes: u64,
     /// Publishes that fell back to the full pointer-merge (epochs with
     /// removals, upserts of existing ids, or out-of-order id arrivals).
@@ -1422,7 +1436,7 @@ impl EstimationEngine {
     /// let epoch = engine.publish();
     /// assert_eq!(epoch, 1);
     /// assert_eq!(engine.snapshot().len(), 1, "the cut is now readable");
-    /// // Appends-only epochs take the incremental O(changed) path.
+    /// // Append-only epochs take the incremental delta path.
     /// assert_eq!(engine.stats().delta_publishes, 1);
     /// ```
     ///

@@ -15,10 +15,11 @@
 //!  │shard0│  │shard1│ … │shardS│       (id, key, vector) rows, keys
 //!  └──┬───┘  └───┬──┘   └───┬──┘       hashed before the shard lock
 //!     └──────────┼──────────┘
-//!                │ publish(): O(changed) — previous snapshot + per-shard
-//!                │ deltas (payload slabs & bucket runs Arc-shared, new
-//!                │ rows encoded once; full directory-merge fallback for
-//!                │ removal epochs)
+//!                │ publish(): previous snapshot + per-shard deltas
+//!                │ (payload slabs Arc-shared, new rows encoded once,
+//!                │ the bucket slab merged in one linear pass that copies
+//!                │ 4 B a row; full directory-merge fallback for removal
+//!                │ epochs)
 //!          ┌─────▼──────┐
 //!          │ Snapshot e │  immutable, Arc-shared, epoch-tagged
 //!          └─────┬──────┘

@@ -28,8 +28,13 @@
 //! Similarities are computed in `f64` from `f32` storage: collections are
 //! large (storage matters) but estimator math is sensitive to cancellation
 //! (Eq. 1 of the paper divides by a difference of probabilities).
+//!
+//! The crate's one `unsafe` block is the call into the merge kernel's
+//! AVX2 step, made only after the CPU was found to have AVX2; everything
+//! else is safe Rust, which `#![deny(unsafe_code)]` keeps so.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod collection;
@@ -40,6 +45,7 @@ pub mod similarity;
 pub mod sparse;
 
 pub use collection::{CollectionStats, VectorCollection};
+pub use merge::scoring_kernel;
 pub use row::Row;
 pub use shared::{EncodedRow, Payload, SharedVectorCollection, VectorStore};
 pub use similarity::{AngularKernel, Cosine, Jaccard, Similarity};

@@ -26,7 +26,7 @@
 //! representations it is: the keys, the matches and the order in which
 //! `dot` adds its products do not depend on how either side is stored.
 
-use crate::merge::{count_matches, for_each_match};
+use crate::merge::{count_matches, for_each_match, Walk};
 use crate::sparse::{l2_norm, SparseVector, SparseVectorError};
 
 /// The block of `v`, word by word: `nnz`, then the indices, then the
@@ -144,17 +144,21 @@ impl Weight for [u8; 4] {
 }
 
 #[inline(always)]
-fn dot<I: Index, W: Weight, J: Index, X: Weight>(a: Parts<'_, I, W>, b: Parts<'_, J, X>) -> f64 {
+fn dot<I: Index, W: Weight, J: Index, X: Weight>(
+    a: Parts<'_, I, W>,
+    b: Parts<'_, J, X>,
+    walk: Walk,
+) -> f64 {
     let mut acc = 0.0f64;
-    for_each_match(a.indices, b.indices, I::key, J::key, |i, j| {
+    for_each_match(walk, a.indices, b.indices, I::key, J::key, |i, j| {
         acc += a.values[i].weight() * b.values[j].weight()
     });
     acc
 }
 
 #[inline(always)]
-fn common<I: Index, W, J: Index, X>(a: Parts<'_, I, W>, b: Parts<'_, J, X>) -> usize {
-    count_matches(a.indices, b.indices, I::key, J::key)
+fn common<I: Index, W, J: Index, X>(a: Parts<'_, I, W>, b: Parts<'_, J, X>, walk: Walk) -> usize {
+    count_matches(walk, a.indices, b.indices, I::key, J::key)
 }
 
 impl<'a> Row<'a> {
@@ -219,22 +223,34 @@ impl<'a> Row<'a> {
     /// ascending coordinate order ([`SparseVector::dot`]).
     #[inline]
     pub fn dot(self, other: Row<'_>) -> f64 {
-        match (self.coords, other.coords) {
-            (Coords::Native(a), Coords::Native(b)) => dot(a, b),
-            (Coords::Native(a), Coords::Le(b)) => dot(a, b),
-            (Coords::Le(a), Coords::Native(b)) => dot(a, b),
-            (Coords::Le(a), Coords::Le(b)) => dot(a, b),
-        }
+        self.dot_by(other, Walk::Auto)
     }
 
     /// Number of shared coordinates `|u ∩ v|` (weights ignored).
     #[inline]
     pub fn intersection_size(self, other: Row<'_>) -> usize {
+        self.intersection_size_by(other, Walk::Auto)
+    }
+
+    /// [`Row::dot`] on the merge step `walk` selects.
+    #[inline]
+    pub(crate) fn dot_by(self, other: Row<'_>, walk: Walk) -> f64 {
         match (self.coords, other.coords) {
-            (Coords::Native(a), Coords::Native(b)) => common(a, b),
-            (Coords::Native(a), Coords::Le(b)) => common(a, b),
-            (Coords::Le(a), Coords::Native(b)) => common(a, b),
-            (Coords::Le(a), Coords::Le(b)) => common(a, b),
+            (Coords::Native(a), Coords::Native(b)) => dot(a, b, walk),
+            (Coords::Native(a), Coords::Le(b)) => dot(a, b, walk),
+            (Coords::Le(a), Coords::Native(b)) => dot(a, b, walk),
+            (Coords::Le(a), Coords::Le(b)) => dot(a, b, walk),
+        }
+    }
+
+    /// [`Row::intersection_size`] on the merge step `walk` selects.
+    #[inline]
+    pub(crate) fn intersection_size_by(self, other: Row<'_>, walk: Walk) -> usize {
+        match (self.coords, other.coords) {
+            (Coords::Native(a), Coords::Native(b)) => common(a, b, walk),
+            (Coords::Native(a), Coords::Le(b)) => common(a, b, walk),
+            (Coords::Le(a), Coords::Native(b)) => common(a, b, walk),
+            (Coords::Le(a), Coords::Le(b)) => common(a, b, walk),
         }
     }
 }
