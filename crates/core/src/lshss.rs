@@ -1169,6 +1169,7 @@ mod tests {
             }
         }
         const WANT: [u64; 108] = [
+            // Entries 0–53: MinHash.
             0xc20e714632a55f39,
             0x4fd5c005a4bafd32,
             0x4fd5c005a4bafd32,
@@ -1223,60 +1224,61 @@ mod tests {
             0xc1a98e5f27a5b841,
             0xb3fe092494c1d4b0,
             0xb3fe092494c1d4b0,
-            0x6fe9df2fd49f3162,
-            0x165b54a0dcee3194,
-            0x52203bdd0a784515,
-            0xbbb581e15f66ee1c,
-            0xa50aafd30503e68e,
-            0xb8d05de1d750d9c1,
-            0xdd1b90589e052f24,
-            0x01fa0a56e61b8308,
-            0x6d60b80b8576eba1,
-            0x063229050e092f4c,
-            0x175cc2b6224e3d14,
-            0x5c384d586c4799d6,
-            0xa10f423ac6a2cfcb,
-            0x70557b7415dd1f62,
-            0x56ef1d9844ef7440,
-            0xff1fce5241690367,
-            0x4a54cec523e5ec8b,
-            0xd9d33c7b69ccb4af,
-            0x4e99dba025c776b8,
-            0xf313adb9767d6c6c,
-            0xa3eb6ab05391b89a,
-            0xb3d7a4f44f5fcd08,
-            0xfc187096beb3a5b6,
-            0x1c1196d072ecb156,
-            0xa936e405f49f1a12,
-            0xb75967d3171df8ac,
-            0x60c92fc9b2b2fd53,
-            0x6e30c9f397f5f59f,
-            0x7e0c4955b910538f,
-            0xf0c1b01d695e1b2a,
-            0xa10f423ac6a2cfcb,
-            0x70557b7415dd1f62,
-            0x56ef1d9844ef7440,
-            0x774f4eff6e8505a4,
-            0xe8402f154266c03d,
-            0x1e32f98e82bfc77b,
-            0xf1141458338ff270,
-            0xf313adb9767d6c6c,
-            0xf9d83881df6801da,
-            0xb3d7a4f44f5fcd08,
-            0xfc187096beb3a5b6,
-            0x1c1196d072ecb156,
-            0x59d9feb44627d7bf,
-            0x6292ed6b1e37ad8a,
-            0x83c4d002d6c6ce81,
-            0xa9a629139926ab43,
-            0x7e0c4955b910538f,
-            0xf0c1b01d695e1b2a,
-            0xa10f423ac6a2cfcb,
-            0x70557b7415dd1f62,
-            0x56ef1d9844ef7440,
-            0x60fe8e21b13d2645,
-            0xe8402f154266c03d,
-            0x1e32f98e82bfc77b,
+            // Entries 54–107: SimHash, hyperplane coordinates Φ⁻¹ of one uniform.
+            0xe82a3f467c320414,
+            0xc90f0728e4391261,
+            0xd8cd5c0415af185b,
+            0x73299123aa43ed54,
+            0x8afafc048a7c2d73,
+            0xf3099c5941f88ab2,
+            0xeead572fbafb100f,
+            0xfc5a21df3737045d,
+            0xd5ad04608f36385d,
+            0x1c7f340752612dd6,
+            0x1b4cbd65ba836d27,
+            0x050901c67638c36a,
+            0x22839ef93901e96d,
+            0x862a20164ffc3010,
+            0x66aaf4734189851a,
+            0x2668293197a48c7c,
+            0xad84be83477e6336,
+            0x13ea0ed4adfd7e28,
+            0xe82a3f467c320414,
+            0xaa7b75ed34079713,
+            0xf002f6f72510411d,
+            0x26a0fdce271646cc,
+            0xb5595ad572ccb92a,
+            0xd2d9f5b724eb4d4e,
+            0x69221b9f1263ddaf,
+            0xc04260166a4a3f46,
+            0x2daabae99da8b5a6,
+            0xd7284baa72b2fb63,
+            0x70f86e6b4bbe924b,
+            0x4db274039397881d,
+            0x22839ef93901e96d,
+            0x862a20164ffc3010,
+            0x66aaf4734189851a,
+            0x18730d7d9a093e05,
+            0x2328e2422d8502a5,
+            0xafa5ffb2eef8c209,
+            0xe82a3f467c320414,
+            0x5d9de7f626ecc616,
+            0x4e16c0ca081229f3,
+            0x37562c8e9c593091,
+            0xb5595ad572ccb92a,
+            0xd2d9f5b724eb4d4e,
+            0x40da2669b1b404e4,
+            0x803e6ffe8bc335b7,
+            0x2cf2c7ebbd78af8c,
+            0x46c51771b6c76767,
+            0x70f86e6b4bbe924b,
+            0x4db274039397881d,
+            0x22839ef93901e96d,
+            0x862a20164ffc3010,
+            0x66aaf4734189851a,
+            0x4d269e381d8457d3,
+            0x2328e2422d8502a5,
+            0xafa5ffb2eef8c209,
         ];
         check_golden("estimate_detailed grid", &got, &WANT);
     }

@@ -47,18 +47,34 @@ pub trait LshFamily: Send + Sync {
     /// Stable short name for reports.
     fn name(&self) -> &'static str;
 
+    /// Writes the signature of one row under `funcs` (functions of
+    /// this family): `out[i] = funcs[i].hash(row)`, with
+    /// `out.len() == funcs.len()`.
+    ///
+    /// The default evaluates the functions one after another. A family
+    /// whose functions share per-dimension work overrides it to walk
+    /// the row once for all of them ([`SimHashFamily`](crate::SimHashFamily)).
+    /// [`Composite::key`](crate::Composite), `Composite::signature_into`
+    /// and the default [`Self::hash_batch`] all hash a row through it.
+    fn hash_row(&self, funcs: &[Self::Func], row: &SparseVector, out: &mut [u64]) {
+        for (slot, f) in out.iter_mut().zip(funcs) {
+            *slot = f.hash(row);
+        }
+    }
+
     /// Hashes a batch of rows under `funcs` (functions of this family)
     /// on `pool`: for every row, `emit(signature, words)` receives the
     /// row's signature `(funcs[0].hash(row), …)` and the row's own
     /// `out.len() / rows.len()` words of `out`.
     ///
-    /// The default evaluates every function on every row. A family
-    /// whose functions share per-dimension work overrides it to do that
-    /// work once per batch ([`SimHashFamily`](crate::SimHashFamily)).
-    /// Either way every signature equals the per-row `hash` values and
-    /// each row writes only its own words, so `out` is the serial
-    /// loop's at any thread count. A batch of fewer than 64 rows is
-    /// hashed on the calling thread.
+    /// The default hashes every row through [`Self::hash_row`]. A family
+    /// whose functions share per-dimension work across rows overrides it
+    /// to do that work once per batch
+    /// ([`SimHashFamily`](crate::SimHashFamily)). Either way every
+    /// signature equals the per-row `hash` values and each row writes
+    /// only its own words, so `out` is the serial loop's at any thread
+    /// count. A batch of fewer than 64 rows is hashed on the calling
+    /// thread.
     fn hash_batch<E>(
         &self,
         funcs: &[Self::Func],
@@ -74,9 +90,7 @@ pub trait LshFamily: Send + Sync {
             out,
             || vec![0u64; funcs.len()],
             |signature, row, words| {
-                for (slot, f) in signature.iter_mut().zip(funcs) {
-                    *slot = f.hash(row);
-                }
+                self.hash_row(funcs, row, signature);
                 emit(signature, words);
             },
         );
@@ -119,6 +133,10 @@ impl<F: LshFamily> LshFamily for &F {
 
     fn name(&self) -> &'static str {
         (**self).name()
+    }
+
+    fn hash_row(&self, funcs: &[Self::Func], row: &SparseVector, out: &mut [u64]) {
+        (**self).hash_row(funcs, row, out)
     }
 
     fn hash_batch<E>(

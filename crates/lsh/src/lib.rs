@@ -11,8 +11,9 @@
 //! * [`simhash`] — Charikar's random-hyperplane family for cosine
 //!   similarity (`P(h(u)=h(v)) = 1 − θ/π`). Hyperplanes are derived lazily
 //!   from a counter-based Gaussian, so the family is O(1) memory at any
-//!   dimensionality; a batch of rows realizes each distinct dimension's
-//!   coordinates once ([`LshFamily::hash_batch`]).
+//!   dimensionality; one row is swept once for all `k` functions
+//!   ([`LshFamily::hash_row`]) and a batch of rows realizes each distinct
+//!   dimension's coordinates once ([`LshFamily::hash_batch`]).
 //! * [`minhash`] — Broder's MinHash family for Jaccard similarity, for
 //!   which Definition 3 holds *exactly* (`P(h(A)=h(B)) = sim_J(A,B)`);
 //!   used by the Lattice Counting baseline and by tests validating the

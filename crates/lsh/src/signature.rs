@@ -12,7 +12,7 @@
 //!   to count partial matches — [`SignatureMatrix`] stores the full
 //!   `n × k` matrix.
 
-use crate::family::{BucketHasher, LshFamily, LshFunction};
+use crate::family::{BucketHasher, LshFamily};
 use vsj_pool::WorkPool;
 use vsj_sampling::SplitMix64;
 use vsj_vector::{SparseVector, VectorCollection};
@@ -26,25 +26,12 @@ use vsj_vector::{SparseVector, VectorCollection};
 /// sampling error, as the paper's "standard hashing" implicitly assumes.
 #[inline]
 pub fn bucket_key(signature: &[u64]) -> u64 {
-    signature
-        .iter()
-        .enumerate()
-        .fold(fold_start(signature.len()), |acc, (pos, &h)| {
-            fold_step(acc, pos, h)
-        })
-}
-
-/// The fold's state before the first of `k` positions.
-#[inline]
-fn fold_start(k: usize) -> u64 {
-    0x9E37_79B9_7F4A_7C15u64 ^ (k as u64)
-}
-
-/// Folds hash `h` at signature position `pos` into `acc` — the one
-/// step [`bucket_key`] and [`Composite::key`] share.
-#[inline]
-fn fold_step(acc: u64, pos: usize, h: u64) -> u64 {
-    SplitMix64::mix(acc ^ SplitMix64::mix(h.wrapping_add(pos as u64).rotate_left(17)))
+    signature.iter().enumerate().fold(
+        0x9E37_79B9_7F4A_7C15u64 ^ (signature.len() as u64),
+        |acc, (pos, &h)| {
+            SplitMix64::mix(acc ^ SplitMix64::mix(h.wrapping_add(pos as u64).rotate_left(17)))
+        },
+    )
 }
 
 /// A materialized composite `g` for one table: the k functions plus the
@@ -75,9 +62,7 @@ impl<F: LshFamily> Composite<F> {
             self.funcs.len(),
             "output buffer must hold k hashes"
         );
-        for (slot, f) in out.iter_mut().zip(&self.funcs) {
-            *slot = f.hash(v);
-        }
+        self.family.hash_row(&self.funcs, v, out);
     }
 
     /// The full signature of `v` as a fresh vector.
@@ -95,13 +80,7 @@ impl<F: LshFamily> Composite<F> {
 
 impl<F: LshFamily> BucketHasher for Composite<F> {
     fn key(&self, v: &SparseVector) -> u64 {
-        // Fold incrementally without allocating the signature.
-        self.funcs
-            .iter()
-            .enumerate()
-            .fold(fold_start(self.funcs.len()), |acc, (pos, f)| {
-                fold_step(acc, pos, f.hash(v))
-            })
+        bucket_key(&self.signature(v))
     }
 
     fn keys(&self, rows: &[&SparseVector], pool: &WorkPool) -> Vec<u64> {

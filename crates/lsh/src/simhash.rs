@@ -7,21 +7,28 @@
 //! vectors.
 //!
 //! The hyperplane is never materialized: coordinate `r_i` of function `f`
-//! under index seed `s` is `gaussian_at(s, f, i)` — a counter-based
-//! deterministic deviate. A `d = 10⁵`-dimensional family therefore costs
-//! nothing to store, and hashing a vector with `nnz` features costs
-//! `O(nnz)` Gaussians per function. A batch
-//! ([`LshFamily::hash_batch`]) realizes each distinct dimension's `k`
-//! coordinates once, so hashing `n` rows costs `distinct dims × k`
-//! Gaussians plus `nnz × k` multiply-adds, in `O(distinct dims × k)`
-//! transient memory.
+//! under index seed `s` is `gaussian_at(s, f, i)` — the inverse normal
+//! CDF `Φ⁻¹` of one counter-based uniform word `mix3(s, f, i)`. A
+//! `d = 10⁵`-dimensional family therefore costs nothing to store, and
+//! hashing a vector with `nnz` features costs `nnz × k` coordinates.
+//!
+//! One row ([`LshFamily::hash_row`], which [`Composite::key`](crate::Composite)
+//! calls) is swept term-major: the counter's share of the word is mixed
+//! once per nonzero and shared by all `k` functions, each of which then
+//! pays one more mix, one `Φ⁻¹` and one multiply-add into its own
+//! accumulator. A batch ([`LshFamily::hash_batch`]) realizes each
+//! distinct dimension's `k` coordinates once, so hashing `n` rows costs
+//! `distinct dims × k` coordinates plus `nnz × k` multiply-adds, in
+//! `O(distinct dims × k)` transient memory. Every path adds a function's
+//! products in the row's index order, so all of them give the signs of
+//! [`SimHashFunction::projection`] bit for bit.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher, RandomState};
 
 use crate::family::{batch_pool, LshFamily, LshFunction};
 use vsj_pool::WorkPool;
-use vsj_sampling::gauss::gaussian_at_base;
+use vsj_sampling::gauss::{gaussian_at_base, gaussian_from_word};
 use vsj_sampling::SplitMix64;
 use vsj_vector::{AngularKernel, SparseVector};
 
@@ -39,10 +46,12 @@ impl SimHashFamily {
 
 /// One hyperplane function `h(u) = sign(r·u)`, output in `{0, 1}`.
 ///
-/// The `(seed, id)` half of the coordinate hash is precomputed at
-/// construction ([`SplitMix64::mix3_base`]), so realizing `r_i` inside
-/// the projection sweep costs two mixes instead of four — bit-identical
-/// to [`gaussian_at`](vsj_sampling::gauss::gaussian_at) on the fused triple.
+/// Coordinate `r_i` is `Φ⁻¹` of the word `mix3(seed, id, i)`
+/// ([`gaussian_at`](vsj_sampling::gauss::gaussian_at)). The `(seed, id)`
+/// half of that hash is precomputed at construction
+/// ([`SplitMix64::mix3_base`]), so realizing `r_i` inside the projection
+/// sweep costs two mixes instead of four; a row swept for all `k`
+/// functions at once shares one of the two as well.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimHashFunction {
     base: u64,
@@ -89,6 +98,27 @@ impl LshFamily for SimHashFamily {
 
     fn name(&self) -> &'static str {
         "simhash"
+    }
+
+    /// Walks the row once for all functions: per nonzero, the counter
+    /// term [`SplitMix64::mix3_counter`] is shared, and each function
+    /// adds `val · r_f[dim]` to its own accumulator, in the row's index
+    /// order — the sum of [`SimHashFunction::projection`], term for term.
+    fn hash_row(&self, funcs: &[SimHashFunction], row: &SparseVector, out: &mut [u64]) {
+        // `out` doubles as the k accumulators: word f holds r_f · row as
+        // f64 bits (0 is +0.0) until its sign replaces it.
+        out.fill(0);
+        for (dim, val) in row.iter() {
+            let counter = SplitMix64::mix3_counter(u64::from(dim));
+            let val = f64::from(val);
+            for (acc, f) in out.iter_mut().zip(funcs) {
+                let r = gaussian_from_word(SplitMix64::mix(f.base ^ counter));
+                *acc = (f64::from_bits(*acc) + val * r).to_bits();
+            }
+        }
+        for word in out {
+            *word = u64::from(f64::from_bits(*word) >= 0.0);
+        }
     }
 
     /// Realizes each distinct dimension's coordinates once (a
@@ -159,8 +189,9 @@ impl BatchCoordinates {
             &mut coords,
             || (),
             |(), &dim, coords| {
+                let counter = SplitMix64::mix3_counter(u64::from(dim));
                 for (c, f) in coords.iter_mut().zip(funcs) {
-                    *c = gaussian_at_base(f.base, u64::from(dim));
+                    *c = gaussian_from_word(SplitMix64::mix(f.base ^ counter));
                 }
             },
         );
@@ -237,6 +268,8 @@ impl Hasher for DimHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{bucket_key, BucketHasher, Composite};
+    use proptest::prelude::*;
     use vsj_sampling::{Rng, Xoshiro256};
     use vsj_vector::{Cosine, Similarity};
 
@@ -383,6 +416,58 @@ mod tests {
         let e = SparseVector::empty();
         for id in 0..10 {
             assert_eq!(fam.function(1, id).hash(&e), 1); // sign(0) ⇒ positive side
+        }
+    }
+
+    /// The per-function signs of table `table`'s composite: what the
+    /// term-major sweep must reproduce.
+    fn projection_signs(seed: u64, table: u64, k: usize, v: &SparseVector) -> Vec<u64> {
+        (0..k as u64)
+            .map(|i| {
+                let f = SimHashFamily::new().function(seed, (table << 32) | i);
+                u64::from(f.projection(v) >= 0.0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn term_major_sweep_on_edge_rows() {
+        let rows = [
+            SparseVector::empty(),
+            sv(&[(u32::MAX, -1.0)]),
+            sv(&[(0, 1e-30), (1, -1e30), (u32::MAX - 1, 2.5)]),
+        ];
+        for k in [1, 16, 80] {
+            let composite = Composite::derive(SimHashFamily::new(), 3, 1, k);
+            for v in &rows {
+                let signs = projection_signs(3, 1, k, v);
+                assert_eq!(composite.signature(v), signs, "k {k}");
+                assert_eq!(composite.key(v), bucket_key(&signs), "k {k}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// One row swept once for all functions gives every function's
+        /// own projection sign: weighted rows with negative weights,
+        /// dimensions up to `u32::MAX`, and the empty row.
+        #[test]
+        fn term_major_key_equals_per_function_projection_signs(
+            entries in proptest::collection::vec((0u32..64, -4.0f32..4.0, 0u32..4), 0..40),
+            seed in 0u64..1_000,
+            table in 0u64..4,
+            k in 1usize..40,
+        ) {
+            let v = sv(&entries
+                .into_iter()
+                .map(|(dim, w, high)| (if high == 0 { u32::MAX - dim } else { dim }, w))
+                .collect::<Vec<_>>());
+            let composite = Composite::derive(SimHashFamily::new(), seed, table, k);
+            let signs = projection_signs(seed, table, k, &v);
+            prop_assert_eq!(composite.signature(&v), signs.clone());
+            prop_assert_eq!(composite.key(&v), bucket_key(&signs));
         }
     }
 }

@@ -6,8 +6,8 @@
 //! * [`rng`] — seedable, fully deterministic PRNGs ([`SplitMix64`],
 //!   [`Xoshiro256`]) and the counter-based hashing used to derive SimHash
 //!   hyperplanes and MinHash permutations without materializing them.
-//! * [`gauss`] — standard-normal sampling (Box–Muller), both streaming and
-//!   counter-based.
+//! * [`gauss`] — standard-normal sampling: streaming (Box–Muller) and
+//!   counter-based (the inverse normal CDF of one uniform word).
 //! * [`alias`] — Walker/Vose alias tables for O(1) weighted sampling; used
 //!   by `SampleH` of Algorithm 1 to draw buckets with weight `C(b_j, 2)`.
 //! * [`pairs`] — uniform sampling of unordered vector pairs and the

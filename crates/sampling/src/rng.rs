@@ -147,8 +147,16 @@ impl SplitMix64 {
     /// `mix3_apply(mix3_base(s, t), c) == mix3(s, t, c)` bit-for-bit.
     #[inline]
     pub fn mix3_apply(base: u64, counter: u64) -> u64 {
-        let c = Self::mix(counter.wrapping_add(0xE703_7ED1_A0B4_28DB));
-        Self::mix(base ^ c.rotate_left(42))
+        Self::mix(base ^ Self::mix3_counter(counter))
+    }
+
+    /// The counter's term of [`SplitMix64::mix3`], which no base enters:
+    /// `mix3_apply(base, c) == mix(base ^ mix3_counter(c))`. A sweep that
+    /// evaluates many bases at one counter (SimHash's `k` hyperplanes at
+    /// one dimension) computes it once and pays one `mix` per base.
+    #[inline]
+    pub fn mix3_counter(counter: u64) -> u64 {
+        Self::mix(counter.wrapping_add(0xE703_7ED1_A0B4_28DB)).rotate_left(42)
     }
 }
 
@@ -496,7 +504,8 @@ mod tests {
 
     #[test]
     fn mix3_base_apply_equals_mix3() {
-        // The hoisted two-phase form must be bit-identical to the fused
+        // The hoisted two-phase form (and its three-part split around
+        // the shared counter term) must be bit-identical to the fused
         // triple mix at every input — this is what lets the flat hashing
         // pass claim the bit-identity contract for free.
         for seed in [0u64, 1, 42, u64::MAX, 0x9E37_79B9_7F4A_7C15] {
@@ -507,6 +516,11 @@ mod tests {
                         SplitMix64::mix3_apply(base, counter),
                         SplitMix64::mix3(seed, stream, counter),
                         "seed={seed} stream={stream} counter={counter}"
+                    );
+                    assert_eq!(
+                        SplitMix64::mix(base ^ SplitMix64::mix3_counter(counter)),
+                        SplitMix64::mix3(seed, stream, counter),
+                        "shared counter term: seed={seed} stream={stream} counter={counter}"
                     );
                 }
             }

@@ -12,7 +12,7 @@
 //!
 //! | section | payload |
 //! |---|---|
-//! | `META` | epoch, ingest counter, id allocator, WAL cut, publishes, row count, then the [`ServiceConfig`]: seed, `k`, shards, family, a retired `u64` slot (written 0, ignored on read), auto-publish batch, estimator |
+//! | `META` | epoch, ingest counter, id allocator, WAL cut, publishes, row count, then the [`ServiceConfig`]: seed, `k`, shards, family (MinHash 1, SimHash 2; SimHash's retired Box–Muller tag 0 is refused), a retired `u64` slot (written 0, ignored on read), auto-publish batch, estimator |
 //! | `GIDS` | global ids of the snapshot rows, ascending (`n × u64`) |
 //! | `KEYS` | precomputed LSH bucket keys, parallel to `GIDS` (`n × u64`) |
 //! | `BKTK` | bucket keys, strictly ascending (`B × u64`) |
@@ -86,6 +86,10 @@ pub enum PersistError {
     NotDurable,
     /// `durable()` refused to overwrite an existing storage directory.
     AlreadyInitialized(PathBuf),
+    /// The state was hashed by functions this build no longer computes:
+    /// its stored bucket keys would share tables with keys of other
+    /// functions, so every estimate over them would be silently wrong.
+    RetiredHashFunctions(String),
 }
 
 impl std::fmt::Display for PersistError {
@@ -101,6 +105,9 @@ impl std::fmt::Display for PersistError {
                 "storage directory {} already holds a checkpoint; use recover()",
                 dir.display()
             ),
+            Self::RetiredHashFunctions(msg) => {
+                write!(f, "persistent state hashed by retired functions: {msg}")
+            }
         }
     }
 }
@@ -141,10 +148,14 @@ pub struct CheckpointMeta {
 /// Identity hash of the configuration fields that determine what the
 /// persisted bytes *mean* (hash functions, sharding, RNG streams). Used
 /// to pair a WAL with its checkpoint.
+///
+/// SimHash's term is 3: its hyperplane coordinates are `Φ⁻¹` of one
+/// uniform word. Term 1 was SimHash with Box–Muller coordinates, whose
+/// bucket keys differ, so a log stamped with it fails the pairing.
 pub fn config_fingerprint(config: &ServiceConfig) -> u64 {
     use vsj_sampling::SplitMix64;
     let family = match config.family {
-        IndexFamily::SimHash => 1u64,
+        IndexFamily::SimHash => 3u64,
         IndexFamily::MinHash => 2u64,
     };
     let mut acc = SplitMix64::mix(0x5EED_CAFE ^ config.seed);
@@ -152,6 +163,14 @@ pub fn config_fingerprint(config: &ServiceConfig) -> u64 {
     acc = SplitMix64::mix(acc ^ config.shards as u64);
     SplitMix64::mix(acc ^ family)
 }
+
+/// META's family byte for SimHash with `Φ⁻¹` hyperplane coordinates.
+const META_SIMHASH: u8 = 2;
+/// META's family byte for MinHash.
+const META_MINHASH: u8 = 1;
+/// META's family byte for SimHash with Box–Muller coordinates, which
+/// this build refuses ([`PersistError::RetiredHashFunctions`]).
+const META_SIMHASH_BOX_MULLER: u8 = 0;
 
 fn encode_meta(meta: &CheckpointMeta, n: u64) -> Vec<u8> {
     let c = &meta.config;
@@ -170,8 +189,8 @@ fn encode_meta(meta: &CheckpointMeta, n: u64) -> Vec<u8> {
         buf.extend_from_slice(&word.to_le_bytes());
     }
     buf.push(match c.family {
-        IndexFamily::SimHash => 0,
-        IndexFamily::MinHash => 1,
+        IndexFamily::SimHash => META_SIMHASH,
+        IndexFamily::MinHash => META_MINHASH,
     });
     // A retired u64 slot, always written as 0 (see `decode_meta`).
     buf.extend_from_slice(&0u64.to_le_bytes());
@@ -228,8 +247,17 @@ pub(crate) fn decode_meta(mut data: &[u8]) -> Result<(CheckpointMeta, u64), Pers
     let k = u64_le(&mut data)? as usize;
     let shards = u64_le(&mut data)? as usize;
     let family = match byte(&mut data)? {
-        0 => IndexFamily::SimHash,
-        1 => IndexFamily::MinHash,
+        META_SIMHASH => IndexFamily::SimHash,
+        META_MINHASH => IndexFamily::MinHash,
+        META_SIMHASH_BOX_MULLER => {
+            return Err(PersistError::RetiredHashFunctions(
+                "a SimHash checkpoint (META family tag 0) whose hyperplane coordinates \
+                 were Box–Muller deviates; this build draws each coordinate as Φ⁻¹ of \
+                 one uniform, so its stored bucket keys are not this build's — rebuild \
+                 the index from the rows"
+                    .into(),
+            ))
+        }
         b => return Err(corrupt(format!("unknown family tag {b}"))),
     };
     // A retired u64 slot: older writers stored an estimate-cache

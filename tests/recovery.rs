@@ -555,6 +555,117 @@ fn structurally_damaged_checkpoints_are_refused_by_every_reader() {
     std::fs::remove_dir_all(&work).ok();
 }
 
+/// SimHash state hashed with Box–Muller hyperplane coordinates — META
+/// family tag 0, WAL fingerprint term 1 — holds bucket keys of other
+/// hyperplanes than this build's. Every reader refuses it: a checkpoint
+/// by its tag, with an error naming the coordinate change, and a WAL
+/// tail by its fingerprint. The current bytes of the same directory
+/// recover.
+#[test]
+fn simhash_state_hashed_with_box_muller_coordinates_is_refused() {
+    let simhash = ServiceConfig::builder()
+        .shards(3)
+        .k(8)
+        .seed(2011)
+        .family(IndexFamily::SimHash)
+        .build();
+    let dir = fresh_dir("box_muller");
+    let engine = durable_for_test(simhash, &dir);
+    for i in 0..20u32 {
+        engine.insert(members(i % 7, 3 + i % 5));
+    }
+    engine.checkpoint().unwrap();
+    for i in 0..6u32 {
+        engine.insert(members(i, 4));
+    }
+    let answer = engine.estimate(0.3);
+    drop(engine);
+    let checkpoint = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+    // META: six counters, seed, k, shards, then the family byte.
+    const FAMILY_BYTE: usize = 9 * 8;
+    let mut meta = checkpoint[io::ContainerIndex::parse(&checkpoint)
+        .unwrap()
+        .range(*b"META")
+        .unwrap()]
+    .to_vec();
+    assert_eq!(meta[FAMILY_BYTE], 2, "SimHash's META tag");
+
+    let work = fresh_dir("box_muller_work");
+    let install = |bytes: &[u8]| {
+        clone_dir(&dir, &work);
+        std::fs::write(work.join(CHECKPOINT_FILE), bytes).unwrap();
+        std::fs::write(persist::generation_path(&work, 1), bytes).unwrap();
+    };
+    let retired = |result: Result<EstimationEngine, PersistError>, what: &str| match result {
+        Err(PersistError::RetiredHashFunctions(msg)) => {
+            assert!(
+                msg.contains("Box–Muller") && msg.contains("Φ⁻¹"),
+                "{what}: {msg}"
+            )
+        }
+        Err(other) => panic!("{what}: expected RetiredHashFunctions, got {other:?}"),
+        Ok(_) => panic!("{what}: recovered Box–Muller SimHash state"),
+    };
+    meta[FAMILY_BYTE] = 0;
+    install(&reframe(&checkpoint, |s| *section(s, b"META") = meta));
+    for tier in [StorageTier::Heap, StorageTier::Mapped] {
+        retired(
+            EstimationEngine::recover_with(&work, tier_options(tier)),
+            &format!("{tier:?} recovery"),
+        );
+    }
+    retired(
+        EstimationEngine::recover_generation(&work, 1),
+        "recover_generation",
+    );
+
+    // Today's checkpoint over a log stamped with the retired term.
+    let box_muller_fingerprint = [simhash.seed, simhash.k as u64, simhash.shards as u64, 1]
+        .into_iter()
+        .fold(0x5EED_CAFE, |acc, term| {
+            vsj::sampling::SplitMix64::mix(acc ^ term)
+        });
+    assert_ne!(
+        box_muller_fingerprint,
+        persist::config_fingerprint(&simhash)
+    );
+    install(&checkpoint);
+    let mut segments = 0;
+    for entry in std::fs::read_dir(&work).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "vsjw") {
+            let mut bytes = std::fs::read(&path).unwrap();
+            // Segment header: magic, version, then the fingerprint.
+            assert_eq!(
+                word(&bytes[8..16], 0),
+                persist::config_fingerprint(&simhash)
+            );
+            set_word(&mut bytes[8..16], 0, box_muller_fingerprint);
+            std::fs::write(&path, bytes).unwrap();
+            segments += 1;
+        }
+    }
+    assert!(segments >= 3, "one chain per shard");
+    for tier in [StorageTier::Heap, StorageTier::Mapped] {
+        assert!(
+            matches!(
+                EstimationEngine::recover_with(&work, tier_options(tier)),
+                Err(PersistError::ConfigMismatch(_))
+            ),
+            "{tier:?}: a Box–Muller log replayed under today's checkpoint"
+        );
+    }
+
+    // The untouched directory recovers with its answer.
+    for tier in [StorageTier::Heap, StorageTier::Mapped] {
+        install(&checkpoint);
+        let recovered = EstimationEngine::recover_with(&work, tier_options(tier)).unwrap();
+        assert_eq!(recovered.estimate(0.3), answer, "{tier:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&work).ok();
+}
+
 #[test]
 fn wal_from_a_different_config_is_rejected() {
     let dir = engine_with_segmented_tail(42);
