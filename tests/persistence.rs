@@ -128,6 +128,54 @@ fn collection_writer_bytes_are_pinned() {
     assert_eq!(io::checksum64(&bytes), 0x5208_89cb_2fc5_971f);
 }
 
+/// The three stand-in corpora, pinned byte for byte at two sizes and two
+/// seeds: the `io::encode` length and `checksum64` of every
+/// `(preset, n, seed)` cell. Token counting, duplicate planting and
+/// weighting may be rewritten for speed, but never so that one RNG word
+/// or one `f32` weight moves.
+#[test]
+fn corpus_bytes_are_pinned() {
+    let cells: [(&str, usize, u64, usize, u64); 12] = [
+        ("dblp", 2_000, 1, 231_440, 0x1aa9_fa10_8191_f076),
+        ("dblp", 2_000, 7, 232_576, 0xebcc_ceac_4a72_62d6),
+        ("dblp", 6_000, 1, 707_120, 0x7c79_967b_e693_ef73),
+        ("dblp", 6_000, 7, 709_992, 0x8f1b_0c87_7de4_8980),
+        ("nyt", 2_000, 1, 2_954_992, 0xc2f6_07c0_2259_ff17),
+        ("nyt", 2_000, 7, 2_913_864, 0x6c86_3aaa_0d8c_055b),
+        ("nyt", 6_000, 1, 9_137_920, 0x3b81_e1fa_bd4c_6f2b),
+        ("nyt", 6_000, 7, 9_136_504, 0x8592_eabf_d632_5805),
+        ("pubmed", 2_000, 1, 1_383_856, 0x0319_d4af_a7b2_d771),
+        ("pubmed", 2_000, 7, 1_378_848, 0x29ab_1939_2b44_7b66),
+        ("pubmed", 6_000, 1, 4_233_040, 0x7fb5_c3c0_c0b7_866b),
+        ("pubmed", 6_000, 7, 4_247_656, 0xffa8_6e83_36da_8b21),
+    ];
+    for (name, n, seed, len, sum) in cells {
+        let coll = match name {
+            "dblp" => DblpLike::with_size(n).generate(seed),
+            "nyt" => NytLike::with_size(n).generate(seed),
+            _ => PubmedLike::with_size(n).generate(seed),
+        };
+        let bytes = io::encode(&coll);
+        let cell = format!("{name} n={n} seed={seed}");
+        assert_eq!(bytes.len(), len, "{cell}: length");
+        assert_eq!(io::checksum64(&bytes), sum, "{cell}: checksum");
+    }
+}
+
+/// The Zipf sampler's draw stream, pinned: the first 10 000 ranks of
+/// `Zipf::new(35_000, 1.0)` under `Xoshiro256::seeded(3)`. Any change to
+/// the alias table's construction, its column layout or its use of the
+/// RNG moves this checksum.
+#[test]
+fn zipf_draws_are_pinned() {
+    let zipf = vsj::datasets::Zipf::new(35_000, 1.0);
+    let mut rng = Xoshiro256::seeded(3);
+    let bytes: Vec<u8> = (0..10_000)
+        .flat_map(|_| zipf.sample(&mut rng).to_le_bytes())
+        .collect();
+    assert_eq!(io::checksum64(&bytes), 0x69de_ced1_1d59_ea9f);
+}
+
 /// SimHash keys and answers, pinned: `Composite::derive(SimHashFamily,
 /// 2011, 0, 16)` over a DBLP-like corpus (per-row `key` and the batched
 /// `LshTable::build` alike), and the value and standard-error bits a
