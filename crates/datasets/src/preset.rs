@@ -1,4 +1,13 @@
 //! Shared machinery for the three dataset presets.
+//!
+//! [`CorpusPreset::generate_n`] runs the [`textgen`](crate::textgen)
+//! pipeline on one RNG stream: count base token documents, plant
+//! near-duplicate clusters into them, truncate to `n`, then weight (the
+//! IDF needs every document frequency of the planted corpus). Every
+//! stage runs on the calling thread, so the rows are allocated there
+//! too. The corpus a preset generates for `(n, vocab, seed)` is fixed
+//! byte for byte: see the byte-identity contract in
+//! [`textgen`](crate::textgen).
 
 use crate::dupes::DuplicatePlanter;
 use crate::textgen::{lognormal_for_mean, LengthModel, TextModel, Weighting};

@@ -5,10 +5,29 @@
 //! binary presence vectors (DBLP) or TF-IDF vectors (NYT, PubMed), with
 //! IDF computed from the *generated* corpus — the same pipeline the
 //! paper's real datasets went through.
+//!
+//! The pipeline has three stages, and [`CorpusPreset`](crate::preset::CorpusPreset)
+//! runs them in this order:
+//!
+//! 1. **Count** ([`TextModel::generate_token_docs`]): a length, then that
+//!    many Zipf ranks per document, counted in one dense per-vocabulary
+//!    array plus the list of dimensions the document touched.
+//! 2. **Plant** ([`DuplicatePlanter::plant`](crate::dupes::DuplicatePlanter::plant)):
+//!    mutated copies of some documents, still as token lists.
+//! 3. **Weight** ([`TextModel::weight_docs`]): binary presence, or TF-IDF
+//!    from one IDF per dimension and one `1 + ln tf` per frequency, each
+//!    row built in index order with no sort.
+//!
+//! **Byte identity.** A corpus is a pure function of the model, `n` and
+//! the RNG state: every stage draws the same RNG words in the same order,
+//! and every weight is the one f64 expression `(1 + ln tf) · ln(1 + N/df)`
+//! rounded once to `f32`. A faster stage must keep both, so the bytes of
+//! every generated corpus stay fixed; `tests/persistence.rs` pins them
+//! (`corpus_bytes_are_pinned`, `zipf_draws_are_pinned`).
 
 use crate::zipf::Zipf;
 use vsj_sampling::{gauss::standard_normal, Rng};
-use vsj_vector::{SparseVector, SparseVectorBuilder, VectorCollection};
+use vsj_vector::{SparseVector, VectorCollection};
 
 /// Document-length model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,7 +92,12 @@ pub struct TextModel {
 
 impl TextModel {
     /// Generates `n` documents as raw token multisets
-    /// (`(dimension, term frequency)` lists).
+    /// (`(dimension, term frequency)` lists, dimensions strictly
+    /// increasing).
+    ///
+    /// Tokens are counted in one dense per-vocabulary array shared by all
+    /// documents; the dimensions a document touched are sorted and their
+    /// counts read back (and zeroed) in that order.
     pub fn generate_token_docs<R: Rng + ?Sized>(
         &self,
         n: usize,
@@ -81,16 +105,29 @@ impl TextModel {
     ) -> Vec<Vec<(u32, u32)>> {
         let zipf = Zipf::new(self.vocab, self.zipf_exponent);
         let mut docs = Vec::with_capacity(n);
-        let mut counts: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
+        let mut counts = vec![0u32; self.vocab];
+        let mut touched: Vec<u32> = Vec::new();
         for _ in 0..n {
             let len = self.length.sample(rng);
-            counts.clear();
+            // Every token is written to the next free slot, which only a
+            // first occurrence keeps: no branch on whether it is new.
+            touched.resize(len, 0);
+            let mut distinct = 0;
             for _ in 0..len {
-                *counts.entry(zipf.sample(rng)).or_insert(0) += 1;
+                let d = zipf.sample(rng);
+                let count = &mut counts[d as usize];
+                touched[distinct] = d;
+                distinct += usize::from(*count == 0);
+                *count += 1;
             }
-            let mut doc: Vec<(u32, u32)> = counts.iter().map(|(&d, &c)| (d, c)).collect();
-            doc.sort_unstable_by_key(|&(d, _)| d);
-            docs.push(doc);
+            touched.truncate(distinct);
+            touched.sort_unstable();
+            docs.push(
+                touched
+                    .drain(..)
+                    .map(|d| (d, std::mem::take(&mut counts[d as usize])))
+                    .collect(),
+            );
         }
         docs
     }
@@ -99,6 +136,15 @@ impl TextModel {
     /// scheme. Exposed separately so duplicate planting can operate on the
     /// token level (mutating *words*, like a real near-duplicate record)
     /// before weighting.
+    ///
+    /// Each document must list strictly increasing dimensions below
+    /// `vocab` with term frequencies of at least 1, as
+    /// [`generate_token_docs`](Self::generate_token_docs) and
+    /// [`DuplicatePlanter::plant`](crate::dupes::DuplicatePlanter::plant)
+    /// return them.
+    ///
+    /// # Panics
+    /// Panics on a document that breaks that contract.
     pub fn weight_docs(&self, docs: &[Vec<(u32, u32)>]) -> VectorCollection {
         match self.weighting {
             Weighting::Binary => docs
@@ -106,22 +152,31 @@ impl TextModel {
                 .map(|doc| SparseVector::binary_from_members(doc.iter().map(|&(d, _)| d).collect()))
                 .collect(),
             Weighting::TfIdf => {
-                let n = docs.len();
+                let n = docs.len() as f64;
                 let mut df = vec![0u32; self.vocab];
+                let mut max_tf = 0;
                 for doc in docs {
-                    for &(d, _) in doc {
+                    for &(d, tf) in doc {
                         df[d as usize] += 1;
+                        max_tf = max_tf.max(tf);
                     }
                 }
+                // `ln(1 + N/df)` once per dimension and `1 + ln tf` once
+                // per frequency: the same f64 expressions a per-term
+                // evaluation would compute, so every weight keeps its bits.
+                let idf: Vec<f64> = df
+                    .iter()
+                    .map(|&df| (1.0 + n / f64::from(df.max(1))).ln())
+                    .collect();
+                let log_tf: Vec<f64> = (0..=max_tf).map(|tf| 1.0 + f64::from(tf).ln()).collect();
                 docs.iter()
                     .map(|doc| {
-                        let mut b = SparseVectorBuilder::with_capacity(doc.len());
-                        for &(d, tf) in doc {
-                            let idf = (1.0 + n as f64 / f64::from(df[d as usize].max(1))).ln();
-                            let w = (1.0 + f64::from(tf).ln()) * idf;
-                            b.add(d, w as f32);
-                        }
-                        b.build().expect("finite tf-idf weights")
+                        let (indices, values) = doc
+                            .iter()
+                            .map(|&(d, tf)| (d, (log_tf[tf as usize] * idf[d as usize]) as f32))
+                            .unzip();
+                        SparseVector::from_sorted(indices, values)
+                            .expect("sorted token documents with finite tf-idf weights")
                     })
                     .collect()
             }

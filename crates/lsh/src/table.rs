@@ -140,7 +140,7 @@ impl BucketSlab {
         let weight = |&(start, end): &(u32, u32)| pairs_of(u64::from(end - start));
         let nh = pairs.iter().map(weight).sum();
         let alias = (!pairs.is_empty()).then(|| {
-            AliasTable::from_vec(pairs.iter().map(|p| weight(p) as f64).collect())
+            AliasTable::from_weights(pairs.iter().map(|p| weight(p) as f64))
                 .expect("positive C(b,2) weights")
         });
         Self {

@@ -41,13 +41,24 @@ impl std::fmt::Display for AliasError {
 impl std::error::Error for AliasError {}
 
 /// A Walker alias table over indices `0..n` with the given weights.
+///
+/// Each column keeps its probability and its alias side by side, so a
+/// draw reads one 16-byte entry (one cache line) after its column pick.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AliasTable {
-    /// Probability of keeping the column's own index (scaled to [0,1]).
-    prob: Box<[f64]>,
-    /// Alias index taken when the column's own index is rejected.
-    alias: Box<[u32]>,
+    columns: Box<[Column]>,
     total: f64,
+}
+
+/// One column of an [`AliasTable`]. 16-byte aligned, so no entry
+/// straddles a cache line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(align(16))]
+struct Column {
+    /// Probability of keeping the column's own index (scaled to [0,1]).
+    prob: f64,
+    /// Alias index taken when the column's own index is rejected.
+    alias: u32,
 }
 
 impl AliasTable {
@@ -57,49 +68,54 @@ impl AliasTable {
     /// See [`AliasError`]. Zero weights are allowed (those indices are
     /// simply never drawn) as long as the total mass is positive.
     pub fn new(weights: &[f64]) -> Result<Self, AliasError> {
-        Self::from_vec(weights.to_vec())
+        Self::from_weights(weights.iter().copied())
     }
 
-    /// [`AliasTable::new`] over owned weights, whose buffer becomes the
-    /// table's probability column instead of being copied.
+    /// [`AliasTable::new`] over weights streamed straight into the
+    /// table's columns, with no intermediate weight buffer.
     ///
     /// # Errors
     /// As [`AliasTable::new`].
-    pub fn from_vec(weights: Vec<f64>) -> Result<Self, AliasError> {
-        if weights.is_empty() {
-            return Err(AliasError::Empty);
-        }
+    pub fn from_weights(weights: impl IntoIterator<Item = f64>) -> Result<Self, AliasError> {
+        let weights = weights.into_iter();
         let mut total = 0.0f64;
-        for (position, &w) in weights.iter().enumerate() {
+        let mut columns: Vec<Column> = Vec::with_capacity(weights.size_hint().0);
+        for (position, w) in weights.enumerate() {
             if !w.is_finite() || w < 0.0 {
                 return Err(AliasError::InvalidWeight { position, value: w });
             }
             total += w;
+            columns.push(Column {
+                prob: w,
+                alias: position as u32,
+            });
+        }
+        if columns.is_empty() {
+            return Err(AliasError::Empty);
         }
         if total <= 0.0 {
             return Err(AliasError::ZeroMass);
         }
-        let n = weights.len();
+        let n = columns.len();
         assert!(n <= u32::MAX as usize, "alias table limited to u32 indices");
         let scale = n as f64 / total;
-        let mut prob = weights;
-        prob.iter_mut().for_each(|p| *p *= scale);
-        let mut alias: Vec<u32> = (0..n as u32).collect();
+        columns.iter_mut().for_each(|c| c.prob *= scale);
 
         let mut small: Vec<u32> = Vec::new();
         let mut large: Vec<u32> = Vec::new();
-        for (i, &p) in prob.iter().enumerate() {
-            if p < 1.0 {
+        for (i, c) in columns.iter().enumerate() {
+            if c.prob < 1.0 {
                 small.push(i as u32);
             } else {
                 large.push(i as u32);
             }
         }
         while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-            alias[s as usize] = l;
+            columns[s as usize].alias = l;
             // Donate mass from the large column to fill the small one.
-            prob[l as usize] = (prob[l as usize] + prob[s as usize]) - 1.0;
-            if prob[l as usize] < 1.0 {
+            let p = (columns[l as usize].prob + columns[s as usize].prob) - 1.0;
+            columns[l as usize].prob = p;
+            if p < 1.0 {
                 small.push(l);
             } else {
                 large.push(l);
@@ -107,16 +123,12 @@ impl AliasTable {
         }
         // Numerical leftovers: both lists should drain together; anything
         // remaining is within rounding of probability 1.
-        for l in large {
-            prob[l as usize] = 1.0;
-        }
-        for s in small {
-            prob[s as usize] = 1.0;
+        for i in large.into_iter().chain(small) {
+            columns[i as usize].prob = 1.0;
         }
 
         Ok(Self {
-            prob: prob.into_boxed_slice(),
-            alias: alias.into_boxed_slice(),
+            columns: columns.into_boxed_slice(),
             total,
         })
     }
@@ -124,14 +136,14 @@ impl AliasTable {
     /// Number of columns (the `n` of the distribution).
     #[inline]
     pub fn len(&self) -> usize {
-        self.prob.len()
+        self.columns.len()
     }
 
     /// True if the table has no columns (never constructed — kept for API
     /// completeness).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
+        self.columns.is_empty()
     }
 
     /// Total input mass (e.g. `N_H` when weights are `C(b_j, 2)`).
@@ -143,11 +155,12 @@ impl AliasTable {
     /// Draws an index with probability `weight[i] / total`, in O(1).
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let col = rng.below_usize(self.prob.len());
-        if rng.next_f64() < self.prob[col] {
-            col
+        let i = rng.below_usize(self.columns.len());
+        let col = self.columns[i];
+        if rng.next_f64() < col.prob {
+            i
         } else {
-            self.alias[col] as usize
+            col.alias as usize
         }
     }
 }
@@ -259,9 +272,9 @@ mod tests {
         assert!((dist[1] - 3.0 / 14.0).abs() < 0.005);
         assert!((dist[2] - 10.0 / 14.0).abs() < 0.005);
         assert_eq!(
-            AliasTable::from_vec(weights.clone()),
+            AliasTable::from_weights(weights.iter().copied()),
             Ok(t),
-            "owned weights"
+            "streamed weights"
         );
     }
 

@@ -141,10 +141,8 @@ impl Client {
                 encoded.len()
             );
             use std::io::Write;
-            let sent = reader
-                .get_ref()
-                .try_clone()
-                .and_then(|mut w| w.write_all(request.as_bytes()));
+            // Through the reader's own socket: no `dup` per request.
+            let sent = reader.get_mut().write_all(request.as_bytes());
             let response = match sent {
                 Ok(()) => http::read_response(reader, MAX_RESPONSE),
                 Err(e) => Err(ReadError::Io(e)),

@@ -191,7 +191,7 @@ pub fn write_response<S: Write>(
     close: bool,
     retry_after: Option<std::time::Duration>,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut reply = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\n",
         reason(status),
         body.len()
@@ -203,14 +203,16 @@ pub fn write_response<S: Write>(
         // which some clients treat as "immediately". Never advertise
         // less wait than was asked for.
         let secs = after.as_secs() + u64::from(after.subsec_nanos() != 0);
-        head.push_str(&format!("retry-after: {}\r\n", secs.max(1)));
+        reply.push_str(&format!("retry-after: {}\r\n", secs.max(1)));
     }
     if close {
-        head.push_str("connection: close\r\n");
+        reply.push_str("connection: close\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    reply.push_str("\r\n");
+    // Head and body in one buffer, one write: on an unbuffered
+    // `TCP_NODELAY` socket two writes leave as two segments.
+    reply.push_str(body);
+    stream.write_all(reply.as_bytes())?;
     stream.flush()
 }
 
@@ -377,6 +379,28 @@ mod tests {
         assert_eq!(resp.status, 429);
         assert_eq!(resp.body, b"{\"error\":\"shed\"}");
         assert_eq!(resp.headers.get("retry-after").unwrap(), "2");
+    }
+
+    /// A reply is one write of head and body: on the server's unbuffered
+    /// `TCP_NODELAY` socket each write would leave as its own segment.
+    #[test]
+    fn a_response_is_one_write() {
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut wire = Writes(Vec::new());
+        write_response(&mut wire, 200, "application/json", "{\"ok\":1}", true, None).unwrap();
+        assert_eq!(wire.0.len(), 1, "head and body in one write");
+        let resp = read_response(&mut BufReader::new(wire.0[0].as_slice()), 1024).unwrap();
+        assert_eq!(resp.body, b"{\"ok\":1}");
+        assert!(resp.wants_close());
     }
 
     #[test]

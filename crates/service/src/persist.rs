@@ -397,6 +397,20 @@ fn encode_checkpoint_inner(meta: &CheckpointMeta, snapshot: &Snapshot) -> Contai
 /// Atomically replaces the checkpoint file in `dir`: the sections are
 /// built in memory ([`encode_checkpoint_inner`]), written to a temp file,
 /// fsync'd and renamed over the current checkpoint.
+///
+/// The `sync_data` runs under every `FsyncPolicy`, `Never` included.
+/// The policy decides only when an *ingest* is acknowledged; a
+/// checkpoint is a cut, and the engine's cut is durable under any
+/// policy. It fsyncs the WAL (`WalSet::sync_all`), writes this file,
+/// seals the record-bearing segments (`seal_active` → `rotate`, which
+/// `sync_data`s them), and then `WalSet::truncate` unlinks the sealed
+/// segments at or below the retention horizon. With one retained
+/// generation that horizon is this checkpoint's own cut, so the unlinks
+/// delete the only other copy of the records this file covers. Left in
+/// the page cache, a power cut after the rename could keep a torn
+/// checkpoint and no log to rebuild it from, losing writes the cut had
+/// already made durable. So the file reaches the disk before any
+/// segment it covers is dropped.
 pub(crate) fn write_checkpoint(
     dir: &Path,
     meta: &CheckpointMeta,

@@ -120,6 +120,9 @@ impl SparseVector {
             });
         }
         Self::check_sorted(indices.iter().copied(), values.iter().copied())?;
+        if !values.contains(&0.0) {
+            return Ok(Self::trusted(indices, values));
+        }
         let (indices, values): (Vec<u32>, Vec<f32>) = indices
             .into_iter()
             .zip(values)
